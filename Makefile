@@ -21,7 +21,7 @@ BENCH_BASELINE ?= BENCH_9.json
 # under each sync policy, and the resolver/bulk-SPF concurrency path.
 HOT_BENCHES = BenchmarkServeHotPath|BenchmarkDNSMessagePackUnpack|BenchmarkSPFParse|BenchmarkQueryLogJSONRoundTrip|BenchmarkLogCodec|BenchmarkParForEachLogJSON|BenchmarkWALAppend|BenchmarkWALRecover|BenchmarkResolverParallel|BenchmarkSingleflightDedup|BenchmarkBulkSPF
 
-.PHONY: check vet build test fuzz-seeds chaos crash bench bench-smoke bench-diff telemetry-alloc bulk-race trace-race
+.PHONY: check vet build test fuzz-seeds chaos crash bench bench-smoke bench-diff bench-e2e bench-e2e-compare telemetry-alloc bulk-race trace-race
 
 check: vet build test fuzz-seeds telemetry-alloc crash bulk-race trace-race bench-smoke
 
@@ -61,12 +61,13 @@ crash:
 
 # The instrument allocation pins: metric increments are on the DNS
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
-# must stay at zero allocations (alongside the codec pins and the
-# resolver cache-hit pin that share the naming convention).
+# must stay at zero allocations (alongside the log, journal and trace
+# codec pins, the shared jsonwire cursor pin, and the resolver
+# cache-hit pin that share the naming convention).
 telemetry-alloc:
 	$(GO) test -run 'Alloc' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
-		./internal/trace/
+		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/
 
 # The bulk-SPF pipeline under seeded netsim faults and the race
 # detector: every input line must come back out exactly once while the
@@ -106,3 +107,15 @@ bench:
 bench-diff:
 	$(GO) test -run NONE -bench '$(HOT_BENCHES)' -benchmem -count 1 \
 		. ./internal/dnsserver/ ./internal/wal/ ./internal/resolver/ | $(GO) run ./cmd/benchjson -diff $(BENCH_BASELINE)
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md):
+# four closed-loop workloads, each run untraced for the end-to-end
+# metrics and traced for the per-layer ones. For -repeat/-out/-workload
+# and friends call `go run ./bench` directly.
+bench-e2e:
+	$(GO) run ./bench
+
+# Verdict per workload and metric between two stored runs; exits
+# non-zero on a regression: `make bench-e2e-compare A=A.json B=B.json`.
+bench-e2e-compare:
+	$(GO) run ./bench -compare $(A) $(B)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -10,11 +9,9 @@ import (
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/jsonwire"
 	"sendervalid/internal/trace"
 )
-
-// maxSpanLine bounds one span record line when scanning a trace file.
-const maxSpanLine = 1 << 20
 
 // loadSpans reads a span stream written with -trace-file (WAL-framed
 // JSONL, possibly rotated) and returns the decoded records. Undecodable
@@ -26,10 +23,9 @@ func loadSpans(path string) (recs []trace.Record, bad int, err error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), maxSpanLine)
-	for sc.Scan() {
-		line := sc.Bytes()
+	lr := jsonwire.NewLineReader(f)
+	for lr.Next() {
+		line := lr.Bytes()
 		if len(line) == 0 {
 			continue
 		}
@@ -40,7 +36,7 @@ func loadSpans(path string) (recs []trace.Record, bad int, err error) {
 		}
 		recs = append(recs, rec)
 	}
-	return recs, bad, sc.Err()
+	return recs, bad, lr.Err()
 }
 
 // spanNode is one span in a reassembled trace tree.

@@ -93,6 +93,39 @@ func TestLoadSpansTornTail(t *testing.T) {
 	}
 }
 
+// TestLoadSpansOversizedJunkLine pins loadSpans' contract that an
+// undecodable line is counted, not fatal, for the line a bufio.Scanner
+// would choke on: over a mebibyte of garbage between two valid spans
+// costs one bad line, not the whole -trace load.
+func TestLoadSpansOversizedJunkLine(t *testing.T) {
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	first := spanRec(strings.Repeat("a", 32), strings.Repeat("1", 16), "", "spf.check_host", base, time.Millisecond)
+	second := spanRec(strings.Repeat("b", 32), strings.Repeat("2", 16), "", "resolver.wire", base.Add(time.Second), time.Millisecond)
+
+	// A plain (unframed) JSONL span file, which OpenLogStream passes
+	// through as is.
+	var file []byte
+	file = trace.AppendRecordJSON(file, first)
+	file = append(file, strings.Repeat("\x00garbage", 1<<17)...) // ~1.1 MiB, no newline inside
+	file = append(file, '\n')
+	file = trace.AppendRecordJSON(file, second)
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, bad, err := loadSpans(path)
+	if err != nil {
+		t.Fatalf("oversized junk line failed the load: %v", err)
+	}
+	if bad != 1 {
+		t.Errorf("bad = %d, want 1 (the junk line)", bad)
+	}
+	if len(got) != 2 || got[0].Span != first.Span || got[1].Span != second.Span {
+		t.Fatalf("salvaged %d records, want the two spans around the junk", len(got))
+	}
+}
+
 // TestRenderTraceTrees drives the forest assembly and query-log join
 // over synthetic data: nesting, orphan adoption, time-window and
 // name/type matching, the one-entry-one-span rule, and the

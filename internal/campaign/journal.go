@@ -1,13 +1,13 @@
 package campaign
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"time"
 
+	"sendervalid/internal/jsonwire"
 	"sendervalid/internal/telemetry"
 )
 
@@ -170,50 +170,33 @@ func ReadJournal(r io.Reader) (*Replay, error) {
 		Attempts: make(map[Key]int),
 	}
 	var p eventParser
-	// ReadSlice with a spill buffer instead of bufio.Scanner: a
-	// Scanner's token limit turns one oversized garbage line (a torn
-	// write landing mid-buffer, a corrupted length run) into a failed
-	// resume, where it should just be one more Malformed line.
-	br := bufio.NewReaderSize(r, 64*1024)
-	var spill []byte
-	for {
-		line, rerr := br.ReadSlice('\n')
-		if rerr == bufio.ErrBufferFull {
-			spill = append(spill[:0], line...)
-			for rerr == bufio.ErrBufferFull {
-				line, rerr = br.ReadSlice('\n')
-				spill = append(spill, line...)
-			}
-			line = spill
+	// LineReader, not bufio.Scanner: one oversized garbage line must be
+	// one more Malformed line, not a failed resume. It also drops a CR
+	// before the newline, for tooling that rewrote the file.
+	lr := jsonwire.NewLineReader(r)
+	for lr.Next() {
+		line := lr.Bytes()
+		if len(line) == 0 {
+			continue
 		}
-		if rerr != nil && rerr != io.EOF {
-			return nil, fmt.Errorf("campaign: reading journal: %w", rerr)
+		e, err := p.parse(line)
+		if err != nil {
+			rp.Malformed++
+			continue
 		}
-		// Trim the delimiter (and a CR, for tooling that rewrote the
-		// file); the final line may legitimately lack the newline.
-		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-			line = line[:len(line)-1]
+		rp.Events++
+		rp.Seen[e.Key] = true
+		switch e.Ev {
+		case evAttempt:
+			rp.Attempts[e.Key] = e.N
+		case evDone:
+			rp.Final[e.Key] = StateDone
+		case evFailed:
+			rp.Final[e.Key] = StateFailed
 		}
-		if len(line) > 0 {
-			e, err := p.parse(line)
-			if err != nil {
-				rp.Malformed++
-			} else {
-				rp.Events++
-				rp.Seen[e.Key] = true
-				switch e.Ev {
-				case evAttempt:
-					rp.Attempts[e.Key] = e.N
-				case evDone:
-					rp.Final[e.Key] = StateDone
-				case evFailed:
-					rp.Final[e.Key] = StateFailed
-				}
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
+	}
+	if err := lr.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: reading journal: %w", err)
 	}
 	if rp.Events == 0 && rp.Malformed > 0 {
 		return nil, fmt.Errorf("campaign: no valid events in %d lines: not a journal", rp.Malformed)

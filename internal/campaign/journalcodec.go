@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"bytes"
+	"encoding/json"
 	"strconv"
 
 	"sendervalid/internal/jsonwire"
@@ -14,10 +14,11 @@ import (
 //	 "n":<int,omitempty>,"err":<string,omitempty>,"delay_ms":<int,omitempty>}
 //
 // one event per line. Like the query-log codec in internal/dnsserver,
-// encode and decode are hand-rolled append/scan paths: the journal
-// write sits on the campaign's task-transition path (every attempt,
-// retry, and completion), and replay on resume walks the whole file,
-// so neither should pay reflection per record.
+// the lines the campaign itself writes take hand-rolled paths both
+// ways: the journal write sits on the campaign's task-transition path
+// (every attempt, retry, and completion), and replay on resume walks
+// the whole file, so neither should pay reflection per record. Any
+// other line is decoded by json.Unmarshal into the event struct.
 
 // appendEventJSON encodes e as one journal line, including the
 // trailing newline, byte-identical to json.Marshal of the event
@@ -66,227 +67,94 @@ func internEv(b []byte) string {
 	return ""
 }
 
-// eventSpan locates one decoded string inside the parser's scratch
-// buffer.
-type eventSpan struct{ off, end int }
-
-// eventParser decodes one journal line without encoding/json,
-// reusable across lines like dnsserver's logLineParser.
+// eventParser decodes one journal line, reusable across lines like
+// dnsserver's logLineParser.
 type eventParser struct {
-	doc     jsonwire.Doc
 	scratch []byte
-	keyBuf  []byte
 }
 
-var eventFieldNames = [][]byte{
-	[]byte("t"), []byte("ev"), []byte("k"),
-	[]byte("n"), []byte("err"), []byte("delay_ms"),
-}
-
-var keyFieldNames = [][]byte{[]byte("mta"), []byte("test")}
-
-// matchKey resolves a decoded object key against names: exact match
-// first, then bytes.EqualFold for encoding/json's case-insensitive
-// fallback.
-func matchKey(key []byte, names [][]byte) int {
-	for i, name := range names {
-		if bytes.Equal(key, name) {
-			return i
-		}
-	}
-	for i, name := range names {
-		if bytes.EqualFold(key, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-func (p *eventParser) stringSpan(s *eventSpan, set *bool) error {
-	d := &p.doc
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	start := len(p.scratch)
-	var err error
-	p.scratch, err = d.ReadString(p.scratch)
-	if err != nil {
-		return err
-	}
-	*s = eventSpan{off: start, end: len(p.scratch)}
-	if set != nil {
-		*set = true
-	}
-	return nil
-}
-
-// objectKey reads the next key of the current object, unescaping into
-// keyBuf when needed.
-func (p *eventParser) objectKey(first bool) (key []byte, more bool, err error) {
-	raw, more, err := p.doc.NextKey(first)
-	if err != nil || !more {
-		return nil, more, err
-	}
-	if bytes.IndexByte(raw, '\\') >= 0 {
-		p.keyBuf = jsonwire.Unescape(p.keyBuf[:0], raw)
-		return p.keyBuf, true, nil
-	}
-	return raw, true, nil
-}
-
-// intField parses an int-typed field (or null, a no-op) into *v.
-func (p *eventParser) intField(v *int64) error {
-	d := &p.doc
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	n, err := d.Int()
-	if err != nil {
-		return err
-	}
-	*v = n
-	return nil
-}
-
-// parse decodes one journal line. Known event kinds are interned; the
-// two key strings share one backing allocation.
+// parse decodes one journal line: the canonical fast tier first, then
+// encoding/json for whatever that declines.
 func (p *eventParser) parse(line []byte) (event, error) {
-	p.scratch = p.scratch[:0]
-
-	var (
-		e         event
-		ev, errs  eventSpan
-		mta, test eventSpan
-		evSet     bool
-		n, delay  int64
-	)
-
-	d := &p.doc
-	d.Init(line)
-	d.WS()
-	if isNull, err := d.TryNull(); err != nil {
-		return event{}, err
-	} else if isNull {
-		// json.Unmarshal accepts a null document as a zero event.
-		if err := d.End(); err != nil {
-			return event{}, err
-		}
-		return event{}, nil
+	if e, ok := p.parseFast(line); ok {
+		return e, nil
 	}
-	if err := d.ObjectStart(); err != nil {
+	var e event
+	if err := json.Unmarshal(line, &e); err != nil {
 		return event{}, err
 	}
-	for first := true; ; first = false {
-		key, more, err := p.objectKey(first)
-		if err != nil {
-			return event{}, err
-		}
-		if !more {
-			break
-		}
-		switch matchKey(key, eventFieldNames) {
-		case 0: // t
-			d.WS()
-			if isNull, err := d.TryNull(); err != nil {
-				return event{}, err
-			} else if !isNull {
-				raw, err := d.RawString()
-				if err != nil {
-					return event{}, err
-				}
-				e.Time, err = jsonwire.ParseTime(raw)
-				if err != nil {
-					return event{}, err
-				}
-			}
-		case 1: // ev
-			if err := p.stringSpan(&ev, &evSet); err != nil {
-				return event{}, err
-			}
-		case 2: // k
-			d.WS()
-			if isNull, err := d.TryNull(); err != nil {
-				return event{}, err
-			} else if isNull {
-				break
-			}
-			if err := d.ObjectStart(); err != nil {
-				return event{}, err
-			}
-			for kfirst := true; ; kfirst = false {
-				kkey, more, err := p.objectKey(kfirst)
-				if err != nil {
-					return event{}, err
-				}
-				if !more {
-					break
-				}
-				switch matchKey(kkey, keyFieldNames) {
-				case 0:
-					if err := p.stringSpan(&mta, nil); err != nil {
-						return event{}, err
-					}
-				case 1:
-					if err := p.stringSpan(&test, nil); err != nil {
-						return event{}, err
-					}
-				default:
-					if err := d.SkipValue(); err != nil {
-						return event{}, err
-					}
-				}
-			}
-		case 3: // n
-			if err := p.intField(&n); err != nil {
-				return event{}, err
-			}
-			// json.Unmarshal range-checks against the field's width.
-			if int64(int(n)) != n {
-				return event{}, strconv.ErrRange
-			}
-		case 4: // err
-			if err := p.stringSpan(&errs, nil); err != nil {
-				return event{}, err
-			}
-		case 5: // delay_ms
-			if err := p.intField(&delay); err != nil {
-				return event{}, err
-			}
-		default:
-			if err := d.SkipValue(); err != nil {
-				return event{}, err
-			}
-		}
-	}
-	if err := d.End(); err != nil {
-		return event{}, err
-	}
-
-	// One backing string for every decoded string field; the event
-	// kind is interned so the common case stays at one allocation.
-	backing := ""
-	get := func(s eventSpan) string {
-		if s.off == s.end {
-			return ""
-		}
-		if backing == "" {
-			backing = string(p.scratch)
-		}
-		return backing[s.off:s.end]
-	}
-	if evSet {
-		if s := internEv(p.scratch[ev.off:ev.end]); s != "" {
-			e.Ev = s
-		} else {
-			e.Ev = get(ev)
-		}
-	}
-	e.Key.MTA = get(mta)
-	e.Key.Test = get(test)
-	e.Err = get(errs)
-	e.N = int(n)
-	e.DelayMS = delay
 	return e, nil
+}
+
+// parseFast decodes the canonical encoding appendEventJSON emits:
+// fields in wire order, no interior whitespace, plain ASCII strings.
+// ok=false means "not canonical", not "invalid"; on anything it
+// accepts it must agree with json.Unmarshal. Known event kinds are
+// interned and the other strings share one backing allocation, so
+// replay costs one allocation per line.
+func (p *eventParser) parseFast(line []byte) (e event, ok bool) {
+	c := jsonwire.NewCursor(line)
+	var raw, ev, mta, test, errs []byte
+	var n int64
+
+	if !c.Lit(`{"t":"`) {
+		return e, false
+	}
+	if raw, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if e.Time, ok = jsonwire.TryParseTime(raw); !ok {
+		return e, false
+	}
+	if !c.Lit(`,"ev":"`) {
+		return e, false
+	}
+	if ev, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if !c.Lit(`,"k":{"mta":"`) {
+		return e, false
+	}
+	if mta, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if !c.Lit(`,"test":"`) {
+		return e, false
+	}
+	if test, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if !c.Lit(`}`) {
+		return e, false
+	}
+	if c.Lit(`,"n":`) {
+		// json.Unmarshal range-checks against the field's width.
+		if n, ok = c.Int(); !ok || int64(int(n)) != n {
+			return e, false
+		}
+		e.N = int(n)
+	}
+	if c.Lit(`,"err":"`) {
+		if errs, ok = c.RawStr(); !ok {
+			return e, false
+		}
+	}
+	if c.Lit(`,"delay_ms":`) {
+		if e.DelayMS, ok = c.Int(); !ok {
+			return e, false
+		}
+	}
+	if !c.End() {
+		return e, false
+	}
+
+	if e.Ev = internEv(ev); e.Ev == "" {
+		e.Ev = string(ev)
+	}
+	p.scratch = append(append(append(p.scratch[:0], mta...), test...), errs...)
+	backing := string(p.scratch)
+	e.Key.MTA = backing[:len(mta)]
+	e.Key.Test = backing[len(mta) : len(mta)+len(test)]
+	e.Err = backing[len(mta)+len(test):]
+	return e, true
 }

@@ -1,8 +1,6 @@
 package dnsserver
 
 import (
-	"bufio"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -135,43 +133,4 @@ func (a *AsyncLog) RegisterMetrics(reg *telemetry.Registry) {
 	reg.MustGaugeFunc("dnsserver_log_buffer_capacity",
 		"Async query-log buffer depth.",
 		func() float64 { return float64(cap(a.ch)) })
-}
-
-// WriterSink streams entries to w as JSON lines — the blocking disk
-// sink AsyncLog is designed to wrap. It is safe for concurrent use.
-// Encoding goes through the reflection-free AppendLogJSON into a
-// buffer reused across entries, so steady-state appends allocate
-// nothing.
-type WriterSink struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	buf []byte
-	err error
-}
-
-// NewWriterSink buffers writes to w.
-func NewWriterSink(w io.Writer) *WriterSink {
-	return &WriterSink{bw: bufio.NewWriter(w), buf: make([]byte, 0, 512)}
-}
-
-// Append implements Sink. Write errors are sticky and surfaced by
-// Flush.
-func (s *WriterSink) Append(e LogEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	s.buf = AppendLogJSON(s.buf[:0], e)
-	_, s.err = s.bw.Write(s.buf)
-}
-
-// Flush drains the buffer and returns the first error encountered.
-func (s *WriterSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	return s.bw.Flush()
 }

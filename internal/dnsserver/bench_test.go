@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,16 +191,16 @@ func BenchmarkParForEachLogJSON(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var n atomic.Int64
-				err := ParForEachLogJSON(bytes.NewReader(buf), workers, func(LogEntry) error {
-					n.Add(1)
+				n := 0
+				err := ParForEachLogJSONOrdered(bytes.NewReader(buf), workers, func(LogEntry) error {
+					n++
 					return nil
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if n.Load() != 50000 {
-					b.Fatalf("decoded %d entries, want 50000", n.Load())
+				if n != 50000 {
+					b.Fatalf("decoded %d entries, want 50000", n)
 				}
 			}
 		})

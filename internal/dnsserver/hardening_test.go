@@ -182,14 +182,14 @@ func (s *slowSink) Append(e LogEntry) {
 	s.inner.Append(e)
 }
 
-// TestWriterSinkJSONL checks the disk sink emits one JSON object per
-// line with the attribution fields intact.
-func TestWriterSinkJSONL(t *testing.T) {
+// TestWriteJSONLines checks the plain-JSONL writer emits one JSON
+// object per line with the attribution fields intact.
+func TestWriteJSONLines(t *testing.T) {
 	var buf bytes.Buffer
-	ws := NewWriterSink(&buf)
-	ws.Append(LogEntry{Name: "l1.t01.m0042." + testSuffix, TestID: "t01", MTAID: "m0042", Rest: []string{"l1"}})
-	ws.Append(LogEntry{Name: "t02.m0001." + testSuffix, TestID: "t02", MTAID: "m0001"})
-	if err := ws.Flush(); err != nil {
+	var ql QueryLog
+	ql.Append(LogEntry{Name: "l1.t01.m0042." + testSuffix, TestID: "t01", MTAID: "m0042", Rest: []string{"l1"}})
+	ql.Append(LogEntry{Name: "t02.m0001." + testSuffix, TestID: "t02", MTAID: "m0001"})
+	if err := ql.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -1,29 +1,38 @@
 package dnsserver
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
+	"time"
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/jsonwire"
 )
 
-// The query log's JSONL wire format, fixed since the format was
-// introduced and identical to what encoding/json produced for the old
-// logRecord struct (fuzz tests pin the equivalence byte for byte):
-//
-//	{"t":<RFC3339Nano>,"name":<string>,"type":<mnemonic-or-TYPEn>,
-//	 "test":<string,omitempty>,"mta":<string,omitempty>,
-//	 "rest":<[]string,omitempty>,"via":<string,omitempty>,
-//	 "v6":<bool,omitempty>,"remote":<string,omitempty>}
-//
-// one record per line. Encoding and decoding go through hand-rolled
-// append/scan paths (no encoding/json, no reflection, no fmt) so the
-// collect-and-analyze loop keeps up with the allocation-free serving
-// path: encode is zero-alloc into a reused buffer, decode costs at
-// most two allocations per record (one backing string shared by all
-// string fields, plus the Rest slice when present).
+// logRecord defines the query log's JSONL wire format, one record per
+// line, fixed since the format was introduced: it is what encoding/json
+// produces and accepts for this struct (Type holding the mnemonic or
+// the RFC 3597 TYPEn form). Every line the servers write goes through
+// two hand-rolled paths that fuzz tests pin to that definition byte
+// for byte, so the collect-and-analyze loop keeps up with the
+// allocation-free serving path: AppendLogJSON encodes with zero
+// allocations into a reused buffer, and parseFast decodes the
+// encoder's own canonical output in at most two (one backing string
+// shared by all string fields, plus the Rest slice when present).
+// Anything else — a hand-edited or foreign log — is decoded by
+// json.Unmarshal into this struct.
+type logRecord struct {
+	Time      time.Time `json:"t"`
+	Name      string    `json:"name"`
+	Type      string    `json:"type"`
+	TestID    string    `json:"test,omitempty"`
+	MTAID     string    `json:"mta,omitempty"`
+	Rest      []string  `json:"rest,omitempty"`
+	Transport string    `json:"via,omitempty"`
+	OverIPv6  bool      `json:"v6,omitempty"`
+	Remote    string    `json:"remote,omitempty"`
+}
 
 // AppendLogJSON encodes e as one query-log JSON line — including the
 // trailing newline — and appends it to dst, returning the extended
@@ -163,428 +172,143 @@ func parseType(b []byte) (dns.Type, bool) {
 	return dns.Type(v), true
 }
 
-// span locates one decoded string field inside the parser's scratch
-// buffer.
-type span struct{ off, end int }
-
-// logLineParser decodes one query-log line without encoding/json. It
-// is reusable: the scratch buffer that accumulates unescaped string
-// contents and the rest-offset slice are retained across lines, so a
-// long scan settles into the two-allocations-per-record regime.
+// logLineParser decodes one query-log line. It is reusable: the
+// scratch buffer that gathers the string fields and the rest slice are
+// retained across lines, so a long scan settles into the
+// two-allocations-per-record regime.
 type logLineParser struct {
-	doc     jsonwire.Doc
 	scratch []byte
-	keyBuf  []byte
-	rest    []span
+	rest    [][]byte
 }
 
-// logFieldNames lists the wire keys for fold matching (encoding/json
-// matches keys case-insensitively when no exact field matches).
-var logFieldNames = [][]byte{
-	[]byte("t"), []byte("name"), []byte("type"), []byte("test"),
-	[]byte("mta"), []byte("rest"), []byte("via"), []byte("v6"),
-	[]byte("remote"),
-}
-
-// matchLogKey resolves a decoded object key to a field index in
-// logFieldNames, or -1. The exact-match switch compiles to
-// length-bucketed comparisons (no allocation); bytes.EqualFold
-// reproduces encoding/json's fold matching (the two are defined to
-// agree).
-func matchLogKey(key []byte) int {
-	switch string(key) {
-	case "t":
-		return 0
-	case "name":
-		return 1
-	case "type":
-		return 2
-	case "test":
-		return 3
-	case "mta":
-		return 4
-	case "rest":
-		return 5
-	case "via":
-		return 6
-	case "v6":
-		return 7
-	case "remote":
-		return 8
-	}
-	for i, name := range logFieldNames {
-		if bytes.EqualFold(key, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// stringSpan parses a string value (or null) for a string field,
-// appending the unescaped contents to scratch and updating the span.
-// null leaves the previous value untouched, as encoding/json does;
-// set reports whether a string was actually stored.
-func (p *logLineParser) stringSpan(s *span) (set bool, err error) {
-	d := &p.doc
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return false, err
-	}
-	start := len(p.scratch)
-	p.scratch, err = d.ReadString(p.scratch)
-	if err != nil {
-		return false, err
-	}
-	*s = span{off: start, end: len(p.scratch)}
-	return true, nil
-}
-
-// hasLit reports whether in[i:] starts with lit (compiles to a
-// length check plus memeq, no allocation).
-func hasLit(in []byte, i int, lit string) bool {
-	return len(in)-i >= len(lit) && string(in[i:i+len(lit)]) == lit
-}
-
-// scanPlain advances from i to the closing quote of a plain string —
-// ASCII, no escapes, no control characters — returning the quote's
-// index, or ok=false if the string is anything fancier.
-func scanPlain(in []byte, i int) (end int, ok bool) {
-	for i < len(in) {
-		c := in[i]
-		if c == '"' {
-			return i, true
-		}
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return 0, false
-		}
-		i++
-	}
-	return 0, false
-}
-
-// parseFast decodes the canonical encoding AppendLogJSON emits:
-// fields in wire order, no interior whitespace, plain ASCII strings.
-// That is every line the server itself wrote, so the generic parser
-// below — which this must agree with byte for byte on anything it
-// accepts — only runs for hand-edited or foreign logs. ok=false means
-// "not canonical", not "invalid".
-func (p *logLineParser) parseFast(line []byte) (LogEntry, bool) {
-	in := line
-	if n := len(in); n > 0 && in[n-1] == '\n' {
-		in = in[:n-1]
-	}
-	var (
-		e                            LogEntry
-		name, test, mta, via, remote span // input coordinates
-		ok                           bool
-		end                          int
-	)
-	p.rest = p.rest[:0]
-	restSet := false
-
-	i := len(`{"t":"`)
-	if !hasLit(in, 0, `{"t":"`) {
-		return e, false
-	}
-	if end, ok = scanPlain(in, i); !ok {
-		return e, false
-	}
-	if e.Time, ok = jsonwire.TryParseTime(in[i:end]); !ok {
-		return e, false
-	}
-	i = end + 1
-
-	if !hasLit(in, i, `,"name":"`) {
-		return e, false
-	}
-	i += len(`,"name":"`)
-	if end, ok = scanPlain(in, i); !ok {
-		return e, false
-	}
-	name = span{i, end}
-	i = end + 1
-
-	if !hasLit(in, i, `,"type":"`) {
-		return e, false
-	}
-	i += len(`,"type":"`)
-	if end, ok = scanPlain(in, i); !ok {
-		return e, false
-	}
-	if e.Type, ok = parseType(in[i:end]); !ok {
-		return e, false
-	}
-	i = end + 1
-
-	if hasLit(in, i, `,"test":"`) {
-		i += len(`,"test":"`)
-		if end, ok = scanPlain(in, i); !ok {
-			return e, false
-		}
-		test = span{i, end}
-		i = end + 1
-	}
-	if hasLit(in, i, `,"mta":"`) {
-		i += len(`,"mta":"`)
-		if end, ok = scanPlain(in, i); !ok {
-			return e, false
-		}
-		mta = span{i, end}
-		i = end + 1
-	}
-	if hasLit(in, i, `,"rest":[`) {
-		i += len(`,"rest":[`)
-		restSet = true
-		for {
-			if !hasLit(in, i, `"`) {
-				return e, false
-			}
-			i++
-			if end, ok = scanPlain(in, i); !ok {
-				return e, false
-			}
-			p.rest = append(p.rest, span{i, end})
-			i = end + 1
-			if hasLit(in, i, ",") {
-				i++
-				continue
-			}
-			if hasLit(in, i, "]") {
-				i++
-				break
-			}
-			return e, false
-		}
-	}
-	if hasLit(in, i, `,"via":"`) {
-		i += len(`,"via":"`)
-		if end, ok = scanPlain(in, i); !ok {
-			return e, false
-		}
-		via = span{i, end}
-		i = end + 1
-	}
-	if hasLit(in, i, `,"v6":true`) {
-		i += len(`,"v6":true`)
-		e.OverIPv6 = true
-	}
-	if hasLit(in, i, `,"remote":"`) {
-		i += len(`,"remote":"`)
-		if end, ok = scanPlain(in, i); !ok {
-			return e, false
-		}
-		remote = span{i, end}
-		i = end + 1
-	}
-	if i != len(in)-1 || in[i] != '}' {
-		return e, false
-	}
-
-	// Same materialization as the generic path: every string field
-	// shares one compact backing allocation (never the reused line
-	// buffer), plus the Rest slice when present.
-	p.scratch = p.scratch[:0]
-	copied := make([]span, 0, 8)
-	for _, s := range []span{name, test, mta, via, remote} {
-		off := len(p.scratch)
-		p.scratch = append(p.scratch, in[s.off:s.end]...)
-		copied = append(copied, span{off, len(p.scratch)})
-	}
-	restStart := len(copied)
-	for _, s := range p.rest {
-		off := len(p.scratch)
-		p.scratch = append(p.scratch, in[s.off:s.end]...)
-		copied = append(copied, span{off, len(p.scratch)})
-	}
-	backing := string(p.scratch)
-	get := func(s span) string {
-		if s.off == s.end {
-			return ""
-		}
-		return backing[s.off:s.end]
-	}
-	e.Name = get(copied[0])
-	e.TestID = get(copied[1])
-	e.MTAID = get(copied[2])
-	e.Transport = get(copied[3])
-	e.Remote = get(copied[4])
-	if restSet {
-		out := make([]string, len(p.rest))
-		for j := range p.rest {
-			out[j] = get(copied[restStart+j])
-		}
-		e.Rest = out
-	}
-	return e, true
-}
-
-// parse decodes one log line. The returned entry's string fields all
-// share one backing allocation; rest costs a second when present.
+// parse decodes one log line: the canonical fast tier first, then
+// encoding/json for whatever that declines.
 func (p *logLineParser) parse(line []byte) (LogEntry, error) {
 	if e, ok := p.parseFast(line); ok {
 		return e, nil
 	}
-	p.scratch = p.scratch[:0]
+	var rec logRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return LogEntry{}, err
+	}
+	t, ok := parseType([]byte(rec.Type))
+	if !ok {
+		return LogEntry{}, fmt.Errorf("unknown type %q", rec.Type)
+	}
+	return LogEntry{
+		Time: rec.Time, Name: rec.Name, Type: t,
+		TestID: rec.TestID, MTAID: rec.MTAID, Rest: rec.Rest,
+		Transport: rec.Transport, OverIPv6: rec.OverIPv6, Remote: rec.Remote,
+	}, nil
+}
+
+// parseFast decodes the canonical encoding AppendLogJSON emits:
+// fields in wire order, no interior whitespace, plain ASCII strings.
+// That is every line the server itself wrote. ok=false means "not
+// canonical", not "invalid"; on anything it accepts it must agree
+// with the json.Unmarshal tier byte for byte.
+func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
+	c := jsonwire.NewCursor(line)
+	var raw, name, test, mta, via, remote []byte
 	p.rest = p.rest[:0]
 
-	var (
-		e           LogEntry
-		name, test  span
-		mta, via    span
-		remote, typ span
-		typeSet     bool
-		restSet     bool
-	)
-
-	d := &p.doc
-	d.Init(line)
-	d.WS()
-	if isNull, err := d.TryNull(); err != nil {
-		return LogEntry{}, err
-	} else if isNull {
-		// json.Unmarshal accepts a null document as a zero record; it
-		// then fails type resolution below, like the old decoder.
-		if err := d.End(); err != nil {
-			return LogEntry{}, err
-		}
-		return LogEntry{}, fmt.Errorf("unknown type %q", "")
+	if !c.Lit(`{"t":"`) {
+		return e, false
 	}
-	if err := d.ObjectStart(); err != nil {
-		return LogEntry{}, err
+	if raw, ok = c.RawStr(); !ok {
+		return e, false
 	}
-	for first := true; ; first = false {
-		rawKey, more, err := d.NextKey(first)
-		if err != nil {
-			return LogEntry{}, err
+	if e.Time, ok = jsonwire.TryParseTime(raw); !ok {
+		return e, false
+	}
+	if !c.Lit(`,"name":"`) {
+		return e, false
+	}
+	if name, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if !c.Lit(`,"type":"`) {
+		return e, false
+	}
+	if raw, ok = c.RawStr(); !ok {
+		return e, false
+	}
+	if e.Type, ok = parseType(raw); !ok {
+		return e, false
+	}
+	if c.Lit(`,"test":"`) {
+		if test, ok = c.RawStr(); !ok {
+			return e, false
 		}
-		if !more {
-			break
+	}
+	if c.Lit(`,"mta":"`) {
+		if mta, ok = c.RawStr(); !ok {
+			return e, false
 		}
-		key := rawKey
-		if bytes.IndexByte(rawKey, '\\') >= 0 {
-			p.keyBuf = jsonwire.Unescape(p.keyBuf[:0], rawKey)
-			key = p.keyBuf
-		}
-		switch matchLogKey(key) {
-		case 0: // t
-			d.WS()
-			if isNull, err := d.TryNull(); err != nil {
-				return LogEntry{}, err
-			} else if !isNull {
-				raw, err := d.RawString()
-				if err != nil {
-					return LogEntry{}, err
-				}
-				// time.Time.UnmarshalJSON parses the raw quoted
-				// content without unescaping; so do we.
-				e.Time, err = jsonwire.ParseTime(raw)
-				if err != nil {
-					return LogEntry{}, err
-				}
+	}
+	if c.Lit(`,"rest":[`) {
+		// At least one element: the encoder omits an empty rest, and
+		// "rest":[] (non-nil empty slice) is the fallback's to decode.
+		for {
+			if !c.Lit(`"`) {
+				return e, false
 			}
-		case 1: // name
-			if _, err := p.stringSpan(&name); err != nil {
-				return LogEntry{}, err
+			if raw, ok = c.RawStr(); !ok {
+				return e, false
 			}
-		case 2: // type
-			set, err := p.stringSpan(&typ)
-			if err != nil {
-				return LogEntry{}, err
+			p.rest = append(p.rest, raw)
+			if c.Lit(`,`) {
+				continue
 			}
-			typeSet = typeSet || set
-		case 3: // test
-			if _, err := p.stringSpan(&test); err != nil {
-				return LogEntry{}, err
-			}
-		case 4: // mta
-			if _, err := p.stringSpan(&mta); err != nil {
-				return LogEntry{}, err
-			}
-		case 5: // rest
-			d.WS()
-			if isNull, err := d.TryNull(); err != nil {
-				return LogEntry{}, err
-			} else if isNull {
-				// null resets a slice field to nil.
-				restSet = false
-				p.rest = p.rest[:0]
+			if c.Lit(`]`) {
 				break
 			}
-			if err := d.ArrayStart(); err != nil {
-				return LogEntry{}, err
-			}
-			restSet = true
-			p.rest = p.rest[:0]
-			for efirst := true; ; efirst = false {
-				more, err := d.NextElem(efirst)
-				if err != nil {
-					return LogEntry{}, err
-				}
-				if !more {
-					break
-				}
-				var el span
-				if _, err := p.stringSpan(&el); err != nil {
-					return LogEntry{}, err
-				}
-				p.rest = append(p.rest, el)
-			}
-		case 6: // via
-			if _, err := p.stringSpan(&via); err != nil {
-				return LogEntry{}, err
-			}
-		case 7: // v6
-			d.WS()
-			if isNull, err := d.TryNull(); err != nil {
-				return LogEntry{}, err
-			} else if !isNull {
-				v, err := d.Bool()
-				if err != nil {
-					return LogEntry{}, err
-				}
-				e.OverIPv6 = v
-			}
-		case 8: // remote
-			if _, err := p.stringSpan(&remote); err != nil {
-				return LogEntry{}, err
-			}
-		default:
-			if err := d.SkipValue(); err != nil {
-				return LogEntry{}, err
-			}
+			return e, false
 		}
 	}
-	if err := d.End(); err != nil {
-		return LogEntry{}, err
+	if c.Lit(`,"via":"`) {
+		if via, ok = c.RawStr(); !ok {
+			return e, false
+		}
+	}
+	if c.Lit(`,"v6":true`) {
+		e.OverIPv6 = true
+	}
+	if c.Lit(`,"remote":"`) {
+		if remote, ok = c.RawStr(); !ok {
+			return e, false
+		}
+	}
+	if !c.End() {
+		return e, false
 	}
 
-	// One backing string for every decoded string field.
+	// Every string field shares one compact backing allocation (never
+	// the caller's reused line buffer), plus the Rest slice when
+	// present. next hands the fields back out in the order gathered.
+	p.scratch = p.scratch[:0]
+	for _, f := range [...][]byte{name, test, mta, via, remote} {
+		p.scratch = append(p.scratch, f...)
+	}
+	for _, f := range p.rest {
+		p.scratch = append(p.scratch, f...)
+	}
 	backing := string(p.scratch)
-	get := func(s span) string {
-		if s.off == s.end {
-			return ""
+	next := func(f []byte) string {
+		s := backing[:len(f)]
+		backing = backing[len(f):]
+		return s
+	}
+	e.Name = next(name)
+	e.TestID = next(test)
+	e.MTAID = next(mta)
+	e.Transport = next(via)
+	e.Remote = next(remote)
+	if len(p.rest) > 0 {
+		e.Rest = make([]string, len(p.rest))
+		for j, f := range p.rest {
+			e.Rest[j] = next(f)
 		}
-		return backing[s.off:s.end]
 	}
-	if !typeSet {
-		return LogEntry{}, fmt.Errorf("unknown type %q", "")
-	}
-	t, ok := parseType(p.scratch[typ.off:typ.end])
-	if !ok {
-		return LogEntry{}, fmt.Errorf("unknown type %q", get(typ))
-	}
-	e.Type = t
-	e.Name = get(name)
-	e.TestID = get(test)
-	e.MTAID = get(mta)
-	e.Transport = get(via)
-	e.Remote = get(remote)
-	if restSet {
-		out := make([]string, len(p.rest))
-		for i, s := range p.rest {
-			out[i] = get(s)
-		}
-		e.Rest = out
-	}
-	return e, nil
+	return e, true
 }

@@ -265,3 +265,67 @@ func TestParseTypeStrict(t *testing.T) {
 		}
 	}
 }
+
+// TestLogFastTierTakesEncoderOutput pins the property the ingest
+// numbers rest on: every line AppendLogJSON emits for plain-ASCII
+// fields is decoded by the canonical fast tier (never by the
+// json.Unmarshal fallback), and a field that needs escaping falls back
+// and still decodes to exactly what encoding/json gives.
+func TestLogFastTierTakesEncoderOutput(t *testing.T) {
+	when := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+	plain := []LogEntry{
+		{Time: when, Name: "x.", Type: dns.TypeA},
+		{Time: when.Truncate(time.Second), Name: "", Type: dns.TypeNone},
+		{Time: when.In(time.FixedZone("", 19800)), Name: "a.example.", Type: dns.Type(251)},
+		{Time: when, Name: "l1.t07.m42.spf.example.test.", Type: dns.TypeTXT, TestID: "t07", MTAID: "m42"},
+		{Time: when, Name: "x.", Type: dns.TypeMX, Rest: []string{"l1"}},
+		{Time: when, Name: "x.", Type: dns.TypeMX, Rest: []string{"l1", "", "l3", "l4", "l5"}},
+		{Time: when, Name: "x.", Type: dns.TypeAAAA, Transport: "tcp", OverIPv6: true},
+		{Time: when, Name: "x.", Type: dns.TypeSPF, Remote: "[2001:db8::1]:53"},
+		{Time: when, Name: "x.t07.m000042.spf-test.dns-lab.example.", Type: dns.TypeTXT,
+			TestID: "t07", MTAID: "m000042", Rest: []string{"l1"}, Transport: "udp",
+			OverIPv6: true, Remote: "198.51.100.7:53"},
+		{Time: when, Name: "punctuation !#$%'()*+,-./:;=?@[]^_`{|}~ \x7f", Type: dns.TypeA},
+	}
+	var p logLineParser
+	for _, e := range plain {
+		line := AppendLogJSON(nil, e)
+		for _, in := range [][]byte{line, line[:len(line)-1]} { // with and without the newline
+			got, ok := p.parseFast(in)
+			if !ok {
+				t.Errorf("fast tier declined the encoder's own line %q", in)
+				continue
+			}
+			want, err := refDecodeLogLine(in)
+			if err != nil {
+				t.Fatalf("reference decode of %q: %v", in, err)
+			}
+			sameDecodedEntry(t, got, want)
+		}
+	}
+
+	escaped := []LogEntry{
+		{Time: when, Name: `esc"aped\.`, Type: dns.TypeA},
+		{Time: when, Name: "<html>&.", Type: dns.TypeA},
+		{Time: when, Name: "héllo.例え.", Type: dns.TypeA},
+		{Time: when, Name: "x.", Type: dns.TypeA, TestID: "tab\there"},
+		{Time: when, Name: "x.", Type: dns.TypeA, Rest: []string{"ok", "bad\xff"}},
+		{Time: when, Name: "x.", Type: dns.TypeA, Remote: "line\u2028sep"},
+	}
+	for _, e := range escaped {
+		line := AppendLogJSON(nil, e)
+		if _, ok := p.parseFast(line); ok {
+			t.Errorf("fast tier accepted a line with escapes: %q", line)
+		}
+		got, err := p.parse(line)
+		if err != nil {
+			t.Errorf("fallback failed on %q: %v", line, err)
+			continue
+		}
+		want, err := refDecodeLogLine(line)
+		if err != nil {
+			t.Fatalf("reference decode of %q: %v", line, err)
+		}
+		sameDecodedEntry(t, got, want)
+	}
+}

@@ -1,9 +1,10 @@
 package dnsserver
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+
+	"sendervalid/internal/jsonwire"
 )
 
 // This file is the serial half of the log's disk I/O. The study's
@@ -48,42 +49,29 @@ func (l *QueryLog) WriteJSON(w io.Writer) error {
 // record in file order. It decodes one line at a time with the
 // reflection-free codec, so a multi-gigabyte collection log can be
 // analyzed without holding the whole run in memory. Blank lines are
-// skipped. A non-nil error from fn stops the scan and is returned
-// unwrapped. For multi-core ingest over large logs see
-// ParForEachLogJSON.
+// skipped. Decode errors carry the 1-based line number. A non-nil
+// error from fn stops the scan and is returned unwrapped. For
+// multi-core ingest over large logs see ParForEachLogJSONOrdered.
 func ForEachLogJSON(r io.Reader, fn func(LogEntry) error) error {
 	var p logLineParser
-	br := bufio.NewReaderSize(r, 64*1024)
-	var spill []byte
-	n := 0
-	for {
-		line, rerr := br.ReadSlice('\n')
-		if rerr == bufio.ErrBufferFull {
-			// A line longer than the read buffer: accumulate it.
-			spill = append(spill[:0], line...)
-			for rerr == bufio.ErrBufferFull {
-				line, rerr = br.ReadSlice('\n')
-				spill = append(spill, line...)
-			}
-			line = spill
+	lr := jsonwire.NewLineReader(r)
+	for lr.Next() {
+		line := lr.Bytes()
+		if blankLine(line) {
+			continue
 		}
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("dnsserver: reading log: %w", rerr)
+		e, err := p.parse(line)
+		if err != nil {
+			return fmt.Errorf("dnsserver: reading log line %d: %w", lr.Line(), err)
 		}
-		if !blankLine(line) {
-			e, err := p.parse(line)
-			if err != nil {
-				return fmt.Errorf("dnsserver: reading log entry %d: %w", n, err)
-			}
-			if err := fn(e); err != nil {
-				return err
-			}
-			n++
-		}
-		if rerr == io.EOF {
-			return nil
+		if err := fn(e); err != nil {
+			return err
 		}
 	}
+	if err := lr.Err(); err != nil {
+		return fmt.Errorf("dnsserver: reading log: %w", err)
+	}
+	return nil
 }
 
 // blankLine reports whether the line holds only JSON whitespace.

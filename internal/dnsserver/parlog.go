@@ -11,11 +11,9 @@ import (
 // Parallel analysis ingest: the query log is a line-oriented format,
 // so a stream can be split into newline-aligned chunks and decoded on
 // a worker pool — the reader goroutine only finds newlines, all JSON
-// scanning happens concurrently. Two delivery disciplines are
-// offered: ParForEachLogJSON calls fn concurrently from the workers
-// (maximum throughput, no ordering), ParForEachLogJSONOrdered calls
-// fn from a single goroutine in exact file order (drop-in for serial
-// analyses, still decoding in parallel).
+// scanning happens concurrently. An order-preserving merge then calls
+// fn from a single goroutine in exact file order, so the parallel
+// path is a drop-in for the serial one.
 
 // parChunkSize is the newline-aligned chunk handed to each decode
 // worker. Large enough to amortize channel traffic, small enough that
@@ -25,7 +23,7 @@ const parChunkSize = 256 * 1024
 // logChunk is one newline-aligned slice of the stream.
 type logChunk struct {
 	idx       int
-	firstLine int // 0-based line number of the chunk's first line
+	firstLine int // 1-based line number of the chunk's first line
 	buf       []byte
 }
 
@@ -41,27 +39,15 @@ var (
 	parEntryPool = sync.Pool{New: func() any { s := make([]LogEntry, 0, 1024); return &s }}
 )
 
-// ParForEachLogJSON streams a JSON-lines query log like
+// ParForEachLogJSONOrdered streams a JSON-lines query log like
 // ForEachLogJSON but decodes on workers goroutines (<=0 means
-// GOMAXPROCS). fn is called concurrently and MUST be safe for
-// concurrent use; entries within one chunk arrive in order, but
-// chunks interleave arbitrarily. Decode errors carry the absolute
-// line number. A non-nil error from fn stops the scan and is returned
-// unwrapped (first error wins).
-func ParForEachLogJSON(r io.Reader, workers int, fn func(LogEntry) error) error {
-	return parForEachLog(r, workers, false, fn)
-}
-
-// ParForEachLogJSONOrdered is ParForEachLogJSON with an
-// order-preserving merge: fn is called from a single goroutine in
-// exact file order, so it needs no locking and analyses that depend
-// on arrival order (session reconstruction, fingerprint vectors) get
-// identical results to the serial path.
+// GOMAXPROCS; 1 is the serial path itself). fn is called from a
+// single goroutine in exact file order, so it needs no locking and
+// analyses that depend on arrival order (session reconstruction,
+// fingerprint vectors) get identical results to the serial path.
+// Decode errors carry the 1-based line number. A non-nil error from
+// fn stops the scan and is returned unwrapped (first error wins).
 func ParForEachLogJSONOrdered(r io.Reader, workers int, fn func(LogEntry) error) error {
-	return parForEachLog(r, workers, true, fn)
-}
-
-func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -71,7 +57,7 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 
 	var (
 		chunks  = make(chan logChunk, workers)
-		results chan decodedChunk
+		results = make(chan decodedChunk, workers)
 		stop    = make(chan struct{})
 		once    sync.Once
 		failErr error
@@ -82,9 +68,6 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 			close(stop)
 		})
 	}
-	if ordered {
-		results = make(chan decodedChunk, workers)
-	}
 
 	// Reader: split the stream into newline-aligned chunks.
 	var readWG sync.WaitGroup
@@ -93,7 +76,7 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 		defer readWG.Done()
 		defer close(chunks)
 		var carry []byte
-		idx, line := 0, 0
+		idx, line := 0, 1
 		for {
 			bp := parBufPool.Get().(*[]byte)
 			buf := append((*bp)[:0], carry...)
@@ -142,8 +125,7 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 		}
 	}()
 
-	// Workers: decode chunks; deliver inline (unordered) or to the
-	// merge (ordered).
+	// Workers: decode chunks and hand them to the merge.
 	var workWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		workWG.Add(1)
@@ -157,23 +139,10 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 				if err != nil {
 					fail(err)
 				}
-				switch {
-				case err != nil && !ordered:
+				select {
+				case results <- decodedChunk{idx: c.idx, entries: entries, err: err}:
+				case <-stop:
 					putChunkEntries(ep)
-				case !ordered:
-					for _, e := range entries {
-						if ferr := fn(e); ferr != nil {
-							fail(ferr)
-							break
-						}
-					}
-					putChunkEntries(ep)
-				default:
-					select {
-					case results <- decodedChunk{idx: c.idx, entries: entries, err: err}:
-					case <-stop:
-						putChunkEntries(ep)
-					}
 				}
 				parBufPool.Put(&c.buf)
 				select {
@@ -187,12 +156,6 @@ func parForEachLog(r io.Reader, workers int, ordered bool, fn func(LogEntry) err
 				}
 			}
 		}()
-	}
-
-	if !ordered {
-		workWG.Wait()
-		readWG.Wait()
-		return failErr
 	}
 
 	// Ordered merge: deliver chunks in index order from this

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -42,39 +40,31 @@ func parTestLog(t testing.TB, n int) (jsonl []byte, entries []LogEntry) {
 	return buf, entries
 }
 
+// TestParForEachLogJSONMatchesSerial drives every worker count,
+// including the GOMAXPROCS default (0) and the serial short-circuit
+// (1): each must deliver exactly what ForEachLogJSON delivers, in the
+// same order.
 func TestParForEachLogJSONMatchesSerial(t *testing.T) {
-	jsonl, want := parTestLog(t, 20000) // ~2.5 MB, ~10 chunks
+	jsonl, _ := parTestLog(t, 20000) // ~2.5 MB, ~10 chunks
+	want, err := ReadLogJSON(bytes.NewReader(jsonl))
+	if err != nil {
+		t.Fatalf("serial reference: %v", err)
+	}
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var mu sync.Mutex
 			var got []LogEntry
-			err := ParForEachLogJSON(bytes.NewReader(jsonl), workers, func(e LogEntry) error {
-				mu.Lock()
+			err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), workers, func(e LogEntry) error {
 				got = append(got, e)
-				mu.Unlock()
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("ParForEachLogJSON: %v", err)
+				t.Fatalf("ParForEachLogJSONOrdered: %v", err)
 			}
-			// Unordered delivery: compare as multisets via a stable sort.
-			sortEntries(got)
-			wantSorted := append([]LogEntry(nil), want...)
-			sortEntries(wantSorted)
-			if len(got) != len(wantSorted) {
-				t.Fatalf("got %d entries, want %d", len(got), len(wantSorted))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], wantSorted[i]) {
-					t.Fatalf("entry %d: got %#v, want %#v", i, got[i], wantSorted[i])
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %d entries, want the serial path's %d in the same order", len(got), len(want))
 			}
 		})
 	}
-}
-
-func sortEntries(es []LogEntry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].MTAID < es[j].MTAID })
 }
 
 func TestParForEachLogJSONOrderedPreservesFileOrder(t *testing.T) {
@@ -104,25 +94,19 @@ func TestParForEachLogJSONOrderedPreservesFileOrder(t *testing.T) {
 func TestParForEachLogJSONCallbackError(t *testing.T) {
 	jsonl, _ := parTestLog(t, 5000)
 	sentinel := errors.New("stop here")
-	for _, ordered := range []bool{false, true} {
-		run := ParForEachLogJSON
-		if ordered {
-			run = ParForEachLogJSONOrdered
+	n := 0
+	err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), 4, func(LogEntry) error {
+		n++
+		if n == 100 {
+			return sentinel
 		}
-		n := 0
-		var mu sync.Mutex
-		err := run(bytes.NewReader(jsonl), 4, func(LogEntry) error {
-			mu.Lock()
-			defer mu.Unlock()
-			n++
-			if n == 100 {
-				return sentinel
-			}
-			return nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Errorf("ordered=%v: got %v, want the callback's error unwrapped", ordered, err)
-		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Errorf("got %v, want the callback's error unwrapped", err)
+	}
+	if n != 100 {
+		t.Errorf("callback ran %d times, want delivery to stop at the failing call (100)", n)
 	}
 }
 
@@ -131,17 +115,15 @@ func TestParForEachLogJSONParseError(t *testing.T) {
 	jsonl = append(jsonl, "{broken\n"...)
 	tail, _ := parTestLog(t, 100)
 	jsonl = append(jsonl, tail...)
-	for _, ordered := range []bool{false, true} {
-		run := ParForEachLogJSON
-		if ordered {
-			run = ParForEachLogJSONOrdered
-		}
-		err := run(bytes.NewReader(jsonl), 4, func(LogEntry) error { return nil })
+	// The broken line is the file's 5001st; the serial path (workers=1)
+	// and the chunked path must name it identically.
+	for _, workers := range []int{1, 4} {
+		err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), workers, func(LogEntry) error { return nil })
 		if err == nil {
-			t.Fatalf("ordered=%v: malformed line not reported", ordered)
+			t.Fatalf("workers=%d: malformed line not reported", workers)
 		}
-		if !strings.Contains(err.Error(), "line 5000") {
-			t.Errorf("ordered=%v: error %q does not carry the absolute line number 5000", ordered, err)
+		if !strings.Contains(err.Error(), "reading log line 5001:") {
+			t.Errorf("workers=%d: error %q does not carry the 1-based line number 5001", workers, err)
 		}
 	}
 }
@@ -189,7 +171,7 @@ func shortNames(es []LogEntry) []string {
 }
 
 func TestParForEachLogJSONEmptyAndNoTrailingNewline(t *testing.T) {
-	if err := ParForEachLogJSON(bytes.NewReader(nil), 4, func(LogEntry) error {
+	if err := ParForEachLogJSONOrdered(bytes.NewReader(nil), 4, func(LogEntry) error {
 		return errors.New("no entries expected")
 	}); err != nil {
 		t.Fatalf("empty stream: %v", err)

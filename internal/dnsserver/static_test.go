@@ -205,9 +205,9 @@ func TestForEachLogJSONStreams(t *testing.T) {
 		t.Errorf("scan continued past callback error: %d calls", n)
 	}
 
-	// Malformed input errors with the entry index.
+	// Malformed input errors with the 1-based file line.
 	err = ForEachLogJSON(strings.NewReader(raw+"{broken"), func(LogEntry) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "entry 5") {
+	if err == nil || !strings.Contains(err.Error(), "line 6:") {
 		t.Errorf("malformed tail: %v", err)
 	}
 }

@@ -34,10 +34,10 @@ func (m MultiSink) Append(e LogEntry) {
 }
 
 // WALSink appends each query-log entry as one checksummed WAL record.
-// Like WriterSink it is safe for concurrent use, encodes through the
-// reflection-free codec into a reused buffer, and keeps write errors
-// sticky — surfaced through Err and Check rather than the serving
-// path. It is a blocking disk sink: wrap it in an AsyncLog.
+// It is safe for concurrent use, encodes through the reflection-free
+// codec into a reused buffer, and keeps write errors sticky — surfaced
+// through Err and Check rather than the serving path. It is a blocking
+// disk sink: wrap it in an AsyncLog.
 type WALSink struct {
 	mu  sync.Mutex
 	w   *wal.WAL

@@ -37,6 +37,21 @@ func logEntriesFor(n int) []LogEntry {
 	return out
 }
 
+// plainJSONL renders entries as a pre-WAL plain JSONL log, the way
+// QueryLog.WriteJSON persists a collected run.
+func plainJSONL(t *testing.T, entries []LogEntry) []byte {
+	t.Helper()
+	var ql QueryLog
+	for _, e := range entries {
+		ql.Append(e)
+	}
+	var buf bytes.Buffer
+	if err := ql.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestWALSinkRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queries.wal")
 	sink, err := NewWALSink(path, wal.Options{})
@@ -78,15 +93,7 @@ func TestOpenLogStreamPlainFile(t *testing.T) {
 	// A pre-WAL plain JSONL log reads through the same stream.
 	path := filepath.Join(t.TempDir(), "queries.jsonl")
 	want := logEntriesFor(20)
-	var buf bytes.Buffer
-	ws := NewWriterSink(&buf)
-	for _, e := range want {
-		ws.Append(e)
-	}
-	if err := ws.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, plainJSONL(t, want), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,14 +122,7 @@ func TestAnalyzeIngestRotatedEqualsPlain(t *testing.T) {
 	want := logEntriesFor(400)
 
 	// Plain, unrotated reference.
-	var plain bytes.Buffer
-	ws := NewWriterSink(&plain)
-	for _, e := range want {
-		ws.Append(e)
-	}
-	if err := ws.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	plain := plainJSONL(t, want)
 
 	// Same entries through a WALSink rotating aggressively.
 	path := filepath.Join(t.TempDir(), "queries.wal")
@@ -159,7 +159,7 @@ func TestAnalyzeIngestRotatedEqualsPlain(t *testing.T) {
 		return out
 	}
 
-	ref := ingest(&plain)
+	ref := ingest(bytes.NewReader(plain))
 	ls, err := OpenLogStream(path)
 	if err != nil {
 		t.Fatal(err)

@@ -1,24 +1,24 @@
-// Package jsonwire provides reflection-free JSON encoding and
-// decoding primitives for the repo's JSONL hot paths: the DNS query
-// log (internal/dnsserver) and the campaign journal
-// (internal/campaign). Both formats were originally defined by
+// Package jsonwire provides the reflection-free JSON primitives behind
+// the repo's three JSONL record codecs: the DNS query log
+// (internal/dnsserver), the campaign journal (internal/campaign) and
+// the span stream (internal/trace). Each format is defined by
 // encoding/json struct tags, and files written by older builds must
-// stay readable (and vice versa), so the primitives here are
-// bit-compatible clones of encoding/json's behaviour rather than a
-// fresh JSON dialect:
+// stay readable (and vice versa), so the primitives here reproduce
+// encoding/json's bytes rather than define a fresh JSON dialect:
 //
 //   - AppendString escapes exactly like json.Marshal with HTML
 //     escaping on (the json.Encoder default): control characters,
 //     quote, backslash, '<', '>', '&', U+2028/U+2029, and invalid
-//     UTF-8 coerced to �.
-//   - Unescape decodes string contents exactly like json.Unmarshal:
-//     surrogate-pair handling with U+FFFD fallback, and invalid UTF-8
-//     coerced to U+FFFD.
-//   - AppendTime and ParseTime mirror time.Time's MarshalJSON /
-//     UnmarshalJSON (RFC 3339 with nanoseconds).
+//     UTF-8 coerced to U+FFFD.
+//   - AppendTime mirrors time.Time's MarshalJSON (RFC 3339 with
+//     nanoseconds); TryParseTime is the strict inverse.
+//   - Cursor decodes the canonical lines those encoders emit — wire
+//     order, no whitespace, plain ASCII strings — and refuses
+//     everything else, which the codecs hand to json.Unmarshal.
+//   - LineReader is the JSONL read loop the three stream readers share.
 //
-// The equivalence is pinned by fuzz tests against encoding/json in
-// this package and in the two consumers.
+// The equivalence with encoding/json is pinned by the tests in this
+// package and by fuzz tests in the three consumers.
 package jsonwire
 
 import (
@@ -98,37 +98,21 @@ func AppendString(dst []byte, s string) []byte {
 // nanoseconds, matching time.Time.MarshalJSON for any timestamp a
 // log can legitimately contain (year in [0,9999], whole-minute zone
 // offset — both always true for times produced by time.Now or by
-// ParseTime).
+// TryParseTime).
 func AppendTime(dst []byte, t time.Time) []byte {
 	dst = append(dst, '"')
 	dst = t.AppendFormat(dst, time.RFC3339Nano)
 	return append(dst, '"')
 }
 
-// ParseTime parses a quoted-string *content* (no surrounding quotes,
-// escapes untouched) as time.Time's UnmarshalJSON would: a strict
-// RFC 3339 fast path that allocates nothing for UTC timestamps, with
-// time.Parse as the fallback for inputs the fast path rejects —
-// exactly the lax forms encoding/json currently accepts
-// (https://go.dev/issue/54580 strictness is disabled upstream).
-func ParseTime(b []byte) (time.Time, error) {
-	if t, ok := parseRFC3339(b); ok {
-		return t, nil
-	}
-	return time.Parse(time.RFC3339, string(b))
-}
-
-// TryParseTime is the strict allocation-free RFC 3339 parse alone —
-// for decoder fast paths that bail to a full parser (and its lax
-// fallback) on anything unusual.
-func TryParseTime(b []byte) (time.Time, bool) {
-	return parseRFC3339(b)
-}
-
-// parseRFC3339 is the allocation-free strict parse, a clone of
-// time's internal parseRFC3339 (minus the local-zone reuse, which
-// affects only the Location identity, not the instant or offset).
-func parseRFC3339(s []byte) (time.Time, bool) {
+// TryParseTime parses a quoted-string *content* (no surrounding quotes,
+// escapes untouched) as strict RFC 3339 without allocating for UTC
+// timestamps — a clone of time's internal parseRFC3339 (minus the
+// local-zone reuse, which affects only the Location identity, not the
+// instant or offset). ok=false means "not strict", not "invalid":
+// time.Time's UnmarshalJSON accepts laxer forms, so callers fall back
+// to encoding/json.
+func TryParseTime(s []byte) (time.Time, bool) {
 	ok := true
 	parseUint := func(b []byte, min, max int) (x int) {
 		for _, c := range b {

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"time"
@@ -22,8 +22,8 @@ import (
 // one record per line. Encoding goes through a hand-rolled append
 // path (no reflection) on the exporter goroutine; decoding is
 // two-tier like the query-log codec — a fast scanner for the
-// canonical bytes this encoder emits, with a generic jsonwire.Doc
-// parser as the authority for foreign or hand-edited files.
+// canonical bytes this encoder emits, with json.Unmarshal as the
+// authority for foreign or hand-edited files.
 
 // Record is one exported span as serialized to the span stream.
 type Record struct {
@@ -131,487 +131,134 @@ func AppendRecordJSON(dst []byte, r Record) []byte {
 	return append(dst, '}', '\n')
 }
 
-// recordFieldNames lists the wire keys for fold matching
-// (encoding/json matches keys case-insensitively when no exact field
-// matches).
-var recordFieldNames = [][]byte{
-	[]byte("trace"), []byte("span"), []byte("parent"), []byte("name"),
-	[]byte("start"), []byte("dur_us"), []byte("why"), []byte("err"),
-	[]byte("attrs"), []byte("events"),
-}
-
-// matchRecordKey resolves a decoded object key to a field index in
-// recordFieldNames, or -1.
-func matchRecordKey(key []byte) int {
-	switch string(key) {
-	case "trace":
-		return 0
-	case "span":
-		return 1
-	case "parent":
-		return 2
-	case "name":
-		return 3
-	case "start":
-		return 4
-	case "dur_us":
-		return 5
-	case "why":
-		return 6
-	case "err":
-		return 7
-	case "attrs":
-		return 8
-	case "events":
-		return 9
-	}
-	for i, name := range recordFieldNames {
-		if bytes.EqualFold(key, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// decodeString parses a string value (or null) into dst; null leaves
-// the previous value untouched, as encoding/json does.
-func decodeString(d *jsonwire.Doc, dst *string) error {
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	b, err := d.ReadString(nil)
-	if err != nil {
-		return err
-	}
-	*dst = string(b)
-	return nil
-}
-
-// decodeTime parses a timestamp value (or null) into dst.
-// time.Time.UnmarshalJSON parses the raw quoted content without
-// unescaping; so does this.
-func decodeTime(d *jsonwire.Doc, dst *time.Time) error {
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	raw, err := d.RawString()
-	if err != nil {
-		return err
-	}
-	t, err := jsonwire.ParseTime(raw)
-	if err != nil {
-		return err
-	}
-	*dst = t
-	return nil
-}
-
 // ParseRecord decodes one span-stream line, accepting exactly what
-// json.Unmarshal into a Record would accept.
+// json.Unmarshal into a Record accepts.
 func ParseRecord(line []byte) (Record, error) {
 	if r, ok := parseRecordFast(line); ok {
 		return r, nil
 	}
 	var r Record
-	var d jsonwire.Doc
-	var keyBuf []byte
-	d.Init(line)
-	d.WS()
-	if isNull, err := d.TryNull(); err != nil {
-		return Record{}, err
-	} else if isNull {
-		// json.Unmarshal accepts a null document as a zero record.
-		if err := d.End(); err != nil {
-			return Record{}, err
-		}
-		return Record{}, nil
-	}
-	if err := d.ObjectStart(); err != nil {
-		return Record{}, err
-	}
-	for first := true; ; first = false {
-		rawKey, more, err := d.NextKey(first)
-		if err != nil {
-			return Record{}, err
-		}
-		if !more {
-			break
-		}
-		key := rawKey
-		if bytes.IndexByte(rawKey, '\\') >= 0 {
-			keyBuf = jsonwire.Unescape(keyBuf[:0], rawKey)
-			key = keyBuf
-		}
-		switch matchRecordKey(key) {
-		case 0:
-			err = decodeString(&d, &r.Trace)
-		case 1:
-			err = decodeString(&d, &r.Span)
-		case 2:
-			err = decodeString(&d, &r.Parent)
-		case 3:
-			err = decodeString(&d, &r.Name)
-		case 4:
-			err = decodeTime(&d, &r.Start)
-		case 5:
-			d.WS()
-			var isNull bool
-			if isNull, err = d.TryNull(); err == nil && !isNull {
-				r.DurUS, err = d.Int()
-			}
-		case 6:
-			err = decodeString(&d, &r.Why)
-		case 7:
-			err = decodeString(&d, &r.Err)
-		case 8:
-			r.Attrs, err = parseAttrs(&d, r.Attrs)
-		case 9:
-			r.Events, err = parseEvents(&d, r.Events)
-		default:
-			err = d.SkipValue()
-		}
-		if err != nil {
-			return Record{}, err
-		}
-	}
-	if err := d.End(); err != nil {
+	if err := json.Unmarshal(line, &r); err != nil {
 		return Record{}, err
 	}
 	return r, nil
 }
 
-// parseAttrs decodes the attrs array (or null, which resets the
-// slice to nil as encoding/json does).
-func parseAttrs(d *jsonwire.Doc, prev []Attr) ([]Attr, error) {
-	d.WS()
-	if isNull, err := d.TryNull(); err != nil {
-		return prev, err
-	} else if isNull {
-		return nil, nil
-	}
-	if err := d.ArrayStart(); err != nil {
-		return prev, err
-	}
-	out := make([]Attr, 0, 4)
-	for first := true; ; first = false {
-		more, err := d.NextElem(first)
-		if err != nil {
-			return prev, err
-		}
-		if !more {
-			return out, nil
-		}
-		var a Attr
-		if err := parseAttr(d, &a); err != nil {
-			return prev, err
-		}
-		out = append(out, a)
-	}
-}
-
-// parseAttr decodes one attrs element: an object with k/v keys, or
-// null (a zero Attr).
-func parseAttr(d *jsonwire.Doc, a *Attr) error {
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	if err := d.ObjectStart(); err != nil {
-		return err
-	}
-	var keyBuf []byte
-	for first := true; ; first = false {
-		rawKey, more, err := d.NextKey(first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		key := rawKey
-		if bytes.IndexByte(rawKey, '\\') >= 0 {
-			keyBuf = jsonwire.Unescape(keyBuf[:0], rawKey)
-			key = keyBuf
-		}
-		switch {
-		case string(key) == "k" || bytes.EqualFold(key, []byte("k")):
-			err = decodeString(d, &a.K)
-		case string(key) == "v" || bytes.EqualFold(key, []byte("v")):
-			err = decodeString(d, &a.V)
-		default:
-			err = d.SkipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// parseEvents decodes the events array (or null).
-func parseEvents(d *jsonwire.Doc, prev []Event) ([]Event, error) {
-	d.WS()
-	if isNull, err := d.TryNull(); err != nil {
-		return prev, err
-	} else if isNull {
-		return nil, nil
-	}
-	if err := d.ArrayStart(); err != nil {
-		return prev, err
-	}
-	out := make([]Event, 0, 4)
-	for first := true; ; first = false {
-		more, err := d.NextElem(first)
-		if err != nil {
-			return prev, err
-		}
-		if !more {
-			return out, nil
-		}
-		var e Event
-		if err := parseEvent(d, &e); err != nil {
-			return prev, err
-		}
-		out = append(out, e)
-	}
-}
-
-// parseEvent decodes one events element: an object with t/msg keys,
-// or null (a zero Event).
-func parseEvent(d *jsonwire.Doc, e *Event) error {
-	d.WS()
-	if isNull, err := d.TryNull(); isNull || err != nil {
-		return err
-	}
-	if err := d.ObjectStart(); err != nil {
-		return err
-	}
-	var keyBuf []byte
-	for first := true; ; first = false {
-		rawKey, more, err := d.NextKey(first)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-		key := rawKey
-		if bytes.IndexByte(rawKey, '\\') >= 0 {
-			keyBuf = jsonwire.Unescape(keyBuf[:0], rawKey)
-			key = keyBuf
-		}
-		switch {
-		case string(key) == "t" || bytes.EqualFold(key, []byte("t")):
-			err = decodeTime(d, &e.T)
-		case string(key) == "msg" || bytes.EqualFold(key, []byte("msg")):
-			err = decodeString(d, &e.Msg)
-		default:
-			err = d.SkipValue()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// fastScan tracks a cursor over a canonical-form line for the fast
-// decode tier.
-type fastScan struct {
-	in []byte
-	i  int
-}
-
-// lit consumes the exact literal s at the cursor.
-func (f *fastScan) lit(s string) bool {
-	if len(f.in)-f.i < len(s) || string(f.in[f.i:f.i+len(s)]) != s {
-		return false
-	}
-	f.i += len(s)
-	return true
-}
-
-// str consumes a plain quoted string (opening quote already part of
-// the preceding literal) and returns its contents.
-func (f *fastScan) str() (string, bool) {
-	start := f.i
-	for f.i < len(f.in) {
-		c := f.in[f.i]
-		if c == '"' {
-			s := string(f.in[start:f.i])
-			f.i++
-			return s, true
-		}
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return "", false
-		}
-		f.i++
-	}
-	return "", false
-}
-
-// rawStr is str without materializing the contents.
-func (f *fastScan) rawStr() ([]byte, bool) {
-	start := f.i
-	for f.i < len(f.in) {
-		c := f.in[f.i]
-		if c == '"' {
-			b := f.in[start:f.i]
-			f.i++
-			return b, true
-		}
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return nil, false
-		}
-		f.i++
-	}
-	return nil, false
-}
-
 // parseRecordFast decodes the canonical encoding AppendRecordJSON
 // emits: fields in wire order, no interior whitespace, plain ASCII
-// strings. ok=false means "not canonical", not "invalid" — the
-// generic parser is the authority.
+// strings. ok=false means "not canonical", not "invalid" —
+// json.Unmarshal is the authority.
 func parseRecordFast(line []byte) (Record, bool) {
-	f := fastScan{in: line}
-	if n := len(f.in); n > 0 && f.in[n-1] == '\n' {
-		f.in = f.in[:n-1]
-	}
+	f := jsonwire.NewCursor(line)
 	var r Record
 	var ok bool
-	if !f.lit(`{"trace":"`) {
+	if !f.Lit(`{"trace":"`) {
 		return r, false
 	}
-	if r.Trace, ok = f.str(); !ok {
+	if r.Trace, ok = f.Str(); !ok {
 		return r, false
 	}
-	if !f.lit(`,"span":"`) {
+	if !f.Lit(`,"span":"`) {
 		return r, false
 	}
-	if r.Span, ok = f.str(); !ok {
+	if r.Span, ok = f.Str(); !ok {
 		return r, false
 	}
-	if f.lit(`,"parent":"`) {
-		if r.Parent, ok = f.str(); !ok {
+	if f.Lit(`,"parent":"`) {
+		if r.Parent, ok = f.Str(); !ok {
 			return r, false
 		}
 	}
-	if !f.lit(`,"name":"`) {
+	if !f.Lit(`,"name":"`) {
 		return r, false
 	}
-	if r.Name, ok = f.str(); !ok {
+	if r.Name, ok = f.Str(); !ok {
 		return r, false
 	}
-	if !f.lit(`,"start":"`) {
+	if !f.Lit(`,"start":"`) {
 		return r, false
 	}
-	raw, ok := f.rawStr()
+	raw, ok := f.RawStr()
 	if !ok {
 		return r, false
 	}
 	if r.Start, ok = jsonwire.TryParseTime(raw); !ok {
 		return r, false
 	}
-	if !f.lit(`,"dur_us":`) {
+	if !f.Lit(`,"dur_us":`) {
 		return r, false
 	}
-	if r.DurUS, ok = f.int(); !ok {
+	if r.DurUS, ok = f.Int(); !ok {
 		return r, false
 	}
-	if f.lit(`,"why":"`) {
-		if r.Why, ok = f.str(); !ok {
+	if f.Lit(`,"why":"`) {
+		if r.Why, ok = f.Str(); !ok {
 			return r, false
 		}
 	}
-	if f.lit(`,"err":"`) {
-		if r.Err, ok = f.str(); !ok {
+	if f.Lit(`,"err":"`) {
+		if r.Err, ok = f.Str(); !ok {
 			return r, false
 		}
 	}
-	if f.lit(`,"attrs":[`) {
+	if f.Lit(`,"attrs":[`) {
 		for {
 			var a Attr
-			if !f.lit(`{"k":"`) {
+			if !f.Lit(`{"k":"`) {
 				return r, false
 			}
-			if a.K, ok = f.str(); !ok {
+			if a.K, ok = f.Str(); !ok {
 				return r, false
 			}
-			if !f.lit(`,"v":"`) {
+			if !f.Lit(`,"v":"`) {
 				return r, false
 			}
-			if a.V, ok = f.str(); !ok {
+			if a.V, ok = f.Str(); !ok {
 				return r, false
 			}
-			if !f.lit(`}`) {
+			if !f.Lit(`}`) {
 				return r, false
 			}
 			r.Attrs = append(r.Attrs, a)
-			if f.lit(`,`) {
+			if f.Lit(`,`) {
 				continue
 			}
-			if f.lit(`]`) {
+			if f.Lit(`]`) {
 				break
 			}
 			return r, false
 		}
 	}
-	if f.lit(`,"events":[`) {
+	if f.Lit(`,"events":[`) {
 		for {
 			var e Event
-			if !f.lit(`{"t":"`) {
+			if !f.Lit(`{"t":"`) {
 				return r, false
 			}
-			if raw, ok = f.rawStr(); !ok {
+			if raw, ok = f.RawStr(); !ok {
 				return r, false
 			}
 			if e.T, ok = jsonwire.TryParseTime(raw); !ok {
 				return r, false
 			}
-			if !f.lit(`,"msg":"`) {
+			if !f.Lit(`,"msg":"`) {
 				return r, false
 			}
-			if e.Msg, ok = f.str(); !ok {
+			if e.Msg, ok = f.Str(); !ok {
 				return r, false
 			}
-			if !f.lit(`}`) {
+			if !f.Lit(`}`) {
 				return r, false
 			}
 			r.Events = append(r.Events, e)
-			if f.lit(`,`) {
+			if f.Lit(`,`) {
 				continue
 			}
-			if f.lit(`]`) {
+			if f.Lit(`]`) {
 				break
 			}
 			return r, false
 		}
 	}
-	if f.i != len(f.in)-1 || f.in[f.i] != '}' {
-		return r, false
-	}
-	return r, true
-}
-
-// int consumes a canonical integer (optional '-', then either a lone
-// 0 or a nonzero leading digit — the JSON number grammar, which
-// rejects leading zeros) fitting int64.
-func (f *fastScan) int() (int64, bool) {
-	start := f.i
-	if f.i < len(f.in) && f.in[f.i] == '-' {
-		f.i++
-	}
-	digits := f.i
-	for f.i < len(f.in) && f.in[f.i] >= '0' && f.in[f.i] <= '9' {
-		f.i++
-	}
-	tok := f.in[digits:f.i]
-	if len(tok) == 0 || (tok[0] == '0' && len(tok) > 1) {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(f.in[start:f.i]), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	return r, f.End()
 }

@@ -183,6 +183,77 @@ func TestParseRecordFastNewlineOptional(t *testing.T) {
 	}
 }
 
+// TestRecordFastTierTakesEncoderOutput pins the property span-stream
+// loading rests on: every line AppendRecordJSON emits for plain-ASCII
+// fields is decoded by the canonical fast tier, and a field that needs
+// escaping falls back to json.Unmarshal and still decodes identically.
+func TestRecordFastTierTakesEncoderOutput(t *testing.T) {
+	when := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+	base := Record{
+		Trace: "0123456789abcdef0123456789abcdef", Span: "0123456789abcdef",
+		Name: "resolver.wire", Start: when, DurUS: 42,
+	}
+	with := func(edit func(*Record)) Record {
+		r := base
+		edit(&r)
+		return r
+	}
+	plain := []Record{
+		base,
+		{Start: when.Truncate(time.Second)},
+		with(func(r *Record) { r.Parent = "00000000000000aa"; r.DurUS = 0 }),
+		with(func(r *Record) { r.DurUS = -9223372036854775808 }),
+		with(func(r *Record) { r.Start = when.In(time.FixedZone("", 19800)) }),
+		with(func(r *Record) { r.Why = "slow" }),
+		with(func(r *Record) { r.Why = "error"; r.Err = "context deadline exceeded" }),
+		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "a.example."}} }),
+		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "a.example."}, {}, {K: "n", V: "7"}} }),
+		with(func(r *Record) { r.Events = []Event{{T: when, Msg: "retry"}, {T: when.Add(time.Second)}} }),
+		with(func(r *Record) {
+			r.Parent, r.Why, r.Err = "00000000000000aa", "slow", "timeout"
+			r.Attrs = []Attr{{K: "dns.type", V: "TXT"}}
+			r.Events = []Event{{T: when, Msg: "tcp fallback"}}
+		}),
+	}
+	for _, r := range plain {
+		line := AppendRecordJSON(nil, r)
+		got, ok := parseRecordFast(line)
+		if !ok {
+			t.Errorf("fast tier declined the encoder's own line %q", line)
+			continue
+		}
+		want, err := refDecodeRecord(line)
+		if err != nil {
+			t.Fatalf("reference decode of %q: %v", line, err)
+		}
+		sameRecord(t, got, want)
+	}
+
+	escaped := []Record{
+		with(func(r *Record) { r.Name = `esc"aped\` }),
+		with(func(r *Record) { r.Err = "451 <greylisted> & deferred" }),
+		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "héllo.例え."}} }),
+		with(func(r *Record) { r.Events = []Event{{T: when, Msg: "multi\nline"}} }),
+		with(func(r *Record) { r.Why = "bad\xff" }),
+	}
+	for _, r := range escaped {
+		line := AppendRecordJSON(nil, r)
+		if _, ok := parseRecordFast(line); ok {
+			t.Errorf("fast tier accepted a line with escapes: %q", line)
+		}
+		got, err := ParseRecord(line)
+		if err != nil {
+			t.Errorf("fallback failed on %q: %v", line, err)
+			continue
+		}
+		want, err := refDecodeRecord(line)
+		if err != nil {
+			t.Fatalf("reference decode of %q: %v", line, err)
+		}
+		sameRecord(t, got, want)
+	}
+}
+
 // TestRecordFamilyAndAttr covers the accessors cmd/analyze and the
 // debug handler filter on.
 func TestRecordFamilyAndAttr(t *testing.T) {
