@@ -62,12 +62,12 @@ crash:
 # The instrument allocation pins: metric increments are on the DNS
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
 # must stay at zero allocations (alongside the log, journal and trace
-# codec pins, the shared jsonwire cursor pin, and the resolver
-# cache-hit pin that share the naming convention).
+# codec pins, the shared jsonwire cursor pin, the resolver cache-hit
+# pin, and the WAL replay pin that share the naming convention).
 telemetry-alloc:
 	$(GO) test -run 'Alloc' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
-		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/
+		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/
 
 # The bulk-SPF pipeline under seeded netsim faults and the race
 # detector: every input line must come back out exactly once while the

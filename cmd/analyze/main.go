@@ -30,6 +30,7 @@ import (
 	"sendervalid/internal/experiment"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/telemetry"
+	"sendervalid/internal/wal"
 )
 
 // meteredReader counts the bytes flowing out of the log file and sizes
@@ -50,6 +51,16 @@ func (m *meteredReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// warnTorn reports crash loss in a WAL-backed input: bytes past the
+// valid frame prefix of some segment that the reader had to skip.
+func warnTorn(w io.Writer, what string, st wal.RecoverStats) {
+	if st.Truncated {
+		fmt.Fprintf(w,
+			"analyze: WARNING: %d bytes of torn/corrupt WAL tail skipped (%d framed records salvaged) — the %s lost records at a crash\n",
+			st.DroppedBytes, st.Records, what)
+	}
+}
+
 func main() {
 	var (
 		logPath = flag.String("log", "", "query log file (JSON lines; required)")
@@ -65,10 +76,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	// OpenLogStream handles every on-disk shape the collectors produce:
+	// wal.OpenStream handles every on-disk shape the collectors produce:
 	// plain JSONL, WAL-framed records, rotated segments, or a mix —
 	// sniffed per segment, presented as one JSONL stream.
-	f, err := dnsserver.OpenLogStream(*logPath)
+	f, err := wal.OpenStream(*logPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
 		os.Exit(1)
@@ -108,11 +119,7 @@ func main() {
 		os.Exit(1)
 	}
 	elapsed := time.Since(ingestStart)
-	if st := f.Stats(); st.Truncated {
-		fmt.Fprintf(os.Stderr,
-			"analyze: WARNING: %d bytes of torn/corrupt WAL tail skipped (%d framed records salvaged) — the log lost entries at a crash\n",
-			st.DroppedBytes, st.Records)
-	}
+	warnTorn(os.Stderr, "log", f.Stats())
 	reads := mr.reads.Snapshot()
 	secs := elapsed.Seconds()
 	if secs <= 0 {
@@ -138,11 +145,12 @@ func main() {
 	fmt.Print(experiment.RenderFingerprints(clusters, vectors, *topFP))
 
 	if *tracePath != "" {
-		recs, bad, err := loadSpans(*tracePath)
+		recs, bad, st, err := loadSpans(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "analyze: reading trace file: %v\n", err)
 			os.Exit(1)
 		}
+		warnTorn(os.Stderr, "trace file", st)
 		if bad > 0 {
 			fmt.Fprintf(os.Stderr, "analyze: %d undecodable span lines skipped\n", bad)
 		}

@@ -11,16 +11,17 @@ import (
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/jsonwire"
 	"sendervalid/internal/trace"
+	"sendervalid/internal/wal"
 )
 
 // loadSpans reads a span stream written with -trace-file (WAL-framed
 // JSONL, possibly rotated) and returns the decoded records. Undecodable
 // lines are counted, not fatal: a trace file that lost its tail at a
-// crash still yields every intact span.
-func loadSpans(path string) (recs []trace.Record, bad int, err error) {
-	f, err := dnsserver.OpenLogStream(path)
+// crash still yields every intact span, and st says how much was lost.
+func loadSpans(path string) (recs []trace.Record, bad int, st wal.RecoverStats, err error) {
+	f, err := wal.OpenStream(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, st, err
 	}
 	defer f.Close()
 	lr := jsonwire.NewLineReader(f)
@@ -36,7 +37,7 @@ func loadSpans(path string) (recs []trace.Record, bad int, err error) {
 		}
 		recs = append(recs, rec)
 	}
-	return recs, bad, lr.Err()
+	return recs, bad, f.Stats(), lr.Err()
 }
 
 // spanNode is one span in a reassembled trace tree.

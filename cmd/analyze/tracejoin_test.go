@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,12 +58,16 @@ func TestLoadSpansTornTail(t *testing.T) {
 	writeSpanWAL(t, path, recs)
 
 	// Sanity: the intact file round-trips completely.
-	got, bad, err := loadSpans(path)
+	got, bad, st, err := loadSpans(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad != 0 || len(got) != len(recs) {
 		t.Fatalf("intact file: %d records, %d bad; want %d, 0", len(got), bad, len(recs))
+	}
+	var warning strings.Builder
+	if warnTorn(&warning, "trace file", st); warning.Len() != 0 {
+		t.Fatalf("intact file warned: %s", warning.String())
 	}
 
 	// Tear the tail mid-record, as a crash between write and flush
@@ -75,9 +80,15 @@ func TestLoadSpansTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, bad, err = loadSpans(path)
+	got, bad, st, err = loadSpans(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The loss is not silent: the same warning a torn query log gets.
+	warnTorn(&warning, "trace file", st)
+	if want := fmt.Sprintf("WARNING: %d bytes of torn/corrupt WAL tail skipped", st.DroppedBytes); st.DroppedBytes == 0 ||
+		!strings.Contains(warning.String(), want) || !strings.Contains(warning.String(), "trace file") {
+		t.Errorf("torn span file: stats %+v, warning %q; want %q", st, warning.String(), want)
 	}
 	if bad != 0 {
 		t.Errorf("torn tail leaked %d undecodable lines through the WAL framing", bad)
@@ -102,7 +113,7 @@ func TestLoadSpansOversizedJunkLine(t *testing.T) {
 	first := spanRec(strings.Repeat("a", 32), strings.Repeat("1", 16), "", "spf.check_host", base, time.Millisecond)
 	second := spanRec(strings.Repeat("b", 32), strings.Repeat("2", 16), "", "resolver.wire", base.Add(time.Second), time.Millisecond)
 
-	// A plain (unframed) JSONL span file, which OpenLogStream passes
+	// A plain (unframed) JSONL span file, which wal.OpenStream passes
 	// through as is.
 	var file []byte
 	file = trace.AppendRecordJSON(file, first)
@@ -114,7 +125,7 @@ func TestLoadSpansOversizedJunkLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, bad, err := loadSpans(path)
+	got, bad, _, err := loadSpans(path)
 	if err != nil {
 		t.Fatalf("oversized junk line failed the load: %v", err)
 	}

@@ -51,7 +51,7 @@ func main() {
 		rate        = flag.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
 		burst       = flag.Int("burst", 1, "per-MTA token bucket depth")
 		attempts    = flag.Int("attempts", 4, "attempt budget per (MTA, test) pair")
-		journal      = flag.String("journal", "", "append-only journal of task transitions (checksummed WAL; legacy JSONL journals are detected and continued)")
+		journal      = flag.String("journal", "", "append-only journal of task transitions (checksummed WAL; a pre-WAL JSONL journal is kept as a read-only segment and continued framed)")
 		journalSync  = flag.String("journal-sync", "none", `journal fsync policy: "none" (kernel-buffered), "interval" (group commit), "always" (fsync per event)`)
 		journalRotat = flag.Int64("journal-rotate", 0, "rotate the journal when the live segment exceeds this many bytes (0 = never)")
 		resume       = flag.Bool("resume", false, "replay the journal and re-run only unfinished pairs")
@@ -145,7 +145,6 @@ func main() {
 		replay, jnl, err = campaign.OpenJournal(*journal, campaign.JournalOptions{
 			Sync:        syncPolicy,
 			RotateBytes: *journalRotat,
-			Logf:        logf,
 		})
 		exitOn(err)
 		defer jnl.Close()

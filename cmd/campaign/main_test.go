@@ -133,20 +133,14 @@ type journalEvent struct {
 // the replay plus a per-key count of final (done/failed) events.
 func readJournalRaw(t *testing.T, path string) (*campaign.Replay, map[campaign.Key]int) {
 	t.Helper()
-	segs, err := wal.Segments(path)
+	s, err := wal.OpenStream(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	var all bytes.Buffer
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(&all, wal.NewReader(f)); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	if _, err := io.Copy(&all, s); err != nil {
+		t.Fatal(err)
 	}
 	finals := make(map[campaign.Key]int)
 	for _, line := range bytes.Split(all.Bytes(), []byte{'\n'}) {

@@ -204,9 +204,10 @@ func main() {
 // runProbes executes one probe experiment, journaled when -journal is
 // set. With -resume, pairs the journal records as finished are skipped
 // (the replayed count is reported); without it, a non-empty journal is
-// an error so two fresh runs never interleave in one record. New
-// journals are checksummed WALs under the -journal-sync policy; legacy
-// plain-JSONL journals are detected and continued in kind.
+// an error so two fresh runs never interleave in one record. Journals
+// are checksummed WALs under the -journal-sync policy; a pre-WAL
+// plain-JSONL journal is retired to a read-only rotated segment and
+// continued framed.
 func runProbes(ctx context.Context, w *experiment.World, tests []string, workers int, prefix, name string, resume bool, sync wal.SyncPolicy, tracer *trace.Tracer) *experiment.ProbeRun {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "experiment: "+format+"\n", args...)
@@ -224,7 +225,7 @@ func runProbes(ctx context.Context, w *experiment.World, tests []string, workers
 		return run
 	}
 	path := prefix + "." + name + ".jsonl"
-	replay, jnl, err := campaign.OpenJournal(path, campaign.JournalOptions{Sync: sync, Logf: logf})
+	replay, jnl, err := campaign.OpenJournal(path, campaign.JournalOptions{Sync: sync})
 	exitOn(err)
 	if replay.TornTail {
 		fmt.Fprintf(os.Stderr, "experiment: journal %s had a torn tail; valid prefix salvaged (%d bytes dropped)\n",

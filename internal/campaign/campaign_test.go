@@ -385,9 +385,10 @@ func TestJournalTornTailLine(t *testing.T) {
 }
 
 func TestResumeTerminatesTornTail(t *testing.T) {
-	// Crash → resume → crash again: the first resume must terminate the
-	// torn fragment so its own events don't merge with it, or the
-	// second resume cannot replay the journal.
+	// Crash → resume → crash again, starting from a pre-WAL journal
+	// whose last line is torn: the first resume's own events must not
+	// merge with the fragment, or the second resume cannot replay the
+	// journal.
 	path := filepath.Join(t.TempDir(), "camp.jsonl")
 	var buf bytes.Buffer
 	j := newJournalWriter(&buf, nil)
@@ -400,7 +401,7 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp, jf, err := Resume(path)
+	rp, jf, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatalf("first resume: %v", err)
 	}
@@ -414,13 +415,13 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rp2, jf2, err := Resume(path)
+	rp2, jf2, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
-		t.Fatalf("second resume after terminated torn line: %v", err)
+		t.Fatalf("second resume after the torn line: %v", err)
 	}
 	defer jf2.Close()
 	if rp2.Malformed != 1 {
-		t.Errorf("Malformed = %d, want 1 (the terminated fragment)", rp2.Malformed)
+		t.Errorf("Malformed = %d, want 1 (the closed-off fragment)", rp2.Malformed)
 	}
 	if rp2.Final[Key{"m0", "t1"}] != StateDone {
 		t.Errorf("finished task lost on second replay: %+v", rp2.Final)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -121,14 +120,23 @@ type Replay struct {
 	// writes from crashes (one can remain mid-file after each
 	// crash-and-resume cycle).
 	Malformed int
-	// TornTail reports that the journal ended in a truncated fragment
-	// (a crash artifact); the valid prefix above was salvaged and the
-	// fragment was repaired (newline-terminated for a legacy JSONL
-	// journal, truncated away for a WAL journal).
+	// TornTail reports that a journal segment ended in crash debris;
+	// the valid prefix above was salvaged. In the live segment the
+	// debris is truncated away; a pre-WAL JSONL journal that stopped
+	// mid-line is reported once, when OpenJournal retires it (its
+	// fragment stays one Malformed line from then on).
 	TornTail bool
-	// DroppedBytes is the size of the torn/corrupt tail a WAL-format
-	// journal truncated during recovery (zero for legacy journals).
+	// DroppedBytes is the size of the torn/corrupt frame tails skipped
+	// across all segments of the journal, rotated ones included.
 	DroppedBytes int64
+}
+
+func newReplay() *Replay {
+	return &Replay{
+		Final:    make(map[Key]State),
+		Seen:     make(map[Key]bool),
+		Attempts: make(map[Key]int),
+	}
 }
 
 // Done and Failed count tasks per final state.
@@ -164,11 +172,7 @@ func (r *Replay) Unfinished(tasks []Task) []Task {
 // stream with data but no valid events at all is rejected as not a
 // journal.
 func ReadJournal(r io.Reader) (*Replay, error) {
-	rp := &Replay{
-		Final:    make(map[Key]State),
-		Seen:     make(map[Key]bool),
-		Attempts: make(map[Key]int),
-	}
+	rp := newReplay()
 	var p eventParser
 	// LineReader, not bufio.Scanner: one oversized garbage line must be
 	// one more Malformed line, not a failed resume. It also drops a CR
@@ -202,64 +206,4 @@ func ReadJournal(r io.Reader) (*Replay, error) {
 		return nil, fmt.Errorf("campaign: no valid events in %d lines: not a journal", rp.Malformed)
 	}
 	return rp, nil
-}
-
-// Resume replays the journal at path and reopens it for appending, so
-// a restarted campaign continues the same durable record:
-//
-//	replay, jf, err := campaign.Resume(path)
-//	...
-//	c := campaign.New(campaign.Config{Journal: jf, ...}, run)
-//	c.Add(replay.Unfinished(allTasks)...)
-//
-// A missing file is not an error: the replay is empty and the journal
-// is created, so first runs and resumed runs share one code path.
-//
-// Resume always speaks the legacy plain-JSONL journal format. New code
-// should prefer OpenJournal, which recovers checksummed WAL journals
-// (and still reads legacy ones).
-func Resume(path string) (*Replay, *os.File, error) {
-	var replay *Replay
-	tornTail := false
-	f, err := os.Open(path)
-	switch {
-	case err == nil:
-		replay, err = ReadJournal(f)
-		if err == nil {
-			// A crash can leave the file without a final newline. New
-			// events must start on their own line, or they merge with
-			// the torn fragment and corrupt the record for the next
-			// replay.
-			var last [1]byte
-			if _, serr := f.Seek(-1, io.SeekEnd); serr == nil {
-				if _, rerr := f.Read(last[:]); rerr == nil && last[0] != '\n' {
-					tornTail = true
-				}
-			}
-		}
-		f.Close()
-		if err != nil {
-			return nil, nil, err
-		}
-	case os.IsNotExist(err):
-		replay = &Replay{
-			Final:    make(map[Key]State),
-			Seen:     make(map[Key]bool),
-			Attempts: make(map[Key]int),
-		}
-	default:
-		return nil, nil, fmt.Errorf("campaign: opening journal: %w", err)
-	}
-	jf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: appending journal: %w", err)
-	}
-	if tornTail {
-		replay.TornTail = true
-		if _, err := jf.Write([]byte{'\n'}); err != nil {
-			jf.Close()
-			return nil, nil, fmt.Errorf("campaign: terminating torn journal line: %w", err)
-		}
-	}
-	return replay, jf, nil
 }

@@ -1,11 +1,10 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"sendervalid/internal/telemetry"
 	"sendervalid/internal/wal"
@@ -16,32 +15,24 @@ import (
 // but each line is framed as one checksummed WAL record, so a crash
 // mid-write is detected and truncated at recovery instead of leaving a
 // torn fragment for the replay parser to stumble over, and an fsync
-// policy chooses how much a machine crash may cost. Legacy plain-JSONL
-// journals remain readable and resumable: OpenJournal sniffs the
-// format from the first byte and keeps appending in kind, because a
-// journal must never mix formats mid-file.
+// policy chooses how much a machine crash may cost. Every journal write
+// is framed; a pre-WAL plain-JSONL journal remains a supported input by
+// becoming a read-only rotated segment of the WAL that continues it.
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
-	// Sync is the fsync policy for the journal's WAL (and, for legacy
-	// journals, a best-effort emulation: SyncAlways syncs per event,
-	// SyncInterval time-checks in Write). Default SyncNone.
+	// Sync is the fsync policy for the journal's WAL. Default SyncNone.
 	Sync wal.SyncPolicy
-	// SyncInterval is the group-commit period for wal.SyncInterval.
-	SyncInterval time.Duration
-	// RotateBytes rotates a WAL journal at this live-segment size;
-	// zero (the default) keeps one segment — campaign journals are
-	// small next to query logs. Legacy journals never rotate.
+	// RotateBytes rotates the journal at this live-segment size; zero
+	// (the default) keeps one segment — campaign journals are small
+	// next to query logs.
 	RotateBytes int64
-	// Logf, when set, receives the one-line warning if journal
-	// writing later fails (see journalWriter).
-	Logf func(format string, args ...any)
 }
 
 // Journal is the append side of a durable campaign record, as handed
 // to Config.Journal: one event line per Write. Err surfaces the sink's
 // sticky failure and Check adapts it to a telemetry health check so a
-// wedged journal flips /healthz.
+// wedged journal flips /healthz. *wal.WAL is the implementation.
 type Journal interface {
 	io.Writer
 	io.Closer
@@ -55,209 +46,70 @@ type Journal interface {
 	RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label)
 }
 
-// OpenJournal replays the journal at path and reopens it for
-// appending, like Resume, but speaks both journal formats:
+// OpenJournal replays the journal at path — every segment, through
+// wal.OpenStream — and opens its write-ahead log for appending, so a
+// restarted campaign continues the same durable record:
 //
-//   - A new (or empty, or already-WAL) journal uses the checksummed
-//     write-ahead log: recovery truncates a torn or corrupt tail,
-//     reporting what it salvaged and dropped through the Replay, and
-//     appends are framed records under the configured fsync policy.
-//   - An existing plain-JSONL journal (first byte is printable JSON,
-//     not the frame marker) is replayed and appended in the legacy
-//     format, so pre-WAL journals keep resuming.
+//	replay, jnl, err := campaign.OpenJournal(path, campaign.JournalOptions{})
+//	...
+//	c := campaign.New(campaign.Config{Journal: jnl, ...}, run)
+//	c.Add(replay.Unfinished(allTasks)...)
 //
-// The returned Journal is the value for Config.Journal.
+// A missing file is not an error: the replay is empty and the journal
+// is created, so first runs and resumed runs share one code path.
+// Recovery truncates a torn or corrupt tail off the live segment; what
+// was salvaged and what was dropped, in any segment, is reported
+// through the Replay.
+//
+// A pre-WAL journal (plain JSONL at path) is replayed like any other
+// segment and then retired, byte for byte, to the next rotated-segment
+// name; new events go to a fresh framed live segment. No file ever
+// mixes formats and nothing appends to an unframed file.
 func OpenJournal(path string, o JournalOptions) (*Replay, Journal, error) {
-	legacy, err := isLegacyJournal(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if legacy {
-		replay, f, err := Resume(path)
+	// Replay first, read-only: a file that is not a journal at all is
+	// rejected before anything on disk has been touched.
+	replay := newReplay()
+	var stats wal.RecoverStats
+	switch s, err := wal.OpenStream(path); {
+	case err == nil:
+		replay, err = ReadJournal(s)
+		stats = s.Stats()
+		s.Close()
 		if err != nil {
 			return nil, nil, err
 		}
-		return replay, &legacyJournal{f: f, opts: o}, nil
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, nil, fmt.Errorf("campaign: opening journal: %w", err)
 	}
+	replay.TornTail = stats.Truncated
+	replay.DroppedBytes = stats.DroppedBytes
 
-	w, err := wal.Open(path, wal.Options{
-		Sync:        o.Sync,
-		Interval:    o.SyncInterval,
-		RotateBytes: o.RotateBytes,
-	})
+	opts := wal.Options{Sync: o.Sync, RotateBytes: o.RotateBytes}
+	w, err := wal.Open(path, opts)
+	if errors.Is(err, wal.ErrNotWAL) {
+		replay.TornTail = replay.TornTail || endsMidLine(path)
+		if err = os.Rename(path, wal.NextSegment(path)); err == nil {
+			w, err = wal.Open(path, opts)
+		}
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: opening WAL journal: %w", err)
 	}
-	replay, err := replayWALJournal(path)
-	if err != nil {
-		w.Close()
-		return nil, nil, err
-	}
-	rec := w.Recovered()
-	replay.TornTail = rec.Truncated
-	replay.DroppedBytes = rec.DroppedBytes
-	return replay, &walJournal{w: w}, nil
+	return replay, w, nil
 }
 
-// isLegacyJournal sniffs the file's first byte: plain JSONL if it is
-// anything but the WAL frame marker. Missing and empty files are not
-// legacy — they start fresh as WALs.
-func isLegacyJournal(path string) (bool, error) {
+// endsMidLine reports whether the non-empty file at path lacks a final
+// newline: a plain-JSONL journal whose last write was torn by a crash.
+func endsMidLine(path string) bool {
 	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
 	if err != nil {
-		return false, fmt.Errorf("campaign: opening journal: %w", err)
+		return false
 	}
 	defer f.Close()
-	var first [1]byte
-	n, rerr := f.Read(first[:])
-	if rerr != nil && rerr != io.EOF {
-		return false, fmt.Errorf("campaign: reading journal: %w", rerr)
+	var last [1]byte
+	if _, err := f.Seek(-1, io.SeekEnd); err != nil {
+		return false
 	}
-	return n == 1 && !wal.IsFramed(first[:]), nil
-}
-
-// replayWALJournal replays every segment of the WAL journal at path in
-// append order through tolerant readers. It runs after wal.Open has
-// already truncated the live segment's torn tail, but stays tolerant
-// anyway: a rotated segment finalized by a crashing process deserves
-// the same salvage-the-prefix treatment.
-func replayWALJournal(path string) (*Replay, error) {
-	segs, err := wal.Segments(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: listing journal segments: %w", err)
-	}
-	readers := make([]io.Reader, 0, len(segs))
-	files := make([]*os.File, 0, len(segs))
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: opening journal segment: %w", err)
-		}
-		files = append(files, f)
-		readers = append(readers, wal.NewReader(f))
-	}
-	replay, err := ReadJournal(io.MultiReader(readers...))
-	if err != nil {
-		return nil, err
-	}
-	return replay, nil
-}
-
-// walJournal adapts *wal.WAL to the Journal interface.
-type walJournal struct{ w *wal.WAL }
-
-func (j *walJournal) Write(p []byte) (int, error) { return j.w.Write(p) }
-func (j *walJournal) Sync() error                 { return j.w.Sync() }
-func (j *walJournal) Close() error                { return j.w.Close() }
-func (j *walJournal) Err() error                  { return j.w.Err() }
-func (j *walJournal) Check() error                { return j.w.Check() }
-func (j *walJournal) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	j.w.RegisterMetrics(reg, labels...)
-}
-
-// legacyJournal appends plain JSONL, emulating the sync policy as far
-// as an unframed file allows: SyncAlways fsyncs per event; SyncInterval
-// fsyncs inline when the period has elapsed (no background flusher —
-// the next event carries the sync, which for a steadily-writing
-// campaign is the same guarantee).
-type legacyJournal struct {
-	mu       sync.Mutex
-	f        *os.File
-	opts     JournalOptions
-	err      error
-	lastSync time.Time
-
-	appends  telemetry.Counter
-	syncs    telemetry.Counter
-	failures telemetry.Counter
-}
-
-func (j *legacyJournal) Write(p []byte) (int, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		j.failures.Inc()
-		return 0, j.err
-	}
-	n, err := j.f.Write(p)
-	if err != nil {
-		j.err = err
-		j.failures.Inc()
-		return n, err
-	}
-	j.appends.Inc()
-	switch j.opts.Sync {
-	case wal.SyncAlways:
-		if err := j.f.Sync(); err != nil {
-			j.err = err
-			j.failures.Inc()
-			return n, err
-		}
-		j.syncs.Inc()
-	case wal.SyncInterval:
-		interval := j.opts.SyncInterval
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		if now := time.Now(); now.Sub(j.lastSync) >= interval {
-			if err := j.f.Sync(); err != nil {
-				j.err = err
-				j.failures.Inc()
-				return n, err
-			}
-			j.syncs.Inc()
-			j.lastSync = now
-		}
-	}
-	return n, nil
-}
-
-func (j *legacyJournal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = err
-		j.failures.Inc()
-		return err
-	}
-	j.syncs.Inc()
-	return nil
-}
-
-func (j *legacyJournal) Close() error { return j.f.Close() }
-
-func (j *legacyJournal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-func (j *legacyJournal) Check() error {
-	if err := j.Err(); err != nil {
-		return fmt.Errorf("journal wedged: %v", err)
-	}
-	return nil
-}
-
-func (j *legacyJournal) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	reg.MustCounter("wal_records_appended_total",
-		"Journal events appended (legacy plain-JSONL journal).",
-		&j.appends, labels...)
-	reg.MustCounter("wal_syncs_total",
-		"fsync calls issued by the legacy journal.",
-		&j.syncs, labels...)
-	reg.MustCounter("wal_failures_total",
-		"Journal writes or syncs that failed.",
-		&j.failures, labels...)
+	_, err = f.Read(last[:])
+	return err == nil && last[0] != '\n'
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -119,56 +120,10 @@ func TestOpenJournalWALTornTail(t *testing.T) {
 	}
 }
 
-func TestOpenJournalLegacySniff(t *testing.T) {
-	// A pre-WAL journal: plain JSONL written by Resume-era code.
-	path := filepath.Join(t.TempDir(), "camp.jsonl")
-	var buf bytes.Buffer
-	jw := newJournalWriter(&buf, nil)
-	jw.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
-	jw.event(event{Ev: evAttempt, Key: Key{"m0", "t1"}, N: 1})
-	jw.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
-	jw.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	replay, j, err := OpenJournal(path, JournalOptions{Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Done() != 1 || !replay.Seen[Key{"m1", "t1"}] {
-		t.Fatalf("legacy replay wrong: %+v", replay)
-	}
-	// Appending must stay plain JSONL — never mix formats mid-file.
-	jw2 := newJournalWriter(j, nil)
-	jw2.event(event{Ev: evDone, Key: Key{"m1", "t1"}, N: 1})
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wal.IsFramed(img) || bytes.IndexByte(img, wal.Marker) >= 0 {
-		t.Fatal("legacy journal grew WAL frames")
-	}
-	replay2, j3, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j3.Close()
-	if replay2.Done() != 2 {
-		t.Fatalf("after legacy append, done = %d, want 2", replay2.Done())
-	}
-}
-
-// TestReplaySalvagesTruncatedFinalLine is the satellite regression for
-// the classic crash artifact: a journal whose final line is a torn JSON
-// fragment. The valid prefix must be salvaged and the damage reported.
-func TestReplaySalvagesTruncatedFinalLine(t *testing.T) {
+// legacyJournalBytes is a pre-WAL journal image: plain JSONL, m0/t1
+// done and m1/t1 enqueued. With torn set the last line is cut mid-way
+// and has no newline, the classic crash artifact.
+func legacyJournalBytes(torn bool) []byte {
 	var buf bytes.Buffer
 	jw := newJournalWriter(&buf, nil)
 	jw.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
@@ -176,19 +131,109 @@ func TestReplaySalvagesTruncatedFinalLine(t *testing.T) {
 	jw.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
 	jw.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
 	full := buf.Bytes()
-	// Cut mid-way through the last line, no trailing newline.
-	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1 + 7
-	torn := full[:cut]
+	if !torn {
+		return full
+	}
+	return full[:bytes.LastIndexByte(full[:len(full)-1], '\n')+1+7]
+}
 
+// TestOpenJournalLegacySniff is the adoption test: a pre-WAL plain-JSONL
+// journal with a torn last line is replayed as ReadJournal reads its
+// bytes, retired untouched to the next rotated-segment name, and
+// continued by a framed live segment; the next open replays the union.
+func TestOpenJournalLegacySniff(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "camp.jsonl")
+	legacy := legacyJournalBytes(true)
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An earlier rotated name is taken: adoption must pick the next one.
+	if err := os.WriteFile(path+".1", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadJournal(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.TornTail = true // the file stopped mid-line; reported at adoption
+
+	replay, j, err := OpenJournal(path, JournalOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replay, want) || replay.Malformed != 1 {
+		t.Fatalf("legacy replay = %+v, want %+v", replay, want)
+	}
+	jw := newJournalWriter(j, nil)
+	jw.event(event{Ev: evDone, Key: Key{"m1", "t1"}, N: 1})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if retired, err := os.ReadFile(path + ".2"); err != nil || !bytes.Equal(retired, legacy) {
+		t.Fatalf("legacy bytes not intact at %s.2: %v", path, err)
+	}
+	live, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wal.IsFramed(live) {
+		t.Fatalf("new events at %s are not framed (first byte %#x)", path, live[:1])
+	}
+	if stats, err := wal.Recover(path, wal.RecoverOptions{}); err != nil || stats.Records != 1 || stats.Truncated {
+		t.Fatalf("live segment: %+v, %v; want the one new event, framed", stats, err)
+	}
+
+	// The union: the legacy segment (its fragment closed off, one
+	// Malformed line, no longer a torn tail) plus the framed event.
+	replay2, j2, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if replay2.Done() != 2 || replay2.Events != want.Events+1 || replay2.Malformed != 1 || replay2.TornTail {
+		t.Fatalf("second open: %+v", replay2)
+	}
+	if _, err := os.Stat(path + ".3"); !os.IsNotExist(err) {
+		t.Fatal("second open retired the framed live segment")
+	}
+}
+
+// TestOpenJournalRejectsNonJournal: a plain file with no valid event is
+// refused before OpenJournal has renamed or truncated anything.
+func TestOpenJournalRejectsNonJournal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(path, []byte("not a journal\nat all\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenJournal(path, JournalOptions{}); err == nil {
+		t.Fatal("non-journal file accepted")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); len(entries) != 1 || string(got) != "not a journal\nat all\n" {
+		t.Fatalf("rejected file was touched: %d entries, content %q", len(entries), got)
+	}
+}
+
+// TestReplaySalvagesTruncatedFinalLine is the satellite regression for
+// the classic crash artifact: a journal whose final line is a torn JSON
+// fragment. The valid prefix must be salvaged and the damage reported.
+func TestReplaySalvagesTruncatedFinalLine(t *testing.T) {
+	torn := legacyJournalBytes(true)
 	path := filepath.Join(t.TempDir(), "camp.jsonl")
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	replay, jf, err := Resume(path)
+	replay, j, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jf.Close()
+	j.Close()
 	if replay.Done() != 1 {
 		t.Fatalf("salvaged done = %d, want 1", replay.Done())
 	}
@@ -202,16 +247,65 @@ func TestReplaySalvagesTruncatedFinalLine(t *testing.T) {
 	if replay.Seen[Key{"m1", "t1"}] {
 		t.Fatal("torn fragment leaked into replay")
 	}
-	// Resume terminated the fragment; a second open sees a repaired
-	// file — the fragment stays one Malformed line, no longer a torn
-	// tail.
+	// A second open reads the retired file with its fragment closed off
+	// — one Malformed line, no longer a torn tail — and agrees with
+	// ReadJournal of the original bytes.
+	want, err := ReadJournal(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
 	replay2, j2, err := OpenJournal(path, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
-	if replay2.TornTail || replay2.Done() != 1 || replay2.Malformed != 1 {
-		t.Fatalf("OpenJournal disagrees with Resume: %+v", replay2)
+	if !reflect.DeepEqual(replay2, want) {
+		t.Fatalf("OpenJournal disagrees with ReadJournal: %+v vs %+v", replay2, want)
+	}
+}
+
+// TestOpenJournalRotatedSegmentDebris: crash debris at the end of a
+// rotated segment is skipped by every replay and must be reported, not
+// only debris in the live segment.
+func TestOpenJournalRotatedSegmentDebris(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "camp.wal")
+	_, j, err := OpenJournal(path, JournalOptions{RotateBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJournaled(t, j, 8, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clean, j, err := OpenJournal(path, JournalOptions{RotateBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if clean.TornTail || clean.DroppedBytes != 0 {
+		t.Fatalf("clean rotated journal reported damage: %+v", clean)
+	}
+
+	first := path + ".1"
+	img, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatalf("journal did not rotate: %v", err)
+	}
+	img[len(img)-1] ^= 0x01 // the last frame of the segment fails its checksum
+	if err := os.WriteFile(first, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay, j, err := OpenJournal(path, JournalOptions{RotateBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if !replay.TornTail || replay.DroppedBytes == 0 {
+		t.Fatalf("debris in %s not reported: TornTail=%v DroppedBytes=%d", first, replay.TornTail, replay.DroppedBytes)
+	}
+	if replay.Events != clean.Events-1 || replay.Malformed != 0 {
+		t.Fatalf("replay lost more than the corrupt record: %d events (clean %d), %d malformed",
+			replay.Events, clean.Events, replay.Malformed)
 	}
 }
 

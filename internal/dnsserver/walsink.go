@@ -2,8 +2,6 @@ package dnsserver
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"sendervalid/internal/telemetry"
@@ -15,10 +13,9 @@ import (
 // one entry per record — so the analysis pipeline keeps its codec; the
 // framing adds a checksum and a recovery story, so a machine crash
 // mid-collection costs a truncated tail instead of a log whose last
-// line may or may not be garbage. OpenLogStream is the read side:
-// it walks a log's rotated segments in append order, sniffs each
-// segment's format from its first byte, and presents the whole history
-// as one plain JSONL stream to the existing ingest.
+// line may or may not be garbage. The read side is wal.OpenStream,
+// which presents the whole history — rotated segments, framed or plain
+// — as one JSONL stream to the existing ingest.
 
 // MultiSink fans each entry out to every sink in order. The typical
 // composition keeps the in-memory QueryLog (for the live status
@@ -85,122 +82,9 @@ func (s *WALSink) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.L
 	s.w.RegisterMetrics(reg, labels...)
 }
 
-// LogStream reads a query log — plain JSONL, WAL-framed, rotated into
-// segments, or any mix — as one continuous JSONL stream. Each segment's
-// format is sniffed independently from its first byte, because a log
-// directory can legitimately hold both: plain segments from a pre-WAL
-// collector next to framed ones from the current.
-type LogStream struct {
-	segs   []string
-	idx    int
-	f      *os.File
-	cur    io.Reader
-	walr   *wal.Reader
-	stats  wal.RecoverStats
-	framed int
-}
+// LogStream and OpenLogStream are the query log's names for the one
+// segment reader, wal.Stream: rotated, framed and plain pre-WAL
+// segments, sniffed per segment, presented as one JSONL stream.
+type LogStream = wal.Stream
 
-// OpenLogStream opens the query log at path and all its rotated
-// segments (<path>.1, <path>.2, ...) in append order.
-func OpenLogStream(path string) (*LogStream, error) {
-	segs, err := wal.Segments(path)
-	if err != nil {
-		return nil, fmt.Errorf("dnsserver: listing log segments: %w", err)
-	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("dnsserver: opening log %s: %w", path, os.ErrNotExist)
-	}
-	return &LogStream{segs: segs}, nil
-}
-
-// Read implements io.Reader over the concatenated segments.
-func (s *LogStream) Read(p []byte) (int, error) {
-	for {
-		if s.cur == nil {
-			if s.idx >= len(s.segs) {
-				return 0, io.EOF
-			}
-			if err := s.openNext(); err != nil {
-				return 0, err
-			}
-		}
-		n, err := s.cur.Read(p)
-		if err == io.EOF {
-			s.finishSegment()
-			if n > 0 {
-				return n, nil
-			}
-			continue
-		}
-		return n, err
-	}
-}
-
-// openNext opens segment idx and sniffs its framing.
-func (s *LogStream) openNext() error {
-	f, err := os.Open(s.segs[s.idx])
-	if err != nil {
-		return fmt.Errorf("dnsserver: opening log segment: %w", err)
-	}
-	var first [1]byte
-	n, rerr := f.Read(first[:])
-	if rerr != nil && rerr != io.EOF {
-		f.Close()
-		return fmt.Errorf("dnsserver: reading log segment: %w", rerr)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("dnsserver: seeking log segment: %w", err)
-	}
-	s.f = f
-	if n == 1 && wal.IsFramed(first[:]) {
-		s.walr = wal.NewReader(f)
-		s.cur = s.walr
-		s.framed++
-	} else {
-		s.walr = nil
-		s.cur = f
-	}
-	return nil
-}
-
-// finishSegment folds the finished segment's salvage accounting into
-// the stream totals and advances.
-func (s *LogStream) finishSegment() {
-	if s.walr != nil {
-		st := s.walr.Stats()
-		s.stats.Records += st.Records
-		s.stats.GoodBytes += st.GoodBytes
-		s.stats.DroppedBytes += st.DroppedBytes
-		s.stats.Truncated = s.stats.Truncated || st.Truncated
-		s.walr = nil
-	}
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
-	s.cur = nil
-	s.idx++
-}
-
-// Close releases the currently open segment.
-func (s *LogStream) Close() error {
-	if s.f != nil {
-		err := s.f.Close()
-		s.f = nil
-		s.cur = nil
-		return err
-	}
-	return nil
-}
-
-// Segments reports how many files make up the stream; Framed how many
-// of those read so far were WAL-framed.
-func (s *LogStream) Segments() int { return len(s.segs) }
-func (s *LogStream) Framed() int   { return s.framed }
-
-// Stats accumulates the framed segments' salvage accounting; complete
-// once the stream has been consumed to EOF. A nonzero DroppedBytes
-// means some tail of a framed segment was crash debris the tolerant
-// reader skipped.
-func (s *LogStream) Stats() wal.RecoverStats { return s.stats }
+func OpenLogStream(path string) (*LogStream, error) { return wal.OpenStream(path) }

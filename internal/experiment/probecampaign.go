@@ -33,7 +33,7 @@ type ProbeCampaignOpts struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Journal receives the append-only JSONL record of task
-	// transitions (see campaign.OpenJournal / campaign.Resume).
+	// transitions (see campaign.OpenJournal).
 	Journal interface{ Write([]byte) (int, error) }
 	// Replay, when resuming, prunes (MTA, test) pairs the journal
 	// already records as finished.

@@ -606,7 +606,7 @@ func TestChaosMiniCampaign(t *testing.T) {
 	}
 
 	// Phase 1: run under chaos, cancel mid-flight.
-	replay, jf, err := campaign.Resume(journal)
+	replay, jf, err := campaign.OpenJournal(journal, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +624,7 @@ func TestChaosMiniCampaign(t *testing.T) {
 	t.Logf("phase 1: %s", snap1)
 
 	// Phase 2: resume from the journal; the campaign must converge.
-	replay, jf, err = campaign.Resume(journal)
+	replay, jf, err = campaign.OpenJournal(journal, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +652,7 @@ func TestChaosMiniCampaign(t *testing.T) {
 	}
 
 	// The journal must now record every task as finished.
-	final, jf3, err := campaign.Resume(journal)
+	final, jf3, err := campaign.OpenJournal(journal, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 	"strings"
 )
 
-// This file is the read side of the WAL: crash recovery (walk the
-// file, keep the valid record prefix, truncate the rest) and the
-// streaming Reader analysis tooling uses to consume a framed log as if
-// it were the plain payload stream.
+// This file is the read side of one WAL file: the frame decoder, crash
+// recovery (walk the file, keep the valid record prefix, truncate the
+// rest) and the Reader that presents a framed file as its plain payload
+// stream. stream.go strings segments together on top of it.
 //
 // The recovery invariant: a WAL file's meaningful content is always a
 // prefix of complete, checksum-valid frames. Anything after the first
@@ -26,6 +26,9 @@ import (
 // records that were legitimately truncated away by an earlier repair,
 // breaking the append-only history.
 
+// readBufSize is the read-side buffer over a segment file.
+const readBufSize = 64 * 1024
+
 // RecoverStats describes a recovery or scan outcome.
 type RecoverStats struct {
 	// Records is the number of valid records in the salvaged prefix.
@@ -33,22 +36,26 @@ type RecoverStats struct {
 	// GoodBytes is the length of the valid prefix (framing included).
 	GoodBytes int64
 	// DroppedBytes is the length of the torn/corrupt tail beyond the
-	// prefix (truncated away by Recover, skipped by a tolerant Reader).
+	// prefix (truncated away by Recover, skipped by a Reader).
 	DroppedBytes int64
 	// Truncated reports whether a tail was dropped at all.
 	Truncated bool
 }
 
+// add folds another file's outcome into s.
+func (s *RecoverStats) add(o RecoverStats) {
+	s.Records += o.Records
+	s.GoodBytes += o.GoodBytes
+	s.DroppedBytes += o.DroppedBytes
+	s.Truncated = s.Truncated || o.Truncated
+}
+
 // RecoverOptions configures Recover.
 type RecoverOptions struct {
-	// MaxRecordBytes bounds the payload length a frame header may
-	// claim; larger claims are corruption. Default
-	// DefaultMaxRecordBytes.
-	MaxRecordBytes int
 	// RefuseUnframed makes Recover fail with ErrNotWAL when the file
 	// is non-empty and does not start with the frame marker, instead
 	// of truncating it to zero bytes. Open sets it: a plain JSONL log
-	// at the WAL's path is a configuration mistake, not a torn tail.
+	// at the WAL's path is someone's data, not a torn tail.
 	RefuseUnframed bool
 	// OnRecord, when non-nil, receives each salvaged record's payload
 	// during the scan. The slice is reused between calls.
@@ -63,9 +70,6 @@ type RecoverOptions struct {
 // A missing file recovers to empty stats. Real I/O failures (open,
 // read, truncate) are the only errors.
 func Recover(path string, opts RecoverOptions) (RecoverStats, error) {
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = DefaultMaxRecordBytes
-	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
 		return RecoverStats{}, nil
@@ -75,104 +79,88 @@ func Recover(path string, opts RecoverOptions) (RecoverStats, error) {
 	}
 	defer f.Close()
 
+	r := NewReader(f)
 	if opts.RefuseUnframed {
-		var first [1]byte
-		n, rerr := f.Read(first[:])
-		if rerr != nil && rerr != io.EOF {
-			return RecoverStats{}, fmt.Errorf("wal: reading %s: %w", path, rerr)
+		head, err := r.br.Peek(1)
+		if err != nil && err != io.EOF {
+			return RecoverStats{}, fmt.Errorf("wal: reading %s: %w", path, err)
 		}
-		if n == 1 && first[0] != Marker {
+		if len(head) == 1 && !IsFramed(head) {
 			return RecoverStats{}, fmt.Errorf("%w: %s", ErrNotWAL, path)
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return RecoverStats{}, fmt.Errorf("wal: seeking %s: %w", path, err)
+	}
+	for {
+		payload, err := r.next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil && opts.OnRecord != nil {
+			err = opts.OnRecord(payload)
+		}
+		if err != nil {
+			return r.stats, err
 		}
 	}
-
-	stats, err := scan(bufio.NewReaderSize(f, 64*1024), opts.MaxRecordBytes, opts.OnRecord)
-	if err != nil {
-		return stats, err
-	}
-	if stats.Truncated {
-		if err := f.Truncate(stats.GoodBytes); err != nil {
-			return stats, fmt.Errorf("wal: truncating %s to %d bytes: %w", path, stats.GoodBytes, err)
+	if r.stats.Truncated {
+		if err := f.Truncate(r.stats.GoodBytes); err != nil {
+			return r.stats, fmt.Errorf("wal: truncating %s to %d bytes: %w", path, r.stats.GoodBytes, err)
 		}
 		if err := f.Sync(); err != nil {
-			return stats, fmt.Errorf("wal: syncing %s after truncation: %w", path, err)
+			return r.stats, fmt.Errorf("wal: syncing %s after truncation: %w", path, err)
 		}
 	}
-	return stats, nil
+	return r.stats, nil
 }
 
-// scan walks frames from r, invoking onRecord per valid payload. It
-// stops at the first invalid frame and reports the remainder as
-// dropped. Only real read failures and onRecord errors are returned.
-func scan(br *bufio.Reader, maxRecord int, onRecord func([]byte) error) (RecoverStats, error) {
-	var stats RecoverStats
-	var payload []byte
-	var hdr [headerSize]byte
-	for {
-		n, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF && n == 0 {
-			return stats, nil // clean end on a frame boundary
-		}
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			stats.DroppedBytes += int64(n)
-			stats.Truncated = true
-			return stats, nil // torn header
-		}
-		if err != nil {
-			return stats, fmt.Errorf("wal: reading frame header: %w", err)
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[1:5]))
-		if hdr[0] != Marker || length > int64(maxRecord) {
-			// Corrupt header: everything from here on is debris. Count
-			// it without slurping multi-GB tails into memory.
-			dropped, derr := discard(br)
-			stats.DroppedBytes += int64(headerSize) + dropped
-			stats.Truncated = true
-			return stats, derr
-		}
-		want := crc32From(hdr[5:9])
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		pn, err := io.ReadFull(br, payload)
-		if err == io.ErrUnexpectedEOF || err == io.EOF {
-			stats.DroppedBytes += int64(headerSize) + int64(pn)
-			stats.Truncated = true
-			return stats, nil // torn payload
-		}
-		if err != nil {
-			return stats, fmt.Errorf("wal: reading record payload: %w", err)
-		}
-		if Checksum(payload) != want {
-			dropped, derr := discard(br)
-			stats.DroppedBytes += int64(headerSize) + length + dropped
-			stats.Truncated = true
-			return stats, derr
-		}
-		if onRecord != nil {
-			if err := onRecord(payload); err != nil {
-				return stats, err
-			}
-		}
-		stats.Records++
-		stats.GoodBytes += int64(headerSize) + length
+// readFrame reads the next frame from br and returns its payload in
+// buf's storage (grown when too small; the caller keeps the returned
+// slice as the next call's buf). It is the one place that decides what
+// a valid frame is — marker, length bound, complete header, complete
+// payload, checksum — so recovery and replay cannot disagree about
+// where a log's valid prefix ends. The end of that prefix is io.EOF:
+// with dropped == 0 on a clean frame boundary, otherwise with the rest
+// of br consumed and counted as debris. Any other error is a real read
+// failure.
+func readFrame(br *bufio.Reader, buf []byte) (payload []byte, dropped int64, err error) {
+	hdr, err := br.Peek(headerSize)
+	if err == io.EOF {
+		return nil, int64(len(hdr)), io.EOF // frame boundary, or a torn header
 	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: reading frame header: %w", err)
+	}
+	length := binary.LittleEndian.Uint32(hdr[1:5])
+	sum := binary.LittleEndian.Uint32(hdr[5:9])
+	if hdr[0] != Marker || length > MaxRecordBytes {
+		return debris(br, 0)
+	}
+	_, _ = br.Discard(headerSize) // cannot fail: those bytes were just peeked
+	if cap(buf) < int(length) {
+		buf = make([]byte, length, max(int(length), 2*cap(buf)))
+	}
+	payload = buf[:length]
+	n, err := io.ReadFull(br, payload)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, int64(headerSize + n), io.EOF // torn payload
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: reading record payload: %w", err)
+	}
+	if Checksum(payload) != sum {
+		return debris(br, headerSize+int64(length))
+	}
+	return payload, 0, nil
 }
 
-func crc32From(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
-// discard consumes the rest of br, returning how many bytes it threw
-// away.
-func discard(br *bufio.Reader) (int64, error) {
+// debris ends the valid prefix at a corrupt frame: everything still in
+// br is dropped along with the consumed bytes already read from it,
+// counted without slurping a multi-GB tail into memory.
+func debris(br *bufio.Reader, consumed int64) ([]byte, int64, error) {
 	n, err := io.Copy(io.Discard, br)
 	if err != nil {
-		return n, fmt.Errorf("wal: draining corrupt tail: %w", err)
+		return nil, 0, fmt.Errorf("wal: draining corrupt tail: %w", err)
 	}
-	return n, nil
+	return nil, consumed + n, io.EOF
 }
 
 // IsFramed reports whether a log stream beginning with these bytes is
@@ -245,32 +233,30 @@ func nextSeq(path string) int {
 	return segs[len(segs)-1].seq + 1
 }
 
+// segmentName is the naming rule for rotated segments.
+func segmentName(path string, seq int) string { return fmt.Sprintf("%s.%d", path, seq) }
+
+// NextSegment returns the name the next rotation of the log at path
+// would give its live file. Renaming a pre-WAL plain file at path to it
+// retires that file into the segment chain: OpenStream keeps reading it
+// (sniffed as plain) while Open starts a fresh framed live segment.
+func NextSegment(path string) string { return segmentName(path, nextSeq(path)) }
+
 // Reader streams the payloads of a framed log as one concatenated byte
 // stream, so JSONL-over-WAL feeds the same line-oriented ingest as a
-// plain file. In tolerant mode (the analysis default) a torn or
-// corrupt tail reads as a clean EOF and is reported through Stats; in
-// strict mode it surfaces as an error.
+// plain file. A torn or corrupt tail reads as a clean EOF and is
+// reported through Stats.
 type Reader struct {
-	br       *bufio.Reader
-	pending  []byte // unread remainder of the current record
-	tolerant bool
-	maxRec   int
-	stats    RecoverStats
-	done     bool
-	err      error
+	br      *bufio.Reader
+	buf     []byte // payload storage, reused across records
+	pending []byte // unread remainder of the current record (aliases buf)
+	stats   RecoverStats
+	err     error // sticky: io.EOF past the valid prefix, or a read failure
 }
 
-// NewReader returns a tolerant Reader over r.
+// NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64*1024), tolerant: true, maxRec: DefaultMaxRecordBytes}
-}
-
-// NewStrictReader returns a Reader that fails on a torn or corrupt
-// tail instead of treating it as end-of-log.
-func NewStrictReader(r io.Reader) *Reader {
-	rd := NewReader(r)
-	rd.tolerant = false
-	return rd
+	return &Reader{br: bufio.NewReaderSize(r, readBufSize)}
 }
 
 // Stats reports what the Reader has seen so far; after EOF it is the
@@ -280,67 +266,32 @@ func (r *Reader) Stats() RecoverStats { return r.stats }
 // Read implements io.Reader over the concatenated record payloads.
 func (r *Reader) Read(p []byte) (int, error) {
 	for len(r.pending) == 0 {
-		if r.err != nil {
-			return 0, r.err
-		}
-		if r.done {
-			return 0, io.EOF
-		}
-		if err := r.next(); err != nil {
-			r.err = err
+		rec, err := r.next()
+		if err != nil {
 			return 0, err
 		}
+		r.pending = rec
 	}
 	n := copy(p, r.pending)
 	r.pending = r.pending[n:]
 	return n, nil
 }
 
-// next loads the next record into pending, or sets done/err.
-func (r *Reader) next() error {
-	var hdr [headerSize]byte
-	n, err := io.ReadFull(r.br, hdr[:])
-	if err == io.EOF && n == 0 {
-		r.done = true
-		return nil
+// next returns the next record's payload, valid until the following
+// call, and keeps the accounting.
+func (r *Reader) next() ([]byte, error) {
+	if r.err != nil {
+		return nil, r.err
 	}
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return r.corrupt(int64(n), "torn frame header")
-	}
+	payload, dropped, err := readFrame(r.br, r.buf)
 	if err != nil {
-		return fmt.Errorf("wal: reading frame header: %w", err)
+		r.err = err
+		r.stats.DroppedBytes = dropped
+		r.stats.Truncated = dropped > 0
+		return nil, err
 	}
-	length := int64(binary.LittleEndian.Uint32(hdr[1:5]))
-	if hdr[0] != Marker || length > int64(r.maxRec) {
-		dropped, _ := discard(r.br)
-		return r.corrupt(int64(headerSize)+dropped, "corrupt frame header")
-	}
-	payload := make([]byte, length)
-	pn, err := io.ReadFull(r.br, payload)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return r.corrupt(int64(headerSize)+int64(pn), "torn record payload")
-	}
-	if err != nil {
-		return fmt.Errorf("wal: reading record payload: %w", err)
-	}
-	if Checksum(payload) != crc32From(hdr[5:9]) {
-		dropped, _ := discard(r.br)
-		return r.corrupt(int64(headerSize)+length+dropped, "record checksum mismatch")
-	}
+	r.buf = payload
 	r.stats.Records++
-	r.stats.GoodBytes += int64(headerSize) + length
-	r.pending = payload
-	return nil
-}
-
-// corrupt records a torn/corrupt tail: EOF when tolerant, error when
-// strict.
-func (r *Reader) corrupt(dropped int64, what string) error {
-	r.stats.DroppedBytes += dropped
-	r.stats.Truncated = true
-	r.done = true
-	if r.tolerant {
-		return nil
-	}
-	return fmt.Errorf("wal: %s after %d records (%d bytes dropped)", what, r.stats.Records, r.stats.DroppedBytes)
+	r.stats.GoodBytes += headerSize + int64(len(payload))
+	return payload, nil
 }

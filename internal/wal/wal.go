@@ -17,7 +17,7 @@
 // arbitrary bytes — leaving the file append-ready with a precise count
 // of what was salvaged and what was dropped. The payload stays the
 // caller's existing wire format (JSONL lines here), so analysis
-// tooling keeps working on the framed stream through Reader.
+// tooling keeps working on the framed stream through OpenStream.
 //
 // Durability is a policy, not a constant: SyncAlways fsyncs every
 // record (the journal of a two-week campaign), SyncInterval group-
@@ -43,15 +43,15 @@ import (
 // Frame layout constants. The marker byte is chosen to be invalid as
 // the first byte of any JSONL record (and of UTF-8 text generally), so
 // a framed log and a plain-text log can be told apart by their first
-// byte — that is how OpenJournal and the analyzer sniff formats.
+// byte — that is how OpenStream sniffs each segment's format.
 const (
 	// Marker opens every frame.
 	Marker = 0xC3
 	// headerSize is marker + length + checksum.
 	headerSize = 1 + 4 + 4
-	// DefaultMaxRecordBytes bounds a single record (and, during
-	// recovery, the length field a corrupt header can claim).
-	DefaultMaxRecordBytes = 16 << 20
+	// MaxRecordBytes bounds a single record's payload: Append rejects
+	// larger records, and a frame header claiming more is corruption.
+	MaxRecordBytes = 16 << 20
 )
 
 // crcTable is the Castagnoli polynomial (CRC32C) — hardware-
@@ -124,10 +124,6 @@ type Options struct {
 	// rename once appending a record would push it past this size.
 	// Zero disables rotation. Records never span segments.
 	RotateBytes int64
-	// MaxRecordBytes bounds one record's payload; Append rejects
-	// larger records and Recover treats larger claimed lengths as
-	// corruption. Default DefaultMaxRecordBytes.
-	MaxRecordBytes int
 	// WrapFile, when non-nil, wraps every backing file the WAL opens
 	// (the live segment and each post-rotation successor). It exists
 	// for crash harnesses: a wrapper that fails, short-writes, or
@@ -139,9 +135,6 @@ type Options struct {
 func (o *Options) fillDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 }
 
@@ -196,10 +189,7 @@ type WAL struct {
 // rather than truncating someone else's data.
 func Open(path string, opts Options) (*WAL, error) {
 	opts.fillDefaults()
-	stats, err := Recover(path, RecoverOptions{
-		MaxRecordBytes: opts.MaxRecordBytes,
-		RefuseUnframed: true,
-	})
+	stats, err := Recover(path, RecoverOptions{RefuseUnframed: true})
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +265,11 @@ func (w *WAL) appendLocked(p []byte) error {
 		w.failures.Inc()
 		return w.err
 	}
-	if len(p) > w.opts.MaxRecordBytes {
+	if len(p) > MaxRecordBytes {
 		// An oversized record is a caller bug, not a log failure: the
 		// error is returned but not made sticky.
 		w.failures.Inc()
-		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), w.opts.MaxRecordBytes)
+		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecordBytes)
 	}
 	frame := int64(headerSize + len(p))
 	if w.opts.RotateBytes > 0 && w.size > 0 && w.size+frame > w.opts.RotateBytes {
@@ -329,8 +319,7 @@ func (w *WAL) rotateLocked() error {
 		w.fail(fmt.Errorf("wal: closing %s for rotation: %w", w.path, err))
 		return w.err
 	}
-	rotated := fmt.Sprintf("%s.%d", w.path, w.seq)
-	if err := os.Rename(w.path, rotated); err != nil {
+	if err := os.Rename(w.path, segmentName(w.path, w.seq)); err != nil {
 		w.fail(fmt.Errorf("wal: rotating %s: %w", w.path, err))
 		return w.err
 	}

@@ -14,39 +14,29 @@ import (
 )
 
 // readAll collects every record payload of the segment chain at path
-// through tolerant Readers, mirroring how analysis consumes a log.
+// through OpenStream, mirroring how analysis consumes a log.
 func readAll(t *testing.T, path string) ([][]byte, RecoverStats) {
 	t.Helper()
-	segs, err := Segments(path)
+	s, err := OpenStream(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, RecoverStats{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Payloads here are newline-terminated lines; split on them.
+	all, err := io.ReadAll(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out [][]byte
-	var total RecoverStats
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := NewReader(f)
-		var rec bytes.Buffer
-		// Payloads here are newline-terminated lines; split on them.
-		if _, err := io.Copy(&rec, r); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		s := r.Stats()
-		total.Records += s.Records
-		total.GoodBytes += s.GoodBytes
-		total.DroppedBytes += s.DroppedBytes
-		total.Truncated = total.Truncated || s.Truncated
-		for _, line := range bytes.SplitAfter(rec.Bytes(), []byte{'\n'}) {
-			if len(line) > 0 {
-				out = append(out, append([]byte(nil), line...))
-			}
+	for _, line := range bytes.SplitAfter(all, []byte{'\n'}) {
+		if len(line) > 0 {
+			out = append(out, line)
 		}
 	}
-	return out, total
+	return out, s.Stats()
 }
 
 func TestAppendRecoverRoundTrip(t *testing.T) {
@@ -418,27 +408,24 @@ func TestWriterAdapter(t *testing.T) {
 	}
 }
 
-// TestStrictReaderFailsOnTear pins the strict/tolerant split.
-func TestStrictReaderFailsOnTear(t *testing.T) {
+// TestReaderTornTailIsEOF pins the Reader's one mode: a torn tail is
+// the end of the log, reported through Stats, never an error.
+func TestReaderTornTailIsEOF(t *testing.T) {
 	img := appendFrame(nil, []byte("one\n"))
 	img = appendFrame(img, []byte("two\n"))
 	torn := img[:len(img)-2]
 
-	r := NewStrictReader(bytes.NewReader(torn))
-	if _, err := io.ReadAll(r); err == nil {
-		t.Fatal("strict reader accepted a torn tail")
-	}
-
 	tr := NewReader(bytes.NewReader(torn))
 	got, err := io.ReadAll(tr)
 	if err != nil {
-		t.Fatalf("tolerant reader: %v", err)
+		t.Fatalf("reader: %v", err)
 	}
 	if string(got) != "one\n" {
-		t.Fatalf("tolerant reader salvaged %q", got)
+		t.Fatalf("reader salvaged %q", got)
 	}
-	if s := tr.Stats(); s.Records != 1 || !s.Truncated {
-		t.Fatalf("tolerant stats: %+v", s)
+	want := RecoverStats{Records: 1, GoodBytes: int64(headerSize + 4), DroppedBytes: int64(headerSize + 2), Truncated: true}
+	if s := tr.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 }
 
