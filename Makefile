@@ -1,5 +1,5 @@
-# Development entry points. `make check` is the gate: vet, build, the
-# full test suite under the race detector, a replay of the fuzz seed
+# Development entry points. `make check` is the gate: gofmt, vet, build,
+# the full test suite under the race detector, a replay of the fuzz seed
 # corpora, and a one-iteration smoke pass over every benchmark. `make
 # chaos` runs the seeded chaos suite on its own; `make bench` records
 # the hot-path benchmarks to $(BENCH_OUT) for before/after comparison.
@@ -21,9 +21,14 @@ BENCH_BASELINE ?= BENCH_9.json
 # under each sync policy, and the resolver/bulk-SPF concurrency path.
 HOT_BENCHES = BenchmarkServeHotPath|BenchmarkDNSMessagePackUnpack|BenchmarkSPFParse|BenchmarkQueryLogJSONRoundTrip|BenchmarkLogCodec|BenchmarkParForEachLogJSON|BenchmarkWALAppend|BenchmarkWALRecover|BenchmarkResolverParallel|BenchmarkSingleflightDedup|BenchmarkBulkSPF
 
-.PHONY: check vet build test fuzz-seeds chaos crash bench bench-smoke bench-diff bench-e2e bench-e2e-compare telemetry-alloc bulk-race trace-race
+.PHONY: check fmt vet build test fuzz-seeds chaos crash bench bench-smoke bench-diff bench-e2e bench-e2e-compare telemetry-alloc bulk-race trace-race
 
-check: vet build test fuzz-seeds telemetry-alloc crash bulk-race trace-race bench-smoke
+check: fmt vet build test fuzz-seeds telemetry-alloc crash bulk-race trace-race bench-smoke
+
+# Fails, listing the files, when anything is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed (run gofmt -w):"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -61,9 +66,10 @@ crash:
 
 # The instrument allocation pins: metric increments are on the DNS
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
-# must stay at zero allocations (alongside the log, journal and trace
-# codec pins, the shared jsonwire cursor pin, the resolver cache-hit
-# pin, and the WAL replay pin that share the naming convention).
+# must stay at zero allocations (alongside the query-log codec and
+# journal encoder pins, the tracer's span-lifecycle pins, the shared
+# jsonwire cursor pin, the resolver cache-hit pin, and the WAL replay
+# pin that share the naming convention).
 telemetry-alloc:
 	$(GO) test -run 'Alloc' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \

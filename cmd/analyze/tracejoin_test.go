@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,74 @@ func TestLoadSpansTornTail(t *testing.T) {
 		if r.Trace != recs[i].Trace || r.Span != recs[i].Span {
 			t.Errorf("salvaged record %d is %s/%s, want %s/%s",
 				i, r.Trace, r.Span, recs[i].Trace, recs[i].Span)
+		}
+	}
+}
+
+// TestSpanStreamRoundTrip pins the span stream end to end now that both
+// sides are encoding/json: every record shape the exporter writes
+// (parent, why, err, attrs, events, strings that need escaping) comes
+// back from loadSpans identical, and so does a foreign line with
+// reordered keys and interior whitespace.
+func TestSpanStreamRoundTrip(t *testing.T) {
+	when := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+	base := spanRec(strings.Repeat("a", 32), strings.Repeat("1", 16), "", "resolver.wire", when, 42*time.Microsecond)
+	with := func(edit func(*trace.Record)) trace.Record {
+		r := base
+		edit(&r)
+		return r
+	}
+	recs := []trace.Record{
+		base,
+		with(func(r *trace.Record) { r.Parent = "00000000000000aa"; r.DurUS = 0 }),
+		with(func(r *trace.Record) { r.Why = "slow" }),
+		with(func(r *trace.Record) { r.Why = "error"; r.Err = "451 <greylisted> & deferred" }),
+		with(func(r *trace.Record) {
+			r.Attrs = []trace.Attr{{K: "dns.name", V: "héllo.例え."}, {}, {K: "n", V: "7"}}
+		}),
+		with(func(r *trace.Record) {
+			r.Events = []trace.Event{{T: when, Msg: "retry"}, {T: when.Add(time.Second), Msg: "multi\nline"}}
+		}),
+		with(func(r *trace.Record) { r.Name = `esc"aped\` + "\u2028" }),
+		with(func(r *trace.Record) {
+			r.Parent, r.Why, r.Err = "00000000000000aa", "slow", "timeout"
+			r.Attrs = []trace.Attr{{K: "dns.type", V: "TXT"}}
+			r.Events = []trace.Event{{T: when, Msg: "tcp fallback"}}
+		}),
+	}
+	path := filepath.Join(t.TempDir(), "spans.wal")
+	writeSpanWAL(t, path, recs)
+
+	// One more record, as another tool might have written it.
+	foreign := with(func(r *trace.Record) {
+		r.Span, r.Err = strings.Repeat("2", 16), "boom"
+		r.Attrs = []trace.Attr{{K: "k", V: "v"}}
+	})
+	w, err := wal.Open(path, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf(` { "dur_us" : 42, "attrs": [ {"v":"v", "k":"k"} ], "err":"boom", "start": %q,`+
+		` "name":"resolver.wire", "span":%q , "trace":%q, "unknown": [1, {"x": null}] } `+"\n",
+		when.Format(time.RFC3339Nano), foreign.Span, foreign.Trace)
+	if _, err := w.Write([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, bad, _, err := loadSpans(path)
+	if err != nil || bad != 0 {
+		t.Fatalf("loadSpans: %d bad lines, err %v", bad, err)
+	}
+	want := append(recs, foreign)
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("record %d:\n got %#v\nwant %#v", i, got[i], want[i])
 		}
 	}
 }

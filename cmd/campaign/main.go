@@ -44,23 +44,23 @@ import (
 
 func main() {
 	var (
-		domains     = flag.Int("domains", 2000, "domains in the population")
-		seed        = flag.Int64("seed", 1, "generation seed (must match across resume)")
-		testsFlag   = flag.String("tests", "core", `test policies: "core", "all", or a comma-separated ID list`)
-		workers     = flag.Int("workers", 2*runtime.NumCPU(), "global concurrency cap")
-		rate        = flag.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
-		burst       = flag.Int("burst", 1, "per-MTA token bucket depth")
-		attempts    = flag.Int("attempts", 4, "attempt budget per (MTA, test) pair")
+		domains      = flag.Int("domains", 2000, "domains in the population")
+		seed         = flag.Int64("seed", 1, "generation seed (must match across resume)")
+		testsFlag    = flag.String("tests", "core", `test policies: "core", "all", or a comma-separated ID list`)
+		workers      = flag.Int("workers", 2*runtime.NumCPU(), "global concurrency cap")
+		rate         = flag.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
+		burst        = flag.Int("burst", 1, "per-MTA token bucket depth")
+		attempts     = flag.Int("attempts", 4, "attempt budget per (MTA, test) pair")
 		journal      = flag.String("journal", "", "append-only journal of task transitions (checksummed WAL; a pre-WAL JSONL journal is kept as a read-only segment and continued framed)")
 		journalSync  = flag.String("journal-sync", "none", `journal fsync policy: "none" (kernel-buffered), "interval" (group commit), "always" (fsync per event)`)
 		journalRotat = flag.Int64("journal-rotate", 0, "rotate the journal when the live segment exceeds this many bytes (0 = never)")
 		resume       = flag.Bool("resume", false, "replay the journal and re-run only unfinished pairs")
 		chaosSeed    = flag.Int64("chaos-seed", 0, "inject seeded network chaos into the simulated fabric (0 disables)")
 		chaosDial    = flag.Float64("chaos-dial-failure", 0.25, "dial-failure probability under -chaos-seed")
-		interval    = flag.Duration("interval", 2*time.Second, "progress snapshot period (0 disables)")
-		population  = flag.String("population", "notify", `population flavour: "notify" or "twoweek"`)
-		timeScale   = flag.Float64("timescale", 0.001, "protocol delay multiplier (1.0 = paper timing)")
-		metricsAddr = flag.String("metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")
+		interval     = flag.Duration("interval", 2*time.Second, "progress snapshot period (0 disables)")
+		population   = flag.String("population", "notify", `population flavour: "notify" or "twoweek"`)
+		timeScale    = flag.Float64("timescale", 0.001, "protocol delay multiplier (1.0 = paper timing)")
+		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")
 	)
 	traceFlags := traceflag.Register(flag.CommandLine)
 	flag.Parse()

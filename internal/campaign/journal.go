@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -173,7 +174,6 @@ func (r *Replay) Unfinished(tasks []Task) []Task {
 // journal.
 func ReadJournal(r io.Reader) (*Replay, error) {
 	rp := newReplay()
-	var p eventParser
 	// LineReader, not bufio.Scanner: one oversized garbage line must be
 	// one more Malformed line, not a failed resume. It also drops a CR
 	// before the newline, for tooling that rewrote the file.
@@ -183,8 +183,8 @@ func ReadJournal(r io.Reader) (*Replay, error) {
 		if len(line) == 0 {
 			continue
 		}
-		e, err := p.parse(line)
-		if err != nil {
+		var e event
+		if err := json.Unmarshal(line, &e); err != nil {
 			rp.Malformed++
 			continue
 		}

@@ -5,10 +5,10 @@ import "strconv"
 // Cursor walks one line in the canonical form the Append* encoders
 // emit: fields in wire order, no interior whitespace, plain ASCII
 // strings. Every method reports ok=false on anything else, which means
-// "not canonical", never "invalid" — the codecs then hand the line to
-// json.Unmarshal, the authority on what the format accepts. So a
-// decoder built on Cursor must agree with json.Unmarshal on every line
-// it does accept, and nothing more.
+// "not canonical", never "invalid" — the query-log codec (its one
+// user) then hands the line to json.Unmarshal, the authority on what
+// the format accepts. So a decoder built on Cursor must agree with
+// json.Unmarshal on every line it does accept, and nothing more.
 type Cursor struct {
 	in []byte
 	i  int
@@ -52,12 +52,6 @@ func (c *Cursor) RawStr() ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Str is RawStr with the contents copied into a string of their own.
-func (c *Cursor) Str() (string, bool) {
-	raw, ok := c.RawStr()
-	return string(raw), ok
 }
 
 // Int consumes a canonical integer (optional '-', then either a lone

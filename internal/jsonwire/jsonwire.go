@@ -1,7 +1,7 @@
 // Package jsonwire provides the reflection-free JSON primitives behind
-// the repo's three JSONL record codecs: the DNS query log
-// (internal/dnsserver), the campaign journal (internal/campaign) and
-// the span stream (internal/trace). Each format is defined by
+// the repo's two hand-written JSONL record paths: the DNS query log
+// codec (internal/dnsserver, both directions) and the campaign
+// journal's encoder (internal/campaign). Each format is defined by
 // encoding/json struct tags, and files written by older builds must
 // stay readable (and vice versa), so the primitives here reproduce
 // encoding/json's bytes rather than define a fresh JSON dialect:
@@ -12,13 +12,14 @@
 //     UTF-8 coerced to U+FFFD.
 //   - AppendTime mirrors time.Time's MarshalJSON (RFC 3339 with
 //     nanoseconds); TryParseTime is the strict inverse.
-//   - Cursor decodes the canonical lines those encoders emit — wire
-//     order, no whitespace, plain ASCII strings — and refuses
-//     everything else, which the codecs hand to json.Unmarshal.
-//   - LineReader is the JSONL read loop the three stream readers share.
+//   - Cursor decodes the canonical lines the query-log encoder emits —
+//     wire order, no whitespace, plain ASCII strings — and refuses
+//     everything else, which the codec hands to json.Unmarshal.
+//   - LineReader is the JSONL read loop the three stream readers
+//     (query log, journal, span file) share.
 //
 // The equivalence with encoding/json is pinned by the tests in this
-// package and by fuzz tests in the three consumers.
+// package and by fuzz tests in the two consumers.
 package jsonwire
 
 import (

@@ -19,72 +19,22 @@ type cacheEntry struct {
 	expires time.Time
 }
 
-// Shard sizing. A cache splits into the largest power-of-two shard
-// count (up to maxShards) that still leaves each shard minShardFill
-// entries of capacity, so small caches stay unsharded (and their
-// configured entry bound stays exact) while the default 4096-entry
-// cache spreads across 16 independently locked shards.
-const (
-	maxShards    = 16
-	minShardFill = 32
-)
-
-// shardedCache is the resolver's response cache: entries spread across
-// power-of-two shards by an FNV-1a hash of (owner name, query type),
-// each shard guarded by its own RWMutex so concurrent cache hits — the
-// bulk-validation hot path — take only a read lock on 1/Nth of the
-// keyspace. Expired entries are not reaped on read (that would need
-// the write lock); they are reclaimed expired-first when their shard
-// hits capacity.
-type shardedCache struct {
-	shards []cacheShard
-	mask   uint64
-	// capacity bounds each shard; the whole cache therefore holds at
-	// most len(shards)*capacity <= MaxCacheEntries entries.
+// cache is the resolver's response cache: one map behind one RWMutex,
+// holding at most capacity entries. Concurrent cache hits — the
+// bulk-validation hot path — share the read lock. Expired entries are
+// not reaped on read (that would need the write lock); they are
+// reclaimed expired-first when the map hits capacity.
+type cache struct {
+	mu       sync.RWMutex
+	entries  map[cacheKey]cacheEntry
 	capacity int
 }
 
-type cacheShard struct {
-	mu      sync.RWMutex
-	entries map[cacheKey]cacheEntry
-}
-
-func newShardedCache(maxEntries int) *shardedCache {
+func newCache(maxEntries int) *cache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	n := 1
-	for n < maxShards && maxEntries/(n*2) >= minShardFill {
-		n *= 2
-	}
-	c := &shardedCache{
-		shards:   make([]cacheShard, n),
-		mask:     uint64(n - 1),
-		capacity: maxEntries / n,
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]cacheEntry)
-	}
-	return c
-}
-
-// shard picks the shard for key: FNV-1a over the owner name bytes and
-// the two type octets, masked to the power-of-two shard count.
-func (c *shardedCache) shard(key cacheKey) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key.name); i++ {
-		h ^= uint64(key.name[i])
-		h *= prime64
-	}
-	h ^= uint64(key.typ) & 0xFF
-	h *= prime64
-	h ^= uint64(key.typ) >> 8
-	h *= prime64
-	return &c.shards[h&c.mask]
+	return &cache{entries: make(map[cacheKey]cacheEntry), capacity: maxEntries}
 }
 
 // get returns the cached message for key if present and not expired.
@@ -92,76 +42,55 @@ func (c *shardedCache) shard(key cacheKey) *cacheShard {
 // a read lock, one map probe, and an expiry comparison outside the
 // lock. Expired entries are reported as misses but left in place for
 // capacity-time eviction.
-func (c *shardedCache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.entries[key]
-	s.mu.RUnlock()
+func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
+	c.mu.RLock()
+	e, ok := c.entries[key]
+	c.mu.RUnlock()
 	if !ok || now.After(e.expires) {
 		return nil, false
 	}
 	return e.msg, true
 }
 
-// put stores msg under key, evicting within the shard if it is full.
-func (c *shardedCache) put(key cacheKey, msg *dns.Message, expires time.Time) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if _, ok := s.entries[key]; !ok && len(s.entries) >= c.capacity {
-		s.evictLocked(time.Now(), c.capacity)
+// put stores msg under key, evicting first if the cache is full.
+func (c *cache) put(key cacheKey, msg *dns.Message, expires time.Time) {
+	c.mu.Lock()
+	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.capacity {
+		c.evictLocked(time.Now())
 	}
-	s.entries[key] = cacheEntry{msg: msg, expires: expires}
-	s.mu.Unlock()
+	c.entries[key] = cacheEntry{msg: msg, expires: expires}
+	c.mu.Unlock()
 }
 
-// evictLocked frees room in shard s: expired entries go first, and
-// only if none were expired do live entries get dropped, closest to
-// expiry first — the entries whose loss costs the fewest future hits.
-func (s *cacheShard) evictLocked(now time.Time, capacity int) {
-	for k, e := range s.entries {
+// evictLocked frees room for one insert into a full map: expired
+// entries go first, and only if none were expired is a live entry
+// dropped, the one closest to expiry — the entry whose loss costs the
+// fewest future hits.
+func (c *cache) evictLocked(now time.Time) {
+	var victim cacheKey
+	var soonest time.Time
+	for k, e := range c.entries {
 		if now.After(e.expires) {
-			delete(s.entries, k)
+			delete(c.entries, k)
+		} else if soonest.IsZero() || e.expires.Before(soonest) {
+			victim, soonest = k, e.expires
 		}
 	}
-	for len(s.entries) >= capacity {
-		var victim cacheKey
-		var soonest time.Time
-		found := false
-		for k, e := range s.entries {
-			if !found || e.expires.Before(soonest) {
-				victim, soonest, found = k, e.expires, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(s.entries, victim)
+	if len(c.entries) >= c.capacity {
+		delete(c.entries, victim)
 	}
 }
 
-// len returns the total entry count, stale entries included.
-func (c *shardedCache) len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
-
-// shardLen returns shard i's entry count, stale entries included.
-func (c *shardedCache) shardLen(i int) int {
-	c.shards[i].mu.RLock()
-	defer c.shards[i].mu.RUnlock()
-	return len(c.shards[i].entries)
+// len returns the entry count, stale entries included.
+func (c *cache) len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
 }
 
 // flush drops every entry.
-func (c *shardedCache) flush() {
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		c.shards[i].entries = make(map[cacheKey]cacheEntry)
-		c.shards[i].mu.Unlock()
-	}
+func (c *cache) flush() {
+	c.mu.Lock()
+	c.entries = make(map[cacheKey]cacheEntry)
+	c.mu.Unlock()
 }

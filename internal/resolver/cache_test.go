@@ -13,9 +13,9 @@ import (
 
 // TestCacheBoundUnderConcurrentHammer proves the configured
 // MaxCacheEntries bound holds while many goroutines insert disjoint
-// names concurrently (run under -race by `make test`): the sharded
-// cache may hold stale entries between accesses, but it can never
-// exceed the configured capacity.
+// names concurrently (run under -race by `make test`): the cache may
+// hold stale entries between accesses, but it can never exceed the
+// configured capacity.
 func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 	h := newStaticHandler()
 	const names = 400
@@ -51,14 +51,11 @@ func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestEvictExpiredFirst pins the capacity-time eviction policy: when a
-// shard is full, expired entries are reclaimed before any live entry
-// is dropped.
+// TestEvictExpiredFirst pins the capacity-time eviction policy: when
+// the cache is full, expired entries are reclaimed before any live
+// entry is dropped.
 func TestEvictExpiredFirst(t *testing.T) {
-	c := newShardedCache(4) // stays single-shard: capacity 4
-	if len(c.shards) != 1 {
-		t.Fatalf("expected 1 shard for capacity 4, got %d", len(c.shards))
-	}
+	c := newCache(4)
 	now := time.Now()
 	mk := func(name string) cacheKey { return cacheKey{name: name, typ: dns.TypeA} }
 	live1, live2 := mk("live1."), mk("live2.")
@@ -69,7 +66,7 @@ func TestEvictExpiredFirst(t *testing.T) {
 	c.put(dead1, msg, now.Add(-time.Second))
 	c.put(dead2, msg, now.Add(-time.Second))
 
-	// The shard is at capacity; the next insert must reclaim the two
+	// The cache is at capacity; the next insert must reclaim the two
 	// expired entries and keep both live ones.
 	fresh := mk("fresh.")
 	c.put(fresh, msg, now.Add(time.Hour))
@@ -79,7 +76,7 @@ func TestEvictExpiredFirst(t *testing.T) {
 		}
 	}
 	for _, k := range []cacheKey{dead1, dead2} {
-		if _, ok := c.shard(k).entries[k]; ok {
+		if _, ok := c.entries[k]; ok {
 			t.Errorf("expired entry %q survived eviction", k.name)
 		}
 	}
@@ -88,7 +85,7 @@ func TestEvictExpiredFirst(t *testing.T) {
 // TestEvictSoonestExpiryWhenNoneExpired pins the fallback: with no
 // expired entries, the entry closest to expiry goes first.
 func TestEvictSoonestExpiryWhenNoneExpired(t *testing.T) {
-	c := newShardedCache(3)
+	c := newCache(3)
 	now := time.Now()
 	msg := &dns.Message{}
 	near := cacheKey{name: "near.", typ: dns.TypeA}
@@ -98,30 +95,47 @@ func TestEvictSoonestExpiryWhenNoneExpired(t *testing.T) {
 
 	c.put(cacheKey{name: "new.", typ: dns.TypeA}, msg, now.Add(time.Hour))
 	if _, ok := c.get(near, now); ok {
-		t.Error("soonest-expiring entry survived a full-shard insert")
+		t.Error("soonest-expiring entry survived a full-cache insert")
 	}
 	if c.len() != 3 {
 		t.Errorf("cache holds %d entries, capacity 3", c.len())
 	}
 }
 
-// TestShardCountScalesWithCapacity pins the shard-sizing rule: small
-// caches stay unsharded so their bound is exact; the default splits
-// into 16 shards.
-func TestShardCountScalesWithCapacity(t *testing.T) {
-	cases := []struct{ max, shards int }{
-		{1, 1}, {10, 1}, {63, 1}, {64, 2}, {128, 4}, {4096, 16}, {1 << 20, 16},
+// TestCacheBoundIsExact pins that MaxCacheEntries is the capacity, not
+// an upper bound on it: a default cache given exactly 4096 distinct
+// live entries keeps every one, and the next insert evicts exactly one.
+func TestCacheBoundIsExact(t *testing.T) {
+	r := New(Config{Server: "192.0.2.1:53"})
+	const n = 4096
+	name := func(i int) string { return fmt.Sprintf("e%04d.example.com.", i) }
+	insert := func(i int) {
+		r.cache.put(cacheKey{name: name(i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
 	}
-	for _, c := range cases {
-		if got := len(newShardedCache(c.max).shards); got != c.shards {
-			t.Errorf("newShardedCache(%d): %d shards, want %d", c.max, got, c.shards)
+	for i := 0; i < n; i++ {
+		insert(i)
+	}
+	if got := r.CacheLen(); got != n {
+		t.Errorf("CacheLen() = %d after %d distinct live inserts, want %d", got, n, n)
+	}
+	// A cancelled context turns a miss into an immediate error instead
+	// of a wire query; a hit never looks at it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < n; i++ {
+		if _, err := r.Exchange(ctx, name(i), dns.TypeTXT); err != nil {
+			t.Errorf("%s evicted below the configured bound", name(i))
 		}
+	}
+	insert(n)
+	if got := r.CacheLen(); got != n {
+		t.Errorf("CacheLen() = %d after an insert at capacity, want %d", got, n)
 	}
 }
 
 // TestExchangeHitPathAllocFree pins the zero-allocation cache-hit
 // path: a warm Exchange performs no heap allocations (metrics
-// increments, shard selection, and the map probe are all alloc-free).
+// increments, the read lock, and the map probe are all alloc-free).
 func TestExchangeHitPathAllocFree(t *testing.T) {
 	h := newStaticHandler()
 	h.add("hot.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
@@ -141,11 +155,11 @@ func TestExchangeHitPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestNegativeCaching verifies empty results are cached under the
-// negative TTL and that a negative NegativeTTL disables the behaviour.
+// TestNegativeCaching verifies empty results are cached (under
+// DefaultNegativeTTL) instead of being re-asked.
 func TestNegativeCaching(t *testing.T) {
 	h := newStaticHandler()
-	r := New(Config{Server: startServer(t, h), NegativeTTL: time.Minute})
+	r := New(Config{Server: startServer(t, h)})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if txts, err := r.LookupTXT(ctx, "missing.example.com"); err != nil || len(txts) != 0 {
@@ -154,15 +168,5 @@ func TestNegativeCaching(t *testing.T) {
 	}
 	if got := h.queries("TXT missing.example.com."); got != 1 {
 		t.Errorf("server saw %d queries, want 1 (negative-cached)", got)
-	}
-
-	r2 := New(Config{Server: startServer(t, h), NegativeTTL: -1})
-	for i := 0; i < 3; i++ {
-		if _, err := r2.LookupTXT(ctx, "missing.example.com"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := h.queries("TXT missing.example.com."); got != 4 {
-		t.Errorf("server saw %d queries, want 4 (negative caching disabled)", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"os"
-	"strconv"
 
 	"sendervalid/internal/telemetry"
 )
@@ -89,12 +88,4 @@ func (r *Resolver) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.
 	reg.MustGaugeFunc("resolver_cache_entries",
 		"Entries currently held in the resolver cache.",
 		func() float64 { return float64(r.CacheLen()) }, labels...)
-	for i := range r.cache.shards {
-		shard := i
-		reg.MustGaugeFunc("resolver_cache_shard_entries",
-			"Entries currently held per cache shard (expired-but-unreaped included).",
-			func() float64 { return float64(r.cache.shardLen(shard)) },
-			append(append([]telemetry.Label(nil), labels...),
-				telemetry.L("shard", strconv.Itoa(shard)))...)
-	}
 }

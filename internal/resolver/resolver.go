@@ -76,12 +76,8 @@ type Config struct {
 	// wire-behaviour ablations) want every lookup observable on the
 	// wire.
 	DisableCache bool
-	// MaxCacheEntries bounds the cache. Zero means 4096.
+	// MaxCacheEntries bounds the cache, exactly. Zero means 4096.
 	MaxCacheEntries int
-	// NegativeTTL is the cache lifetime for results with no records
-	// (NXDOMAIN or an empty answer). Zero means DefaultNegativeTTL;
-	// negative disables negative caching.
-	NegativeTTL time.Duration
 	// MaxRetries is how many times a query is re-sent after a
 	// transport failure — a timeout, a connection reset mid-message, a
 	// truncated/short TCP read — before the error is surfaced. Server
@@ -94,23 +90,22 @@ type Config struct {
 }
 
 // Resolver is a caching stub resolver bound to one upstream server.
-// It is safe for concurrent use: the response cache is sharded with
-// per-shard read/write locks, and concurrent identical queries are
-// collapsed into one wire exchange by a singleflight group (see
-// flightGroup), so bulk SPF evaluation scales with cores instead of
-// serializing on one cache mutex.
+// It is safe for concurrent use: cache hits share one read lock on one
+// map, and concurrent identical queries are collapsed into one wire
+// exchange by a singleflight group (see flightGroup), so a bulk SPF
+// stampede on a cold name costs one query, not one per worker.
 type Resolver struct {
 	cfg    Config
 	client *dns.Client
 
 	metrics resolverMetrics
 
-	cache  *shardedCache
+	cache  *cache
 	flight flightGroup
 }
 
 // DefaultNegativeTTL is how long empty results (NXDOMAIN or no
-// records) stay cached when Config.NegativeTTL is zero.
+// records) stay cached.
 const DefaultNegativeTTL = 30 * time.Second
 
 // New creates a Resolver from cfg.
@@ -125,7 +120,7 @@ func New(cfg Config) *Resolver {
 			Dialer:             cfg.Dialer,
 			DisableTCPFallback: cfg.DisableTCP,
 		},
-		cache: newShardedCache(cfg.MaxCacheEntries),
+		cache: newCache(cfg.MaxCacheEntries),
 	}
 	r.metrics.wireSeconds = telemetry.NewHistogram(telemetry.LatencyBuckets)
 	r.metrics.waitSeconds = telemetry.NewHistogram(telemetry.LatencyBuckets)
@@ -257,9 +252,7 @@ func (r *Resolver) lead(key cacheKey, c *flightCall, name string, t dns.Type, li
 	wsp.SetError(err)
 	wsp.End()
 	if err == nil {
-		if ttl, ok := r.ttlFor(msg); ok {
-			r.cache.put(key, msg, time.Now().Add(ttl))
-		}
+		r.cache.put(key, msg, time.Now().Add(minTTL(msg)))
 	}
 	r.flight.finish(key, c, msg, err)
 }
@@ -295,21 +288,6 @@ func (r *Resolver) exchangeWithRetry(ctx context.Context, name string, t dns.Typ
 		return nil, &ServerError{Name: name, RCode: resp.RCode}
 	}
 	return resp, nil
-}
-
-// ttlFor returns how long msg may be cached. Empty results use the
-// negative-caching TTL; the false return means "do not cache".
-func (r *Resolver) ttlFor(msg *dns.Message) (time.Duration, bool) {
-	if len(msg.Answers) == 0 {
-		switch ttl := r.cfg.NegativeTTL; {
-		case ttl < 0:
-			return 0, false
-		case ttl > 0:
-			return ttl, true
-		}
-		return DefaultNegativeTTL, true
-	}
-	return minTTL(msg), true
 }
 
 // exchangeOnce performs one full query round, including the IPv6
@@ -364,17 +342,14 @@ func retryable(err error) bool {
 // entries not yet reclaimed by capacity-time eviction.
 func (r *Resolver) CacheLen() int { return r.cache.len() }
 
-// CacheShards returns the number of cache shards.
-func (r *Resolver) CacheShards() int { return len(r.cache.shards) }
-
 // FlushCache drops all cached responses.
 func (r *Resolver) FlushCache() { r.cache.flush() }
 
-// minTTL returns the smallest answer TTL, clamped to [1s, 1h]; empty
-// (negative) answers are cached briefly.
+// minTTL returns how long msg may be cached: DefaultNegativeTTL for an
+// empty result, else the smallest answer TTL clamped to [1s, 1h].
 func minTTL(msg *dns.Message) time.Duration {
 	if len(msg.Answers) == 0 {
-		return 30 * time.Second
+		return DefaultNegativeTTL
 	}
 	min := uint32(3600)
 	for _, rr := range msg.Answers {

@@ -28,14 +28,23 @@ type flakyUpstream struct {
 
 func startFlakyUpstream(t *testing.T, ignoreN int32, truncUDP bool, cutN int32) *flakyUpstream {
 	t.Helper()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", pc.LocalAddr().String())
-	if err != nil {
+	// UDP and TCP share one port. The ephemeral UDP port's TCP twin can
+	// be taken by another test process, so retry with a fresh UDP
+	// socket a bounded number of times, as dns.Server.Start does.
+	var pc net.PacketConn
+	var ln net.Listener
+	for attempt := 0; ; attempt++ {
+		var err error
+		if pc, err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if ln, err = net.Listen("tcp", pc.LocalAddr().String()); err == nil {
+			break
+		}
 		pc.Close()
-		t.Fatal(err)
+		if attempt >= 16 {
+			t.Fatal(err)
+		}
 	}
 	u := &flakyUpstream{t: t, pc: pc, ln: ln, ignoreN: ignoreN, truncUDP: truncUDP, cutN: cutN}
 	go u.serveUDP()

@@ -2,30 +2,10 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 )
-
-// refEncodeRecord is the reference encoder: exactly what a
-// json.Encoder would emit for the Record struct, newline included.
-func refEncodeRecord(r Record) ([]byte, error) {
-	b, err := json.Marshal(&r)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// refDecodeRecord is the reference decoder: plain encoding/json.
-func refDecodeRecord(line []byte) (Record, error) {
-	var r Record
-	if err := json.Unmarshal(line, &r); err != nil {
-		return Record{}, err
-	}
-	return r, nil
-}
 
 // sameTime compares wall-clock instant and zone identity, the
 // equality encoding/json round-trips preserve.
@@ -41,8 +21,8 @@ func sameTime(t *testing.T, what string, got, want time.Time) {
 	}
 }
 
-// sameRecord compares decoded records the way the fuzz equivalence
-// needs: timestamps by instant and zone, everything else (including
+// sameRecord compares records across a trip through the span stream:
+// timestamps by instant and zone, everything else (including
 // nil-vs-empty slice identity) structurally.
 func sameRecord(t *testing.T, got, want Record) {
 	t.Helper()
@@ -59,10 +39,21 @@ func sameRecord(t *testing.T, got, want Record) {
 	}
 }
 
-// FuzzTraceCodecEquivalence pins ParseRecord to the encoding/json
-// reference: both must agree on success/failure, successful decodes
-// must be identical, and re-encoding a decoded record through
-// AppendRecordJSON must reproduce the reference encoder's bytes.
+// oneLine fails unless b is exactly one newline-terminated line — what
+// lets the span stream be split on '\n' whatever the strings contain.
+func oneLine(t *testing.T, b []byte) {
+	t.Helper()
+	if n := bytes.Count(b, []byte{'\n'}); n != 1 || b[len(b)-1] != '\n' {
+		t.Fatalf("not exactly one newline-terminated line: %q", b)
+	}
+}
+
+// FuzzTraceCodecEquivalence feeds ParseRecord foreign and hand-edited
+// lines (reordered and case-folded keys, nulls, duplicates, unknown
+// fields, whitespace, torn tails). Whatever it accepts must be
+// equivalent to a line this package writes: AppendRecordJSON turns the
+// decoded record into one canonical line, and that line decodes and
+// re-encodes to the same bytes.
 func FuzzTraceCodecEquivalence(f *testing.F) {
 	f.Add([]byte(`{"trace":"0123456789abcdef0123456789abcdef","span":"0123456789abcdef","name":"resolver.exchange","start":"2026-08-08T12:00:00.123456789Z","dur_us":1500}`))
 	f.Add([]byte(`{"trace":"00000000000000000000000000000001","span":"0000000000000001","parent":"00000000000000aa","name":"spf.mech","start":"2026-08-08T12:00:00+05:30","dur_us":0,"why":"slow","err":"deadline","attrs":[{"k":"dns.name","v":"a.example."},{"k":"n","v":"7"}],"events":[{"t":"2026-08-08T12:00:00Z","msg":"retry"}]}`))
@@ -86,39 +77,30 @@ func FuzzTraceCodecEquivalence(f *testing.F) {
 	f.Add([]byte(`  {"trace":"t" , "span" : "s", "name":"ws", "start":"2026-08-08T12:00:00Z", "dur_us": 2 }  `))
 	f.Add([]byte(`{"trace":"t","span":"s","name":"x","start":"2026-08-08T12:00:00Z","dur_us":1}{"trailing":1}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		if bytes.IndexByte(line, '\n') >= 0 {
-			// The codec is handed single lines by construction; embedded
-			// newlines never reach it. (The fast tier's optional-trailing-
-			// newline acceptance is pinned separately below.)
-			t.Skip()
-		}
-		got, gotErr := ParseRecord(line)
-		want, wantErr := refDecodeRecord(line)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("decode disagreement on %q:\n codec: %+v, %v\n   ref: %+v, %v",
-				line, got, gotErr, want, wantErr)
-		}
-		if gotErr != nil {
+		got, err := ParseRecord(line)
+		if err != nil {
 			return
 		}
-		sameRecord(t, got, want)
-
-		refBytes, err := refEncodeRecord(got)
-		if err != nil {
-			t.Fatalf("reference re-encode failed: %v", err)
+		canon := AppendRecordJSON(nil, got)
+		if len(canon) == 0 {
+			return // a parsed year encoding/json will not write back
 		}
-		if gotBytes := AppendRecordJSON(nil, got); !bytes.Equal(gotBytes, refBytes) {
-			t.Errorf("encode mismatch:\n codec %q\n   ref %q", gotBytes, refBytes)
+		oneLine(t, canon)
+		again, err := ParseRecord(canon)
+		if err != nil {
+			t.Fatalf("canonical line %q of accepted input %q does not decode: %v", canon, line, err)
+		}
+		if b := AppendRecordJSON(nil, again); !bytes.Equal(b, canon) {
+			t.Errorf("re-encode not stable:\n first %q\nsecond %q", canon, b)
 		}
 	})
 }
 
-// FuzzAppendRecordJSON pins the encoder against json.Marshal over
-// arbitrary field contents — including invalid UTF-8 and the HTML
-// characters encoding/json escapes — then round-trips the canonical
-// bytes through both decoders. Canonical ASCII inputs drive the fast
-// tier; everything else must bail cleanly to the generic parser with
-// the same outcome.
+// FuzzAppendRecordJSON pins the span-stream line contract over
+// arbitrary field contents — quotes, control bytes, U+2028, the HTML
+// characters encoding/json escapes, invalid UTF-8: every record is
+// written as exactly one line, and reading it back yields the same
+// record (invalid UTF-8 coerced to U+FFFD, as encoding/json does).
 func FuzzAppendRecordJSON(f *testing.F) {
 	f.Add(int64(1754654400), int64(123456789), true,
 		"0123456789abcdef0123456789abcdef", "0123456789abcdef", "00000000000000aa",
@@ -134,123 +116,59 @@ func FuzzAppendRecordJSON(f *testing.F) {
 		if utc {
 			loc = time.UTC
 		}
-		r := Record{
-			Trace: trace, Span: span, Parent: parent, Name: name,
+		// U+FFFD per invalid byte, encoding/json's coercion.
+		valid := func(s string) string { return string([]rune(s)) }
+		want := Record{
+			Trace: valid(trace), Span: valid(span), Parent: valid(parent), Name: valid(name),
 			Start: time.Unix(sec, nsec).In(loc), DurUS: durUS,
-			Why: why, Err: errMsg,
+			Why: valid(why), Err: valid(errMsg),
 		}
+		r := want
+		r.Trace, r.Span, r.Parent, r.Name, r.Why, r.Err = trace, span, parent, name, why, errMsg
 		if attrK != "" {
 			r.Attrs = []Attr{{K: attrK, V: attrV}, {}}
+			want.Attrs = []Attr{{K: valid(attrK), V: valid(attrV)}, {}}
 		}
 		if eventMsg != "" {
 			r.Events = []Event{{T: r.Start, Msg: eventMsg}}
+			want.Events = []Event{{T: r.Start, Msg: valid(eventMsg)}}
 		}
-		refBytes, err := refEncodeRecord(r)
+		line := AppendRecordJSON(nil, r)
+		oneLine(t, line)
+		got, err := ParseRecord(line)
 		if err != nil {
-			t.Skip() // unreachable for in-range years; guard anyway
+			t.Fatalf("own line %q does not decode: %v", line, err)
 		}
-		gotBytes := AppendRecordJSON(nil, r)
-		if !bytes.Equal(gotBytes, refBytes) {
-			t.Errorf("encode mismatch:\n codec %q\n   ref %q", gotBytes, refBytes)
-		}
-		ref, refErr := refDecodeRecord(gotBytes)
-		got, gotErr := ParseRecord(gotBytes)
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("roundtrip error mismatch: codec %v, ref %v (line %q)", gotErr, refErr, gotBytes)
-		}
-		if refErr == nil {
-			sameRecord(t, got, ref)
-		}
+		sameRecord(t, got, want)
 	})
 }
 
-// TestParseRecordFastNewlineOptional pins that the fast tier accepts
-// the encoder's lines with or without the trailing newline — scanner
-// callers strip it, stream tails may not have one.
-func TestParseRecordFastNewlineOptional(t *testing.T) {
-	r := Record{
-		Trace: "0123456789abcdef0123456789abcdef", Span: "0123456789abcdef",
-		Name: "resolver.wire", Start: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
-		DurUS: 42, Attrs: []Attr{{K: "dns.name", V: "a.example."}},
-	}
-	line := AppendRecordJSON(nil, r)
-	for _, in := range [][]byte{line, line[:len(line)-1]} {
-		got, ok := parseRecordFast(in)
-		if !ok {
-			t.Fatalf("fast tier rejected canonical line %q", in)
-		}
-		sameRecord(t, got, r)
-	}
-}
-
-// TestRecordFastTierTakesEncoderOutput pins the property span-stream
-// loading rests on: every line AppendRecordJSON emits for plain-ASCII
-// fields is decoded by the canonical fast tier, and a field that needs
-// escaping falls back to json.Unmarshal and still decodes identically.
-func TestRecordFastTierTakesEncoderOutput(t *testing.T) {
+// TestAppendRecordJSON pins the bytes of one fully populated record
+// (field order, omitempty, the escapes) and that a record
+// encoding/json refuses appends nothing — the exporter counts that as
+// a write error instead of framing a broken line.
+func TestAppendRecordJSON(t *testing.T) {
 	when := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
-	base := Record{
-		Trace: "0123456789abcdef0123456789abcdef", Span: "0123456789abcdef",
-		Name: "resolver.wire", Start: when, DurUS: 42,
+	r := Record{
+		Trace: "0123456789abcdef0123456789abcdef", Span: "0123456789abcdef", Parent: "00000000000000aa",
+		Name: "resolver.wire", Start: when, DurUS: 1500, Why: "error", Err: "451 <greylisted> & deferred",
+		Attrs:  []Attr{{K: "dns.name", V: `a"b.example.`}},
+		Events: []Event{{T: when.Add(time.Millisecond), Msg: "retry"}},
 	}
-	with := func(edit func(*Record)) Record {
-		r := base
-		edit(&r)
-		return r
+	const want = `{"trace":"0123456789abcdef0123456789abcdef","span":"0123456789abcdef","parent":"00000000000000aa",` +
+		`"name":"resolver.wire","start":"2026-08-08T12:00:00.123456789Z","dur_us":1500,"why":"error",` +
+		`"err":"451 \u003cgreylisted\u003e \u0026 deferred","attrs":[{"k":"dns.name","v":"a\"b.example."}],` +
+		`"events":[{"t":"2026-08-08T12:00:00.124456789Z","msg":"retry"}]}` + "\n"
+	if got := AppendRecordJSON([]byte("x"), r); string(got) != "x"+want {
+		t.Errorf("line:\n got %q\nwant %q", got, "x"+want)
 	}
-	plain := []Record{
-		base,
-		{Start: when.Truncate(time.Second)},
-		with(func(r *Record) { r.Parent = "00000000000000aa"; r.DurUS = 0 }),
-		with(func(r *Record) { r.DurUS = -9223372036854775808 }),
-		with(func(r *Record) { r.Start = when.In(time.FixedZone("", 19800)) }),
-		with(func(r *Record) { r.Why = "slow" }),
-		with(func(r *Record) { r.Why = "error"; r.Err = "context deadline exceeded" }),
-		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "a.example."}} }),
-		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "a.example."}, {}, {K: "n", V: "7"}} }),
-		with(func(r *Record) { r.Events = []Event{{T: when, Msg: "retry"}, {T: when.Add(time.Second)}} }),
-		with(func(r *Record) {
-			r.Parent, r.Why, r.Err = "00000000000000aa", "slow", "timeout"
-			r.Attrs = []Attr{{K: "dns.type", V: "TXT"}}
-			r.Events = []Event{{T: when, Msg: "tcp fallback"}}
-		}),
+	if got := AppendRecordJSON(nil, Record{Name: "bare", Start: when}); string(got) !=
+		`{"trace":"","span":"","name":"bare","start":"2026-08-08T12:00:00.123456789Z","dur_us":0}`+"\n" {
+		t.Errorf("bare record line: %q", got)
 	}
-	for _, r := range plain {
-		line := AppendRecordJSON(nil, r)
-		got, ok := parseRecordFast(line)
-		if !ok {
-			t.Errorf("fast tier declined the encoder's own line %q", line)
-			continue
-		}
-		want, err := refDecodeRecord(line)
-		if err != nil {
-			t.Fatalf("reference decode of %q: %v", line, err)
-		}
-		sameRecord(t, got, want)
-	}
-
-	escaped := []Record{
-		with(func(r *Record) { r.Name = `esc"aped\` }),
-		with(func(r *Record) { r.Err = "451 <greylisted> & deferred" }),
-		with(func(r *Record) { r.Attrs = []Attr{{K: "dns.name", V: "héllo.例え."}} }),
-		with(func(r *Record) { r.Events = []Event{{T: when, Msg: "multi\nline"}} }),
-		with(func(r *Record) { r.Why = "bad\xff" }),
-	}
-	for _, r := range escaped {
-		line := AppendRecordJSON(nil, r)
-		if _, ok := parseRecordFast(line); ok {
-			t.Errorf("fast tier accepted a line with escapes: %q", line)
-		}
-		got, err := ParseRecord(line)
-		if err != nil {
-			t.Errorf("fallback failed on %q: %v", line, err)
-			continue
-		}
-		want, err := refDecodeRecord(line)
-		if err != nil {
-			t.Fatalf("reference decode of %q: %v", line, err)
-		}
-		sameRecord(t, got, want)
+	r.Start = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	if got := AppendRecordJSON([]byte("x"), r); string(got) != "x" {
+		t.Errorf("unencodable record appended %q, want nothing", got[1:])
 	}
 }
 

@@ -43,8 +43,12 @@ func (t *Tracer) export(s *Span, buf []byte) []byte {
 		t.slowRing.add(rec)
 	}
 	if t.out != nil {
+		// An unencodable record leaves buf empty and is counted with the
+		// failed writes: either way the span did not reach the output.
 		buf = AppendRecordJSON(buf[:0], rec)
-		if _, err := t.out.Write(buf); err != nil {
+		if len(buf) == 0 {
+			t.metrics.writeErrs.Inc()
+		} else if _, err := t.out.Write(buf); err != nil {
 			t.metrics.writeErrs.Inc()
 		}
 	}

@@ -15,18 +15,18 @@ import (
 // `go test -fuzz=FuzzWALRecover ./internal/wal/` explores.
 func FuzzWALRecover(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("{\"ev\":\"done\"}\n"))                 // plain JSONL, no framing
-	f.Add([]byte{Marker})                                // lone marker
+	f.Add([]byte("{\"ev\":\"done\"}\n"))                      // plain JSONL, no framing
+	f.Add([]byte{Marker})                                     // lone marker
 	f.Add([]byte{Marker, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // absurd length claim
-	f.Add(appendFrame(nil, nil))                         // empty payload
+	f.Add(appendFrame(nil, nil))                              // empty payload
 	f.Add(appendFrame(nil, []byte("one line\n")))
 	full := appendFrame(appendFrame(nil, []byte("a\n")), []byte("bb\n"))
 	f.Add(full)
-	f.Add(full[:len(full)-1])              // torn payload
-	f.Add(full[:len(full)-len("bb\n")-2])  // torn header
+	f.Add(full[:len(full)-1])             // torn payload
+	f.Add(full[:len(full)-len("bb\n")-2]) // torn header
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)-1] ^= 0x01
-	f.Add(flipped) // checksum mismatch
+	f.Add(flipped)                                          // checksum mismatch
 	f.Add(append(append([]byte(nil), full...), 0xC3, 0x00)) // valid prefix, torn tail
 
 	f.Fuzz(func(t *testing.T, soup []byte) {

@@ -293,10 +293,10 @@ func TestRecoverAcrossRotationBoundary(t *testing.T) {
 // remainder and fails everything after — the userspace half of a torn
 // write.
 type faultFile struct {
-	f       File
-	budget  int // bytes still allowed through
+	f        File
+	budget   int // bytes still allowed through
 	failSync bool
-	dead    bool
+	dead     bool
 }
 
 var errInjected = errors.New("injected write failure")
