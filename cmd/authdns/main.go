@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/telemetry"
@@ -89,11 +88,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 		Contact:   *contact,
 		TimeScale: *timeScale,
 	}
-	log := &dnsserver.QueryLog{}
-	// The serving path appends to the in-memory log (status printer,
-	// end-of-run analyses) and, with -log-file, to a checksummed WAL on
-	// disk — both behind the async buffer so neither blocks serving.
-	var sink dnsserver.Sink = log
+	// The serving path logs to stdout (unless -quiet) and, with
+	// -log-file, to a checksummed WAL on disk — both behind the async
+	// buffer so neither blocks serving.
+	var sink dnsserver.MultiSink
+	if !*quiet {
+		sink = append(sink, printSink{stdout})
+	}
 	var walSink *dnsserver.WALSink
 	if *logFile != "" {
 		walSink, err = dnsserver.NewWALSink(*logFile, wal.Options{
@@ -109,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 				"authdns: query log %s had a torn tail; %d records salvaged, %d bytes truncated\n",
 				*logFile, rec.Records, rec.DroppedBytes)
 		}
-		sink = dnsserver.MultiSink{log, walSink}
+		sink = append(sink, walSink)
 	}
 	asyncLog := dnsserver.NewAsyncLog(sink, *logBuffer)
 	srv := &dnsserver.Server{
@@ -152,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 	reg := telemetry.NewRegistry()
 	srv.RegisterMetrics(reg)
 	asyncLog.RegisterMetrics(reg)
-	dns.RegisterPoolMetrics(reg)
 	telemetry.RegisterRuntimeMetrics(reg)
 	tracing.Tracer.RegisterMetrics(reg)
 
@@ -197,50 +197,39 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 		ready <- ""
 	}
 
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	printed := 0
-	for {
-		select {
-		case <-ticker.C:
-			if *quiet {
-				continue
-			}
-			// Since copies only the unseen tail, not the whole log
-			// every tick.
-			tail := log.Since(printed)
-			for _, e := range tail {
-				fmt.Fprintf(stdout, "%s %-4s %-5s test=%-4s mta=%-8s %s\n",
-					e.Time.Format("15:04:05.000"), e.Transport, e.Type, e.TestID, e.MTAID, e.Name)
-			}
-			printed += len(tail)
-		case <-stop:
-			// Order matters: stop accepting queries first, then close
-			// the log. The old ordering closed the log while a timed-out
-			// Shutdown could still have in-flight handlers appending.
-			// AsyncLog now tolerates that race (late appends are dropped
-			// and counted), but draining the server first keeps the log
-			// complete on a clean shutdown.
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(shutdownCtx); err != nil {
-				fmt.Fprintf(stderr, "authdns: shutdown: %v\n", err)
-			}
-			asyncLog.Close()
-			if walSink != nil {
-				if err := walSink.Close(); err != nil {
-					fmt.Fprintf(stderr, "authdns: closing query log: %v\n", err)
-				}
-			}
-			if err := tracing.Close(); err != nil {
-				fmt.Fprintf(stderr, "authdns: closing trace file: %v\n", err)
-			}
-			if admin != nil {
-				_ = admin.Shutdown(shutdownCtx)
-			}
-			fmt.Fprintf(stdout, "authdns: shutting down; final counters:\n")
-			_ = reg.WriteSummary(stdout)
-			return 0
+	<-stop
+	// Order matters: stop accepting queries first, then close the log.
+	// AsyncLog tolerates appends racing Close (late ones are dropped
+	// and counted), but draining the server first keeps the log
+	// complete on a clean shutdown.
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		fmt.Fprintf(stderr, "authdns: shutdown: %v\n", err)
+	}
+	asyncLog.Close()
+	if walSink != nil {
+		if err := walSink.Close(); err != nil {
+			fmt.Fprintf(stderr, "authdns: closing query log: %v\n", err)
 		}
 	}
+	if err := tracing.Close(); err != nil {
+		fmt.Fprintf(stderr, "authdns: closing trace file: %v\n", err)
+	}
+	if admin != nil {
+		_ = admin.Shutdown(shutdownCtx)
+	}
+	fmt.Fprintf(stdout, "authdns: shutting down; final counters:\n")
+	_ = reg.WriteSummary(stdout)
+	return 0
+}
+
+// printSink writes one attributed line per query. It runs on AsyncLog's
+// drain goroutine: a slow terminal fills the log buffer (which drops
+// and counts) and never stalls serving.
+type printSink struct{ w io.Writer }
+
+func (p printSink) Append(e dnsserver.LogEntry) {
+	fmt.Fprintf(p.w, "%s %-4s %-5s test=%-4s mta=%-8s %s\n",
+		e.Time.Format("15:04:05.000"), e.Transport, e.Type, e.TestID, e.MTAID, e.Name)
 }

@@ -211,14 +211,6 @@ func (c *Campaign) shardFor(name string) *shard {
 	return s
 }
 
-// Pending reports how many queued tasks have not yet reached a final
-// state (done or failed).
-func (c *Campaign) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total - c.done - c.failed
-}
-
 // Run executes the campaign until every task reaches a final state or
 // ctx is cancelled. On cancellation, in-flight attempts are given the
 // cancelled context (a context-aware TaskFunc returns within one

@@ -123,16 +123,12 @@ func (b *builder) packSection(rrs []RR) error {
 }
 
 // msgPool recycles Message values across queries on the serving path.
-var msgPool = sync.Pool{New: func() any {
-	msgPoolMisses.Inc()
-	return new(Message)
-}}
+var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // GetMsg returns a pooled Message ready for Unpack, SetQuestion, or
 // SetReply. Pooled messages retain their Questions backing array, so a
 // steady-state server reuses it instead of allocating per query.
 func GetMsg() *Message {
-	msgPoolGets.Inc()
 	return msgPool.Get().(*Message)
 }
 

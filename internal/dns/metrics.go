@@ -67,14 +67,14 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	s.metrics.init()
 	reg.MustCounter("dns_queries_total",
 		"Queries received, by transport.",
-		&s.metrics.queriesUDP, append(labelsCopy(labels), telemetry.L("transport", "udp"))...)
+		&s.metrics.queriesUDP, telemetry.WithLabel(labels, "transport", "udp")...)
 	reg.MustCounter("dns_queries_total",
 		"Queries received, by transport.",
-		&s.metrics.queriesTCP, append(labelsCopy(labels), telemetry.L("transport", "tcp"))...)
+		&s.metrics.queriesTCP, telemetry.WithLabel(labels, "transport", "tcp")...)
 	for i := range s.metrics.rcodes {
 		reg.MustCounter("dns_responses_total",
 			"Responses written, by RCODE.",
-			&s.metrics.rcodes[i], append(labelsCopy(labels), telemetry.L("rcode", rcodeLabels[i]))...)
+			&s.metrics.rcodes[i], telemetry.WithLabel(labels, "rcode", rcodeLabels[i])...)
 	}
 	reg.MustHistogram("dns_serve_duration_seconds",
 		"Query latency from arrival to response written.",
@@ -93,36 +93,4 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 			}
 			return float64(s.limiter.Sources())
 		}, labels...)
-}
-
-// labelsCopy guards against append aliasing when one base label slice
-// fans out into several series.
-func labelsCopy(labels []telemetry.Label) []telemetry.Label {
-	return append([]telemetry.Label(nil), labels...)
-}
-
-// Pool counters are package-level: the message and packet pools are
-// shared by every endpoint in the process. A pool "miss" runs the
-// pool's New function — the allocation the pool exists to avoid — so
-// hits = gets - misses.
-var (
-	msgPoolGets   Counter
-	msgPoolMisses Counter
-	pktPoolGets   Counter
-	pktPoolMisses Counter
-)
-
-// RegisterPoolMetrics publishes the process-wide message/packet pool
-// counters. Call at most once per registry.
-func RegisterPoolMetrics(reg *telemetry.Registry) {
-	reg.MustCounter("dns_pool_gets_total",
-		"Pool fetches, by pool.", &msgPoolGets, telemetry.L("pool", "msg"))
-	reg.MustCounter("dns_pool_gets_total",
-		"Pool fetches, by pool.", &pktPoolGets, telemetry.L("pool", "pkt"))
-	reg.MustCounter("dns_pool_misses_total",
-		"Pool fetches that allocated (pool empty), by pool.",
-		&msgPoolMisses, telemetry.L("pool", "msg"))
-	reg.MustCounter("dns_pool_misses_total",
-		"Pool fetches that allocated (pool empty), by pool.",
-		&pktPoolMisses, telemetry.L("pool", "pkt"))
 }

@@ -211,7 +211,6 @@ const maxUDPQuery = 4096
 // pktPool recycles the 4096-byte buffers that carry one UDP query from
 // the read loop into its serving goroutine.
 var pktPool = sync.Pool{New: func() any {
-	pktPoolMisses.Inc()
 	b := make([]byte, maxUDPQuery)
 	return &b
 }}
@@ -371,7 +370,6 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		}
 		delay = 0
 		received := time.Now()
-		pktPoolGets.Inc()
 		pktp := pktPool.Get().(*[]byte)
 		copy(*pktp, buf[:n])
 		s.wg.Add(1)

@@ -91,9 +91,6 @@ func (a *AsyncLog) Appended() uint64 { return a.appended.Value() }
 // arriving after Close.
 func (a *AsyncLog) Dropped() uint64 { return a.dropped.Value() }
 
-// Buffered returns how many entries sit in the buffer right now.
-func (a *AsyncLog) Buffered() int { return len(a.ch) }
-
 // Close stops accepting entries, flushes the buffer into the sink, and
 // waits for the drain goroutine. It is idempotent and safe to call
 // while appenders are still running: late entries are dropped and

@@ -68,18 +68,6 @@ func (l *QueryLog) Entries() []LogEntry {
 	return append([]LogEntry(nil), l.entries...)
 }
 
-// Since returns a snapshot of the entries appended after the first n
-// — the tail-polling pattern (authdns's once-a-second printer) without
-// re-copying the whole log every poll.
-func (l *QueryLog) Since(n int) []LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n >= len(l.entries) {
-		return nil
-	}
-	return append([]LogEntry(nil), l.entries[n:]...)
-}
-
 // forEach visits every entry in arrival order under the log's lock,
 // stopping early when fn returns false. It exists so WriteJSON and
 // the grouping helpers can stream a large log without the full-slice

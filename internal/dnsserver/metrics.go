@@ -54,17 +54,9 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 		"Queries refused for matching no served zone.",
 		&s.metrics.zoneMiss, labels...)
 	if s.srv4 != nil {
-		s.srv4.RegisterMetrics(reg, append(labelsCopy(labels), telemetry.L("endpoint", "v4"))...)
+		s.srv4.RegisterMetrics(reg, telemetry.WithLabel(labels, "endpoint", "v4")...)
 	}
 	if s.srv6 != nil {
-		s.srv6.RegisterMetrics(reg, append(labelsCopy(labels), telemetry.L("endpoint", "v6"))...)
+		s.srv6.RegisterMetrics(reg, telemetry.WithLabel(labels, "endpoint", "v6")...)
 	}
-}
-
-// labelsCopy guards against append aliasing when one label slice fans
-// out to several endpoint registrations.
-func labelsCopy(labels []telemetry.Label) []telemetry.Label {
-	out := make([]telemetry.Label, len(labels), len(labels)+1)
-	copy(out, labels)
-	return out
 }

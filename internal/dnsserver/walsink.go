@@ -17,9 +17,8 @@ import (
 // which presents the whole history — rotated segments, framed or plain
 // — as one JSONL stream to the existing ingest.
 
-// MultiSink fans each entry out to every sink in order. The typical
-// composition keeps the in-memory QueryLog (for the live status
-// printer and end-of-run analyses) while a WALSink makes the same
+// MultiSink fans each entry out to every sink in order: cmd/authdns
+// composes its stdout printer with a WALSink that makes the same
 // entries durable.
 type MultiSink []Sink
 
@@ -84,7 +83,9 @@ func (s *WALSink) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.L
 
 // LogStream and OpenLogStream are the query log's names for the one
 // segment reader, wal.Stream: rotated, framed and plain pre-WAL
-// segments, sniffed per segment, presented as one JSONL stream.
+// segments, sniffed per segment, presented as one JSONL stream. They
+// stay as forwarding names because the frozen bench/ still calls
+// dnsserver.OpenLogStream; product code uses wal.OpenStream.
 type LogStream = wal.Stream
 
 func OpenLogStream(path string) (*LogStream, error) { return wal.OpenStream(path) }

@@ -8,6 +8,7 @@ import (
 
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/mtasim"
+	"sendervalid/internal/telemetry"
 )
 
 // smallNotifySpec shrinks the NotifyEmail spec for test runs.
@@ -382,5 +383,65 @@ func TestFullCatalogProbeRun(t *testing.T) {
 	a := AnalyzeProbes(w, run, false)
 	if a.SPFMTAs == 0 || a.SPFMTAs > a.MTAs {
 		t.Errorf("SPF MTAs %d of %d", a.SPFMTAs, a.MTAs)
+	}
+}
+
+// TestFleetMetricsEqualPerMTAStats pins the fleet accounting: each of
+// the nine mtasim_* series a registry serves equals the sum of that
+// field over every MTA's own Stats.
+func TestFleetMetricsEqualPerMTAStats(t *testing.T) {
+	spec := smallNotifySpec(60, 23)
+	w, err := BuildWorld(dataset.Generate(spec), WorldConfig{
+		Seed:         spec.Seed,
+		Rates:        NotifyRates(),
+		TimeScale:    0.0005,
+		FleetMetrics: &mtasim.Metrics{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	reg := telemetry.NewRegistry()
+	w.RegisterMetrics(reg)
+
+	RunProbes(context.Background(), w, []string{"t01", "t03", "t12"}, 16)
+
+	fields := []struct {
+		name string
+		get  func(mtasim.Stats) int
+	}{
+		{"mtasim_sessions_total", func(s mtasim.Stats) int { return s.Sessions }},
+		{"mtasim_sessions_rejected_total", func(s mtasim.Stats) int { return s.RejectedSessions }},
+		{"mtasim_sessions_tempfailed_total", func(s mtasim.Stats) int { return s.TempfailedSessions }},
+		{"mtasim_spf_checks_total", func(s mtasim.Stats) int { return s.SPFChecks }},
+		{"mtasim_helo_checks_total", func(s mtasim.Stats) int { return s.HELOChecks }},
+		{"mtasim_dkim_checks_total", func(s mtasim.Stats) int { return s.DKIMChecks }},
+		{"mtasim_dmarc_checks_total", func(s mtasim.Stats) int { return s.DMARCChecks }},
+		{"mtasim_messages_accepted_total", func(s mtasim.Stats) int { return s.MessagesAccepted }},
+		{"mtasim_messages_rejected_total", func(s mtasim.Stats) int { return s.MessagesRejected }},
+	}
+	want := make(map[string]int, len(fields))
+	for _, m := range w.MTAs {
+		m.Wait() // post-data validators count after the probe returns
+		st := m.Stats()
+		for _, f := range fields {
+			want[f.name] += f.get(st)
+		}
+	}
+	if want["mtasim_sessions_total"] == 0 || want["mtasim_spf_checks_total"] == 0 {
+		t.Fatalf("vacuous run: %v", want)
+	}
+	for _, fam := range reg.Snapshot() {
+		n, ok := want[fam.Name]
+		if !ok {
+			continue
+		}
+		delete(want, fam.Name)
+		if len(fam.Series) != 1 || fam.Series[0].Value != float64(n) {
+			t.Errorf("%s = %+v, per-MTA sum %d", fam.Name, fam.Series, n)
+		}
+	}
+	for name := range want {
+		t.Errorf("registry serves no %s", name)
 	}
 }

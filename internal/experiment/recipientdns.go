@@ -94,13 +94,3 @@ func (w *World) senderResolver() *resolver.Resolver {
 		Timeout: w.cfg.DNSTimeout,
 	})
 }
-
-// mxHostCount reports how many MX host records the recipient zone
-// holds (used by tests).
-func mxHostCount(z *dnsserver.Zone) int {
-	static, ok := z.Default.(*dnsserver.Static)
-	if !ok {
-		return 0
-	}
-	return static.Len()
-}

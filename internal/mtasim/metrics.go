@@ -1,74 +1,58 @@
 package mtasim
 
 import (
+	"sync/atomic"
+
 	"sendervalid/internal/telemetry"
 )
+
+// stat indexes one activity counter. The order is Stats' field order
+// and statDescs' row order.
+type stat int
+
+const (
+	statSessions stat = iota
+	statRejectedSessions
+	statTempfailedSessions
+	statSPFChecks
+	statHELOChecks
+	statDKIMChecks
+	statDMARCChecks
+	statMessagesAccepted
+	statMessagesRejected
+	numStats
+)
+
+// counters is one set of activity counters: every MTA owns one, and a
+// fleet shares one through Metrics.
+type counters [numStats]atomic.Uint64
 
 // Metrics aggregates activity across a fleet of simulated MTAs. A
 // sweep runs thousands of MTA instances, so per-instance metric
 // families would be unbounded cardinality; instead one shared Metrics
 // is handed to every MTA via Config.Metrics and incremented alongside
-// each instance's private Stats. Nil means no fleet accounting.
+// each instance's own counters. The zero value is ready to use; nil
+// means no fleet accounting.
 type Metrics struct {
-	sessions           telemetry.Counter
-	rejectedSessions   telemetry.Counter
-	tempfailedSessions telemetry.Counter
-	spfChecks          telemetry.Counter
-	heloChecks         telemetry.Counter
-	dkimChecks         telemetry.Counter
-	dmarcChecks        telemetry.Counter
-	messagesAccepted   telemetry.Counter
-	messagesRejected   telemetry.Counter
+	c counters
 }
 
-// add applies the delta between two Stats snapshots to the fleet
-// counters. Called outside the MTA's mutex with values captured under
-// it, so fleet totals stay exact without widening any lock.
-func (f *Metrics) add(before, after Stats) {
-	bump := func(c *telemetry.Counter, b, a int) {
-		if a > b {
-			c.Add(uint64(a - b))
-		}
-	}
-	bump(&f.sessions, before.Sessions, after.Sessions)
-	bump(&f.rejectedSessions, before.RejectedSessions, after.RejectedSessions)
-	bump(&f.tempfailedSessions, before.TempfailedSessions, after.TempfailedSessions)
-	bump(&f.spfChecks, before.SPFChecks, after.SPFChecks)
-	bump(&f.heloChecks, before.HELOChecks, after.HELOChecks)
-	bump(&f.dkimChecks, before.DKIMChecks, after.DKIMChecks)
-	bump(&f.dmarcChecks, before.DMARCChecks, after.DMARCChecks)
-	bump(&f.messagesAccepted, before.MessagesAccepted, after.MessagesAccepted)
-	bump(&f.messagesRejected, before.MessagesRejected, after.MessagesRejected)
+var statDescs = [numStats]struct{ name, help string }{
+	statSessions:           {"mtasim_sessions_total", "SMTP sessions opened against the simulated fleet."},
+	statRejectedSessions:   {"mtasim_sessions_rejected_total", "Sessions 554'd at connect by a RejectProbe profile."},
+	statTempfailedSessions: {"mtasim_sessions_tempfailed_total", "Sessions 421'd at connect by a greylisting profile."},
+	statSPFChecks:          {"mtasim_spf_checks_total", "SPF evaluations run by the fleet."},
+	statHELOChecks:         {"mtasim_helo_checks_total", "HELO-identity SPF evaluations run by the fleet."},
+	statDKIMChecks:         {"mtasim_dkim_checks_total", "DKIM verifications run by the fleet."},
+	statDMARCChecks:        {"mtasim_dmarc_checks_total", "DMARC evaluations run by the fleet."},
+	statMessagesAccepted:   {"mtasim_messages_accepted_total", "Messages accepted to completion by the fleet."},
+	statMessagesRejected:   {"mtasim_messages_rejected_total", "Messages 550'd by an enforcing profile."},
 }
 
 // RegisterMetrics publishes the fleet totals under the mtasim_
 // namespace.
 func (f *Metrics) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	reg.MustCounter("mtasim_sessions_total",
-		"SMTP sessions opened against the simulated fleet.",
-		&f.sessions, labels...)
-	reg.MustCounter("mtasim_sessions_rejected_total",
-		"Sessions 554'd at connect by a RejectProbe profile.",
-		&f.rejectedSessions, labels...)
-	reg.MustCounter("mtasim_sessions_tempfailed_total",
-		"Sessions 421'd at connect by a greylisting profile.",
-		&f.tempfailedSessions, labels...)
-	reg.MustCounter("mtasim_spf_checks_total",
-		"SPF evaluations run by the fleet.",
-		&f.spfChecks, labels...)
-	reg.MustCounter("mtasim_helo_checks_total",
-		"HELO-identity SPF evaluations run by the fleet.",
-		&f.heloChecks, labels...)
-	reg.MustCounter("mtasim_dkim_checks_total",
-		"DKIM verifications run by the fleet.",
-		&f.dkimChecks, labels...)
-	reg.MustCounter("mtasim_dmarc_checks_total",
-		"DMARC evaluations run by the fleet.",
-		&f.dmarcChecks, labels...)
-	reg.MustCounter("mtasim_messages_accepted_total",
-		"Messages accepted to completion by the fleet.",
-		&f.messagesAccepted, labels...)
-	reg.MustCounter("mtasim_messages_rejected_total",
-		"Messages 550'd by an enforcing profile.",
-		&f.messagesRejected, labels...)
+	for i := range statDescs {
+		reg.MustCounterFunc(statDescs[i].name, statDescs[i].help, f.c[i].Load, labels...)
+	}
 }

@@ -48,7 +48,7 @@ type Config struct {
 	// means RejectProbe rejects every session.
 	BlacklistedSources []netip.Addr
 	// Metrics, when non-nil, receives fleet-level telemetry: every
-	// Stats increment is mirrored into the shared counters.
+	// increment of the MTA's own counters is mirrored into it.
 	Metrics *Metrics
 }
 
@@ -72,9 +72,10 @@ type MTA struct {
 	checker  *spf.Checker
 	server   *smtp.Server
 
+	stats counters
+	async sync.WaitGroup
+
 	mu           sync.Mutex
-	stats        Stats
-	async        sync.WaitGroup
 	closed       bool
 	accumulators map[string]*dmarc.Accumulator
 	lastAuthRes  string
@@ -163,33 +164,39 @@ func (m *MTA) Wait() { m.async.Wait() }
 
 // Stats returns a snapshot of the MTA's counters.
 func (m *MTA) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	v := func(i stat) int { return int(m.stats[i].Load()) }
+	return Stats{
+		Sessions:           v(statSessions),
+		RejectedSessions:   v(statRejectedSessions),
+		TempfailedSessions: v(statTempfailedSessions),
+		SPFChecks:          v(statSPFChecks),
+		HELOChecks:         v(statHELOChecks),
+		DKIMChecks:         v(statDKIMChecks),
+		DMARCChecks:        v(statDMARCChecks),
+		MessagesAccepted:   v(statMessagesAccepted),
+		MessagesRejected:   v(statMessagesRejected),
+	}
 }
 
-func (m *MTA) bump(f func(*Stats)) {
-	m.mu.Lock()
-	before := m.stats
-	f(&m.stats)
-	after := m.stats
-	m.mu.Unlock()
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.add(before, after)
+// bump counts one event for the MTA and, when configured, the fleet,
+// and returns the MTA's count after it.
+func (m *MTA) bump(i stat) uint64 {
+	if f := m.cfg.Metrics; f != nil {
+		f.c[i].Add(1)
 	}
+	return m.stats[i].Add(1)
 }
 
 // --- SMTP hooks ---
 
 func (m *MTA) onConnect(s *smtp.Session) *smtp.Reply {
-	var n int
-	m.bump(func(st *Stats) { st.Sessions++; n = st.Sessions })
-	if tf := m.cfg.Profile.TempfailSessions; tf > 0 && n <= tf {
-		m.bump(func(st *Stats) { st.TempfailedSessions++ })
+	n := m.bump(statSessions)
+	if tf := m.cfg.Profile.TempfailSessions; tf > 0 && n <= uint64(tf) {
+		m.bump(statTempfailedSessions)
 		return &smtp.Reply{Code: 421, Text: m.cfg.Hostname + " greylisted, try again later"}
 	}
 	if m.cfg.Profile.RejectProbe && m.blacklisted(s.ClientIP) {
-		m.bump(func(st *Stats) { st.RejectedSessions++ })
+		m.bump(statRejectedSessions)
 		return &smtp.Reply{Code: 554, Text: m.cfg.Profile.RejectText}
 	}
 	return nil
@@ -222,7 +229,7 @@ func (m *MTA) onMail(s *smtp.Session, from string) *smtp.Reply {
 	if p.ValidatesSPF && m.effectivePhase() == AtMail {
 		outcome := m.runSPF(s, from)
 		if outcome != nil && p.EnforceSPF && outcome.Result == spf.Fail {
-			m.bump(func(st *Stats) { st.MessagesRejected++ })
+			m.bump(statMessagesRejected)
 			return &smtp.Reply{Code: 550, Text: "5.7.1 SPF validation failed for " + smtp.DomainOf(from)}
 		}
 	}
@@ -270,7 +277,7 @@ func (m *MTA) onData(s *smtp.Session) *smtp.Reply {
 	}
 	outcome := m.runSPF(s, s.MailFrom)
 	if outcome != nil && p.EnforceSPF && outcome.Result == spf.Fail {
-		m.bump(func(st *Stats) { st.MessagesRejected++ })
+		m.bump(statMessagesRejected)
 		return &smtp.Reply{Code: 550, Text: "5.7.1 SPF validation failed"}
 	}
 	return nil
@@ -325,7 +332,7 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 	var dkimResult dkim.Result = dkim.ResultNone
 	dkimDomain := ""
 	if p.ValidatesDKIM {
-		m.bump(func(st *Stats) { st.DKIMChecks++ })
+		m.bump(statDKIMChecks)
 		verifier := &dkim.Verifier{Resolver: m.resolver}
 		v := verifier.Verify(context.Background(), msg)
 		dkimResult, dkimDomain = v.Result, v.Domain
@@ -334,7 +341,7 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 	}
 
 	if p.ValidatesDMARC {
-		m.bump(func(st *Stats) { st.DMARCChecks++ })
+		m.bump(statDMARCChecks)
 		parsed, err := dkim.ParseMessage(msg)
 		fromDomain := spfDomain
 		if err == nil {
@@ -359,13 +366,13 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 			authres.DMARC(string(eval.Result), fromDomain))
 		if p.EnforceDMARC && eval.Result == dmarc.ResultFail && eval.Disposition == dmarc.Reject {
 			m.stampAuthResults(s, results)
-			m.bump(func(st *Stats) { st.MessagesRejected++ })
+			m.bump(statMessagesRejected)
 			return &smtp.Reply{Code: 550, Text: "5.7.1 rejected by DMARC policy of " + fromDomain}
 		}
 	}
 
 	m.stampAuthResults(s, results)
-	m.bump(func(st *Stats) { st.MessagesAccepted++ })
+	m.bump(statMessagesAccepted)
 	return nil
 }
 
@@ -397,7 +404,7 @@ func (m *MTA) runSPF(s *smtp.Session, from string) *spf.Outcome {
 	if domain == "" {
 		domain = s.Helo
 	}
-	m.bump(func(st *Stats) { st.SPFChecks++ })
+	m.bump(statSPFChecks)
 	ctx := context.Background()
 	if m.cfg.Profile.PartialSPF {
 		// Fetch the policy but never evaluate it — no follow-up
@@ -406,7 +413,7 @@ func (m *MTA) runSPF(s *smtp.Session, from string) *spf.Outcome {
 		return nil
 	}
 	if m.cfg.Profile.ChecksHELO && s.Helo != "" {
-		m.bump(func(st *Stats) { st.HELOChecks++ })
+		m.bump(statHELOChecks)
 		// Per the paper (§7.3), the HELO outcome is effectively
 		// ignored: evaluation proceeds to the MAIL identity always.
 		_ = m.checker.CheckHost(ctx, s.ClientIP, s.Helo, "postmaster@"+s.Helo, s.Helo)

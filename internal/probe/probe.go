@@ -36,8 +36,6 @@ type Client struct {
 	HeloDomain string
 	// RecipientDomain is the domain part of guessed To addresses.
 	RecipientDomain string
-	// Recipients overrides the username ladder.
-	Recipients []string
 	// Sleep is inserted before MAIL, RCPT, and DATA (the paper used
 	// 15 s; simulations use 0).
 	Sleep time.Duration
@@ -95,14 +93,6 @@ func (r *Result) MentionsBlacklist() bool {
 // FromAddress builds the per-(test, MTA) envelope sender (§4.4).
 func (c *Client) FromAddress(testID, mtaID string) string {
 	return fmt.Sprintf("spf-test@%s.%s.%s", testID, mtaID, strings.TrimSuffix(c.Suffix, "."))
-}
-
-// recipients returns the username ladder.
-func (c *Client) recipients() []string {
-	if len(c.Recipients) > 0 {
-		return c.Recipients
-	}
-	return DefaultRecipients
 }
 
 // sleep pauses before the next command, aborting promptly when the
@@ -205,7 +195,7 @@ func (c *Client) Probe(ctx context.Context, addr netip.Addr, mtaID, testID strin
 	res.Stage = StageRcpt
 	_, psp = trace.Start(ctx, "probe.rcpt")
 	var rcptErr error
-	for _, user := range c.recipients() {
+	for _, user := range DefaultRecipients {
 		if err := ctx.Err(); err != nil {
 			psp.SetError(err)
 			psp.End()

@@ -80,74 +80,3 @@ func (v *CounterVec) each(fn func(label string, c *Counter)) {
 		fn(OverflowLabel, &v.overflow)
 	}
 }
-
-// HistogramVec is a bounded-cardinality family of histograms sharing
-// one bucket layout, keyed by one label value. Cardinality and
-// concurrency discipline match CounterVec.
-type HistogramVec struct {
-	max    int
-	bounds []float64
-
-	mu       sync.Mutex
-	children atomic.Pointer[map[string]*Histogram]
-
-	overflow atomic.Pointer[Histogram]
-}
-
-// NewHistogramVec creates a family of histograms over bounds, holding
-// at most max children (<= 0 means 64).
-func NewHistogramVec(bounds []float64, max int) *HistogramVec {
-	if max <= 0 {
-		max = 64
-	}
-	v := &HistogramVec{
-		max:    max,
-		bounds: append([]float64(nil), bounds...),
-	}
-	empty := make(map[string]*Histogram)
-	v.children.Store(&empty)
-	return v
-}
-
-// With returns the histogram for the given label value, creating it if
-// the family has room and returning the overflow child otherwise.
-func (v *HistogramVec) With(label string) *Histogram {
-	if h := (*v.children.Load())[label]; h != nil {
-		return h
-	}
-	return v.create(label)
-}
-
-func (v *HistogramVec) create(label string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	old := *v.children.Load()
-	if h := old[label]; h != nil {
-		return h
-	}
-	if len(old) >= v.max {
-		if h := v.overflow.Load(); h != nil {
-			return h
-		}
-		h := NewHistogram(v.bounds)
-		v.overflow.Store(h)
-		return h
-	}
-	next := make(map[string]*Histogram, len(old)+1)
-	for k, h := range old {
-		next[k] = h
-	}
-	h := NewHistogram(v.bounds)
-	next[label] = h
-	v.children.Store(&next)
-	return h
-}
-
-func (v *HistogramVec) each(fn func(label string, h *Histogram)) {
-	for label, h := range *v.children.Load() {
-		fn(label, h)
-	}
-	if h := v.overflow.Load(); h != nil && h.Count() > 0 {
-		fn(OverflowLabel, h)
-	}
-}

@@ -44,24 +44,6 @@ func TestCounterVecOverflowHiddenWhenUnused(t *testing.T) {
 	})
 }
 
-func TestHistogramVecBounds(t *testing.T) {
-	v := NewHistogramVec([]float64{1, 10}, 1)
-	v.With("a").Observe(0.5)
-	v.With("b").Observe(5) // over the bound: overflow child
-	v.With("c").Observe(5)
-	if got := v.With("a").Count(); got != 1 {
-		t.Errorf("a count = %d, want 1", got)
-	}
-	if got := v.With("b").Count(); got != 2 {
-		t.Errorf("overflow count = %d, want 2", got)
-	}
-	labels := []string{}
-	v.each(func(label string, _ *Histogram) { labels = append(labels, label) })
-	if len(labels) != 2 {
-		t.Fatalf("each visited %v", labels)
-	}
-}
-
 // TestCounterVecHammer drives concurrent With/Inc across a label space
 // wider than the bound while a scraper renders continuously. Under
 // -race this is the lookup path's data-race regression test; in any

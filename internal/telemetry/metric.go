@@ -17,7 +17,6 @@ package telemetry
 import (
 	"math"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter. The zero value is
@@ -141,9 +140,6 @@ func (h *Histogram) SetExemplar(v float64, traceID string) {
 	}
 	h.ex[h.bucket(v)].Store(&exemplarData{value: v, trace: traceID})
 }
-
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

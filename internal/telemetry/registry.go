@@ -48,7 +48,6 @@ type vecEntry struct {
 	key       string // canonical signature of the constant labels
 
 	cvec *CounterVec
-	hvec *HistogramVec
 }
 
 // family groups every series sharing a metric name. A family is either
@@ -113,12 +112,6 @@ func (r *Registry) MustHistogram(name, help string, h *Histogram, labels ...Labe
 // are rendered before the family label.
 func (r *Registry) MustCounterVec(name, help, labelName string, v *CounterVec, labels ...Label) {
 	r.addVec(name, help, typeCounter, labelName, labels, &vecEntry{cvec: v})
-}
-
-// MustHistogramVec registers a bounded histogram family keyed by
-// labelName.
-func (r *Registry) MustHistogramVec(name, help, labelName string, v *HistogramVec, labels ...Label) {
-	r.addVec(name, help, typeHistogram, labelName, labels, &vecEntry{hvec: v})
 }
 
 func (r *Registry) add(name, help, typ string, s *series) {
@@ -319,25 +312,70 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders every registered metric in Prometheus text
-// exposition format (version 0.0.4). Output is deterministic for a
-// fixed registry state: families are sorted by name, series by label
-// signature, and dynamic family children by label value.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
+// reading is one series' current value as the ordered walk hands it to
+// a renderer: count for counter families (kept integral so exposition
+// never prints 1e+06), value for gauges, hist for histograms.
+type reading struct {
+	labels []Label
+	count  uint64
+	value  float64
+	hist   *HistogramSnapshot
+}
+
+// visit calls fn once per family with its series' readings, in the one
+// deterministic order every renderer shares: families sorted by name,
+// static series by label signature, vecs by constant-label signature
+// and their children by label value.
+func (r *Registry) visit(fn func(f *family, readings []reading)) {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
+		var out []reading
+		vecs := append([]*vecEntry(nil), f.vecs...)
+		sort.Slice(vecs, func(i, j int) bool { return vecs[i].key < vecs[j].key })
+		for _, e := range vecs {
+			for _, child := range sortedCounterChildren(e.cvec) {
+				out = append(out, reading{
+					labels: WithLabel(e.constants, e.labelName, child.label),
+					count:  child.c.Value(),
+				})
+			}
+		}
+		ordered := append([]*series(nil), f.series...)
+		sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
+		for _, s := range ordered {
+			rd := reading{labels: s.labels}
+			switch {
+			case s.hist != nil:
+				snap := s.hist.Snapshot()
+				rd.hist = &snap
+			case s.counter != nil:
+				rd.count = s.counter.Value()
+			case s.counterFn != nil:
+				rd.count = s.counterFn()
+			case s.gauge != nil:
+				rd.value = s.gauge.Value()
+			case s.gaugeFn != nil:
+				rd.value = s.gaugeFn()
+			}
+			out = append(out, rd)
+		}
+		fn(f, out)
+	}
+}
+
+// WritePrometheus renders every registered metric in Prometheus text
+// exposition format (version 0.0.4). Output is deterministic for a
+// fixed registry state (see visit).
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	r.visit(func(f *family, readings []reading) {
 		b.WriteString("# HELP ")
 		b.WriteString(f.name)
 		b.WriteByte(' ')
@@ -347,63 +385,33 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteByte(' ')
 		b.WriteString(f.typ)
 		b.WriteByte('\n')
-		renderFamily(&b, f)
-	}
+		for _, rd := range readings {
+			switch f.typ {
+			case typeHistogram:
+				renderHistogram(&b, f.name, rd.labels, *rd.hist)
+			case typeCounter:
+				writeSample(&b, f.name, "", rd.labels, "", "", strconv.FormatUint(rd.count, 10))
+			default:
+				writeSample(&b, f.name, "", rd.labels, "", "", formatFloat(rd.value))
+			}
+		}
+	})
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func renderFamily(b *strings.Builder, f *family) {
-	switch {
-	case len(f.vecs) > 0:
-		for _, e := range sortedVecs(f) {
-			if e.cvec != nil {
-				for _, child := range sortedCounterChildren(e.cvec) {
-					writeSample(b, f.name, "", e.constants, e.labelName, child.label,
-						strconv.FormatUint(child.c.Value(), 10))
-				}
-			} else {
-				for _, child := range sortedHistogramChildren(e.hvec) {
-					renderHistogram(b, f.name, e.constants, e.labelName, child.label, child.h.Snapshot())
-				}
-			}
-		}
-	default:
-		ordered := append([]*series(nil), f.series...)
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-		for _, s := range ordered {
-			switch {
-			case s.hist != nil:
-				renderHistogram(b, f.name, s.labels, "", "", s.hist.Snapshot())
-			case s.counter != nil:
-				writeSample(b, f.name, "", s.labels, "", "", strconv.FormatUint(s.counter.Value(), 10))
-			case s.counterFn != nil:
-				writeSample(b, f.name, "", s.labels, "", "", strconv.FormatUint(s.counterFn(), 10))
-			case s.gauge != nil:
-				writeSample(b, f.name, "", s.labels, "", "", formatFloat(s.gauge.Value()))
-			case s.gaugeFn != nil:
-				writeSample(b, f.name, "", s.labels, "", "", formatFloat(s.gaugeFn()))
-			}
-		}
-	}
 }
 
 // renderHistogram writes the exposition triplet for one histogram
 // series: cumulative _bucket lines ending at le="+Inf", then _sum and
 // _count.
-func renderHistogram(b *strings.Builder, name string, labels []Label, vecLabel, vecValue string, snap HistogramSnapshot) {
-	full := labels
-	if vecLabel != "" {
-		full = withLabel(labels, vecLabel, vecValue)
-	}
+func renderHistogram(b *strings.Builder, name string, labels []Label, snap HistogramSnapshot) {
 	for i, bound := range snap.Bounds {
-		writeSample(b, name, "_bucket", full, "le", formatFloat(bound),
+		writeSample(b, name, "_bucket", labels, "le", formatFloat(bound),
 			strconv.FormatUint(snap.Counts[i], 10))
 	}
-	writeSample(b, name, "_bucket", full, "le", "+Inf",
+	writeSample(b, name, "_bucket", labels, "le", "+Inf",
 		strconv.FormatUint(snap.Count, 10))
-	writeSample(b, name, "_sum", full, "", "", formatFloat(snap.Sum))
-	writeSample(b, name, "_count", full, "", "", strconv.FormatUint(snap.Count, 10))
+	writeSample(b, name, "_sum", labels, "", "", formatFloat(snap.Sum))
+	writeSample(b, name, "_count", labels, "", "", strconv.FormatUint(snap.Count, 10))
 }
 
 // writeSample writes one exposition line:
@@ -417,14 +425,6 @@ func writeSample(b *strings.Builder, name, suffix string, labels []Label, extraN
 	b.WriteByte('\n')
 }
 
-// sortedVecs orders a family's vec entries by their constant-label
-// signature, the same key static series sort on.
-func sortedVecs(f *family) []*vecEntry {
-	out := append([]*vecEntry(nil), f.vecs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
-
 type counterChild struct {
 	label string
 	c     *Counter
@@ -433,18 +433,6 @@ type counterChild struct {
 func sortedCounterChildren(v *CounterVec) []counterChild {
 	var out []counterChild
 	v.each(func(label string, c *Counter) { out = append(out, counterChild{label, c}) })
-	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
-	return out
-}
-
-type histogramChild struct {
-	label string
-	h     *Histogram
-}
-
-func sortedHistogramChildren(v *HistogramVec) []histogramChild {
-	var out []histogramChild
-	v.each(func(label string, h *Histogram) { out = append(out, histogramChild{label, h}) })
 	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out
 }
@@ -467,68 +455,25 @@ type FamilySnapshot struct {
 // Snapshot captures every registered metric, in the same deterministic
 // order WritePrometheus uses.
 func (r *Registry) Snapshot() []FamilySnapshot {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-
-	out := make([]FamilySnapshot, 0, len(fams))
-	for _, f := range fams {
+	out := []FamilySnapshot{}
+	r.visit(func(f *family, readings []reading) {
 		fs := FamilySnapshot{Name: f.name, Type: f.typ, Help: f.help}
-		switch {
-		case len(f.vecs) > 0:
-			for _, e := range sortedVecs(f) {
-				if e.cvec != nil {
-					for _, child := range sortedCounterChildren(e.cvec) {
-						fs.Series = append(fs.Series, SeriesSnapshot{
-							Labels: withLabel(e.constants, e.labelName, child.label),
-							Value:  float64(child.c.Value()),
-						})
-					}
-				} else {
-					for _, child := range sortedHistogramChildren(e.hvec) {
-						snap := child.h.Snapshot()
-						fs.Series = append(fs.Series, SeriesSnapshot{
-							Labels:    withLabel(e.constants, e.labelName, child.label),
-							Histogram: &snap,
-						})
-					}
-				}
+		for _, rd := range readings {
+			ss := SeriesSnapshot{Labels: rd.labels, Value: rd.value, Histogram: rd.hist}
+			if f.typ == typeCounter {
+				ss.Value = float64(rd.count)
 			}
-		default:
-			ordered := append([]*series(nil), f.series...)
-			sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
-			for _, s := range ordered {
-				ss := SeriesSnapshot{Labels: s.labels}
-				switch {
-				case s.hist != nil:
-					snap := s.hist.Snapshot()
-					ss.Histogram = &snap
-				case s.counter != nil:
-					ss.Value = float64(s.counter.Value())
-				case s.counterFn != nil:
-					ss.Value = float64(s.counterFn())
-				case s.gauge != nil:
-					ss.Value = s.gauge.Value()
-				case s.gaugeFn != nil:
-					ss.Value = s.gaugeFn()
-				}
-				fs.Series = append(fs.Series, ss)
-			}
+			fs.Series = append(fs.Series, ss)
 		}
 		out = append(out, fs)
-	}
+	})
 	return out
 }
 
-func withLabel(labels []Label, name, value string) []Label {
+// WithLabel returns a copy of labels with name=value appended. The
+// copy guards against append aliasing when one base label slice fans
+// out into several series.
+func WithLabel(labels []Label, name, value string) []Label {
 	return append(append([]Label(nil), labels...), Label{Name: name, Value: value})
 }
 

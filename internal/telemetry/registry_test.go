@@ -49,11 +49,6 @@ func goldenRegistry() *Registry {
 	cv.With("minted-by-wire").Inc() // over the bound: overflow child
 	reg.MustCounterVec("ff_by_policy_total", "Labeled family.", "policy", cv, L("zone", "test"))
 
-	hv := NewHistogramVec([]float64{1, 10}, 4)
-	hv.With("b").Observe(0.5)
-	hv.With("a").Observe(20)
-	reg.MustHistogramVec("gg_hist_by_kind_seconds", "Labeled histograms.", "kind", hv)
-
 	return reg
 }
 

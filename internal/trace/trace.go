@@ -78,12 +78,14 @@ type Config struct {
 	// queue is full finished spans are dropped (counted), never
 	// blocked on. Zero means 1024.
 	BufferDepth int
-	// RecentSpans sizes the in-memory ring of recently exported
-	// spans served by /debug/traces. Zero means 256.
-	RecentSpans int
-	// SlowSpans sizes the slow-span ring. Zero means 64.
-	SlowSpans int
 }
+
+// Sizes of the in-memory rings /debug/traces serves: recently exported
+// spans and slow spans.
+const (
+	recentSpans = 256
+	slowSpans   = 64
+)
 
 // Tracer creates and exports spans. Create with New; a nil *Tracer
 // is a valid disabled tracer.
@@ -124,14 +126,6 @@ func New(cfg Config) *Tracer {
 	if depth <= 0 {
 		depth = 1024
 	}
-	recent := cfg.RecentSpans
-	if recent <= 0 {
-		recent = 256
-	}
-	slowN := cfg.SlowSpans
-	if slowN <= 0 {
-		slowN = 64
-	}
 	t := &Tracer{
 		sampleRate: cfg.SampleRate,
 		slow:       cfg.SlowThreshold,
@@ -139,8 +133,8 @@ func New(cfg Config) *Tracer {
 		ch:         make(chan *Span, depth),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		recent:     newRecordRing(recent),
-		slowRing:   newRecordRing(slowN),
+		recent:     newRecordRing(recentSpans),
+		slowRing:   newRecordRing(slowSpans),
 	}
 	t.pool.New = func() any { return new(Span) }
 	go t.exporter()

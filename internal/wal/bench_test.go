@@ -10,10 +10,9 @@ import (
 
 // BenchmarkWALAppend measures the per-record append cost of each sync
 // policy over a realistic journal-line payload. sync=none is the
-// number the bench-diff gate watches (it must stay comparable to a
-// plain buffered write); sync=always is reported, not gated — it is
-// the price of machine-crash durability and is dominated by the
-// device's fsync latency.
+// number to watch (it must stay comparable to a plain buffered write);
+// sync=always is the price of machine-crash durability and is
+// dominated by the device's fsync latency.
 func BenchmarkWALAppend(b *testing.B) {
 	rec := []byte(`{"t":"2026-08-08T12:00:00.000000001Z","ev":"done","k":{"mta":"mta00042","test":"t12"},"n":2}` + "\n")
 	for _, policy := range []SyncPolicy{SyncNone, SyncInterval, SyncAlways} {
