@@ -14,6 +14,8 @@ package sendervalid
 // consumers (cmd/, examples/) import them directly.
 
 import (
+	"context"
+
 	"sendervalid/internal/authres"
 	"sendervalid/internal/dkim"
 	"sendervalid/internal/dmarc"
@@ -151,6 +153,12 @@ type SMTPReply = smtp.Reply
 
 // SMTPClient is the sending-side client.
 type SMTPClient = smtp.Client
+
+// DialSMTP connects to an SMTP server over TCP and consumes its
+// greeting.
+func DialSMTP(ctx context.Context, addr string) (*SMTPClient, error) {
+	return smtp.Dial(ctx, nil, addr)
+}
 
 // --- Authentication-Results (RFC 8601) ---
 

@@ -41,18 +41,13 @@ import (
 const benchScale = 150
 
 func notifySpec(seed int64) dataset.Spec {
-	spec := dataset.NotifyEmailSpec(seed)
-	spec.NumDomains = benchScale
-	spec.AlexaTop1M = benchScale / 9
-	spec.AlexaTop1K = benchScale / 30
+	spec := dataset.NotifyEmailSpec(seed).Scaled(benchScale)
+	spec.AlexaTop1K = benchScale / 30 // enough Top-1K members for Table 7 at bench scale
 	return spec
 }
 
 func twoWeekSpec(seed int64) dataset.Spec {
-	spec := dataset.TwoWeekMXSpec(seed)
-	spec.NumDomains = benchScale
-	spec.LocalDomains = 2
-	return spec
+	return dataset.TwoWeekMXSpec(seed).Scaled(benchScale)
 }
 
 func buildBenchWorld(b *testing.B, spec dataset.Spec, rates mtasim.Rates) *experiment.World {

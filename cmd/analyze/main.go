@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"runtime"
 	"time"
 
+	"sendervalid/internal/cli"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/experiment"
 	"sendervalid/internal/policy"
@@ -62,31 +64,39 @@ func warnTorn(w io.Writer, what string, st wal.RecoverStats) {
 }
 
 func main() {
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		logPath = flag.String("log", "", "query log file (JSON lines; required)")
-		topFP   = flag.Int("fingerprints", 10, "behaviour families to show")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0),
+		logPath = fs.String("log", "", "query log file (JSON lines; required)")
+		topFP   = fs.Int("fingerprints", 10, "behaviour families to show")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0),
 			"parallel log-decode workers (1 = serial)")
-		tracePath = flag.String("trace", "",
+		tracePath = fs.String("trace", "",
 			"span stream (as written by -trace-file) to reassemble and join against the query log")
-		traceMax = flag.Int("trace-trees", 10, "trace trees to print with -trace (0 = all)")
+		traceMax = fs.Int("trace-trees", 10, "trace trees to print with -trace (0 = all)")
 	)
-	flag.Parse()
-	if *logPath == "" {
-		flag.Usage()
-		os.Exit(2)
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
+	if *logPath == "" {
+		fs.Usage()
+		return cli.ExitUsage
+	}
+	fail := func(err error) int { return cli.Exit(ctx, cli.Logf(stderr, "analyze"), err) }
 	// wal.OpenStream handles every on-disk shape the collectors produce:
 	// plain JSONL, WAL-framed records, rotated segments, or a mix —
 	// sniffed per segment, presented as one JSONL stream.
 	f, err := wal.OpenStream(*logPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer f.Close()
 	if n := f.Segments(); n > 1 {
-		fmt.Fprintf(os.Stderr, "analyze: reading %d log segments\n", n)
+		fmt.Fprintf(stderr, "analyze: reading %d log segments\n", n)
 	}
 
 	// Stream the log rather than slurping it: every analysis below
@@ -112,49 +122,48 @@ func main() {
 			mtas[e.MTAID] = true
 			entries = append(entries, e)
 		}
-		return nil
+		return ctx.Err() // an interrupt ends the ingest
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	elapsed := time.Since(ingestStart)
-	warnTorn(os.Stderr, "log", f.Stats())
+	warnTorn(stderr, "log", f.Stats())
 	reads := mr.reads.Snapshot()
 	secs := elapsed.Seconds()
 	if secs <= 0 {
 		secs = 1e-9
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"analyze: ingested %d entries (%.1f MB) in %v — %.0f entries/s, %.1f MB/s, mean read %.0f B across %d reads\n",
 		ingested.Value(), float64(mr.bytes.Value())/1e6, elapsed.Round(time.Millisecond),
 		float64(ingested.Value())/secs, float64(mr.bytes.Value())/1e6/secs,
 		reads.Mean(), reads.Count)
-	fmt.Printf("log: %d queries (%d attributed) from %d MTAs across %d test policies\n\n",
+	fmt.Fprintf(stdout, "log: %d queries (%d attributed) from %d MTAs across %d test policies\n\n",
 		total, len(entries), len(mtas), len(tests))
 
 	sp := experiment.AnalyzeSerialParallelEntries(entries)
 	ll := experiment.AnalyzeLookupLimitsEntries(entries)
 	b := experiment.AnalyzeBehaviorsEntries(entries)
 	if ll.Tested > 0 {
-		fmt.Print(experiment.RenderFigure5(ll, policy.LimitsDelay.Seconds()))
+		fmt.Fprint(stdout, experiment.RenderFigure5(ll, policy.LimitsDelay.Seconds()))
 	}
-	fmt.Print(experiment.RenderBehaviors(sp, b))
+	fmt.Fprint(stdout, experiment.RenderBehaviors(sp, b))
 
 	clusters, vectors := experiment.AnalyzeFingerprintEntries(entries)
-	fmt.Print(experiment.RenderFingerprints(clusters, vectors, *topFP))
+	fmt.Fprint(stdout, experiment.RenderFingerprints(clusters, vectors, *topFP))
 
 	if *tracePath != "" {
 		recs, bad, st, err := loadSpans(*tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "analyze: reading trace file: %v\n", err)
-			os.Exit(1)
+			return fail(fmt.Errorf("reading trace file: %w", err))
 		}
-		warnTorn(os.Stderr, "trace file", st)
+		warnTorn(stderr, "trace file", st)
 		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "analyze: %d undecodable span lines skipped\n", bad)
+			fmt.Fprintf(stderr, "analyze: %d undecodable span lines skipped\n", bad)
 		}
-		fmt.Println()
-		renderTraceTrees(os.Stdout, recs, entries, *traceMax)
+		fmt.Fprintln(stdout)
+		renderTraceTrees(stdout, recs, entries, *traceMax)
 	}
+	return cli.ExitOK
 }

@@ -10,8 +10,11 @@
 //	authdns [-addr 127.0.0.1:5300] [-addr6 "[::1]:5300"]
 //	        [-suffix spf-test.dns-lab.example] [-notify dsav-mail.dns-lab.example]
 //	        [-contact research@dns-lab.example] [-timescale 1.0]
+//	        [-sender4 203.0.113.10] [-sender6 2001:db8:1::10]
+//	        [-quiet] [-max-qps 0] [-burst 8] [-log-buffer 4096]
 //	        [-log-file queries.wal] [-log-sync none|interval|always]
 //	        [-log-rotate BYTES] [-metrics-addr 127.0.0.1:9153]
+//	        [-trace-file spans.wal] [-trace-sample 1] [-trace-slow 50ms]
 package main
 
 import (
@@ -21,28 +24,22 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"sendervalid/internal/cli"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/telemetry"
-	"sendervalid/internal/traceflag"
 	"sendervalid/internal/wal"
 )
 
 func main() {
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop, nil))
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// run is main minus the process plumbing, so a test can drive a full
-// serve-and-shutdown cycle in-process under -race: it injects a
-// simulated signal through stop and learns the admin plane's bound
-// address through ready.
-func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready chan<- string) int {
+// run serves until ctx is cancelled (SIGINT/SIGTERM in main), then
+// shuts down in order and prints the final counters.
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("authdns", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -63,22 +60,23 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 		logRotate   = fs.Int64("log-rotate", 256<<20, "-log-file rotation threshold in bytes (0 = never rotate)")
 		metricsAddr = fs.String("metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")
 	)
-	traceFlags := traceflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
+	var traceFlags cli.Trace
+	traceFlags.Register(fs)
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
+	logf := cli.Logf(stderr, "authdns")
+	fail := func(err error) int { return cli.Exit(ctx, logf, err) }
+
 	syncPolicy, err := wal.ParseSyncPolicy(*logSync)
 	if err != nil {
-		fmt.Fprintf(stderr, "authdns: %v\n", err)
-		return 2
+		return fail(cli.Usage(err))
 	}
-	tracing, err := traceFlags.Open(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "authdns: "+format+"\n", args...)
-	})
+	tracing, err := traceFlags.Open(logf)
 	if err != nil {
-		fmt.Fprintf(stderr, "authdns: %v\n", err)
-		return 2
+		return fail(cli.Usage(err))
 	}
+	defer tracing.Close()
 
 	env := &policy.Env{Suffix: *suffix + ".", TimeScale: *timeScale}
 	notifyCfg := &policy.NotifyEmailConfig{
@@ -102,12 +100,10 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 			RotateBytes: *logRotate,
 		})
 		if err != nil {
-			fmt.Fprintf(stderr, "authdns: %v\n", err)
-			return 1
+			return fail(err)
 		}
 		if rec := walSink.Recovered(); rec.Truncated {
-			fmt.Fprintf(stderr,
-				"authdns: query log %s had a torn tail; %d records salvaged, %d bytes truncated\n",
+			logf("query log %s had a torn tail; %d records salvaged, %d bytes truncated",
 				*logFile, rec.Records, rec.DroppedBytes)
 		}
 		sink = append(sink, walSink)
@@ -118,29 +114,32 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 		Addr6:           *addr6,
 		MaxQPSPerSource: *maxQPS,
 		BurstPerSource:  *burst,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, "authdns: "+format+"\n", args...)
-		},
-		Zones: []*dnsserver.Zone{
-			{
-				Suffix:     *suffix + ".",
-				Contact:    dnsserver.FormatContact(*contact),
-				Responders: policy.RespondersWithDMARC(env, *contact),
-			},
-			{
-				Suffix:     *notify + ".",
-				Contact:    dnsserver.FormatContact(*contact),
-				LabelDepth: 1,
-				Default:    notifyCfg.Responder(),
-			},
-		},
-		Log:    asyncLog,
-		Tracer: tracing.Tracer,
+		Logf:            logf,
+		Zones:           policy.StudyZones(env, notifyCfg),
+		Log:             asyncLog,
+		Tracer:          tracing.Tracer,
+	}
+	// Order matters at shutdown: stop accepting queries first, then
+	// close the log. AsyncLog tolerates appends racing Close (late ones
+	// are dropped and counted), but draining the server first keeps the
+	// log complete on a clean shutdown.
+	shutdown := func() {
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(shutdownCtx); err != nil {
+			logf("shutdown: %v", err)
+		}
+		asyncLog.Close()
+		if walSink != nil {
+			if err := walSink.Close(); err != nil {
+				logf("closing query log: %v", err)
+			}
+		}
 	}
 	bound, err := srv.Start()
 	if err != nil {
-		fmt.Fprintf(stderr, "authdns: %v\n", err)
-		return 1
+		shutdown()
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "authdns: serving %s and %s on %s", *suffix, *notify, bound)
 	if a6 := srv.Addr6Bound(); a6 != nil {
@@ -170,58 +169,19 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal, ready c
 		health.Register("querylog-wal", walSink.Check)
 	}
 
-	var admin *telemetry.AdminServer
-	if *metricsAddr != "" {
-		admin = &telemetry.AdminServer{Addr: *metricsAddr, Registry: reg, Health: health}
-		if tracing.Tracer != nil {
-			admin.Handle("/debug/traces", tracing.Tracer.DebugHandler(reg))
-		}
-		adminAddr, err := admin.Start()
-		if err != nil {
-			fmt.Fprintf(stderr, "authdns: %v\n", err)
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(shutdownCtx)
-			asyncLog.Close()
-			if walSink != nil {
-				_ = walSink.Close()
-			}
-			_ = tracing.Close()
-			return 1
-		}
-		fmt.Fprintf(stdout, "authdns: admin plane on http://%s/metrics\n", adminAddr)
-		if ready != nil {
-			ready <- adminAddr.String()
-		}
-	} else if ready != nil {
-		ready <- ""
+	stopAdmin, err := cli.StartAdmin("authdns", *metricsAddr, stdout, reg, health, tracing.Tracer)
+	if err != nil {
+		shutdown()
+		return fail(err)
 	}
 
-	<-stop
-	// Order matters: stop accepting queries first, then close the log.
-	// AsyncLog tolerates appends racing Close (late ones are dropped
-	// and counted), but draining the server first keeps the log
-	// complete on a clean shutdown.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintf(stderr, "authdns: shutdown: %v\n", err)
-	}
-	asyncLog.Close()
-	if walSink != nil {
-		if err := walSink.Close(); err != nil {
-			fmt.Fprintf(stderr, "authdns: closing query log: %v\n", err)
-		}
-	}
-	if err := tracing.Close(); err != nil {
-		fmt.Fprintf(stderr, "authdns: closing trace file: %v\n", err)
-	}
-	if admin != nil {
-		_ = admin.Shutdown(shutdownCtx)
-	}
+	<-ctx.Done()
+	shutdown()
+	tracing.Close()
+	stopAdmin()
 	fmt.Fprintf(stdout, "authdns: shutting down; final counters:\n")
 	_ = reg.WriteSummary(stdout)
-	return 0
+	return cli.ExitOK
 }
 
 // printSink writes one attributed line per query. It runs on AsyncLog's

@@ -1,72 +1,51 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sendervalid/internal/cmdtest"
 	"sendervalid/internal/resolver"
 )
 
-// syncBuffer makes the output buffers safe to read while run is still
-// writing — the whole point of the test is racing shutdown against
-// serving under -race.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// authdns is one in-process run of the command.
+// authdns is one in-process run of the command. Its output buffers are
+// read while run is still writing — the whole point of the test is
+// racing shutdown against serving under -race.
 type authdns struct {
-	stdout, stderr     *syncBuffer
-	stop               chan os.Signal
+	stdout, stderr     *cmdtest.Buffer
+	stop               context.CancelFunc // what SIGINT/SIGTERM does in main
 	exit               chan int
 	dnsAddr, adminAddr string
 }
 
 // startAuthdns runs the command on ephemeral ports with unshaped
-// responses and waits until it serves.
+// responses and waits until it has announced the addresses it serves
+// on: the DNS one always, the admin plane's with -metrics-addr.
 func startAuthdns(t *testing.T, args ...string) *authdns {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	a := &authdns{
-		stdout: new(syncBuffer), stderr: new(syncBuffer),
-		stop: make(chan os.Signal, 1), exit: make(chan int, 1),
+		stdout: new(cmdtest.Buffer), stderr: new(cmdtest.Buffer),
+		stop: cancel, exit: make(chan int, 1),
 	}
-	ready := make(chan string, 1)
 	go func() {
-		a.exit <- run(append([]string{"-addr", "127.0.0.1:0", "-timescale", "0"}, args...),
-			a.stdout, a.stderr, a.stop, ready)
+		a.exit <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-timescale", "0"}, args...),
+			nil, a.stdout, a.stderr)
 	}()
-	select {
-	case a.adminAddr = <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("run did not start; stderr: %s", a.stderr.String())
+	a.dnsAddr = cmdtest.WaitFor(t, a.stdout, `serving .* on (127\.0\.0\.1:\d+)`)[1]
+	for _, arg := range args {
+		if arg == "-metrics-addr" {
+			a.adminAddr = cmdtest.WaitFor(t, a.stdout, `admin plane on http://(127\.0\.0\.1:\d+)/metrics`)[1]
+		}
 	}
-	m := regexp.MustCompile(`on (127\.0\.0\.1:\d+)`).FindStringSubmatch(a.stdout.String())
-	if m == nil {
-		t.Fatalf("no DNS bound address in output: %q", a.stdout.String())
-	}
-	a.dnsAddr = m[1]
 	return a
 }
 
@@ -78,10 +57,6 @@ func startAuthdns(t *testing.T, args ...string) *authdns {
 // still append, and read counters without synchronization.
 func TestRunServeShutdown(t *testing.T) {
 	a := startAuthdns(t, "-quiet", "-metrics-addr", "127.0.0.1:0")
-	if a.adminAddr == "" {
-		t.Fatal("no admin address despite -metrics-addr")
-	}
-
 	// Send real queries so the serving-path counters move.
 	res := resolver.New(resolver.Config{Server: a.dnsAddr, DisableCache: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -135,7 +110,7 @@ func TestRunServeShutdown(t *testing.T) {
 		}
 	}()
 
-	a.stop <- os.Interrupt
+	a.stop()
 	select {
 	case code := <-a.exit:
 		if code != 0 {
@@ -173,7 +148,7 @@ func TestRunPrintsAttributedLines(t *testing.T) {
 			t.Fatalf("query %s: %v", name, err)
 		}
 	}
-	a.stop <- os.Interrupt
+	a.stop()
 	select {
 	case code := <-a.exit:
 		if code != 0 {

@@ -12,6 +12,8 @@
 //	         [-journal-rotate BYTES] [-resume] [-interval 2s]
 //	         [-population notify|twoweek] [-timescale 0.001]
 //	         [-chaos-seed N] [-chaos-dial-failure 0.25]
+//	         [-metrics-addr 127.0.0.1:9153]
+//	         [-trace-file spans.wal] [-trace-sample 1] [-trace-slow 50ms]
 //
 // The world is a deterministic function of -domains/-seed/-population,
 // so a resumed invocation with the same parameters probes the same
@@ -25,49 +27,49 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"sendervalid/internal/campaign"
+	"sendervalid/internal/cli"
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/experiment"
 	"sendervalid/internal/netsim"
 	"sendervalid/internal/telemetry"
-	"sendervalid/internal/traceflag"
-	"sendervalid/internal/wal"
 )
 
 func main() {
-	var (
-		domains      = flag.Int("domains", 2000, "domains in the population")
-		seed         = flag.Int64("seed", 1, "generation seed (must match across resume)")
-		testsFlag    = flag.String("tests", "core", `test policies: "core", "all", or a comma-separated ID list`)
-		workers      = flag.Int("workers", 2*runtime.NumCPU(), "global concurrency cap")
-		rate         = flag.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
-		burst        = flag.Int("burst", 1, "per-MTA token bucket depth")
-		attempts     = flag.Int("attempts", 4, "attempt budget per (MTA, test) pair")
-		journal      = flag.String("journal", "", "append-only journal of task transitions (checksummed WAL; a pre-WAL JSONL journal is kept as a read-only segment and continued framed)")
-		journalSync  = flag.String("journal-sync", "none", `journal fsync policy: "none" (kernel-buffered), "interval" (group commit), "always" (fsync per event)`)
-		journalRotat = flag.Int64("journal-rotate", 0, "rotate the journal when the live segment exceeds this many bytes (0 = never)")
-		resume       = flag.Bool("resume", false, "replay the journal and re-run only unfinished pairs")
-		chaosSeed    = flag.Int64("chaos-seed", 0, "inject seeded network chaos into the simulated fabric (0 disables)")
-		chaosDial    = flag.Float64("chaos-dial-failure", 0.25, "dial-failure probability under -chaos-seed")
-		interval     = flag.Duration("interval", 2*time.Second, "progress snapshot period (0 disables)")
-		population   = flag.String("population", "notify", `population flavour: "notify" or "twoweek"`)
-		timeScale    = flag.Float64("timescale", 0.001, "protocol delay multiplier (1.0 = paper timing)")
-		metricsAddr  = flag.String("metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")
-	)
-	traceFlags := traceflag.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	if *resume && *journal == "" {
-		fmt.Fprintln(os.Stderr, "campaign: -resume requires -journal")
-		os.Exit(2)
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var study cli.Study
+	study.Register(fs)
+	var (
+		testsFlag    = fs.String("tests", "core", `test policies: "core", "all", or a comma-separated ID list`)
+		rate         = fs.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
+		burst        = fs.Int("burst", 1, "per-MTA token bucket depth")
+		attempts     = fs.Int("attempts", 4, "attempt budget per (MTA, test) pair")
+		journalRotat = fs.Int64("journal-rotate", 0, "rotate the journal when the live segment exceeds this many bytes (0 = never)")
+		chaosSeed    = fs.Int64("chaos-seed", 0, "inject seeded network chaos into the simulated fabric (0 disables)")
+		chaosDial    = fs.Float64("chaos-dial-failure", 0.25, "dial-failure probability under -chaos-seed")
+		interval     = fs.Duration("interval", 2*time.Second, "progress snapshot period (0 disables)")
+		population   = fs.String("population", "notify", `population flavour: "notify" or "twoweek"`)
+	)
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
+	logf := cli.Logf(stderr, "campaign")
+	fail := func(err error) int { return cli.Exit(ctx, logf, err) }
+
+	syncPolicy, err := study.SyncPolicy()
+	if err != nil {
+		return fail(err)
 	}
 
 	var tests []string
@@ -84,32 +86,22 @@ func main() {
 	var rates = experiment.NotifyRates()
 	switch *population {
 	case "notify":
-		spec = dataset.NotifyEmailSpec(*seed)
-		spec.NumDomains = *domains
-		spec.AlexaTop1M = *domains / 9
-		spec.AlexaTop1K = *domains / 300
+		spec = dataset.NotifyEmailSpec(study.Seed)
 	case "twoweek":
-		spec = dataset.TwoWeekMXSpec(*seed)
-		spec.NumDomains = *domains
-		spec.LocalDomains = max(2, *domains/800)
+		spec = dataset.TwoWeekMXSpec(study.Seed)
 		rates = experiment.TwoWeekRates()
 	default:
-		fmt.Fprintf(os.Stderr, "campaign: unknown population %q\n", *population)
-		os.Exit(2)
+		return fail(cli.Usage(fmt.Errorf("unknown population %q", *population)))
 	}
 
-	syncPolicy, err := wal.ParseSyncPolicy(*journalSync)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("== building world: %d domains, seed %d, %q rates ==\n", *domains, *seed, *population)
-	pop := dataset.Generate(spec)
+	fmt.Fprintf(stdout, "== building world: %d domains, seed %d, %q rates ==\n", study.Domains, study.Seed, *population)
+	pop := dataset.Generate(spec.Scaled(study.Domains))
 	world, err := experiment.BuildWorld(pop, experiment.WorldConfig{
-		Seed: *seed, Rates: rates, TimeScale: *timeScale, EnableIPv6DNS: true,
+		Seed: study.Seed, Rates: rates, TimeScale: study.TimeScale, EnableIPv6DNS: true,
 	})
-	exitOn(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer world.Close()
 
 	if *chaosSeed != 0 {
@@ -118,21 +110,17 @@ func main() {
 			DialFailure: *chaosDial,
 			MaxChunk:    512,
 		})
-		fmt.Printf("campaign: chaos enabled (seed %d, dial failure %.2f)\n", *chaosSeed, *chaosDial)
+		fmt.Fprintf(stdout, "campaign: chaos enabled (seed %d, dial failure %.2f)\n", *chaosSeed, *chaosDial)
 	}
 
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
+	// Deferred, so an interrupted run still keeps its sampled spans.
+	tracing, err := study.Trace.Open(logf)
+	if err != nil {
+		return fail(err)
 	}
-	tracing, err := traceFlags.Open(logf)
-	exitOn(err)
-	defer func() {
-		if err := tracing.Close(); err != nil {
-			logf("closing trace file: %v", err)
-		}
-	}()
+	defer tracing.Close()
 	opts := experiment.ProbeCampaignOpts{
-		Workers:     *workers,
+		Workers:     study.Workers,
 		MTARate:     *rate,
 		MTABurst:    *burst,
 		MaxAttempts: *attempts,
@@ -140,71 +128,51 @@ func main() {
 		Tracer:      tracing.Tracer,
 	}
 	var jnl campaign.Journal
-	if *journal != "" {
+	if study.Journal != "" {
 		var replay *campaign.Replay
-		replay, jnl, err = campaign.OpenJournal(*journal, campaign.JournalOptions{
+		replay, jnl, err = campaign.OpenJournal(study.Journal, campaign.JournalOptions{
 			Sync:        syncPolicy,
 			RotateBytes: *journalRotat,
 		})
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		defer jnl.Close()
 		opts.Journal = jnl
-		if replay.TornTail {
-			fmt.Fprintf(os.Stderr,
-				"campaign: journal %s had a torn tail (%d bytes dropped, %d malformed lines); valid prefix salvaged\n",
-				*journal, replay.DroppedBytes, replay.Malformed)
+		if opts.Replay, err = replay.Admit(study.Journal, study.Resume, logf); err != nil {
+			return fail(cli.Usage(err))
 		}
-		if *resume {
-			opts.Replay = replay
-			fmt.Printf("journal %s: %d events, %d done, %d failed — resuming unfinished work\n",
-				*journal, replay.Events, replay.Done(), replay.Failed())
-		} else if replay.Events > 0 {
-			fmt.Fprintf(os.Stderr,
-				"campaign: journal %s already has %d events; pass -resume to continue it\n",
-				*journal, replay.Events)
-			os.Exit(2)
+		if study.Resume {
+			fmt.Fprintf(stdout, "journal %s: %d events, %d done, %d failed — resuming unfinished work\n",
+				study.Journal, replay.Events, replay.Done(), replay.Failed())
 		}
 	}
 
 	pc := experiment.NewProbeCampaign(world, tests, opts)
 
-	if *metricsAddr != "" {
-		reg := telemetry.NewRegistry()
-		pc.RegisterMetrics(reg)
-		telemetry.RegisterRuntimeMetrics(reg)
-		tracing.Tracer.RegisterMetrics(reg)
-		health := telemetry.NewHealth()
-		health.Register("campaign", func() error { return nil })
-		if jnl != nil {
-			jnl.RegisterMetrics(reg, telemetry.L("name", "journal"))
-			health.Register("journal", jnl.Check)
-		}
-		admin := &telemetry.AdminServer{Addr: *metricsAddr, Registry: reg, Health: health}
-		if tracing.Tracer != nil {
-			admin.Handle("/debug/traces", tracing.Tracer.DebugHandler(reg))
-		}
-		adminAddr, err := admin.Start()
-		exitOn(err)
-		fmt.Printf("campaign: admin plane on http://%s/metrics\n", adminAddr)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = admin.Shutdown(ctx)
-		}()
+	reg := telemetry.NewRegistry()
+	pc.RegisterMetrics(reg)
+	telemetry.RegisterRuntimeMetrics(reg)
+	tracing.Tracer.RegisterMetrics(reg)
+	health := telemetry.NewHealth()
+	health.Register("campaign", func() error { return nil })
+	if jnl != nil {
+		jnl.RegisterMetrics(reg, telemetry.L("name", "journal"))
+		health.Register("journal", jnl.Check)
 	}
+	stopAdmin, err := cli.StartAdmin("campaign", study.MetricsAddr, stdout, reg, health, tracing.Tracer)
+	if err != nil {
+		return fail(err)
+	}
+	defer stopAdmin()
 
 	total := pc.Snapshot().Total
-	fmt.Printf("campaign: %d (MTA, test) pairs across %d MTAs, %d tests; rate %.3g/s/MTA, %d workers\n",
-		total, len(pop.MTAs), len(tests), *rate, *workers)
+	fmt.Fprintf(stdout, "campaign: %d (MTA, test) pairs across %d MTAs, %d tests; rate %.3g/s/MTA, %d workers\n",
+		total, len(pop.MTAs), len(tests), *rate, study.Workers)
 	if total == 0 {
-		fmt.Println("nothing to do: journal records every pair as finished")
-		return
+		fmt.Fprintln(stdout, "nothing to do: journal records every pair as finished")
+		return cli.ExitOK
 	}
-
-	// Ctrl-C cancels cleanly: in-flight probes abandon their SMTP walk
-	// within one step and the journal stays resumable.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	stopProgress := make(chan struct{})
 	var progress sync.WaitGroup
@@ -217,7 +185,7 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					fmt.Println(pc.Snapshot())
+					fmt.Fprintln(stdout, pc.Snapshot())
 				case <-stopProgress:
 					return
 				}
@@ -225,44 +193,37 @@ func main() {
 		}()
 	}
 
+	// Ctrl-C cancels ctx: in-flight probes abandon their SMTP walk
+	// within one step and the journal stays resumable.
 	run, runErr := pc.Run(ctx)
 	close(stopProgress)
 	progress.Wait()
 
 	s := pc.Snapshot()
-	fmt.Println(s)
+	fmt.Fprintln(stdout, s)
 	if jerr := pc.JournalError(); jerr != nil {
-		fmt.Fprintf(os.Stderr,
-			"campaign: journal failed mid-run (%d events dropped): %v — the durable record is incomplete\n",
+		logf("journal failed mid-run (%d events dropped): %v — the durable record is incomplete",
 			s.JournalDropped, jerr)
 	}
 	if runErr != nil {
 		if jnl != nil {
 			_ = jnl.Sync()
 		}
-		fmt.Printf("campaign interrupted (%v): %d of %d pairs finished", runErr, s.Completed(), total)
-		if *journal != "" {
-			fmt.Printf("; rerun with -resume to continue")
+		fmt.Fprintf(stdout, "campaign interrupted (%v): %d of %d pairs finished", runErr, s.Completed(), total)
+		if study.Journal != "" {
+			fmt.Fprintf(stdout, "; rerun with -resume to continue")
 		}
-		fmt.Println()
-		// os.Exit skips deferred closes: drain the span stream first so
-		// an interrupted run still keeps its sampled spans.
-		_ = tracing.Close()
-		os.Exit(130)
+		fmt.Fprintln(stdout)
+		return cli.ExitInterrupted
 	}
 
+	pc.WarnResumed(logf)
 	a := experiment.AnalyzeProbes(world, run, false)
-	fmt.Printf("\ncampaign complete: %d done, %d failed, %d retries across %d attempts\n",
+	fmt.Fprintf(stdout, "\ncampaign complete: %d done, %d failed, %d retries across %d attempts\n",
 		s.Done, s.Failed, s.Retried, s.Attempts)
-	fmt.Printf("SPF-validating: %d of %d MTAs, %d of %d domains\n",
+	fmt.Fprintf(stdout, "SPF-validating: %d of %d MTAs, %d of %d domains\n",
 		a.SPFMTAs, a.MTAs, a.SPFDomains, a.Domains)
-	fmt.Printf("probes completed %d of %d; spam-rejecting MTAs %d, blacklist-rejecting %d\n",
+	fmt.Fprintf(stdout, "probes completed %d of %d; spam-rejecting MTAs %d, blacklist-rejecting %d\n",
 		a.ProbesCompleted, a.ProbesTotal, a.SpamRejected, a.BlacklistRejected)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-		os.Exit(1)
-	}
+	return cli.ExitOK
 }

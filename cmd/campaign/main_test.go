@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	mrand "math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"sendervalid/internal/campaign"
+	"sendervalid/internal/cli"
 	"sendervalid/internal/wal"
 )
 
@@ -25,14 +28,14 @@ import (
 func TestMain(m *testing.M) {
 	if os.Getenv("CAMPAIGN_CRASH_CHILD") == "1" {
 		// Everything after "--" is the campaign's own command line.
-		for i, a := range os.Args {
+		args := os.Args[1:]
+		for i, a := range args {
 			if a == "--" {
-				os.Args = append([]string{"campaign"}, os.Args[i+1:]...)
+				args = args[i+1:]
 				break
 			}
 		}
-		main()
-		os.Exit(0)
+		os.Exit(run(cli.SignalContext(), args, os.Stdin, os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
 }
@@ -224,9 +227,20 @@ func TestKillResumeConvergence(t *testing.T) {
 	}
 	t.Logf("killed the campaign %d times", kills)
 
-	// Final resume must drive the journal to convergence.
+	// Final resume must drive the journal to convergence — and say that
+	// its closing summary covers only the pairs it ran itself.
+	before, _ := readJournalRaw(t, jp)
+	pruned := len(before.Final)
 	out := runToCompletion(t, append(append([]string{}, common...), "-journal", jp, "-resume"))
 	t.Logf("final resume output:\n%s", out)
+	caveat := fmt.Sprintf("campaign: resumed run: %d pairs were finished by an earlier process and left no queries in this process's log; the summary below covers the %d pairs run now\n",
+		pruned, total-pruned)
+	switch {
+	case pruned == 0 || pruned == total:
+		t.Logf("no partial summary to warn about (%d of %d pairs finished before the final resume)", pruned, total)
+	case !strings.Contains(out, caveat):
+		t.Errorf("resumed run did not warn that its summary is partial; want the line %q", caveat)
+	}
 
 	replay, finals := readJournalRaw(t, jp)
 	if got := len(replay.Final); got != total {

@@ -8,18 +8,22 @@
 //
 //	probe -target 192.0.2.25:25 -mta-id m0001 [-suffix spf-test.dns-lab.example]
 //	      [-recipient-domain target.example] [-tests t01,t02] [-sleep 15s]
+//	      [-timeout 30s] [-helo probe.dns-lab.example]
+//	probe -list                                        # print the 39-policy catalog
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"os"
 	"strings"
 	"time"
 
+	"sendervalid/internal/cli"
 	"sendervalid/internal/experiment"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/probe"
@@ -33,36 +37,44 @@ func (t *tcpDialer) DialContext(ctx context.Context, network, address string) (n
 }
 
 func main() {
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("probe", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list      = flag.Bool("list", false, "print the 39-policy catalog and exit")
-		target    = flag.String("target", "", "MTA address ip:port (required)")
-		mtaID     = flag.String("mta-id", "m0001", "MTA identifier for From addresses")
-		suffix    = flag.String("suffix", "spf-test.dns-lab.example", "From-domain zone suffix")
-		rcptDom   = flag.String("recipient-domain", "", "recipient domain (default: target host)")
-		testsFlag = flag.String("tests", "", "comma-separated test ids (default: all 39)")
-		sleep     = flag.Duration("sleep", 0, "inter-command sleep (the paper used 15s)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-exchange timeout")
-		helo      = flag.String("helo", "probe.dns-lab.example", "HELO domain")
+		list      = fs.Bool("list", false, "print the 39-policy catalog and exit")
+		target    = fs.String("target", "", "MTA address ip:port (required)")
+		mtaID     = fs.String("mta-id", "m0001", "MTA identifier for From addresses")
+		suffix    = fs.String("suffix", "spf-test.dns-lab.example", "From-domain zone suffix")
+		rcptDom   = fs.String("recipient-domain", "", "recipient domain (default: target host)")
+		testsFlag = fs.String("tests", "", "comma-separated test ids (default: all 39)")
+		sleep     = fs.Duration("sleep", 0, "inter-command sleep (the paper used 15s)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-exchange timeout")
+		helo      = fs.String("helo", "probe.dns-lab.example", "HELO domain")
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 	if *list {
 		for _, test := range policy.Catalog() {
 			section := test.Section
 			if section == "" {
 				section = "-"
 			}
-			fmt.Printf("%-5s %-20s %-6s %s\n", test.ID, test.Name, section, test.Description)
+			fmt.Fprintf(stdout, "%-5s %-20s %-6s %s\n", test.ID, test.Name, section, test.Description)
 		}
-		return
+		return cli.ExitOK
 	}
 	if *target == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return cli.ExitUsage
 	}
 	ap, err := netip.ParseAddrPort(*target)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "probe: bad -target: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "probe: bad -target: %v\n", err)
+		return cli.ExitUsage
 	}
 	recipientDomain := *rcptDom
 	if recipientDomain == "" {
@@ -82,9 +94,11 @@ func main() {
 		Sleep:           *sleep,
 		Timeout:         *timeout,
 	}
-	ctx := context.Background()
 	completed := 0
 	for _, testID := range tests {
+		if ctx.Err() != nil {
+			return cli.ExitInterrupted
+		}
 		res := probeAt(ctx, client, ap, *mtaID, testID)
 		status := string(res.Stage)
 		if res.Stage == probe.StageDone {
@@ -93,10 +107,11 @@ func main() {
 		} else if res.Err != nil {
 			status = fmt.Sprintf("%s: %v", res.Stage, res.Err)
 		}
-		fmt.Printf("%-4s from=%s rcpt=%-30s %s\n",
+		fmt.Fprintf(stdout, "%-4s from=%s rcpt=%-30s %s\n",
 			testID, client.FromAddress(testID, *mtaID), res.Recipient, status)
 	}
-	fmt.Printf("%d of %d probes reached DATA\n", completed, len(tests))
+	fmt.Fprintf(stdout, "%d of %d probes reached DATA\n", completed, len(tests))
+	return cli.ExitOK
 }
 
 func probeAt(ctx context.Context, c *probe.Client, ap netip.AddrPort, mtaID, testID string) *probe.Result {

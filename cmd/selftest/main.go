@@ -4,11 +4,11 @@
 // triggers one legitimate DKIM-signed delivery and a report on which
 // of SPF/DKIM/DMARC the receiving infrastructure validated.
 //
-// In -demo mode (the default) the tool also runs a small simulated MTA
-// fleet with assorted validation behaviours so the flow can be tried
-// immediately: assess operator@full.example, operator@spfonly.example,
-// operator@partial.example, operator@postdata.example, or
-// operator@none.example.
+// The tool ships with a small simulated MTA fleet of assorted
+// validation behaviours — the only recipients it can reach — so the
+// flow can be tried immediately: assess operator@full.example,
+// operator@spfonly.example, operator@partial.example,
+// operator@postdata.example, or operator@none.example.
 //
 // Usage:
 //
@@ -19,13 +19,17 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"time"
 
+	"sendervalid/internal/cli"
 	"sendervalid/internal/dkim"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/mtasim"
@@ -36,16 +40,30 @@ import (
 )
 
 func main() {
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run serves until ctx is cancelled (SIGINT/SIGTERM in main).
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("selftest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		zone   = flag.String("zone", "selftest.dns-lab.example", "instrumented From-domain zone")
+		listen = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
+		zone   = fs.String("zone", "selftest.dns-lab.example", "instrumented From-domain zone")
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
+	fail := func(err error) int { return cli.Exit(ctx, cli.Logf(stderr, "selftest"), err) }
 
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	exitOn(err)
+	if err != nil {
+		return fail(err)
+	}
 	keyTXT, err := dkim.FormatKeyRecord(pub)
-	exitOn(err)
+	if err != nil {
+		return fail(err)
+	}
 
 	senderAddr := netip.MustParseAddr("203.0.113.40")
 	cfg := &policy.NotifyEmailConfig{
@@ -62,7 +80,9 @@ func main() {
 		Log:   log,
 	}
 	dnsAddr, err := srv.Start()
-	exitOn(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -89,7 +109,9 @@ func main() {
 			Profile: profile, Fabric: fabric, DNSAddr: dnsAddr.String(),
 			SPFTimeout: 10 * time.Second,
 		})
-		exitOn(mta.Start())
+		if err := mta.Start(); err != nil {
+			return fail(err)
+		}
 		defer mta.Close()
 		targets[domain] = addr
 	}
@@ -114,15 +136,26 @@ func main() {
 		Settle: 500 * time.Millisecond,
 	}
 
-	fmt.Printf("selftest: serving on http://%s (DNS zone %s on %s)\n", *listen, *zone, dnsAddr)
-	fmt.Println("demo mailboxes: operator@full.example operator@spfonly.example " +
-		"operator@partial.example operator@postdata.example operator@none.example")
-	exitOn(http.ListenAndServe(*listen, &selftest.Handler{Service: service}))
-}
-
-func exitOn(err error) {
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "selftest: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	fmt.Fprintf(stdout, "selftest: serving on http://%s (DNS zone %s on %s)\n", ln.Addr(), *zone, dnsAddr)
+	fmt.Fprintln(stdout, "demo mailboxes: operator@full.example operator@spfonly.example "+
+		"operator@partial.example operator@postdata.example operator@none.example")
+	web := &http.Server{Handler: &selftest.Handler{Service: service}}
+	served := make(chan error, 1)
+	go func() { served <- web.Serve(ln) }()
+	select {
+	case err := <-served:
+		return fail(err)
+	case <-ctx.Done():
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_ = web.Shutdown(shutdownCtx)
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return fail(err)
+	}
+	return cli.ExitOK
 }

@@ -6,7 +6,7 @@
 //
 //	spfcheck -ip 192.0.2.1 -from user@example.com [-helo mail.example.com]
 //	         [-server 127.0.0.1:53] [-limit 10] [-void 2] [-prefetch]
-//	         [-tolerate-syntax] [-follow-multiple]
+//	         [-tolerate-syntax] [-follow-multiple] [-timeout 20s]
 //	         [-trace-file spans.wal] [-trace-sample 1] [-trace-slow 50ms]
 //
 // Bulk: stream JSONL tuples ({"ip":..., "mail_from":..., "helo":...,
@@ -33,6 +33,8 @@
 //	3  at least one permerror or unparseable input line (and no
 //	   temperror): the policy or the input is broken — retrying will
 //	   not help
+//
+// A bulk run interrupted by SIGINT/SIGTERM exits 130.
 package main
 
 import (
@@ -45,11 +47,11 @@ import (
 	"time"
 
 	"sendervalid/internal/bulkspf"
+	"sendervalid/internal/cli"
 	"sendervalid/internal/resolver"
 	"sendervalid/internal/smtp"
 	"sendervalid/internal/spf"
 	"sendervalid/internal/trace"
-	"sendervalid/internal/traceflag"
 )
 
 // Exit codes; see the command comment.
@@ -61,10 +63,10 @@ const (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spfcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -82,27 +84,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		followMany = fs.Bool("follow-multiple", false, "follow the first of multiple SPF records (a violation)")
 		timeoutS   = fs.Duration("timeout", 20*time.Second, "per-evaluation timeout")
 	)
-	traceFlags := traceflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
+	var traceFlags cli.Trace
+	traceFlags.Register(fs)
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
 	}
 	if *serverFlag == "" {
 		fmt.Fprintln(stderr, "spfcheck: -server is required")
 		fs.Usage()
 		return exitUsage
 	}
-	tracing, err := traceFlags.Open(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "spfcheck: "+format+"\n", args...)
-	})
+	tracing, err := traceFlags.Open(cli.Logf(stderr, "spfcheck"))
 	if err != nil {
 		fmt.Fprintf(stderr, "spfcheck: %v\n", err)
 		return exitUsage
 	}
-	defer func() {
-		if err := tracing.Close(); err != nil {
-			fmt.Fprintf(stderr, "spfcheck: closing trace file: %v\n", err)
-		}
-	}()
+	defer tracing.Close()
 	opts := spf.Options{
 		LookupLimit:           *limitFlag,
 		VoidLookupLimit:       *voidFlag,
@@ -118,7 +115,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "spfcheck: -input (bulk mode) excludes -ip/-from")
 			return exitUsage
 		}
-		return runBulk(res, opts, tracing.Tracer, *inputFlag, *workers, *unordered, stdin, stdout, stderr)
+		return runBulk(ctx, res, opts, tracing.Tracer, *inputFlag, *workers, *unordered, stdin, stdout, stderr)
 	}
 
 	if *ipFlag == "" || *fromFlag == "" {
@@ -142,7 +139,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	checker := &spf.Checker{Resolver: res, Options: opts}
 	// Single-tuple mode roots the trace here so the SPF checker's and
 	// resolver's spans all share one trace ID.
-	ctx, sp := tracing.Tracer.Start(context.Background(), "spfcheck")
+	ctx, sp := tracing.Tracer.Start(ctx, "spfcheck")
 	if sp != nil {
 		sp.SetAttr("ip", ip.String())
 		sp.SetAttr("domain", domain)
@@ -173,7 +170,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // runBulk streams tuples through the bulkspf pipeline and maps the
 // aggregate outcome onto the exit codes.
-func runBulk(res *resolver.Resolver, opts spf.Options, tracer *trace.Tracer, input string, workers int, unordered bool, stdin io.Reader, stdout, stderr io.Writer) int {
+func runBulk(ctx context.Context, res *resolver.Resolver, opts spf.Options, tracer *trace.Tracer, input string, workers int, unordered bool, stdin io.Reader, stdout, stderr io.Writer) int {
 	in := stdin
 	if input != "-" {
 		f, err := os.Open(input)
@@ -191,9 +188,12 @@ func runBulk(res *resolver.Resolver, opts spf.Options, tracer *trace.Tracer, inp
 		Unordered: unordered,
 		Tracer:    tracer,
 	})
-	stats, err := eval.Run(context.Background(), in, stdout)
+	stats, err := eval.Run(ctx, in, stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "spfcheck: %v\n", err)
+		if ctx.Err() != nil {
+			return cli.ExitInterrupted
+		}
 		return exitUsage
 	}
 	total := stats.Evaluated + stats.Errored

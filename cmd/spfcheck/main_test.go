@@ -63,7 +63,7 @@ func testDNS(t *testing.T) string {
 func runCmd(t *testing.T, args []string, stdin string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(args, strings.NewReader(stdin), &stdout, &stderr)
+	code := run(context.Background(), args, strings.NewReader(stdin), &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 

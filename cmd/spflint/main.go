@@ -13,20 +13,32 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"sendervalid/internal/cli"
 	"sendervalid/internal/resolver"
 	"sendervalid/internal/spf"
 )
 
 func main() {
+	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run exits 0 for a deployment without error-severity findings, 1 when
+// it has one or cannot be fetched, 2 on a usage error.
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spflint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		record = flag.String("record", "", "SPF record text to lint in isolation")
-		domain = flag.String("domain", "", "domain whose published deployment to lint")
-		server = flag.String("server", "", "DNS server ip:port (required with -domain)")
+		record = fs.String("record", "", "SPF record text to lint in isolation")
+		domain = fs.String("domain", "", "domain whose published deployment to lint")
+		server = fs.String("server", "", "DNS server ip:port (required with -domain)")
 	)
-	flag.Parse()
+	if code, ok := cli.Parse(fs, args); !ok {
+		return code
+	}
 
 	var report *spf.LintReport
 	switch {
@@ -37,28 +49,28 @@ func main() {
 		res := resolver.New(resolver.Config{Server: *server, Timeout: 10 * time.Second})
 		l := &spf.Linter{Resolver: res}
 		var err error
-		report, err = l.Lint(context.Background(), *domain)
+		report, err = l.Lint(ctx, *domain)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "spflint: %v\n", err)
-			os.Exit(1)
+			return cli.Exit(ctx, cli.Logf(stderr, "spflint"), err)
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return cli.ExitUsage
 	}
 
 	if report.Record != "" {
-		fmt.Printf("record:  %s\n", report.Record)
+		fmt.Fprintf(stdout, "record:  %s\n", report.Record)
 	}
-	fmt.Printf("lookups: %d (limit %d)\n", report.Lookups, spf.DefaultLookupLimit)
+	fmt.Fprintf(stdout, "lookups: %d (limit %d)\n", report.Lookups, spf.DefaultLookupLimit)
 	if len(report.Findings) == 0 {
-		fmt.Println("clean: no findings")
-		return
+		fmt.Fprintln(stdout, "clean: no findings")
+		return cli.ExitOK
 	}
 	for _, f := range report.Findings {
-		fmt.Println(" ", f)
+		fmt.Fprintln(stdout, " ", f)
 	}
 	if report.MaxSeverity() >= spf.Error {
-		os.Exit(1)
+		return cli.ExitFailure
 	}
+	return cli.ExitOK
 }

@@ -47,8 +47,7 @@ func main() {
 		defer cancel()
 		_ = authdns.Shutdown(ctx)
 	}()
-	fmt.Printf("authoritative DNS on %s serving %d test policies\n",
-		dnsAddr, len(policy.Catalog()))
+	fmt.Printf("authoritative DNS on loopback serving %d test policies\n", len(policy.Catalog()))
 
 	// 2. One simulated receiving MTA on an in-process network fabric:
 	// a real SMTP server wired to a real stub resolver and a fully

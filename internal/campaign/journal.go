@@ -166,6 +166,26 @@ func (r *Replay) Unfinished(tasks []Task) []Task {
 	return out
 }
 
+// Admit applies the one journal-reuse policy to the replay of the
+// journal just opened at path. Crash debris salvaged across is reported
+// through logf either way. With resume the replay is returned, ready to
+// prune finished pairs (Unfinished); without it a journal that already
+// holds events is refused — two fresh runs must never interleave in one
+// record — and an empty one admits the run with nothing to prune (nil).
+func (r *Replay) Admit(path string, resume bool, logf func(format string, args ...any)) (*Replay, error) {
+	if r.TornTail {
+		logf("journal %s had a torn tail (%d bytes dropped, %d malformed lines); valid prefix salvaged",
+			path, r.DroppedBytes, r.Malformed)
+	}
+	switch {
+	case resume:
+		return r, nil
+	case r.Events > 0:
+		return nil, fmt.Errorf("journal %s already has %d events; pass -resume to continue it", path, r.Events)
+	}
+	return nil, nil
+}
+
 // ReadJournal replays a JSONL journal stream. Unparseable lines are
 // torn crash-time writes: the classic artifact is a truncated final
 // line, but after a crash-and-resume cycle one terminated fragment can

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -417,5 +418,35 @@ func TestOpenJournalRotation(t *testing.T) {
 	}
 	if len(replay.Unfinished(tasksFor(8, 3))) != 0 {
 		t.Fatal("rotated replay left unfinished tasks")
+	}
+}
+
+// TestReplayAdmit pins the journal-reuse policy both commands share:
+// resume hands the replay back for pruning, a fresh run is admitted on
+// an empty journal and refused on one with events, and salvaged crash
+// debris is reported on either path.
+func TestReplayAdmit(t *testing.T) {
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+
+	used := &Replay{Events: 7, TornTail: true, DroppedBytes: 12, Malformed: 1}
+	if got, err := used.Admit("j.wal", true, logf); err != nil || got != used {
+		t.Errorf("resume: got %v, %v; want the replay itself", got, err)
+	}
+	_, err := used.Admit("j.wal", false, logf)
+	if err == nil || err.Error() != "journal j.wal already has 7 events; pass -resume to continue it" {
+		t.Errorf("fresh run on a used journal: %v", err)
+	}
+	const torn = "journal j.wal had a torn tail (12 bytes dropped, 1 malformed lines); valid prefix salvaged"
+	if len(logged) != 2 || logged[0] != torn || logged[1] != torn {
+		t.Errorf("torn-tail notices: %q", logged)
+	}
+
+	logged = nil
+	if got, err := newReplay().Admit("j.wal", false, logf); got != nil || err != nil {
+		t.Errorf("fresh run on an empty journal: got %v, %v; want nil, nil", got, err)
+	}
+	if len(logged) != 0 {
+		t.Errorf("clean journal logged %q", logged)
 	}
 }

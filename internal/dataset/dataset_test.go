@@ -3,19 +3,16 @@ package dataset
 import (
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
 // smallSpec shrinks a paper spec for fast unit testing while keeping
 // its distributions.
 func smallSpec(spec Spec, n int) Spec {
-	spec.NumDomains = n
+	spec = spec.Scaled(n)
 	if spec.LocalDomains > 0 {
 		spec.LocalDomains = 3
-	}
-	if spec.AlexaTop1M > 0 {
-		spec.AlexaTop1M = n / 9
-		spec.AlexaTop1K = n / 300
 	}
 	return spec
 }
@@ -292,5 +289,30 @@ func TestASDBLookup(t *testing.T) {
 	}
 	if _, ok := db.Lookup(netip.MustParseAddr("2001:db8::1")); ok {
 		t.Error("unallocated v6 address resolved")
+	}
+}
+
+// TestSpecScaled pins the one scaling recipe: the values cmd/campaign
+// and cmd/experiment typed out by hand before Scaled existed, and that
+// a field a spec does not use stays zero.
+func TestSpecScaled(t *testing.T) {
+	for _, tc := range []struct {
+		spec                       Spec
+		top1M, top1K, localDomains int
+	}{
+		{NotifyEmailSpec(1), 2000 / 9, 2000 / 300, 0},
+		{TwoWeekMXSpec(1), 0, 0, 2000 / 800},
+	} {
+		got := tc.spec.Scaled(2000)
+		want := tc.spec
+		want.NumDomains = 2000
+		want.AlexaTop1M, want.AlexaTop1K, want.LocalDomains = tc.top1M, tc.top1K, tc.localDomains
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s.Scaled(2000) = %+v, want %+v", tc.spec.Name, got, want)
+		}
+	}
+	// Small scales keep two local domains so the deciles keep outliers.
+	if got := TwoWeekMXSpec(1).Scaled(300).LocalDomains; got != 2 {
+		t.Errorf("Scaled(300).LocalDomains = %d, want 2", got)
 	}
 }

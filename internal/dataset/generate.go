@@ -146,6 +146,26 @@ func TwoWeekMXSpec(seed int64) Spec {
 	}
 }
 
+// Scaled returns the spec shrunk (or grown) to the given domain count,
+// keeping its shape: whichever of the Alexa membership counts and the
+// local-domain count the spec uses are rescaled to roughly the paper's
+// shares (Top-1M 1/9, Top-1K 1/300, local domains 1/800 but at least
+// two so the decile analysis keeps its outliers); a zero field stays
+// zero.
+func (s Spec) Scaled(domains int) Spec {
+	s.NumDomains = domains
+	if s.AlexaTop1M != 0 {
+		s.AlexaTop1M = domains / 9
+	}
+	if s.AlexaTop1K != 0 {
+		s.AlexaTop1K = domains / 300
+	}
+	if s.LocalDomains != 0 {
+		s.LocalDomains = max(2, domains/800)
+	}
+	return s
+}
+
 // Generate builds a deterministic population from the spec.
 func Generate(spec Spec) *Population {
 	rng := rand.New(rand.NewSource(spec.Seed))

@@ -13,18 +13,13 @@ import (
 
 // smallNotifySpec shrinks the NotifyEmail spec for test runs.
 func smallNotifySpec(n int, seed int64) dataset.Spec {
-	spec := dataset.NotifyEmailSpec(seed)
-	spec.NumDomains = n
-	spec.AlexaTop1M = n / 9
-	spec.AlexaTop1K = n / 60
+	spec := dataset.NotifyEmailSpec(seed).Scaled(n)
+	spec.AlexaTop1K = n / 60 // enough Top-1K members for Table 7 at test scale
 	return spec
 }
 
 func smallTwoWeekSpec(n int, seed int64) dataset.Spec {
-	spec := dataset.TwoWeekMXSpec(seed)
-	spec.NumDomains = n
-	spec.LocalDomains = 2
-	return spec
+	return dataset.TwoWeekMXSpec(seed).Scaled(n)
 }
 
 func buildTestWorld(t *testing.T, spec dataset.Spec, rates mtasim.Rates) *World {

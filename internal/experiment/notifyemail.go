@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/probe"
 	"sendervalid/internal/spf"
@@ -31,13 +32,24 @@ type NotifyEmailRun struct {
 	Started, Finished time.Time
 }
 
+// notifySubject and notifyBody are the notification every domain gets.
+const (
+	notifySubject = "Action required: vulnerability disclosed in your network"
+	notifyBody    = "Dear operator,\n\nduring a measurement study we detected a " +
+		"vulnerability in your network. Details and remediation " +
+		"guidance follow.\n"
+)
+
 // RunNotifyEmail delivers one legitimate, DKIM-signed notification to
 // every domain of the population (paper §4.6): standard MX selection,
-// first responsive MTA only, real message content.
+// first responsive MTA only, real message content. The sender is a
+// queueing MTA — one campaign task per domain, so a delivery round
+// that ends in a 4xx or an unreachable exchanger is re-queued on the
+// campaign's backoff schedule while a 5xx bounce is final — and it
+// stops early when ctx is cancelled, returning the deliveries made so
+// far. The run is not journaled: a replayed delivery could not recover
+// AcceptedAt, which Figure 2 needs.
 func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun {
-	if workers <= 0 {
-		workers = 32
-	}
 	sender := &probe.Sender{
 		Dialer:     w.Fabric.BoundDialer(SenderAddr4, SenderAddr6),
 		Suffix:     DefaultNotifySuffix,
@@ -51,45 +63,39 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 		Started:    time.Now(),
 	}
 	res := w.senderResolver()
+	domains := make(map[string]*dataset.Domain, len(w.Population.Domains))
+	tasks := make([]campaign.Task, 0, len(w.Population.Domains))
+	for _, d := range w.Population.Domains {
+		domains[d.ID] = d
+		tasks = append(tasks, campaign.Task{MTA: d.ID, Test: "notifyemail"})
+	}
 
 	var mu sync.Mutex
-	jobs := make(chan *dataset.Domain)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range jobs {
-				// Real mail-server selection: MX lookup, preference
-				// order, address resolution (RFC 5321 §5.1).
-				targets, err := ResolveTargets(ctx, res, d.Name)
-				if err != nil {
-					mu.Lock()
-					run.Deliveries[d.ID] = &probe.Delivery{
-						DomainID: d.ID, Recipient: "operator@" + d.Name, Err: err,
-					}
-					mu.Unlock()
-					continue
-				}
-				delivery := sender.Send(ctx, d.ID, "operator@"+d.Name, targets,
-					"Action required: vulnerability disclosed in your network",
-					"Dear operator,\n\nduring a measurement study we detected a "+
-						"vulnerability in your network. Details and remediation "+
-						"guidance follow.\n")
-				mu.Lock()
-				run.Deliveries[d.ID] = delivery
-				mu.Unlock()
+	c := campaign.New(campaign.Config{Workers: workers, Seed: w.cfg.Seed, Tracer: w.cfg.Tracer},
+		func(ctx context.Context, t campaign.Task) error {
+			d := domains[t.MTA]
+			recipient := "operator@" + d.Name
+			// Real mail-server selection: MX lookup, preference order,
+			// address resolution (RFC 5321 §5.1).
+			var delivery *probe.Delivery
+			if targets, err := ResolveTargets(ctx, res, d.Name); err != nil {
+				delivery = &probe.Delivery{DomainID: d.ID, Recipient: recipient, Attempts: 1, Err: err}
+			} else {
+				delivery = sender.Send(ctx, d.ID, recipient, targets, notifySubject, notifyBody)
 			}
-		}()
-	}
-	for _, d := range w.Population.Domains {
-		if ctx.Err() != nil {
-			break
-		}
-		jobs <- d
-	}
-	close(jobs)
-	wg.Wait()
+			// The latest round's record stands, counting the rounds
+			// before it.
+			mu.Lock()
+			if prev := run.Deliveries[d.ID]; prev != nil {
+				delivery.Attempts += prev.Attempts
+			}
+			run.Deliveries[d.ID] = delivery
+			mu.Unlock()
+			return attemptErr(delivery.Err)
+		})
+	c.Add(tasks...)
+	// A cancelled run is reported by its partial Deliveries.
+	_ = c.Run(ctx)
 	w.Quiesce()
 	run.Finished = time.Now()
 	return run

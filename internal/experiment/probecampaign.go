@@ -54,6 +54,8 @@ type ProbeCampaign struct {
 
 	world *World
 	tests []string
+	// pruned counts the pairs a Replay recorded as finished.
+	pruned int
 
 	mu      sync.Mutex
 	results map[campaign.Key]*probe.Result
@@ -115,7 +117,7 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 		c.RecipientDomain = recipientDomain[t.MTA]
 		res := c.Probe(ctx, info.Addr4, t.MTA, t.Test)
 		pc.record(t.Key(), res)
-		return probeAttemptErr(res)
+		return attemptErr(res.Err)
 	})
 
 	order := append([]*dataset.MTAInfo(nil), w.Population.MTAs...)
@@ -129,10 +131,24 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 		}
 	}
 	if opts.Replay != nil {
+		all := len(tasks)
 		tasks = opts.Replay.Unfinished(tasks)
+		pc.pruned = all - len(tasks)
 	}
 	pc.Campaign.Add(tasks...)
 	return pc
+}
+
+// WarnResumed tells the reader of a resumed run's summary what it does
+// not cover: pairs finished by an earlier process were not probed
+// again, so their queries are in that process's log, not this one's,
+// and every figure derived from the query log undercounts by them.
+// Silent when nothing was pruned.
+func (pc *ProbeCampaign) WarnResumed(logf func(format string, args ...any)) {
+	if pc.pruned > 0 {
+		logf("resumed run: %d pairs were finished by an earlier process and left no queries in this process's log; the summary below covers the %d pairs run now",
+			pc.pruned, pc.Snapshot().Total)
+	}
 }
 
 // record keeps the latest attempt's result per task; a retried
@@ -143,20 +159,17 @@ func (pc *ProbeCampaign) record(k campaign.Key, res *probe.Result) {
 	pc.mu.Unlock()
 }
 
-// probeAttemptErr converts a probe outcome into the campaign's
-// attempt-error contract. Completed dialogues and 5xx rejections are
-// measurement outcomes — the task is done, whatever the MTA said.
-// Transport failures, cancellations, and 4xx replies surface as errors
-// for the scheduler to classify and retry.
-func probeAttemptErr(res *probe.Result) error {
-	if res.Err == nil {
-		return nil
-	}
+// attemptErr converts a probe's or a delivery's error into the
+// campaign's attempt-error contract. Completed dialogues and 5xx
+// rejections are measurement outcomes — the task is done, whatever the
+// MTA said. Transport failures, cancellations, and 4xx replies surface
+// as errors for the scheduler to classify and retry.
+func attemptErr(err error) error {
 	var smtpErr *smtp.Error
-	if errors.As(res.Err, &smtpErr) && smtpErr.Permanent() {
+	if errors.As(err, &smtpErr) && smtpErr.Permanent() {
 		return nil
 	}
-	return res.Err
+	return err
 }
 
 // Run executes the campaign and assembles the ProbeRun. On

@@ -58,7 +58,7 @@ func TestProbeCampaignRetriesNetsimFailures(t *testing.T) {
 		// A measurement outcome (completed dialogue or 5xx policy
 		// rejection) is success; a transport error means the retry
 		// never reached the recovered MTA.
-		if probeAttemptErr(r) != nil {
+		if attemptErr(r.Err) != nil {
 			t.Errorf("flaky MTA result still failing after recovery: %v", r.Err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestProbeCampaignTempfailGreylisting(t *testing.T) {
 		mu.Lock()
 		results[task.Key()] = res
 		mu.Unlock()
-		return probeAttemptErr(res)
+		return attemptErr(res.Err)
 	})
 	c.Add(campaign.Task{MTA: "grey", Test: "t12"}, campaign.Task{MTA: "reject", Test: "t12"})
 	if err := c.Run(context.Background()); err != nil {
@@ -249,7 +249,7 @@ func TestProbeCampaignRateLimit(t *testing.T) {
 		grants.times[task.MTA] = append(grants.times[task.MTA], time.Now())
 		grants.mu <- struct{}{}
 		res := client.Probe(ctx, addrs[task.MTA], task.MTA, task.Test)
-		return probeAttemptErr(res)
+		return attemptErr(res.Err)
 	})
 	c.Add(tasks...)
 	start := time.Now()

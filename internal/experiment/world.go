@@ -136,22 +136,10 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 	}
 	log := &dnsserver.QueryLog{}
 	srv := &dnsserver.Server{
-		Zones: []*dnsserver.Zone{
-			{
-				Suffix:     DefaultTestSuffix,
-				Contact:    dnsserver.FormatContact(DefaultContact),
-				Responders: policy.RespondersWithDMARC(env, DefaultContact),
-			},
-			{
-				Suffix:     DefaultNotifySuffix,
-				Contact:    dnsserver.FormatContact(DefaultContact),
-				LabelDepth: 1,
-				Default:    notifyCfg.Responder(),
-			},
-			// The recipient-domain MX/A records, served (unlogged) so
-			// the sending MTA performs real mail-server selection.
-			recipientZone(pop),
-		},
+		// The study's two zones plus the recipient-domain MX/A records,
+		// served (unlogged) so the sending MTA performs real mail-server
+		// selection.
+		Zones:  append(policy.StudyZones(env, notifyCfg), recipientZone(pop)),
 		Log:    log,
 		Tracer: cfg.Tracer,
 	}

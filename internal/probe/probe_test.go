@@ -338,60 +338,6 @@ func TestFromAddress(t *testing.T) {
 	}
 }
 
-func TestSenderRetriesTransientFailures(t *testing.T) {
-	fabric := netsim.NewFabric()
-	var attempts int
-	var mu sync.Mutex
-	scriptedMTA(t, fabric, "10.1.0.12", smtp.Handler{
-		OnMail: func(s *smtp.Session, from string) *smtp.Reply {
-			mu.Lock()
-			attempts++
-			n := attempts
-			mu.Unlock()
-			if n < 3 {
-				return &smtp.Reply{Code: 451, Text: "4.7.1 greylisted, try later"}
-			}
-			return nil
-		},
-	})
-	s := &Sender{Dialer: fabric, Suffix: "x.example", HeloDomain: "h.example",
-		Timeout: time.Second, Retries: 3, RetryDelay: 10 * time.Millisecond}
-	d := s.Send(context.Background(), "d0046", "x@y.example",
-		[]Target{{Addr4: netip.MustParseAddr("10.1.0.12")}}, "s", "b")
-	if !d.Delivered {
-		t.Fatalf("greylisted delivery never succeeded: %+v", d)
-	}
-	if d.Attempts != 3 {
-		t.Errorf("attempts %d, want 3", d.Attempts)
-	}
-}
-
-func TestSenderNoRetryOnPermanentFailure(t *testing.T) {
-	fabric := netsim.NewFabric()
-	var attempts int
-	var mu sync.Mutex
-	scriptedMTA(t, fabric, "10.1.0.13", smtp.Handler{
-		OnMail: func(s *smtp.Session, from string) *smtp.Reply {
-			mu.Lock()
-			attempts++
-			mu.Unlock()
-			return &smtp.Reply{Code: 550, Text: "5.1.1 user unknown"}
-		},
-	})
-	s := &Sender{Dialer: fabric, Suffix: "x.example", HeloDomain: "h.example",
-		Timeout: time.Second, Retries: 5, RetryDelay: time.Millisecond}
-	d := s.Send(context.Background(), "d0047", "x@y.example",
-		[]Target{{Addr4: netip.MustParseAddr("10.1.0.13")}}, "s", "b")
-	if d.Delivered {
-		t.Fatal("permanent failure delivered")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts != 1 {
-		t.Errorf("5xx retried: %d attempts", attempts)
-	}
-}
-
 func TestProbeStopsWithinOneStepOnCancel(t *testing.T) {
 	fabric := netsim.NewFabric()
 	var mu sync.Mutex

@@ -2,7 +2,6 @@ package probe
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -38,12 +37,6 @@ type Sender struct {
 	ReplyTo string
 	// Timeout bounds each SMTP exchange.
 	Timeout time.Duration
-	// Retries is how many additional delivery rounds to attempt after
-	// transient (4xx or connection) failures, mirroring a queueing
-	// MTA's behaviour. Zero disables retries.
-	Retries int
-	// RetryDelay separates rounds. Zero means 1 s.
-	RetryDelay time.Duration
 }
 
 // Delivery records one NotifyEmail delivery attempt.
@@ -57,10 +50,11 @@ type Delivery struct {
 	// AcceptedAt is the timestamp of the 250 reply to the message —
 	// the tEmail of Figure 2.
 	AcceptedAt time.Time
-	// Attempts counts delivery rounds (1 = first try succeeded or no
-	// retries configured). The paper filtered a handful of Figure 2
-	// samples caused by an earlier attempt triggering validation and a
-	// later one delivering (§6.2).
+	// Attempts counts delivery rounds; Send makes exactly one, and a
+	// runner that re-queues transient failures (experiment.
+	// RunNotifyEmail) adds the rounds it scheduled. The paper filtered a
+	// handful of Figure 2 samples caused by an earlier attempt
+	// triggering validation and a later one delivering (§6.2).
 	Attempts int
 	// Err describes the failure when not delivered.
 	Err error
@@ -72,10 +66,13 @@ func (s *Sender) FromDomain(domainID string) string {
 	return domainID + "." + strings.TrimSuffix(s.Suffix, ".")
 }
 
-// Send delivers the notification body to recipient via the first
-// responsive target.
+// Send makes one delivery round: the notification is offered to each
+// target in MX preference order until one accepts it. A round that
+// ends without acceptance reports the last refusal in Err — a
+// temporary one (4xx, unreachable exchanger) is the caller's to
+// re-queue, as a queueing MTA would; a 5xx is a bounce.
 func (s *Sender) Send(ctx context.Context, domainID, recipient string, targets []Target, subject, body string) *Delivery {
-	d := &Delivery{DomainID: domainID, Recipient: recipient}
+	d := &Delivery{DomainID: domainID, Recipient: recipient, Attempts: 1}
 	fromDomain := s.FromDomain(domainID)
 	from := "spf-test@" + fromDomain
 
@@ -91,76 +88,48 @@ func (s *Sender) Send(ctx context.Context, domainID, recipient string, targets [
 		msg = signed
 	}
 
-	var lastErr error
-	for round := 0; round <= s.Retries; round++ {
-		if round > 0 {
-			delay := s.RetryDelay
-			if delay <= 0 {
-				delay = time.Second
+	for _, target := range targets {
+		for _, addr := range []netip.Addr{target.Addr4, target.Addr6} {
+			if !addr.IsValid() {
+				continue
 			}
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				d.Err = ctx.Err()
+			d.MTAAddr = addr
+			if d.Err = s.deliverTo(ctx, addr, from, recipient, msg); d.Err == nil {
+				d.Delivered = true
+				d.AcceptedAt = time.Now()
 				return d
 			}
 		}
-		d.Attempts = round + 1
-		permanent := false
-		for _, target := range targets {
-			for _, addr := range []netip.Addr{target.Addr4, target.Addr6} {
-				if !addr.IsValid() {
-					continue
-				}
-				delivered, err := s.deliverTo(ctx, addr, from, recipient, msg)
-				if delivered {
-					d.Delivered = true
-					d.MTAAddr = addr
-					d.AcceptedAt = time.Now()
-					return d
-				}
-				lastErr = err
-				d.MTAAddr = addr
-				var smtpErr *smtp.Error
-				if errors.As(err, &smtpErr) && smtpErr.Permanent() {
-					permanent = true
-				}
-			}
-		}
-		if permanent {
-			break // a 5xx is final; queueing MTAs bounce, not retry
-		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("probe: no reachable MTA for %s", recipient)
+	if d.Err == nil {
+		d.Err = fmt.Errorf("probe: no reachable MTA for %s", recipient)
 	}
-	d.Err = lastErr
 	return d
 }
 
-func (s *Sender) deliverTo(ctx context.Context, addr netip.Addr, from, to string, msg []byte) (bool, error) {
+func (s *Sender) deliverTo(ctx context.Context, addr netip.Addr, from, to string, msg []byte) error {
 	cl, err := smtp.Dial(ctx, s.Dialer, netip.AddrPortFrom(addr, 25).String())
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer cl.Abort()
 	if s.Timeout > 0 {
 		cl.Timeout = s.Timeout
 	}
 	if err := cl.Hello(s.HeloDomain); err != nil {
-		return false, err
+		return err
 	}
 	if err := cl.Mail(from); err != nil {
-		return false, err
+		return err
 	}
 	if err := cl.Rcpt(to); err != nil {
-		return false, err
+		return err
 	}
 	if err := cl.Data(msg); err != nil {
-		return false, err
+		return err
 	}
 	_ = cl.Quit()
-	return true, nil
+	return nil
 }
 
 // compose builds the notification message. The From header matches
