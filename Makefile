@@ -66,12 +66,13 @@ crash:
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
 # must stay at zero allocations (alongside the query-log codec and
 # journal encoder pins, the tracer's span-lifecycle pins, the shared
-# jsonwire cursor pin, the resolver cache-hit pin, and the WAL replay
-# pin that share the naming convention).
+# jsonwire cursor pin, the resolver cache-hit pin, the WAL replay pin
+# and the query-log fold pin that share the naming convention).
 telemetry-alloc:
 	$(GO) test -run 'Alloc' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
-		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/
+		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
+		./internal/fingerprint/
 
 # The bulk-SPF pipeline under seeded netsim faults and the race
 # detector: every input line must come back out exactly once while the

@@ -197,7 +197,7 @@ func BenchmarkFigure5LookupLimitCDF(b *testing.B) {
 	var ranAll float64
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, []string{"t02"}, 32)
-		ll := experiment.AnalyzeLookupLimits(w)
+		ll := experiment.LookupLimits(w.Observations())
 		if ll.Tested > 0 {
 			ranAll = 100 * float64(ll.RanAll) / float64(ll.Tested)
 		}
@@ -212,7 +212,7 @@ func BenchmarkSection71SerialParallel(b *testing.B) {
 	var serial float64
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, []string{"t01"}, 32)
-		sp := experiment.AnalyzeSerialParallel(w)
+		sp := experiment.SerialParallel(w.Observations())
 		if sp.Tested > 0 {
 			serial = 100 * float64(sp.Serial) / float64(sp.Tested)
 		}
@@ -230,7 +230,7 @@ func benchBehavior(b *testing.B, seed int64, tests []string, metric string,
 	var value float64
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, tests, 32)
-		res := stat(experiment.AnalyzeBehaviors(w))
+		res := stat(experiment.Behaviors(w.Observations()))
 		value = 100 * res.Fraction()
 	}
 	b.ReportMetric(value, metric)
@@ -281,7 +281,7 @@ func BenchmarkSection73IPv6(b *testing.B) {
 	var retrieved float64
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, []string{"t10"}, 32)
-		res := experiment.AnalyzeBehaviors(w)
+		res := experiment.Behaviors(w.Observations())
 		retrieved = 100 * res.IPv6Retrieved.Fraction()
 	}
 	b.ReportMetric(retrieved, "%ipv6-retrieved") // paper: 49%

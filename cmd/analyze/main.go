@@ -30,6 +30,7 @@ import (
 	"sendervalid/internal/cli"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/experiment"
+	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/telemetry"
 	"sendervalid/internal/wal"
@@ -99,15 +100,16 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		fmt.Fprintf(stderr, "analyze: reading %d log segments\n", n)
 	}
 
-	// Stream the log rather than slurping it: every analysis below
-	// ignores queries it cannot attribute to an MTA, so only the
-	// attributed subset is retained in memory. Decoding fans out over
-	// -workers goroutines; the ordered merge delivers entries in file
-	// order, so the output is identical to a serial scan at any worker
-	// count.
-	var entries []dnsserver.LogEntry
+	// Stream the log rather than slurping it: each attributed entry is
+	// folded into its MTA's observation and dropped, so memory is
+	// O(MTAs); only -trace's span join needs the entries themselves.
+	// Decoding fans out over -workers goroutines; the ordered merge
+	// delivers entries in file order, so the output is identical to a
+	// serial scan at any worker count.
+	obs := make(fingerprint.Observations)
+	var entries []dnsserver.LogEntry // retained for the -trace join only
 	var ingested telemetry.Counter
-	total := 0
+	total, attributed := 0, 0
 	mtas := map[string]bool{}
 	tests := map[string]bool{}
 	mr := &meteredReader{r: f, reads: telemetry.NewHistogram(telemetry.SizeBuckets)}
@@ -120,7 +122,11 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		}
 		if e.MTAID != "" {
 			mtas[e.MTAID] = true
-			entries = append(entries, e)
+			attributed++
+			obs.Add(&e)
+			if *tracePath != "" {
+				entries = append(entries, e)
+			}
 		}
 		return ctx.Err() // an interrupt ends the ingest
 	})
@@ -140,17 +146,17 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		float64(ingested.Value())/secs, float64(mr.bytes.Value())/1e6/secs,
 		reads.Mean(), reads.Count)
 	fmt.Fprintf(stdout, "log: %d queries (%d attributed) from %d MTAs across %d test policies\n\n",
-		total, len(entries), len(mtas), len(tests))
+		total, attributed, len(mtas), len(tests))
 
-	sp := experiment.AnalyzeSerialParallelEntries(entries)
-	ll := experiment.AnalyzeLookupLimitsEntries(entries)
-	b := experiment.AnalyzeBehaviorsEntries(entries)
+	sp := experiment.SerialParallel(obs)
+	ll := experiment.LookupLimits(obs)
+	b := experiment.Behaviors(obs)
 	if ll.Tested > 0 {
 		fmt.Fprint(stdout, experiment.RenderFigure5(ll, policy.LimitsDelay.Seconds()))
 	}
 	fmt.Fprint(stdout, experiment.RenderBehaviors(sp, b))
 
-	clusters, vectors := experiment.AnalyzeFingerprintEntries(entries)
+	clusters, vectors := experiment.Fingerprints(obs)
 	fmt.Fprint(stdout, experiment.RenderFingerprints(clusters, vectors, *topFP))
 
 	if *tracePath != "" {

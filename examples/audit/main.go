@@ -111,11 +111,11 @@ func main() {
 		client.Probe(context.Background(), netip.MustParseAddr("203.0.113.80"), "corpmx", testID)
 	}
 
-	vectors := fingerprint.Extract(log2.Entries())
-	v := vectors["corpmx"]
-	if v == nil {
+	o := fingerprint.Observe(log2.Entries())["corpmx"]
+	if o == nil {
 		log.Fatal("no fingerprint extracted")
 	}
+	v := o.Vector()
 	fmt.Println(fingerprint.Describe(v))
 	fmt.Println("classification against reference validator profiles:")
 	for _, m := range fingerprint.Classify(v, fingerprint.References()) {

@@ -68,11 +68,12 @@ func (l *QueryLog) Entries() []LogEntry {
 	return append([]LogEntry(nil), l.entries...)
 }
 
-// forEach visits every entry in arrival order under the log's lock,
-// stopping early when fn returns false. It exists so WriteJSON and
-// the grouping helpers can stream a large log without the full-slice
-// copy Entries makes; fn must not call back into the log.
-func (l *QueryLog) forEach(fn func(*LogEntry) bool) {
+// ForEach visits every entry in arrival order under the log's lock,
+// stopping early when fn returns false. It exists so WriteJSON, the
+// grouping helpers and the analyses can stream a large log without
+// the full-slice copy Entries makes; fn must not retain the pointer
+// or call back into the log.
+func (l *QueryLog) ForEach(fn func(*LogEntry) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := range l.entries {
@@ -99,7 +100,7 @@ func (l *QueryLog) Reset() {
 // ByMTA groups a snapshot of the log by MTAID.
 func (l *QueryLog) ByMTA() map[string][]LogEntry {
 	out := make(map[string][]LogEntry)
-	l.forEach(func(e *LogEntry) bool {
+	l.ForEach(func(e *LogEntry) bool {
 		if e.MTAID != "" {
 			out[e.MTAID] = append(out[e.MTAID], *e)
 		}
@@ -111,21 +112,9 @@ func (l *QueryLog) ByMTA() map[string][]LogEntry {
 // ByTest groups a snapshot of the log by TestID.
 func (l *QueryLog) ByTest() map[string][]LogEntry {
 	out := make(map[string][]LogEntry)
-	l.forEach(func(e *LogEntry) bool {
+	l.ForEach(func(e *LogEntry) bool {
 		if e.TestID != "" {
 			out[e.TestID] = append(out[e.TestID], *e)
-		}
-		return true
-	})
-	return out
-}
-
-// Filter returns the entries for which keep returns true.
-func (l *QueryLog) Filter(keep func(LogEntry) bool) []LogEntry {
-	var out []LogEntry
-	l.forEach(func(e *LogEntry) bool {
-		if keep(*e) {
-			out = append(out, *e)
 		}
 		return true
 	})

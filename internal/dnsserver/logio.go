@@ -25,7 +25,7 @@ func (l *QueryLog) WriteJSON(w io.Writer) error {
 	// writes — records never pass through an intermediate bufio copy.
 	buf := make([]byte, 0, 64*1024)
 	var werr error
-	l.forEach(func(e *LogEntry) bool {
+	l.ForEach(func(e *LogEntry) bool {
 		buf = AppendLogJSON(buf, *e)
 		if len(buf) >= 32*1024 {
 			if _, err := w.Write(buf); err != nil {

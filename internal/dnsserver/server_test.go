@@ -359,8 +359,13 @@ func TestQueryLogHelpers(t *testing.T) {
 	if got := log.ByTest(); len(got["t01"]) != 2 || len(got["t02"]) != 1 {
 		t.Errorf("ByTest = %v", got)
 	}
-	if got := log.Filter(func(e LogEntry) bool { return e.Name == "b." }); len(got) != 1 {
-		t.Errorf("Filter = %v", got)
+	var names []string
+	log.ForEach(func(e *LogEntry) bool {
+		names = append(names, e.Name)
+		return e.Name != "b." // stops after the second entry
+	})
+	if len(names) != 2 || names[0] != "a." || names[1] != "b." {
+		t.Errorf("ForEach visited %v", names)
 	}
 	log.Reset()
 	if log.Len() != 0 {

@@ -2,60 +2,25 @@ package experiment
 
 import (
 	"sort"
-	"strings"
-	"time"
 
-	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/policy"
 )
 
-// mtaQueries groups log entries per MTA for one test.
-func mtaQueries(entries []dnsserver.LogEntry, testID string) map[string][]dnsserver.LogEntry {
-	out := make(map[string][]dnsserver.LogEntry)
-	for _, e := range entries {
-		if e.TestID == testID && e.MTAID != "" {
-			out[e.MTAID] = append(out[e.MTAID], e)
-		}
-	}
-	return out
-}
+// The §7 analyses are tallies over fingerprint.Observations, the one
+// per-MTA reading of the query log: fold once, then call SerialParallel,
+// LookupLimits, Behaviors and Fingerprints. The Analyze*Entries(log)
+// adapters fold per call; only the frozen bench/ uses them (ROADMAP 7(c)).
 
-// hasRest reports whether any entry's leading rest label matches.
-func hasRest(entries []dnsserver.LogEntry, label string, types ...dns.Type) bool {
-	for _, e := range entries {
-		if len(e.Rest) == 0 || e.Rest[0] != label {
-			continue
-		}
-		if len(types) == 0 {
-			return true
-		}
-		for _, t := range types {
-			if e.Type == t {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func countRestPrefix(entries []dnsserver.LogEntry, prefix string, types ...dns.Type) int {
-	n := 0
-	for _, e := range entries {
-		if len(e.Rest) == 0 || !strings.HasPrefix(e.Rest[0], prefix) {
-			continue
-		}
-		match := len(types) == 0
-		for _, t := range types {
-			if e.Type == t {
-				match = true
-			}
-		}
-		if match {
-			n++
-		}
-	}
-	return n
+// Observations folds the world's query log in place.
+func (w *World) Observations() fingerprint.Observations {
+	obs := make(fingerprint.Observations)
+	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
+		obs.Add(e)
+		return true
+	})
+	return obs
 }
 
 // SerialParallelResult is the §7.1 analysis.
@@ -65,46 +30,31 @@ type SerialParallelResult struct {
 	Parallel int
 }
 
-// AnalyzeSerialParallel classifies each MTA's t01 evaluation: serial
+// SerialParallel classifies each MTA's t01 evaluation: serial
 // validators query the a-mechanism target only after the shaped L3
-// include; parallel (prefetching) validators query it earlier.
-func AnalyzeSerialParallel(w *World) SerialParallelResult {
-	return AnalyzeSerialParallelEntries(w.Log.Entries())
-}
-
-// AnalyzeSerialParallelEntries is the offline (log-file) variant.
-func AnalyzeSerialParallelEntries(log []dnsserver.LogEntry) SerialParallelResult {
+// include; parallel (prefetching) validators query it earlier. Only
+// MTAs that progressed far enough to show both signals are
+// classifiable (the paper tested 1,432 such MTAs).
+func SerialParallel(obs fingerprint.Observations) SerialParallelResult {
 	var out SerialParallelResult
-	for _, entries := range mtaQueries(log, "t01") {
-		var aTime, l3Time time.Time
-		for _, e := range entries {
-			if len(e.Rest) != 1 {
-				continue
-			}
-			switch {
-			case e.Rest[0] == "foo" && (e.Type == dns.TypeA || e.Type == dns.TypeAAAA):
-				if aTime.IsZero() || e.Time.Before(aTime) {
-					aTime = e.Time
-				}
-			case e.Rest[0] == "l3" && e.Type == dns.TypeTXT:
-				if l3Time.IsZero() || e.Time.Before(l3Time) {
-					l3Time = e.Time
-				}
-			}
-		}
-		// Only MTAs that progressed far enough to show both signals
-		// are classifiable (the paper tested 1,432 such MTAs).
-		if aTime.IsZero() || l3Time.IsZero() {
+	for _, o := range obs {
+		serial, ok := o.Serial()
+		if !ok {
 			continue
 		}
 		out.Tested++
-		if aTime.After(l3Time) {
+		if serial {
 			out.Serial++
 		} else {
 			out.Parallel++
 		}
 	}
 	return out
+}
+
+// AnalyzeSerialParallelEntries is SerialParallel over a log slice.
+func AnalyzeSerialParallelEntries(log []dnsserver.LogEntry) SerialParallelResult {
+	return SerialParallel(fingerprint.Observe(log))
 }
 
 // LookupLimitResult is the §7.2 / Figure 5 analysis.
@@ -123,42 +73,30 @@ type LookupLimitResult struct {
 	MaxQueries int
 }
 
-// AnalyzeLookupLimits derives the Figure 5 distribution from the t02
-// query log.
-func AnalyzeLookupLimits(w *World) LookupLimitResult {
-	return AnalyzeLookupLimitsEntries(w.Log.Entries())
-}
-
-// AnalyzeLookupLimitsEntries is the offline (log-file) variant.
-func AnalyzeLookupLimitsEntries(log []dnsserver.LogEntry) LookupLimitResult {
+// LookupLimits derives the Figure 5 distribution from the t02
+// observations.
+func LookupLimits(obs fingerprint.Observations) LookupLimitResult {
 	out := LookupLimitResult{MaxQueries: policy.LimitsTreeSize()}
-	for _, entries := range mtaQueries(log, "t02") {
-		base := false
-		followUps := 0
-		for _, e := range entries {
-			if e.Type != dns.TypeTXT {
-				continue
-			}
-			if len(e.Rest) == 0 {
-				base = true
-			} else {
-				followUps++
-			}
-		}
-		if !base {
+	for _, o := range obs {
+		if !o.LimitsBase {
 			continue
 		}
 		out.Tested++
-		out.QueriesPerMTA = append(out.QueriesPerMTA, followUps)
-		if followUps <= 10 {
+		out.QueriesPerMTA = append(out.QueriesPerMTA, o.LimitsFollowUps)
+		if o.WithinLookupLimit() {
 			out.HaltedBeforeTen++
 		}
-		if followUps >= out.MaxQueries {
+		if o.RanFullTree() {
 			out.RanAll++
 		}
 	}
 	sort.Ints(out.QueriesPerMTA)
 	return out
+}
+
+// AnalyzeLookupLimitsEntries is LookupLimits over a log slice.
+func AnalyzeLookupLimitsEntries(log []dnsserver.LogEntry) LookupLimitResult {
+	return LookupLimits(fingerprint.Observe(log))
 }
 
 // CDF returns (x, fraction≤x) pairs over the query counts — the
@@ -188,6 +126,14 @@ type CDFPoint struct {
 type SimpleShare struct {
 	Tested   int
 	Observed int
+}
+
+// add counts one tested MTA.
+func (s *SimpleShare) add(observed bool) {
+	s.Tested++
+	if observed {
+		s.Observed++
+	}
 }
 
 // Fraction returns Observed/Tested (0 when untested).
@@ -234,170 +180,49 @@ type BehaviorResults struct {
 	MXAllTwenty      SimpleShare
 }
 
-// AnalyzeBehaviors computes the §7.3 results from the query log.
-func AnalyzeBehaviors(w *World) *BehaviorResults {
-	return AnalyzeBehaviorsEntries(w.Log.Entries())
-}
-
-// AnalyzeBehaviorsEntries is the offline (log-file) variant.
-func AnalyzeBehaviorsEntries(log []dnsserver.LogEntry) *BehaviorResults {
+// Behaviors computes the §7.3 results.
+func Behaviors(obs fingerprint.Observations) *BehaviorResults {
 	out := &BehaviorResults{}
-
-	// t03: HELO check.
-	for _, entries := range mtaQueries(log, "t03") {
-		mailSeen := false
-		for _, e := range entries {
-			if len(e.Rest) == 0 && e.Type == dns.TypeTXT {
-				mailSeen = true
+	for _, o := range obs {
+		if o.MailTXT || o.HeloTXT {
+			out.HELOChecked.add(o.HeloTXT)
+			if o.HeloTXT {
+				out.ContinuedToMail.add(o.MailTXT)
 			}
 		}
-		heloSeen := hasRest(entries, "helo", dns.TypeTXT)
-		if !mailSeen && !heloSeen {
-			continue
+		if o.MainBase {
+			out.SyntaxMainTolerant.add(o.MainAfter)
 		}
-		out.HELOChecked.Tested++
-		if heloSeen {
-			out.HELOChecked.Observed++
-			out.ContinuedToMail.Tested++
-			if mailSeen {
-				out.ContinuedToMail.Observed++
-			}
+		if o.ChildBase {
+			out.SyntaxChildTolerant.add(o.ChildCont)
 		}
-	}
-
-	// t04: syntax error in the main policy.
-	for _, entries := range mtaQueries(log, "t04") {
-		if !baseTXTSeen(entries) {
-			continue
+		if o.VoidBase {
+			out.VoidExceeded.add(o.VoidQueries > 2)
+			out.VoidAllFive.add(o.VoidQueries >= 5)
 		}
-		out.SyntaxMainTolerant.Tested++
-		if hasRest(entries, "after", dns.TypeA, dns.TypeAAAA) {
-			out.SyntaxMainTolerant.Observed++
+		if o.NoMXBase {
+			out.MXFallback.add(o.NoMXAddr)
 		}
-	}
-
-	// t05: syntax error in a child policy.
-	for _, entries := range mtaQueries(log, "t05") {
-		if !baseTXTSeen(entries) {
-			continue
+		if o.MultiBase {
+			out.MultipleNone.add(!o.MultiOne && !o.MultiTwo)
+			out.MultipleOne.add(o.MultiOne != o.MultiTwo)
+			out.MultipleBoth.add(o.MultiOne && o.MultiTwo)
 		}
-		out.SyntaxChildTolerant.Tested++
-		if hasRest(entries, "cont", dns.TypeA, dns.TypeAAAA) {
-			out.SyntaxChildTolerant.Observed++
+		if o.UDP || o.TCP {
+			out.TCPRetried.add(o.TCP)
+		}
+		if o.V6Base {
+			out.IPv6Retrieved.add(o.V6L1)
+		}
+		if o.MXBase {
+			out.MXLimitCompliant.add(o.WithinMXLimit())
+			out.MXAllTwenty.add(o.MXAddrLookups >= policy.MXLimitCount)
 		}
 	}
-
-	// t06: void lookups.
-	for _, entries := range mtaQueries(log, "t06") {
-		if !baseTXTSeen(entries) {
-			continue
-		}
-		voids := countRestPrefix(entries, "v", dns.TypeA, dns.TypeAAAA)
-		out.VoidExceeded.Tested++
-		out.VoidAllFive.Tested++
-		if voids > 2 {
-			out.VoidExceeded.Observed++
-		}
-		if voids >= 5 {
-			out.VoidAllFive.Observed++
-		}
-	}
-
-	// t07: forbidden implicit-MX fallback.
-	for _, entries := range mtaQueries(log, "t07") {
-		if !baseTXTSeen(entries) {
-			continue
-		}
-		out.MXFallback.Tested++
-		if hasRest(entries, "nomx", dns.TypeA, dns.TypeAAAA) {
-			out.MXFallback.Observed++
-		}
-	}
-
-	// t08: multiple SPF records.
-	for _, entries := range mtaQueries(log, "t08") {
-		if !baseTXTSeen(entries) {
-			continue
-		}
-		one := hasRest(entries, "one", dns.TypeA, dns.TypeAAAA)
-		two := hasRest(entries, "two", dns.TypeA, dns.TypeAAAA)
-		out.MultipleNone.Tested++
-		out.MultipleOne.Tested++
-		out.MultipleBoth.Tested++
-		switch {
-		case one && two:
-			out.MultipleBoth.Observed++
-		case one || two:
-			out.MultipleOne.Observed++
-		default:
-			out.MultipleNone.Observed++
-		}
-	}
-
-	// t09: TCP retry after truncation.
-	for _, entries := range mtaQueries(log, "t09") {
-		sawUDP, sawTCP := false, false
-		for _, e := range entries {
-			if e.Transport == "udp" {
-				sawUDP = true
-			}
-			if e.Transport == "tcp" {
-				sawTCP = true
-			}
-		}
-		if !sawUDP && !sawTCP {
-			continue
-		}
-		out.TCPRetried.Tested++
-		if sawTCP {
-			out.TCPRetried.Observed++
-		}
-	}
-
-	// t10: IPv6-only follow-up retrieval.
-	for _, entries := range mtaQueries(log, "t10") {
-		if !baseTXTSeen(entries) {
-			continue
-		}
-		out.IPv6Retrieved.Tested++
-		for _, e := range entries {
-			if len(e.Rest) == 1 && e.Rest[0] == "l1" && e.OverIPv6 {
-				out.IPv6Retrieved.Observed++
-				break
-			}
-		}
-	}
-
-	// t11: MX address-lookup limit.
-	for _, entries := range mtaQueries(log, "t11") {
-		if !baseTXTSeen(entries) {
-			continue
-		}
-		lookups := 0
-		for _, e := range entries {
-			if len(e.Rest) == 1 && strings.HasPrefix(e.Rest[0], "mx") &&
-				e.Rest[0] != "mxfarm" && (e.Type == dns.TypeA || e.Type == dns.TypeAAAA) {
-				lookups++
-			}
-		}
-		out.MXLimitCompliant.Tested++
-		out.MXAllTwenty.Tested++
-		if lookups <= 10 {
-			out.MXLimitCompliant.Observed++
-		}
-		if lookups >= policy.MXLimitCount {
-			out.MXAllTwenty.Observed++
-		}
-	}
-
 	return out
 }
 
-func baseTXTSeen(entries []dnsserver.LogEntry) bool {
-	for _, e := range entries {
-		if len(e.Rest) == 0 && e.Type == dns.TypeTXT {
-			return true
-		}
-	}
-	return false
+// AnalyzeBehaviorsEntries is Behaviors over a log slice.
+func AnalyzeBehaviorsEntries(log []dnsserver.LogEntry) *BehaviorResults {
+	return Behaviors(fingerprint.Observe(log))
 }

@@ -176,7 +176,8 @@ func TestBehaviorAnalyses(t *testing.T) {
 	tests := []string{"t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}
 	RunProbes(context.Background(), w, tests, 24)
 
-	sp := AnalyzeSerialParallel(w)
+	obs := w.Observations()
+	sp := SerialParallel(obs)
 	if sp.Tested == 0 {
 		t.Fatal("no MTAs classifiable for serial/parallel")
 	}
@@ -185,7 +186,7 @@ func TestBehaviorAnalyses(t *testing.T) {
 		t.Errorf("serial fraction %.2f, paper ≈ 0.97", serialFrac)
 	}
 
-	ll := AnalyzeLookupLimits(w)
+	ll := LookupLimits(obs)
 	if ll.Tested == 0 {
 		t.Fatal("no MTAs tested for lookup limits")
 	}
@@ -201,7 +202,7 @@ func TestBehaviorAnalyses(t *testing.T) {
 		t.Errorf("CDF malformed: %v", cdf)
 	}
 
-	b := AnalyzeBehaviors(w)
+	b := Behaviors(obs)
 	if b.VoidExceeded.Tested == 0 || b.MXFallback.Tested == 0 || b.MultipleNone.Tested == 0 {
 		t.Fatalf("behaviour analyses missing data: %+v", b)
 	}
@@ -237,7 +238,7 @@ func TestFingerprintPipeline(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(120, 29), NotifyRates())
 	RunProbes(context.Background(), w,
 		[]string{"t01", "t02", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}, 24)
-	clusters, vectors := AnalyzeFingerprints(w)
+	clusters, vectors := Fingerprints(w.Observations())
 	if len(clusters) == 0 || len(vectors) == 0 {
 		t.Fatal("no fingerprints extracted")
 	}

@@ -152,7 +152,7 @@ func TestPaperScaleWorld(t *testing.T) {
 	if rate < 0.40 || rate > 0.62 {
 		t.Errorf("NotifyMX rate at scale: %.2f", rate)
 	}
-	sp := AnalyzeSerialParallel(w)
+	sp := SerialParallel(w.Observations())
 	if sp.Tested < 200 {
 		t.Fatalf("only %d MTAs classifiable", sp.Tested)
 	}

@@ -8,18 +8,18 @@ import (
 	"sendervalid/internal/fingerprint"
 )
 
-// AnalyzeFingerprints distills per-MTA behaviour vectors from the
-// world's query log and clusters them into behavioural families — the
-// paper's proposed §8 follow-up ("classify and even fingerprint an SPF
-// validator implementation").
-func AnalyzeFingerprints(w *World) ([]fingerprint.Cluster, map[string]*fingerprint.Vector) {
-	return AnalyzeFingerprintEntries(w.Log.Entries())
+// Fingerprints reads per-MTA behaviour vectors off the observations
+// and clusters them into behavioural families — the paper's proposed
+// §8 follow-up ("classify and even fingerprint an SPF validator
+// implementation").
+func Fingerprints(obs fingerprint.Observations) ([]fingerprint.Cluster, map[string]*fingerprint.Vector) {
+	vectors := obs.Vectors()
+	return fingerprint.Clusters(vectors), vectors
 }
 
-// AnalyzeFingerprintEntries is the offline (log-file) variant.
+// AnalyzeFingerprintEntries is Fingerprints over a log slice.
 func AnalyzeFingerprintEntries(log []dnsserver.LogEntry) ([]fingerprint.Cluster, map[string]*fingerprint.Vector) {
-	vectors := fingerprint.Extract(log)
-	return fingerprint.Clusters(vectors), vectors
+	return Fingerprints(fingerprint.Observe(log))
 }
 
 // RenderFingerprints prints the behaviour-family summary with

@@ -8,6 +8,8 @@ import (
 
 	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
+	"sendervalid/internal/dns"
+	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/probe"
 	"sendervalid/internal/spf"
 )
@@ -199,9 +201,9 @@ func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
 	}
 	obs := make(map[string]*domainObs)
 	suffix := DefaultNotifySuffix
-	for _, e := range w.Log.Entries() {
+	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
 		if !strings.HasSuffix(e.Name, suffix) || e.MTAID == "" {
-			continue
+			return true
 		}
 		o := obs[e.MTAID]
 		if o == nil {
@@ -209,7 +211,7 @@ func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
 			obs[e.MTAID] = o
 		}
 		switch {
-		case len(e.Rest) == 0 && e.Type.String() == "TXT":
+		case len(e.Rest) == 0 && e.Type == dns.TypeTXT:
 			if !o.spfTXT || e.Time.Before(o.firstTXT) {
 				o.firstTXT = e.Time
 			}
@@ -225,7 +227,8 @@ func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
 		case len(e.Rest) == 1 && e.Rest[0] == "_dmarc":
 			o.dmarc = true
 		}
-	}
+		return true
+	})
 
 	// MTA-level SPF observation: which MTAs issued NotifyEmail-zone
 	// queries. The resolver address identifies the MTA only indirectly,

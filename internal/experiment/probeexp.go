@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sendervalid/internal/dataset"
+	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/probe"
 )
 
@@ -98,11 +99,12 @@ func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 
 	// An MTA is SPF-validating when any query under the test zone is
 	// attributed to it (§6 definition).
-	for _, e := range w.Log.Entries() {
+	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
 		if e.MTAID != "" && e.TestID != "" {
 			a.ValidatingMTASet[e.MTAID] = true
 		}
-	}
+		return true
+	})
 	a.SPFMTAs = len(a.ValidatingMTASet)
 
 	validatingDomain := func(d *dataset.Domain) bool {

@@ -219,12 +219,13 @@ func (s *study) twoWeekMX(ctx context.Context) error {
 	fmt.Fprint(s.out, RenderTable5([]*ProbeAnalysis{r.NotifyMX, r.TwoWeekMX}, r.NotifyEmail))
 
 	fmt.Fprintln(s.out)
-	r.SerialParallel = AnalyzeSerialParallel(w)
-	r.LookupLimits = AnalyzeLookupLimits(w)
-	r.Behaviors = AnalyzeBehaviors(w)
+	obs := w.Observations()
+	r.SerialParallel = SerialParallel(obs)
+	r.LookupLimits = LookupLimits(obs)
+	r.Behaviors = Behaviors(obs)
 	fmt.Fprint(s.out, RenderFigure5(r.LookupLimits, policy.LimitsDelay.Seconds()))
 	fmt.Fprint(s.out, RenderBehaviors(r.SerialParallel, r.Behaviors))
-	r.Fingerprints, r.FingerprintVectors = AnalyzeFingerprints(w)
+	r.Fingerprints, r.FingerprintVectors = Fingerprints(obs)
 	fmt.Fprint(s.out, RenderFingerprints(r.Fingerprints, r.FingerprintVectors, 8))
 	if s.cfg.LogOut != "" {
 		if err := writeLog(w, s.cfg.LogOut); err != nil {

@@ -2,20 +2,15 @@
 // (paper §8): using the collective behaviour an MTA exhibits across
 // the test-policy catalog to classify — and potentially identify — its
 // SPF validator implementation. Each MTA's query-log footprint is
-// distilled into a trait vector; identical vectors cluster into
-// behavioural families, and vectors can be matched against reference
-// profiles of known implementation styles.
+// folded into an Observation (observe.go) and read as a trait vector;
+// identical vectors cluster into behavioural families, and vectors can
+// be matched against reference profiles of known implementation styles.
 package fingerprint
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
-
-	"sendervalid/internal/dns"
-	"sendervalid/internal/dnsserver"
-	"sendervalid/internal/policy"
 )
 
 // Trait is a tri-state behavioural observation.
@@ -43,16 +38,9 @@ func (t Trait) String() string {
 	return "?"
 }
 
-// traitOf converts a boolean observation.
-func traitOf(b bool) Trait {
-	if b {
-		return True
-	}
-	return False
-}
-
-// Vector is one MTA's behaviour signature. Field order defines the
-// signature string; keep names and traits() in sync.
+// Vector is one MTA's behaviour signature, read off its Observation.
+// Field order defines the signature string; TestVectorFieldOrder holds
+// the Trait fields, traits() and TraitNames to one order.
 type Vector struct {
 	MTAID string
 
@@ -134,191 +122,6 @@ func Distance(a, b *Vector) (disagree, comparable int) {
 		}
 	}
 	return disagree, comparable
-}
-
-// Extract distills per-MTA vectors from an experiment's query log.
-func Extract(entries []dnsserver.LogEntry) map[string]*Vector {
-	byMTA := make(map[string]map[string][]dnsserver.LogEntry)
-	for _, e := range entries {
-		if e.MTAID == "" || e.TestID == "" {
-			continue
-		}
-		m := byMTA[e.MTAID]
-		if m == nil {
-			m = make(map[string][]dnsserver.LogEntry)
-			byMTA[e.MTAID] = m
-		}
-		m[e.TestID] = append(m[e.TestID], e)
-	}
-
-	out := make(map[string]*Vector, len(byMTA))
-	for id, tests := range byMTA {
-		v := &Vector{MTAID: id}
-		extractT01(v, tests["t01"])
-		extractT02(v, tests["t02"])
-		extractT03(v, tests["t03"])
-		v.TolerantMainSyntax = presenceTrait(tests["t04"], "after", dns.TypeA, dns.TypeAAAA)
-		v.TolerantChildSyntax = presenceTrait(tests["t05"], "cont", dns.TypeA, dns.TypeAAAA)
-		extractT06(v, tests["t06"])
-		v.MXFallbackA = presenceTrait(tests["t07"], "nomx", dns.TypeA, dns.TypeAAAA)
-		extractT08(v, tests["t08"])
-		extractT09(v, tests["t09"])
-		extractT10(v, tests["t10"])
-		extractT11(v, tests["t11"])
-		out[id] = v
-	}
-	return out
-}
-
-func baseSeen(entries []dnsserver.LogEntry) bool {
-	for _, e := range entries {
-		if len(e.Rest) == 0 && e.Type == dns.TypeTXT {
-			return true
-		}
-	}
-	return false
-}
-
-// presenceTrait decides a trait by whether a follow-up name was
-// queried, given the base policy was fetched.
-func presenceTrait(entries []dnsserver.LogEntry, label string, types ...dns.Type) Trait {
-	if !baseSeen(entries) {
-		return Unknown
-	}
-	for _, e := range entries {
-		if len(e.Rest) == 0 || e.Rest[0] != label {
-			continue
-		}
-		for _, t := range types {
-			if e.Type == t {
-				return True
-			}
-		}
-	}
-	return False
-}
-
-func extractT01(v *Vector, entries []dnsserver.LogEntry) {
-	var aTime, l3Time time.Time
-	for _, e := range entries {
-		if len(e.Rest) != 1 {
-			continue
-		}
-		switch {
-		case e.Rest[0] == "foo" && (e.Type == dns.TypeA || e.Type == dns.TypeAAAA):
-			if aTime.IsZero() || e.Time.Before(aTime) {
-				aTime = e.Time
-			}
-		case e.Rest[0] == "l3" && e.Type == dns.TypeTXT:
-			if l3Time.IsZero() || e.Time.Before(l3Time) {
-				l3Time = e.Time
-			}
-		}
-	}
-	if aTime.IsZero() || l3Time.IsZero() {
-		return
-	}
-	v.SerialLookups = traitOf(aTime.After(l3Time))
-}
-
-func extractT02(v *Vector, entries []dnsserver.LogEntry) {
-	if !baseSeen(entries) {
-		return
-	}
-	followUps := 0
-	for _, e := range entries {
-		if e.Type == dns.TypeTXT && len(e.Rest) > 0 {
-			followUps++
-		}
-	}
-	v.RespectsLookupLimit = traitOf(followUps <= 10)
-	v.RanFullTree = traitOf(followUps >= policy.LimitsTreeSize())
-}
-
-func extractT03(v *Vector, entries []dnsserver.LogEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	helo := false
-	for _, e := range entries {
-		if len(e.Rest) == 1 && e.Rest[0] == "helo" && e.Type == dns.TypeTXT {
-			helo = true
-		}
-	}
-	v.ChecksHELO = traitOf(helo)
-}
-
-func extractT06(v *Vector, entries []dnsserver.LogEntry) {
-	if !baseSeen(entries) {
-		return
-	}
-	voids := 0
-	for _, e := range entries {
-		if len(e.Rest) == 1 && strings.HasPrefix(e.Rest[0], "v") &&
-			(e.Type == dns.TypeA || e.Type == dns.TypeAAAA) {
-			voids++
-		}
-	}
-	v.RespectsVoidLimit = traitOf(voids <= 3)
-}
-
-func extractT08(v *Vector, entries []dnsserver.LogEntry) {
-	if !baseSeen(entries) {
-		return
-	}
-	one, two := false, false
-	for _, e := range entries {
-		if len(e.Rest) != 1 || (e.Type != dns.TypeA && e.Type != dns.TypeAAAA) {
-			continue
-		}
-		if e.Rest[0] == "one" {
-			one = true
-		}
-		if e.Rest[0] == "two" {
-			two = true
-		}
-	}
-	v.FollowsOneOfMultiple = traitOf(one || two)
-}
-
-func extractT09(v *Vector, entries []dnsserver.LogEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	tcp := false
-	for _, e := range entries {
-		if e.Transport == "tcp" {
-			tcp = true
-		}
-	}
-	v.TCPCapable = traitOf(tcp)
-}
-
-func extractT10(v *Vector, entries []dnsserver.LogEntry) {
-	if !baseSeen(entries) {
-		return
-	}
-	for _, e := range entries {
-		if len(e.Rest) == 1 && e.Rest[0] == "l1" && e.OverIPv6 {
-			v.IPv6Capable = True
-			return
-		}
-	}
-	v.IPv6Capable = False
-}
-
-func extractT11(v *Vector, entries []dnsserver.LogEntry) {
-	if !baseSeen(entries) {
-		return
-	}
-	lookups := 0
-	for _, e := range entries {
-		if len(e.Rest) == 1 && strings.HasPrefix(e.Rest[0], "mx") &&
-			e.Rest[0] != "mxfarm" && (e.Type == dns.TypeA || e.Type == dns.TypeAAAA) {
-			lookups++
-		}
-	}
-	v.RespectsMXLimit = traitOf(lookups <= 10)
 }
 
 // Cluster groups vectors by identical signature, largest first.

@@ -102,11 +102,11 @@ func violatorMTALog(mta string) []dnsserver.LogEntry {
 }
 
 func TestExtractSerialCompliant(t *testing.T) {
-	vectors := Extract(serialMTALog("m1"))
-	v := vectors["m1"]
-	if v == nil {
-		t.Fatal("no vector")
+	o := Observe(serialMTALog("m1"))["m1"]
+	if o == nil {
+		t.Fatal("no observation")
 	}
+	v := o.Vector()
 	checks := []struct {
 		name string
 		got  Trait
@@ -136,7 +136,7 @@ func TestExtractSerialCompliant(t *testing.T) {
 }
 
 func TestExtractViolator(t *testing.T) {
-	v := Extract(violatorMTALog("m2"))["m2"]
+	v := Observe(violatorMTALog("m2"))["m2"].Vector()
 	if v.SerialLookups != False {
 		t.Error("parallel validator classified serial")
 	}
@@ -159,7 +159,7 @@ func TestExtractViolator(t *testing.T) {
 }
 
 func TestSignatureAndDescribe(t *testing.T) {
-	v := Extract(serialMTALog("m1"))["m1"]
+	v := Observe(serialMTALog("m1"))["m1"].Vector()
 	sig := v.Signature()
 	if len(sig) != len(TraitNames) {
 		t.Fatalf("signature %q length vs %d names", sig, len(TraitNames))
@@ -179,7 +179,7 @@ func TestClusters(t *testing.T) {
 		entries = append(entries, serialMTALog(id)...)
 	}
 	entries = append(entries, violatorMTALog("z")...)
-	clusters := Clusters(Extract(entries))
+	clusters := Clusters(Observe(entries).Vectors())
 	if len(clusters) != 2 {
 		t.Fatalf("%d clusters", len(clusters))
 	}
@@ -201,7 +201,7 @@ func TestDistance(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	compliant := Extract(serialMTALog("m1"))["m1"]
+	compliant := Observe(serialMTALog("m1"))["m1"].Vector()
 	matches := Classify(compliant, References())
 	if len(matches) == 0 {
 		t.Fatal("no matches")
@@ -213,7 +213,7 @@ func TestClassify(t *testing.T) {
 		t.Errorf("compliant score %.2f", matches[0].Score())
 	}
 
-	violator := Extract(violatorMTALog("m2"))["m2"]
+	violator := Observe(violatorMTALog("m2"))["m2"].Vector()
 	matches = Classify(violator, References())
 	best := matches[0].Name
 	if best != "limit-ignoring-legacy" && best != "parallel-prefetcher" {
@@ -242,7 +242,7 @@ func TestExtractIgnoresUnattributed(t *testing.T) {
 		{MTAID: "", TestID: "t01"},
 		{MTAID: "m1", TestID: ""},
 	}
-	if got := Extract(entries); len(got) != 0 {
-		t.Errorf("unattributed entries produced vectors: %v", got)
+	if got := Observe(entries); len(got) != 0 {
+		t.Errorf("unattributed entries produced observations: %v", got)
 	}
 }

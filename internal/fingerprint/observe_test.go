@@ -1,0 +1,149 @@
+package fingerprint
+
+import (
+	"context"
+	"fmt"
+	"net/netip"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/policy"
+	"sendervalid/internal/resolver"
+	"sendervalid/internal/spf"
+)
+
+// TestVectorFieldOrder holds Vector's Trait fields, traits() and
+// TraitNames to one length and order: the signature string, Distance
+// and Describe all index the three in parallel. A label belongs to a
+// field when each of its dash-separated words occurs in the field's
+// name ("void-limit" in RespectsVoidLimit).
+func TestVectorFieldOrder(t *testing.T) {
+	var v Vector
+	rv := reflect.ValueOf(&v).Elem()
+	n := 0
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).Type() != reflect.TypeOf(Unknown) {
+			continue
+		}
+		// Mark the n-th Trait field and see where traits() reports it.
+		rv.Field(i).Set(reflect.ValueOf(True))
+		got := v.traits()
+		name := rv.Type().Field(i).Name
+		if n >= len(got) || got[n] != True {
+			t.Errorf("field %s is Trait #%d of Vector but not of traits()", name, n)
+		}
+		if n < len(TraitNames) {
+			for _, word := range strings.Split(TraitNames[n], "-") {
+				if !strings.Contains(strings.ToLower(name), word) {
+					t.Errorf("TraitNames[%d] = %q does not label field %s", n, TraitNames[n], name)
+				}
+			}
+		}
+		rv.Field(i).Set(reflect.ValueOf(Unknown))
+		n++
+	}
+	if len(v.traits()) != n || len(TraitNames) != n {
+		t.Errorf("%d Trait fields, %d traits(), %d TraitNames", n, len(v.traits()), len(TraitNames))
+	}
+}
+
+// TestObserveRealCatalog folds the log of real SPF evaluations against
+// the served catalog, so a follow-up label renamed in
+// internal/policy/catalog.go cannot silently zero an axis the way it
+// could with the hand-typed labels of serialMTALog/violatorMTALog.
+func TestObserveRealCatalog(t *testing.T) {
+	const suffix = "spf-test.dns-lab.example."
+	env := &policy.Env{Suffix: suffix, TimeScale: 0.001}
+	notify := &policy.NotifyEmailConfig{Suffix: "notify.dns-lab.example.", Contact: "ops@dns-lab.example"}
+	log := &dnsserver.QueryLog{}
+	srv := &dnsserver.Server{Zones: policy.StudyZones(env, notify), Log: log}
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+
+	res := resolver.New(resolver.Config{Server: addr.String(), Timeout: 3 * time.Second})
+	validators := map[string]spf.Options{
+		"strict": {},
+		"legacy": {LookupLimit: -1, VoidLookupLimit: -1, MXAddressLimit: -1, MXFallbackA: true},
+	}
+	client := netip.MustParseAddr("203.0.113.9")
+	for id, opts := range validators {
+		checker := &spf.Checker{Resolver: res, Options: opts}
+		for i := 1; i <= 11; i++ {
+			domain := fmt.Sprintf("t%02d.%s.%s", i, id, suffix)
+			checker.CheckHost(context.Background(), client, domain, "probe@"+domain, "helo."+domain)
+		}
+	}
+
+	obs := Observe(log.Entries())
+	for id, ref := range map[string]string{"strict": "strict-rfc7208", "legacy": "limit-ignoring-legacy"} {
+		o := obs[id]
+		if o == nil {
+			t.Fatalf("%s: no observation", id)
+		}
+		for _, r := range References() {
+			if r.Name != ref {
+				continue
+			}
+			d, c := Distance(o.Vector(), &r.Vector)
+			if d != 0 || c != r.Vector.Known() {
+				t.Errorf("%s vs %s: %d disagreements over %d of %d decided positions\n  got  %s\n  want %s",
+					id, ref, d, c, r.Vector.Known(), o.Vector().Signature(), r.Vector.Signature())
+			}
+		}
+	}
+	if s, l := obs["strict"], obs["legacy"]; s != nil && l != nil {
+		// A compliant validator issues limit + 1 void queries: it cannot
+		// know the limit is hit before the third comes back empty.
+		if s.VoidQueries != spf.DefaultVoidLookupLimit+1 || l.VoidQueries != 5 {
+			t.Errorf("void queries: strict %d, legacy %d; want 3, 5", s.VoidQueries, l.VoidQueries)
+		}
+		if s.LimitsFollowUps > 10 || l.LimitsFollowUps != policy.LimitsTreeSize() {
+			t.Errorf("limits follow-ups: strict %d, legacy %d; want <= 10, 46", s.LimitsFollowUps, l.LimitsFollowUps)
+		}
+		if s.MXAddrLookups > 10 || l.MXAddrLookups != policy.MXLimitCount {
+			t.Errorf("MX address lookups: strict %d, legacy %d; want <= 10, 20", s.MXAddrLookups, l.MXAddrLookups)
+		}
+	}
+}
+
+// TestObserveAllocs pins what makes folding cheap: once an MTA has its
+// Observation, folding an entry of it allocates nothing.
+func TestObserveAllocs(t *testing.T) {
+	log := append(serialMTALog("m1"), violatorMTALog("m2")...)
+	obs := Observe(log)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range log {
+			obs.Add(&log[i])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-folding %d entries allocated %.1f times", len(log), allocs)
+	}
+}
+
+// BenchmarkObserve is the per-entry cost of the one reading of the
+// log: BENCHMARK.json's log-ingest workload runs it under each of its
+// four analyses (analyze_s), probe-campaign in its closing analyses.
+func BenchmarkObserve(b *testing.B) {
+	var log []dnsserver.LogEntry
+	for i := 0; i < 100; i++ {
+		log = append(log, serialMTALog(fmt.Sprintf("s%03d", i))...)
+		log = append(log, violatorMTALog(fmt.Sprintf("v%03d", i))...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Observe(log)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/entry")
+}
