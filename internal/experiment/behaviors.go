@@ -155,7 +155,8 @@ type BehaviorResults struct {
 	SyntaxMainTolerant  SimpleShare
 	SyntaxChildTolerant SimpleShare
 
-	// Void lookups: exceeded the 2-void limit; AllFive looked up all 5.
+	// Void lookups: went past the 2-void limit (a fourth void query:
+	// Observation.PastVoidLimit); AllFive looked up all 5.
 	VoidExceeded SimpleShare
 	VoidAllFive  SimpleShare
 
@@ -197,7 +198,7 @@ func Behaviors(obs fingerprint.Observations) *BehaviorResults {
 			out.SyntaxChildTolerant.add(o.ChildCont)
 		}
 		if o.VoidBase {
-			out.VoidExceeded.add(o.VoidQueries > 2)
+			out.VoidExceeded.add(o.PastVoidLimit())
 			out.VoidAllFive.add(o.VoidQueries >= 5)
 		}
 		if o.NoMXBase {

@@ -206,8 +206,12 @@ func TestBehaviorAnalyses(t *testing.T) {
 	if b.VoidExceeded.Tested == 0 || b.MXFallback.Tested == 0 || b.MultipleNone.Tested == 0 {
 		t.Fatalf("behaviour analyses missing data: %+v", b)
 	}
-	if f := b.VoidExceeded.Fraction(); f < 0.80 {
-		t.Errorf("void-exceeded fraction %.2f, paper ≈ 0.97", f)
+	// Planted 0.97 of the tested MTAs that evaluate the policy at all
+	// (partial validators stop at the base record) and are not Table 6
+	// providers' (those validate compliantly; a fleet this small is
+	// provider-heavy). TestObservations scores the axis MTA by MTA.
+	if f := b.VoidExceeded.Fraction(); f < 0.55 || f > 0.97 {
+		t.Errorf("void-exceeded fraction %.2f, planted 0.97 of non-provider MTAs", f)
 	}
 	if f := b.MultipleNone.Fraction(); f < 0.55 || f > 0.95 {
 		t.Errorf("multiple-none fraction %.2f, paper ≈ 0.77", f)

@@ -248,7 +248,7 @@ func RenderBehaviors(sp SerialParallelResult, b *BehaviorResults) string {
 		{"§7.3 ...continued to MAIL", b.ContinuedToMail},
 		{"§7.3 tolerated main-policy error", b.SyntaxMainTolerant},
 		{"§7.3 tolerated child-policy error", b.SyntaxChildTolerant},
-		{"§7.3 exceeded 2 void lookups", b.VoidExceeded},
+		{"§7.3 void queries past limit (>3)", b.VoidExceeded},
 		{"§7.3 looked up all five voids", b.VoidAllFive},
 		{"§7.3 forbidden MX->A fallback", b.MXFallback},
 		{"§7.3 multiple records: none", b.MultipleNone},

@@ -57,7 +57,8 @@ type Vector struct {
 	// syntax errors (t04/t05).
 	TolerantMainSyntax  Trait
 	TolerantChildSyntax Trait
-	// RespectsVoidLimit: stops after two void lookups (t06).
+	// RespectsVoidLimit: stops at the two-void-lookup limit, that is,
+	// sends no fourth void query (t06; Observation.PastVoidLimit).
 	RespectsVoidLimit Trait
 	// MXFallbackA: issues the forbidden implicit-MX fallback (t07).
 	MXFallbackA Trait

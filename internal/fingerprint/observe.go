@@ -162,13 +162,18 @@ func (o *Observation) Serial() (serial, ok bool) {
 
 // The limit rules both readings share, each meaningful only when the
 // matching *Base field says the axis was tested: at most ten follow-ups
-// on the limits tree, all 46 of them, no more void queries than a
-// validator holding the two-void-lookup limit issues, at most ten
-// MX-host address lookups.
+// on the limits tree, all 46 of them, at most ten MX-host address
+// lookups.
 func (o *Observation) WithinLookupLimit() bool { return o.LimitsFollowUps <= spf.DefaultLookupLimit }
 func (o *Observation) RanFullTree() bool       { return o.LimitsFollowUps >= policy.LimitsTreeSize() }
-func (o *Observation) WithinVoidLimit() bool   { return o.VoidQueries <= 3 }
 func (o *Observation) WithinMXLimit() bool     { return o.MXAddrLookups <= spf.DefaultMXAddressLimit }
+
+// PastVoidLimit reports whether the MTA went past the two-void-lookup
+// limit of RFC 7208 §4.6.4. A validator holding the limit still sends
+// limit + 1 void queries — it cannot know the limit is reached until
+// the third answer comes back empty (spf.Checker.checkVoid) — so only
+// a fourth query shows a violation.
+func (o *Observation) PastVoidLimit() bool { return o.VoidQueries > spf.DefaultVoidLookupLimit+1 }
 
 // known is Unknown for an untested axis, else what was observed.
 func known(tested, observed bool) Trait {
@@ -192,7 +197,7 @@ func (o *Observation) Vector() *Vector {
 		ChecksHELO:           known(o.MailTXT || o.HeloTXT, o.HeloTXT),
 		TolerantMainSyntax:   known(o.MainBase, o.MainAfter),
 		TolerantChildSyntax:  known(o.ChildBase, o.ChildCont),
-		RespectsVoidLimit:    known(o.VoidBase, o.WithinVoidLimit()),
+		RespectsVoidLimit:    known(o.VoidBase, !o.PastVoidLimit()),
 		MXFallbackA:          known(o.NoMXBase, o.NoMXAddr),
 		FollowsOneOfMultiple: known(o.MultiBase, o.MultiOne || o.MultiTwo),
 		TCPCapable:           known(o.UDP || o.TCP, o.TCP),

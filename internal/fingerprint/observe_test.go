@@ -85,20 +85,18 @@ func TestObserveRealCatalog(t *testing.T) {
 	}
 
 	obs := Observe(log.Entries())
-	for id, ref := range map[string]string{"strict": "strict-rfc7208", "legacy": "limit-ignoring-legacy"} {
-		o := obs[id]
+	refs := make(map[string]Vector)
+	for _, r := range References() {
+		refs[r.Name] = r.Vector
+	}
+	for id, name := range map[string]string{"strict": "strict-rfc7208", "legacy": "limit-ignoring-legacy"} {
+		o, ref := obs[id], refs[name]
 		if o == nil {
 			t.Fatalf("%s: no observation", id)
 		}
-		for _, r := range References() {
-			if r.Name != ref {
-				continue
-			}
-			d, c := Distance(o.Vector(), &r.Vector)
-			if d != 0 || c != r.Vector.Known() {
-				t.Errorf("%s vs %s: %d disagreements over %d of %d decided positions\n  got  %s\n  want %s",
-					id, ref, d, c, r.Vector.Known(), o.Vector().Signature(), r.Vector.Signature())
-			}
+		if d, c := Distance(o.Vector(), &ref); d != 0 || c != ref.Known() || c == 0 {
+			t.Errorf("%s vs %s: %d disagreements over %d of %d decided positions\n  got  %s\n  want %s",
+				id, name, d, c, ref.Known(), o.Vector().Signature(), ref.Signature())
 		}
 	}
 	if s, l := obs["strict"], obs["legacy"]; s != nil && l != nil {
