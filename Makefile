@@ -67,12 +67,15 @@ crash:
 # must stay at zero allocations (alongside the query-log codec and
 # journal encoder pins, the tracer's span-lifecycle pins, the shared
 # jsonwire cursor pin, the resolver cache-hit pin, the WAL replay pin
-# and the query-log fold pin that share the naming convention).
+# and the query-log fold pin that share the naming convention), and the
+# connection-lifecycle pins: what one SMTP probe dialogue allocates
+# (internal/smtp), that re-arming a netsim deadline reuses its timer and
+# that closed connections retain nothing (internal/netsim).
 telemetry-alloc:
-	$(GO) test -run 'Alloc' -count=1 \
+	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
 		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
-		./internal/fingerprint/
+		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/
 
 # The bulk-SPF pipeline under seeded netsim faults and the race
 # detector: every input line must come back out exactly once while the

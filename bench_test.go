@@ -545,6 +545,56 @@ func BenchmarkSMTPProbeSession(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeSession measures the unit of work the `probe-campaign`
+// workload of BENCHMARK.json repeats ≈50k times: one probe dialogue
+// over the fabric against an SPF-validating MTA whose resolver fetches
+// the baseline policy from an in-process authoritative server. Every
+// iteration names a new MTA id, as every (MTA, test) pair of a campaign
+// does, so the resolver misses its cache and the query crosses the
+// loopback. B/op and allocs/op are what the session leaves for the
+// collector — the figure the campaign's peak RSS follows.
+func BenchmarkProbeSession(b *testing.B) {
+	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 0.0002}
+	srv := &dnsserver.Server{
+		Zones: []*dnsserver.Zone{{Suffix: env.Suffix, Responders: policy.Responders(env)}},
+		Log:   &dnsserver.QueryLog{},
+	}
+	dnsAddr, err := srv.Start()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	fabric := netsim.NewFabric()
+	addr := netip.MustParseAddr("203.0.113.98")
+	mta := mtasim.New(mtasim.Config{
+		ID: "bench", Hostname: "bench.mx.example", Addr4: addr,
+		Profile: mtasim.Profile{ValidatesSPF: true, AcceptAnyUser: true},
+		Fabric:  fabric, DNSAddr: dnsAddr.String(),
+	})
+	if err := mta.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(mta.Close)
+	client := &probe.Client{
+		Dialer: fabric, Suffix: env.Suffix,
+		HeloDomain: "probe.example", RecipientDomain: "target.example",
+		Timeout: 10 * time.Second,
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := client.Probe(ctx, addr, fmt.Sprintf("m%06d", i), "t12")
+		if res.Stage != probe.StageDone {
+			b.Fatalf("probe: %+v", res)
+		}
+	}
+	b.StopTimer()
+	if got := mta.Stats().SPFChecks; got != b.N {
+		b.Fatalf("%d probes ran %d SPF checks", b.N, got)
+	}
+}
+
 // --- Campaign orchestration ---
 
 // BenchmarkCampaignThroughput measures the campaign scheduler driving

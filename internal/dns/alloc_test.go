@@ -2,7 +2,9 @@ package dns
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // The serving hot path promises allocation-free encode and (for repeat
@@ -103,5 +105,43 @@ func TestCanonicalNameFastPath(t *testing.T) {
 	// The slow path still canonicalizes.
 	if got := CanonicalName("MiXeD.Example"); got != "mixed.example." {
 		t.Errorf("slow path: %q", got)
+	}
+}
+
+// TestUnpackFromReusedBuffer pins what lets Client.ExchangeOver and the
+// server unpack from a pooled packet buffer: the Message keeps no byte
+// of its input, so overwriting the buffer afterwards changes nothing —
+// and the records owned by the name that was asked share the question's
+// string instead of each rebuilding it.
+func TestUnpackFromReusedBuffer(t *testing.T) {
+	want := sampleMessage()
+	packed, err := want.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pktp := pktPool.Get().(*[]byte)
+	n := copy(*pktp, packed)
+	var got Message
+	if err := got.Unpack((*pktp)[:n]); err != nil {
+		t.Fatal(err)
+	}
+	clear(*pktp)
+	pktPool.Put(pktp)
+	if !reflect.DeepEqual(&got, want) {
+		t.Errorf("message changed after its buffer was reused:\n got %v\nwant %v", &got, want)
+	}
+
+	qname := unsafe.StringData(got.Question().Name)
+	shared := 0
+	for _, rr := range append(got.Answers, got.Authority...) {
+		if rr.Name == got.Question().Name {
+			if unsafe.StringData(rr.Name) != qname {
+				t.Errorf("%s record owned by the question name carries its own copy of it", rr.Type)
+			}
+			shared++
+		}
+	}
+	if shared != 4 {
+		t.Fatalf("sample message has %d records owned by its question name, want 4", shared)
 	}
 }

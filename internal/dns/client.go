@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -38,9 +37,6 @@ type Client struct {
 	// DisableTCPFallback suppresses the TCP retry that normally
 	// follows a truncated UDP response.
 	DisableTCPFallback bool
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
 
 const defaultTimeout = 5 * time.Second
@@ -59,14 +55,10 @@ func (c *Client) timeout() time.Duration {
 	return defaultTimeout
 }
 
-// nextID returns a fresh transaction ID.
-func (c *Client) nextID() uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	return uint16(c.rng.Intn(1 << 16))
+// nextID returns a fresh transaction ID from the runtime's randomly
+// seeded generator: unpredictable, as RFC 5452 §4.3 asks, and lock-free.
+func nextID() uint16 {
+	return uint16(rand.Uint32())
 }
 
 // Query sends a single-question query for (name, t) to addr and
@@ -82,7 +74,7 @@ func (c *Client) Query(ctx context.Context, addr, name string, t Type) (*Message
 // truncation unless disabled.
 func (c *Client) Exchange(ctx context.Context, msg *Message, addr string) (*Message, error) {
 	if msg.ID == 0 {
-		msg.ID = c.nextID()
+		msg.ID = nextID()
 	}
 	resp, err := c.ExchangeOver(ctx, msg, "udp", addr)
 	if err != nil {
@@ -98,7 +90,7 @@ func (c *Client) Exchange(ctx context.Context, msg *Message, addr string) (*Mess
 // "tcp") and returns the response.
 func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr string) (*Message, error) {
 	if msg.ID == 0 {
-		msg.ID = c.nextID()
+		msg.ID = nextID()
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
@@ -130,12 +122,16 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 		_ = conn.SetDeadline(deadline)
 	}
 
+	// The reply is read into a pooled packet buffer: Unpack copies
+	// everything the returned Message keeps.
+	pktp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(pktp)
 	var respBuf []byte
 	switch network {
 	case "tcp", "tcp4", "tcp6":
-		respBuf, err = exchangeTCP(conn, packed)
+		respBuf, err = exchangeTCP(conn, packed, *pktp)
 	default:
-		respBuf, err = exchangeUDP(conn, packed, msg.EDNSUDPSize())
+		respBuf, err = exchangeUDP(conn, packed, *pktp, wire.EDNSUDPSize())
 	}
 	if err != nil {
 		return nil, err
@@ -154,14 +150,17 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 	return resp, nil
 }
 
-func exchangeUDP(conn net.Conn, query []byte, bufSize int) ([]byte, error) {
+// exchangeUDP sends query and reads the reply datagram into buf. A
+// query that advertised a payload larger than buf (an EDNS0 size above
+// the 4096 the pool's buffers hold) gets a buffer of its own, so the
+// reply it invited is never cut short by the read.
+func exchangeUDP(conn net.Conn, query, buf []byte, advertised int) ([]byte, error) {
 	if _, err := conn.Write(query); err != nil {
 		return nil, fmt.Errorf("dns: udp write: %w", err)
 	}
-	if bufSize < 512 {
-		bufSize = 512
+	if advertised > len(buf) {
+		buf = make([]byte, advertised)
 	}
-	buf := make([]byte, bufSize+1024)
 	n, err := conn.Read(buf)
 	if err != nil {
 		return nil, fmt.Errorf("dns: udp read: %w", err)
@@ -169,11 +168,11 @@ func exchangeUDP(conn net.Conn, query []byte, bufSize int) ([]byte, error) {
 	return buf[:n], nil
 }
 
-func exchangeTCP(conn net.Conn, query []byte) ([]byte, error) {
+func exchangeTCP(conn net.Conn, query, buf []byte) ([]byte, error) {
 	if err := WriteTCPMessage(conn, query); err != nil {
 		return nil, err
 	}
-	return ReadTCPMessage(conn)
+	return readTCPMessageInto(conn, buf)
 }
 
 // WriteTCPMessage writes a DNS message with the two-octet length

@@ -2,13 +2,16 @@ package dns
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzMessageUnpack throws arbitrary bytes at the wire-format parser —
 // the first code every hostile packet reaches. The invariant is
 // narrow and absolute: Unpack may reject, but must never panic, and
-// anything it accepts must survive a Pack/Unpack round trip.
+// anything it accepts must survive a Pack/Unpack round trip and must
+// not alias its input — the client and the server both unpack from a
+// pooled packet buffer the next exchange overwrites.
 //
 // The seed corpus covers the interesting shapes: a real query, a real
 // answer, compression pointers, truncated headers, and pointer loops.
@@ -36,11 +39,28 @@ func FuzzMessageUnpack(f *testing.F) {
 	f.Add([]byte{0, 1, 0x80, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 0x0c, 0, 16, 0, 1}) // pointer into the header
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 0x0c, 0, 1, 0, 1})     // self-referencing compression pointer
 	f.Add([]byte{0, 2, 1, 0, 0, 255, 0, 255, 0, 255, 0, 255})                     // absurd section counts
+	// A reply with several records owned by the question's name (they
+	// share its string), others that are not, and names inside rdata;
+	// then the same reply with the question in upper case on the wire.
+	if packed, err := sampleMessage().Pack(); err == nil {
+		f.Add(packed)
+		mixed := append([]byte(nil), packed...)
+		copy(mixed[13:], "EXAMPLE") // header, then the first label's length octet
+		f.Add(mixed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
-		if err := m.Unpack(data); err != nil {
+		buf := append([]byte(nil), data...)
+		if err := m.Unpack(buf); err != nil {
 			return // rejection is fine; panicking is not
+		}
+		for i := range buf {
+			buf[i] ^= 0xA5 // the buffer goes back to its pool and is reused
+		}
+		var pristine Message
+		if err := pristine.Unpack(data); err != nil || !reflect.DeepEqual(&m, &pristine) {
+			t.Fatalf("message changed when its input buffer was overwritten (%v):\n got %v\nwant %v", err, &m, &pristine)
 		}
 		repacked, err := m.Pack()
 		if err != nil {

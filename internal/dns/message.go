@@ -218,6 +218,9 @@ func (m *Message) Unpack(data []byte) error {
 			return err
 		}
 		m.Questions = append(m.Questions, Question{Name: name, Type: Type(t), Class: Class(c)})
+		if i == 0 {
+			p.qname = name
+		}
 	}
 	for _, section := range []struct {
 		count int

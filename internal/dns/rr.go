@@ -245,7 +245,7 @@ func (b *builder) packRR(rr RR) error {
 // unpackRR reads one resource record.
 func (p *parser) unpackRR() (RR, error) {
 	var rr RR
-	name, err := p.name()
+	name, err := p.nameHint(p.qname)
 	if err != nil {
 		return rr, err
 	}

@@ -63,6 +63,10 @@ func (b *builder) charString(s string) error {
 type parser struct {
 	msg []byte
 	off int
+	// qname is the first question's name once parsed. Nearly every
+	// record of a reply is owned by the name that was asked, so unpackRR
+	// offers it as the hint and those records share one string.
+	qname string
 }
 
 func (p *parser) uint8() (uint8, error) {

@@ -97,7 +97,7 @@ func (f *Fabric) Listen(addr netip.AddrPort) (*Listener, error) {
 	l := &Listener{
 		fabric:  f,
 		addr:    addr,
-		backlog: make(chan net.Conn, 128),
+		backlog: make(chan *pipeConn, 128),
 		closed:  make(chan struct{}),
 	}
 	f.listeners[addr] = l
@@ -153,6 +153,9 @@ func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagra
 	clientEnd.datagram, serverEnd.datagram = datagram, datagram
 	select {
 	case l.backlog <- serverEnd:
+		if isClosedChan(l.closed) {
+			l.resetBacklog() // Close may have swept before this landed
+		}
 		return clientEnd, nil
 	case <-l.closed:
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
@@ -219,7 +222,7 @@ func (d *BoundDialer) DialContext(ctx context.Context, network, address string) 
 type Listener struct {
 	fabric  *Fabric
 	addr    netip.AddrPort
-	backlog chan net.Conn
+	backlog chan *pipeConn
 	closed  chan struct{}
 	once    sync.Once
 }
@@ -234,15 +237,31 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// Close deregisters the listener.
+// Close deregisters the listener and resets the connections still
+// waiting in its backlog, so their dialers see ErrConnReset — what TCP
+// delivers when a listening socket goes away — instead of waiting out
+// their own read deadlines on a connection nobody will ever serve.
 func (l *Listener) Close() error {
 	l.once.Do(func() {
 		close(l.closed)
 		l.fabric.mu.Lock()
 		delete(l.fabric.listeners, l.addr)
 		l.fabric.mu.Unlock()
+		l.resetBacklog()
 	})
 	return nil
+}
+
+// resetBacklog aborts every connection queued but not accepted.
+func (l *Listener) resetBacklog() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.reset() // never accepted, so it holds no deadline to stop
+		default:
+			return
+		}
+	}
 }
 
 // Addr returns the simulated listen address.
@@ -288,8 +307,18 @@ type half struct {
 	fail error  // close cause when abnormal (e.g. ErrConnReset)
 }
 
+// queueDepth bounds the chunks one direction holds before Write blocks
+// on the reader, as a full send window would. The protocols crossing
+// the fabric are lock-step — one command or datagram out, one reply
+// back — and the deepest queue a probe campaign ever builds is one
+// chunk, so the bound is that plus a little slack for a writer that
+// runs ahead (a chunked reply, a command sent behind an unread
+// greeting); every connection pays for the slots whether it fills them
+// or not.
+const queueDepth = 4
+
 func newHalf() *half {
-	return &half{ch: make(chan []byte, 256), closed: make(chan struct{})}
+	return &half{ch: make(chan []byte, queueDepth), closed: make(chan struct{})}
 }
 
 func (h *half) close() {
@@ -320,10 +349,14 @@ func (h *half) closeCause() error {
 // the operation selects on the cancel channel the deadline closes when
 // it fires. This mirrors net.Pipe's deadline machinery, which is the
 // contract net.Conn implementations must honour under concurrent
-// SetDeadline calls.
+// SetDeadline calls — except that one timer serves the connection's
+// whole life: a protocol that pushes its deadline forward before every
+// command re-arms it with Reset, and stop releases it.
 type connDeadline struct {
 	mu     sync.Mutex
-	timer  *time.Timer
+	timer  *time.Timer // runs fire; created by the first future deadline
+	armed  bool        // timer is pending and its fire will be honoured
+	stale  int         // fire calls in flight for a deadline since replaced
 	cancel chan struct{}
 }
 
@@ -336,32 +369,67 @@ func (d *connDeadline) set(t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	if d.timer != nil && !d.timer.Stop() {
-		<-d.cancel // the timer fired; wait until its close completes
-	}
-	d.timer = nil
-
 	expired := isClosedChan(d.cancel)
-	if t.IsZero() {
+	dur := time.Until(t)
+	switch {
+	case t.IsZero():
 		// No deadline: replace an already-fired channel so future I/O
 		// blocks again.
+		d.disarmLocked()
 		if expired {
 			d.cancel = make(chan struct{})
 		}
 		return
-	}
-	if dur := time.Until(t); dur > 0 {
-		if expired {
-			d.cancel = make(chan struct{})
+	case dur <= 0:
+		// Deadline in the past: expire immediately.
+		d.disarmLocked()
+		if !expired {
+			close(d.cancel)
 		}
-		cancel := d.cancel
-		d.timer = time.AfterFunc(dur, func() { close(cancel) })
 		return
 	}
-	// Deadline in the past: expire immediately.
-	if !expired {
-		close(d.cancel)
+	if expired {
+		d.cancel = make(chan struct{})
 	}
+	switch {
+	case d.timer == nil:
+		d.timer = time.AfterFunc(dur, d.fire)
+	case !d.timer.Reset(dur) && d.armed:
+		// The timer went off before Reset reached it; its fire is
+		// waiting for d.mu and belongs to the deadline just replaced.
+		d.stale++
+	}
+	d.armed = true
+}
+
+// disarmLocked stops a pending timer. Caller holds d.mu.
+func (d *connDeadline) disarmLocked() {
+	if d.armed && !d.timer.Stop() {
+		d.stale++ // already running: see set
+	}
+	d.armed = false
+}
+
+// stop releases the timer when the connection closes, so a finished
+// connection is not kept reachable from the runtime's timer heap until
+// a deadline nobody waits for any more goes off.
+func (d *connDeadline) stop() {
+	d.mu.Lock()
+	d.disarmLocked()
+	d.mu.Unlock()
+}
+
+// fire is the timer's function: it expires the deadline unless set or
+// stop overtook it between the timer going off and fire taking d.mu.
+func (d *connDeadline) fire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stale > 0 {
+		d.stale--
+		return
+	}
+	d.armed = false
+	close(d.cancel)
 }
 
 // wait returns the channel closed when the deadline fires.
@@ -483,11 +551,17 @@ func (c *pipeConn) Write(p []byte) (int, error) {
 func (c *pipeConn) injectWriteFault() error {
 	lf := c.faults
 	if lf.down(time.Now()) || lf.roll(lf.profile.ResetRate) {
-		c.wr.abort(ErrConnReset)
-		c.rd.abort(ErrConnReset)
+		c.reset()
 		return ErrConnReset
 	}
 	return nil
+}
+
+// reset tears down both directions with ErrConnReset, so this end and
+// the peer both observe the reset.
+func (c *pipeConn) reset() {
+	c.wr.abort(ErrConnReset)
+	c.rd.abort(ErrConnReset)
 }
 
 // writeChunked delivers p in max-sized chunks, so the peer observes
@@ -546,9 +620,14 @@ func (c *pipeConn) writeCloseErr() error {
 	return io.ErrClosedPipe
 }
 
+// Close closes both directions and releases this end's deadline
+// timers; nothing of a closed connection stays reachable from the
+// runtime.
 func (c *pipeConn) Close() error {
 	c.wr.close()
 	c.rd.close()
+	c.rdDL.stop()
+	c.wrDL.stop()
 	return nil
 }
 

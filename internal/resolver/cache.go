@@ -22,26 +22,32 @@ type cacheEntry struct {
 // cache is the resolver's response cache: one map behind one RWMutex,
 // holding at most capacity entries. Concurrent cache hits — the
 // bulk-validation hot path — share the read lock. Expired entries are
-// not reaped on read (that would need the write lock); they are
-// reclaimed expired-first when the map hits capacity.
+// not reaped on read (that would need the write lock); an insert reaps
+// them, expired-first, when the map is at capacity or has doubled since
+// the last reap, so a cache that never fills still forgets what its
+// TTLs say it should at an amortised constant cost per insert.
 type cache struct {
 	mu       sync.RWMutex
 	entries  map[cacheKey]cacheEntry
 	capacity int
+	reapAt   int // entry count at which the next insert reaps
 }
+
+// minReap is the smallest map worth a reaping pass.
+const minReap = 16
 
 func newCache(maxEntries int) *cache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	return &cache{entries: make(map[cacheKey]cacheEntry), capacity: maxEntries}
+	return &cache{entries: make(map[cacheKey]cacheEntry), capacity: maxEntries, reapAt: minReap}
 }
 
 // get returns the cached message for key if present and not expired.
 // The hit path is allocation-free (pinned by TestExchangeHitPathAllocFree):
 // a read lock, one map probe, and an expiry comparison outside the
 // lock. Expired entries are reported as misses but left in place for
-// capacity-time eviction.
+// the next insert-time reap.
 func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
@@ -52,21 +58,24 @@ func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
 	return e.msg, true
 }
 
-// put stores msg under key, evicting first if the cache is full.
+// put stores msg under key, reaping first if the cache is full or due
+// a sweep.
 func (c *cache) put(key cacheKey, msg *dns.Message, expires time.Time) {
 	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.capacity {
-		c.evictLocked(time.Now())
+	if n := len(c.entries); n >= c.capacity || n >= c.reapAt {
+		if _, ok := c.entries[key]; !ok {
+			c.reapLocked(time.Now())
+		}
 	}
 	c.entries[key] = cacheEntry{msg: msg, expires: expires}
 	c.mu.Unlock()
 }
 
-// evictLocked frees room for one insert into a full map: expired
-// entries go first, and only if none were expired is a live entry
-// dropped, the one closest to expiry — the entry whose loss costs the
-// fewest future hits.
-func (c *cache) evictLocked(now time.Time) {
+// reapLocked drops every expired entry and, if the map is still at
+// capacity, frees room for one insert by dropping the live entry
+// closest to expiry — the one whose loss costs the fewest future hits.
+// The next sweep is due when the survivors have doubled.
+func (c *cache) reapLocked(now time.Time) {
 	var victim cacheKey
 	var soonest time.Time
 	for k, e := range c.entries {
@@ -79,6 +88,7 @@ func (c *cache) evictLocked(now time.Time) {
 	if len(c.entries) >= c.capacity {
 		delete(c.entries, victim)
 	}
+	c.reapAt = max(minReap, 2*len(c.entries))
 }
 
 // len returns the entry count, stale entries included.
@@ -92,5 +102,6 @@ func (c *cache) len() int {
 func (c *cache) flush() {
 	c.mu.Lock()
 	c.entries = make(map[cacheKey]cacheEntry)
+	c.reapAt = minReap
 	c.mu.Unlock()
 }

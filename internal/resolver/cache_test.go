@@ -102,6 +102,36 @@ func TestEvictSoonestExpiryWhenNoneExpired(t *testing.T) {
 	}
 }
 
+// TestExpiredEntriesReapedBelowCapacity: a cache that never reaches
+// its capacity — every per-MTA cache of a campaign — must still forget
+// what its TTLs say it should. A thousand inserts that have all expired
+// by the time of the next one leave a handful of entries, not a
+// thousand waiting for a capacity the cache will never hit.
+func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
+	r := New(Config{Server: "192.0.2.1:53"})
+	past := time.Now().Add(-time.Second)
+	for i := 0; i < 1000; i++ {
+		r.cache.put(cacheKey{name: fmt.Sprintf("e%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, past)
+	}
+	live := cacheKey{name: "live.example.com.", typ: dns.TypeTXT}
+	r.cache.put(live, &dns.Message{}, time.Now().Add(time.Hour))
+	if got := r.CacheLen(); got > minReap {
+		t.Errorf("CacheLen() = %d after 1000 expired inserts and one live one, want ≤ %d", got, minReap)
+	}
+	if _, ok := r.cache.get(live, time.Now()); !ok {
+		t.Error("the live entry was reaped with the expired ones")
+	}
+
+	// Live entries are never reaped below capacity, however many sweeps
+	// their growth triggers.
+	for i := 0; i < 1000; i++ {
+		r.cache.put(cacheKey{name: fmt.Sprintf("l%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
+	}
+	if got := r.CacheLen(); got < 1001 {
+		t.Errorf("CacheLen() = %d after 1001 live inserts below capacity, want all of them", got)
+	}
+}
+
 // TestCacheBoundIsExact pins that MaxCacheEntries is the capacity, not
 // an upper bound on it: a default cache given exactly 4096 distinct
 // live entries keeps every one, and the next insert evicts exactly one.

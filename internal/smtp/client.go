@@ -44,11 +44,11 @@ func Dial(ctx context.Context, dialer Dialer, addr string) (*Client, error) {
 	c := NewClient(conn)
 	code, text, err := c.readReply()
 	if err != nil {
-		conn.Close()
+		c.Abort()
 		return nil, err
 	}
 	if code != 220 {
-		conn.Close()
+		c.Abort()
 		return nil, &Error{Code: code, Message: text}
 	}
 	c.Greeting = text
@@ -56,14 +56,16 @@ func Dial(ctx context.Context, dialer Dialer, addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection. The caller must consume
-// the greeting (Dial does this automatically).
+// the greeting (Dial does this automatically). The client's buffers
+// come from the package pool; Quit or Abort hands them back.
 func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
-	}
+	c := &Client{conn: conn}
+	c.br, c.bw = getBuffers(conn)
+	return c
 }
+
+// errClientClosed answers a command issued after Quit or Abort.
+var errClientClosed = fmt.Errorf("smtp: client closed: %w", net.ErrClosed)
 
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
@@ -75,6 +77,9 @@ func (c *Client) timeout() time.Duration {
 // Cmd sends one command line and returns the reply. A non-2xx/3xx
 // reply is returned as *Error.
 func (c *Client) Cmd(format string, args ...any) (int, string, error) {
+	if c.bw == nil {
+		return 0, "", errClientClosed
+	}
 	_ = c.conn.SetDeadline(time.Now().Add(c.timeout()))
 	if _, err := fmt.Fprintf(c.bw, format+"\r\n", args...); err != nil {
 		return 0, "", fmt.Errorf("smtp: write: %w", err)
@@ -194,13 +199,18 @@ func (c *Client) DataCommand() (int, string, error) {
 // Quit ends the session politely.
 func (c *Client) Quit() error {
 	_, _, err := c.Cmd("QUIT")
-	c.conn.Close()
+	c.Abort()
 	return err
 }
 
 // Abort drops the TCP connection without QUIT — how the probe client
-// leaves after the DATA reply.
+// leaves after the DATA reply — and returns the client's buffers to
+// the pool. It is safe after Quit and more than once.
 func (c *Client) Abort() error {
+	if c.br != nil {
+		putBuffers(c.br, c.bw)
+		c.br, c.bw = nil, nil
+	}
 	return c.conn.Close()
 }
 

@@ -309,8 +309,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.Handler.OnClose != nil {
 		defer s.Handler.OnClose(sess)
 	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	br, bw := getBuffers(conn)
+	defer putBuffers(br, bw)
 	send := func(r *Reply) bool {
 		if _, err := bw.WriteString(r.format()); err != nil {
 			return false
