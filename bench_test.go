@@ -107,7 +107,7 @@ func BenchmarkTable4ValidationBreakdown(b *testing.B) {
 	var allThree float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunNotifyEmail(ctx, w, 32)
-		a := experiment.AnalyzeNotifyEmail(w, run)
+		a := experiment.NotifyEmail(w.Population, w.DomainObservations(), run)
 		allThree = 100 * float64(a.Combos["YYY"]) / float64(a.Domains)
 	}
 	b.ReportMetric(allThree, "%all-three") // paper: 53%
@@ -120,7 +120,7 @@ func BenchmarkTable6Providers(b *testing.B) {
 	var matched float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunNotifyEmail(ctx, w, 32)
-		a := experiment.AnalyzeNotifyEmail(w, run)
+		a := experiment.NotifyEmail(w.Population, w.DomainObservations(), run)
 		ok := 0
 		for _, row := range a.Providers {
 			if row.SPF == row.Expected.SPF && row.DKIM == row.Expected.DKIM {
@@ -139,7 +139,7 @@ func BenchmarkTable7Alexa(b *testing.B) {
 	var top1M float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunNotifyEmail(ctx, w, 32)
-		a := experiment.AnalyzeNotifyEmail(w, run)
+		a := experiment.NotifyEmail(w.Population, w.DomainObservations(), run)
 		if a.Alexa.Top1M > 0 {
 			top1M = 100 * float64(a.Alexa.SPFTop1M) / float64(a.Alexa.Top1M)
 		}
@@ -154,7 +154,7 @@ func BenchmarkFigure2TimingHistogram(b *testing.B) {
 	var negative float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunNotifyEmail(ctx, w, 32)
-		a := experiment.AnalyzeNotifyEmail(w, run)
+		a := experiment.NotifyEmail(w.Population, w.DomainObservations(), run)
 		negative = 100 * experiment.Bucketize(a.TimingSamples).NegativeFraction()
 	}
 	b.ReportMetric(negative, "%validated-before-delivery") // paper: 83%
@@ -169,7 +169,7 @@ func BenchmarkTable5SPFValidating(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunProbes(ctx, w, []string{"t12"}, 32)
-		a := experiment.AnalyzeProbes(w, run, false)
+		a := experiment.Probes(w.Population, w.Observations(), run, false)
 		rate = 100 * float64(a.SPFDomains) / float64(a.Domains)
 	}
 	b.ReportMetric(rate, "%NotifyMX-validating") // paper: 51%
@@ -182,7 +182,7 @@ func BenchmarkTable5TwoWeekDeciles(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
 		run := experiment.RunProbes(ctx, w, []string{"t12"}, 32)
-		a := experiment.AnalyzeProbes(w, run, true)
+		a := experiment.Probes(w.Population, w.Observations(), run, true)
 		rate = 100 * float64(a.SPFDomains) / float64(a.Domains)
 	}
 	b.ReportMetric(rate, "%TwoWeekMX-validating") // paper: 13%

@@ -218,7 +218,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	}
 
 	pc.WarnResumed(logf)
-	a := experiment.AnalyzeProbes(world, run, false)
+	a := experiment.Probes(world.Population, world.Observations(), run, false)
 	fmt.Fprintf(stdout, "\ncampaign complete: %d done, %d failed, %d retries across %d attempts\n",
 		s.Done, s.Failed, s.Retried, s.Attempts)
 	fmt.Fprintf(stdout, "SPF-validating: %d of %d MTAs, %d of %d domains\n",

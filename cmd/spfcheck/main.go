@@ -12,10 +12,10 @@
 // Bulk: stream JSONL tuples ({"ip":..., "mail_from":..., "helo":...,
 // "domain":...}) from -input (a path, or "-" for stdin) through a
 // concurrent worker pool sharing one resolver, writing one JSONL
-// result per line to stdout in input order (-unordered to emit on
-// completion) and a throughput summary to stderr.
+// result per line to stdout in input order and a throughput summary to
+// stderr.
 //
-//	spfcheck -server 127.0.0.1:53 -input tuples.jsonl [-workers N] [-unordered]
+//	spfcheck -server 127.0.0.1:53 -input tuples.jsonl [-workers N]
 //
 // With -trace-file, every evaluation (and, in bulk mode, every tuple)
 // roots a trace whose resolver spans join against the authoritative
@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		serverFlag = fs.String("server", "", "DNS server address ip:port (required)")
 		inputFlag  = fs.String("input", "", "bulk mode: JSONL tuple file, or - for stdin")
 		workers    = fs.Int("workers", 0, "bulk mode: concurrent evaluations (0 = GOMAXPROCS)")
-		unordered  = fs.Bool("unordered", false, "bulk mode: emit results on completion instead of input order")
 		limitFlag  = fs.Int("limit", 0, "DNS lookup limit (0 = RFC default 10, -1 = unlimited)")
 		voidFlag   = fs.Int("void", 0, "void lookup limit (0 = RFC default 2, -1 = unlimited)")
 		prefetch   = fs.Bool("prefetch", false, "resolve mechanisms in parallel (the 3% behaviour)")
@@ -115,7 +114,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			fmt.Fprintln(stderr, "spfcheck: -input (bulk mode) excludes -ip/-from")
 			return exitUsage
 		}
-		return runBulk(ctx, res, opts, tracing.Tracer, *inputFlag, *workers, *unordered, stdin, stdout, stderr)
+		return runBulk(ctx, res, opts, tracing.Tracer, *inputFlag, *workers, stdin, stdout, stderr)
 	}
 
 	if *ipFlag == "" || *fromFlag == "" {
@@ -170,7 +169,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 // runBulk streams tuples through the bulkspf pipeline and maps the
 // aggregate outcome onto the exit codes.
-func runBulk(ctx context.Context, res *resolver.Resolver, opts spf.Options, tracer *trace.Tracer, input string, workers int, unordered bool, stdin io.Reader, stdout, stderr io.Writer) int {
+func runBulk(ctx context.Context, res *resolver.Resolver, opts spf.Options, tracer *trace.Tracer, input string, workers int, stdin io.Reader, stdout, stderr io.Writer) int {
 	in := stdin
 	if input != "-" {
 		f, err := os.Open(input)
@@ -182,11 +181,10 @@ func runBulk(ctx context.Context, res *resolver.Resolver, opts spf.Options, trac
 		in = f
 	}
 	eval := bulkspf.New(bulkspf.Config{
-		Resolver:  res,
-		SPF:       opts,
-		Workers:   workers,
-		Unordered: unordered,
-		Tracer:    tracer,
+		Resolver: res,
+		SPF:      opts,
+		Workers:  workers,
+		Tracer:   tracer,
 	})
 	stats, err := eval.Run(ctx, in, stdout)
 	if err != nil {

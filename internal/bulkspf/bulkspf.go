@@ -4,7 +4,7 @@
 // observed SMTP connections are re-validated offline.
 //
 // Input is JSONL, one Tuple per line; output is JSONL, one Result per
-// line, in input order by default. All workers share the caller's
+// line, in input order. All workers share the caller's
 // resolver: the resolver's sharded cache and singleflight dedup are
 // what make N workers cost less than N times the DNS traffic, since
 // real mail streams repeat sending domains heavily.
@@ -42,8 +42,7 @@ type Tuple struct {
 }
 
 // Result is one evaluated tuple. Seq is the zero-based input line
-// index (blank lines excluded), present so unordered output remains
-// joinable against the input.
+// index (blank lines excluded), which joins a result to its input.
 type Result struct {
 	Seq         int        `json:"seq"`
 	IP          string     `json:"ip"`
@@ -73,13 +72,6 @@ type Config struct {
 	SPF spf.Options
 	// Workers is the evaluation concurrency. Zero means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the jobs buffered ahead of the workers — the
-	// backpressure window between the input reader and evaluation.
-	// Zero means 4×Workers.
-	QueueDepth int
-	// Unordered emits results as they complete instead of in input
-	// order; Seq still identifies the input line.
-	Unordered bool
 	// Tracer, when non-nil, opens one root span per evaluated tuple
 	// ("bulkspf.tuple"); the SPF checker and resolver hang their
 	// spans off it through the context.
@@ -151,19 +143,11 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	depth := e.cfg.QueueDepth
-	if depth <= 0 {
-		depth = 4 * workers
-	}
-
+	// The backpressure window between the input reader and evaluation:
+	// enough buffered jobs that no worker idles while the reader scans.
+	depth := 4 * workers
 	jobs := make(chan *job, depth)
-	var order chan *job     // ordered mode: jobs in input order for the writer
-	var results chan Result // unordered mode: completions as they happen
-	if e.cfg.Unordered {
-		results = make(chan Result, depth)
-	} else {
-		order = make(chan *job, depth)
-	}
+	order := make(chan *job, depth) // jobs in input order for the writer
 
 	// Reader. Every job is sent to jobs BEFORE order, so the writer
 	// never waits on a job no worker will see: order is always a
@@ -171,9 +155,7 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(jobs)
-		if order != nil {
-			defer close(order)
-		}
+		defer close(order)
 		sc := bufio.NewScanner(in)
 		sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 		seq := 0
@@ -190,13 +172,11 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 				readErr <- ctx.Err()
 				return
 			}
-			if order != nil {
-				select {
-				case order <- j:
-				case <-ctx.Done():
-					readErr <- ctx.Err()
-					return
-				}
+			select {
+			case order <- j:
+			case <-ctx.Done():
+				readErr <- ctx.Err()
+				return
 			}
 		}
 		readErr <- sc.Err()
@@ -204,9 +184,9 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 
 	// Workers. Each carries its own Checker (Checker is cheap; the
 	// shared state that matters — cache, singleflight — lives in the
-	// resolver). In ordered mode workers drain jobs unconditionally:
-	// res has capacity one, so delivery never blocks and every job the
-	// writer holds is guaranteed a result even mid-cancellation.
+	// resolver). Workers drain jobs unconditionally: res has capacity
+	// one, so delivery never blocks and every job the writer holds is
+	// guaranteed a result even mid-cancellation.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -214,23 +194,8 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 			defer wg.Done()
 			checker := &spf.Checker{Resolver: e.cfg.Resolver, Options: e.cfg.SPF}
 			for j := range jobs {
-				r := e.eval(ctx, checker, j)
-				if order != nil {
-					j.res <- r
-					continue
-				}
-				select {
-				case results <- r:
-				case <-ctx.Done():
-					return
-				}
+				j.res <- e.eval(ctx, checker, j)
 			}
-		}()
-	}
-	if results != nil {
-		go func() {
-			wg.Wait()
-			close(results)
 		}()
 	}
 
@@ -254,14 +219,8 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 			}
 		}
 	}
-	if order != nil {
-		for j := range order {
-			emit(<-j.res)
-		}
-	} else {
-		for r := range results {
-			emit(r)
-		}
+	for j := range order {
+		emit(<-j.res)
 	}
 	wg.Wait()
 	stats.Elapsed = time.Since(start)

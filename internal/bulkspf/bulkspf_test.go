@@ -118,37 +118,6 @@ func TestRunOrdered(t *testing.T) {
 	}
 }
 
-func TestRunUnordered(t *testing.T) {
-	const n = 50
-	lines := make([]string, n)
-	for i := range lines {
-		lines[i] = fmt.Sprintf(`{"ip":"203.0.113.9","mail_from":"u%d@pass.example"}`, i)
-	}
-	results, stats := runLines(t,
-		Config{Resolver: testResolver(), Workers: 8, Unordered: true}, lines)
-	if len(results) != n {
-		t.Fatalf("got %d results, want %d", len(results), n)
-	}
-	seen := make(map[int]bool)
-	for _, r := range results {
-		if r.Result != spf.Pass {
-			t.Errorf("seq %d: %q, want pass", r.Seq, r.Result)
-		}
-		if seen[r.Seq] {
-			t.Errorf("seq %d emitted twice", r.Seq)
-		}
-		seen[r.Seq] = true
-	}
-	for i := 0; i < n; i++ {
-		if !seen[i] {
-			t.Errorf("seq %d missing from unordered output", i)
-		}
-	}
-	if stats.Evaluated != n {
-		t.Errorf("stats.Evaluated = %d, want %d", stats.Evaluated, n)
-	}
-}
-
 // gateResolver blocks every TXT lookup until released, tracking how
 // many are blocked at once — the observable for concurrency tests.
 type gateResolver struct {
@@ -189,7 +158,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	var results []Result
 	go func() {
 		defer close(done)
-		results, _ = runLines(t, Config{Resolver: g, Workers: workers, QueueDepth: 4}, lines)
+		results, _ = runLines(t, Config{Resolver: g, Workers: workers}, lines)
 	}()
 
 	deadline := time.Now().Add(2 * time.Second)

@@ -94,8 +94,8 @@ func fabricDNS(t *testing.T, ln *netsim.Listener, txt map[string]string) {
 // TestBulkPipelineChaos runs the full bulk pipeline against a DNS
 // server reached through a lossy, refusal-prone netsim fabric: every
 // input line must still produce exactly one output line, worst case a
-// temperror, and the run must not leak goroutines. This is the -race
-// leg `make check` runs via the bulk-race target.
+// temperror, and the run must not leak goroutines. `make bulk-race`
+// runs it alone under -race at a chosen CHAOS_SEED.
 func TestBulkPipelineChaos(t *testing.T) {
 	t.Cleanup(leaktest.Check(t))
 	seed := chaosSeed(t)

@@ -385,19 +385,27 @@ func TestJournalTornTailLine(t *testing.T) {
 }
 
 func TestResumeTerminatesTornTail(t *testing.T) {
-	// Crash → resume → crash again, starting from a pre-WAL journal
-	// whose last line is torn: the first resume's own events must not
-	// merge with the fragment, or the second resume cannot replay the
-	// journal.
+	// Crash → resume → crash again, the first crash tearing the last
+	// frame: the first resume's own events must not merge with the
+	// fragment, or the second resume cannot replay the journal.
 	path := filepath.Join(t.TempDir(), "camp.jsonl")
-	var buf bytes.Buffer
-	j := newJournalWriter(&buf, nil)
+	_, jf0, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJournalWriter(jf0, nil)
 	j.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
 	j.event(event{Ev: evAttempt, Key: Key{"m0", "t1"}, N: 1})
 	j.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
 	j.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
-	torn := buf.Bytes()[:buf.Len()-9] // no trailing newline
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	if err := jf0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, img[:len(img)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,8 +413,8 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first resume: %v", err)
 	}
-	if rp.Final[Key{"m0", "t1"}] != StateDone {
-		t.Fatalf("finished task lost: %+v", rp.Final)
+	if rp.Final[Key{"m0", "t1"}] != StateDone || !rp.TornTail || rp.Seen[Key{"m1", "t1"}] {
+		t.Fatalf("first resume: %+v; want m0/t1 done, the torn m1/t1 enqueue dropped and reported", rp)
 	}
 	j2 := newJournalWriter(jf, nil)
 	j2.event(event{Ev: evAttempt, Key: Key{"m1", "t1"}, N: 1})
@@ -420,8 +428,8 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 		t.Fatalf("second resume after the torn line: %v", err)
 	}
 	defer jf2.Close()
-	if rp2.Malformed != 1 {
-		t.Errorf("Malformed = %d, want 1 (the closed-off fragment)", rp2.Malformed)
+	if rp2.Malformed != 0 || rp2.TornTail {
+		t.Errorf("Malformed = %d, TornTail = %v; the first resume truncated the fragment away", rp2.Malformed, rp2.TornTail)
 	}
 	if rp2.Final[Key{"m0", "t1"}] != StateDone {
 		t.Errorf("finished task lost on second replay: %+v", rp2.Final)

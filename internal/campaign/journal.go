@@ -123,9 +123,7 @@ type Replay struct {
 	Malformed int
 	// TornTail reports that a journal segment ended in crash debris;
 	// the valid prefix above was salvaged. In the live segment the
-	// debris is truncated away; a pre-WAL JSONL journal that stopped
-	// mid-line is reported once, when OpenJournal retires it (its
-	// fragment stays one Malformed line from then on).
+	// debris is truncated away.
 	TornTail bool
 	// DroppedBytes is the size of the torn/corrupt frame tails skipped
 	// across all segments of the journal, rotated ones included.

@@ -15,9 +15,7 @@ import (
 // but each line is framed as one checksummed WAL record, so a crash
 // mid-write is detected and truncated at recovery instead of leaving a
 // torn fragment for the replay parser to stumble over, and an fsync
-// policy chooses how much a machine crash may cost. Every journal write
-// is framed; a pre-WAL plain-JSONL journal remains a supported input by
-// becoming a read-only rotated segment of the WAL that continues it.
+// policy chooses how much a machine crash may cost.
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
@@ -61,13 +59,11 @@ type Journal interface {
 // was salvaged and what was dropped, in any segment, is reported
 // through the Replay.
 //
-// A pre-WAL journal (plain JSONL at path) is replayed like any other
-// segment and then retired, byte for byte, to the next rotated-segment
-// name; new events go to a fresh framed live segment. No file ever
-// mixes formats and nothing appends to an unframed file.
+// Nothing appends to an unframed file: a non-empty file at path that
+// does not start with a frame is refused with wal.ErrNotWAL, untouched.
 func OpenJournal(path string, o JournalOptions) (*Replay, Journal, error) {
-	// Replay first, read-only: a file that is not a journal at all is
-	// rejected before anything on disk has been touched.
+	// Replay first, read-only: a file without one valid event is
+	// rejected before recovery has truncated anything.
 	replay := newReplay()
 	var stats wal.RecoverStats
 	switch s, err := wal.OpenStream(path); {
@@ -84,32 +80,9 @@ func OpenJournal(path string, o JournalOptions) (*Replay, Journal, error) {
 	replay.TornTail = stats.Truncated
 	replay.DroppedBytes = stats.DroppedBytes
 
-	opts := wal.Options{Sync: o.Sync, RotateBytes: o.RotateBytes}
-	w, err := wal.Open(path, opts)
-	if errors.Is(err, wal.ErrNotWAL) {
-		replay.TornTail = replay.TornTail || endsMidLine(path)
-		if err = os.Rename(path, wal.NextSegment(path)); err == nil {
-			w, err = wal.Open(path, opts)
-		}
-	}
+	w, err := wal.Open(path, wal.Options{Sync: o.Sync, RotateBytes: o.RotateBytes})
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: opening WAL journal: %w", err)
 	}
 	return replay, w, nil
-}
-
-// endsMidLine reports whether the non-empty file at path lacks a final
-// newline: a plain-JSONL journal whose last write was torn by a crash.
-func endsMidLine(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var last [1]byte
-	if _, err := f.Seek(-1, io.SeekEnd); err != nil {
-		return false
-	}
-	_, err = f.Read(last[:])
-	return err == nil && last[0] != '\n'
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -121,7 +120,7 @@ func TestOpenJournalWALTornTail(t *testing.T) {
 	}
 }
 
-// legacyJournalBytes is a pre-WAL journal image: plain JSONL, m0/t1
+// legacyJournalBytes is an unframed journal image: plain JSONL, m0/t1
 // done and m1/t1 enqueued. With torn set the last line is cut mid-way
 // and has no newline, the classic crash artifact.
 func legacyJournalBytes(torn bool) []byte {
@@ -138,130 +137,56 @@ func legacyJournalBytes(torn bool) []byte {
 	return full[:bytes.LastIndexByte(full[:len(full)-1], '\n')+1+7]
 }
 
-// TestOpenJournalLegacySniff is the adoption test: a pre-WAL plain-JSONL
-// journal with a torn last line is replayed as ReadJournal reads its
-// bytes, retired untouched to the next rotated-segment name, and
-// continued by a framed live segment; the next open replays the union.
-func TestOpenJournalLegacySniff(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "camp.jsonl")
-	legacy := legacyJournalBytes(true)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// An earlier rotated name is taken: adoption must pick the next one.
-	if err := os.WriteFile(path+".1", nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadJournal(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.TornTail = true // the file stopped mid-line; reported at adoption
-
-	replay, j, err := OpenJournal(path, JournalOptions{Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replay, want) || replay.Malformed != 1 {
-		t.Fatalf("legacy replay = %+v, want %+v", replay, want)
-	}
-	jw := newJournalWriter(j, nil)
-	jw.event(event{Ev: evDone, Key: Key{"m1", "t1"}, N: 1})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if retired, err := os.ReadFile(path + ".2"); err != nil || !bytes.Equal(retired, legacy) {
-		t.Fatalf("legacy bytes not intact at %s.2: %v", path, err)
-	}
-	live, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wal.IsFramed(live) {
-		t.Fatalf("new events at %s are not framed (first byte %#x)", path, live[:1])
-	}
-	if stats, err := wal.Recover(path, wal.RecoverOptions{}); err != nil || stats.Records != 1 || stats.Truncated {
-		t.Fatalf("live segment: %+v, %v; want the one new event, framed", stats, err)
-	}
-
-	// The union: the legacy segment (its fragment closed off, one
-	// Malformed line, no longer a torn tail) plus the framed event.
-	replay2, j2, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	if replay2.Done() != 2 || replay2.Events != want.Events+1 || replay2.Malformed != 1 || replay2.TornTail {
-		t.Fatalf("second open: %+v", replay2)
-	}
-	if _, err := os.Stat(path + ".3"); !os.IsNotExist(err) {
-		t.Fatal("second open retired the framed live segment")
-	}
-}
-
-// TestOpenJournalRejectsNonJournal: a plain file with no valid event is
-// refused before OpenJournal has renamed or truncated anything.
+// TestOpenJournalRejectsNonJournal: nothing appends to an unframed
+// file. A plain-JSONL journal is refused with wal.ErrNotWAL, a plain
+// file with no valid event as not a journal, and neither refusal
+// renames, truncates or creates anything.
 func TestOpenJournalRejectsNonJournal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "notes.txt")
-	if err := os.WriteFile(path, []byte("not a journal\nat all\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournal(path, JournalOptions{}); err == nil {
-		t.Fatal("non-journal file accepted")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); len(entries) != 1 || string(got) != "not a journal\nat all\n" {
-		t.Fatalf("rejected file was touched: %d entries, content %q", len(entries), got)
+	for _, c := range []struct {
+		name    string
+		content []byte
+		notWAL  bool
+	}{
+		{"plain JSONL journal", legacyJournalBytes(false), true},
+		{"torn JSONL journal", legacyJournalBytes(true), true},
+		{"no valid event", []byte("not a journal\nat all\n"), false},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "camp.jsonl")
+		if err := os.WriteFile(path, c.content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenJournal(path, JournalOptions{})
+		if err == nil || errors.Is(err, wal.ErrNotWAL) != c.notWAL {
+			t.Errorf("%s: error %v; want a refusal, wal.ErrNotWAL: %v", c.name, err, c.notWAL)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); len(entries) != 1 || !bytes.Equal(got, c.content) {
+			t.Errorf("%s: refused file was touched: %d entries, content %q", c.name, len(entries), got)
+		}
 	}
 }
 
-// TestReplaySalvagesTruncatedFinalLine is the satellite regression for
-// the classic crash artifact: a journal whose final line is a torn JSON
-// fragment. The valid prefix must be salvaged and the damage reported.
+// TestReplaySalvagesTruncatedFinalLine: a JSONL stream whose final line
+// is a torn fragment. The valid prefix must be salvaged and the
+// fragment counted, not parsed.
 func TestReplaySalvagesTruncatedFinalLine(t *testing.T) {
-	torn := legacyJournalBytes(true)
-	path := filepath.Join(t.TempDir(), "camp.jsonl")
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	replay, j, err := OpenJournal(path, JournalOptions{})
+	replay, err := ReadJournal(bytes.NewReader(legacyJournalBytes(true)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	if replay.Done() != 1 {
 		t.Fatalf("salvaged done = %d, want 1", replay.Done())
 	}
 	if replay.Malformed != 1 {
 		t.Fatalf("malformed = %d, want 1 (the torn fragment)", replay.Malformed)
 	}
-	if !replay.TornTail {
-		t.Fatal("torn tail not reported")
-	}
 	// The m1 enqueue was the torn line: it must not be in Seen.
 	if replay.Seen[Key{"m1", "t1"}] {
 		t.Fatal("torn fragment leaked into replay")
-	}
-	// A second open reads the retired file with its fragment closed off
-	// — one Malformed line, no longer a torn tail — and agrees with
-	// ReadJournal of the original bytes.
-	want, err := ReadJournal(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay2, j2, err := OpenJournal(path, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	if !reflect.DeepEqual(replay2, want) {
-		t.Fatalf("OpenJournal disagrees with ReadJournal: %+v vs %+v", replay2, want)
 	}
 }
 

@@ -30,7 +30,7 @@ func (s *Study) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&s.Seed, "seed", 1, "generation seed (must match across -resume)")
 	fs.IntVar(&s.Workers, "workers", 2*runtime.NumCPU(), "global probe/delivery concurrency cap")
 	fs.Float64Var(&s.TimeScale, "timescale", 0.001, "protocol delay multiplier (1.0 = paper timing)")
-	fs.StringVar(&s.Journal, "journal", "", "append-only journal of probe task transitions (checksummed WAL; a pre-WAL JSONL journal is kept as a read-only segment and continued framed); experiment takes it as the prefix of PREFIX.notifymx.jsonl and PREFIX.twoweekmx.jsonl")
+	fs.StringVar(&s.Journal, "journal", "", "append-only journal of probe task transitions (checksummed WAL; an unframed file at the path is refused); experiment takes it as the prefix of PREFIX.notifymx.jsonl and PREFIX.twoweekmx.jsonl")
 	fs.StringVar(&s.JournalSync, "journal-sync", "none", `journal fsync policy: "none" (kernel-buffered), "interval" (group commit), "always" (fsync per event)`)
 	fs.BoolVar(&s.Resume, "resume", false, "replay the journal and re-run only unfinished (MTA, test) pairs (requires -journal)")
 	fs.StringVar(&s.MetricsAddr, "metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")

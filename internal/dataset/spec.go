@@ -83,13 +83,10 @@ const TwoWeekMXTotalASes = 1795
 // Paper dataset sizes (Table 2).
 const (
 	NotifyEmailDomains = 26695
-	NotifyMXDomains    = 26390
 	TwoWeekMXDomains   = 22548
 
 	NotifyEmailMTAsV4 = 17252
 	NotifyEmailMTAsV6 = 1599
-	NotifyMXMTAsV4    = 26196
-	NotifyMXMTAsV6    = 2700
 	TwoWeekMXMTAsV4   = 10666
 	TwoWeekMXMTAsV6   = 471
 )

@@ -15,7 +15,7 @@ import (
 //
 // The seed corpus covers the interesting shapes: a real query, a real
 // answer, compression pointers, truncated headers, and pointer loops.
-// `go test -run=^Fuzz` (part of make check) replays the seeds; `go
+// Any `go test` run (so make check) replays the seeds; `go
 // test -fuzz=FuzzMessageUnpack` explores from them.
 func FuzzMessageUnpack(f *testing.F) {
 	// A real query and a real TXT answer.

@@ -69,9 +69,9 @@ func (l *QueryLog) Entries() []LogEntry {
 }
 
 // ForEach visits every entry in arrival order under the log's lock,
-// stopping early when fn returns false. It exists so WriteJSON, the
-// grouping helpers and the analyses can stream a large log without
-// the full-slice copy Entries makes; fn must not retain the pointer
+// stopping early when fn returns false. It exists so WriteJSON and
+// the analyses' folds can stream a large log without the full-slice
+// copy Entries makes; fn must not retain the pointer
 // or call back into the log.
 func (l *QueryLog) ForEach(fn func(*LogEntry) bool) {
 	l.mu.Lock()
@@ -95,28 +95,4 @@ func (l *QueryLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entries = nil
-}
-
-// ByMTA groups a snapshot of the log by MTAID.
-func (l *QueryLog) ByMTA() map[string][]LogEntry {
-	out := make(map[string][]LogEntry)
-	l.ForEach(func(e *LogEntry) bool {
-		if e.MTAID != "" {
-			out[e.MTAID] = append(out[e.MTAID], *e)
-		}
-		return true
-	})
-	return out
-}
-
-// ByTest groups a snapshot of the log by TestID.
-func (l *QueryLog) ByTest() map[string][]LogEntry {
-	out := make(map[string][]LogEntry)
-	l.ForEach(func(e *LogEntry) bool {
-		if e.TestID != "" {
-			out[e.TestID] = append(out[e.TestID], *e)
-		}
-		return true
-	})
-	return out
 }

@@ -353,11 +353,8 @@ func TestQueryLogHelpers(t *testing.T) {
 	if log.Len() != 3 {
 		t.Errorf("Len = %d", log.Len())
 	}
-	if got := log.ByMTA(); len(got["m1"]) != 2 || len(got["m2"]) != 1 {
-		t.Errorf("ByMTA = %v", got)
-	}
-	if got := log.ByTest(); len(got["t01"]) != 2 || len(got["t02"]) != 1 {
-		t.Errorf("ByTest = %v", got)
+	if got := log.Entries(); len(got) != 3 || got[0].Name != "a." || got[2].Name != "c." {
+		t.Errorf("Entries = %v", got)
 	}
 	var names []string
 	log.ForEach(func(e *LogEntry) bool {

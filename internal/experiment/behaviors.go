@@ -13,9 +13,19 @@ import (
 // LookupLimits, Behaviors and Fingerprints. The Analyze*Entries(log)
 // adapters fold per call; only the frozen bench/ uses them (ROADMAP 7(c)).
 
-// Observations folds the world's query log in place.
+// Observations folds the test zone of the world's query log in place.
 func (w *World) Observations() fingerprint.Observations {
 	obs := make(fingerprint.Observations)
+	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
+		obs.Add(e)
+		return true
+	})
+	return obs
+}
+
+// DomainObservations folds its NotifyEmail zone.
+func (w *World) DomainObservations() fingerprint.DomainObservations {
+	obs := make(fingerprint.DomainObservations)
 	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
 		obs.Add(e)
 		return true

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 	"strings"
+
+	"sendervalid/internal/dataset"
 )
 
 // Consistency is the §6.2 cross-experiment comparison: how domain
@@ -59,9 +61,9 @@ func (c Consistency) ReobservedFraction() float64 {
 // analysis supplies per-domain validation; the probe analysis supplies
 // the validating-MTA set, which is projected onto domains through the
 // population (both experiments ran over the same domain population).
-func Compare(neWorld *World, ne *NotifyEmailAnalysis, probes *ProbeAnalysis) Consistency {
+func Compare(pop *dataset.Population, ne *NotifyEmailAnalysis, probes *ProbeAnalysis) Consistency {
 	var c Consistency
-	for _, d := range neWorld.Population.Domains {
+	for _, d := range pop.Domains {
 		emailValidated := ne.Validation[d.ID].SPF
 		probeValidated := false
 		for _, m := range d.MTAs {

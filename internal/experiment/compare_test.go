@@ -69,7 +69,7 @@ func TestCompareClassifiesDomains(t *testing.T) {
 		"m4": true,
 	}}
 
-	c := Compare(&World{Population: pop}, ne, probes)
+	c := Compare(pop, ne, probes)
 	want := Consistency{
 		CommonDomains:     4,
 		BothValidating:    1,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sendervalid/internal/dataset"
+	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/mtasim"
 	"sendervalid/internal/telemetry"
 )
@@ -42,7 +43,7 @@ func buildTestWorld(t *testing.T, spec dataset.Spec, rates mtasim.Rates) *World 
 func TestNotifyEmailExperiment(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(240, 11), NotifyRates())
 	run := RunNotifyEmail(context.Background(), w, 24)
-	a := AnalyzeNotifyEmail(w, run)
+	a := NotifyEmail(w.Population, w.DomainObservations(), run)
 
 	if a.Delivered < a.Domains*95/100 {
 		t.Fatalf("only %d of %d deliveries succeeded", a.Delivered, a.Domains)
@@ -125,7 +126,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 	// the §6.2 contrast.
 	w := buildTestWorld(t, smallNotifySpec(240, 13), NotifyRates())
 	run := RunProbes(context.Background(), w, []string{"t12"}, 24)
-	a := AnalyzeProbes(w, run, false)
+	a := Probes(w.Population, w.Observations(), run, false)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
 	if rate < 0.35 || rate > 0.65 {
@@ -148,7 +149,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 func TestTwoWeekMXExperiment(t *testing.T) {
 	w := buildTestWorld(t, smallTwoWeekSpec(300, 17), TwoWeekRates())
 	run := RunProbes(context.Background(), w, []string{"t12"}, 24)
-	a := AnalyzeProbes(w, run, true)
+	a := Probes(w.Population, w.Observations(), run, true)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
 	if rate < 0.04 || rate > 0.30 {
@@ -289,13 +290,6 @@ func TestAllTestsList(t *testing.T) {
 	}
 }
 
-func TestSortedComboKeys(t *testing.T) {
-	keys := SortedComboKeys(map[string]int{"nnn": 1, "YYY": 2, "zzz": 3})
-	if len(keys) != 3 || keys[0] != "YYY" || keys[2] != "zzz" {
-		t.Errorf("keys %v", keys)
-	}
-}
-
 func TestBucketize(t *testing.T) {
 	b := Bucketize([]float64{-45, -20, -5, 5, 20, 45})
 	if b.LE30Neg != 1 || b.Neg15 != 1 || b.Neg0 != 1 ||
@@ -320,7 +314,7 @@ func TestCrossExperimentConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	neRun := RunNotifyEmail(context.Background(), neWorld, 24)
-	ne := AnalyzeNotifyEmail(neWorld, neRun)
+	ne := NotifyEmail(neWorld.Population, neWorld.DomainObservations(), neRun)
 	neWorld.Close()
 
 	probeWorld, err := BuildWorld(pop, WorldConfig{
@@ -331,9 +325,9 @@ func TestCrossExperimentConsistency(t *testing.T) {
 	}
 	defer probeWorld.Close()
 	probeRun := RunProbes(context.Background(), probeWorld, []string{"t12"}, 24)
-	probes := AnalyzeProbes(probeWorld, probeRun, false)
+	probes := Probes(probeWorld.Population, probeWorld.Observations(), probeRun, false)
 
-	c := Compare(neWorld, ne, probes)
+	c := Compare(pop, ne, probes)
 	if c.CommonDomains != 300 {
 		t.Fatalf("common domains %d", c.CommonDomains)
 	}
@@ -373,14 +367,18 @@ func TestFullCatalogProbeRun(t *testing.T) {
 		t.Errorf("probes per MTA: %d", probesPerMTA)
 	}
 	// Validating MTAs must have touched the extended policies too.
-	tests := w.Log.ByTest()
+	queried := make(map[string]bool)
+	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
+		queried[e.TestID] = true
+		return true
+	})
 	for _, id := range []string{"t13", "t16", "t27", "t37", "t39"} {
-		if len(tests[id]) == 0 {
+		if !queried[id] {
 			t.Errorf("no queries observed for %s", id)
 		}
 	}
 	// The catalog-wide run still yields a sane Table 5 signal.
-	a := AnalyzeProbes(w, run, false)
+	a := Probes(w.Population, w.Observations(), run, false)
 	if a.SPFMTAs == 0 || a.SPFMTAs > a.MTAs {
 		t.Errorf("SPF MTAs %d of %d", a.SPFMTAs, a.MTAs)
 	}

@@ -60,7 +60,7 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 		down++
 	}
 	run := RunProbes(context.Background(), w, []string{"t12"}, 16)
-	a := AnalyzeProbes(w, run, false)
+	a := Probes(w.Population, w.Observations(), run, false)
 	if a.ProbesTotal != len(w.Population.MTAs) {
 		t.Errorf("probes %d for %d MTAs", a.ProbesTotal, len(w.Population.MTAs))
 	}
@@ -147,7 +147,7 @@ func TestPaperScaleWorld(t *testing.T) {
 	}
 	w := buildTestWorld(t, smallNotifySpec(1200, 43), NotifyRates())
 	run := RunProbes(context.Background(), w, []string{"t01", "t12"}, 64)
-	a := AnalyzeProbes(w, run, false)
+	a := Probes(w.Population, w.Observations(), run, false)
 	rate := float64(a.SPFDomains) / float64(a.Domains)
 	if rate < 0.40 || rate > 0.62 {
 		t.Errorf("NotifyMX rate at scale: %.2f", rate)

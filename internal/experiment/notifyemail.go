@@ -2,14 +2,12 @@ package experiment
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"time"
 
 	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
-	"sendervalid/internal/dns"
-	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/probe"
 	"sendervalid/internal/spf"
 )
@@ -32,6 +30,9 @@ type NotifyEmailRun struct {
 	Deliveries map[string]*probe.Delivery
 	// Started and Finished bound the run.
 	Started, Finished time.Time
+	// TimeScale is the world's protocol-delay multiplier; Figure 2
+	// divides by it to report paper-equivalent seconds.
+	TimeScale float64
 }
 
 // notifySubject and notifyBody are the notification every domain gets.
@@ -63,6 +64,7 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 	run := &NotifyEmailRun{
 		Deliveries: make(map[string]*probe.Delivery, len(w.Population.Domains)),
 		Started:    time.Now(),
+		TimeScale:  w.cfg.TimeScale,
 	}
 	res := w.senderResolver()
 	domains := make(map[string]*dataset.Domain, len(w.Population.Domains))
@@ -181,88 +183,47 @@ type AlexaBreakdown struct {
 	DMARCAll, DMARCTop1M, DMARCTop1K int
 }
 
-// AnalyzeNotifyEmail derives the NotifyEmail results from the query
-// log and the delivery records.
-func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
+// validationOf reads a domain's Table 4 row off its observation (nil:
+// no query was attributed to the domain).
+func validationOf(o *fingerprint.DomainObservation) DomainValidation {
+	if o == nil {
+		return DomainValidation{}
+	}
+	return DomainValidation{SPF: o.FetchedPolicy(), SPFComplete: o.MTAAddr, DKIM: o.DKIMKey, DMARC: o.DMARC}
+}
+
+// NotifyEmail derives the NotifyEmail results from the fold of the
+// query log's NotifyEmail zone and the delivery records.
+func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, run *NotifyEmailRun) *NotifyEmailAnalysis {
 	a := &NotifyEmailAnalysis{
-		Domains:    len(w.Population.Domains),
+		Domains:    len(pop.Domains),
 		Validation: make(map[string]DomainValidation),
 		Combos:     make(map[string]int),
 	}
 
-	// Classify every logged query under the NotifyEmail zone by
-	// domain id.
-	type domainObs struct {
-		spfTXT   bool
-		spfAddr  bool
-		dkim     bool
-		dmarc    bool
-		firstTXT time.Time
-	}
-	obs := make(map[string]*domainObs)
-	suffix := DefaultNotifySuffix
-	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		if !strings.HasSuffix(e.Name, suffix) || e.MTAID == "" {
-			return true
-		}
-		o := obs[e.MTAID]
-		if o == nil {
-			o = &domainObs{}
-			obs[e.MTAID] = o
-		}
-		switch {
-		case len(e.Rest) == 0 && e.Type == dns.TypeTXT:
-			if !o.spfTXT || e.Time.Before(o.firstTXT) {
-				o.firstTXT = e.Time
-			}
-			o.spfTXT = true
-		case len(e.Rest) == 1 && (e.Rest[0] == "mta" || e.Rest[0] == "l1" || e.Rest[0] == "l2" || e.Rest[0] == "l3"):
-			// Any follow-up shows evaluation progressed; the "a"
-			// target (mta) marks completion.
-			if e.Rest[0] == "mta" {
-				o.spfAddr = true
-			}
-		case len(e.Rest) == 2 && e.Rest[1] == "_domainkey":
-			o.dkim = true
-		case len(e.Rest) == 1 && e.Rest[0] == "_dmarc":
-			o.dmarc = true
-		}
-		return true
-	})
-
-	// MTA-level SPF observation: which MTAs issued NotifyEmail-zone
-	// queries. The resolver address identifies the MTA only indirectly,
-	// so count via per-MTA stats instead.
-	contacted := make(map[string]bool)
-	for _, d := range w.Population.Domains {
+	// A NotifyEmail query names the domain, not the MTA, so the delivery
+	// record supplies the link for the MTA-level count: the MTA that
+	// accepted a domain's message is SPF-validating when that domain's
+	// policy was fetched.
+	contacted, spfMTAs := make(map[string]bool), make(map[string]bool)
+	providerRows := make(map[string]*ProviderRow)
+	for _, d := range pop.Domains {
+		o := obs[d.ID]
+		v := validationOf(o)
+		a.Validation[d.ID] = v
 		delivery := run.Deliveries[d.ID]
-		if delivery != nil && delivery.Delivered {
+		delivered := delivery != nil && delivery.Delivered
+		if delivered {
 			a.Delivered++
 			for _, m := range d.MTAs {
 				if m.Addr4 == delivery.MTAAddr || m.Addr6 == delivery.MTAAddr {
 					contacted[m.ID] = true
+					if v.SPF {
+						spfMTAs[m.ID] = true
+					}
 				}
 			}
 		}
-	}
-	a.ContactedMTAs = len(contacted)
-	for id := range contacted {
-		if w.MTAs[id].Stats().SPFChecks > 0 {
-			a.SPFMTAs++
-		}
-	}
-
-	providerRows := make(map[string]*ProviderRow)
-	for _, d := range w.Population.Domains {
-		o := obs[d.ID]
-		v := DomainValidation{}
-		if o != nil {
-			v.SPF = o.spfTXT
-			v.SPFComplete = o.spfAddr
-			v.DKIM = o.dkim
-			v.DMARC = o.dmarc
-		}
-		a.Validation[d.ID] = v
 		a.Combos[v.ComboKey()]++
 		if v.SPF {
 			a.SPFDomains++
@@ -327,9 +288,8 @@ func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
 		}
 
 		// Figure 2 timing: tSPF − tEmail, scaled back to paper seconds.
-		delivery := run.Deliveries[d.ID]
-		if o != nil && o.spfTXT && delivery != nil && delivery.Delivered {
-			diff := o.firstTXT.Sub(delivery.AcceptedAt).Seconds() / w.cfg.TimeScale
+		if v.SPF && delivered {
+			diff := o.PolicyTXTAt.Sub(delivery.AcceptedAt).Seconds() / run.TimeScale
 			// The paper's 1 s timestamp-granularity filter, scaled: the
 			// sub-resolution band around zero is dropped (§6.2).
 			if diff > -1 && diff < 1 {
@@ -339,6 +299,7 @@ func AnalyzeNotifyEmail(w *World, run *NotifyEmailRun) *NotifyEmailAnalysis {
 			}
 		}
 	}
+	a.ContactedMTAs, a.SPFMTAs = len(contacted), len(spfMTAs)
 
 	// Order provider rows as Table 6 lists them.
 	for i := range dataset.Providers {

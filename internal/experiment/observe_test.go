@@ -10,33 +10,38 @@ import (
 	"sendervalid/internal/fingerprint"
 )
 
-// TestObservations checks the one reading of the query log against a
-// real one: a small fleet probed with every behaviour-revealing policy.
-func TestObservations(t *testing.T) {
-	w := buildTestWorld(t, smallNotifySpec(400, 19), NotifyRates())
-	RunProbes(context.Background(), w, CoreTests[:11], 24)
-	log := w.Log.Entries()
-	obs := fingerprint.Observe(log)
-	if len(obs) < 100 {
-		t.Fatalf("only %d MTAs observed", len(obs))
+// foldProperties checks, against a real log and its fold want, what
+// lets a fold of the query log be streamed: it keeps only earliest
+// times, ORs and counts, so neither the order entries arrive in nor how
+// the log is chunked can matter, and a log with every entry twice (a
+// resolver retransmitting each query) changes nothing but the counts,
+// which halveCounts checks doubled and undoes.
+func foldProperties[M ~map[string]V, V any](t *testing.T, log []dnsserver.LogEntry, want M,
+	add func(M, *dnsserver.LogEntry), halveCounts func(*testing.T, M)) {
+	fold := func(into M, entries []dnsserver.LogEntry) M {
+		for i := range entries {
+			add(into, &entries[i])
+		}
+		return into
+	}
+	if got := fold(make(M), log); !reflect.DeepEqual(got, want) {
+		t.Fatal("the log does not fold to the fold under test")
 	}
 
-	// The fold keeps only earliest times, ORs and counts, so the order
-	// entries arrive in cannot matter.
 	t.Run("order", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			shuffled := append([]dnsserver.LogEntry(nil), log...)
 			rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			})
-			if got := fingerprint.Observe(shuffled); !reflect.DeepEqual(got, obs) {
+			if got := fold(make(M), shuffled); !reflect.DeepEqual(got, want) {
 				t.Errorf("seed %d: shuffled log folds differently", seed)
 			}
 		}
 	})
 
-	// Nor can chunking: two logs of disjoint MTAs folded one after the
-	// other, either way round, equal the fold of their concatenation.
+	// Two logs of disjoint ids folded one after the other, either way
+	// round, equal the fold of their concatenation.
 	t.Run("chunks", func(t *testing.T) {
 		var a, b []dnsserver.LogEntry
 		for _, e := range log {
@@ -50,26 +55,40 @@ func TestObservations(t *testing.T) {
 			t.Fatalf("split %d/%d", len(a), len(b))
 		}
 		for _, parts := range [][2][]dnsserver.LogEntry{{a, b}, {b, a}} {
-			got := fingerprint.Observe(parts[0])
-			for i := range parts[1] {
-				got.Add(&parts[1][i])
-			}
-			if !reflect.DeepEqual(got, obs) {
+			if got := fold(fold(make(M), parts[0]), parts[1]); !reflect.DeepEqual(got, want) {
 				t.Error("two disjoint logs fold differently from their concatenation")
 			}
 		}
 	})
 
-	// A log with every entry twice (a resolver retransmitting each
-	// query) leaves every flag and both timestamps as they were. The
-	// three counts double: the fold does not dedupe — the rule for
-	// which repeats are retransmits (ROADMAP item 6) belongs in Add.
 	t.Run("duplicates", func(t *testing.T) {
 		doubled := make([]dnsserver.LogEntry, 0, 2*len(log))
 		for _, e := range log {
 			doubled = append(doubled, e, e)
 		}
-		got := fingerprint.Observe(doubled)
+		got := fold(make(M), doubled)
+		halveCounts(t, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Error("duplicated entries changed a flag or a timestamp")
+		}
+	})
+}
+
+// TestObservations checks the one reading of the query log against a
+// real one: a small fleet probed with every behaviour-revealing policy.
+func TestObservations(t *testing.T) {
+	w := buildTestWorld(t, smallNotifySpec(400, 19), NotifyRates())
+	RunProbes(context.Background(), w, CoreTests[:11], 24)
+	log := w.Log.Entries()
+	obs := w.Observations()
+	if len(obs) < 100 {
+		t.Fatalf("only %d MTAs observed", len(obs))
+	}
+
+	// A doubled log doubles the three counts: the fold does not dedupe —
+	// the rule for which repeats are retransmits (ROADMAP item 6) belongs
+	// in Add.
+	foldProperties(t, log, obs, fingerprint.Observations.Add, func(t *testing.T, got fingerprint.Observations) {
 		for _, o := range got {
 			if o.LimitsFollowUps%2 != 0 || o.VoidQueries%2 != 0 || o.MXAddrLookups%2 != 0 {
 				t.Fatalf("%s: a count did not double: %+v", o.MTAID, o)
@@ -77,9 +96,6 @@ func TestObservations(t *testing.T) {
 			o.LimitsFollowUps /= 2
 			o.VoidQueries /= 2
 			o.MXAddrLookups /= 2
-		}
-		if !reflect.DeepEqual(got, obs) {
-			t.Error("duplicated entries changed a flag or a timestamp")
 		}
 	})
 
@@ -150,6 +166,95 @@ func TestObservations(t *testing.T) {
 		}
 		if past == 0 {
 			t.Error("no MTA went past the void limit")
+		}
+	})
+
+	// The scorecard's second row, probe half: the §6 definition — any
+	// attributed query makes an SPF validator — accuses nobody who was
+	// not planted as one.
+	t.Run("validates precision", func(t *testing.T) {
+		for id := range obs {
+			if !w.MTAs[id].Profile().ValidatesSPF {
+				t.Errorf("%s has queries attributed to it but was not planted as SPF-validating", id)
+			}
+		}
+	})
+}
+
+// TestDomainObservations is TestObservations for the other zone: the
+// same fleet mailed instead of probed, and the NotifyEmail fold checked
+// against that real log.
+func TestDomainObservations(t *testing.T) {
+	w := buildTestWorld(t, smallNotifySpec(400, 19), NotifyRates())
+	run := RunNotifyEmail(context.Background(), w, 24)
+	log := w.Log.Entries()
+	obs := w.DomainObservations()
+	if len(obs) < 200 {
+		t.Fatalf("only %d domains observed", len(obs))
+	}
+	foldProperties(t, log, obs, fingerprint.DomainObservations.Add, func(t *testing.T, got fingerprint.DomainObservations) {
+		for _, o := range got {
+			if o.Queries%2 != 0 {
+				t.Fatalf("%s: the count did not double: %+v", o.ID, o)
+			}
+			o.Queries /= 2
+		}
+	})
+
+	// The scorecard's second row, mail half. A domain is accused of
+	// SPF validation only if one of its MTAs was planted to validate,
+	// and of stopping short (§6.1) only if the MTA that took its message
+	// was planted partial.
+	a := NotifyEmail(w.Population, obs, run)
+	t.Run("validates precision", func(t *testing.T) {
+		for _, d := range w.Population.Domains {
+			v := a.Validation[d.ID]
+			if !v.SPF {
+				continue
+			}
+			planted, partial := false, false
+			for _, m := range d.MTAs {
+				prof := w.MTAs[m.ID].Profile()
+				planted = planted || prof.ValidatesSPF
+				partial = partial || prof.PartialSPF
+			}
+			if !planted {
+				t.Errorf("%s: policy fetched, but none of its MTAs was planted as SPF-validating", d.ID)
+			}
+			if !v.SPFComplete && !partial {
+				t.Errorf("%s: read as a partial validator, but none of its MTAs was planted partial", d.ID)
+			}
+		}
+		if a.SPFDomains == 0 || a.PartialDomains == 0 {
+			t.Errorf("vacuous: %d SPF domains, %d partial", a.SPFDomains, a.PartialDomains)
+		}
+	})
+
+	// Table 5's NotifyEmail "SPF MTAs" is read off the deliveries and
+	// the log. On a clean fabric it equals what the simulator's own
+	// counters say — which a test may read and the analysis may not.
+	t.Run("SPF MTAs equal planted counters", func(t *testing.T) {
+		contacted := make(map[string]bool)
+		for _, d := range w.Population.Domains {
+			delivery := run.Deliveries[d.ID]
+			if delivery == nil || !delivery.Delivered {
+				continue
+			}
+			for _, m := range d.MTAs {
+				if m.Addr4 == delivery.MTAAddr || m.Addr6 == delivery.MTAAddr {
+					contacted[m.ID] = true
+				}
+			}
+		}
+		checked := 0
+		for id := range contacted {
+			if w.MTAs[id].Stats().SPFChecks > 0 {
+				checked++
+			}
+		}
+		if a.ContactedMTAs != len(contacted) || a.SPFMTAs != checked || checked == 0 {
+			t.Errorf("log-derived %d SPF MTAs of %d contacted; the MTAs' own counters say %d of %d",
+				a.SPFMTAs, a.ContactedMTAs, checked, len(contacted))
 		}
 	})
 }

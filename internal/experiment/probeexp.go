@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"sendervalid/internal/dataset"
-	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/probe"
 )
 
@@ -88,24 +88,21 @@ type DecileRow struct {
 	SPFMTAs    int
 }
 
-// AnalyzeProbes derives the Table 5 numbers from the query log.
-func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
+// Probes derives the Table 5 numbers from the fold of the query log's
+// test zone and the probe records. An MTA is SPF-validating when any
+// query under the test zone is attributed to it (§6 definition) —
+// exactly the MTAs the fold holds an Observation for.
+func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 	a := &ProbeAnalysis{
-		Name:             w.Population.Name,
-		Domains:          len(w.Population.Domains),
-		MTAs:             len(w.Population.MTAs),
-		ValidatingMTASet: make(map[string]bool),
+		Name:             pop.Name,
+		Domains:          len(pop.Domains),
+		MTAs:             len(pop.MTAs),
+		SPFMTAs:          len(obs),
+		ValidatingMTASet: make(map[string]bool, len(obs)),
 	}
-
-	// An MTA is SPF-validating when any query under the test zone is
-	// attributed to it (§6 definition).
-	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		if e.MTAID != "" && e.TestID != "" {
-			a.ValidatingMTASet[e.MTAID] = true
-		}
-		return true
-	})
-	a.SPFMTAs = len(a.ValidatingMTASet)
+	for id := range obs {
+		a.ValidatingMTASet[id] = true
+	}
 
 	validatingDomain := func(d *dataset.Domain) bool {
 		for _, m := range d.MTAs {
@@ -115,7 +112,7 @@ func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 		}
 		return false
 	}
-	for _, d := range w.Population.Domains {
+	for _, d := range pop.Domains {
 		if validatingDomain(d) {
 			a.SPFDomains++
 		}
@@ -149,7 +146,7 @@ func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 	}
 
 	if withDeciles {
-		for i, dec := range w.Population.Deciles() {
+		for i, dec := range pop.Deciles() {
 			row := DecileRow{Decile: i + 1, Domains: len(dec)}
 			mtas := make(map[string]bool)
 			for _, d := range dec {
@@ -170,4 +167,10 @@ func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 		}
 	}
 	return a
+}
+
+// AnalyzeProbes is Probes over the world's own fold of its log. Only
+// the frozen bench/ calls it (ROADMAP 7(c)).
+func AnalyzeProbes(w *World, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
+	return Probes(w.Population, w.Observations(), run, withDeciles)
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sendervalid/internal/dataset"
@@ -264,29 +263,4 @@ func RenderBehaviors(sp SerialParallelResult, b *BehaviorResults) string {
 			l.label+":", l.s.Observed, l.s.Tested, pct(l.s.Observed, l.s.Tested))
 	}
 	return sb.String()
-}
-
-// SortedComboKeys returns the Table 4 combination keys in paper order,
-// for callers iterating the Combos map deterministically.
-func SortedComboKeys(combos map[string]int) []string {
-	keys := make([]string, 0, len(combos))
-	for _, c := range comboOrder {
-		if _, ok := combos[c.key]; ok {
-			keys = append(keys, c.key)
-		}
-	}
-	var extra []string
-	for k := range combos {
-		known := false
-		for _, c := range comboOrder {
-			if c.key == k {
-				known = true
-			}
-		}
-		if !known {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	return append(keys, extra...)
 }

@@ -171,7 +171,7 @@ func (s *study) notifyEmail(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("NotifyEmail interrupted: %w", err)
 	}
-	a := AnalyzeNotifyEmail(w, run)
+	a := NotifyEmail(pop, w.DomainObservations(), run)
 	s.res.NotifyEmail = a
 	fmt.Fprint(s.out, RenderTable4(a))
 	fmt.Fprint(s.out, RenderTable6(a))
@@ -193,11 +193,11 @@ func (s *study) notifyMX(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	a := AnalyzeProbes(w, run, false)
+	a := Probes(pop, w.Observations(), run, false)
 	a.Name = "NotifyMX"
 	s.res.NotifyMX = a
 	fmt.Fprintf(s.out, "spam-rejecting MTAs: %d; blacklist-rejecting: %d\n", a.SpamRejected, a.BlacklistRejected)
-	s.res.Consistency = Compare(w, s.res.NotifyEmail, a)
+	s.res.Consistency = Compare(pop, s.res.NotifyEmail, a)
 	fmt.Fprint(s.out, RenderConsistency(s.res.Consistency))
 	return nil
 }
@@ -214,12 +214,13 @@ func (s *study) twoWeekMX(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	// One fold of the phase's log behind Table 5, §7 and §8.
+	obs := w.Observations()
 	r := &s.res
-	r.TwoWeekMX = AnalyzeProbes(w, run, true)
+	r.TwoWeekMX = Probes(pop, obs, run, true)
 	fmt.Fprint(s.out, RenderTable5([]*ProbeAnalysis{r.NotifyMX, r.TwoWeekMX}, r.NotifyEmail))
 
 	fmt.Fprintln(s.out)
-	obs := w.Observations()
 	r.SerialParallel = SerialParallel(obs)
 	r.LookupLimits = LookupLimits(obs)
 	r.Behaviors = Behaviors(obs)

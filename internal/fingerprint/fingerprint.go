@@ -5,6 +5,8 @@
 // folded into an Observation (observe.go) and read as a trait vector;
 // identical vectors cluster into behavioural families, and vectors can
 // be matched against reference profiles of known implementation styles.
+// observe.go also holds the log's other reading, DomainObservation: what
+// the queries under one NotifyEmail-zone name show (§6).
 package fingerprint
 
 import (

@@ -144,6 +144,63 @@ func (obs Observations) Add(e *dnsserver.LogEntry) {
 	}
 }
 
+// DomainObservation is what the queries under one NotifyEmail-style
+// name show — <id>.<suffix>, the From domain minted for a recipient
+// domain (§6, Tables 4–7, Figure 2) or for a self-test session — and
+// the only reading of that zone: package experiment's DomainValidation
+// and package selftest's Assessment are both derived from it. Like
+// Observation, every field is an earliest-time, an OR or a count.
+type DomainObservation struct {
+	// ID is the domain or session id: the label under the zone suffix.
+	ID string
+	// PolicyTXTAt is the earliest TXT query for the name itself — the
+	// SPF policy fetch that makes the receiver count as SPF-validating;
+	// zero = never seen.
+	PolicyTXTAt time.Time
+	// MTAAddr: the policy's a-mechanism target "mta" was asked for, the
+	// lookup that completes the evaluation (without it, §6.1's partial
+	// validator).
+	MTAAddr bool
+	// DKIMKey: a key was asked for under "<selector>._domainkey".
+	DKIMKey bool
+	// DMARC: the "_dmarc" policy was asked for.
+	DMARC bool
+	// Queries counts every query attributed to the id.
+	Queries int
+}
+
+// FetchedPolicy reports whether the SPF policy was fetched.
+func (o *DomainObservation) FetchedPolicy() bool { return !o.PolicyTXTAt.IsZero() }
+
+// DomainObservations is the NotifyEmail-zone fold's state, keyed by
+// domain or session id.
+type DomainObservations map[string]*DomainObservation
+
+// Add folds one entry in. It does not retain e. The zone has one
+// identifying label, so its entries are the attributed ones without a
+// test label; the rest (test-zone queries, the apex) are ignored.
+func (obs DomainObservations) Add(e *dnsserver.LogEntry) {
+	if e.MTAID == "" || e.TestID != "" {
+		return
+	}
+	o := obs[e.MTAID]
+	if o == nil {
+		o = &DomainObservation{ID: e.MTAID}
+		obs[e.MTAID] = o
+	}
+	o.Queries++
+	switch {
+	case len(e.Rest) == 0 && e.Type == dns.TypeTXT:
+		earliest(&o.PolicyTXTAt, e.Time)
+	case len(e.Rest) == 1 && e.Rest[0] == "mta":
+		o.MTAAddr = true
+	case len(e.Rest) == 1 && e.Rest[0] == "_dmarc":
+		o.DMARC = true
+	case len(e.Rest) == 2 && e.Rest[1] == "_domainkey":
+		o.DKIMKey = true
+	}
+}
+
 func earliest(t *time.Time, at time.Time) {
 	if t.IsZero() || at.Before(*t) {
 		*t = at

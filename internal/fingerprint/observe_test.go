@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/policy"
 	"sendervalid/internal/resolver"
@@ -119,6 +120,88 @@ func TestObserveRealCatalog(t *testing.T) {
 func TestObserveAllocs(t *testing.T) {
 	log := append(serialMTALog("m1"), violatorMTALog("m2")...)
 	obs := Observe(log)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range log {
+			obs.Add(&log[i])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-folding %d entries allocated %.1f times", len(log), allocs)
+	}
+}
+
+// TestDomainObservationRules is the NotifyEmail zone's label rules one
+// by one — the rules selftest's TestAssess* archetypes and experiment's
+// TestDomainObservations read end to end through a real validator.
+func TestDomainObservationRules(t *testing.T) {
+	at := func(ms int) time.Time { return entry("", "", nil, 0, ms).Time }
+	cases := []struct {
+		name string
+		e    dnsserver.LogEntry
+		want DomainObservation // besides ID and Queries
+	}{
+		{"policy TXT", entry("d1", "", nil, dns.TypeTXT, 5), DomainObservation{PolicyTXTAt: at(5)}},
+		{"address query for the name itself", entry("d1", "", nil, dns.TypeA, 5), DomainObservation{}},
+		{"include chain", entry("d1", "", []string{"l2"}, dns.TypeTXT, 5), DomainObservation{}},
+		{"a-mechanism target, A", entry("d1", "", []string{"mta"}, dns.TypeA, 5), DomainObservation{MTAAddr: true}},
+		{"a-mechanism target, AAAA", entry("d1", "", []string{"mta"}, dns.TypeAAAA, 5), DomainObservation{MTAAddr: true}},
+		{"DKIM key", entry("d1", "", []string{"exp", "_domainkey"}, dns.TypeTXT, 5), DomainObservation{DKIMKey: true}},
+		{"bare _domainkey", entry("d1", "", []string{"_domainkey"}, dns.TypeTXT, 5), DomainObservation{}},
+		{"DMARC policy", entry("d1", "", []string{"_dmarc"}, dns.TypeTXT, 5), DomainObservation{DMARC: true}},
+		{"deeper _dmarc", entry("d1", "", []string{"_dmarc", "sub"}, dns.TypeTXT, 5), DomainObservation{}},
+	}
+	for _, c := range cases {
+		obs := make(DomainObservations)
+		obs.Add(&c.e)
+		c.want.ID, c.want.Queries = "d1", 1
+		if got := obs["d1"]; got == nil || *got != c.want {
+			t.Errorf("%s: %+v, want %+v", c.name, got, c.want)
+		}
+	}
+
+	// The other zone's entries and unattributed ones are not this
+	// fold's, as this zone's are not Observations'.
+	obs, testZone := make(DomainObservations), make(Observations)
+	for _, e := range []dnsserver.LogEntry{
+		entry("m1", "t01", nil, dns.TypeTXT, 1),
+		entry("", "", nil, dns.TypeTXT, 2),
+	} {
+		obs.Add(&e)
+	}
+	notify := entry("d1", "", nil, dns.TypeTXT, 3)
+	testZone.Add(&notify)
+	if len(obs) != 0 || len(testZone) != 0 {
+		t.Errorf("folds crossed zones: %v, %v", obs, testZone)
+	}
+
+	// The earliest policy fetch stands, whichever order they arrive in.
+	early, late := entry("d1", "", nil, dns.TypeTXT, 1), entry("d1", "", nil, dns.TypeTXT, 9)
+	for _, order := range [][]*dnsserver.LogEntry{{&early, &late}, {&late, &early}} {
+		obs := make(DomainObservations)
+		for _, e := range order {
+			obs.Add(e)
+		}
+		if o := obs["d1"]; !o.FetchedPolicy() || !o.PolicyTXTAt.Equal(early.Time) || o.Queries != 2 {
+			t.Errorf("two fetches: %+v", o)
+		}
+	}
+}
+
+// TestDomainObserveAllocs is TestObserveAllocs for the NotifyEmail
+// zone: once a domain has its DomainObservation, folding an entry of it
+// allocates nothing.
+func TestDomainObserveAllocs(t *testing.T) {
+	log := []dnsserver.LogEntry{
+		entry("d1", "", nil, dns.TypeTXT, 0),
+		entry("d1", "", []string{"l1"}, dns.TypeTXT, 1),
+		entry("d1", "", []string{"mta"}, dns.TypeA, 2),
+		entry("d1", "", []string{"exp", "_domainkey"}, dns.TypeTXT, 3),
+		entry("d2", "", []string{"_dmarc"}, dns.TypeTXT, 4),
+	}
+	obs := make(DomainObservations)
+	for i := range log {
+		obs.Add(&log[i])
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range log {
 			obs.Add(&log[i])

@@ -445,8 +445,8 @@ func TestDMARCWrapping(t *testing.T) {
 		t.Errorf("contact missing from %q", txts[0])
 	}
 	// The query is attributed to the right MTA and test.
-	entries := h.log.ByMTA()["m0050"]
-	if len(entries) != 1 || entries[0].TestID != "t12" || entries[0].Rest[0] != "_dmarc" {
+	entries := h.log.Entries()
+	if len(entries) != 1 || entries[0].MTAID != "m0050" || entries[0].TestID != "t12" || entries[0].Rest[0] != "_dmarc" {
 		t.Errorf("attribution: %+v", entries)
 	}
 }

@@ -240,19 +240,6 @@ func (c *Client) Probe(ctx context.Context, addr netip.Addr, mtaID, testID strin
 	return res
 }
 
-// ProbeAll runs every test in order against one MTA (the study ran
-// all 39 per MTA, shuffling MTA order across the fleet, §5.2).
-func (c *Client) ProbeAll(ctx context.Context, addr netip.Addr, mtaID string, testIDs []string) []*Result {
-	out := make([]*Result, 0, len(testIDs))
-	for _, testID := range testIDs {
-		if ctx.Err() != nil {
-			break
-		}
-		out = append(out, c.Probe(ctx, addr, mtaID, testID))
-	}
-	return out
-}
-
 func fillReply(res *Result, err error) {
 	var smtpErr *smtp.Error
 	if errors.As(err, &smtpErr) {

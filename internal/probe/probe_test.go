@@ -196,29 +196,6 @@ func TestProbeHeloSubstitution(t *testing.T) {
 	}
 }
 
-func TestProbeAll(t *testing.T) {
-	fabric := netsim.NewFabric()
-	scriptedMTA(t, fabric, "10.1.0.5", smtp.Handler{})
-	c := &Client{Dialer: fabric, Suffix: "x.example", HeloDomain: "p.example",
-		RecipientDomain: "t.example", Timeout: 3 * time.Second}
-	results := c.ProbeAll(context.Background(), netip.MustParseAddr("10.1.0.5"),
-		"m0006", []string{"t01", "t02", "t03"})
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	for _, r := range results {
-		if r.Stage != StageDone {
-			t.Errorf("%s: %+v", r.TestID, r)
-		}
-	}
-	// Cancellation stops the loop.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if got := c.ProbeAll(ctx, netip.MustParseAddr("10.1.0.5"), "m0006", []string{"t01"}); len(got) != 0 {
-		t.Errorf("cancelled ProbeAll returned %d results", len(got))
-	}
-}
-
 func TestProbeSleepPacing(t *testing.T) {
 	fabric := netsim.NewFabric()
 	scriptedMTA(t, fabric, "10.1.0.6", smtp.Handler{})

@@ -16,8 +16,8 @@ import (
 	"sync"
 	"time"
 
-	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/probe"
 	"sendervalid/internal/smtp"
 )
@@ -162,21 +162,16 @@ func (s *Service) Assess(ctx context.Context, address string) (*Assessment, erro
 
 // collect reads the session's validation activity off the query log.
 func (s *Service) collect(a *Assessment) {
-	for _, e := range s.Log.Entries() {
-		if e.MTAID != a.SessionID {
-			continue
+	obs := make(fingerprint.DomainObservations)
+	s.Log.ForEach(func(e *dnsserver.LogEntry) bool {
+		if e.MTAID == a.SessionID {
+			obs.Add(e)
 		}
-		a.Queries++
-		switch {
-		case len(e.Rest) == 0 && e.Type == dns.TypeTXT:
-			a.SPF = true
-		case len(e.Rest) == 1 && e.Rest[0] == "mta":
-			a.SPFComplete = true
-		case len(e.Rest) == 2 && e.Rest[1] == "_domainkey":
-			a.DKIM = true
-		case len(e.Rest) == 1 && e.Rest[0] == "_dmarc":
-			a.DMARC = true
-		}
+		return true
+	})
+	if o := obs[a.SessionID]; o != nil {
+		a.SPF, a.SPFComplete, a.DKIM, a.DMARC = o.FetchedPolicy(), o.MTAAddr, o.DKIMKey, o.DMARC
+		a.Queries = o.Queries
 	}
 }
 

@@ -27,7 +27,6 @@ var (
 	ReplyBye            = &Reply{Code: 221, Text: "Bye"}
 	ReplyStartMail      = &Reply{Code: 354, Text: "End data with <CR><LF>.<CR><LF>"}
 	ReplyBadSequence    = &Reply{Code: 503, Text: "Bad sequence of commands"}
-	ReplySyntaxError    = &Reply{Code: 500, Text: "Syntax error"}
 	ReplyParamError     = &Reply{Code: 501, Text: "Syntax error in parameters"}
 	ReplyNotImplemented = &Reply{Code: 502, Text: "Command not implemented"}
 	ReplyNoSuchUser     = &Reply{Code: 550, Text: "No such user here"}

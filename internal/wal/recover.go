@@ -236,12 +236,6 @@ func nextSeq(path string) int {
 // segmentName is the naming rule for rotated segments.
 func segmentName(path string, seq int) string { return fmt.Sprintf("%s.%d", path, seq) }
 
-// NextSegment returns the name the next rotation of the log at path
-// would give its live file. Renaming a pre-WAL plain file at path to it
-// retires that file into the segment chain: OpenStream keeps reading it
-// (sniffed as plain) while Open starts a fresh framed live segment.
-func NextSegment(path string) string { return segmentName(path, nextSeq(path)) }
-
 // Reader streams the payloads of a framed log as one concatenated byte
 // stream, so JSONL-over-WAL feeds the same line-oriented ingest as a
 // plain file. A torn or corrupt tail reads as a clean EOF and is

@@ -8,12 +8,14 @@ import (
 )
 
 // Stream reads a durable record log — WAL-framed, rotated into
-// segments, plain pre-WAL JSONL, or any mix — as one continuous payload
-// stream. It is the reader for all three of the study's artifacts (query
-// log, campaign journal, span file). Each segment's format is sniffed
-// independently from its first byte, because a log can legitimately hold
-// both: plain segments from a pre-WAL writer next to framed ones from
-// the current.
+// segments, plain JSONL, or any mix — as one continuous payload stream.
+// It is the reader for all three of the study's artifacts (query log,
+// campaign journal, span file). Each segment's format is sniffed
+// independently from its first byte. The plain branch is live input,
+// not history: `experiment -log-out` and the benchmark's probe workload
+// write their query logs as unframed JSONL, and cmd/analyze reads them
+// through here. (No journal writer produces plain files, and
+// campaign.OpenJournal refuses one.)
 type Stream struct {
 	segs   []string
 	idx    int       // segments finished

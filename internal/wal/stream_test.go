@@ -58,7 +58,7 @@ func TestStreamReplayAllocBounded(t *testing.T) {
 	}
 }
 
-// TestStreamMixedSegments: a pre-WAL plain segment that stops mid-line
+// TestStreamMixedSegments: a plain segment that stops mid-line
 // followed by framed segments, one of them with debris at its end,
 // reads as one line stream — the plain fragment closed off, the debris
 // skipped and counted — in segment order.
@@ -131,11 +131,11 @@ func TestOpenStreamMissing(t *testing.T) {
 	}
 }
 
-// TestNextSegment pins the retirement name to the rotation rule: one
+// TestNextSegment pins the rotation rule: a segment is retired to one
 // past the highest existing suffix, gaps not reused.
 func TestNextSegment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	if got := NextSegment(path); got != path+".1" {
+	if got := segmentName(path, nextSeq(path)); got != path+".1" {
 		t.Fatalf("fresh log: %s", got)
 	}
 	for _, name := range []string{path + ".1", path + ".3", path + ".x"} {
@@ -143,7 +143,7 @@ func TestNextSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := NextSegment(path); got != path+".4" {
+	if got := segmentName(path, nextSeq(path)); got != path+".4" {
 		t.Fatalf("after .1 and .3: %s, want %s.4", got, path)
 	}
 }
