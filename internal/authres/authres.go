@@ -180,29 +180,3 @@ func (h *Header) Lookup(method string) *Result {
 	}
 	return nil
 }
-
-// SPF builds the conventional SPF result entry.
-func SPF(result, mailFrom string) Result {
-	return Result{
-		Method: "spf", Value: result,
-		Properties: map[string]string{"smtp.mailfrom": mailFrom},
-	}
-}
-
-// DKIM builds the conventional DKIM result entry.
-func DKIM(result, domain string) Result {
-	r := Result{Method: "dkim", Value: result}
-	if domain != "" {
-		r.Properties = map[string]string{"header.d": domain}
-	}
-	return r
-}
-
-// DMARC builds the conventional DMARC result entry.
-func DMARC(result, fromDomain string) Result {
-	r := Result{Method: "dmarc", Value: result}
-	if fromDomain != "" {
-		r.Properties = map[string]string{"header.from": fromDomain}
-	}
-	return r
-}

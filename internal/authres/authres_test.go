@@ -10,9 +10,9 @@ func TestFormatAndParseRoundTrip(t *testing.T) {
 	h := &Header{
 		AuthServID: "mx.receiver.example",
 		Results: []Result{
-			SPF("pass", "user@sender.example"),
-			DKIM("pass", "sender.example"),
-			DMARC("pass", "sender.example"),
+			{Method: "spf", Value: "pass", Properties: map[string]string{"smtp.mailfrom": "user@sender.example"}},
+			{Method: "dkim", Value: "pass", Properties: map[string]string{"header.d": "sender.example"}},
+			{Method: "dmarc", Value: "pass", Properties: map[string]string{"header.from": "sender.example"}},
 		},
 	}
 	value := Format(h)

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"net/netip"
 	"reflect"
 	"testing"
 )
@@ -253,42 +252,6 @@ func TestPaperScaleGeneration(t *testing.T) {
 	ratio := float64(len(pop2.MTAs)) / float64(len(pop2.Domains))
 	if ratio < 0.25 || ratio > 0.75 {
 		t.Errorf("TwoWeekMX MTA ratio %.2f", ratio)
-	}
-}
-
-func TestASDBLookup(t *testing.T) {
-	pop := Generate(smallSpec(TwoWeekMXSpec(21), 6000))
-	db := BuildASDB(pop)
-	v4, v6 := db.Size()
-	if v4 == 0 {
-		t.Fatalf("empty ASDB: %s", db)
-	}
-	// Every MTA's addresses resolve to its own AS — the CAIDA-style
-	// indirection must agree with ground truth.
-	for _, m := range pop.MTAs {
-		info, ok := db.Lookup(m.Addr4)
-		if !ok {
-			t.Fatalf("no AS for %s (%s)", m.Addr4, m.ID)
-		}
-		if info.ASN != m.ASN {
-			t.Fatalf("AS for %s: got %d, want %d", m.Addr4, info.ASN, m.ASN)
-		}
-		if m.Addr6.IsValid() {
-			info6, ok := db.Lookup(m.Addr6)
-			if !ok || info6.ASN != m.ASN {
-				t.Fatalf("v6 AS for %s: %v %v", m.Addr6, info6, ok)
-			}
-		}
-	}
-	if v6 == 0 {
-		t.Error("no v6 prefixes despite v6 MTAs")
-	}
-	// Unknown space misses.
-	if _, ok := db.Lookup(netip.MustParseAddr("198.51.100.1")); ok {
-		t.Error("unallocated address resolved")
-	}
-	if _, ok := db.Lookup(netip.MustParseAddr("2001:db8::1")); ok {
-		t.Error("unallocated v6 address resolved")
 	}
 }
 

@@ -210,8 +210,7 @@ type generator struct {
 }
 
 // indexOf assigns each distinct AS a unique address-block index, so
-// every AS announces its own /16 (v4) and /32 (v6) — the property the
-// ASDB prefix table depends on.
+// every AS announces its own /16 (v4) and /32 (v6).
 func (g *generator) indexOf(asn int) int {
 	if g.asIndex == nil {
 		g.asIndex = make(map[int]int)

@@ -414,8 +414,9 @@ func TestSignedMessageStructure(t *testing.T) {
 	}
 }
 
-func TestVerifyAllMultipleSignatures(t *testing.T) {
-	// A message signed by the origin and re-signed by a forwarder.
+func TestVerifyMessageUsesFirstSignature(t *testing.T) {
+	// A message signed by the origin and re-signed by a forwarder: the
+	// result speaks for the outermost (forwarder) signature.
 	rsaKey, _, edPriv := keys(t)
 	origin := &Signer{Domain: "origin.example", Selector: "o1", Key: rsaKey}
 	signed, err := origin.Sign([]byte(sampleMail))
@@ -434,36 +435,12 @@ func TestVerifyAllMultipleSignatures(t *testing.T) {
 		"o1._domainkey.origin.example": {originKey},
 		"f1._domainkey.list.example":   {fwdKey},
 	}}
-	msg, err := ParseMessage(resigned)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v := &Verifier{Resolver: res}
-	results := v.VerifyAll(context.Background(), msg, 0)
-	if len(results) != 2 {
-		t.Fatalf("%d results", len(results))
+	if got := v.Verify(context.Background(), resigned); got.Domain != "list.example" || got.Result != ResultPass {
+		t.Errorf("forwarder: %+v", got)
 	}
-	// Outermost (forwarder) signature first, both passing.
-	if results[0].Domain != "list.example" || results[0].Result != ResultPass {
-		t.Errorf("forwarder: %+v", results[0])
-	}
-	if results[1].Domain != "origin.example" || results[1].Result != ResultPass {
-		t.Errorf("origin: %+v", results[1])
-	}
-
-	// Tamper with the body: both fail; BestVerification picks a fail.
 	tampered := []byte(strings.Replace(string(resigned), "vulnerability", "prize", 1))
-	msg2, _ := ParseMessage(tampered)
-	results = v.VerifyAll(context.Background(), msg2, 0)
-	best := BestVerification(results)
-	if best.Result != ResultFail {
-		t.Errorf("best after tamper: %+v", best)
-	}
-	if BestVerification(nil).Result != ResultNone {
-		t.Error("empty BestVerification")
-	}
-	// max=1 stops at the outermost signature.
-	if got := v.VerifyAll(context.Background(), msg, 1); len(got) != 1 {
-		t.Errorf("max=1 returned %d", len(got))
+	if got := v.Verify(context.Background(), tampered); got.Domain != "list.example" || got.Result != ResultFail {
+		t.Errorf("after tamper: %+v", got)
 	}
 }

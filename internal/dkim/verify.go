@@ -133,48 +133,12 @@ func (v *Verifier) Verify(ctx context.Context, raw []byte) *Verification {
 
 // VerifyMessage checks the first DKIM-Signature of a parsed message.
 func (v *Verifier) VerifyMessage(ctx context.Context, msg *Message) *Verification {
-	results := v.VerifyAll(ctx, msg, 1)
-	if len(results) == 0 {
-		return &Verification{Result: ResultNone, Err: ErrNoSignature}
-	}
-	return results[0]
-}
-
-// VerifyAll checks up to max DKIM-Signature headers of a parsed
-// message (0 means all), in header order. Messages relayed through
-// mailing lists or forwarders commonly carry several signatures; a
-// DMARC evaluator passes on any aligned passing one.
-func (v *Verifier) VerifyAll(ctx context.Context, msg *Message, max int) []*Verification {
-	var out []*Verification
 	for i := range msg.Headers {
-		if !strings.EqualFold(msg.Headers[i].Name, "DKIM-Signature") {
-			continue
-		}
-		out = append(out, v.verifyOne(ctx, msg, &msg.Headers[i]))
-		if max > 0 && len(out) >= max {
-			break
+		if strings.EqualFold(msg.Headers[i].Name, "DKIM-Signature") {
+			return v.verifyOne(ctx, msg, &msg.Headers[i])
 		}
 	}
-	return out
-}
-
-// BestVerification picks the most useful result from a set: the first
-// pass, else the first non-error, else the first.
-func BestVerification(results []*Verification) *Verification {
-	if len(results) == 0 {
-		return &Verification{Result: ResultNone, Err: ErrNoSignature}
-	}
-	for _, r := range results {
-		if r.Result == ResultPass {
-			return r
-		}
-	}
-	for _, r := range results {
-		if r.Result == ResultFail {
-			return r
-		}
-	}
-	return results[0]
+	return &Verification{Result: ResultNone, Err: ErrNoSignature}
 }
 
 func (v *Verifier) verifyOne(ctx context.Context, msg *Message, sigHeader *Header) *Verification {

@@ -121,6 +121,9 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
+	// Cancellation ends the exchange at once rather than at the
+	// deadline, so an orphaned resolver flight stops with its callers.
+	defer context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })()
 
 	// The reply is read into a pooled packet buffer: Unpack copies
 	// everything the returned Message keeps.

@@ -57,34 +57,6 @@ func EqualNames(a, b string) bool {
 	return CanonicalName(a) == CanonicalName(b)
 }
 
-// IsSubdomain reports whether child is equal to or a descendant of
-// parent, under DNS name comparison rules.
-func IsSubdomain(child, parent string) bool {
-	c, p := CanonicalName(child), CanonicalName(parent)
-	if p == "." {
-		return true
-	}
-	if c == p {
-		return true
-	}
-	return strings.HasSuffix(c, "."+p)
-}
-
-// SplitLabels splits a domain name into its labels, without the root.
-// "a.b.example.com." yields ["a" "b" "example" "com"].
-func SplitLabels(name string) []string {
-	name = strings.TrimSuffix(CanonicalName(name), ".")
-	if name == "" {
-		return nil
-	}
-	return strings.Split(name, ".")
-}
-
-// CountLabels returns the number of labels in name, excluding the root.
-func CountLabels(name string) int {
-	return len(SplitLabels(name))
-}
-
 // ValidateName checks that name is a syntactically legal domain name:
 // no empty interior labels, labels of at most 63 octets, and a total
 // wire length of at most 255 octets.

@@ -31,44 +31,6 @@ func TestEqualNames(t *testing.T) {
 	}
 }
 
-func TestIsSubdomain(t *testing.T) {
-	cases := []struct {
-		child, parent string
-		want          bool
-	}{
-		{"a.example.com", "example.com", true},
-		{"example.com", "example.com", true},
-		{"example.com", "a.example.com", false},
-		{"notexample.com", "example.com", false},
-		{"anything.net", ".", true},
-		{"deep.a.b.example.com.", "EXAMPLE.com", true},
-	}
-	for _, c := range cases {
-		if got := IsSubdomain(c.child, c.parent); got != c.want {
-			t.Errorf("IsSubdomain(%q, %q) = %v, want %v", c.child, c.parent, got, c.want)
-		}
-	}
-}
-
-func TestSplitLabels(t *testing.T) {
-	got := SplitLabels("a.b.Example.com.")
-	want := []string{"a", "b", "example", "com"}
-	if len(got) != len(want) {
-		t.Fatalf("SplitLabels returned %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SplitLabels returned %v, want %v", got, want)
-		}
-	}
-	if SplitLabels(".") != nil {
-		t.Error("SplitLabels of root should be nil")
-	}
-	if CountLabels("a.b.c") != 3 {
-		t.Error("CountLabels mismatch")
-	}
-}
-
 func TestValidateName(t *testing.T) {
 	if err := ValidateName("ok.example.com"); err != nil {
 		t.Errorf("valid name rejected: %v", err)

@@ -172,7 +172,10 @@ func (s *Server) LocalAddr() net.Addr {
 	return s.pc.LocalAddr()
 }
 
-// Shutdown closes the sockets and waits for in-flight handlers.
+// Shutdown stops accepting queries, waits for in-flight handlers (or
+// ctx), then closes the UDP socket. The socket stays open while
+// handlers run so that a query already being answered still gets its
+// answer.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
@@ -180,7 +183,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	close(s.shutdown)
-	s.pc.Close()
+	_ = s.pc.SetReadDeadline(time.Now()) // wakes serveUDP, which exits on closing()
 	s.ln.Close()
 	s.mu.Unlock()
 
@@ -189,12 +192,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.pc.Close()
+	return err
 }
 
 func (s *Server) closing() bool {

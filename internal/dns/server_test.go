@@ -176,6 +176,54 @@ func TestServerShutdownIdempotent(t *testing.T) {
 	}
 }
 
+// TestShutdownAnswersInFlightUDP pins Shutdown's order: a handler still
+// answering a UDP query when Shutdown starts gets its answer out, and
+// Shutdown waits for it and returns nil.
+func TestShutdownAnswersInFlightUDP(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	echo := echoTXTHandler("late answer")
+	srv := &Server{Addr: "127.0.0.1:0", Handler: HandlerFunc(func(w ResponseWriter, r *Request) {
+		close(entered)
+		<-gate
+		echo.ServeDNS(w, r)
+	})}
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		c := &Client{Timeout: 2 * time.Second}
+		_, err := c.ExchangeOver(context.Background(),
+			new(Message).SetQuestion("example.com", TypeTXT), "udp", addr.String())
+		answered <- err
+	}()
+	<-entered
+
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(context.Background()) }()
+	// Shutdown closes s.shutdown and stops the listeners under s.mu; once
+	// the channel is closed and the lock is free it is waiting on the
+	// handler.
+	for !srv.closing() {
+		time.Sleep(time.Millisecond)
+	}
+	srv.mu.Lock()
+	srv.mu.Unlock()
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned %v while a handler was in flight", err)
+	default:
+	}
+	close(gate)
+	if err := <-answered; err != nil {
+		t.Errorf("in-flight query lost to Shutdown: %v", err)
+	}
+	if err := <-shut; err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+}
+
 func TestRequestMetadata(t *testing.T) {
 	// Request messages are pooled, so the handler must extract what it
 	// needs during ServeDNS rather than retaining r.Msg.
@@ -275,6 +323,22 @@ func TestClientTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("timeout took %v", elapsed)
+	}
+}
+
+func TestClientCancellation(t *testing.T) {
+	// Cancelling the context ends an exchange with a silent server at
+	// once, long before the client's own timeout.
+	addr := startTestServer(t, HandlerFunc(func(w ResponseWriter, r *Request) {}))
+	c := &Client{Timeout: 5 * time.Second}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := c.Query(ctx, addr, "silent.example.com", TypeA); err == nil {
+		t.Fatal("query against silent server succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancelled exchange took %v", elapsed)
 	}
 }
 

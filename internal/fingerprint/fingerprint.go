@@ -100,17 +100,6 @@ func (v *Vector) Signature() string {
 	return sb.String()
 }
 
-// Known returns how many traits are decided.
-func (v *Vector) Known() int {
-	n := 0
-	for _, t := range v.traits() {
-		if t != Unknown {
-			n++
-		}
-	}
-	return n
-}
-
 // Distance is the number of decided-in-both positions where two
 // vectors disagree, and the number of comparable positions.
 func Distance(a, b *Vector) (disagree, comparable int) {

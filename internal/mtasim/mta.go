@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"sendervalid/internal/authres"
 	"sendervalid/internal/dkim"
 	"sendervalid/internal/dmarc"
 	"sendervalid/internal/netsim"
@@ -75,10 +74,8 @@ type MTA struct {
 	stats counters
 	async sync.WaitGroup
 
-	mu           sync.Mutex
-	closed       bool
-	accumulators map[string]*dmarc.Accumulator
-	lastAuthRes  string
+	mu     sync.Mutex
+	closed bool
 }
 
 // New builds an MTA from cfg. Start must be called to serve.
@@ -121,9 +118,6 @@ func (m *MTA) ID() string { return m.cfg.ID }
 
 // Profile returns the MTA's behaviour profile.
 func (m *MTA) Profile() Profile { return m.cfg.Profile }
-
-// Addrs returns the MTA's listening addresses.
-func (m *MTA) Addrs() (netip.Addr, netip.Addr) { return m.cfg.Addr4, m.cfg.Addr6 }
 
 // Start registers the MTA's listeners on the fabric and begins
 // serving.
@@ -323,12 +317,6 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 		spfResult = v
 	}
 
-	results := &authres.Header{AuthServID: m.cfg.Hostname}
-	if p.ValidatesSPF {
-		results.Results = append(results.Results,
-			authres.SPF(string(spfResult), mailFrom))
-	}
-
 	var dkimResult dkim.Result = dkim.ResultNone
 	dkimDomain := ""
 	if p.ValidatesDKIM {
@@ -336,8 +324,6 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 		verifier := &dkim.Verifier{Resolver: m.resolver}
 		v := verifier.Verify(context.Background(), msg)
 		dkimResult, dkimDomain = v.Result, v.Domain
-		results.Results = append(results.Results,
-			authres.DKIM(string(dkimResult), dkimDomain))
 	}
 
 	if p.ValidatesDMARC {
@@ -354,46 +340,14 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 			SPFResult:  spfResult, SPFDomain: spfDomain,
 			DKIMResult: dkimResult, DKIMDomain: dkimDomain,
 		})
-		m.recordDMARC(fromDomain, dmarc.Observation{
-			SourceIP:     s.ClientIP,
-			HeaderFrom:   fromDomain,
-			EnvelopeFrom: mailFrom,
-			Evaluation:   eval,
-			SPFResult:    string(spfResult), SPFDomain: spfDomain,
-			DKIMResult: string(dkimResult), DKIMDomain: dkimDomain,
-		})
-		results.Results = append(results.Results,
-			authres.DMARC(string(eval.Result), fromDomain))
 		if p.EnforceDMARC && eval.Result == dmarc.ResultFail && eval.Disposition == dmarc.Reject {
-			m.stampAuthResults(s, results)
 			m.bump(statMessagesRejected)
 			return &smtp.Reply{Code: 550, Text: "5.7.1 rejected by DMARC policy of " + fromDomain}
 		}
 	}
 
-	m.stampAuthResults(s, results)
 	m.bump(statMessagesAccepted)
 	return nil
-}
-
-// stampAuthResults records the RFC 8601 Authentication-Results value
-// the MTA would prepend to the delivered message.
-func (m *MTA) stampAuthResults(s *smtp.Session, h *authres.Header) {
-	value := authres.Format(h)
-	if s.Meta != nil {
-		s.Meta["authentication-results"] = value
-	}
-	m.mu.Lock()
-	m.lastAuthRes = value
-	m.mu.Unlock()
-}
-
-// AuthResults returns the Authentication-Results value of the most
-// recently processed message, or "" before any delivery.
-func (m *MTA) AuthResults() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastAuthRes
 }
 
 // runSPF performs the SPF check for the session — the HELO identity
@@ -421,46 +375,6 @@ func (m *MTA) runSPF(s *smtp.Session, from string) *spf.Outcome {
 	out := m.checker.CheckHost(ctx, s.ClientIP, domain, from, s.Helo)
 	if s.Meta != nil {
 		s.Meta["spf"] = out.Result
-	}
-	return out
-}
-
-// recordDMARC feeds the evaluation into the per-policy-domain
-// aggregate-report accumulator (RFC 7489 §7.2) — the feedback channel
-// through which DMARC-validating receivers report back to domain
-// owners, and one of the study's attribution channels (§5.3).
-func (m *MTA) recordDMARC(policyDomain string, obs dmarc.Observation) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.accumulators == nil {
-		m.accumulators = make(map[string]*dmarc.Accumulator)
-	}
-	acc := m.accumulators[policyDomain]
-	if acc == nil {
-		acc = &dmarc.Accumulator{
-			OrgName: m.cfg.Hostname,
-			Email:   "dmarc-reports@" + m.cfg.Hostname,
-			Domain:  policyDomain,
-		}
-		m.accumulators[policyDomain] = acc
-	}
-	acc.Add(time.Now(), obs)
-}
-
-// AggregateReports drains the MTA's DMARC accumulators into feedback
-// reports, one per policy domain with observations.
-func (m *MTA) AggregateReports() []*dmarc.Feedback {
-	m.mu.Lock()
-	accs := make([]*dmarc.Accumulator, 0, len(m.accumulators))
-	for _, acc := range m.accumulators {
-		accs = append(accs, acc)
-	}
-	m.mu.Unlock()
-	var out []*dmarc.Feedback
-	for i, acc := range accs {
-		if f := acc.Report(fmt.Sprintf("%s-%d", m.cfg.ID, i+1)); f != nil {
-			out = append(out, f)
-		}
 	}
 	return out
 }

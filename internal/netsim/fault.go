@@ -40,7 +40,7 @@ type FaultProfile struct {
 	// means unlimited (one write, one chunk).
 	MaxChunk int
 	// Jitter adds a uniform random delay in [0, Jitter) to connection
-	// establishment, on top of the fabric's fixed latency.
+	// establishment.
 	Jitter time.Duration
 	// FlapPeriod and FlapDown model link flaps: the link is down for
 	// the first FlapDown of every FlapPeriod, measured from the

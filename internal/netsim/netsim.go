@@ -46,9 +46,6 @@ type Fabric struct {
 	// Unreachable marks addresses that refuse all connections,
 	// simulating filtered or offline hosts.
 	unreachable map[netip.Addr]bool
-	// latency is the one-way delivery delay applied to connection
-	// establishment (not per-byte).
-	latency time.Duration
 
 	// Chaos state: per-link fault profiles (keyed by remote address),
 	// the default profile for unlisted links, and the seed/epoch that
@@ -67,13 +64,6 @@ func NewFabric() *Fabric {
 		faults:      make(map[netip.Addr]*linkFaults),
 		nextEphem:   32768,
 	}
-}
-
-// SetLatency sets a fixed connection-establishment delay.
-func (f *Fabric) SetLatency(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.latency = d
 }
 
 // SetUnreachable marks or clears an address as refusing connections.
@@ -124,7 +114,6 @@ func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagra
 	}
 	l, ok := f.listeners[remote]
 	refused := f.unreachable[remote.Addr()]
-	latency := f.latency
 	f.mu.Unlock()
 
 	faults := f.faultsFor(remote.Addr())
@@ -135,13 +124,12 @@ func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagra
 		if faults.roll(faults.profile.DialFailure) {
 			return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
 		}
-		latency += faults.jitter()
-	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if latency := faults.jitter(); latency > 0 {
+			select {
+			case <-time.After(latency):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 	}
 	if refused || !ok {
@@ -274,16 +262,6 @@ type simAddr netip.AddrPort
 
 func (a simAddr) Network() string { return "sim" }
 func (a simAddr) String() string  { return netip.AddrPort(a).String() }
-
-// AddrPortOf extracts the netip.AddrPort from a fabric net.Addr,
-// falling back to parsing its string form.
-func AddrPortOf(a net.Addr) (netip.AddrPort, bool) {
-	if sa, ok := a.(simAddr); ok {
-		return netip.AddrPort(sa), true
-	}
-	ap, err := netip.ParseAddrPort(a.String())
-	return ap, err == nil
-}
 
 // newPipePair creates the two ends of a buffered duplex connection.
 func newPipePair(client, server netip.AddrPort) (*pipeConn, *pipeConn) {

@@ -371,35 +371,6 @@ func TestDialContextStringAddress(t *testing.T) {
 	}
 }
 
-func TestLatency(t *testing.T) {
-	f := NewFabric()
-	f.SetLatency(60 * time.Millisecond)
-	l, _ := f.Listen(mtaAddr)
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			c.Close()
-		}
-	}()
-	start := time.Now()
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Errorf("dial completed in %v, want ≥ 60ms", elapsed)
-	}
-}
-
-func TestAddrPortOf(t *testing.T) {
-	ap, ok := AddrPortOf(simAddr(mtaAddr))
-	if !ok || ap != mtaAddr {
-		t.Errorf("AddrPortOf(simAddr) = %v, %v", ap, ok)
-	}
-}
-
 func TestIPv6Fabric(t *testing.T) {
 	f := NewFabric()
 	v6 := netip.MustParseAddrPort("[2001:db8::25]:25")
@@ -419,7 +390,7 @@ func TestIPv6Fabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	local, _ := AddrPortOf(conn.LocalAddr())
+	local := netip.AddrPort(conn.LocalAddr().(simAddr))
 	if !local.Addr().Is6() {
 		t.Errorf("v6 dial used local %s", local)
 	}

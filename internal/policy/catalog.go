@@ -183,15 +183,6 @@ func Catalog() []Test {
 	return tests
 }
 
-// ByID returns the catalog indexed by test ID.
-func ByID() map[string]Test {
-	out := make(map[string]Test)
-	for _, t := range Catalog() {
-		out[t.ID] = t
-	}
-	return out
-}
-
 // Responders builds the dnsserver responder registry for the catalog.
 func Responders(env *Env) map[string]dnsserver.Responder {
 	out := make(map[string]dnsserver.Responder)

@@ -43,8 +43,8 @@ func TestErrorBudgetEvicts(t *testing.T) {
 	if n, err := conn.Read(buf); err == nil {
 		t.Fatalf("read %q after 421; connection should be closed", buf[:n])
 	}
-	if got := srv.EvictedSessions(); got != 1 {
-		t.Errorf("EvictedSessions() = %d, want 1", got)
+	if got := srv.metrics.evicted.Value(); got != 1 {
+		t.Errorf("evicted sessions = %d, want 1", got)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestPolicyRejectionsDoNotChargeBudget(t *testing.T) {
 		_, _ = conn.Write([]byte("RCPT TO:<nobody@x.example>\r\n"))
 		expect("550") // rejection, not eviction, every time
 	}
-	if got := srv.EvictedSessions(); got != 0 {
-		t.Errorf("EvictedSessions() = %d after policy rejections, want 0", got)
+	if got := srv.metrics.evicted.Value(); got != 0 {
+		t.Errorf("evicted sessions = %d after policy rejections, want 0", got)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestMaxConnsSheds(t *testing.T) {
 	// Third connection is over the cap.
 	_, expect3 := rawSession(t, fabric, addr)
 	expect3("421")
-	if got := srv.SheddedConns(); got != 1 {
-		t.Errorf("SheddedConns() = %d, want 1", got)
+	if got := srv.metrics.shedded.Value(); got != 1 {
+		t.Errorf("shedded connections = %d, want 1", got)
 	}
 
 	// Admitted sessions are unaffected by the shed.

@@ -173,14 +173,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// SheddedConns returns how many connections were turned away with 421
-// because the server was at MaxConns.
-func (s *Server) SheddedConns() uint64 { return s.metrics.shedded.Value() }
-
-// EvictedSessions returns how many sessions were closed with 421 for
-// exhausting their command or error budget.
-func (s *Server) EvictedSessions() uint64 { return s.metrics.evicted.Value() }
-
 // Close stops all listeners and waits for active sessions.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -641,18 +633,6 @@ func (s *Server) readData(conn net.Conn, br *bufio.Reader) ([]byte, error) {
 		buf.WriteString(trimmed)
 		buf.WriteString("\r\n")
 	}
-}
-
-// ListenAndServe is a convenience for real-socket servers: it binds
-// addr ("127.0.0.1:0" for tests) and serves until Close. It returns
-// the bound address.
-func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(ln)
-	return ln.Addr(), nil
 }
 
 // receivedHeader builds the trace header recording how the message

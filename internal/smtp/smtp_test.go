@@ -3,6 +3,7 @@ package smtp
 import (
 	"context"
 	"errors"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -440,13 +441,14 @@ func TestConcurrentSessions(t *testing.T) {
 }
 
 func TestRealSocketListenAndServe(t *testing.T) {
-	srv := &Server{Hostname: "real.example"}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := &Server{Hostname: "real.example"}
+	go srv.Serve(ln)
 	defer srv.Close()
-	c, err := Dial(context.Background(), nil, addr.String())
+	c, err := Dial(context.Background(), nil, ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

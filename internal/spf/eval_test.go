@@ -581,14 +581,3 @@ func TestMatchPrefixProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestOutcomeDefinitive(t *testing.T) {
-	for _, r := range []Result{None, Neutral, Pass, Fail, SoftFail, PermError} {
-		if !r.Definitive() {
-			t.Errorf("%s should be definitive", r)
-		}
-	}
-	if TempError.Definitive() {
-		t.Error("temperror should not be definitive")
-	}
-}

@@ -36,10 +36,6 @@ const (
 	PermError Result = "permerror"
 )
 
-// Definitive reports whether the result is one a receiver can act on
-// without retrying (everything but temperror).
-func (r Result) Definitive() bool { return r != TempError }
-
 // Qualifier is a mechanism qualifier (RFC 7208 §4.6.2).
 type Qualifier byte
 

@@ -73,12 +73,6 @@ func TestAdminHealthzFlips(t *testing.T) {
 	if !strings.Contains(body, "ok  disk") {
 		t.Errorf("missing passing check line:\n%s", body)
 	}
-
-	health.Deregister("querylog")
-	resp, _ = get(t, srv, "/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("after deregister: status = %d, want 200", resp.StatusCode)
-	}
 }
 
 func TestAdminStatusz(t *testing.T) {

@@ -30,13 +30,6 @@ func (h *Health) Register(name string, check func() error) {
 	h.checks[name] = check
 }
 
-// Deregister removes the named check.
-func (h *Health) Deregister(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.checks, name)
-}
-
 // CheckResult is one check's outcome.
 type CheckResult struct {
 	Name string `json:"name"`

@@ -65,10 +65,6 @@ func (s *Span) TraceID() TraceID {
 	return s.trace
 }
 
-// Sampled reports whether the span's trace was head-sampled. Slow and
-// error spans export even when this is false.
-func (s *Span) Sampled() bool { return s != nil && s.head }
-
 // SetAttr records a string attribute. Attributes beyond the span's
 // fixed capacity are dropped.
 func (s *Span) SetAttr(k, v string) {
@@ -106,16 +102,6 @@ func (s *Span) SetError(err error) {
 	}
 	s.hasErr = true
 	s.errMsg = err.Error()
-}
-
-// SetErrorMsg is SetError for call sites that carry the failure as a
-// string. An empty message is ignored.
-func (s *Span) SetErrorMsg(msg string) {
-	if s == nil || msg == "" {
-		return
-	}
-	s.hasErr = true
-	s.errMsg = msg
 }
 
 // ExemplarID returns the hex trace ID for use as a histogram

@@ -84,10 +84,6 @@ func TestNilTracerNoops(t *testing.T) {
 	sp.SetInt("n", 1)
 	sp.Event("e")
 	sp.SetError(errors.New("x"))
-	sp.SetErrorMsg("y")
-	if sp.Sampled() {
-		t.Error("nil span reports Sampled")
-	}
 	if id := sp.ExemplarID(); id != "" {
 		t.Errorf("nil span ExemplarID = %q, want empty", id)
 	}
@@ -114,7 +110,7 @@ func TestExporterRoundTrip(t *testing.T) {
 	tr := New(Config{SampleRate: 1, Output: out})
 
 	ctx, root := tr.Start(context.Background(), "spf.check")
-	if root == nil || !root.Sampled() {
+	if root == nil || !root.head {
 		t.Fatal("sample=1 root span not sampled")
 	}
 	if FromContext(ctx) != root {
@@ -181,7 +177,7 @@ func TestUnsampledSpansNotExported(t *testing.T) {
 	out := &syncBuffer{}
 	tr := New(Config{SampleRate: 0, Output: out})
 	ctx, sp := tr.Start(context.Background(), "quiet")
-	if sp.Sampled() {
+	if sp.head {
 		t.Fatal("sample=0 span head-sampled")
 	}
 	if id := sp.ExemplarID(); id != "" {
@@ -265,7 +261,7 @@ func TestLinkCrossGoroutine(t *testing.T) {
 			t.Error("Link.Start returned nil on a live tracer")
 			return
 		}
-		if !w.Sampled() {
+		if !w.head {
 			t.Error("linked child did not inherit the sampling decision")
 		}
 		w.End()
