@@ -1,8 +1,10 @@
-# Development entry points. `make check` is the gate: gofmt, vet, build,
-# a stale-reference lint, the full test suite under the race detector
-# (fuzz seed corpora and the seeded crash/bulk/trace suites included, at
-# the default seed), the allocation pins, which need a run without the
-# race detector, and a one-iteration smoke pass over every benchmark.
+# Development entry points. `make check` is the gate: `fmt` (gofmt),
+# `vet`, `build`, `no-stale-refs` (a stale-reference lint), `test` (the
+# full test suite under the race detector: fuzz seed corpora and the
+# seeded crash/bulk/trace suites included, at the default seed),
+# `telemetry-alloc` (the allocation pins, which need a run without the
+# race detector) and `bench-smoke` (a one-iteration smoke pass over
+# every benchmark). Every target is named here; internal/lint checks it.
 # `make fuzz-seeds`, `crash`, `bulk-race`, `trace-race` and `chaos` run
 # their suite on its own, to reproduce a failure at another CHAOS_SEED;
 # `make bench-e2e` / `bench-e2e-compare` are the one performance gate.

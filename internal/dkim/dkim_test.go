@@ -5,6 +5,8 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/base64"
 	"strings"
 	"sync"
 	"testing"
@@ -442,5 +444,70 @@ func TestVerifyMessageUsesFirstSignature(t *testing.T) {
 	tampered := []byte(strings.Replace(string(resigned), "vulnerability", "prize", 1))
 	if got := v.Verify(context.Background(), tampered); got.Domain != "list.example" || got.Result != ResultFail {
 		t.Errorf("after tamper: %+v", got)
+	}
+}
+
+// signWithIdentity signs sampleMail as d=sender.example, s=s1, carrying
+// the i= tag when identity is set.
+func signWithIdentity(t *testing.T, key *rsa.PrivateKey, identity string) []byte {
+	t.Helper()
+	msg, err := ParseMessage([]byte(sampleMail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := []string{"From", "To", "Subject", "Date", "Message-ID"}
+	bh := sha256.Sum256(CanonicalizeBody(msg.Body, Relaxed))
+	unsigned := "v=1; a=rsa-sha256; c=relaxed/relaxed; d=sender.example; s=s1;"
+	if identity != "" {
+		unsigned += " i=" + identity + ";"
+	}
+	unsigned += " h=" + strings.Join(headers, ":") + "; bh=" + base64.StdEncoding.EncodeToString(bh[:]) + "; b="
+	signer := &Signer{Domain: "sender.example", Selector: "s1", Key: key}
+	sig, err := signer.sign(headerDigest(msg, headers, unsigned, Relaxed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg.Prepend("DKIM-Signature", unsigned+base64.StdEncoding.EncodeToString(sig))
+	return msg.Render()
+}
+
+// TestIdentityAndKeyTags checks the RFC 6376 rules on the i= signature
+// tag and the t= and s= key tags. Each rule case is a correctly signed
+// message that a verifier ignoring those tags would pass; the controls
+// pass under the rules too.
+func TestIdentityAndKeyTags(t *testing.T) {
+	rsaKey, _, _ := keys(t)
+	base, err := FormatKeyRecord(&rsaKey.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tc struct {
+		name     string
+		identity string // i= value, "" for none
+		keyTags  string // inserted into the key record after k=rsa;
+		want     Result
+	}
+	rules := []tc{
+		{"§6.1.1 i= domain outside d=", "user@other.example", "", ResultPermError},
+		{"§6.1.1 i= domain shares only a suffix with d=", "@badsender.example", "", ResultPermError},
+		{"§3.6.1 t=s and an i= subdomain of d=", "@mail.sender.example", " t=s;", ResultPermError},
+		{"§3.6.1 s= lists neither email nor *", "", " s=tlsrpt;", ResultPermError},
+	}
+	controls := []tc{
+		{"§6.1.1 i= domain a subdomain of d=", "@mail.sender.example", "", ResultPass},
+		{"§3.6.1 t=s and an i= domain equal to d=", "user@Sender.Example", " t=s;", ResultPass},
+		{"§3.6.1 s=email", "", " s=email;", ResultPass},
+		{"§3.6.1 s=*", "", " s=*;", ResultPass},
+	}
+	for _, c := range append(rules, controls...) {
+		t.Run(c.name, func(t *testing.T) {
+			res := &mapResolver{txt: map[string][]string{
+				"s1._domainkey.sender.example": {strings.Replace(base, "k=rsa;", "k=rsa;"+c.keyTags, 1)},
+			}}
+			got := (&Verifier{Resolver: res}).Verify(context.Background(), signWithIdentity(t, rsaKey, c.identity))
+			if got.Result != c.want {
+				t.Errorf("%s (%v), want %s", got.Result, got.Err, c.want)
+			}
+		})
 	}
 }

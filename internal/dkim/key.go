@@ -8,6 +8,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -40,12 +41,13 @@ type KeyRecord struct {
 
 // Testing reports whether the key carries the t=y testing flag.
 func (k *KeyRecord) Testing() bool {
-	for _, f := range k.Flags {
-		if f == "y" {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(k.Flags, "y")
+}
+
+// forEmail reports whether the s= tag admits email: absent, "*" or
+// "email" (RFC 6376 §3.6.1).
+func (k *KeyRecord) forEmail() bool {
+	return len(k.Services) == 0 || slices.Contains(k.Services, "email") || slices.Contains(k.Services, "*")
 }
 
 // ParseKeyRecord parses the TXT payload of a _domainkey record.

@@ -9,6 +9,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -74,6 +75,10 @@ func ParseSignature(value string) (*Signature, error) {
 	if sig.Domain == "" || sig.Selector == "" {
 		return nil, errors.New("dkim: signature missing d= or s= tag")
 	}
+	// RFC 6376 §6.1.1: the i= domain is d= or a subdomain of it.
+	if id := sig.Identity; id != "" && (!strings.Contains(id, "@") || !withinDomain(sig.identityDomain(), sig.Domain)) {
+		return nil, fmt.Errorf("dkim: i= %q is not within d= %q", id, sig.Domain)
+	}
 	var ok bool
 	sig.HeaderCanon, sig.BodyCanon, ok = ParseCanonicalization(tags["c"])
 	if !ok {
@@ -103,6 +108,21 @@ func ParseSignature(value string) (*Signature, error) {
 		return nil, errors.New("dkim: empty b= tag")
 	}
 	return sig, nil
+}
+
+// identityDomain is the domain of the i= tag, which defaults to d=
+// (RFC 6376 §3.5).
+func (s *Signature) identityDomain() string {
+	if s.Identity == "" {
+		return s.Domain
+	}
+	return s.Identity[strings.LastIndexByte(s.Identity, '@')+1:]
+}
+
+// withinDomain reports whether name is domain or a subdomain of it.
+func withinDomain(name, domain string) bool {
+	name, domain = strings.ToLower(name), strings.ToLower(domain)
+	return name == domain || strings.HasSuffix(name, "."+domain)
 }
 
 // Verification is the outcome of verifying one signature.
@@ -158,7 +178,11 @@ func (v *Verifier) verifyOne(ctx context.Context, msg *Message, sigHeader *Heade
 	var key *KeyRecord
 	var keyErr error
 	for _, txt := range txts {
-		if key, keyErr = ParseKeyRecord(txt); keyErr == nil {
+		// RFC 6376 §3.6.1: a record whose s= excludes email is ignored.
+		if key, keyErr = ParseKeyRecord(txt); keyErr == nil && !key.forEmail() {
+			key, keyErr = nil, fmt.Errorf("%w for email: s=%s", ErrNoKey, strings.Join(key.Services, ":"))
+		}
+		if keyErr == nil {
 			break
 		}
 	}
@@ -170,6 +194,11 @@ func (v *Verifier) verifyOne(ctx context.Context, msg *Message, sigHeader *Heade
 		return out
 	}
 	out.Testing = key.Testing()
+	// RFC 6376 §3.6.1: under t=s the i= domain must equal d=.
+	if slices.Contains(key.Flags, "s") && !strings.EqualFold(sig.identityDomain(), sig.Domain) {
+		out.Result, out.Err = ResultPermError, fmt.Errorf("dkim: key flag t=s: i= domain %q is not d=", sig.identityDomain())
+		return out
+	}
 
 	// Body hash.
 	bodyHash := sha256.Sum256(CanonicalizeBody(msg.Body, sig.BodyCanon))

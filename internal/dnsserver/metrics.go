@@ -35,7 +35,7 @@ func policyLabel(testID string) string {
 }
 
 // RegisterMetrics publishes the server's families: the per-policy
-// query counts and responder panic recoveries under dnsserver_, and
+// query counts and zone misses under dnsserver_, and
 // each transport endpoint's dns_* families distinguished by an
 // endpoint label. The given constant labels are applied to every
 // family, so several servers (one per experiment phase, say) can share
@@ -47,9 +47,6 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	reg.MustCounterVec("dnsserver_queries_total",
 		"Attributed queries, by test-policy label.",
 		"policy", s.metrics.queries, labels...)
-	reg.MustCounterFunc("dnsserver_responder_panics_total",
-		"Responder panics recovered into SERVFAIL answers.",
-		func() uint64 { return s.panics.Value() }, labels...)
 	reg.MustCounter("dnsserver_zone_misses_total",
 		"Queries refused for matching no served zone.",
 		&s.metrics.zoneMiss, labels...)

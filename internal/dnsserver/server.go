@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sort"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"sendervalid/internal/dns"
-	"sendervalid/internal/telemetry"
 	"sendervalid/internal/trace"
 )
 
@@ -197,8 +195,8 @@ type Server struct {
 	// disables it.
 	MaxQPSPerSource float64
 	BurstPerSource  int
-	// Logf receives diagnostics (recovered responder panics). Nil
-	// discards them.
+	// Logf receives the endpoints' diagnostics (recovered handler
+	// panics). Nil discards them.
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, is handed to both transport endpoints so
 	// each served query gets a "dns.serve" root span; the handler
@@ -215,7 +213,6 @@ type Server struct {
 	ordered  []*Zone
 
 	metrics serverMetrics
-	panics  telemetry.Counter
 }
 
 // init compiles every zone and orders them longest-suffix-first, and
@@ -270,11 +267,10 @@ func (s *Server) endpoint(addr string, v6 bool) *dns.Server {
 	}
 }
 
-// Panics returns the number of responder panics recovered into
-// SERVFAIL answers since Start, summed with the endpoints' own
-// recovered handler panics.
+// Panics returns the number of handler panics — a responder's
+// included — the endpoints recovered into SERVFAIL answers since Start.
 func (s *Server) Panics() uint64 {
-	n := s.panics.Value()
+	var n uint64
 	if s.srv4 != nil {
 		n += s.srv4.Panics()
 	}
@@ -407,7 +403,8 @@ func (s *Server) handler(v6 bool) dns.Handler {
 			return
 		}
 
-		shaped := s.respond(responder, q)
+		// A responder panic is recovered by dns.Server.serveRequest.
+		shaped := responder.Respond(q)
 		if shaped.Drop {
 			return
 		}
@@ -432,24 +429,6 @@ func (s *Server) handler(v6 bool) dns.Handler {
 		}
 		_ = w.WriteMsg(resp)
 	})
-}
-
-// respond invokes the responder, recovering a panic into a SERVFAIL
-// answer so one malformed or adversarial query name cannot kill the
-// authoritative server mid-sweep. The panic is logged with the query's
-// (testid, mtaid) attribution so the offending input is recoverable
-// from the diagnostics alone.
-func (s *Server) respond(responder Responder, q *Query) (shaped Response) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.panics.Inc()
-			if s.Logf != nil {
-				s.Logf("dnsserver: responder panic on %s: %v", q, v)
-			}
-			shaped = Response{RCode: dns.RCodeServerFailure}
-		}
-	}()
-	return responder.Respond(q)
 }
 
 func (s *Server) soa(z *Zone) dns.RR {
@@ -513,10 +492,4 @@ func FormatContact(mailbox string) string {
 		return dns.CanonicalName(mailbox)
 	}
 	return dns.CanonicalName(strings.ReplaceAll(local, ".", "\\.") + "." + domain)
-}
-
-// String renders a Query for diagnostics.
-func (q *Query) String() string {
-	return fmt.Sprintf("%s %s test=%s mta=%s rest=%v via %s",
-		q.Name, q.Type, q.TestID, q.MTAID, q.Rest, q.Transport)
 }

@@ -1,0 +1,129 @@
+package lint
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestFlagsInREADME fails on a command-line flag registered in cmd/ or
+// internal/cli that README.md never names as -<flag>.
+func TestFlagsInREADME(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join(moduleRoot, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, pattern := range []string{"cmd/*/*.go", "internal/cli/*.go"} {
+		m, err := filepath.Glob(filepath.Join(moduleRoot, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	var missing []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range flagNames(f) {
+			named := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`)
+			if !named.Match(readme) {
+				rel, _ := filepath.Rel(moduleRoot, path)
+				missing = append(missing, "-"+name+"\t"+filepath.ToSlash(rel))
+			}
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("flag not named in README.md: %s", m)
+	}
+}
+
+// flagNames lists the names a file registers through the flag
+// package's FlagSet methods: the name is the first argument, or the
+// second for the *Var forms, which take the destination first.
+func flagNames(f *ast.File) []string {
+	registers := map[string]bool{
+		"Bool": true, "Duration": true, "Float64": true, "Func": true, "Int": true,
+		"Int64": true, "String": true, "Uint": true, "Uint64": true, "Var": true,
+		"BoolVar": true, "DurationVar": true, "Float64Var": true, "IntVar": true,
+		"Int64Var": true, "StringVar": true, "UintVar": true, "Uint64Var": true,
+		"TextVar": true, "BoolFunc": true,
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 3 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !registers[sel.Sel.Name] {
+			return true
+		}
+		i := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			i = 1
+		}
+		if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				names = append(names, name)
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// TestMakeTargetsInHeader fails on a .PHONY Makefile target that the
+// Makefile's header comment does not name in backquotes, as `target`
+// or `make target …`.
+func TestMakeTargetsInHeader(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join(moduleRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header []string
+	var phony []string
+	inHeader := true
+	for _, line := range strings.Split(string(mk), "\n") {
+		if inHeader && strings.HasPrefix(line, "#") {
+			header = append(header, strings.TrimPrefix(line, "#"))
+			continue
+		}
+		inHeader = false
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			phony = append(phony, strings.Fields(rest)...)
+		}
+	}
+	named := map[string]bool{}
+	for _, span := range regexp.MustCompile("`([^`]*)`").FindAllStringSubmatch(strings.Join(header, " "), -1) {
+		words := strings.Fields(span[1])
+		switch {
+		case len(words) > 1 && words[0] == "make":
+			named[words[1]] = true
+		case len(words) == 1:
+			named[words[0]] = true
+		}
+	}
+	if len(phony) == 0 {
+		t.Fatal("Makefile declares no .PHONY targets")
+	}
+	for _, target := range phony {
+		if !named[target] {
+			t.Errorf("Makefile target %s is not named in the header comment", target)
+		}
+	}
+}

@@ -121,7 +121,6 @@ type Rates struct {
 	MXFallbackA         float64
 	FollowOneOfMultiple float64
 	SyntaxTolerantMain  float64
-	SyntaxTolerantChild float64
 	IgnoreMXLimit       float64 // all 20 MX targets
 	PartialMXLimit      float64 // between 10 and 20
 
@@ -162,7 +161,6 @@ func PaperRates() Rates {
 		MXFallbackA:         0.14,  // §7.3
 		FollowOneOfMultiple: 0.23,  // §7.3
 		SyntaxTolerantMain:  0.055, // §7.3
-		SyntaxTolerantChild: 0.123, // §7.3
 		IgnoreMXLimit:       0.64,  // §7.3 (all 20)
 		PartialMXLimit:      0.283, // §7.3 remainder over 10 but under 20
 
@@ -234,7 +232,7 @@ func (r Rates) Sample(rng *rand.Rand) Profile {
 		p.SPFOptions.MXFallbackA = rng.Float64() < r.MXFallbackA
 		p.SPFOptions.FollowMultipleRecords = rng.Float64() < r.FollowOneOfMultiple
 		// A validator tolerant of main-policy errors is tolerant of
-		// child errors too; some are tolerant only of child errors.
+		// child errors too.
 		if rng.Float64() < r.SyntaxTolerantMain {
 			p.SPFOptions.IgnoreSyntaxErrors = true
 		}

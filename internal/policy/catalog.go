@@ -1,17 +1,17 @@
 // Package policy defines the study's SPF test-policy catalog
 // (paper §4.3.2): 39 policies, each probing one specific validator
-// behaviour. A policy is realized as a dnsserver.Responder that
-// synthesizes the policy's DNS view for any (testid, mtaid) pair, plus
-// metadata describing what the policy measures. The paper's results
-// discuss a subset of the catalog (§6–§7); the rest exercise adjacent
-// behaviours and are retained for the fingerprinting future work the
-// paper proposes (§8).
+// behaviour. A policy is a table of DNS records relative to its
+// <testid>.<mtaid> base name, plus response shaping, served for any
+// (testid, mtaid) pair by one synthesizing engine (table.go), together
+// with metadata describing what the policy measures. The paper's
+// results discuss a subset of the catalog (§6–§7); the rest exercise
+// adjacent behaviours and are retained for the fingerprinting future
+// work the paper proposes (§8).
 package policy
 
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 	"time"
 
 	"sendervalid/internal/dns"
@@ -36,8 +36,10 @@ type Test struct {
 	Description string
 	// Section cites where the paper reports on it, or "".
 	Section string
-	// Build creates the responder serving this policy's names.
-	Build func(env *Env) dnsserver.Responder
+	// rows are the records the policy publishes.
+	rows []row
+	// miss answers a query no row matches (zero: an empty NOERROR).
+	miss dnsserver.Response
 }
 
 // Env carries the deployment context a policy needs to synthesize
@@ -49,172 +51,167 @@ type Env struct {
 	// letting tests and benches run the same logic at microsecond
 	// scale. 1.0 reproduces the paper's timing.
 	TimeScale float64
-	// TTL for synthesized records.
-	TTL uint32
 }
 
-func (e *Env) scale(d time.Duration) time.Duration {
-	if e.TimeScale == 0 {
-		return d
-	}
-	return time.Duration(float64(d) * e.TimeScale)
-}
-
-func (e *Env) ttl() uint32 {
-	if e.TTL == 0 {
-		return 60
-	}
-	return e.TTL
-}
-
-// txt builds a TXT response.
-func (e *Env) txt(q *dnsserver.Query, payload string) dnsserver.Response {
-	return dnsserver.Response{Records: []dns.RR{dnsserver.TXTRecord(q.Name, payload, e.ttl())}}
-}
-
-// addr builds an A or AAAA response matching the query type.
-func (e *Env) addr(q *dnsserver.Query, v4 netip.Addr, v6 netip.Addr) dnsserver.Response {
-	switch q.Type {
-	case dns.TypeA:
-		if !v4.IsValid() {
-			return dnsserver.Response{}
-		}
-		return dnsserver.Response{Records: []dns.RR{{
-			Name: q.Name, Type: dns.TypeA, Class: dns.ClassINET, TTL: e.ttl(),
-			Data: &dns.A{Addr: v4},
-		}}}
-	case dns.TypeAAAA:
-		if !v6.IsValid() {
-			return dnsserver.Response{}
-		}
-		return dnsserver.Response{Records: []dns.RR{{
-			Name: q.Name, Type: dns.TypeAAAA, Class: dns.ClassINET, TTL: e.ttl(),
-			Data: &dns.AAAA{Addr: v6},
-		}}}
-	}
-	return dnsserver.Response{}
-}
-
-// sub returns the follow-up name with extra labels prepended to the
-// query's identity base.
-func (e *Env) sub(q *dnsserver.Query, extra ...string) string {
-	return dnsserver.Rejoin(q, e.Suffix, extra...)
-}
-
-// restIs reports whether the query's rest labels equal the given
-// sequence (leftmost first).
-func restIs(q *dnsserver.Query, labels ...string) bool {
-	if len(q.Rest) != len(labels) {
-		return false
-	}
-	for i := range labels {
-		if q.Rest[i] != labels[i] {
-			return false
-		}
-	}
-	return true
+// serialChain is the include chain l1 → l2 → l3, l1 and l2 answering
+// after 100 ms, that separates serial from parallel validators (§7.1).
+var serialChain = []row{
+	{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 include:l2.{base} ?all", delay: 100 * time.Millisecond},
+	{owner: "l2", typ: dns.TypeTXT, data: "v=spf1 include:l3.{base} ?all", delay: 100 * time.Millisecond},
+	{owner: "l3", typ: dns.TypeTXT, data: "v=spf1 ?all"},
 }
 
 // Catalog returns all 39 test policies in ID order.
 func Catalog() []Test {
 	tests := []Test{
+		// --- t01: serial vs parallel (paper Figure 3) ---
 		{
 			ID: "t01", Name: "serial-vs-parallel", Section: "§7.1",
 			Description: "include chain (100 ms shaped) before an a mechanism distinguishes serial from parallel lookup scheduling",
-			Build:       buildSerialParallel,
+			rows: append(append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:foo.{base} -all"},
+			}, serialChain...), addrs("foo")...),
 		},
 		{
 			ID: "t02", Name: "lookup-limits", Section: "§7.2",
 			Description: "30 include mechanisms across 5 levels (46 lookups, 800 ms shaped) probe the 10-lookup limit and the 20 s timeout",
-			Build:       buildLookupLimits,
+			rows:        limitsRows(),
 		},
+		// --- t03: HELO check ---
+		//
+		// The probe sends HELO helo.t03.<mtaid>.<suffix>; that name publishes
+		// a bare -all policy. The MAIL domain t03.<mtaid>.<suffix> publishes a
+		// policy whose evaluation requires one follow-up, so we can observe
+		// MAIL evaluation distinctly from the HELO lookup.
 		{
 			ID: "t03", Name: "helo-check", Section: "§7.3",
 			Description: "a -all policy at the HELO domain detects validators that check the HELO identity",
-			Build:       buildHeloCheck,
+			rows: append([]row{
+				{owner: "helo", typ: dns.TypeTXT, data: "v=spf1 -all"},
+				{typ: dns.TypeTXT, data: "v=spf1 a:mail.{base} -all"},
+			}, addrs("mail")...),
 		},
-		{
-			ID: "t04", Name: "syntax-error-main", Section: "§7.3",
-			Description: "an ipv4: typo in the main policy; lookups right of the error reveal non-compliant continuation",
-			Build:       buildSyntaxErrorMain,
-		},
+		// --- t04/t05: syntax errors ---
+		//
+		// "ipv4" instead of "ip4" — the paper's deliberate typo.
+		simple("t04", "syntax-error-main", "§7.3",
+			"an ipv4: typo in the main policy; lookups right of the error reveal non-compliant continuation",
+			"v=spf1 ipv4:"+Unaffiliated.String()+" a:after.{base} ?all", "after"),
 		{
 			ID: "t05", Name: "syntax-error-child", Section: "§7.3",
 			Description: "an ipv4: typo inside an included policy; parent-policy lookups after the include reveal continuation",
-			Build:       buildSyntaxErrorChild,
+			rows: append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:cont.{base} ?all"},
+				{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 ipv4:" + Unaffiliated.String() + " ?all"},
+			}, addrs("cont")...),
 		},
-		{
-			ID: "t06", Name: "void-lookups", Section: "§7.3",
-			Description: "five a mechanisms that resolve to nothing probe the two-void-lookup limit",
-			Build:       buildVoidLookups,
-		},
-		{
-			ID: "t07", Name: "mx-fallback-a", Section: "§7.3",
-			Description: "an mx mechanism whose domain has no MX records; A/AAAA follow-ups violate RFC 7208 §5.4",
-			Build:       buildMXFallback,
-		},
+		// --- t06: void lookups ---
+		//
+		// Every vN name exists but has no address records: NOERROR with
+		// an empty answer — a textbook void lookup.
+		simple("t06", "void-lookups", "§7.3",
+			"five a mechanisms that resolve to nothing probe the two-void-lookup limit",
+			"v=spf1 a:v1.{base} a:v2.{base} a:v3.{base} a:v4.{base} a:v5.{base} ?all"),
+		// --- t07: mx fallback ---
+		//
+		// nomx has neither MX nor address records.
+		simple("t07", "mx-fallback-a", "§7.3",
+			"an mx mechanism whose domain has no MX records; A/AAAA follow-ups violate RFC 7208 §5.4",
+			"v=spf1 mx:nomx.{base} ?all"),
+		// --- t08: multiple records ---
 		{
 			ID: "t08", Name: "multiple-records", Section: "§7.3",
 			Description: "two SPF TXT records, each with a distinct a name, reveal whether validators permerror, follow one, or follow both",
-			Build:       buildMultipleRecords,
+			rows: append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1 a:one.{base} ?all"},
+				{typ: dns.TypeTXT, data: "v=spf1 a:two.{base} ?all"},
+			}, addrs("one", "two")...),
 		},
+		// --- t09: TCP fallback ---
+		//
+		// Every answer at tcponly, of any type, is truncated over UDP.
 		{
 			ID: "t09", Name: "tcp-fallback", Section: "§7.3",
 			Description: "truncated UDP responses force policy retrieval over TCP",
-			Build:       buildTCPFallback,
+			rows: []row{
+				{typ: dns.TypeTXT, data: "v=spf1 a:tcponly.{base} ?all", tc: true},
+				{owner: "tcponly", typ: dns.TypeA, rdata: &dns.A{Addr: Unaffiliated}, tc: true},
+				{owner: "tcponly", typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: UnaffiliatedV6}, tc: true},
+				{owner: "tcponly", tc: true},
+			},
 		},
+		// --- t10: IPv6-only ---
+		//
+		// The base policy is served normally; only the follow-up names sit
+		// behind IPv6-only servers.
 		{
 			ID: "t10", Name: "ipv6-only", Section: "§7.3",
 			Description: "follow-up names served only at the IPv6 endpoint test resolver IPv6 capability",
-			Build:       buildIPv6Only,
+			rows: []row{
+				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} ?all"},
+				{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 ?all", v6: true},
+			},
+			miss: dnsserver.Response{RequireIPv6: true},
 		},
+		// --- t11: MX address limit ---
+		//
+		// The farm name mxfarm resolves to the unaffiliated addresses too.
 		{
 			ID: "t11", Name: "mx-address-limit", Section: "§7.3",
 			Description: "an mx mechanism yielding 20 MX records probes the 10-address-lookup limit",
-			Build:       buildMXLimit,
+			rows:        append(mxFarmRows("mxfarm", "mx", MXLimitCount, 10), addrs("mxfarm")...),
 		},
-		{
-			ID: "t12", Name: "baseline", Section: "§6",
-			Description: "a plain failing policy; the TXT lookup alone marks the MTA as SPF-validating",
-			Build:       buildBaseline,
-		},
+		// --- t12: baseline ---
+		simple("t12", "baseline", "§6",
+			"a plain failing policy; the TXT lookup alone marks the MTA as SPF-validating",
+			"v=spf1 ip4:"+Unaffiliated.String()+" -all"),
 	}
-	tests = append(tests, extendedCatalog()...)
-	return tests
+	return append(tests, extendedCatalog()...)
 }
 
 // Responders builds the dnsserver responder registry for the catalog.
 func Responders(env *Env) map[string]dnsserver.Responder {
+	return env.responders()
+}
+
+// RespondersWithDMARC builds the catalog registry with every From
+// domain also publishing a strict reject DMARC policy at
+// _dmarc.<domain>, as the study did for all three experiments
+// (paper §4.3: "A strict reject policy was published for every domain
+// from which experimental email was issued"). The contact mailbox is
+// published in the rua= tag for attribution (§5.3).
+func RespondersWithDMARC(env *Env, contact string) map[string]dnsserver.Responder {
+	return env.responders(dmarcRow(contact))
+}
+
+// responders compiles every catalog policy, each with the extra rows.
+func (e *Env) responders(extra ...row) map[string]dnsserver.Responder {
 	out := make(map[string]dnsserver.Responder)
 	for _, t := range Catalog() {
-		out[t.ID] = t.Build(env)
+		out[t.ID] = newView(e.Suffix, 60, e.TimeScale, t.miss, t.rows, extra) // TTL 60 s
 	}
 	return out
 }
 
-// --- t01: serial vs parallel (paper Figure 3) ---
+// simple publishes one TXT record at the base and addresses at addrOwners.
+func simple(id, name, section, desc, payload string, addrOwners ...string) Test {
+	return Test{ID: id, Name: name, Section: section, Description: desc,
+		rows: append([]row{{typ: dns.TypeTXT, data: payload}}, addrs(addrOwners...)...)}
+}
 
-func buildSerialParallel(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			return env.txt(q, fmt.Sprintf("v=spf1 include:%s a:%s -all",
-				env.sub(q, "l1"), env.sub(q, "foo")))
-		case q.Type == dns.TypeTXT && restIs(q, "l1"):
-			r := env.txt(q, "v=spf1 include:"+env.sub(q, "l2")+" ?all")
-			r.Delay = env.scale(100 * time.Millisecond)
-			return r
-		case q.Type == dns.TypeTXT && restIs(q, "l2"):
-			r := env.txt(q, "v=spf1 include:"+env.sub(q, "l3")+" ?all")
-			r.Delay = env.scale(100 * time.Millisecond)
-			return r
-		case q.Type == dns.TypeTXT && restIs(q, "l3"):
-			return env.txt(q, "v=spf1 ?all")
-		case restIs(q, "foo"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
+// MXLimitCount is the number of MX records the t11 policy publishes.
+const MXLimitCount = 20
+
+// mxFarmRows publishes an mx mechanism naming farm: n MX hosts <prefix>00…
+// from preference pref0, each resolving to the unaffiliated addresses.
+func mxFarmRows(farm, prefix string, n, pref0 int) []row {
+	rows := []row{{typ: dns.TypeTXT, data: "v=spf1 mx:" + farm + ".{base} ?all"}}
+	for i := 0; i < n; i++ {
+		host := fmt.Sprintf("%s%02d", prefix, i)
+		rows = append(rows, row{owner: farm, typ: dns.TypeMX, pref: uint16(pref0 + i), data: host + ".{base}"})
+		rows = append(rows, addrs(host)...)
+	}
+	return rows
 }
 
 // --- t02: lookup limits (paper Figure 4) ---
@@ -279,215 +276,20 @@ func LimitsTreeSize() int {
 // LimitsDelay is the paper's per-response delay for t02 names.
 const LimitsDelay = 800 * time.Millisecond
 
-func buildLookupLimits(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type != dns.TypeTXT {
-			return dnsserver.Response{}
+// limitsRows publishes the t02 tree: each node includes its children (a
+// leaf is a bare ?all); each node below the base answers after LimitsDelay.
+func limitsRows() []row {
+	rows := []row{{typ: dns.TypeTXT}}
+	for i, node := 0, "root"; i < len(rows); i++ {
+		if i > 0 {
+			node = rows[i].owner
 		}
-		node := "root"
-		delay := time.Duration(0)
-		if len(q.Rest) == 1 {
-			node = q.Rest[0]
-			delay = env.scale(LimitsDelay)
-		} else if len(q.Rest) > 1 {
-			return dnsserver.Response{RCode: dns.RCodeNameError}
+		rows[i].data = "v=spf1"
+		for _, kid := range limitsChildren[node] {
+			rows[i].data += " include:" + kid + ".{base}"
+			rows = append(rows, row{owner: kid, typ: dns.TypeTXT, delay: LimitsDelay})
 		}
-		kids, ok := limitsChildren[node]
-		if !ok && node != "root" {
-			if !strings.HasPrefix(node, "n") {
-				return dnsserver.Response{RCode: dns.RCodeNameError}
-			}
-			// Leaf policy.
-			r := env.txt(q, "v=spf1 ?all")
-			r.Delay = delay
-			return r
-		}
-		var sb strings.Builder
-		sb.WriteString("v=spf1")
-		for _, kid := range kids {
-			sb.WriteString(" include:" + env.sub(q, kid))
-		}
-		sb.WriteString(" ?all")
-		r := env.txt(q, sb.String())
-		r.Delay = delay
-		return r
-	})
-}
-
-// --- t03: HELO check ---
-//
-// The probe sends HELO helo.t03.<mtaid>.<suffix>; that name publishes
-// a bare -all policy. The MAIL domain t03.<mtaid>.<suffix> publishes a
-// policy whose evaluation requires one follow-up, so we can observe
-// MAIL evaluation distinctly from the HELO lookup.
-
-func buildHeloCheck(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && restIs(q, "helo"):
-			return env.txt(q, "v=spf1 -all")
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			return env.txt(q, "v=spf1 a:"+env.sub(q, "mail")+" -all")
-		case restIs(q, "mail"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
-}
-
-// --- t04/t05: syntax errors ---
-
-func buildSyntaxErrorMain(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			// "ipv4" instead of "ip4" — the paper's deliberate typo.
-			return env.txt(q, fmt.Sprintf("v=spf1 ipv4:%s a:%s ?all",
-				Unaffiliated, env.sub(q, "after")))
-		case restIs(q, "after"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
-}
-
-func buildSyntaxErrorChild(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			return env.txt(q, fmt.Sprintf("v=spf1 include:%s a:%s ?all",
-				env.sub(q, "l1"), env.sub(q, "cont")))
-		case q.Type == dns.TypeTXT && restIs(q, "l1"):
-			return env.txt(q, fmt.Sprintf("v=spf1 ipv4:%s ?all", Unaffiliated))
-		case restIs(q, "cont"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
-}
-
-// --- t06: void lookups ---
-
-func buildVoidLookups(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-			var sb strings.Builder
-			sb.WriteString("v=spf1")
-			for i := 1; i <= 5; i++ {
-				fmt.Fprintf(&sb, " a:%s", env.sub(q, fmt.Sprintf("v%d", i)))
-			}
-			sb.WriteString(" ?all")
-			return env.txt(q, sb.String())
-		}
-		// Every vN name exists but has no address records: NOERROR with
-		// an empty answer — a textbook void lookup.
-		return dnsserver.Response{}
-	})
-}
-
-// --- t07: mx fallback ---
-
-func buildMXFallback(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-			return env.txt(q, "v=spf1 mx:"+env.sub(q, "nomx")+" ?all")
-		}
-		// nomx has neither MX nor address records.
-		return dnsserver.Response{}
-	})
-}
-
-// --- t08: multiple records ---
-
-func buildMultipleRecords(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			return dnsserver.Response{Records: []dns.RR{
-				dnsserver.TXTRecord(q.Name, "v=spf1 a:"+env.sub(q, "one")+" ?all", env.ttl()),
-				dnsserver.TXTRecord(q.Name, "v=spf1 a:"+env.sub(q, "two")+" ?all", env.ttl()),
-			}}
-		case restIs(q, "one"), restIs(q, "two"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
-}
-
-// --- t09: TCP fallback ---
-
-func buildTCPFallback(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-			r := env.txt(q, "v=spf1 a:"+env.sub(q, "tcponly")+" ?all")
-			r.TruncateUDP = true
-			return r
-		}
-		if restIs(q, "tcponly") {
-			r := env.addr(q, Unaffiliated, UnaffiliatedV6)
-			r.TruncateUDP = true
-			return r
-		}
-		return dnsserver.Response{}
-	})
-}
-
-// --- t10: IPv6-only ---
-
-func buildIPv6Only(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-			// The base policy is served normally; only the follow-up
-			// names sit behind IPv6-only servers.
-			return env.txt(q, "v=spf1 include:"+env.sub(q, "l1")+" ?all")
-		}
-		if q.Type == dns.TypeTXT && restIs(q, "l1") {
-			r := env.txt(q, "v=spf1 ?all")
-			r.RequireIPv6 = true
-			return r
-		}
-		r := dnsserver.Response{}
-		r.RequireIPv6 = true
-		return r
-	})
-}
-
-// --- t11: MX address limit ---
-
-// MXLimitCount is the number of MX records the t11 policy publishes.
-const MXLimitCount = 20
-
-func buildMXLimit(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-			return env.txt(q, "v=spf1 mx:"+env.sub(q, "mxfarm")+" ?all")
-		case q.Type == dns.TypeMX && restIs(q, "mxfarm"):
-			var rrs []dns.RR
-			for i := 0; i < MXLimitCount; i++ {
-				rrs = append(rrs, dns.RR{
-					Name: q.Name, Type: dns.TypeMX, Class: dns.ClassINET, TTL: env.ttl(),
-					Data: &dns.MX{
-						Preference: uint16(10 + i),
-						Host:       env.sub(q, fmt.Sprintf("mx%02d", i)),
-					},
-				})
-			}
-			return dnsserver.Response{Records: rrs}
-		case len(q.Rest) == 1 && strings.HasPrefix(q.Rest[0], "mx"):
-			return env.addr(q, Unaffiliated, UnaffiliatedV6)
-		}
-		return dnsserver.Response{}
-	})
-}
-
-// --- t12: baseline ---
-
-func buildBaseline(env *Env) dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-			return env.txt(q, fmt.Sprintf("v=spf1 ip4:%s -all", Unaffiliated))
-		}
-		return dnsserver.Response{}
-	})
+		rows[i].data += " ?all"
+	}
+	return rows
 }

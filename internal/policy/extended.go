@@ -14,351 +14,152 @@ import (
 // discussed), but they were part of every probe run and feed the
 // validator-fingerprinting future work (§8).
 func extendedCatalog() []Test {
-	simple := func(id, name, desc string, payload func(env *Env, q *dnsserver.Query) string) Test {
-		return Test{
-			ID: id, Name: name, Description: desc,
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-						return env.txt(q, payload(env, q))
-					}
-					return dnsserver.Response{}
-				})
-			},
-		}
-	}
+	ip4Fail := "v=spf1 ip4:" + Unaffiliated.String() + " -all"
 
-	tests := []Test{
+	return []Test{
 		// t13: redirect handling.
 		{
 			ID: "t13", Name: "redirect",
 			Description: "a redirect= modifier; following it shows modifier support",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, "v=spf1 redirect="+env.sub(q, "rd"))
-					case q.Type == dns.TypeTXT && restIs(q, "rd"):
-						return env.txt(q, fmt.Sprintf("v=spf1 ip4:%s -all", Unaffiliated))
-					}
-					return dnsserver.Response{}
-				})
+			rows: []row{
+				{typ: dns.TypeTXT, data: "v=spf1 redirect=rd.{base}"},
+				{owner: "rd", typ: dns.TypeTXT, data: ip4Fail},
 			},
 		},
 		// t14: exists with the %{i} macro — reveals macro support and
-		// leaks the validator's resolver-visible client IP handling.
-		{
-			ID: "t14", Name: "exists-macro-i",
-			Description: "exists:%{ir}.<base> probes macro expansion; the query name carries the probed client address",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-						return env.txt(q, "v=spf1 exists:%{ir}.x."+env.sub(q)+" ?all")
-					}
-					// Any expanded exists name: answer nothing (void).
-					return dnsserver.Response{}
-				})
-			},
-		},
+		// leaks the validator's resolver-visible client IP handling. Any
+		// expanded exists name answers nothing (void).
+		simple("t14", "exists-macro-i", "",
+			"exists:%{ir}.<base> probes macro expansion; the query name carries the probed client address",
+			"v=spf1 exists:%{ir}.x.{base} ?all"),
 		// t15: ptr mechanism — deprecated but still published.
-		simple("t15", "ptr-mechanism",
+		simple("t15", "ptr-mechanism", "",
 			"a ptr mechanism; PTR traffic reveals validators that still evaluate it",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 ptr ?all" }),
+			"v=spf1 ptr ?all"),
 		// t16: include chain of exactly 10 (at the limit, compliant
 		// validators finish; off-by-one implementations permerror early).
 		{
 			ID: "t16", Name: "limit-boundary",
 			Description: "an include chain of exactly 10 lookups probes off-by-one limit handling",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type != dns.TypeTXT {
-						return dnsserver.Response{}
-					}
-					depth := 0
-					if len(q.Rest) == 1 {
-						fmt.Sscanf(q.Rest[0], "c%d", &depth)
-					}
-					if depth >= 10 {
-						return env.txt(q, "v=spf1 ?all")
-					}
-					return env.txt(q, fmt.Sprintf("v=spf1 include:%s ?all",
-						env.sub(q, fmt.Sprintf("c%d", depth+1))))
-				})
-			},
+			rows:        chainRows("c", 10, "include:%s ?all"),
 		},
 		// t17: include of a domain with no SPF record (permerror per spec).
 		{
 			ID: "t17", Name: "include-none",
 			Description: "include of a policy-less name must permerror; lookups after it reveal tolerance",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, fmt.Sprintf("v=spf1 include:%s a:%s ?all",
-							env.sub(q, "nospf"), env.sub(q, "after")))
-					case q.Type == dns.TypeTXT && restIs(q, "nospf"):
-						return env.txt(q, "unrelated txt payload")
-					case restIs(q, "after"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
+			rows: append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1 include:nospf.{base} a:after.{base} ?all"},
+				{owner: "nospf", typ: dns.TypeTXT, data: "unrelated txt payload"},
+			}, addrs("after")...),
 		},
 		// t18: include loop (self-referential) — must not loop forever.
-		{
-			ID: "t18", Name: "include-loop",
-			Description: "a self-including policy; lookup counts expose loop protection",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-						return env.txt(q, "v=spf1 include:"+env.sub(q)+" ?all")
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t18", "include-loop", "",
+			"a self-including policy; lookup counts expose loop protection",
+			"v=spf1 include:{base} ?all"),
 		// t19: redirect loop.
 		{
 			ID: "t19", Name: "redirect-loop",
 			Description: "two policies redirecting to each other expose loop protection on modifiers",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, "v=spf1 redirect="+env.sub(q, "peer"))
-					case q.Type == dns.TypeTXT && restIs(q, "peer"):
-						return env.txt(q, "v=spf1 redirect="+env.sub(q))
-					}
-					return dnsserver.Response{}
-				})
+			rows: []row{
+				{typ: dns.TypeTXT, data: "v=spf1 redirect=peer.{base}"},
+				{owner: "peer", typ: dns.TypeTXT, data: "v=spf1 redirect={base}"},
 			},
 		},
 		// t20–t23: qualifier variants on the all mechanism.
-		simple("t20", "fail-all", "plain -all (reject everything)",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 -all" }),
-		simple("t21", "softfail-all", "plain ~all",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 ~all" }),
-		simple("t22", "neutral-all", "plain ?all",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 ?all" }),
-		simple("t23", "pass-all", "plain +all (accept everything — an anti-pattern)",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 +all" }),
+		simple("t20", "fail-all", "", "plain -all (reject everything)", "v=spf1 -all"),
+		simple("t21", "softfail-all", "", "plain ~all", "v=spf1 ~all"),
+		simple("t22", "neutral-all", "", "plain ?all", "v=spf1 ?all"),
+		simple("t23", "pass-all", "", "plain +all (accept everything — an anti-pattern)", "v=spf1 +all"),
 		// t24: CIDR matching.
-		simple("t24", "ip4-cidr",
+		simple("t24", "ip4-cidr", "",
 			"an ip4 /24 containing the documentation block tests prefix matching",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1 ip4:192.0.2.0/24 -all" }),
+			"v=spf1 ip4:192.0.2.0/24 -all"),
 		// t25: ip6 literal.
-		simple("t25", "ip6-literal",
+		simple("t25", "ip6-literal", "",
 			"an ip6 literal plus -all tests IPv6 literal parsing",
-			func(env *Env, q *dnsserver.Query) string {
-				return fmt.Sprintf("v=spf1 ip6:%s/64 -all", UnaffiliatedV6)
-			}),
+			"v=spf1 ip6:"+UnaffiliatedV6.String()+"/64 -all"),
 		// t26: unknown modifier must be ignored.
-		{
-			ID: "t26", Name: "unknown-modifier",
-			Description: "an unknown modifier before an a mechanism; the follow-up lookup shows it was ignored per spec",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, fmt.Sprintf("v=spf1 future=%s a:%s ?all",
-							env.sub(q, "modarg"), env.sub(q, "amech")))
-					case restIs(q, "amech"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t26", "unknown-modifier", "",
+			"an unknown modifier before an a mechanism; the follow-up lookup shows it was ignored per spec",
+			"v=spf1 future=modarg.{base} a:amech.{base} ?all", "amech"),
 		// t27: long policy split across TXT character-strings.
-		{
-			ID: "t27", Name: "multi-string-txt",
-			Description: "a policy split across several 255-octet character-strings tests concatenation",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						padding := strings.Repeat("ip4:203.0.113.77 ", 18)
-						payload := "v=spf1 " + padding + "a:" + env.sub(q, "tail") + " ?all"
-						return env.txt(q, payload)
-					case restIs(q, "tail"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t27", "multi-string-txt", "",
+			"a policy split across several 255-octet character-strings tests concatenation",
+			"v=spf1 "+strings.Repeat("ip4:203.0.113.77 ", 18)+"a:tail.{base} ?all", "tail"),
 		// t28: SPF (type 99) record only — deprecated; validators must
 		// use TXT and find nothing.
 		{
 			ID: "t28", Name: "type99-only",
 			Description: "the policy exists only as a type-SPF (99) record; RFC 7208 validators see none",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeSPF && len(q.Rest) == 0 {
-						return dnsserver.Response{Records: []dns.RR{{
-							Name: q.Name, Type: dns.TypeSPF, Class: dns.ClassINET, TTL: env.ttl(),
-							Data: &dns.TXT{Strings: []string{"v=spf1 -all"}},
-						}}}
-					}
-					return dnsserver.Response{}
-				})
-			},
+			rows:        []row{{typ: dns.TypeSPF, data: "v=spf1 -all"}},
 		},
 		// t29: uppercase mechanisms (must be case-insensitive).
-		{
-			ID: "t29", Name: "uppercase-terms",
-			Description: "mechanisms in uppercase test case-insensitive term parsing",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, "v=spf1 A:"+env.sub(q, "up")+" -ALL")
-					case restIs(q, "up"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t29", "uppercase-terms", "",
+			"mechanisms in uppercase test case-insensitive term parsing",
+			"v=spf1 A:up.{base} -ALL", "up"),
 		// t30: empty policy (just the version tag): neutral-equivalent.
-		simple("t30", "empty-policy", "a bare v=spf1 with no terms",
-			func(env *Env, q *dnsserver.Query) string { return "v=spf1" }),
+		simple("t30", "empty-policy", "", "a bare v=spf1 with no terms", "v=spf1"),
 		// t31: NXDOMAIN base — the From domain publishes nothing at all.
 		{
 			ID: "t31", Name: "nxdomain-base",
 			Description: "the From domain does not exist; validators should return none without retries",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					return dnsserver.Response{RCode: dns.RCodeNameError}
-				})
-			},
+			miss:        dnsserver.Response{RCode: dns.RCodeNameError},
 		},
 		// t32: slow single response just under the recommended timeout.
 		{
 			ID: "t32", Name: "slow-response",
 			Description: "a single 5 s (scaled) response delay probes per-query patience",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-						r := env.txt(q, fmt.Sprintf("v=spf1 ip4:%s -all", Unaffiliated))
-						r.Delay = env.scale(5 * LimitsDelay)
-						return r
-					}
-					return dnsserver.Response{}
-				})
-			},
+			rows:        []row{{typ: dns.TypeTXT, data: ip4Fail, delay: 5 * LimitsDelay}},
 		},
 		// t33: exists with the local-part macro.
-		simple("t33", "exists-macro-l",
+		simple("t33", "exists-macro-l", "",
 			"exists:%{l}.<base> leaks how validators expand the sender local part",
-			func(env *Env, q *dnsserver.Query) string {
-				return "v=spf1 exists:%{l}.lp." + env.sub(q) + " ?all"
-			}),
+			"v=spf1 exists:%{l}.lp.{base} ?all"),
 		// t34: dual-CIDR a mechanism.
-		{
-			ID: "t34", Name: "dual-cidr",
-			Description: "a:<name>/24//64 tests dual-CIDR parsing",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, "v=spf1 a:"+env.sub(q, "dc")+"/24//64 -all")
-					case restIs(q, "dc"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t34", "dual-cidr", "",
+			"a:<name>/24//64 tests dual-CIDR parsing",
+			"v=spf1 a:dc.{base}/24//64 -all", "dc"),
 		// t35: exactly 10 MX records (at the address-lookup limit).
 		{
 			ID: "t35", Name: "mx-limit-boundary",
 			Description: "an mx mechanism with exactly 10 MX records probes off-by-one MX limit handling",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						return env.txt(q, "v=spf1 mx:"+env.sub(q, "mxten")+" ?all")
-					case q.Type == dns.TypeMX && restIs(q, "mxten"):
-						var rrs []dns.RR
-						for i := 0; i < 10; i++ {
-							rrs = append(rrs, dns.RR{
-								Name: q.Name, Type: dns.TypeMX, Class: dns.ClassINET, TTL: env.ttl(),
-								Data: &dns.MX{Preference: uint16(i), Host: env.sub(q, fmt.Sprintf("h%02d", i))},
-							})
-						}
-						return dnsserver.Response{Records: rrs}
-					case len(q.Rest) == 1 && strings.HasPrefix(q.Rest[0], "h"):
-						return env.addr(q, Unaffiliated, UnaffiliatedV6)
-					}
-					return dnsserver.Response{}
-				})
-			},
+			rows:        mxFarmRows("mxten", "h", 10, 0),
 		},
 		// t36: three void lookups (one past the recommended limit).
-		{
-			ID: "t36", Name: "void-boundary",
-			Description: "three non-resolving a mechanisms straddle the two-void-lookup limit",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type == dns.TypeTXT && len(q.Rest) == 0 {
-						return env.txt(q, fmt.Sprintf("v=spf1 a:%s a:%s a:%s ?all",
-							env.sub(q, "w1"), env.sub(q, "w2"), env.sub(q, "w3")))
-					}
-					return dnsserver.Response{}
-				})
-			},
-		},
+		simple("t36", "void-boundary", "",
+			"three non-resolving a mechanisms straddle the two-void-lookup limit",
+			"v=spf1 a:w1.{base} a:w2.{base} a:w3.{base} ?all"),
 		// t37: CNAME at the policy name.
 		{
 			ID: "t37", Name: "cname-policy",
 			Description: "the policy name is a CNAME to the real record; resolution reveals CNAME chasing",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					switch {
-					case q.Type == dns.TypeTXT && len(q.Rest) == 0:
-						target := env.sub(q, "real")
-						return dnsserver.Response{Records: []dns.RR{
-							{Name: q.Name, Type: dns.TypeCNAME, Class: dns.ClassINET, TTL: env.ttl(),
-								Data: &dns.CNAME{Target: target}},
-							dnsserver.TXTRecord(target, fmt.Sprintf("v=spf1 ip4:%s -all", Unaffiliated), env.ttl()),
-						}}
-					case q.Type == dns.TypeTXT && restIs(q, "real"):
-						return env.txt(q, fmt.Sprintf("v=spf1 ip4:%s -all", Unaffiliated))
-					}
-					return dnsserver.Response{}
-				})
+			rows: []row{
+				{owner: "real", typ: dns.TypeTXT, data: ip4Fail},
+				{typ: dns.TypeTXT, alias: "real"},
 			},
 		},
 		// t38: whitespace-heavy policy.
-		simple("t38", "whitespace",
+		simple("t38", "whitespace", "",
 			"extra spaces between terms test tokenizer robustness",
-			func(env *Env, q *dnsserver.Query) string {
-				return fmt.Sprintf("v=spf1    ip4:%s     -all", Unaffiliated)
-			}),
+			"v=spf1    ip4:"+Unaffiliated.String()+"     -all"),
 		// t39: deep redirect chain (redirects also count toward the
 		// 10-lookup limit).
 		{
 			ID: "t39", Name: "redirect-chain",
 			Description: "a 12-step redirect chain probes whether redirects count against the lookup limit",
-			Build: func(env *Env) dnsserver.Responder {
-				return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-					if q.Type != dns.TypeTXT {
-						return dnsserver.Response{}
-					}
-					depth := 0
-					if len(q.Rest) == 1 {
-						fmt.Sscanf(q.Rest[0], "r%d", &depth)
-					}
-					if depth >= 12 {
-						return env.txt(q, "v=spf1 ?all")
-					}
-					return env.txt(q, fmt.Sprintf("v=spf1 redirect=%s",
-						env.sub(q, fmt.Sprintf("r%d", depth+1))))
-				})
-			},
+			rows:        chainRows("r", 12, "redirect=%s"),
 		},
 	}
-	return tests
+}
+
+// chainRows chains the base through <label>1…<label>n, each link naming
+// the next through term (%s is the next name); <label>n ends with ?all.
+func chainRows(label string, n int, term string) []row {
+	rows := []row{{typ: dns.TypeTXT}}
+	for i := 1; i <= n; i++ {
+		next := fmt.Sprintf("%s%d", label, i)
+		rows[i-1].data = "v=spf1 " + fmt.Sprintf(term, next+".{base}")
+		rows = append(rows, row{owner: next, typ: dns.TypeTXT, data: "v=spf1 ?all"})
+	}
+	return rows
 }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"net/netip"
-	"time"
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
@@ -32,93 +31,23 @@ type NotifyEmailConfig struct {
 	Contact string
 	// TimeScale scales the 100 ms include-chain shaping.
 	TimeScale float64
-	// TTL for synthesized records.
-	TTL uint32
-}
-
-func (cfg *NotifyEmailConfig) scale(d time.Duration) time.Duration {
-	if cfg.TimeScale == 0 {
-		return d
-	}
-	return time.Duration(float64(d) * cfg.TimeScale)
-}
-
-func (cfg *NotifyEmailConfig) ttl() uint32 {
-	if cfg.TTL == 0 {
-		return 300
-	}
-	return cfg.TTL
-}
-
-// SPFPolicy returns the SPF record text for a NotifyEmail domain.
-func (cfg *NotifyEmailConfig) SPFPolicy(q *dnsserver.Query) string {
-	return "v=spf1 include:" + dnsserver.Rejoin(q, cfg.Suffix, "l1") +
-		" a:" + dnsserver.Rejoin(q, cfg.Suffix, "mta") + " -all"
-}
-
-// DMARCPolicy returns the DMARC record text for NotifyEmail domains.
-func (cfg *NotifyEmailConfig) DMARCPolicy() string {
-	rec := "v=DMARC1; p=reject"
-	if cfg.Contact != "" {
-		rec += "; rua=mailto:" + cfg.Contact
-	}
-	return rec
 }
 
 // Responder synthesizes the NotifyEmail DNS view. Use it as the
 // Default responder of a LabelDepth-1 zone.
 func (cfg *NotifyEmailConfig) Responder() dnsserver.Responder {
-	return dnsserver.ResponderFunc(func(q *dnsserver.Query) dnsserver.Response {
-		switch {
-		case len(q.Rest) == 0 && q.Type == dns.TypeTXT:
-			return dnsserver.Response{Records: []dns.RR{
-				dnsserver.TXTRecord(q.Name, cfg.SPFPolicy(q), cfg.ttl()),
-			}}
-
-		case len(q.Rest) == 1 && q.Rest[0] == "l1" && q.Type == dns.TypeTXT:
-			r := dnsserver.Response{Records: []dns.RR{dnsserver.TXTRecord(q.Name,
-				"v=spf1 include:"+dnsserver.Rejoin(q, cfg.Suffix, "l2")+" ?all", cfg.ttl())}}
-			r.Delay = cfg.scale(100 * time.Millisecond)
-			return r
-		case len(q.Rest) == 1 && q.Rest[0] == "l2" && q.Type == dns.TypeTXT:
-			r := dnsserver.Response{Records: []dns.RR{dnsserver.TXTRecord(q.Name,
-				"v=spf1 include:"+dnsserver.Rejoin(q, cfg.Suffix, "l3")+" ?all", cfg.ttl())}}
-			r.Delay = cfg.scale(100 * time.Millisecond)
-			return r
-		case len(q.Rest) == 1 && q.Rest[0] == "l3" && q.Type == dns.TypeTXT:
-			return dnsserver.Response{Records: []dns.RR{
-				dnsserver.TXTRecord(q.Name, "v=spf1 ?all", cfg.ttl())}}
-
-		case len(q.Rest) == 1 && q.Rest[0] == "mta":
-			switch q.Type {
-			case dns.TypeA:
-				if !cfg.SenderV4.IsValid() {
-					return dnsserver.Response{}
-				}
-				return dnsserver.Response{Records: []dns.RR{{
-					Name: q.Name, Type: dns.TypeA, Class: dns.ClassINET, TTL: cfg.ttl(),
-					Data: &dns.A{Addr: cfg.SenderV4},
-				}}}
-			case dns.TypeAAAA:
-				if !cfg.SenderV6.IsValid() {
-					return dnsserver.Response{}
-				}
-				return dnsserver.Response{Records: []dns.RR{{
-					Name: q.Name, Type: dns.TypeAAAA, Class: dns.ClassINET, TTL: cfg.ttl(),
-					Data: &dns.AAAA{Addr: cfg.SenderV6},
-				}}}
-			}
-
-		case len(q.Rest) == 1 && q.Rest[0] == "_dmarc" && q.Type == dns.TypeTXT:
-			return dnsserver.Response{Records: []dns.RR{
-				dnsserver.TXTRecord(q.Name, cfg.DMARCPolicy(), cfg.ttl())}}
-
-		case len(q.Rest) == 2 && q.Rest[1] == "_domainkey" && q.Type == dns.TypeTXT:
-			if cfg.DKIMSelector != "" && q.Rest[0] == cfg.DKIMSelector && cfg.DKIMKeyRecord != "" {
-				return dnsserver.Response{Records: []dns.RR{
-					dnsserver.TXTRecord(q.Name, cfg.DKIMKeyRecord, cfg.ttl())}}
-			}
-		}
-		return dnsserver.Response{}
-	})
+	rows := []row{
+		{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:mta.{base} -all"},
+		dmarcRow(cfg.Contact),
+	}
+	if cfg.SenderV4.IsValid() {
+		rows = append(rows, row{owner: "mta", typ: dns.TypeA, rdata: &dns.A{Addr: cfg.SenderV4}})
+	}
+	if cfg.SenderV6.IsValid() {
+		rows = append(rows, row{owner: "mta", typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: cfg.SenderV6}})
+	}
+	if cfg.DKIMSelector != "" && cfg.DKIMKeyRecord != "" {
+		rows = append(rows, row{owner: cfg.DKIMSelector + "._domainkey", typ: dns.TypeTXT, data: cfg.DKIMKeyRecord})
+	}
+	return newView(cfg.Suffix, 300, cfg.TimeScale, dnsserver.Response{}, rows, serialChain) // TTL 300 s
 }
