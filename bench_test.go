@@ -65,6 +65,9 @@ func buildBenchWorld(b *testing.B, spec dataset.Spec, rates mtasim.Rates) *exper
 
 // --- Table 1: TLD distribution ---
 
+// Diagnostic: BenchmarkTable1TLDDistribution reports Table 1's .com
+// share of a generated population: a paper statistic, not a
+// performance figure.
 func BenchmarkTable1TLDDistribution(b *testing.B) {
 	var comShare float64
 	for i := 0; i < b.N; i++ {
@@ -77,6 +80,8 @@ func BenchmarkTable1TLDDistribution(b *testing.B) {
 
 // --- Table 2: dataset sizes ---
 
+// Diagnostic: BenchmarkTable2Datasets reports Table 2's MTAs per
+// domain: a paper statistic, not a performance figure.
 func BenchmarkTable2Datasets(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -89,6 +94,8 @@ func BenchmarkTable2Datasets(b *testing.B) {
 
 // --- Table 3: AS distribution ---
 
+// Diagnostic: BenchmarkTable3ASDistribution reports Table 3's top-AS
+// share: a paper statistic, not a performance figure.
 func BenchmarkTable3ASDistribution(b *testing.B) {
 	var topShare float64
 	for i := 0; i < b.N; i++ {
@@ -100,6 +107,9 @@ func BenchmarkTable3ASDistribution(b *testing.B) {
 
 // --- Table 4 + Tables 6/7 + Figure 2: the NotifyEmail experiment ---
 
+// Diagnostic: BenchmarkTable4ValidationBreakdown reports Table 4's
+// share of domains validating all three: a paper statistic, not a
+// performance figure.
 func BenchmarkTable4ValidationBreakdown(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(1), experiment.NotifyRates())
 	ctx := context.Background()
@@ -113,6 +123,9 @@ func BenchmarkTable4ValidationBreakdown(b *testing.B) {
 	b.ReportMetric(allThree, "%all-three") // paper: 53%
 }
 
+// Diagnostic: BenchmarkTable6Providers reports how many of Table 6's
+// providers match their planted row: a paper statistic, not a
+// performance figure.
 func BenchmarkTable6Providers(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(2), experiment.NotifyRates())
 	ctx := context.Background()
@@ -132,6 +145,8 @@ func BenchmarkTable6Providers(b *testing.B) {
 	b.ReportMetric(matched, "%provider-match") // expected: 100
 }
 
+// Diagnostic: BenchmarkTable7Alexa reports Table 7's SPF share among
+// Alexa Top-1M domains: a paper statistic, not a performance figure.
 func BenchmarkTable7Alexa(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(3), experiment.NotifyRates())
 	ctx := context.Background()
@@ -147,6 +162,9 @@ func BenchmarkTable7Alexa(b *testing.B) {
 	b.ReportMetric(top1M, "%SPF-top1M") // paper: 88%
 }
 
+// Diagnostic: BenchmarkFigure2TimingHistogram reports Figure 2's
+// share of domains validated before delivery: a paper statistic, not a
+// performance figure.
 func BenchmarkFigure2TimingHistogram(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(4), experiment.NotifyRates())
 	ctx := context.Background()
@@ -162,6 +180,8 @@ func BenchmarkFigure2TimingHistogram(b *testing.B) {
 
 // --- Table 5: the probe experiments ---
 
+// Diagnostic: BenchmarkTable5SPFValidating reports Table 5's NotifyMX
+// SPF-validating share: a paper statistic, not a performance figure.
 func BenchmarkTable5SPFValidating(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(5), experiment.NotifyRates())
 	ctx := context.Background()
@@ -175,6 +195,9 @@ func BenchmarkTable5SPFValidating(b *testing.B) {
 	b.ReportMetric(rate, "%NotifyMX-validating") // paper: 51%
 }
 
+// Diagnostic: BenchmarkTable5TwoWeekDeciles reports Table 5's
+// TwoWeekMX SPF-validating share: a paper statistic, not a performance
+// figure.
 func BenchmarkTable5TwoWeekDeciles(b *testing.B) {
 	w := buildBenchWorld(b, twoWeekSpec(6), experiment.TwoWeekRates())
 	ctx := context.Background()
@@ -190,6 +213,9 @@ func BenchmarkTable5TwoWeekDeciles(b *testing.B) {
 
 // --- Figure 5 and §7 behaviours: the behaviour probes ---
 
+// Diagnostic: BenchmarkFigure5LookupLimitCDF reports Figure 5's share
+// of validators that ran all 46 lookups: a paper statistic, not a
+// performance figure.
 func BenchmarkFigure5LookupLimitCDF(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(7), experiment.NotifyRates())
 	ctx := context.Background()
@@ -205,6 +231,8 @@ func BenchmarkFigure5LookupLimitCDF(b *testing.B) {
 	b.ReportMetric(ranAll, "%ran-all-46") // paper: 28%
 }
 
+// Diagnostic: BenchmarkSection71SerialParallel reports §7.1's
+// serial-lookup share: a paper statistic, not a performance figure.
 func BenchmarkSection71SerialParallel(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(8), experiment.NotifyRates())
 	ctx := context.Background()
@@ -221,6 +249,15 @@ func BenchmarkSection71SerialParallel(b *testing.B) {
 }
 
 // benchBehavior runs one behaviour test policy and reports a fraction.
+// percent returns s.Observed as a percentage of s.Tested (0 when
+// untested).
+func percent(s experiment.SimpleShare) float64 {
+	if s.Tested == 0 {
+		return 0
+	}
+	return 100 * float64(s.Observed) / float64(s.Tested)
+}
+
 func benchBehavior(b *testing.B, seed int64, tests []string, metric string,
 	stat func(*experiment.BehaviorResults) experiment.SimpleShare) {
 	b.Helper()
@@ -231,41 +268,56 @@ func benchBehavior(b *testing.B, seed int64, tests []string, metric string,
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, tests, 32)
 		res := stat(experiment.Behaviors(w.Observations()))
-		value = 100 * res.Fraction()
+		value = percent(res)
 	}
 	b.ReportMetric(value, metric)
 }
 
+// Diagnostic: BenchmarkSection73HELOCheck reports §7.3's HELO-checking
+// share: a paper statistic, not a performance figure.
 func BenchmarkSection73HELOCheck(b *testing.B) {
 	benchBehavior(b, 9, []string{"t03"}, "%helo-checked",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.HELOChecked }) // paper: 5%
 }
 
+// Diagnostic: BenchmarkSection73SyntaxErrors reports §7.3's
+// syntax-tolerant share: a paper statistic, not a performance figure.
 func BenchmarkSection73SyntaxErrors(b *testing.B) {
 	benchBehavior(b, 10, []string{"t04", "t05"}, "%main-tolerant",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.SyntaxMainTolerant }) // paper: 5.5%
 }
 
+// Diagnostic: BenchmarkSection73VoidLookups reports §7.3's share past
+// the void-lookup limit: a paper statistic, not a performance figure.
 func BenchmarkSection73VoidLookups(b *testing.B) {
 	benchBehavior(b, 11, []string{"t06"}, "%void-exceeded",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.VoidExceeded }) // paper: 97%; counted at a fourth void query (DESIGN §4a)
 }
 
+// Diagnostic: BenchmarkSection73MXFallback reports §7.3's MX-to-A
+// fallback share: a paper statistic, not a performance figure.
 func BenchmarkSection73MXFallback(b *testing.B) {
 	benchBehavior(b, 12, []string{"t07"}, "%mx-fallback",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.MXFallback }) // paper: 14%
 }
 
+// Diagnostic: BenchmarkSection73MultipleRecords reports §7.3's share
+// following none of multiple records: a paper statistic, not a
+// performance figure.
 func BenchmarkSection73MultipleRecords(b *testing.B) {
 	benchBehavior(b, 13, []string{"t08"}, "%followed-none",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.MultipleNone }) // paper: 77%
 }
 
+// Diagnostic: BenchmarkSection73TCPFallback reports §7.3's TCP-retry
+// share: a paper statistic, not a performance figure.
 func BenchmarkSection73TCPFallback(b *testing.B) {
 	benchBehavior(b, 14, []string{"t09"}, "%tcp-retried",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.TCPRetried }) // paper: 99.9%
 }
 
+// Diagnostic: BenchmarkSection73IPv6 reports §7.3's share retrieving an
+// IPv6-only policy: a paper statistic, not a performance figure.
 func BenchmarkSection73IPv6(b *testing.B) {
 	pop := dataset.Generate(notifySpec(15))
 	w, err := experiment.BuildWorld(pop, experiment.WorldConfig{
@@ -282,11 +334,14 @@ func BenchmarkSection73IPv6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiment.RunProbes(ctx, w, []string{"t10"}, 32)
 		res := experiment.Behaviors(w.Observations())
-		retrieved = 100 * res.IPv6Retrieved.Fraction()
+		retrieved = percent(res.IPv6Retrieved)
 	}
 	b.ReportMetric(retrieved, "%ipv6-retrieved") // paper: 49%
 }
 
+// Diagnostic: BenchmarkSection73MXLimit reports §7.3's share that
+// looked up all 20 MX hosts: a paper statistic, not a performance
+// figure.
 func BenchmarkSection73MXLimit(b *testing.B) {
 	benchBehavior(b, 16, []string{"t11"}, "%all-20-mx",
 		func(r *experiment.BehaviorResults) experiment.SimpleShare { return r.MXAllTwenty }) // paper: 64%
@@ -296,7 +351,8 @@ func BenchmarkSection73MXLimit(b *testing.B) {
 
 // BenchmarkAblationSynthesisVsStatic quantifies what the paper's
 // on-the-fly synthesis avoids: materializing the 704 records per MTA
-// (27.8M total at paper scale) as static zone data.
+// (27.8M total at paper scale) as static zone data. The synthesized
+// path is the one the `authdns-serve` workload serves.
 func BenchmarkAblationSynthesisVsStatic(b *testing.B) {
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 0}
 	responders := policy.Responders(env)
@@ -334,7 +390,8 @@ func BenchmarkAblationSynthesisVsStatic(b *testing.B) {
 
 // BenchmarkAblationResolverScheduling contrasts serial and parallel
 // (prefetching) lookup strategies on the shaped t01 policy — the §7.1
-// question of which strategy wins on deep policies.
+// question of which strategy wins on deep policies. The
+// `probe-campaign` workload's validators run both.
 func BenchmarkAblationResolverScheduling(b *testing.B) {
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 0.02} // 100ms -> 2ms
 	srv := &dnsserver.Server{Zones: []*dnsserver.Zone{{
@@ -371,7 +428,8 @@ func BenchmarkAblationResolverScheduling(b *testing.B) {
 
 // BenchmarkAblationLookupLimit quantifies the DNS load difference
 // between a compliant validator and a limit-ignoring one on the
-// Figure 4 limits policy.
+// Figure 4 limits policy, which the `probe-campaign` workload's
+// validators of both kinds evaluate.
 func BenchmarkAblationLookupLimit(b *testing.B) {
 	// TimeScale 1e-9 disables the 800 ms shaping (0 means unscaled).
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 1e-9}
@@ -411,7 +469,8 @@ func BenchmarkAblationLookupLimit(b *testing.B) {
 }
 
 // BenchmarkAblationResolverCache measures repeated policy retrieval
-// with and without the stub resolver's cache.
+// with and without the stub resolver's cache: the hit path of the
+// `bulk-spf` workload and the miss path of `probe-campaign`.
 func BenchmarkAblationResolverCache(b *testing.B) {
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 1e-9}
 	srv := &dnsserver.Server{Zones: []*dnsserver.Zone{{
@@ -446,7 +505,8 @@ func BenchmarkAblationResolverCache(b *testing.B) {
 // lookup against a live in-process authoritative server through one
 // shared resolver. Domains repeat across tuples the way real mail
 // streams repeat senders, so the sharded cache and singleflight dedup
-// carry most of the load after the first pass.
+// carry most of the load after the first pass. The `bulk-spf` workload
+// runs the same pipeline at scale.
 func BenchmarkBulkSPF(b *testing.B) {
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 1e-9}
 	srv := &dnsserver.Server{Zones: []*dnsserver.Zone{{
@@ -488,6 +548,8 @@ func BenchmarkBulkSPF(b *testing.B) {
 
 // --- Protocol micro-benchmarks ---
 
+// BenchmarkDNSMessagePackUnpack measures the DNS wire codec on one
+// query, the codec every exchange of the `authdns-serve` workload runs.
 func BenchmarkDNSMessagePackUnpack(b *testing.B) {
 	msg := new(dns.Message).SetQuestion("t01.m000001."+experiment.DefaultTestSuffix, dns.TypeTXT)
 	msg.ID = 42
@@ -507,6 +569,8 @@ func BenchmarkDNSMessagePackUnpack(b *testing.B) {
 	}
 }
 
+// BenchmarkSPFParse measures parsing one SPF record, which every
+// evaluation of the `bulk-spf` workload does per record fetched.
 func BenchmarkSPFParse(b *testing.B) {
 	const record = "v=spf1 ip4:192.0.2.0/24 a:mail.example.com mx include:_spf.example.net exists:%{ir}.x.example.org -all"
 	b.ReportAllocs()
@@ -517,6 +581,9 @@ func BenchmarkSPFParse(b *testing.B) {
 	}
 }
 
+// BenchmarkSMTPProbeSession measures one probe dialogue against a
+// non-validating MTA over the fabric: the SMTP half of the
+// `probe-campaign` workload's op.
 func BenchmarkSMTPProbeSession(b *testing.B) {
 	fabric := netsim.NewFabric()
 	mta := mtasim.New(mtasim.Config{
@@ -602,7 +669,8 @@ func BenchmarkProbeSession(b *testing.B) {
 // initially dark (netsim-injected connection refusals), so the
 // transient-retry path — classification, backoff, re-dispatch — is on
 // the measured path. Each outage heals at first contact; every task
-// must finish within the attempt budget.
+// must finish within the attempt budget. The `probe-campaign` workload
+// runs the same scheduler over the whole fleet.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	const fleet = 20
 	fabric := netsim.NewFabric()
@@ -667,7 +735,8 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // --- Extension benchmarks ---
 
 // BenchmarkFingerprintExtraction measures distilling behaviour vectors
-// and clustering from a realistic query log.
+// and clustering from a realistic query log, one of the four analyses
+// of the `log-ingest` workload.
 func BenchmarkFingerprintExtraction(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(17), experiment.NotifyRates())
 	experiment.RunProbes(context.Background(), w,
@@ -682,8 +751,9 @@ func BenchmarkFingerprintExtraction(b *testing.B) {
 	b.ReportMetric(float64(families), "families")
 }
 
-// BenchmarkDKIMSignVerify measures a full sign + verify round trip
-// (Ed25519, relaxed/relaxed) including the key lookup.
+// Diagnostic: BenchmarkDKIMSignVerify measures a full sign + verify
+// round trip (Ed25519, relaxed/relaxed) including the key lookup. No
+// workload signs or verifies DKIM.
 func BenchmarkDKIMSignVerify(b *testing.B) {
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -720,7 +790,8 @@ func (s staticTXT) LookupTXT(ctx context.Context, name string) ([]string, error)
 }
 
 // BenchmarkQueryLogJSONRoundTrip measures log persistence, the
-// collect-then-analyze workflow's I/O cost.
+// collect-then-analyze workflow's I/O cost: the `probe-campaign`
+// workload writes its log out this way before ingesting it.
 func BenchmarkQueryLogJSONRoundTrip(b *testing.B) {
 	w := buildBenchWorld(b, notifySpec(18), experiment.NotifyRates())
 	experiment.RunProbes(context.Background(), w, []string{"t01", "t12"}, 32)

@@ -24,7 +24,6 @@ import (
 
 	"sendervalid/internal/smtp"
 	"sendervalid/internal/spf"
-	"sendervalid/internal/telemetry"
 	"sendervalid/internal/trace"
 )
 
@@ -91,36 +90,13 @@ type Stats struct {
 }
 
 // Evaluator runs bulk SPF validation. Create with New; one Evaluator
-// may serve multiple sequential Runs (metrics accumulate across them).
+// may serve multiple sequential Runs.
 type Evaluator struct {
-	cfg     Config
-	metrics struct {
-		evaluated telemetry.Counter
-		errored   telemetry.Counter
-		latency   *telemetry.Histogram
-	}
+	cfg Config
 }
 
 // New creates an Evaluator from cfg.
-func New(cfg Config) *Evaluator {
-	e := &Evaluator{cfg: cfg}
-	e.metrics.latency = telemetry.NewHistogram(telemetry.LatencyBuckets)
-	return e
-}
-
-// RegisterMetrics publishes the evaluator's instruments under the
-// bulkspf_ namespace.
-func (e *Evaluator) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
-	reg.MustCounter("bulkspf_evaluated_total",
-		"Tuples that reached check_host() evaluation.",
-		&e.metrics.evaluated, labels...)
-	reg.MustCounter("bulkspf_errored_total",
-		"Input lines rejected before evaluation (bad JSON, bad IP, no domain).",
-		&e.metrics.errored, labels...)
-	reg.MustHistogram("bulkspf_eval_seconds",
-		"check_host() evaluation latency.",
-		e.metrics.latency, labels...)
-}
+func New(cfg Config) *Evaluator { return &Evaluator{cfg: cfg} }
 
 // job is one input line moving through the pipeline. res has capacity
 // one so a worker's delivery never blocks, even for jobs whose result
@@ -242,7 +218,6 @@ func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, j *job) Result {
 	fail := func(msg string) Result {
 		r.Result = spf.PermError
 		r.Err = msg
-		e.metrics.errored.Inc()
 		return r
 	}
 	var tup Tuple
@@ -285,9 +260,7 @@ func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, j *job) Result {
 		sp.SetAttr("result", string(out.Result))
 		sp.SetError(out.Err)
 	}
-	e.metrics.latency.ObserveExemplar(elapsed.Seconds(), sp.ExemplarID())
 	sp.End()
-	e.metrics.evaluated.Inc()
 	r.Domain, r.MailFrom, r.Helo = domain, sender, helo
 	r.Result = out.Result
 	r.Explanation = out.Explanation

@@ -4,8 +4,8 @@
 // measurement stayed polite and unblocked; this package provides the
 // orchestration that makes such sweeps survivable at scale:
 //
-//   - a sharded work queue keyed by target (the MTA today, an AS
-//     tomorrow) so no single destination is ever probed concurrently;
+//   - a sharded work queue keyed by target MTA so no single
+//     destination is ever probed concurrently;
 //   - per-shard token-bucket rate limiting under a global concurrency
 //     cap, so aggregate throughput scales with the number of targets
 //     while each target sees at most its own budget;
@@ -35,28 +35,18 @@ type Key struct {
 	Test string `json:"test"`
 }
 
-// Task is one schedulable unit of work.
+// Task is one schedulable unit of work. Its MTA is its politeness
+// domain (shard): tasks for one MTA never run concurrently and draw
+// from one rate budget, the per-destination discipline the study used.
 type Task struct {
 	// MTA and Test identify the work; together they are the task's
 	// durable identity in the journal.
 	MTA  string
 	Test string
-	// Shard is the politeness domain: tasks sharing a shard never run
-	// concurrently and draw from one rate budget. Empty defaults to
-	// MTA, the per-destination discipline the study used; campaigns
-	// grouping MTAs by AS set it explicitly.
-	Shard string
 }
 
 // Key returns the task's durable identity.
 func (t Task) Key() Key { return Key{MTA: t.MTA, Test: t.Test} }
-
-func (t Task) shardName() string {
-	if t.Shard != "" {
-		return t.Shard
-	}
-	return t.MTA
-}
 
 // TaskFunc executes one attempt of a task. A nil return marks the
 // task done; non-nil returns are classified (see Class) into transient
@@ -193,7 +183,7 @@ func (c *Campaign) Add(tasks ...Task) {
 		}
 		c.tasks[k] = &taskState{task: t, state: StatePending}
 		c.total++
-		s := c.shardFor(t.shardName())
+		s := c.shardFor(t.MTA)
 		s.push(t, time.Time{})
 		c.journal.event(event{Ev: evEnqueue, Key: k})
 	}
@@ -356,7 +346,7 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.shards[t.shardName()]
+	s := c.shards[t.MTA]
 	s.inflight = false
 	c.inflight--
 

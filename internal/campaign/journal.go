@@ -110,11 +110,6 @@ type Replay struct {
 	// Final maps every task that reached a final state to it
 	// (StateDone or StateFailed).
 	Final map[Key]State
-	// Seen holds every task the journal mentions at all, finished or
-	// not — the campaign's known universe at crash time.
-	Seen map[Key]bool
-	// Attempts is the attempt count per task at crash time.
-	Attempts map[Key]int
 	// Events counts journal lines replayed.
 	Events int
 	// Malformed counts unparseable lines skipped during replay — torn
@@ -130,13 +125,7 @@ type Replay struct {
 	DroppedBytes int64
 }
 
-func newReplay() *Replay {
-	return &Replay{
-		Final:    make(map[Key]State),
-		Seen:     make(map[Key]bool),
-		Attempts: make(map[Key]int),
-	}
-}
+func newReplay() *Replay { return &Replay{Final: make(map[Key]State)} }
 
 // Done and Failed count tasks per final state.
 func (r *Replay) Done() int   { return r.count(StateDone) }
@@ -207,10 +196,7 @@ func ReadJournal(r io.Reader) (*Replay, error) {
 			continue
 		}
 		rp.Events++
-		rp.Seen[e.Key] = true
 		switch e.Ev {
-		case evAttempt:
-			rp.Attempts[e.Key] = e.N
 		case evDone:
 			rp.Final[e.Key] = StateDone
 		case evFailed:

@@ -52,9 +52,11 @@ var multiLabelSuffixes = map[string]bool{
 
 // OrganizationalDomain returns the organizational domain of name: the
 // public suffix plus one label (RFC 7489 §3.2). A name that is itself
-// a public suffix (or shorter) is returned unchanged.
+// a public suffix (or shorter) is returned unchanged. Case and
+// trailing dots are dropped first, so the result is its own
+// organizational domain.
 func OrganizationalDomain(name string) string {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	name = strings.ToLower(strings.TrimRight(name, "."))
 	labels := strings.Split(name, ".")
 	if len(labels) <= 2 {
 		return name
@@ -77,8 +79,8 @@ func OrganizationalDomain(name string) string {
 // RFC5322.From domain under the given mode: exact match for strict,
 // same organizational domain for relaxed (RFC 7489 §3.1).
 func Aligned(authDomain, fromDomain string, mode AlignmentMode) bool {
-	a := strings.ToLower(strings.TrimSuffix(authDomain, "."))
-	f := strings.ToLower(strings.TrimSuffix(fromDomain, "."))
+	a := strings.ToLower(strings.TrimRight(authDomain, "."))
+	f := strings.ToLower(strings.TrimRight(fromDomain, "."))
 	if a == "" || f == "" {
 		return false
 	}

@@ -214,7 +214,7 @@ func TestUnpackRawRData(t *testing.T) {
 		Response: true,
 		Answers: []RR{{
 			Name: "example.com.", Type: Type(251), Class: ClassINET, TTL: 60,
-			Data: &RawRData{Type: Type(251), Data: []byte{1, 2, 3, 4}},
+			Data: &RawRData{Data: []byte{1, 2, 3, 4}},
 		}},
 	}
 	packed, err := orig.Pack()

@@ -199,9 +199,8 @@ func (d *OPT) pack(b *builder) error { return nil }
 func (d *OPT) String() string        { return fmt.Sprintf("OPT udpsize=%d", d.UDPSize) }
 
 // RawRData carries the rdata of record types this package does not
-// interpret (RFC 3597 opaque handling).
+// interpret (RFC 3597 opaque handling); the type is the RR's.
 type RawRData struct {
-	Type Type
 	Data []byte
 }
 
@@ -375,6 +374,6 @@ func (p *parser) unpackRData(t Type, rdLen int) (RData, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &RawRData{Type: t, Data: append([]byte(nil), b...)}, nil
+		return &RawRData{Data: append([]byte(nil), b...)}, nil
 	}
 }

@@ -69,7 +69,8 @@ func benchPackets(b *testing.B, n int) [][]byte {
 // attribute, synthesize, pack into a reused buffer — isolating the
 // allocations this package controls. The "udp" variant exchanges real
 // packets over loopback, so it includes the endpoint's read/dispatch
-// path (but also scheduler and syscall noise).
+// path (but also scheduler and syscall noise). Its end-to-end figure is
+// the `authdns-serve` workload.
 func BenchmarkServeHotPath(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		srv := &Server{Zones: []*Zone{benchZone()}, Log: discardSink{}}
@@ -130,7 +131,7 @@ func BenchmarkServeHotPath(b *testing.B) {
 // BenchmarkLogCodec measures the per-record codec in isolation:
 // encode into a reused buffer, decode with a reused parser. These are
 // the units the analysis ingest pipeline multiplies by millions of
-// records.
+// records: `authdns-serve` encodes, `log-ingest` decodes.
 func BenchmarkLogCodec(b *testing.B) {
 	e := LogEntry{
 		Time:      time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC),
@@ -169,6 +170,7 @@ func BenchmarkLogCodec(b *testing.B) {
 // BenchmarkParForEachLogJSON measures analysis ingest throughput over
 // an in-memory log at fixed worker counts (fixed, rather than
 // GOMAXPROCS-derived, so benchmark names are stable across machines).
+// The `log-ingest` workload runs the same decode over a WAL stream.
 func BenchmarkParForEachLogJSON(b *testing.B) {
 	var (
 		buf  []byte

@@ -25,9 +25,6 @@ type Query struct {
 	Rest []string
 	// Transport is "udp" or "tcp".
 	Transport string
-	// OverIPv6 reports whether the query arrived at the server's IPv6
-	// endpoint.
-	OverIPv6 bool
 }
 
 // Response is a Responder's synthesized answer plus shaping directives.
@@ -45,20 +42,12 @@ type Response struct {
 	// RequireIPv6 refuses the query unless it arrived over IPv6 (the
 	// paper's IPv6-only test policy, §7.3).
 	RequireIPv6 bool
-	// Drop suppresses any response, simulating an unreachable server.
-	Drop bool
 }
 
 // Responder synthesizes the response for one attributed query.
 type Responder interface {
 	Respond(q *Query) Response
 }
-
-// ResponderFunc adapts a function to the Responder interface.
-type ResponderFunc func(q *Query) Response
-
-// Respond calls f(q).
-func (f ResponderFunc) Respond(q *Query) Response { return f(q) }
 
 // Zone is an authoritative suffix served synthetically.
 type Zone struct {
@@ -121,13 +110,13 @@ func (z *Zone) matchesSuffix(name string) bool {
 // (<testid>.<mtaid>.<suffix> and <domainid>.<suffix>) it performs no
 // allocations beyond the Query itself: the identifying labels are
 // substrings of name, and Rest stays nil unless extra labels exist.
-func (z *Zone) parse(name string, qtype dns.Type, transport string, v6 bool) (*Query, bool) {
+func (z *Zone) parse(name string, qtype dns.Type, transport string) (*Query, bool) {
 	name = dns.CanonicalName(name)
 	z.compile()
 	if !z.matchesSuffix(name) {
 		return nil, false
 	}
-	q := &Query{Name: name, Type: qtype, Transport: transport, OverIPv6: v6}
+	q := &Query{Name: name, Type: qtype, Transport: transport}
 	sub := name[:len(name)-len(z.suffix)]
 	sub = strings.TrimSuffix(sub, ".")
 	if sub == "" {
@@ -357,7 +346,7 @@ func (s *Server) handler(v6 bool) dns.Handler {
 			_ = w.WriteMsg(resp)
 			return
 		}
-		q, _ := zone.parse(name, question.Type, r.Transport, v6)
+		q, _ := zone.parse(name, question.Type, r.Transport)
 		s.metrics.queries.With(policyLabel(q.TestID)).Inc()
 		if sp := r.Span; sp != nil {
 			sp.SetAttr("name", q.Name)
@@ -405,9 +394,6 @@ func (s *Server) handler(v6 bool) dns.Handler {
 
 		// A responder panic is recovered by dns.Server.serveRequest.
 		shaped := responder.Respond(q)
-		if shaped.Drop {
-			return
-		}
 		if shaped.Delay > 0 {
 			time.Sleep(shaped.Delay)
 		}

@@ -253,7 +253,7 @@ func TestZoneAttributionRoundTrip(t *testing.T) {
 			for n := 0; n <= 2; n++ {
 				q := &Query{TestID: test, MTAID: mta}
 				name := Rejoin(q, zone.Suffix, labels[:n]...)
-				parsed, ok := zone.parse(name, dns.TypeTXT, "udp", false)
+				parsed, ok := zone.parse(name, dns.TypeTXT, "udp")
 				if !ok {
 					t.Fatalf("name %q not in zone", name)
 				}

@@ -60,16 +60,11 @@ func (s *WALSink) Append(e LogEntry) {
 	s.mu.Unlock()
 }
 
-// Sync forces buffered records to stable storage.
-func (s *WALSink) Sync() error { return s.w.Sync() }
-
 // Close syncs and closes the underlying WAL.
 func (s *WALSink) Close() error { return s.w.Close() }
 
-// Err returns the WAL's sticky failure, nil while healthy.
-func (s *WALSink) Err() error { return s.w.Err() }
-
-// Check is Err in telemetry.Health check form.
+// Check returns the WAL's sticky failure, nil while healthy, in
+// telemetry.Health check form.
 func (s *WALSink) Check() error { return s.w.Check() }
 
 // Recovered reports what opening the WAL salvaged and truncated.

@@ -62,7 +62,7 @@ func TestWALSinkRoundTrip(t *testing.T) {
 	for _, e := range want {
 		sink.Append(e)
 	}
-	if err := sink.Err(); err != nil {
+	if err := sink.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {

@@ -146,14 +146,6 @@ func (s *SimpleShare) add(observed bool) {
 	}
 }
 
-// Fraction returns Observed/Tested (0 when untested).
-func (s SimpleShare) Fraction() float64 {
-	if s.Tested == 0 {
-		return 0
-	}
-	return float64(s.Observed) / float64(s.Tested)
-}
-
 // BehaviorResults bundles the §7.3 analyses.
 type BehaviorResults struct {
 	// HELOChecked: MTAs that looked up the HELO-domain policy; all of

@@ -28,8 +28,6 @@ func spfCompliant(o spf.Options) spf.Options {
 type NotifyEmailRun struct {
 	// Deliveries records one entry per domain, keyed by domain ID.
 	Deliveries map[string]*probe.Delivery
-	// Started and Finished bound the run.
-	Started, Finished time.Time
 	// TimeScale is the world's protocol-delay multiplier; Figure 2
 	// divides by it to report paper-equivalent seconds.
 	TimeScale float64
@@ -63,7 +61,6 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 	}
 	run := &NotifyEmailRun{
 		Deliveries: make(map[string]*probe.Delivery, len(w.Population.Domains)),
-		Started:    time.Now(),
 		TimeScale:  w.cfg.TimeScale,
 	}
 	res := w.senderResolver()
@@ -83,7 +80,7 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 			// address resolution (RFC 5321 §5.1).
 			var delivery *probe.Delivery
 			if targets, err := ResolveTargets(ctx, res, d.Name); err != nil {
-				delivery = &probe.Delivery{DomainID: d.ID, Recipient: recipient, Attempts: 1, Err: err}
+				delivery = &probe.Delivery{Attempts: 1, Err: err}
 			} else {
 				delivery = sender.Send(ctx, d.ID, recipient, targets, notifySubject, notifyBody)
 			}
@@ -101,7 +98,6 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 	// A cancelled run is reported by its partial Deliveries.
 	_ = c.Run(ctx)
 	w.Quiesce()
-	run.Finished = time.Now()
 	return run
 }
 
@@ -130,8 +126,7 @@ func (v DomainValidation) ComboKey() string {
 // NotifyEmailAnalysis aggregates the experiment into the paper's
 // Tables 4–7 and Figure 2 inputs.
 type NotifyEmailAnalysis struct {
-	Domains   int
-	Delivered int
+	Domains int
 
 	// Per-domain validation status (key: domain ID).
 	Validation map[string]DomainValidation
@@ -139,18 +134,14 @@ type NotifyEmailAnalysis struct {
 	// Table 4: combination -> domain count (keys like "YYn").
 	Combos map[string]int
 
-	SPFDomains   int
-	DKIMDomains  int
-	DMARCDomains int
+	SPFDomains int
 
 	// SPF-validating MTA count (over contacted MTAs).
 	SPFMTAs       int
 	ContactedMTAs int
 
 	// Partial validators (§6.1): TXT fetched, no completing lookups.
-	PartialDomains      int
-	PartialSPFOnly      int
-	PartialSPFOnlyDMARC int
+	PartialDomains int
 
 	// Table 6 rows.
 	Providers []ProviderRow
@@ -214,7 +205,6 @@ func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, ru
 		delivery := run.Deliveries[d.ID]
 		delivered := delivery != nil && delivery.Delivered
 		if delivered {
-			a.Delivered++
 			for _, m := range d.MTAs {
 				if m.Addr4 == delivery.MTAAddr || m.Addr6 == delivery.MTAAddr {
 					contacted[m.ID] = true
@@ -229,19 +219,7 @@ func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, ru
 			a.SPFDomains++
 			if !v.SPFComplete {
 				a.PartialDomains++
-				if !v.DKIM {
-					a.PartialSPFOnly++
-					if v.DMARC {
-						a.PartialSPFOnlyDMARC++
-					}
-				}
 			}
-		}
-		if v.DKIM {
-			a.DKIMDomains++
-		}
-		if v.DMARC {
-			a.DMARCDomains++
 		}
 
 		if d.Provider != nil {

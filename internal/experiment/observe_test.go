@@ -193,9 +193,9 @@ func TestDomainObservations(t *testing.T) {
 		t.Fatalf("only %d domains observed", len(obs))
 	}
 	foldProperties(t, log, obs, fingerprint.DomainObservations.Add, func(t *testing.T, got fingerprint.DomainObservations) {
-		for _, o := range got {
+		for id, o := range got {
 			if o.Queries%2 != 0 {
-				t.Fatalf("%s: the count did not double: %+v", o.ID, o)
+				t.Fatalf("%s: the count did not double: %+v", id, o)
 			}
 			o.Queries /= 2
 		}

@@ -29,9 +29,6 @@ type ProbeCampaignOpts struct {
 	// failures (connection refused, timeouts, 4xx greylisting) are
 	// retried with exponential backoff up to this budget.
 	MaxAttempts int
-	// BackoffBase and BackoffMax shape the retry schedule.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Journal receives the append-only JSONL record of task
 	// transitions (see campaign.OpenJournal).
 	Journal interface{ Write([]byte) (int, error) }
@@ -105,8 +102,6 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 		ShardRate:   opts.MTARate,
 		ShardBurst:  opts.MTABurst,
 		MaxAttempts: opts.MaxAttempts,
-		BackoffBase: opts.BackoffBase,
-		BackoffMax:  opts.BackoffMax,
 		Seed:        w.cfg.Seed,
 		Journal:     opts.Journal,
 		Logf:        opts.Logf,
@@ -176,7 +171,7 @@ func attemptErr(err error) error {
 // cancellation the partial results collected so far are returned with
 // the context error; the journal (if any) lets a later run resume.
 func (pc *ProbeCampaign) Run(ctx context.Context) (*ProbeRun, error) {
-	run := &ProbeRun{Tests: pc.tests, Started: time.Now()}
+	run := &ProbeRun{Tests: pc.tests}
 	err := pc.Campaign.Run(ctx)
 	pc.world.Quiesce()
 	pc.mu.Lock()
@@ -185,6 +180,5 @@ func (pc *ProbeCampaign) Run(ctx context.Context) (*ProbeRun, error) {
 		run.Results[k.MTA] = append(run.Results[k.MTA], res)
 	}
 	pc.mu.Unlock()
-	run.Finished = time.Now()
 	return run, err
 }

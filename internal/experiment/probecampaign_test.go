@@ -35,11 +35,11 @@ func TestProbeCampaignRetriesNetsimFailures(t *testing.T) {
 	})
 	defer recover.Stop()
 
+	// Five attempts on the default 100 ms backoff: the fifth comes at
+	// least 750 ms in, well after the flaky MTA recovers.
 	pc := NewProbeCampaign(w, campaignTests, ProbeCampaignOpts{
 		Workers:     16,
-		MaxAttempts: 10,
-		BackoffBase: 20 * time.Millisecond,
-		BackoffMax:  80 * time.Millisecond,
+		MaxAttempts: 5,
 	})
 	run, err := pc.Run(context.Background())
 	if err != nil {

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"context"
-	"strings"
-	"time"
 
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/fingerprint"
@@ -36,8 +34,6 @@ type ProbeRun struct {
 	Results map[string][]*probe.Result
 	// Tests is the test-ID list each MTA was probed with.
 	Tests []string
-	// Started and Finished bound the run.
-	Started, Finished time.Time
 }
 
 // RunProbes executes the probe experiment against every MTA in the
@@ -65,8 +61,6 @@ type ProbeAnalysis struct {
 	// Rejection observations (§6.2).
 	SpamRejected      int
 	BlacklistRejected int
-	InvalidRecipient  int
-	PostmasterUsed    int
 	ProbesCompleted   int
 	ProbesTotal       int
 
@@ -129,9 +123,6 @@ func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun
 			if r.Rejected() && rejectedMTAs[id] == nil {
 				rejectedMTAs[id] = r
 			}
-			if strings.HasPrefix(r.Recipient, "postmaster@") {
-				a.PostmasterUsed++
-			}
 		}
 	}
 	for _, r := range rejectedMTAs {
@@ -140,8 +131,6 @@ func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun
 			a.BlacklistRejected++
 		case r.MentionsSpam():
 			a.SpamRejected++
-		case r.Stage == probe.StageRcpt:
-			a.InvalidRecipient++
 		}
 	}
 

@@ -151,8 +151,6 @@ func (obs Observations) Add(e *dnsserver.LogEntry) {
 // and package selftest's Assessment are both derived from it. Like
 // Observation, every field is an earliest-time, an OR or a count.
 type DomainObservation struct {
-	// ID is the domain or session id: the label under the zone suffix.
-	ID string
 	// PolicyTXTAt is the earliest TXT query for the name itself — the
 	// SPF policy fetch that makes the receiver count as SPF-validating;
 	// zero = never seen.
@@ -185,7 +183,7 @@ func (obs DomainObservations) Add(e *dnsserver.LogEntry) {
 	}
 	o := obs[e.MTAID]
 	if o == nil {
-		o = &DomainObservation{ID: e.MTAID}
+		o = &DomainObservation{}
 		obs[e.MTAID] = o
 	}
 	o.Queries++

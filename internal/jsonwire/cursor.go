@@ -1,7 +1,5 @@
 package jsonwire
 
-import "strconv"
-
 // Cursor walks one line in the canonical form the Append* encoders
 // emit: fields in wire order, no interior whitespace, plain ASCII
 // strings. Every method reports ok=false on anything else, which means
@@ -52,29 +50,6 @@ func (c *Cursor) RawStr() ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Int consumes a canonical integer (optional '-', then either a lone
-// 0 or a nonzero leading digit — the JSON number grammar, which
-// rejects leading zeros) fitting int64.
-func (c *Cursor) Int() (int64, bool) {
-	start := c.i
-	if c.i < len(c.in) && c.in[c.i] == '-' {
-		c.i++
-	}
-	digits := c.i
-	for c.i < len(c.in) && c.in[c.i] >= '0' && c.in[c.i] <= '9' {
-		c.i++
-	}
-	tok := c.in[digits:c.i]
-	if len(tok) == 0 || (tok[0] == '0' && len(tok) > 1) {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(c.in[start:c.i]), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
 }
 
 // End reports whether exactly the record's closing brace remains.

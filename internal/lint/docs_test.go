@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -125,5 +127,64 @@ func TestMakeTargetsInHeader(t *testing.T) {
 		if !named[target] {
 			t.Errorf("Makefile target %s is not named in the header comment", target)
 		}
+	}
+}
+
+// TestBenchmarksNameWorkload fails on a Benchmark function whose doc
+// comment neither names, in backquotes, a BENCHMARK.json workload that
+// runs its code path (the end-to-end figure a change to that path must
+// show up in) nor starts with "Diagnostic:".
+func TestBenchmarksNameWorkload(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(moduleRoot, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Workloads) == 0 {
+		t.Fatal("BENCHMARK.json names no workloads")
+	}
+	names := func(doc string) bool {
+		for _, w := range spec.Workloads {
+			if strings.Contains(doc, "`"+w.Name+"`") {
+				return true
+			}
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != moduleRoot && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				continue
+			}
+			if doc := fn.Doc.Text(); !strings.HasPrefix(doc, "Diagnostic:") && !names(doc) {
+				rel, _ := filepath.Rel(moduleRoot, fset.Position(fn.Pos()).Filename)
+				t.Errorf("%s names no BENCHMARK.json workload and is not marked Diagnostic: (%s)", fn.Name.Name, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

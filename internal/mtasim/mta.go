@@ -113,9 +113,6 @@ func New(cfg Config) *MTA {
 	return m
 }
 
-// ID returns the MTA's identifier.
-func (m *MTA) ID() string { return m.cfg.ID }
-
 // Profile returns the MTA's behaviour profile.
 func (m *MTA) Profile() Profile { return m.cfg.Profile }
 

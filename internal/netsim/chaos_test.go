@@ -50,6 +50,11 @@ func chaosSeed(t *testing.T) int64 {
 // drainAccepts keeps a listener's accept queue empty so dial outcomes
 // reflect fault injection, not backpressure. Returned stop func closes
 // everything accepted.
+// dialFrom connects through f from 198.51.100.7 to server.
+func dialFrom(f *netsim.Fabric, server netip.AddrPort) (net.Conn, error) {
+	return f.BoundDialer(netip.MustParseAddr("198.51.100.7"), netip.Addr{}).DialContext(context.Background(), "tcp", server.String())
+}
+
 func drainAccepts(l *netsim.Listener) (stop func()) {
 	var mu sync.Mutex
 	var conns []net.Conn
@@ -84,7 +89,6 @@ func TestChaosSeedDeterminism(t *testing.T) {
 	defer leaktest.Check(t)()
 	seed := chaosSeed(t)
 	server := netip.MustParseAddrPort("203.0.113.80:25")
-	client := netip.MustParseAddrPort("198.51.100.7:0")
 
 	schedule := func(seed int64) string {
 		f := netsim.NewFabric()
@@ -98,7 +102,7 @@ func TestChaosSeedDeterminism(t *testing.T) {
 		defer stop()
 		var bits []byte
 		for i := 0; i < 64; i++ {
-			conn, err := f.Dial(context.Background(), client, server)
+			conn, err := dialFrom(f, server)
 			if err == nil {
 				conn.Close()
 				bits = append(bits, '1')
@@ -241,7 +245,7 @@ func TestChaosStreamChunking(t *testing.T) {
 		done <- r
 	}()
 
-	conn, err := f.Dial(context.Background(), netip.MustParseAddrPort("198.51.100.7:0"), server)
+	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +299,7 @@ func TestChaosMidStreamReset(t *testing.T) {
 		peerErr <- err
 	}()
 
-	conn, err := f.Dial(context.Background(), netip.MustParseAddrPort("198.51.100.7:0"), server)
+	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,6 @@ func TestChaosLinkFlap(t *testing.T) {
 	defer leaktest.Check(t)()
 	seed := chaosSeed(t)
 	server := netip.MustParseAddrPort("203.0.113.25:25")
-	client := netip.MustParseAddrPort("198.51.100.7:0")
 
 	f := netsim.NewFabric()
 	f.SetChaosSeed(seed) // anchors the chaos epoch: phase 0 is now
@@ -333,7 +336,7 @@ func TestChaosLinkFlap(t *testing.T) {
 	defer stop()
 
 	// Phase ~0: inside the down window.
-	if _, err := f.Dial(context.Background(), client, server); !errors.Is(err, netsim.ErrLinkDown) {
+	if _, err := dialFrom(f, server); !errors.Is(err, netsim.ErrLinkDown) {
 		t.Fatalf("dial during down window = %v; want ErrLinkDown", err)
 	}
 	// ErrLinkDown must read as a refusal to retry classifiers.
@@ -343,7 +346,7 @@ func TestChaosLinkFlap(t *testing.T) {
 
 	// Phase ~700ms: inside the up window (600..1200ms).
 	time.Sleep(700 * time.Millisecond)
-	conn, err := f.Dial(context.Background(), client, server)
+	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatalf("dial during up window = %v", err)
 	}
@@ -365,7 +368,7 @@ func TestPipeConnDeadlineUnblocksRead(t *testing.T) {
 	stop := drainAccepts(l)
 	defer stop()
 
-	conn, err := f.Dial(context.Background(), netip.MustParseAddrPort("198.51.100.7:0"), server)
+	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +438,7 @@ func TestPipeConnDeadlineChurn(t *testing.T) {
 		}
 		accepted <- c
 	}()
-	conn, err := f.Dial(context.Background(), netip.MustParseAddrPort("198.51.100.7:0"), server)
+	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -18,7 +17,7 @@ func TestListenerCloseResetsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestListenerCloseResetsBacklog(t *testing.T) {
 	if _, err := conn.Write([]byte("x")); !errors.Is(err, ErrConnReset) {
 		t.Errorf("write = %v; want ErrConnReset", err)
 	}
-	if _, err := f.Dial(context.Background(), clientAddr, mtaAddr); !errors.Is(err, ErrConnRefused) {
+	if _, err := dial(f); !errors.Is(err, ErrConnRefused) {
 		t.Errorf("dial after close = %v; want ErrConnRefused", err)
 	}
 }
@@ -51,7 +50,7 @@ func TestClosedConnsRetainNothing(t *testing.T) {
 	defer l.Close()
 
 	session := func() {
-		client, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+		client, err := dial(f)
 		if err != nil {
 			t.Fatal(err)
 		}

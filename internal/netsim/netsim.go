@@ -94,12 +94,6 @@ func (f *Fabric) Listen(addr netip.AddrPort) (*Listener, error) {
 	return l, nil
 }
 
-// Dial connects from the given local address to remote. A zero local
-// port is replaced with an ephemeral one.
-func (f *Fabric) Dial(ctx context.Context, local, remote netip.AddrPort) (net.Conn, error) {
-	return f.dial(ctx, local, remote, false)
-}
-
 // dial establishes a connection, applying the link's fault profile.
 // datagram marks the connection as message-oriented ("udp"), which
 // makes it subject to probabilistic loss but exempt from chunking.

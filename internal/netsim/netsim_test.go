@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/netip"
 	"strings"
 	"sync"
@@ -15,8 +16,13 @@ import (
 
 var (
 	mtaAddr    = netip.MustParseAddrPort("203.0.113.25:25")
-	clientAddr = netip.MustParseAddrPort("198.51.100.7:0")
+	clientAddr = netip.MustParseAddr("198.51.100.7")
 )
+
+// dial connects through f from clientAddr to mtaAddr.
+func dial(f *Fabric) (net.Conn, error) {
+	return f.BoundDialer(clientAddr, netip.Addr{}).DialContext(context.Background(), "tcp", mtaAddr.String())
+}
 
 func TestDialAndAccept(t *testing.T) {
 	f := NewFabric()
@@ -53,7 +59,7 @@ func TestDialAndAccept(t *testing.T) {
 		done <- err
 	}()
 
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +85,7 @@ func TestDialAndAccept(t *testing.T) {
 
 func TestDialUnknownAddressRefused(t *testing.T) {
 	f := NewFabric()
-	_, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	_, err := dial(f)
 	if !errors.Is(err, ErrConnRefused) {
 		t.Errorf("err = %v", err)
 	}
@@ -93,11 +99,11 @@ func TestUnreachable(t *testing.T) {
 	}
 	defer l.Close()
 	f.SetUnreachable(mtaAddr.Addr(), true)
-	if _, err := f.Dial(context.Background(), clientAddr, mtaAddr); !errors.Is(err, ErrConnRefused) {
+	if _, err := dial(f); !errors.Is(err, ErrConnRefused) {
 		t.Errorf("unreachable dial: %v", err)
 	}
 	f.SetUnreachable(mtaAddr.Addr(), false)
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatalf("reachable again: %v", err)
 	}
@@ -150,7 +156,7 @@ func TestEphemeralPorts(t *testing.T) {
 	}()
 	seen := map[string]bool{}
 	for i := 0; i < 5; i++ {
-		conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+		conn, err := dial(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +181,7 @@ func TestReadAfterPeerClose(t *testing.T) {
 		_, _ = c.Write([]byte("parting words"))
 		c.Close()
 	}()
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestWriteAfterCloseFails(t *testing.T) {
 			c.Close()
 		}
 	}()
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +228,7 @@ func TestReadDeadline(t *testing.T) {
 			time.Sleep(time.Second)
 		}
 	}()
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +283,7 @@ func TestLineProtocolOverFabric(t *testing.T) {
 		}
 	}()
 
-	conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+	conn, err := dial(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +329,7 @@ func TestConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := f.Dial(context.Background(), clientAddr, mtaAddr)
+			conn, err := dial(f)
 			if err != nil {
 				errs <- err
 				return

@@ -61,8 +61,6 @@ const (
 
 // Result records one probe.
 type Result struct {
-	MTAID  string
-	TestID string
 	// Stage is how far the dialogue got (StageDone = DATA reply
 	// received and connection dropped).
 	Stage Stage
@@ -118,7 +116,7 @@ func (c *Client) sleep(ctx context.Context) error {
 // "probe.smtp" span with a child per phase (connect, helo, mail,
 // rcpt, data).
 func (c *Client) Probe(ctx context.Context, addr netip.Addr, mtaID, testID string) *Result {
-	res := &Result{MTAID: mtaID, TestID: testID, Stage: StageConnect}
+	res := &Result{Stage: StageConnect}
 	ctx, sp := trace.Start(ctx, "probe.smtp")
 	if sp != nil {
 		sp.SetAttr("mta", mtaID)

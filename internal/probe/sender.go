@@ -41,8 +41,6 @@ type Sender struct {
 
 // Delivery records one NotifyEmail delivery attempt.
 type Delivery struct {
-	DomainID  string
-	Recipient string
 	// Delivered reports a 250 acceptance of the full message.
 	Delivered bool
 	// MTAAddr is the address that accepted (or last refused).
@@ -72,7 +70,7 @@ func (s *Sender) FromDomain(domainID string) string {
 // temporary one (4xx, unreachable exchanger) is the caller's to
 // re-queue, as a queueing MTA would; a 5xx is a bounce.
 func (s *Sender) Send(ctx context.Context, domainID, recipient string, targets []Target, subject, body string) *Delivery {
-	d := &Delivery{DomainID: domainID, Recipient: recipient, Attempts: 1}
+	d := &Delivery{Attempts: 1}
 	fromDomain := s.FromDomain(domainID)
 	from := "spf-test@" + fromDomain
 

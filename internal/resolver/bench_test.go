@@ -47,7 +47,7 @@ func benchNames(b *testing.B, n int) (*Resolver, []string) {
 // goroutine contention — the shape bulk SPF evaluation produces, where
 // every worker's mechanism lookups funnel through one shared resolver
 // and share its read lock. The end-to-end figure for this path is the
-// bulk-spf workload of `go run ./bench`.
+// `bulk-spf` workload of `go run ./bench`.
 func BenchmarkResolverParallel(b *testing.B) {
 	for _, g := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
@@ -79,7 +79,8 @@ func BenchmarkResolverParallel(b *testing.B) {
 // BenchmarkSingleflightDedup measures a cold-cache stampede: per
 // iteration the cache is flushed and 16 goroutines request the same
 // name at once. The wire-queries/op metric shows how many exchanges
-// actually reached the server (1.0 = perfect dedup).
+// actually reached the server (1.0 = perfect dedup). The `bulk-spf`
+// workload's cold first Run is such a stampede.
 func BenchmarkSingleflightDedup(b *testing.B) {
 	h := newStaticHandler()
 	h.add("stampede.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})

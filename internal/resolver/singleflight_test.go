@@ -264,18 +264,18 @@ func TestWireWaitAttributionSplit(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := r.metrics.wireSeconds.Count(); got != 1 {
+	if got := r.metrics.wireSeconds.Snapshot().Count; got != 1 {
 		t.Errorf("wire_seconds observations = %d, want 1 (leader only)", got)
 	}
-	if got := r.metrics.waitSeconds.Count(); got != callers-1 {
+	if got := r.metrics.waitSeconds.Snapshot().Count; got != callers-1 {
 		t.Errorf("wait_seconds observations = %d, want %d (one per waiter)", got, callers-1)
 	}
 	// The exchange ran behind a 100ms-slow server; both the single wire
 	// observation and the waiters' blocked time must reflect that.
-	if sum := r.metrics.wireSeconds.Sum(); sum < 0.05 {
+	if sum := r.metrics.wireSeconds.Snapshot().Sum; sum < 0.05 {
 		t.Errorf("wire_seconds sum = %v, want >= 0.05 (one real exchange)", sum)
 	}
-	if sum := r.metrics.waitSeconds.Sum(); sum < 0.05 {
+	if sum := r.metrics.waitSeconds.Snapshot().Sum; sum < 0.05 {
 		t.Errorf("wait_seconds sum = %v, want blocked waiters to have waited", sum)
 	}
 
@@ -283,10 +283,10 @@ func TestWireWaitAttributionSplit(t *testing.T) {
 	if _, err := r.LookupTXT(ctx, "split.example.com"); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.metrics.wireSeconds.Count(); got != 1 {
+	if got := r.metrics.wireSeconds.Snapshot().Count; got != 1 {
 		t.Errorf("cache hit bumped wire_seconds to %d", got)
 	}
-	if got := r.metrics.waitSeconds.Count(); got != callers-1 {
+	if got := r.metrics.waitSeconds.Snapshot().Count; got != callers-1 {
 		t.Errorf("cache hit bumped wait_seconds to %d", got)
 	}
 }
@@ -311,10 +311,10 @@ func TestWireAttributionDisableCache(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.metrics.wireSeconds.Count(); got != callers {
+	if got := r.metrics.wireSeconds.Snapshot().Count; got != callers {
 		t.Errorf("wire_seconds observations = %d, want %d (no dedup)", got, callers)
 	}
-	if got := r.metrics.waitSeconds.Count(); got != 0 {
+	if got := r.metrics.waitSeconds.Snapshot().Count; got != 0 {
 		t.Errorf("wait_seconds observations = %d, want 0", got)
 	}
 }

@@ -14,16 +14,10 @@ import (
 // HTML result at POST /assess, and a JSON API at POST /api/assess.
 type Handler struct {
 	Service *Service
-	// Timeout bounds one assessment. Zero means 60 s.
-	Timeout time.Duration
 }
 
-func (h *Handler) timeout() time.Duration {
-	if h.Timeout > 0 {
-		return h.Timeout
-	}
-	return 60 * time.Second
-}
+// assessTimeout bounds one assessment.
+const assessTimeout = 60 * time.Second
 
 var pageTemplate = template.Must(template.New("page").Parse(`<!DOCTYPE html>
 <html><head><title>Sender-validation self-test</title></head>
@@ -75,7 +69,7 @@ func (h *Handler) handleAssess(w http.ResponseWriter, r *http.Request, asJSON bo
 		http.Error(w, "a valid email address is required", http.StatusBadRequest)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), h.timeout())
+	ctx, cancel := context.WithTimeout(r.Context(), assessTimeout)
 	defer cancel()
 	assessment, err := h.Service.Assess(ctx, address)
 	if err != nil {

@@ -78,6 +78,15 @@ func (a *Assessment) Grade() string {
 // consults the dataset.
 type TargetResolver func(ctx context.Context, domain string) ([]probe.Target, error)
 
+// The test message every assessment delivers.
+const (
+	testSubject = "Sender-validation self-test"
+	testBody    = "This message was requested through the sender-validation " +
+		"self-test tool. Your mail infrastructure's SPF, DKIM, and " +
+		"DMARC validation behaviour is being assessed; no action is " +
+		"required.\n"
+)
+
 // Service runs assessment sessions.
 type Service struct {
 	// Sender delivers the test messages. Its Suffix is the
@@ -91,9 +100,6 @@ type Service struct {
 	// validation activity (post-DATA validators lag; the paper saw up
 	// to ~30 s). Zero means 2 s.
 	Settle time.Duration
-	// Subject/Body customize the test message.
-	Subject string
-	Body    string
 
 	mu      sync.Mutex
 	counter int
@@ -131,19 +137,7 @@ func (s *Service) Assess(ctx context.Context, address string) (*Assessment, erro
 	if err != nil {
 		return nil, fmt.Errorf("selftest: resolving %s: %w", domain, err)
 	}
-	subject := s.Subject
-	if subject == "" {
-		subject = "Sender-validation self-test"
-	}
-	body := s.Body
-	if body == "" {
-		body = "This message was requested through the sender-validation " +
-			"self-test tool. Your mail infrastructure's SPF, DKIM, and " +
-			"DMARC validation behaviour is being assessed; no action is " +
-			"required.\n"
-	}
-
-	delivery := s.Sender.Send(ctx, session, address, targets, subject, body)
+	delivery := s.Sender.Send(ctx, session, address, targets, testSubject, testBody)
 	a.Delivered = delivery.Delivered
 	if delivery.Err != nil {
 		a.DeliveryError = delivery.Err.Error()

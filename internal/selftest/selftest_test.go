@@ -209,7 +209,7 @@ func TestHTTPFormFlow(t *testing.T) {
 		ValidatesSPF: true, ValidatesDKIM: true, ValidatesDMARC: true,
 		Phase: mtasim.AtData, AcceptAnyUser: true,
 	})
-	h := &Handler{Service: r.service, Timeout: 30 * time.Second}
+	h := &Handler{Service: r.service}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -35,14 +35,10 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an instantaneous float64 value. The zero value is ready to
-// use and reads 0. Set is a single atomic store; Add is a CAS loop.
-// Neither allocates.
+// use and reads 0. Add is a CAS loop and does not allocate.
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds d (negative d subtracts).
 func (g *Gauge) Add(d float64) {
@@ -140,12 +136,6 @@ func (h *Histogram) SetExemplar(v float64, traceID string) {
 	}
 	h.ex[h.bucket(v)].Store(&exemplarData{value: v, trace: traceID})
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
 // Counts are cumulative, Prometheus-style: Counts[i] is the number of

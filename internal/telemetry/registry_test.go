@@ -29,7 +29,7 @@ func goldenRegistry() *Registry {
 		L("endpoint", "v6"), L("path", "back\\slash\nnewline"))
 
 	var temp Gauge
-	temp.Set(-3.25)
+	temp.Add(-3.25)
 	reg.MustGauge("aa_temperature", "A negative gauge.", &temp)
 
 	reg.MustGaugeFunc("mm_nan", "Not a number.", func() float64 { return math.NaN() })

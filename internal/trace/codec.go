@@ -12,7 +12,7 @@ import (
 //	{"trace":<32hex>,"span":<16hex>,"parent":<16hex,omitempty>,
 //	 "name":<string>,"start":<RFC3339Nano>,"dur_us":<int>,
 //	 "why":<string,omitempty>,"err":<string,omitempty>,
-//	 "attrs":<[]Attr,omitempty>,"events":<[]Event,omitempty>}
+//	 "attrs":<[]Attr,omitempty>}
 //
 // and encoding/json is also what writes and reads it. No benchmark
 // workload encodes or decodes a span record — the exporter goroutine
@@ -30,22 +30,15 @@ type Record struct {
 	DurUS  int64     `json:"dur_us"`
 	// Why says how an unsampled span earned export: "slow" or
 	// "error". Head-sampled spans leave it empty.
-	Why    string  `json:"why,omitempty"`
-	Err    string  `json:"err,omitempty"`
-	Attrs  []Attr  `json:"attrs,omitempty"`
-	Events []Event `json:"events,omitempty"`
+	Why   string `json:"why,omitempty"`
+	Err   string `json:"err,omitempty"`
+	Attrs []Attr `json:"attrs,omitempty"`
 }
 
 // Attr is one serialized span attribute.
 type Attr struct {
 	K string `json:"k"`
 	V string `json:"v"`
-}
-
-// Event is one serialized span event.
-type Event struct {
-	T   time.Time `json:"t"`
-	Msg string    `json:"msg"`
 }
 
 // Family returns the span-name prefix before the first dot — the

@@ -28,12 +28,6 @@ func sameRecord(t *testing.T, got, want Record) {
 	t.Helper()
 	sameTime(t, "Start", got.Start, want.Start)
 	got.Start, want.Start = time.Time{}, time.Time{}
-	if len(got.Events) == len(want.Events) {
-		for i := range got.Events {
-			sameTime(t, "Event.T", got.Events[i].T, want.Events[i].T)
-			got.Events[i].T, want.Events[i].T = time.Time{}, time.Time{}
-		}
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("record mismatch:\n got %#v\nwant %#v", got, want)
 	}
@@ -56,7 +50,7 @@ func oneLine(t *testing.T, b []byte) {
 // re-encodes to the same bytes.
 func FuzzTraceCodecEquivalence(f *testing.F) {
 	f.Add([]byte(`{"trace":"0123456789abcdef0123456789abcdef","span":"0123456789abcdef","name":"resolver.exchange","start":"2026-08-08T12:00:00.123456789Z","dur_us":1500}`))
-	f.Add([]byte(`{"trace":"00000000000000000000000000000001","span":"0000000000000001","parent":"00000000000000aa","name":"spf.mech","start":"2026-08-08T12:00:00+05:30","dur_us":0,"why":"slow","err":"deadline","attrs":[{"k":"dns.name","v":"a.example."},{"k":"n","v":"7"}],"events":[{"t":"2026-08-08T12:00:00Z","msg":"retry"}]}`))
+	f.Add([]byte(`{"trace":"00000000000000000000000000000001","span":"0000000000000001","parent":"00000000000000aa","name":"spf.mech","start":"2026-08-08T12:00:00+05:30","dur_us":0,"why":"slow","err":"deadline","attrs":[{"k":"dns.name","v":"a.example."},{"k":"n","v":"7"}]}`))
 	f.Add([]byte(`{"trace":"x","span":"y","name":"esc\"ape\\\/\u0041\u2028\ud83d\ude00","start":"2026-08-08T12:00:00Z","dur_us":-12}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
@@ -104,12 +98,12 @@ func FuzzTraceCodecEquivalence(f *testing.F) {
 func FuzzAppendRecordJSON(f *testing.F) {
 	f.Add(int64(1754654400), int64(123456789), true,
 		"0123456789abcdef0123456789abcdef", "0123456789abcdef", "00000000000000aa",
-		"resolver.wire", int64(1500), "slow", "deadline exceeded", "dns.name", "a.example.", "retry")
-	f.Add(int64(0), int64(0), false, "", "", "", "", int64(0), "", "", "", "", "")
+		"resolver.wire", int64(1500), "slow", "deadline exceeded", "dns.name", "a.example.")
+	f.Add(int64(0), int64(0), false, "", "", "", "", int64(0), "", "", "", "")
 	f.Add(int64(-62135596800), int64(1), true, "a\"b\\c\u2028d", "<f>&g", "\xff\xfe",
-		"né.é", int64(-1), "\x00\x1f", "\xed\xa0\x80", "é", "\b\f\r\t", "m\u2029")
+		"né.é", int64(-1), "\x00\x1f", "\xed\xa0\x80", "é", "\b\f\r\tm\u2029")
 	f.Fuzz(func(t *testing.T, sec, nsec int64, utc bool,
-		trace, span, parent, name string, durUS int64, why, errMsg, attrK, attrV, eventMsg string) {
+		trace, span, parent, name string, durUS int64, why, errMsg, attrK, attrV string) {
 		sec &= 0x3FFFFFFFF // keep the year within RFC 3339's range
 		nsec = (nsec%1e9 + 1e9) % 1e9
 		loc := time.FixedZone("", 19800)
@@ -128,10 +122,6 @@ func FuzzAppendRecordJSON(f *testing.F) {
 		if attrK != "" {
 			r.Attrs = []Attr{{K: attrK, V: attrV}, {}}
 			want.Attrs = []Attr{{K: valid(attrK), V: valid(attrV)}, {}}
-		}
-		if eventMsg != "" {
-			r.Events = []Event{{T: r.Start, Msg: eventMsg}}
-			want.Events = []Event{{T: r.Start, Msg: valid(eventMsg)}}
 		}
 		line := AppendRecordJSON(nil, r)
 		oneLine(t, line)
@@ -152,13 +142,11 @@ func TestAppendRecordJSON(t *testing.T) {
 	r := Record{
 		Trace: "0123456789abcdef0123456789abcdef", Span: "0123456789abcdef", Parent: "00000000000000aa",
 		Name: "resolver.wire", Start: when, DurUS: 1500, Why: "error", Err: "451 <greylisted> & deferred",
-		Attrs:  []Attr{{K: "dns.name", V: `a"b.example.`}},
-		Events: []Event{{T: when.Add(time.Millisecond), Msg: "retry"}},
+		Attrs: []Attr{{K: "dns.name", V: `a"b.example.`}},
 	}
 	const want = `{"trace":"0123456789abcdef0123456789abcdef","span":"0123456789abcdef","parent":"00000000000000aa",` +
 		`"name":"resolver.wire","start":"2026-08-08T12:00:00.123456789Z","dur_us":1500,"why":"error",` +
-		`"err":"451 \u003cgreylisted\u003e \u0026 deferred","attrs":[{"k":"dns.name","v":"a\"b.example."}],` +
-		`"events":[{"t":"2026-08-08T12:00:00.124456789Z","msg":"retry"}]}` + "\n"
+		`"err":"451 \u003cgreylisted\u003e \u0026 deferred","attrs":[{"k":"dns.name","v":"a\"b.example."}]}` + "\n"
 	if got := AppendRecordJSON([]byte("x"), r); string(got) != "x"+want {
 		t.Errorf("line:\n got %q\nwant %q", got, "x"+want)
 	}

@@ -103,8 +103,8 @@ func writeSpanSection(w io.Writer, title string, recs []Record, min time.Duratio
 	}
 }
 
-// writeSpanLine renders one record: fixed columns, then attributes,
-// events, and the failure, when present.
+// writeSpanLine renders one record: fixed columns, then attributes and
+// the failure, when present.
 func writeSpanLine(w io.Writer, r Record) {
 	why := r.Why
 	if why == "" {
@@ -117,9 +117,6 @@ func writeSpanLine(w io.Writer, r Record) {
 	fmt.Fprintf(w, " why=%s", why)
 	for _, a := range r.Attrs {
 		fmt.Fprintf(w, " %s=%s", a.K, a.V)
-	}
-	for _, e := range r.Events {
-		fmt.Fprintf(w, " @%s", e.Msg)
 	}
 	if r.Err != "" {
 		fmt.Fprintf(w, " err=%q", r.Err)

@@ -39,8 +39,7 @@ func debugTracer(t *testing.T) *Tracer {
 			Attrs: []Attr{{K: "domain", V: "a.example"}, {K: "lookups", V: "3"}}},
 		{Trace: "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa1", Span: "a000000000000003",
 			Parent: "a000000000000002", Name: "resolver.exchange", Start: base, DurUS: 1800,
-			Attrs:  []Attr{{K: "dns.name", V: "a.example."}, {K: "dns.type", V: "TXT"}},
-			Events: []Event{{T: base, Msg: "retry"}}},
+			Attrs: []Attr{{K: "dns.name", V: "a.example."}, {K: "dns.type", V: "TXT"}}},
 		{Trace: "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb2", Span: "b000000000000001",
 			Name: "probe.smtp", Start: base.Add(time.Second), DurUS: 900,
 			Why: "error", Err: "connection refused"},

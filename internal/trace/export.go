@@ -82,12 +82,6 @@ func (s *Span) record() Record {
 			}
 		}
 	}
-	if s.nevents > 0 {
-		r.Events = make([]Event, s.nevents)
-		for i, e := range s.events[:s.nevents] {
-			r.Events[i] = Event{T: e.at, Msg: e.msg}
-		}
-	}
 	return r
 }
 

@@ -4,14 +4,11 @@ import (
 	"time"
 )
 
-// Attribute and event capacity per span. Fixed arrays keep the
-// unsampled path allocation-free; sites that exceed the capacity
-// lose the overflow silently (spans are diagnostics, not records of
-// truth — the query log is the record of truth).
-const (
-	maxAttrs  = 12
-	maxEvents = 6
-)
+// Attribute capacity per span. A fixed array keeps the unsampled path
+// allocation-free; sites that exceed the capacity lose the overflow
+// silently (spans are diagnostics, not records of truth — the query log
+// is the record of truth).
+const maxAttrs = 12
 
 // attr is one key/value annotation. Integer values are kept as int64
 // until serialization so SetInt never formats on the hot path.
@@ -20,12 +17,6 @@ type attr struct {
 	v     string
 	i     int64
 	isInt bool
-}
-
-// event is one timestamped point annotation.
-type event struct {
-	at  time.Time
-	msg string
 }
 
 // Span is one timed operation. Spans are pooled: every span obtained
@@ -46,23 +37,13 @@ type Span struct {
 	hasErr bool
 	errMsg string
 
-	nattrs  int
-	attrs   [maxAttrs]attr
-	nevents int
-	events  [maxEvents]event
+	nattrs int
+	attrs  [maxAttrs]attr
 
 	exID  string // cached hex trace ID for exemplars
 	ended bool
 
 	ctx spanCtx
-}
-
-// TraceID returns the span's trace ID (zero for a nil span).
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.trace
 }
 
 // SetAttr records a string attribute. Attributes beyond the span's
@@ -82,16 +63,6 @@ func (s *Span) SetInt(k string, v int64) {
 	}
 	s.attrs[s.nattrs] = attr{k: k, i: v, isInt: true}
 	s.nattrs++
-}
-
-// Event records a timestamped point annotation. Events beyond the
-// span's fixed capacity are dropped.
-func (s *Span) Event(msg string) {
-	if s == nil || s.nevents >= maxEvents {
-		return
-	}
-	s.events[s.nevents] = event{at: time.Now(), msg: msg}
-	s.nevents++
 }
 
 // SetError marks the span failed, promoting it to export regardless
@@ -161,10 +132,7 @@ func (t *Tracer) recycle(s *Span) {
 	for i := range s.attrs[:s.nattrs] {
 		s.attrs[i] = attr{}
 	}
-	for i := range s.events[:s.nevents] {
-		s.events[i] = event{}
-	}
-	s.nattrs, s.nevents = 0, 0
+	s.nattrs = 0
 	s.name, s.errMsg, s.exID, s.why = "", "", "", ""
 	s.tracer = nil
 	t.pool.Put(s)

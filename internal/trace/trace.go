@@ -1,6 +1,6 @@
 // Package trace is a stdlib-only span tracer for the serving and
 // evaluation hot paths: 128-bit trace IDs, parent/child spans with
-// bounded attributes and events, head-based probabilistic sampling
+// bounded attributes, head-based probabilistic sampling
 // with tail promotion for errors and slow spans, and a non-blocking
 // bounded exporter that writes JSONL span records (through any
 // io.Writer — in practice an internal/wal WAL, one record per Write).
@@ -35,9 +35,6 @@ import (
 
 // TraceID identifies one trace: 128 random bits, hex-rendered.
 type TraceID [16]byte
-
-// IsZero reports whether the ID is unset.
-func (id TraceID) IsZero() bool { return id == TraceID{} }
 
 // String renders the ID as 32 lowercase hex digits.
 func (id TraceID) String() string {
@@ -74,11 +71,11 @@ type Config struct {
 	// Write call — exactly the contract (*wal.WAL).Write offers. Nil
 	// keeps spans in the in-memory rings only.
 	Output io.Writer
-	// BufferDepth bounds spans queued for the exporter. When the
-	// queue is full finished spans are dropped (counted), never
-	// blocked on. Zero means 1024.
-	BufferDepth int
 }
+
+// queueDepth bounds spans queued for the exporter. When the queue is
+// full finished spans are dropped (counted), never blocked on.
+const queueDepth = 1024
 
 // Sizes of the in-memory rings /debug/traces serves: recently exported
 // spans and slow spans.
@@ -122,15 +119,11 @@ type tracerMetrics struct {
 // New creates a Tracer from cfg and starts its exporter goroutine.
 // Call Close to flush and stop it.
 func New(cfg Config) *Tracer {
-	depth := cfg.BufferDepth
-	if depth <= 0 {
-		depth = 1024
-	}
 	t := &Tracer{
 		sampleRate: cfg.SampleRate,
 		slow:       cfg.SlowThreshold,
 		out:        cfg.Output,
-		ch:         make(chan *Span, depth),
+		ch:         make(chan *Span, queueDepth),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		recent:     newRecordRing(recentSpans),
@@ -203,7 +196,6 @@ func (t *Tracer) newSpan(name string) *Span {
 	s.hasErr = false
 	s.errMsg = ""
 	s.nattrs = 0
-	s.nevents = 0
 	s.exID = ""
 	s.ended = false
 	t.metrics.started.Inc()

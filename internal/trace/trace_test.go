@@ -82,13 +82,9 @@ func TestNilTracerNoops(t *testing.T) {
 	}
 	sp.SetAttr("k", "v")
 	sp.SetInt("n", 1)
-	sp.Event("e")
 	sp.SetError(errors.New("x"))
 	if id := sp.ExemplarID(); id != "" {
 		t.Errorf("nil span ExemplarID = %q, want empty", id)
-	}
-	if !sp.TraceID().IsZero() {
-		t.Error("nil span TraceID not zero")
 	}
 	if l := sp.Link(); l.Start("child") != nil {
 		t.Error("zero Link must start nil spans")
@@ -101,7 +97,7 @@ func TestNilTracerNoops(t *testing.T) {
 }
 
 // TestExporterRoundTrip drives sampled spans end to end: root and
-// child via context, attrs (string and int), events, and an error —
+// child via context, attrs (string and int), and an error —
 // every record must come back parseable with the identity and
 // annotation fields intact.
 func TestExporterRoundTrip(t *testing.T) {
@@ -116,7 +112,7 @@ func TestExporterRoundTrip(t *testing.T) {
 	if FromContext(ctx) != root {
 		t.Fatal("context does not carry the root span")
 	}
-	rootTrace := root.TraceID().String()
+	rootTrace := root.trace.String()
 	rootID := root.id.String()
 	root.SetAttr("domain", "example.com")
 	root.SetInt("lookups", 7)
@@ -125,7 +121,6 @@ func TestExporterRoundTrip(t *testing.T) {
 	if child == nil {
 		t.Fatal("child span nil under a sampled parent")
 	}
-	child.Event("retry")
 	child.SetError(errors.New("boom"))
 	child.End()
 	root.End()
@@ -159,9 +154,6 @@ func TestExporterRoundTrip(t *testing.T) {
 	}
 	if c.Err != "boom" {
 		t.Errorf("child err = %q", c.Err)
-	}
-	if len(c.Events) != 1 || c.Events[0].Msg != "retry" {
-		t.Errorf("child events = %+v", c.Events)
 	}
 	if r.Why != "" || c.Why != "" {
 		t.Errorf("head-sampled spans carry why=%q/%q, want empty", r.Why, c.Why)
@@ -248,7 +240,7 @@ func TestLinkCrossGoroutine(t *testing.T) {
 	out := &syncBuffer{}
 	tr := New(Config{SampleRate: 1, Output: out})
 	_, sp := tr.Start(context.Background(), "resolver.exchange")
-	wantTrace := sp.TraceID().String()
+	wantTrace := sp.trace.String()
 	wantParent := sp.id.String()
 	link := sp.Link()
 	sp.End() // parent recycled before the child starts
@@ -296,8 +288,8 @@ func TestExemplarIDStable(t *testing.T) {
 	defer tr.Close()
 	sp := tr.StartSpan("x")
 	id1 := sp.ExemplarID()
-	if id1 != sp.TraceID().String() {
-		t.Errorf("ExemplarID %q != TraceID %q", id1, sp.TraceID().String())
+	if id1 != sp.trace.String() {
+		t.Errorf("ExemplarID %q != trace ID %q", id1, sp.trace.String())
 	}
 	if id2 := sp.ExemplarID(); id2 != id1 {
 		t.Errorf("ExemplarID changed between calls: %q then %q", id1, id2)
@@ -305,7 +297,7 @@ func TestExemplarIDStable(t *testing.T) {
 	sp.End()
 }
 
-// TestAttrOverflowDropped: annotations beyond the fixed capacity are
+// TestAttrOverflowDropped: attributes beyond the fixed capacity are
 // dropped silently, never reallocated.
 func TestAttrOverflowDropped(t *testing.T) {
 	out := &syncBuffer{}
@@ -314,9 +306,6 @@ func TestAttrOverflowDropped(t *testing.T) {
 	for i := 0; i < maxAttrs+5; i++ {
 		sp.SetAttr(fmt.Sprintf("k%d", i), "v")
 	}
-	for i := 0; i < maxEvents+5; i++ {
-		sp.Event("e")
-	}
 	sp.End()
 	recs := collect(t, tr, out)
 	if len(recs) != 1 {
@@ -324,9 +313,6 @@ func TestAttrOverflowDropped(t *testing.T) {
 	}
 	if len(recs[0].Attrs) != maxAttrs {
 		t.Errorf("kept %d attrs, want %d", len(recs[0].Attrs), maxAttrs)
-	}
-	if len(recs[0].Events) != maxEvents {
-		t.Errorf("kept %d events, want %d", len(recs[0].Events), maxEvents)
 	}
 }
 
@@ -349,11 +335,13 @@ func (g *gateWriter) Write(p []byte) (int, error) {
 func TestFullQueueDropsNotBlocks(t *testing.T) {
 	t.Cleanup(leaktest.Check(t))
 	g := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
-	tr := New(Config{SampleRate: 1, Output: g, BufferDepth: 1})
+	tr := New(Config{SampleRate: 1, Output: g})
 
 	tr.StartSpan("a").End() // exporter picks this up and blocks in Write
 	<-g.entered
-	tr.StartSpan("b").End() // sits in the queue
+	for range queueDepth {
+		tr.StartSpan("b").End() // sits in the queue
+	}
 	tr.StartSpan("c").End() // queue full: dropped
 
 	if got := tr.metrics.dropped.Value(); got != 1 {
@@ -368,8 +356,8 @@ func TestFullQueueDropsNotBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(g.entered)
-	if got := tr.metrics.exported.Value(); got != 2 {
-		t.Errorf("exported = %d, want 2", got)
+	if got := tr.metrics.exported.Value(); got != 1+queueDepth {
+		t.Errorf("exported = %d, want %d", got, 1+queueDepth)
 	}
 }
 
@@ -414,7 +402,7 @@ func TestRecordRingNewestFirst(t *testing.T) {
 
 // TestAllocDisabledTracer pins the zero-cost contract for a disabled
 // (nil) tracer: the full span API — root, child via context, attrs,
-// events, errors, exemplars — performs zero heap allocations. This is
+// errors, exemplars — performs zero heap allocations. This is
 // the guarantee that lets every hot path compile tracing in
 // unconditionally. Run by `make telemetry-alloc`.
 func TestAllocDisabledTracer(t *testing.T) {
@@ -425,7 +413,6 @@ func TestAllocDisabledTracer(t *testing.T) {
 		cctx, sp := tr.Start(ctx, "root")
 		sp.SetAttr("k", "v")
 		sp.SetInt("n", 42)
-		sp.Event("e")
 		sp.SetError(errBoom)
 		_ = sp.ExemplarID()
 		_, child := Start(cctx, "child")

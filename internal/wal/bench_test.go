@@ -12,7 +12,9 @@ import (
 // policy over a realistic journal-line payload. sync=none is the
 // number to watch (it must stay comparable to a plain buffered write);
 // sync=always is the price of machine-crash durability and is
-// dominated by the device's fsync latency.
+// dominated by the device's fsync latency. The `probe-campaign`
+// journal appends at sync=none, the `authdns-serve` query log at
+// sync=interval.
 func BenchmarkWALAppend(b *testing.B) {
 	rec := []byte(`{"t":"2026-08-08T12:00:00.000000001Z","ev":"done","k":{"mta":"mta00042","test":"t12"},"n":2}` + "\n")
 	for _, policy := range []SyncPolicy{SyncNone, SyncInterval, SyncAlways} {
@@ -36,7 +38,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALRecover measures replaying a journal-sized log: the cost
-// a resumed campaign pays at startup.
+// a resumed campaign pays at startup, and the replay the `log-ingest`
+// workload starts each pass with.
 func BenchmarkWALRecover(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
 	w, err := Open(path, Options{})

@@ -231,9 +231,6 @@ func (w *WAL) wrap(f File) File {
 // segment: records salvaged, bytes kept, and bytes truncated away.
 func (w *WAL) Recovered() RecoverStats { return w.recovered }
 
-// Path returns the live segment path.
-func (w *WAL) Path() string { return w.path }
-
 // Append frames one record and writes it to the live segment,
 // honouring the sync policy. The record is framed and handed to the
 // kernel in a single write, so a process kill can only lose whole
