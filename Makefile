@@ -47,12 +47,13 @@ no-stale-refs:
 	[ $$? -eq 1 ] || { echo "stale reference to the deleted micro-harness"; exit 1; }
 
 # The chaos suite: seeded fault injection through netsim plus the
-# serving-path robustness tests, all under the race detector.
+# serving-path robustness tests (shutdown and shaped-delay head-of-line
+# included), all under the race detector.
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
 		-run 'TestChaos|TestPipeConn' -v ./internal/netsim/
 	$(GO) test -race -count=1 \
-		-run 'Panic|RateLimit|TCPServer|Retry|AsyncLog|Evict|Shed|LineTooLong|PolicyRejections' \
+		-run 'Panic|RateLimit|TCPServer|Retry|AsyncLog|Evict|Shed|LineTooLong|PolicyRejections|Shutdown|HeadOfLine' \
 		./internal/dns/ ./internal/dnsserver/ ./internal/smtp/ ./internal/resolver/
 
 # The crash-recovery suite: the byte-level kill/recover sweeps over
@@ -68,10 +69,11 @@ crash:
 
 # The instrument allocation pins: metric increments are on the DNS
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
-# must stay at zero allocations (alongside the query-log codec and
-# journal encoder pins, the tracer's span-lifecycle pins, the shared
-# jsonwire cursor pin, the resolver cache-hit pin, the WAL replay pin
-# and the query-log fold pin that share the naming convention), and the
+# must stay at zero allocations (alongside the UDP endpoint's per-query
+# budget, the query-log codec and journal encoder pins, the tracer's
+# span-lifecycle pins, the shared jsonwire cursor pin, the resolver
+# cache-hit pin, the WAL replay pin and the query-log fold pin that
+# share the naming convention), and the
 # connection-lifecycle pins: what one SMTP probe dialogue allocates
 # (internal/smtp), that re-arming a netsim deadline reuses its timer and
 # that closed connections retain nothing (internal/netsim).

@@ -2,8 +2,12 @@ package dns
 
 import (
 	"bytes"
+	"context"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -143,5 +147,75 @@ func TestUnpackFromReusedBuffer(t *testing.T) {
 	}
 	if shared != 4 {
 		t.Fatalf("sample message has %d records owned by its question name, want 4", shared)
+	}
+}
+
+// nopWriter discards responses, for driving a handler in-process.
+type nopWriter struct{}
+
+func (nopWriter) WriteMsg(*Message) error                     { return nil }
+func (nopWriter) WriteMsgAfter(*Message, time.Duration) error { return nil }
+
+// TestServeUDPAllocs pins the UDP readers' budget over loopback: the
+// endpoint adds no allocation per query to what its handler makes, and
+// one, the rendered address, only when the handler asks RemoteString.
+func TestServeUDPAllocs(t *testing.T) {
+	var mu sync.Mutex
+	resp := new(Message)
+	handler := func(render bool) Handler {
+		return HandlerFunc(func(w ResponseWriter, r *Request) {
+			if render {
+				_ = r.RemoteString()
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			_ = w.WriteMsg(resp.SetReply(r.Msg))
+		})
+	}
+	query := new(Message).SetQuestion("t01.m000001.spf-test.dns-lab.example.", TypeTXT)
+	packed, err := query.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, silent := &Request{Msg: query, Transport: "udp"}, handler(false)
+	own := testing.AllocsPerRun(100, func() { silent.ServeDNS(nopWriter{}, req) })
+
+	for _, tc := range []struct {
+		name   string
+		render bool
+		budget float64
+	}{
+		{"silent", false, own},
+		{"RemoteString", true, own + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := &Server{Addr: "127.0.0.1:0", Handler: handler(tc.render)}
+			addr, err := srv.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			conn, err := net.Dial("udp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(time.Minute))
+			buf := make([]byte, maxUDPQuery)
+			exchange := func() {
+				if _, err := conn.Write(packed); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 32 { // every reader grows its buffers once
+				exchange()
+			}
+			if allocs := testing.AllocsPerRun(200, exchange); allocs > tc.budget {
+				t.Errorf("%v allocs per query over loopback, want <= %v (handler alone: %v)", allocs, tc.budget, own)
+			}
+		})
 	}
 }

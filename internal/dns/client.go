@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -40,6 +41,13 @@ type Client struct {
 }
 
 const defaultTimeout = 5 * time.Second
+
+// pktPool recycles the 4096-byte buffers ExchangeOver reads replies
+// into.
+var pktPool = sync.Pool{New: func() any {
+	b := make([]byte, maxUDPQuery)
+	return &b
+}}
 
 func (c *Client) dialer() Dialer {
 	if c.Dialer != nil {

@@ -3,6 +3,7 @@ package dns
 import (
 	"context"
 	"net"
+	"net/netip"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,7 +105,9 @@ func TestServerRecoversPanicOverTCP(t *testing.T) {
 
 // TestServerRateLimitsPerSource floods the server from one source and
 // verifies the overflow is REFUSED (not dropped, not served), counted,
-// and that the bucket refills.
+// and that the bucket refills. The client dials a fresh socket per
+// query, so the flood arrives from many ports of one host: the source
+// is the host.
 func TestServerRateLimitsPerSource(t *testing.T) {
 	srv := &Server{
 		Addr:            "127.0.0.1:0",
@@ -165,11 +168,27 @@ func TestRateLimiterBoundsSourceTable(t *testing.T) {
 	rl := NewRateLimiter(1, 1)
 	now := time.Now()
 	for i := 0; i < 3*rl.maxSources; i++ {
-		addr := net.UDPAddr{IP: net.IPv4(byte(10), byte(i>>16), byte(i>>8), byte(i)), Port: 53}
-		rl.Allow(addr.String(), now)
+		rl.Allow(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), now)
 	}
 	if n := rl.Sources(); n > rl.maxSources {
 		t.Errorf("source table grew to %d entries, cap is %d", n, rl.maxSources)
+	}
+}
+
+// TestRateLimiterSourceIsTheHost pins the limiter's identity: an IPv4
+// client seen v4-mapped (a dual-stack socket) and seen plain is one
+// source with one bucket.
+func TestRateLimiterSourceIsTheHost(t *testing.T) {
+	rl := NewRateLimiter(1, 1)
+	now := time.Now()
+	if !rl.Allow(netip.MustParseAddr("::ffff:192.0.2.1"), now) {
+		t.Fatal("first query of a fresh source refused")
+	}
+	if rl.Allow(netip.MustParseAddr("192.0.2.1"), now) {
+		t.Error("plain IPv4 address got a bucket apart from its v4-mapped form")
+	}
+	if n := rl.Sources(); n != 1 {
+		t.Errorf("tracking %d sources, want 1", n)
 	}
 }
 

@@ -1,14 +1,15 @@
 package dns
 
 import (
+	"net/netip"
 	"sync"
 	"time"
 )
 
 // RateLimiter is a per-source token-bucket limiter for query serving.
-// Each source (client IP, ports ignored) gets its own bucket of burst
-// tokens refilled at rate tokens/second; a query that finds the bucket
-// empty is refused. The tracked-source table is bounded: when it
+// Each source (client IP, ports ignored; a v4-mapped IPv6 address is
+// its IPv4 address) gets its own bucket of burst tokens refilled at
+// rate tokens/second; a query that finds the bucket empty is refused. The tracked-source table is bounded: when it
 // fills, stale full buckets are swept, and if every bucket is active
 // the table is reset wholesale — under that much source churn the
 // limiter is being used as a DoS shield and fairness per source
@@ -18,7 +19,7 @@ type RateLimiter struct {
 	burst float64
 
 	mu         sync.Mutex
-	buckets    map[string]*srcBucket
+	buckets    map[netip.Addr]*srcBucket
 	maxSources int
 }
 
@@ -36,14 +37,15 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	return &RateLimiter{
 		rate:       rate,
 		burst:      float64(burst),
-		buckets:    make(map[string]*srcBucket),
+		buckets:    make(map[netip.Addr]*srcBucket),
 		maxSources: 8192,
 	}
 }
 
 // Allow reports whether a query from source may be served at now,
 // consuming one token when it may.
-func (rl *RateLimiter) Allow(source string, now time.Time) bool {
+func (rl *RateLimiter) Allow(source netip.Addr, now time.Time) bool {
+	source = source.Unmap()
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	b, ok := rl.buckets[source]
@@ -82,7 +84,7 @@ func (rl *RateLimiter) sweepLocked(now time.Time) {
 	if len(rl.buckets) >= rl.maxSources {
 		// Every tracked source is mid-burst: an address-diverse flood.
 		// Reset rather than grow without bound.
-		rl.buckets = make(map[string]*srcBucket)
+		rl.buckets = make(map[netip.Addr]*srcBucket)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,14 +16,16 @@ import (
 // Request carries a decoded query and its transport context to a
 // Handler.
 //
-// The Msg of a Request served by this package's Server is pooled: a
-// handler must not retain it (or slices taken from it) past ServeDNS.
-// Strings extracted from it remain valid indefinitely.
+// A Request and its Msg belong to the goroutine that read the query
+// and are reused for its next one: a handler must not retain either
+// (or slices taken from the Msg) past ServeDNS. Strings extracted from
+// them remain valid indefinitely.
 type Request struct {
 	// Msg is the decoded query.
 	Msg *Message
-	// RemoteAddr is the client's transport address.
-	RemoteAddr net.Addr
+	// RemoteAddr is the client's transport address. An IPv4 client of
+	// a dual-stack socket appears as its IPv4 address, not v4-mapped.
+	RemoteAddr netip.AddrPort
 	// Transport is "udp" or "tcp".
 	Transport string
 	// Received is the server's arrival timestamp for the query.
@@ -30,19 +33,17 @@ type Request struct {
 	// Span is the query's root trace span when the Server has a
 	// Tracer, nil otherwise. Handlers may annotate it (attribution
 	// labels, outcome) but must not End it or retain it past ServeDNS:
-	// the Server ends the span after the handler returns.
+	// the Server ends the span when the answer is sent.
 	Span *trace.Span
 
-	// remote caches RemoteAddr.String(); the Server fills it from its
-	// per-source cache so log attribution does not re-render the same
-	// resolver's address on every query.
+	// remote caches RemoteAddr.String() once a handler has asked.
 	remote string
 }
 
-// RemoteString returns RemoteAddr.String(), computed at most once per
-// request and pre-filled by the Server from its per-source cache.
+// RemoteString returns RemoteAddr.String(), rendered on the first call
+// for the request: a handler that never asks allocates nothing for it.
 func (r *Request) RemoteString() string {
-	if r.remote == "" && r.RemoteAddr != nil {
+	if r.remote == "" && r.RemoteAddr.IsValid() {
 		r.remote = r.RemoteAddr.String()
 	}
 	return r.remote
@@ -53,9 +54,20 @@ type ResponseWriter interface {
 	// WriteMsg packs and transmits the response. Over UDP the response
 	// is truncated to the client's advertised payload size.
 	WriteMsg(*Message) error
+	// WriteMsgAfter is WriteMsg sent d later. The response is packed
+	// now, so the handler may recycle m once it returns. Over UDP a
+	// timer sends it and the reader goes on to the next query; over
+	// TCP the connection's own goroutine waits. The query's span and
+	// serve latency end when the response is sent.
+	WriteMsgAfter(m *Message, d time.Duration) error
 }
 
 // Handler responds to DNS requests.
+//
+// ServeDNS runs on the goroutine that read the query. Over UDP that is
+// one of the Server's GOMAXPROCS socket readers, which reads nothing
+// else until ServeDNS returns: a handler that answers late must say so
+// with WriteMsgAfter, never by sleeping.
 type Handler interface {
 	ServeDNS(w ResponseWriter, r *Request)
 }
@@ -95,14 +107,13 @@ type Server struct {
 	Tracer *trace.Tracer
 
 	mu       sync.Mutex
-	pc       net.PacketConn
+	udp      *net.UDPConn
 	ln       net.Listener
 	started  bool
 	shutdown chan struct{}
 	wg       sync.WaitGroup
 
 	limiter *RateLimiter
-	sources sourceCache
 
 	metrics serverMetrics
 	panics  Counter
@@ -113,7 +124,8 @@ type Server struct {
 var ErrServerStarted = errors.New("dns: server already started")
 
 // Start binds the UDP and TCP sockets and begins serving in background
-// goroutines. It returns the bound address (useful with port 0).
+// goroutines: GOMAXPROCS(0) readers on the UDP socket and an accept
+// loop. It returns the bound address (useful with port 0).
 func (s *Server) Start() (net.Addr, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,15 +161,18 @@ func (s *Server) Start() (net.Addr, error) {
 			return nil, fmt.Errorf("dns: tcp listen: %w", err)
 		}
 	}
-	s.pc, s.ln = pc, ln
+	s.udp, s.ln = pc.(*net.UDPConn), ln
 	s.shutdown = make(chan struct{})
 	s.started = true
 	s.metrics.init()
 	if s.MaxQPSPerSource > 0 {
 		s.limiter = NewRateLimiter(s.MaxQPSPerSource, s.BurstPerSource)
 	}
-	s.wg.Add(2)
-	go s.serveUDP(pc)
+	readers := runtime.GOMAXPROCS(0)
+	s.wg.Add(readers + 1)
+	for range readers {
+		go s.serveUDP()
+	}
 	go s.serveTCP(ln)
 	return pc.LocalAddr(), nil
 }
@@ -166,16 +181,16 @@ func (s *Server) Start() (net.Addr, error) {
 func (s *Server) LocalAddr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pc == nil {
+	if s.udp == nil {
 		return nil
 	}
-	return s.pc.LocalAddr()
+	return s.udp.LocalAddr()
 }
 
-// Shutdown stops accepting queries, waits for in-flight handlers (or
-// ctx), then closes the UDP socket. The socket stays open while
-// handlers run so that a query already being answered still gets its
-// answer.
+// Shutdown stops accepting queries, waits for in-flight handlers and
+// delayed answers (or ctx), then closes the UDP socket. The socket
+// stays open meanwhile so that a query already being answered still
+// gets its answer.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
@@ -183,7 +198,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	close(s.shutdown)
-	_ = s.pc.SetReadDeadline(time.Now()) // wakes serveUDP, which exits on closing()
+	_ = s.udp.SetReadDeadline(time.Now()) // wakes every reader, which exits on closing()
 	s.ln.Close()
 	s.mu.Unlock()
 
@@ -198,7 +213,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	s.pc.Close()
+	s.udp.Close()
 	return err
 }
 
@@ -211,72 +226,8 @@ func (s *Server) closing() bool {
 	}
 }
 
+// maxUDPQuery sizes the datagram buffers of the readers and the client.
 const maxUDPQuery = 4096
-
-// pktPool recycles the 4096-byte buffers that carry one UDP query from
-// the read loop into its serving goroutine.
-var pktPool = sync.Pool{New: func() any {
-	b := make([]byte, maxUDPQuery)
-	return &b
-}}
-
-// respBufPool recycles response encoding buffers; WriteMsg encodes via
-// AppendPack into one of these, so steady-state responses allocate
-// nothing for the wire image.
-var respBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// sourceCache memoizes the rendered form of client addresses: the full
-// addr:port string (query-log attribution) and the bare host (the rate
-// limiter's per-source identity). A validating resolver sends bursts
-// of queries from one socket, so the same address is rendered once,
-// not once per query. The table is bounded like the rate limiter's:
-// on overflow it is reset wholesale rather than grown.
-type sourceCache struct {
-	mu sync.Mutex
-	m  map[netip.AddrPort]sourceID
-}
-
-type sourceID struct {
-	str  string // RemoteAddr.String()
-	host string // bare IP, the rate-limiting identity
-}
-
-const maxCachedSources = 8192
-
-func (c *sourceCache) lookup(a net.Addr) sourceID {
-	var ap netip.AddrPort
-	switch v := a.(type) {
-	case *net.UDPAddr:
-		ap = v.AddrPort()
-	case *net.TCPAddr:
-		ap = v.AddrPort()
-	default:
-		return makeSourceID(a)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id, ok := c.m[ap]; ok {
-		return id
-	}
-	if c.m == nil || len(c.m) >= maxCachedSources {
-		c.m = make(map[netip.AddrPort]sourceID)
-	}
-	id := makeSourceID(a)
-	c.m[ap] = id
-	return id
-}
-
-func makeSourceID(a net.Addr) sourceID {
-	s := a.String()
-	host := s
-	if h, _, err := net.SplitHostPort(s); err == nil {
-		host = h
-	}
-	return sourceID{str: s, host: host}
-}
 
 // Panics returns the number of handler panics recovered into SERVFAIL
 // responses since Start.
@@ -310,13 +261,12 @@ func (s *Server) backoff(delay time.Duration) time.Duration {
 	return delay
 }
 
-// overLimit consults the per-source limiter, keyed by the cached bare
-// host of the client address.
-func (s *Server) overLimit(host string, now time.Time) bool {
+// overLimit consults the per-source limiter, keyed by the client IP.
+func (s *Server) overLimit(src netip.Addr, now time.Time) bool {
 	if s.limiter == nil {
 		return false
 	}
-	if s.limiter.Allow(host, now) {
+	if s.limiter.Allow(src, now) {
 		return false
 	}
 	s.refused.Inc()
@@ -358,12 +308,57 @@ func refuse(w ResponseWriter, msg *Message) {
 	PutMsg(resp)
 }
 
-func (s *Server) serveUDP(pc net.PacketConn) {
+// serve answers one decoded query: REFUSED when its source is over
+// the rate limit, otherwise the handler under a "dns.serve" span. It
+// reports whether the handler ran; a refused query is finished here,
+// a served one by the caller once its answer is sent.
+func (s *Server) serve(w ResponseWriter, r *Request) bool {
+	if s.overLimit(r.RemoteAddr.Addr(), r.Received) {
+		refuse(w, r.Msg)
+		s.metrics.observeServe(time.Since(r.Received).Seconds())
+		return false
+	}
+	if r.Span = s.Tracer.StartSpan("dns.serve"); r.Span != nil {
+		r.Span.SetAttr("transport", r.Transport)
+		r.Span.SetAttr("client", r.RemoteString())
+	}
+	s.serveRequest(w, r)
+	return true
+}
+
+// finish records a served query's latency, arrival to answer sent, and
+// ends its span.
+func (s *Server) finish(received time.Time, sp *trace.Span) {
+	secs := time.Since(received).Seconds()
+	s.metrics.observeServe(secs)
+	if sp != nil {
+		s.metrics.setServeExemplar(secs, sp.ExemplarID())
+		sp.End()
+	}
+}
+
+// unmap presents an IPv4 client of a dual-stack socket by its IPv4
+// address, as net.UDPAddr.String() renders it.
+func unmap(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
+}
+
+// serveUDP is one of the GOMAXPROCS(0) loops reading the UDP socket.
+// It serves each query inline and owns everything that takes (read
+// buffer, message, response writer with its encode buffer, Request),
+// so the endpoint allocates nothing per query unless the handler asks
+// for RemoteString. A delayed answer leaves on a timer, never by
+// holding the reader (udpResponseWriter.finish).
+func (s *Server) serveUDP() {
 	defer s.wg.Done()
 	buf := make([]byte, maxUDPQuery)
+	msg := GetMsg()
+	defer PutMsg(msg)
+	w := &udpResponseWriter{s: s}
+	r := new(Request)
 	var delay time.Duration
 	for {
-		n, raddr, err := pc.ReadFrom(buf)
+		n, raddr, err := s.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if s.closing() {
 				return
@@ -375,50 +370,15 @@ func (s *Server) serveUDP(pc net.PacketConn) {
 		}
 		delay = 0
 		received := time.Now()
-		pktp := pktPool.Get().(*[]byte)
-		copy(*pktp, buf[:n])
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handlePacket(pc, raddr, pktp, n, received)
-		}()
-	}
-}
-
-func (s *Server) handlePacket(pc net.PacketConn, raddr net.Addr, pktp *[]byte, n int, received time.Time) {
-	msg := GetMsg()
-	defer PutMsg(msg)
-	err := msg.Unpack((*pktp)[:n])
-	pktPool.Put(pktp) // Unpack copied everything it keeps
-	if err != nil || msg.Response {
-		return
-	}
-	s.metrics.queriesUDP.Inc()
-	w := &udpResponseWriter{pc: pc, raddr: raddr, maxSize: msg.EDNSUDPSize(), metrics: &s.metrics}
-	src := s.sources.lookup(raddr)
-	if s.overLimit(src.host, received) {
-		refuse(w, msg)
-		s.metrics.observeServe(time.Since(received).Seconds())
-		return
-	}
-	sp := s.Tracer.StartSpan("dns.serve")
-	if sp != nil {
-		sp.SetAttr("transport", "udp")
-		sp.SetAttr("client", src.str)
-	}
-	s.serveRequest(w, &Request{
-		Msg:        msg,
-		RemoteAddr: raddr,
-		Transport:  "udp",
-		Received:   received,
-		Span:       sp,
-		remote:     src.str,
-	})
-	secs := time.Since(received).Seconds()
-	s.metrics.observeServe(secs)
-	if sp != nil {
-		s.metrics.setServeExemplar(secs, sp.ExemplarID())
-		sp.End()
+		if err := msg.Unpack(buf[:n]); err != nil || msg.Response {
+			continue
+		}
+		s.metrics.queriesUDP.Inc()
+		*r = Request{Msg: msg, RemoteAddr: unmap(raddr), Transport: "udp", Received: received}
+		w.raddr, w.maxSize = r.RemoteAddr, msg.EDNSUDPSize()
+		if s.serve(w, r) {
+			w.finish(r)
+		}
 	}
 }
 
@@ -451,12 +411,14 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	raddr := conn.RemoteAddr()
-	src := s.sources.lookup(raddr)
 	w := &tcpResponseWriter{conn: conn, metrics: &s.metrics}
 	var pkt []byte // per-connection read buffer, grown on demand
 	msg := GetMsg()
 	defer PutMsg(msg)
+	r := &Request{Msg: msg, Transport: "tcp"}
+	if a, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		r.RemoteAddr = unmap(a.AddrPort())
+	}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(timeout))
 		var err error
@@ -464,34 +426,13 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		received := time.Now()
+		r.Received, r.Span = time.Now(), nil
 		if err := msg.Unpack(pkt); err != nil || msg.Response {
 			return
 		}
 		s.metrics.queriesTCP.Inc()
-		if s.overLimit(src.host, received) {
-			refuse(w, msg)
-			s.metrics.observeServe(time.Since(received).Seconds())
-			continue
-		}
-		sp := s.Tracer.StartSpan("dns.serve")
-		if sp != nil {
-			sp.SetAttr("transport", "tcp")
-			sp.SetAttr("client", src.str)
-		}
-		s.serveRequest(w, &Request{
-			Msg:        msg,
-			RemoteAddr: raddr,
-			Transport:  "tcp",
-			Received:   received,
-			Span:       sp,
-			remote:     src.str,
-		})
-		secs := time.Since(received).Seconds()
-		s.metrics.observeServe(secs)
-		if sp != nil {
-			s.metrics.setServeExemplar(secs, sp.ExemplarID())
-			sp.End()
+		if s.serve(w, r) {
+			s.finish(r.Received, r.Span)
 		}
 		if s.closing() {
 			return
@@ -499,62 +440,106 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 	}
 }
 
+// udpResponseWriter answers the query its reader is serving; the
+// reader owns it and reuses it, encode buffer included, for every
+// query it reads.
 type udpResponseWriter struct {
-	pc      net.PacketConn
-	raddr   net.Addr
+	s       *Server
+	raddr   netip.AddrPort
 	maxSize int
-	metrics *serverMetrics
+	buf     []byte
+	// later is the answer WriteMsgAfter packed, sent delay after the
+	// handler returns; nil when the handler answered at once.
+	later []byte
+	delay time.Duration
 }
 
 func (w *udpResponseWriter) WriteMsg(m *Message) error {
-	if w.metrics != nil {
-		w.metrics.rcodes[m.RCode&0x0F].Inc()
-	}
-	bp := respBufPool.Get().(*[]byte)
-	defer respBufPool.Put(bp)
-	packed, err := m.AppendPack((*bp)[:0])
+	packed, err := w.pack(m, w.buf[:0])
 	if err != nil {
 		return err
 	}
-	if len(packed) > w.maxSize {
-		// Truncate: strip records and set TC so the client retries
-		// over TCP.
-		trunc := *m
-		trunc.Truncated = true
-		trunc.Answers, trunc.Authority, trunc.Additional = nil, nil, nil
-		if packed, err = trunc.AppendPack(packed[:0]); err != nil {
-			return err
-		}
-	}
-	*bp = packed[:0] // keep any growth for the next response
-	_, err = w.pc.WriteTo(packed, w.raddr)
+	w.buf = packed // keep any growth for the next response
+	_, err = w.s.udp.WriteToUDPAddrPort(packed, w.raddr)
 	return err
 }
 
-type tcpResponseWriter struct {
-	conn    net.Conn
-	metrics *serverMetrics
-}
-
-func (w *tcpResponseWriter) WriteMsg(m *Message) error {
-	if w.metrics != nil {
-		w.metrics.rcodes[m.RCode&0x0F].Inc()
+func (w *udpResponseWriter) WriteMsgAfter(m *Message, d time.Duration) error {
+	if d <= 0 {
+		return w.WriteMsg(m)
 	}
-	bp := respBufPool.Get().(*[]byte)
-	defer respBufPool.Put(bp)
-	// Encode past a reserved two-octet length prefix (RFC 1035 §4.2.2)
-	// so frame and message go out in one write with no extra copy.
-	buf := append((*bp)[:0], 0, 0)
-	buf, err := m.AppendPack(buf)
+	packed, err := w.pack(m, nil)
 	if err != nil {
 		return err
 	}
+	w.later, w.delay = packed, d
+	return nil
+}
+
+// pack counts m's RCODE and appends its wire form to dst. A response
+// over the client's advertised payload size is truncated: records
+// stripped and TC set, so the client retries over TCP.
+func (w *udpResponseWriter) pack(m *Message, dst []byte) ([]byte, error) {
+	w.s.metrics.rcodes[m.RCode&0x0F].Inc()
+	packed, err := m.AppendPack(dst)
+	if err != nil || len(packed) <= w.maxSize {
+		return packed, err
+	}
+	trunc := *m
+	trunc.Truncated = true
+	trunc.Answers, trunc.Authority, trunc.Additional = nil, nil, nil
+	return trunc.AppendPack(packed[:0])
+}
+
+// finish ends the query the reader has just served. An answer the
+// handler deferred with WriteMsgAfter is sent by a timer counted in
+// s.wg, so the reader goes straight back to the socket and Shutdown
+// still delivers it; the span and serve latency end with that send.
+func (w *udpResponseWriter) finish(r *Request) {
+	s, received, sp := w.s, r.Received, r.Span
+	if w.later == nil {
+		s.finish(received, sp)
+		return
+	}
+	packed, raddr := w.later, w.raddr
+	w.later = nil
+	s.wg.Add(1)
+	time.AfterFunc(w.delay, func() {
+		defer s.wg.Done()
+		_, _ = s.udp.WriteToUDPAddrPort(packed, raddr)
+		s.finish(received, sp)
+	})
+}
+
+// tcpResponseWriter answers on one connection, reusing one encode
+// buffer for the connection's lifetime.
+type tcpResponseWriter struct {
+	conn    net.Conn
+	metrics *serverMetrics
+	buf     []byte
+}
+
+func (w *tcpResponseWriter) WriteMsg(m *Message) error {
+	w.metrics.rcodes[m.RCode&0x0F].Inc()
+	// Encode past a reserved two-octet length prefix (RFC 1035 §4.2.2)
+	// so frame and message go out in one write with no extra copy.
+	buf, err := m.AppendPack(append(w.buf[:0], 0, 0))
+	if err != nil {
+		return err
+	}
+	w.buf = buf
 	n := len(buf) - 2
 	if n > 0xFFFF {
 		return ErrRDataTooLong
 	}
 	buf[0], buf[1] = byte(n>>8), byte(n)
-	*bp = buf[:0]
 	_, err = w.conn.Write(buf)
 	return err
+}
+
+// WriteMsgAfter waits out d on the connection's own goroutine, which
+// answers the connection's queries in order anyway.
+func (w *tcpResponseWriter) WriteMsgAfter(m *Message, d time.Duration) error {
+	time.Sleep(d)
+	return w.WriteMsg(m)
 }

@@ -1,13 +1,16 @@
 package dns
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"net"
 	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sendervalid/internal/trace"
 )
 
 // startTestServer runs a Server with the given handler on an ephemeral
@@ -224,12 +227,104 @@ func TestShutdownAnswersInFlightUDP(t *testing.T) {
 	}
 }
 
+// TestShutdownDeliversDelayedAnswer is the sibling for an answer the
+// handler deferred with WriteMsgAfter: when Shutdown starts it waits on
+// a timer, not a handler, and still goes out before Shutdown returns.
+func TestShutdownDeliversDelayedAnswer(t *testing.T) {
+	handled := make(chan struct{})
+	srv := &Server{Addr: "127.0.0.1:0", Handler: HandlerFunc(func(w ResponseWriter, r *Request) {
+		resp := GetMsg().SetReply(r.Msg)
+		_ = w.WriteMsgAfter(resp, 200*time.Millisecond)
+		PutMsg(resp)
+		close(handled)
+	})}
+	addr, err := srv.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
+	go func() {
+		c := &Client{Timeout: 2 * time.Second}
+		_, err := c.ExchangeOver(context.Background(),
+			new(Message).SetQuestion("example.com", TypeTXT), "udp", addr.String())
+		answered <- err
+	}()
+	<-handled
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if err := <-answered; err != nil {
+		t.Errorf("delayed answer lost to Shutdown: %v", err)
+	}
+}
+
+// TestDelayedAnswerEndsSpanWhenSent pins where a deferred answer's
+// query ends: the dns.serve span and the serve-latency histogram both
+// cover the delay, over either transport.
+func TestDelayedAnswerEndsSpanWhenSent(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	for _, network := range []string{"udp", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			var out bytes.Buffer // read only after Close stops the exporter
+			tr := trace.New(trace.Config{SampleRate: 1, Output: &out})
+			srv := &Server{Addr: "127.0.0.1:0", Tracer: tr, Handler: HandlerFunc(func(w ResponseWriter, r *Request) {
+				resp := GetMsg().SetReply(r.Msg)
+				_ = w.WriteMsgAfter(resp, delay)
+				PutMsg(resp)
+			})}
+			addr, err := srv.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &Client{Timeout: 2 * time.Second}
+			start := time.Now()
+			if _, err := c.ExchangeOver(context.Background(),
+				new(Message).SetQuestion("late.example", TypeTXT), network, addr.String()); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed < delay {
+				t.Errorf("answer arrived after %v, want >= %v", elapsed, delay)
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if h := srv.metrics.serve.Snapshot(); h.Count != 1 || h.Sum < delay.Seconds() {
+				t.Errorf("serve histogram count %d sum %vs, want 1 observation >= %v", h.Count, h.Sum, delay)
+			}
+			var spans int
+			sc := bufio.NewScanner(&out)
+			for sc.Scan() {
+				rec, err := trace.ParseRecord(sc.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Name != "dns.serve" {
+					continue
+				}
+				spans++
+				if rec.DurUS < delay.Microseconds() {
+					t.Errorf("dns.serve span lasted %dus, want >= %v", rec.DurUS, delay)
+				}
+				if got := rec.Attr("transport"); got != network {
+					t.Errorf("span transport %q, want %q", got, network)
+				}
+			}
+			if spans != 1 {
+				t.Errorf("exported %d dns.serve spans, want 1", spans)
+			}
+		})
+	}
+}
+
 func TestRequestMetadata(t *testing.T) {
 	// Request messages are pooled, so the handler must extract what it
 	// needs during ServeDNS rather than retaining r.Msg.
 	type meta struct {
 		transport string
-		remote    net.Addr
+		remote    netip.AddrPort
 		remoteStr string
 		received  time.Time
 		question  string
@@ -258,7 +353,7 @@ func TestRequestMetadata(t *testing.T) {
 	if r.transport != "udp" {
 		t.Errorf("transport %q", r.transport)
 	}
-	if r.remote == nil {
+	if !r.remote.IsValid() {
 		t.Error("missing remote address")
 	} else if r.remoteStr != r.remote.String() {
 		t.Errorf("RemoteString %q, want %q", r.remoteStr, r.remote.String())

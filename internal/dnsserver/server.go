@@ -33,8 +33,9 @@ type Response struct {
 	Records []dns.RR
 	// RCode overrides NOERROR when non-zero.
 	RCode dns.RCode
-	// Delay is slept before the response is written, implementing the
-	// paper's 100 ms / 800 ms response shaping (§7.1, §7.2).
+	// Delay holds the response back this long (WriteMsgAfter, so no
+	// socket reader waits), implementing the paper's 100 ms / 800 ms
+	// response shaping (§7.1, §7.2).
 	Delay time.Duration
 	// TruncateUDP forces a truncated empty response over UDP, eliciting
 	// a TCP retry (the paper's TCP test policy, §7.3).
@@ -376,44 +377,33 @@ func (s *Server) handler(v6 bool) dns.Handler {
 		resp := dns.GetMsg().SetReply(r.Msg)
 		defer dns.PutMsg(resp)
 		resp.Authoritative = true
+		var delay time.Duration
 
 		// Built-in apex records: SOA and the attribution contact.
 		if q.Name == zone.suffix && (q.Type == dns.TypeSOA || q.Type == dns.TypeANY) {
 			resp.Answers = append(resp.Answers, s.soa(zone))
-			_ = w.WriteMsg(resp)
-			return
-		}
-
-		responder := zone.responderFor(q)
-		if responder == nil {
+		} else if responder := zone.responderFor(q); responder == nil {
 			resp.RCode = dns.RCodeNameError
 			resp.Authority = append(resp.Authority, s.soa(zone))
-			_ = w.WriteMsg(resp)
-			return
+		} else {
+			// A responder panic is recovered by dns.Server.serveRequest.
+			shaped := responder.Respond(q)
+			delay = shaped.Delay
+			switch {
+			case shaped.RequireIPv6 && !v6:
+				resp.RCode = dns.RCodeRefused
+			case shaped.TruncateUDP && r.Transport == "udp":
+				resp.Truncated = true
+			default:
+				resp.RCode = shaped.RCode
+				resp.Answers = shaped.Records
+				if len(resp.Answers) == 0 && resp.RCode == dns.RCodeSuccess {
+					// Negative answer: include the SOA per RFC 2308.
+					resp.Authority = append(resp.Authority, s.soa(zone))
+				}
+			}
 		}
-
-		// A responder panic is recovered by dns.Server.serveRequest.
-		shaped := responder.Respond(q)
-		if shaped.Delay > 0 {
-			time.Sleep(shaped.Delay)
-		}
-		if shaped.RequireIPv6 && !v6 {
-			resp.RCode = dns.RCodeRefused
-			_ = w.WriteMsg(resp)
-			return
-		}
-		if shaped.TruncateUDP && r.Transport == "udp" {
-			resp.Truncated = true
-			_ = w.WriteMsg(resp)
-			return
-		}
-		resp.RCode = shaped.RCode
-		resp.Answers = shaped.Records
-		if len(resp.Answers) == 0 && resp.RCode == dns.RCodeSuccess {
-			// Negative answer: include the SOA per RFC 2308.
-			resp.Authority = append(resp.Authority, s.soa(zone))
-		}
-		_ = w.WriteMsg(resp)
+		_ = w.WriteMsgAfter(resp, delay)
 	})
 }
 

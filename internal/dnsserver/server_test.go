@@ -2,7 +2,11 @@ package dnsserver
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"net/netip"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -132,10 +136,139 @@ func TestResponseDelayShaping(t *testing.T) {
 		},
 	}
 	_, addr := startSynthServer(t, zone)
+	c := &dns.Client{Timeout: 3 * time.Second}
+	for _, network := range []string{"udp", "tcp"} {
+		start := time.Now()
+		resp, err := c.ExchangeOver(context.Background(),
+			new(dns.Message).SetQuestion("t02.m0001."+testSuffix, dns.TypeTXT), network, addr)
+		if err != nil {
+			t.Fatalf("%s query: %v", network, err)
+		}
+		if elapsed := time.Since(start); elapsed < delay {
+			t.Errorf("%s response arrived after %v, want ≥ %v", network, elapsed, delay)
+		}
+		if len(resp.Answers) != 1 {
+			t.Errorf("%s delayed response: %s", network, resp)
+		}
+	}
+}
+
+// sendQuery writes a TXT query for name on a raw client socket, so a
+// test controls which socket, and in which order, queries leave.
+func sendQuery(t *testing.T, conn net.Conn, name string) {
+	t.Helper()
+	packed, err := new(dns.Message).SetQuestion(name, dns.TypeTXT).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(packed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readReply decodes the next datagram on a raw client socket.
+func readReply(t *testing.T, conn net.Conn) *dns.Message {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	buf := make([]byte, 4096)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp dns.Message
+	if err := resp.Unpack(buf[:n]); err != nil {
+		t.Fatal(err)
+	}
+	return &resp
+}
+
+// TestShapedDelayNoHeadOfLineBlocking queues more delayed queries than
+// the endpoint has UDP readers (2×GOMAXPROCS+1), then one undelayed
+// query behind them, which must still be answered at once. A reader
+// that slept out the delay would hold it for a full 300 ms.
+func TestShapedDelayNoHeadOfLineBlocking(t *testing.T) {
+	const delay = 300 * time.Millisecond
+	txt := func(q *Query) []dns.RR { return []dns.RR{TXTRecord(q.Name, "v=spf1 ?all", 60)} }
+	zone := &Zone{
+		Suffix: testSuffix,
+		Responders: map[string]Responder{
+			"t01": ResponderFunc(func(q *Query) Response { return Response{Records: txt(q)} }),
+			"t02": ResponderFunc(func(q *Query) Response { return Response{Records: txt(q), Delay: delay} }),
+		},
+	}
+	_, addr := startSynthServer(t, zone)
+	held := make([]net.Conn, 2*runtime.GOMAXPROCS(0)+1)
 	start := time.Now()
-	queryTXT(t, addr, "t02.m0001."+testSuffix)
+	for i := range held {
+		conn, err := net.Dial("udp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		sendQuery(t, conn, fmt.Sprintf("t02.m%04d.%s", i, testSuffix))
+		held[i] = conn
+	}
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	asked := time.Now()
+	sendQuery(t, conn, "t01.m9999."+testSuffix)
+	if resp := readReply(t, conn); len(resp.Answers) != 1 {
+		t.Errorf("undelayed answer: %s", resp)
+	}
+	if waited := time.Since(asked); waited >= 50*time.Millisecond {
+		t.Errorf("undelayed query answered after %v behind %d delayed ones, want < 50ms", waited, len(held))
+	}
+	for _, c := range held {
+		if resp := readReply(t, c); len(resp.Answers) != 1 {
+			t.Errorf("delayed answer: %s", resp)
+		}
+	}
 	if elapsed := time.Since(start); elapsed < delay {
-		t.Errorf("response arrived after %v, want ≥ %v", elapsed, delay)
+		t.Errorf("delayed answers all arrived after %v, want ≥ %v", elapsed, delay)
+	}
+}
+
+// TestLogRemoteRendersLikeUDPAddr pins the query log's Remote field to
+// what net.UDPAddr.String() renders for the client's socket: over IPv4,
+// over IPv6, and for an IPv4 client of a dual-stack socket, which the
+// kernel reports v4-mapped.
+func TestLogRemoteRendersLikeUDPAddr(t *testing.T) {
+	for _, tc := range []struct {
+		name, listen, network, host string
+	}{
+		{"v4", "127.0.0.1:0", "udp4", "127.0.0.1"},
+		{"v6", "[::1]:0", "udp6", "::1"},
+		{"v4-mapped", "[::]:0", "udp4", "127.0.0.1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := &Server{Zones: []*Zone{{Suffix: testSuffix}}, Addr4: tc.listen, Log: &QueryLog{}}
+			bound, err := srv.Start()
+			if err != nil {
+				if tc.name == "v4" {
+					t.Fatal(err)
+				}
+				t.Skipf("IPv6 unavailable: %v", err)
+			}
+			t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+			port := strconv.Itoa(bound.(*net.UDPAddr).Port)
+			conn, err := net.Dial(tc.network, net.JoinHostPort(tc.host, port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			sendQuery(t, conn, "t01.m0001."+testSuffix)
+			readReply(t, conn)
+			entries := srv.Log.(*QueryLog).Entries()
+			if len(entries) != 1 {
+				t.Fatalf("logged %d queries, want 1", len(entries))
+			}
+			if got, want := entries[0].Remote, conn.LocalAddr().String(); got != want {
+				t.Errorf("logged Remote %q, want %q", got, want)
+			}
+		})
 	}
 }
 

@@ -14,16 +14,25 @@ import (
 )
 
 // slowHandler answers like staticHandler after a fixed delay, so
-// concurrent queries genuinely overlap in flight.
+// concurrent queries genuinely overlap in flight. The answer waits in
+// WriteMsgAfter, so no socket reader sleeps and the overlap holds at
+// any GOMAXPROCS.
 type slowHandler struct {
 	*staticHandler
 	delay time.Duration
 }
 
 func (h *slowHandler) ServeDNS(w dns.ResponseWriter, r *dns.Request) {
-	time.Sleep(h.delay)
-	h.staticHandler.ServeDNS(w, r)
+	h.staticHandler.ServeDNS(delayedWriter{w, h.delay}, r)
 }
+
+// delayedWriter turns every WriteMsg into a WriteMsgAfter.
+type delayedWriter struct {
+	dns.ResponseWriter
+	delay time.Duration
+}
+
+func (w delayedWriter) WriteMsg(m *dns.Message) error { return w.WriteMsgAfter(m, w.delay) }
 
 // TestSingleflightDedup proves the dedup contract the bulk pipeline
 // relies on: N concurrent identical lookups produce exactly one wire
