@@ -72,7 +72,8 @@ crash:
 # must stay at zero allocations (alongside the UDP endpoint's per-query
 # budget, the query-log codec and journal encoder pins, the tracer's
 # span-lifecycle pins, the shared jsonwire cursor pin, the resolver
-# cache-hit pin, the WAL replay pin and the query-log fold pin that
+# cache-hit, warm-lookup and warm-CheckHost pins, the SPF record parse
+# pin, the WAL replay pin and the query-log fold pin that
 # share the naming convention), and the
 # connection-lifecycle pins: what one SMTP probe dialogue allocates
 # (internal/smtp), that re-arming a netsim deadline reuses its timer and
@@ -80,7 +81,7 @@ crash:
 telemetry-alloc:
 	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
-		./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
+		./internal/spf/ ./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
 		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/
 
 # The bulk-SPF pipeline under seeded netsim faults and the race

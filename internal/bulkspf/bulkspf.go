@@ -5,7 +5,7 @@
 //
 // Input is JSONL, one Tuple per line; output is JSONL, one Result per
 // line, in input order. All workers share the caller's
-// resolver: the resolver's sharded cache and singleflight dedup are
+// resolver: the resolver's cache and singleflight dedup are
 // what make N workers cost less than N times the DNS traffic, since
 // real mail streams repeat sending domains heavily.
 package bulkspf
@@ -19,9 +19,11 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
+	"sendervalid/internal/jsonwire"
 	"sendervalid/internal/smtp"
 	"sendervalid/internal/spf"
 	"sendervalid/internal/trace"
@@ -59,6 +61,45 @@ type Result struct {
 	Err string `json:"error,omitempty"`
 	// Micros is the evaluation wall time in microseconds.
 	Micros int64 `json:"micros"`
+}
+
+// appendResultJSON appends r as one output line, including the
+// trailing newline, byte-identical to json.Encoder.Encode of r
+// (FuzzAppendResultJSON pins the equivalence). The writer encodes every
+// result into one reused buffer, without reflection.
+func appendResultJSON(dst []byte, r *Result) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, int64(r.Seq), 10)
+	dst = append(dst, `,"ip":`...)
+	dst = jsonwire.AppendString(dst, r.IP)
+	dst = appendOptString(dst, `,"domain":`, r.Domain)
+	dst = appendOptString(dst, `,"mail_from":`, r.MailFrom)
+	dst = appendOptString(dst, `,"helo":`, r.Helo)
+	dst = append(dst, `,"result":`...)
+	dst = jsonwire.AppendString(dst, string(r.Result))
+	dst = appendOptString(dst, `,"explanation":`, r.Explanation)
+	if r.Lookups != 0 {
+		dst = append(dst, `,"lookups":`...)
+		dst = strconv.AppendInt(dst, int64(r.Lookups), 10)
+	}
+	if r.VoidLookups != 0 {
+		dst = append(dst, `,"void_lookups":`...)
+		dst = strconv.AppendInt(dst, int64(r.VoidLookups), 10)
+	}
+	dst = appendOptString(dst, `,"detail":`, r.Detail)
+	dst = appendOptString(dst, `,"error":`, r.Err)
+	dst = append(dst, `,"micros":`...)
+	dst = strconv.AppendInt(dst, r.Micros, 10)
+	return append(dst, '}', '\n')
+}
+
+// appendOptString appends an omitempty string field: its key and
+// value, or nothing when s is empty.
+func appendOptString(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return jsonwire.AppendString(append(dst, key...), s)
 }
 
 // Config configures an Evaluator.
@@ -180,7 +221,7 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 	start := time.Now()
 	stats := Stats{Results: make(map[spf.Result]uint64)}
 	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	var werr error
 	emit := func(r Result) {
 		stats.Results[r.Result]++
@@ -190,7 +231,8 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 			stats.Evaluated++
 		}
 		if werr == nil {
-			if werr = enc.Encode(r); werr != nil {
+			line = appendResultJSON(line[:0], &r)
+			if _, werr = bw.Write(line); werr != nil {
 				cancel()
 			}
 		}

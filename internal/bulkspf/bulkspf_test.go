@@ -234,3 +234,29 @@ func TestErroredLinesDoNotAbort(t *testing.T) {
 		t.Errorf("stats.Errored = %d, want 1", stats.Errored)
 	}
 }
+
+// FuzzAppendResultJSON pins the result-line encoder to
+// json.Encoder.Encode byte for byte: HTML characters, control
+// characters, U+2028, invalid UTF-8, negative and zero integers, empty
+// fields.
+func FuzzAppendResultJSON(f *testing.F) {
+	f.Add(0, "203.0.113.9", "pass.example", "a@pass.example", "pass.example", "pass", "", 1, 0, "", "", int64(17))
+	f.Add(-3, "", "", "", "", "", "", 0, 0, "", "", int64(0))
+	f.Add(1<<40, "<ip>&", "a b c", "\xff\xfe@x", "\x00\x1f\x7f", "permerror",
+		"see <http://x/?a=1&b=2>", -1, 7, "spf: \"quoted\" \\ detail\n", "bad tuple: \t", int64(-9))
+	f.Fuzz(func(t *testing.T, seq int, ip, domain, from, helo, result, exp string, lookups, voids int, detail, errMsg string, micros int64) {
+		r := Result{
+			Seq: seq, IP: ip, Domain: domain, MailFrom: from, Helo: helo,
+			Result: spf.Result(result), Explanation: exp,
+			Lookups: lookups, VoidLookups: voids,
+			Detail: detail, Err: errMsg, Micros: micros,
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendResultJSON(nil, &r); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("appendResultJSON:\n got %q\nwant %q", got, want.Bytes())
+		}
+	})
+}

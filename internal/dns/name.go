@@ -19,8 +19,11 @@ const (
 	maxLabelLen = 63
 )
 
-// CanonicalName lowercases a domain name and ensures it is fully
-// qualified (ends with a dot). The root name is returned as ".".
+// CanonicalName lowercases the ASCII letters of a domain name and
+// ensures it is fully qualified (ends with a dot). The root name is
+// returned as ".". Every other octet is kept as it is: DNS compares
+// names case-insensitively in ASCII only (RFC 4343 §3), so a label
+// octet outside A–Z, valid UTF-8 or not, is never rewritten.
 //
 // Names that are already canonical — the overwhelmingly common case on
 // the serving path, where every name comes out of unpackName in
@@ -40,21 +43,44 @@ func CanonicalName(name string) string {
 	return name
 }
 
+// canonicalSlow is CanonicalName for a non-empty name that needs a
+// copy: one allocation, sized for the trailing dot.
 func canonicalSlow(name string) string {
-	name = strings.ToLower(name)
-	if name == "" || name == "." {
-		return "."
+	var sb strings.Builder
+	sb.Grow(len(name) + 1)
+	for i := 0; i < len(name); i++ {
+		sb.WriteByte(foldASCII(name[i]))
 	}
-	if !strings.HasSuffix(name, ".") {
-		name += "."
+	if name[len(name)-1] != '.' {
+		sb.WriteByte('.')
 	}
-	return name
+	return sb.String()
+}
+
+// foldASCII lowercases an ASCII letter and returns any other octet
+// unchanged.
+func foldASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
 }
 
 // EqualNames reports whether two domain names are equal under DNS
-// case-insensitive comparison, ignoring a trailing dot.
+// case-insensitive comparison, ignoring one trailing dot: exactly when
+// their CanonicalName forms are equal. It compares in place and never
+// allocates.
 func EqualNames(a, b string) bool {
-	return CanonicalName(a) == CanonicalName(b)
+	a, b = strings.TrimSuffix(a, "."), strings.TrimSuffix(b, ".")
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if foldASCII(a[i]) != foldASCII(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ValidateName checks that name is a syntactically legal domain name:
@@ -268,11 +294,7 @@ func matchWireName(msg []byte, off int, hint string) (int, bool) {
 				return 0, false
 			}
 			for i := 0; i < c; i++ {
-				wc := msg[off+1+i]
-				if wc >= 'A' && wc <= 'Z' {
-					wc += 'a' - 'A'
-				}
-				if wc != hint[pos+i] {
+				if foldASCII(msg[off+1+i]) != hint[pos+i] {
 					return 0, false
 				}
 			}

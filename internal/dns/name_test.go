@@ -29,6 +29,70 @@ func TestEqualNames(t *testing.T) {
 	if EqualNames("example.com", "example.org") {
 		t.Error("distinct names compared equal")
 	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = EqualNames("Example.COM", "example.com.") }); allocs != 0 {
+		t.Errorf("EqualNames: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCanonicalNameFoldsASCIIOnly: DNS folds the case of ASCII letters
+// only (RFC 4343 §3). Binary labels stay distinct names, and a
+// non-ASCII octet is never rewritten, whatever the case of the rest of
+// the name.
+func TestCanonicalNameFoldsASCIIOnly(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"\xff.example.com", "\xff.example.com."},
+		{"\xfe.example.com", "\xfe.example.com."},
+		{"\xff.EXAMPLE.com.", "\xff.example.com."},
+		{"É.Example.com.", "É.example.com."},
+		{"É.example.com.", "É.example.com."},
+		{"é.EXAMPLE.com", "é.example.com."},
+	}
+	for _, c := range cases {
+		if got := CanonicalName(c.in); got != c.want {
+			t.Errorf("CanonicalName(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+	if EqualNames("\xff.example.com", "\xfe.example.com") {
+		t.Error("two binary labels compared equal")
+	}
+	if EqualNames("É.example.com", "é.example.com") {
+		t.Error("a non-ASCII letter was case-folded")
+	}
+}
+
+// FuzzEqualNames pins the in-place comparison to its definition: two
+// names are equal exactly when their canonical forms are.
+func FuzzEqualNames(f *testing.F) {
+	for _, c := range [][2]string{
+		{"Example.COM", "example.com."},
+		{"example.com", "example.org"},
+		{"", "."}, {".", ".."}, {"..", "..."}, {"", ""},
+		{"a.", "a.."}, {"A", "a."},
+		{"É.example.com", "é.example.com"},
+		{"\xff.example.com", "\xfe.example.com"},
+		{"\xed\xa0\x80", "\xef\xbf\xbd."},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := EqualNames(a, b), CanonicalName(a) == CanonicalName(b); got != want {
+			t.Errorf("EqualNames(%q, %q) = %v, canonical forms %q, %q", a, b, got, CanonicalName(a), CanonicalName(b))
+		}
+		// CanonicalName folds ASCII letters and adds a missing trailing
+		// dot; it changes no other octet.
+		want := []byte(a)
+		for i, c := range want {
+			if c >= 'A' && c <= 'Z' {
+				want[i] = c + ('a' - 'A')
+			}
+		}
+		if !strings.HasSuffix(a, ".") {
+			want = append(want, '.')
+		}
+		if got := CanonicalName(a); got != string(want) {
+			t.Errorf("CanonicalName(%q) = %q, want %q", a, got, want)
+		}
+	})
 }
 
 func TestValidateName(t *testing.T) {

@@ -1,10 +1,11 @@
 // Package jsonwire provides the reflection-free JSON primitives behind
-// the repo's two hand-written JSONL record paths: the DNS query log
-// codec (internal/dnsserver, both directions) and the campaign
-// journal's encoder (internal/campaign). Each format is defined by
-// encoding/json struct tags, and files written by older builds must
-// stay readable (and vice versa), so the primitives here reproduce
-// encoding/json's bytes rather than define a fresh JSON dialect:
+// the repo's three hand-written JSONL record paths: the DNS query log
+// codec (internal/dnsserver, both directions), the campaign journal's
+// encoder (internal/campaign) and the bulk SPF result-line encoder
+// (internal/bulkspf). Each format is defined by encoding/json struct
+// tags, and files written by older builds must stay readable (and vice
+// versa), so the primitives here reproduce encoding/json's bytes rather
+// than define a fresh JSON dialect:
 //
 //   - AppendString escapes exactly like json.Marshal with HTML
 //     escaping on (the json.Encoder default): control characters,
@@ -19,7 +20,7 @@
 //     (query log, journal, span file) share.
 //
 // The equivalence with encoding/json is pinned by the tests in this
-// package and by fuzz tests in the two consumers.
+// package and by fuzz tests in the three consumers.
 package jsonwire
 
 import (

@@ -1,16 +1,32 @@
 package resolver
 
 import (
+	"strings"
 	"sync"
 	"time"
 
 	"sendervalid/internal/dns"
 )
 
-// cacheKey identifies one cached response.
+// cacheKey identifies one cached response, and one in-flight exchange.
 type cacheKey struct {
 	name string
 	typ  dns.Type
+}
+
+// keyFor returns the key of (name, t). Its name is dns.CanonicalName's
+// spelling without the trailing dot, so two names share a key exactly
+// when their canonical forms are equal. A name with no upper-case
+// ASCII letter — what every caller passes, with or without its
+// trailing dot — is keyed by a substring of itself, with no copy.
+func keyFor(name string, t dns.Type) cacheKey {
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c >= 'A' && c <= 'Z' {
+			canon := dns.CanonicalName(name)
+			return cacheKey{name: canon[:len(canon)-1], typ: t}
+		}
+	}
+	return cacheKey{name: strings.TrimSuffix(name, "."), typ: t}
 }
 
 // cacheEntry is one cached response with its expiry.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sendervalid/internal/dns"
+	"sendervalid/internal/spf"
 )
 
 // TestCacheBoundUnderConcurrentHammer proves the configured
@@ -140,7 +143,7 @@ func TestCacheBoundIsExact(t *testing.T) {
 	const n = 4096
 	name := func(i int) string { return fmt.Sprintf("e%04d.example.com.", i) }
 	insert := func(i int) {
-		r.cache.put(cacheKey{name: name(i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
+		r.cache.put(keyFor(name(i), dns.TypeTXT), &dns.Message{}, time.Now().Add(time.Hour))
 	}
 	for i := 0; i < n; i++ {
 		insert(i)
@@ -165,23 +168,120 @@ func TestCacheBoundIsExact(t *testing.T) {
 
 // TestExchangeHitPathAllocFree pins the zero-allocation cache-hit
 // path: a warm Exchange performs no heap allocations (metrics
-// increments, the read lock, and the map probe are all alloc-free).
+// increments, the read lock, and the map probe are all alloc-free),
+// for the canonical spelling and for the one SPF evaluation passes —
+// no trailing dot.
 func TestExchangeHitPathAllocFree(t *testing.T) {
 	h := newStaticHandler()
 	h.add("hot.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
 	r := New(Config{Server: startServer(t, h)})
 	ctx := context.Background()
-	const name = "hot.example.com." // canonical: no normalization alloc
-	if _, err := r.Exchange(ctx, name, dns.TypeA); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, name := range []string{"hot.example.com.", "hot.example.com"} {
 		if _, err := r.Exchange(ctx, name, dns.TypeA); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("cache-hit Exchange: %v allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := r.Exchange(ctx, name, dns.TypeA); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("cache-hit Exchange(%q): %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if got := h.queries("A hot.example.com."); got != 1 {
+		t.Errorf("server saw %d queries for two spellings of one name, want 1", got)
+	}
+}
+
+// TestLookupHitAllocs pins the warm spf.Resolver methods to one
+// allocation: the slice they return.
+func TestLookupHitAllocs(t *testing.T) {
+	h := newStaticHandler()
+	h.add("hot.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
+	h.add("hot.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.10")})
+	h.add("hot.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 a -all"}})
+	r := New(Config{Server: startServer(t, h)})
+	ctx := context.Background()
+	const name = "hot.example.com"
+	if a, err := r.LookupA(ctx, name); err != nil || len(a) != 2 {
+		t.Fatalf("LookupA = %v, %v", a, err)
+	}
+	if txt, err := r.LookupTXT(ctx, name); err != nil || len(txt) != 1 {
+		t.Fatalf("LookupTXT = %v, %v", txt, err)
+	}
+	for _, c := range []struct {
+		what   string
+		lookup func()
+	}{
+		{"LookupA", func() { _, _ = r.LookupA(ctx, name) }},
+		{"LookupTXT", func() { _, _ = r.LookupTXT(ctx, name) }},
+	} {
+		if allocs := testing.AllocsPerRun(200, c.lookup); allocs > 1 {
+			t.Errorf("warm %s: %v allocs/op, want ≤ 1 (the returned slice)", c.what, allocs)
+		}
+	}
+}
+
+// TestCheckHostWarmAllocs bounds what one SPF evaluation allocates on a
+// warm resolver — the bulk re-validation steady state, where nothing
+// new can be learned. The fixture spends two lookups (a, include) over
+// three cached names. What is left is the evaluation's own state, its
+// timeout context, the two parsed records and the slices the lookups
+// return.
+func TestCheckHostWarmAllocs(t *testing.T) {
+	h := newStaticHandler()
+	h.add("example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 a:mail.example.com include:_spf.example.net -all"}})
+	h.add("mail.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
+	h.add("_spf.example.net", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 ip4:198.51.100.0/24 -all"}})
+	c := &spf.Checker{Resolver: New(Config{Server: startServer(t, h)})}
+	ctx := context.Background()
+	ip := netip.MustParseAddr("203.0.113.5")
+	check := func() *spf.Outcome {
+		return c.CheckHost(ctx, ip, "example.com", "user@example.com", "mail.example.com")
+	}
+	if out := check(); out.Result != spf.Fail || out.Lookups != 2 {
+		t.Fatalf("CheckHost = %s with %d lookups (%v), want fail with 2", out.Result, out.Lookups, out.Err)
+	}
+	allocs := testing.AllocsPerRun(200, func() { check() })
+	t.Logf("warm CheckHost: %v allocs/op", allocs)
+	if allocs > 16 {
+		t.Errorf("warm CheckHost: %v allocs/op, want ≤ 16", allocs)
+	}
+}
+
+// TestCacheKeyMatchesCanonicalName: two names share a cache key exactly
+// when dns.CanonicalName makes them equal — case, one trailing dot, the
+// root, and octets outside ASCII included.
+func TestCacheKeyMatchesCanonicalName(t *testing.T) {
+	alphabet := []string{"a", "A", "z", "Z", ".", "\xff", "\xc3\x89", "\xc3\xa9", "-"}
+	gen := func(picks []uint8) string {
+		var sb strings.Builder
+		for _, p := range picks[:len(picks)%7] {
+			sb.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		return sb.String()
+	}
+	f := func(pa, pb []uint8) bool {
+		a, b := gen(pa), gen(pb)
+		sameKey := keyFor(a, dns.TypeA) == keyFor(b, dns.TypeA)
+		return sameKey == (dns.CanonicalName(a) == dns.CanonicalName(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range [][2]string{{"", "."}, {"A.b", "a.B."}, {"x..", "X.."}} {
+		if keyFor(c[0], dns.TypeA) != keyFor(c[1], dns.TypeA) {
+			t.Errorf("%q and %q are one name but have different keys", c[0], c[1])
+		}
+	}
+	for _, c := range [][2]string{{"x.", "x.."}, {"\xff.x", "\xfe.x"}, {"\xc3\x89.x", "\xc3\xa9.x"}} {
+		if keyFor(c[0], dns.TypeA) == keyFor(c[1], dns.TypeA) {
+			t.Errorf("%q and %q are different names but share a key", c[0], c[1])
+		}
+	}
+	if keyFor("x", dns.TypeA) == keyFor("x", dns.TypeTXT) {
+		t.Error("two types share a key")
 	}
 }
 

@@ -170,13 +170,16 @@ func isV6HostPort(hostport string) bool {
 // MaxRetries times, so the faults a hostile network injects between
 // the stub and its upstream do not surface as measurement noise;
 // non-success RCODEs are surfaced immediately and never cached.
+//
+// A cache hit copies nothing: the key is the name as given, less its
+// trailing dot (keyFor), and the canonical spelling the wire and the
+// spans need is built only on a miss or for a recorded span.
 func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.Message, error) {
-	name = dns.CanonicalName(name)
-	key := cacheKey{name: name, typ: t}
+	key := keyFor(name, t)
 	r.metrics.queries.Inc()
 	ctx, sp := trace.Start(ctx, "resolver.exchange")
 	if sp != nil {
-		sp.SetAttr("dns.name", name)
+		sp.SetAttr("dns.name", dns.CanonicalName(name))
 		sp.SetAttr("dns.type", t.String())
 	}
 	if r.cfg.DisableCache {
@@ -184,7 +187,7 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 		// momentary cache, and cache-disabled configurations exist to
 		// make every lookup observable at the server.
 		began := time.Now()
-		msg, err := r.exchangeWithRetry(ctx, name, t)
+		msg, err := r.exchangeWithRetry(ctx, dns.CanonicalName(name), t)
 		r.metrics.observeWire(time.Since(began).Seconds(), sp.ExemplarID())
 		sp.SetError(err)
 		sp.End()
@@ -201,6 +204,11 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 		sp.End()
 		return nil, err
 	}
+	// A miss: the wire gets the canonical spelling, and the flight and
+	// the entry it caches key on a substring of it, not of the caller's
+	// string.
+	name = dns.CanonicalName(name)
+	key.name = name[:len(name)-1]
 	c, leader := r.flight.join(key)
 	if leader {
 		r.metrics.sfLeader.Inc()
@@ -363,16 +371,21 @@ func minTTL(msg *dns.Message) time.Duration {
 	return time.Duration(min) * time.Second
 }
 
-// answers returns the answer records of the given type whose owner
-// matches name, following CNAME chains within the response.
-func answers(msg *dns.Message, name string, t dns.Type) []dns.RR {
-	name = dns.CanonicalName(name)
+// lookup exchanges (name, t) and converts the data of every answer of
+// type t owned by name, following CNAME chains within the response.
+// The result is built in one pass into a slice sized for the rest of
+// the answer section; it is nil when no record matches (a void lookup).
+func lookup[T any](ctx context.Context, r *Resolver, name string, t dns.Type, conv func(dns.RData) T) ([]T, error) {
+	msg, err := r.Exchange(ctx, name, t)
+	if err != nil {
+		return nil, err
+	}
 	// Follow in-response CNAMEs (bounded by the answer count).
 	for range msg.Answers {
 		redirected := false
 		for _, rr := range msg.Answers {
 			if rr.Type == dns.TypeCNAME && dns.EqualNames(rr.Name, name) {
-				name = dns.CanonicalName(rr.Data.(*dns.CNAME).Target)
+				name = rr.Data.(*dns.CNAME).Target
 				redirected = true
 				break
 			}
@@ -381,79 +394,44 @@ func answers(msg *dns.Message, name string, t dns.Type) []dns.RR {
 			break
 		}
 	}
-	var out []dns.RR
-	for _, rr := range msg.Answers {
-		if rr.Type == t && dns.EqualNames(rr.Name, name) {
-			out = append(out, rr)
+	var out []T
+	for i := range msg.Answers {
+		if rr := &msg.Answers[i]; rr.Type == t && dns.EqualNames(rr.Name, name) {
+			if out == nil {
+				out = make([]T, 0, len(msg.Answers)-i)
+			}
+			out = append(out, conv(rr.Data))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // LookupTXT implements spf.Resolver.
 func (r *Resolver) LookupTXT(ctx context.Context, name string) ([]string, error) {
-	msg, err := r.Exchange(ctx, name, dns.TypeTXT)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range answers(msg, name, dns.TypeTXT) {
-		out = append(out, rr.Data.(*dns.TXT).Joined())
-	}
-	return out, nil
+	return lookup(ctx, r, name, dns.TypeTXT, func(d dns.RData) string { return d.(*dns.TXT).Joined() })
 }
 
 // LookupA implements spf.Resolver.
 func (r *Resolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
-	msg, err := r.Exchange(ctx, name, dns.TypeA)
-	if err != nil {
-		return nil, err
-	}
-	var out []netip.Addr
-	for _, rr := range answers(msg, name, dns.TypeA) {
-		out = append(out, rr.Data.(*dns.A).Addr)
-	}
-	return out, nil
+	return lookup(ctx, r, name, dns.TypeA, func(d dns.RData) netip.Addr { return d.(*dns.A).Addr })
 }
 
 // LookupAAAA implements spf.Resolver.
 func (r *Resolver) LookupAAAA(ctx context.Context, name string) ([]netip.Addr, error) {
-	msg, err := r.Exchange(ctx, name, dns.TypeAAAA)
-	if err != nil {
-		return nil, err
-	}
-	var out []netip.Addr
-	for _, rr := range answers(msg, name, dns.TypeAAAA) {
-		out = append(out, rr.Data.(*dns.AAAA).Addr)
-	}
-	return out, nil
+	return lookup(ctx, r, name, dns.TypeAAAA, func(d dns.RData) netip.Addr { return d.(*dns.AAAA).Addr })
 }
 
 // LookupMX implements spf.Resolver.
 func (r *Resolver) LookupMX(ctx context.Context, name string) ([]spf.MXRecord, error) {
-	msg, err := r.Exchange(ctx, name, dns.TypeMX)
-	if err != nil {
-		return nil, err
-	}
-	var out []spf.MXRecord
-	for _, rr := range answers(msg, name, dns.TypeMX) {
-		mx := rr.Data.(*dns.MX)
-		out = append(out, spf.MXRecord{Preference: mx.Preference, Host: mx.Host})
-	}
-	return out, nil
+	return lookup(ctx, r, name, dns.TypeMX, func(d dns.RData) spf.MXRecord {
+		mx := d.(*dns.MX)
+		return spf.MXRecord{Preference: mx.Preference, Host: mx.Host}
+	})
 }
 
 // LookupPTR implements spf.Resolver.
 func (r *Resolver) LookupPTR(ctx context.Context, ip netip.Addr) ([]string, error) {
-	msg, err := r.Exchange(ctx, ReverseName(ip), dns.TypePTR)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, rr := range answers(msg, ReverseName(ip), dns.TypePTR) {
-		out = append(out, rr.Data.(*dns.PTR).Target)
-	}
-	return out, nil
+	return lookup(ctx, r, ReverseName(ip), dns.TypePTR, func(d dns.RData) string { return d.(*dns.PTR).Target })
 }
 
 // ReverseName returns the in-addr.arpa or ip6.arpa name for ip.

@@ -226,20 +226,24 @@ func (c *Checker) checkHost(ctx context.Context, st *state, env *MacroEnv, domai
 	if err != nil {
 		return TempError, nil, fmt.Errorf("spf: retrieving policy for %s: %w", domain, err)
 	}
-	var policies []string
+	var policy string
+	policies := 0
 	for _, txt := range txts {
 		if IsSPF(txt) {
-			policies = append(policies, txt)
+			if policies == 0 {
+				policy = txt
+			}
+			policies++
 		}
 	}
 	switch {
-	case len(policies) == 0:
+	case policies == 0:
 		return None, nil, nil
-	case len(policies) > 1 && !c.Options.FollowMultipleRecords:
-		return PermError, nil, fmt.Errorf("spf: %d SPF records published for %s", len(policies), domain)
+	case policies > 1 && !c.Options.FollowMultipleRecords:
+		return PermError, nil, fmt.Errorf("spf: %d SPF records published for %s", policies, domain)
 	}
 
-	rec, parseErr := Parse(policies[0])
+	rec, parseErr := Parse(policy)
 	if parseErr != nil && !c.Options.IgnoreSyntaxErrors {
 		return PermError, rec, parseErr
 	}

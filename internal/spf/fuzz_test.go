@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,8 +124,13 @@ func TestMacroExpansionNeverPanics(t *testing.T) {
 	}
 }
 
+// termSeparators are the white space Parse splits terms on
+// (unicode.IsSpace, as strings.Fields): ASCII and Unicode alike.
+var termSeparators = []string{" ", "\t", "  \t ", "\u0085", "\u00a0", "\u2028", "\n\r\v\f"}
+
 // TestRecordStringStability: for every record that parses, rendering
-// and reparsing is a fixed point.
+// and reparsing is a fixed point, whatever white space separates its
+// terms.
 func TestRecordStringStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mechs := []string{
@@ -135,17 +141,24 @@ func TestRecordStringStability(t *testing.T) {
 	quals := []string{"", "+", "-", "~", "?"}
 	for i := 0; i < 500; i++ {
 		n := 1 + rng.Intn(6)
-		parts := []string{"v=spf1"}
+		var sb strings.Builder
+		sb.WriteString("v=spf1 ")
 		for j := 0; j < n; j++ {
-			parts = append(parts, quals[rng.Intn(len(quals))]+mechs[rng.Intn(len(mechs))])
+			if j > 0 {
+				sb.WriteString(termSeparators[rng.Intn(len(termSeparators))])
+			}
+			sb.WriteString(quals[rng.Intn(len(quals))] + mechs[rng.Intn(len(mechs))])
 		}
 		if rng.Intn(3) == 0 {
-			parts = append(parts, "redirect=r.example.com")
+			sb.WriteString(termSeparators[rng.Intn(len(termSeparators))] + "redirect=r.example.com")
 		}
-		txt := strings.Join(parts, " ")
+		txt := sb.String()
 		rec, err := Parse(txt)
 		if err != nil {
 			t.Fatalf("generated record rejected: %q: %v", txt, err)
+		}
+		if ref, _ := parseFields(txt); !reflect.DeepEqual(rec, ref) {
+			t.Fatalf("Parse(%q) = %+v, strings.Fields splitting gives %+v", txt, rec, ref)
 		}
 		rendered := rec.String()
 		rec2, err := Parse(rendered)
@@ -155,6 +168,65 @@ func TestRecordStringStability(t *testing.T) {
 		if rec2.String() != rendered {
 			t.Fatalf("unstable rendering: %q -> %q -> %q", txt, rendered, rec2.String())
 		}
+	}
+}
+
+// parseFields is Parse over strings.Fields with no pre-sizing: the
+// reference FuzzParse holds Parse to.
+func parseFields(txt string) (*Record, error) {
+	if !IsSPF(txt) {
+		return nil, &SyntaxError{Term: txt, Reason: "missing v=spf1 version tag"}
+	}
+	rec := &Record{}
+	var firstErr error
+	for _, term := range strings.Fields(txt[len(Version):]) {
+		var err error
+		if rec.Mechanisms, err = rec.parseTerm(term, rec.Mechanisms); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return rec, firstErr
+}
+
+// FuzzParse: Parse gives the record and the error strings.Fields
+// splitting gives, for any input — terms separated by tabs, NEL,
+// no-break space or LINE SEPARATOR, modifiers only, invalid UTF-8.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"v=spf1 ip4:192.0.2.0/24 a:mail.example.com mx include:_spf.example.net exists:%{ir}.x.example.org -all",
+		"v=spf1 a\tmx\t-all",
+		"v=spf1 a\u0085mx\u00a0include:i.example.com\u2028~all",
+		"v=spf1 \u2029redirect=r.example.com\u00a0exp=e.example.com",
+		"v=spf1 unknown=x",
+		"v=spf1",
+		"v=spf1 ",
+		"v=spf1 a:\xff.example.com \xfe -all",
+		"v=spf1 bogus a:very..broken ip4: -all",
+		"v=spf1\ta -all",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, txt string) {
+		rec, err := Parse(txt)
+		ref, refErr := parseFields(txt)
+		if !reflect.DeepEqual(rec, ref) || !reflect.DeepEqual(err, refErr) {
+			t.Errorf("Parse(%q) = %+v, %v; strings.Fields splitting gives %+v, %v", txt, rec, err, ref, refErr)
+		}
+	})
+}
+
+// TestParseAllocs pins Parse to two allocations: the record and its
+// mechanisms, sized once.
+func TestParseAllocs(t *testing.T) {
+	const record = "v=spf1 ip4:192.0.2.0/24 a:mail.example.com mx include:_spf.example.net exists:%{ir}.x.example.org -all"
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Parse(record); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Parse: %v allocs/op, want ≤ 2", allocs)
 	}
 }
 

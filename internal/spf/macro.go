@@ -46,7 +46,12 @@ func (e *MacroEnv) senderDomain() string {
 // ExpandMacros expands the macro-string s in the given environment.
 // exp selects explanation-string mode, which additionally permits the
 // c, r, and t macros and the %{...} URL-escaping variants are applied.
+// A string with no '%' — most domain-specs — is its own expansion and
+// is returned as it is, without a copy.
 func ExpandMacros(s string, env *MacroEnv, exp bool) (string, error) {
+	if strings.IndexByte(s, '%') < 0 {
+		return s, nil
+	}
 	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]

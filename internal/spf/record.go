@@ -2,6 +2,7 @@ package spf
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -120,35 +121,54 @@ func Parse(txt string) (*Record, error) {
 	if !IsSPF(txt) {
 		return nil, &SyntaxError{Term: txt, Reason: "missing v=spf1 version tag"}
 	}
+	// The mechanisms collect in an array on the stack that holds most
+	// records and are copied out once, sized: parsing costs one
+	// allocation for the record and one for its mechanisms.
 	rec := &Record{}
+	var buf [16]Mechanism
+	mechs := buf[:0]
 	var firstErr error
-	for _, term := range strings.Fields(txt[len(Version):]) {
-		if err := rec.parseTerm(term); err != nil && firstErr == nil {
+	for term := range strings.FieldsSeq(txt[len(Version):]) {
+		var err error
+		if mechs, err = rec.parseTerm(term, mechs); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	if len(mechs) > 0 {
+		rec.Mechanisms = slices.Clone(mechs)
 	}
 	return rec, firstErr
 }
 
-func (rec *Record) parseTerm(term string) error {
+// parseTerm parses one term: a modifier is recorded in rec, and a
+// mechanism is appended to mechs, which is returned.
+func (rec *Record) parseTerm(term string, mechs []Mechanism) ([]Mechanism, error) {
 	if name, value, ok := splitModifier(term); ok {
 		switch strings.ToLower(name) {
 		case "redirect":
 			if value == "" {
-				return &SyntaxError{Term: term, Reason: "redirect with empty target"}
+				return mechs, &SyntaxError{Term: term, Reason: "redirect with empty target"}
 			}
 			rec.Redirect = value
 		case "exp":
 			if value == "" {
-				return &SyntaxError{Term: term, Reason: "exp with empty target"}
+				return mechs, &SyntaxError{Term: term, Reason: "exp with empty target"}
 			}
 			rec.Exp = value
 		default:
 			rec.UnknownModifiers = append(rec.UnknownModifiers, term)
 		}
-		return nil
+		return mechs, nil
 	}
+	m, err := parseMechanism(term)
+	if err != nil {
+		return mechs, err
+	}
+	return append(mechs, m), nil
+}
 
+// parseMechanism parses a term that is not a modifier.
+func parseMechanism(term string) (Mechanism, error) {
 	m := Mechanism{Qualifier: QPass, Prefix4: -1, Prefix6: -1}
 	rest := term
 	if len(rest) > 0 {
@@ -174,45 +194,43 @@ func (rec *Record) parseTerm(term string) error {
 	case MechIP4, MechIP6:
 		// The whole argument, slash included, is an address literal.
 		if !hasArg || arg == "" {
-			return &SyntaxError{Term: term, Reason: string(kind) + " requires an address"}
+			return m, &SyntaxError{Term: term, Reason: string(kind) + " requires an address"}
 		}
 		m.IP = arg
-		rec.Mechanisms = append(rec.Mechanisms, m)
-		return nil
+		return m, nil
 	}
 
 	// For the remaining mechanisms a trailing /n[//m] is dual-CIDR.
 	if !hasArg {
 		if cidr := rest[len(name):]; cidr != "" {
 			if err := m.parseCIDR(cidr, term); err != nil {
-				return err
+				return m, err
 			}
 		}
 	} else if i := strings.IndexByte(arg, '/'); i >= 0 {
 		cidr := arg[i:]
 		arg = arg[:i]
 		if err := m.parseCIDR(cidr, term); err != nil {
-			return err
+			return m, err
 		}
 	}
 
 	switch kind {
 	case MechAll:
 		if hasArg {
-			return &SyntaxError{Term: term, Reason: "all takes no argument"}
+			return m, &SyntaxError{Term: term, Reason: "all takes no argument"}
 		}
 	case MechInclude, MechExists:
 		if !hasArg || arg == "" {
-			return &SyntaxError{Term: term, Reason: string(kind) + " requires a domain"}
+			return m, &SyntaxError{Term: term, Reason: string(kind) + " requires a domain"}
 		}
 		m.Domain = arg
 	case MechA, MechMX, MechPTR:
 		m.Domain = arg
 	default:
-		return &SyntaxError{Term: term, Reason: "unknown mechanism"}
+		return m, &SyntaxError{Term: term, Reason: "unknown mechanism"}
 	}
-	rec.Mechanisms = append(rec.Mechanisms, m)
-	return nil
+	return m, nil
 }
 
 // parseCIDR parses the dual-CIDR suffix "/n", "//n", or "/n//m".
