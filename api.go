@@ -16,7 +16,6 @@ package sendervalid
 import (
 	"context"
 
-	"sendervalid/internal/authres"
 	"sendervalid/internal/dkim"
 	"sendervalid/internal/dmarc"
 	"sendervalid/internal/dns"
@@ -159,17 +158,3 @@ type SMTPClient = smtp.Client
 func DialSMTP(ctx context.Context, addr string) (*SMTPClient, error) {
 	return smtp.Dial(ctx, nil, addr)
 }
-
-// --- Authentication-Results (RFC 8601) ---
-
-// AuthResults is a parsed Authentication-Results header.
-type AuthResults = authres.Header
-
-// AuthResult is one mechanism's entry within an AuthResults header.
-type AuthResult = authres.Result
-
-// FormatAuthResults renders an Authentication-Results header value.
-func FormatAuthResults(h *AuthResults) string { return authres.Format(h) }
-
-// ParseAuthResults parses an Authentication-Results header value.
-func ParseAuthResults(value string) (*AuthResults, error) { return authres.Parse(value) }

@@ -141,11 +141,13 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		shutdown()
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "authdns: serving %s and %s on %s", *suffix, *notify, bound)
+	// One write: a client that read the address may be querying already,
+	// and its log lines must not land inside this one.
+	banner := fmt.Sprintf("authdns: serving %s and %s on %s", *suffix, *notify, bound)
 	if a6 := srv.Addr6Bound(); a6 != nil {
-		fmt.Fprintf(stdout, " and %s", a6)
+		banner += fmt.Sprintf(" and %s", a6)
 	}
-	fmt.Fprintf(stdout, " (%d test policies, timescale %.3f)\n", len(policy.Catalog()), *timeScale)
+	fmt.Fprintf(stdout, "%s (%d test policies, timescale %.3f)\n", banner, len(policy.Catalog()), *timeScale)
 
 	// The registry always exists — it is also the shutdown report —
 	// and the admin HTTP plane is the opt-in part.

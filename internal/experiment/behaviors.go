@@ -71,8 +71,8 @@ func AnalyzeSerialParallelEntries(log []dnsserver.LogEntry) SerialParallelResult
 type LookupLimitResult struct {
 	// Tested counts MTAs that fetched the t02 base policy.
 	Tested int
-	// QueriesPerMTA holds, per MTA, the number of DNS queries issued
-	// after the base query (0–46).
+	// QueriesPerMTA holds, per MTA, how many of the tree's policies below
+	// the base it asked for (0–46).
 	QueriesPerMTA []int
 	// HaltedBeforeTen counts MTAs stopping at or under the 10-lookup
 	// limit (the paper's "halted before 10 DNS queries").
@@ -86,13 +86,13 @@ type LookupLimitResult struct {
 // LookupLimits derives the Figure 5 distribution from the t02
 // observations.
 func LookupLimits(obs fingerprint.Observations) LookupLimitResult {
-	out := LookupLimitResult{MaxQueries: policy.LimitsTreeSize()}
+	out := LookupLimitResult{MaxQueries: policy.LimitsTree.Len()}
 	for _, o := range obs {
-		if !o.LimitsBase {
+		if !o.Tested(policy.LimitsTree) {
 			continue
 		}
 		out.Tested++
-		out.QueriesPerMTA = append(out.QueriesPerMTA, o.LimitsFollowUps)
+		out.QueriesPerMTA = append(out.QueriesPerMTA, o.Count(policy.LimitsTree))
 		if o.WithinLookupLimit() {
 			out.HaltedBeforeTen++
 		}
@@ -187,39 +187,41 @@ type BehaviorResults struct {
 func Behaviors(obs fingerprint.Observations) *BehaviorResults {
 	out := &BehaviorResults{}
 	for _, o := range obs {
-		if o.MailTXT || o.HeloTXT {
-			out.HELOChecked.add(o.HeloTXT)
-			if o.HeloTXT {
-				out.ContinuedToMail.add(o.MailTXT)
+		mail, helo := o.Tested(policy.HELO), o.Has(policy.HELO)
+		if mail || helo {
+			out.HELOChecked.add(helo)
+			if helo {
+				out.ContinuedToMail.add(mail)
 			}
 		}
-		if o.MainBase {
-			out.SyntaxMainTolerant.add(o.MainAfter)
+		if o.Tested(policy.MainAfter) {
+			out.SyntaxMainTolerant.add(o.Has(policy.MainAfter))
 		}
-		if o.ChildBase {
-			out.SyntaxChildTolerant.add(o.ChildCont)
+		if o.Tested(policy.ChildCont) {
+			out.SyntaxChildTolerant.add(o.Has(policy.ChildCont))
 		}
-		if o.VoidBase {
+		if o.Tested(policy.Void) {
 			out.VoidExceeded.add(o.PastVoidLimit())
-			out.VoidAllFive.add(o.VoidQueries >= 5)
+			out.VoidAllFive.add(o.Count(policy.Void) >= 5)
 		}
-		if o.NoMXBase {
-			out.MXFallback.add(o.NoMXAddr)
+		if o.Tested(policy.MXFallback) {
+			out.MXFallback.add(o.Has(policy.MXFallback))
 		}
-		if o.MultiBase {
-			out.MultipleNone.add(!o.MultiOne && !o.MultiTwo)
-			out.MultipleOne.add(o.MultiOne != o.MultiTwo)
-			out.MultipleBoth.add(o.MultiOne && o.MultiTwo)
+		if o.Tested(policy.MultiOne) {
+			one, two := o.Has(policy.MultiOne), o.Has(policy.MultiTwo)
+			out.MultipleNone.add(!one && !two)
+			out.MultipleOne.add(one != two)
+			out.MultipleBoth.add(one && two)
 		}
 		if o.UDP || o.TCP {
 			out.TCPRetried.add(o.TCP)
 		}
-		if o.V6Base {
-			out.IPv6Retrieved.add(o.V6L1)
+		if o.Tested(policy.IPv6Only) {
+			out.IPv6Retrieved.add(o.V6)
 		}
-		if o.MXBase {
+		if o.Tested(policy.MXHosts) {
 			out.MXLimitCompliant.add(o.WithinMXLimit())
-			out.MXAllTwenty.add(o.MXAddrLookups >= policy.MXLimitCount)
+			out.MXAllTwenty.add(o.Count(policy.MXHosts) >= policy.MXLimitCount)
 		}
 	}
 	return out

@@ -8,16 +8,17 @@ import (
 
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/fingerprint"
+	"sendervalid/internal/policy"
 )
 
 // foldProperties checks, against a real log and its fold want, what
-// lets a fold of the query log be streamed: it keeps only earliest
-// times, ORs and counts, so neither the order entries arrive in nor how
-// the log is chunked can matter, and a log with every entry twice (a
-// resolver retransmitting each query) changes nothing but the counts,
-// which halveCounts checks doubled and undoes.
+// lets a fold of the query log be streamed: it keeps only set unions,
+// earliest times and ORs (and one count, DomainObservation.Queries), so
+// neither the order entries arrive in nor how the log is chunked can
+// matter. It returns the fold of the log with every entry twice, as a
+// resolver retransmitting each query would send it.
 func foldProperties[M ~map[string]V, V any](t *testing.T, log []dnsserver.LogEntry, want M,
-	add func(M, *dnsserver.LogEntry), halveCounts func(*testing.T, M)) {
+	add func(M, *dnsserver.LogEntry)) (doubled M) {
 	fold := func(into M, entries []dnsserver.LogEntry) M {
 		for i := range entries {
 			add(into, &entries[i])
@@ -61,17 +62,11 @@ func foldProperties[M ~map[string]V, V any](t *testing.T, log []dnsserver.LogEnt
 		}
 	})
 
-	t.Run("duplicates", func(t *testing.T) {
-		doubled := make([]dnsserver.LogEntry, 0, 2*len(log))
-		for _, e := range log {
-			doubled = append(doubled, e, e)
-		}
-		got := fold(make(M), doubled)
-		halveCounts(t, got)
-		if !reflect.DeepEqual(got, want) {
-			t.Error("duplicated entries changed a flag or a timestamp")
-		}
-	})
+	twice := make([]dnsserver.LogEntry, 0, 2*len(log))
+	for _, e := range log {
+		twice = append(twice, e, e)
+	}
+	return fold(make(M), twice)
 }
 
 // TestObservations checks the one reading of the query log against a
@@ -85,17 +80,10 @@ func TestObservations(t *testing.T) {
 		t.Fatalf("only %d MTAs observed", len(obs))
 	}
 
-	// A doubled log doubles the three counts: the fold does not dedupe —
-	// the rule for which repeats are retransmits (ROADMAP item 6) belongs
-	// in Add.
-	foldProperties(t, log, obs, fingerprint.Observations.Add, func(t *testing.T, got fingerprint.Observations) {
-		for _, o := range got {
-			if o.LimitsFollowUps%2 != 0 || o.VoidQueries%2 != 0 || o.MXAddrLookups%2 != 0 {
-				t.Fatalf("%s: a count did not double: %+v", o.MTAID, o)
-			}
-			o.LimitsFollowUps /= 2
-			o.VoidQueries /= 2
-			o.MXAddrLookups /= 2
+	doubled := foldProperties(t, log, obs, fingerprint.Observations.Add)
+	t.Run("duplicates", func(t *testing.T) {
+		if !reflect.DeepEqual(doubled, obs) {
+			t.Error("a doubled log changed the fold")
 		}
 	})
 
@@ -156,12 +144,12 @@ func TestObservations(t *testing.T) {
 	t.Run("void precision", func(t *testing.T) {
 		past := 0
 		for id, o := range obs {
-			if !o.VoidBase || !o.PastVoidLimit() {
+			if !o.Tested(policy.Void) || !o.PastVoidLimit() {
 				continue
 			}
 			past++
 			if opts := w.MTAs[id].Profile().SPFOptions; opts.VoidLookupLimit == 0 && !opts.Prefetch {
-				t.Errorf("%s sent %d void queries but is a serial validator holding the default limit", id, o.VoidQueries)
+				t.Errorf("%s asked %d void names but is a serial validator holding the default limit", id, o.Count(policy.Void))
 			}
 		}
 		if past == 0 {
@@ -192,12 +180,13 @@ func TestDomainObservations(t *testing.T) {
 	if len(obs) < 200 {
 		t.Fatalf("only %d domains observed", len(obs))
 	}
-	foldProperties(t, log, obs, fingerprint.DomainObservations.Add, func(t *testing.T, got fingerprint.DomainObservations) {
-		for id, o := range got {
-			if o.Queries%2 != 0 {
-				t.Fatalf("%s: the count did not double: %+v", id, o)
+	doubled := foldProperties(t, log, obs, fingerprint.DomainObservations.Add)
+	t.Run("duplicates", func(t *testing.T) {
+		for id, o := range doubled {
+			once := *obs[id]
+			if once.Queries *= 2; *o != once {
+				t.Errorf("%s: a doubled log moved more than Queries: %+v, once %+v", id, o, obs[id])
 			}
-			o.Queries /= 2
 		}
 	})
 

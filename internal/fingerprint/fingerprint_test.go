@@ -7,6 +7,7 @@ import (
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
+	"sendervalid/internal/policy"
 )
 
 // entry builds a log entry for tests.
@@ -24,6 +25,27 @@ func entry(mta, test string, rest []string, typ dns.Type, at int, opts ...func(*
 func overTCP(e *dnsserver.LogEntry)  { e.Transport = "tcp" }
 func overIPv6(e *dnsserver.LogEntry) { e.OverIPv6 = true }
 
+// limitsNodes is t02's tree below its base, depth first, walked through
+// the policy as served: the names a validator ignoring the lookup limit
+// asks for.
+var limitsNodes = func() []string {
+	r := policy.Responders(&policy.Env{Suffix: "spf-test.example."})["t02"]
+	var walk func(rest []string) []string
+	walk = func(rest []string) (nodes []string) {
+		q := &dnsserver.Query{Type: dns.TypeTXT, TestID: "t02", MTAID: "m1", Rest: rest}
+		for _, rr := range r.Respond(q).Records {
+			for _, term := range strings.Fields(rr.Data.(*dns.TXT).Joined()) {
+				if target, ok := strings.CutPrefix(term, "include:"); ok {
+					node, _, _ := strings.Cut(target, ".")
+					nodes = append(append(nodes, node), walk([]string{node})...)
+				}
+			}
+		}
+		return nodes
+	}
+	return walk(nil)
+}()
+
 // serialMTALog fabricates a compliant, serial validator's footprint.
 func serialMTALog(mta string) []dnsserver.LogEntry {
 	es := []dnsserver.LogEntry{
@@ -36,8 +58,8 @@ func serialMTALog(mta string) []dnsserver.LogEntry {
 		// t02: stops at 10 follow-ups.
 		entry(mta, "t02", nil, dns.TypeTXT, 10),
 	}
-	for i := 0; i < 10; i++ {
-		es = append(es, entry(mta, "t02", []string{"n" + string(rune('1'+i%8))}, dns.TypeTXT, 11+i))
+	for i, node := range limitsNodes[:10] {
+		es = append(es, entry(mta, "t02", []string{node}, dns.TypeTXT, 11+i))
 	}
 	es = append(es,
 		// t03: no helo lookup, only MAIL.
@@ -82,8 +104,8 @@ func violatorMTALog(mta string) []dnsserver.LogEntry {
 		entry(mta, "t01", []string{"l3"}, dns.TypeTXT, 4),
 		entry(mta, "t02", nil, dns.TypeTXT, 10),
 	}
-	for i := 0; i < 46; i++ {
-		es = append(es, entry(mta, "t02", []string{"x" + string(rune('a'+i%26))}, dns.TypeTXT, 11+i))
+	for i, node := range limitsNodes {
+		es = append(es, entry(mta, "t02", []string{node}, dns.TypeTXT, 11+i))
 	}
 	es = append(es,
 		entry(mta, "t06", nil, dns.TypeTXT, 60),

@@ -1,7 +1,7 @@
 package fingerprint
 
 import (
-	"strings"
+	"math/bits"
 	"time"
 
 	"sendervalid/internal/dns"
@@ -15,49 +15,28 @@ import (
 // vector (Vector) and the §7 population tallies (package experiment)
 // are both derived from it, so they cannot disagree about an MTA.
 //
-// Every field is an earliest-time, an OR or a count, so the fold that
-// fills it (Observations.Add) is commutative: entry order and chunking
-// do not matter. A *Base field reports that the test's base policy was
-// fetched (a TXT query for the test name itself), which is what makes
-// the MTA count as tested on that axis.
+// Its core is, per catalog policy, the set of that policy's rows the
+// MTA asked for, read the way the server answers them (policy.Row): a
+// passive-DNS record of each (name, type) once. Every reading is a
+// count of, or a membership test on, a row set package policy names.
+// Beside the sets it keeps t01's two earliest times and the t09/t10
+// transport flags. Every field is a set union, an earliest time or an
+// OR, so the fold that fills it (Observations.Add) is commutative and
+// idempotent: entry order, chunking and repeats do not matter.
 type Observation struct {
 	MTAID string
 
-	// t01: earliest address query for the a-mechanism target "foo" and
-	// earliest TXT query for the shaped "l3" include; zero = never seen.
-	FooAddrAt, L3TXTAt time.Time
+	asked [policy.Policies]policy.RowSet
 
-	// t02: TXT queries below the base policy (0–46).
-	LimitsBase      bool
-	LimitsFollowUps int
+	// t01: earliest query for the a-mechanism target and for the shaped
+	// chain's last include; zero = never seen.
+	targetAt, lastAt time.Time
 
-	// t03: the MAIL domain's and the HELO name's policy were fetched.
-	MailTXT, HeloTXT bool
-
-	// t04, t05: an address query for the name right of ("after") or
-	// past ("cont") the syntax error.
-	MainBase, MainAfter  bool
-	ChildBase, ChildCont bool
-
-	// t06: address queries for the five non-resolving names v1…v5.
-	VoidBase    bool
-	VoidQueries int
-
-	// t07: an address query for the MX-less name.
-	NoMXBase, NoMXAddr bool
-
-	// t08: address queries for the two published records' targets.
-	MultiBase, MultiOne, MultiTwo bool
-
-	// t09: transports the truncating policy was asked over.
+	// t09: transports a truncated row was asked over.
 	UDP, TCP bool
 
-	// t10: the "l1" include, served only over IPv6, was asked for there.
-	V6Base, V6L1 bool
-
-	// t11: address queries for the twenty MX hosts mx00…mx19.
-	MXBase        bool
-	MXAddrLookups int
+	// t10: the IPv6-only include was asked for over IPv6.
+	V6 bool
 }
 
 // Observations is the fold's state: one Observation per MTA that sent
@@ -84,86 +63,59 @@ func (obs Observations) Add(e *dnsserver.LogEntry) {
 		o = &Observation{MTAID: e.MTAID}
 		obs[e.MTAID] = o
 	}
-	// Every follow-up name the catalog publishes is exactly one label
-	// below the test label; deeper names are not the policy's.
-	label := ""
-	if len(e.Rest) == 1 {
-		label = e.Rest[0]
+	p, row, ok := policy.Row(e.TestID, e.Rest, e.Type)
+	if !ok {
+		return
 	}
-	txt := e.Type == dns.TypeTXT
-	addr := e.Type == dns.TypeA || e.Type == dns.TypeAAAA
-	base := txt && len(e.Rest) == 0
-
-	switch e.TestID {
-	case "t01":
-		switch {
-		case addr && label == "foo":
-			earliest(&o.FooAddrAt, e.Time)
-		case txt && label == "l3":
-			earliest(&o.L3TXTAt, e.Time)
-		}
-	case "t02":
-		switch {
-		case base:
-			o.LimitsBase = true
-		case txt:
-			o.LimitsFollowUps++
-		}
-	case "t03":
-		o.MailTXT = o.MailTXT || base
-		o.HeloTXT = o.HeloTXT || txt && label == "helo"
-	case "t04":
-		o.MainBase = o.MainBase || base
-		o.MainAfter = o.MainAfter || addr && label == "after"
-	case "t05":
-		o.ChildBase = o.ChildBase || base
-		o.ChildCont = o.ChildCont || addr && label == "cont"
-	case "t06":
-		o.VoidBase = o.VoidBase || base
-		if addr && strings.HasPrefix(label, "v") {
-			o.VoidQueries++
-		}
-	case "t07":
-		o.NoMXBase = o.NoMXBase || base
-		o.NoMXAddr = o.NoMXAddr || addr && label == "nomx"
-	case "t08":
-		o.MultiBase = o.MultiBase || base
-		o.MultiOne = o.MultiOne || addr && label == "one"
-		o.MultiTwo = o.MultiTwo || addr && label == "two"
-	case "t09":
+	o.asked[p] |= row
+	switch {
+	case policy.SerialTarget.Holds(p, row):
+		earliest(&o.targetAt, e.Time)
+	case policy.SerialLast.Holds(p, row):
+		earliest(&o.lastAt, e.Time)
+	case policy.Truncated.Holds(p, row):
 		o.UDP = o.UDP || e.Transport == "udp"
 		o.TCP = o.TCP || e.Transport == "tcp"
-	case "t10":
-		o.V6Base = o.V6Base || base
-		o.V6L1 = o.V6L1 || e.OverIPv6 && label == "l1"
-	case "t11":
-		o.MXBase = o.MXBase || base
-		if addr && strings.HasPrefix(label, "mx") && label != "mxfarm" {
-			o.MXAddrLookups++
-		}
+	case policy.IPv6Only.Holds(p, row):
+		o.V6 = o.V6 || e.OverIPv6
 	}
+}
+
+// Tested reports whether r's policy was tested: its base policy was
+// fetched (a TXT query for the test name itself).
+func (o *Observation) Tested(r policy.Reading) bool { return o.asked[r.Policy]&policy.Base != 0 }
+
+// Has reports whether the MTA asked for any of r's rows.
+func (o *Observation) Has(r policy.Reading) bool { return o.asked[r.Policy]&r.Rows != 0 }
+
+// Count is how many of r's rows the MTA asked for.
+func (o *Observation) Count(r policy.Reading) int {
+	return bits.OnesCount64(uint64(o.asked[r.Policy] & r.Rows))
 }
 
 // DomainObservation is what the queries under one NotifyEmail-style
 // name show — <id>.<suffix>, the From domain minted for a recipient
 // domain (§6, Tables 4–7, Figure 2) or for a self-test session — and
 // the only reading of that zone: package experiment's DomainValidation
-// and package selftest's Assessment are both derived from it. Like
-// Observation, every field is an earliest-time, an OR or a count.
+// and package selftest's Assessment are both derived from it. Every
+// field but Queries is an earliest-time or an OR, so its fold is
+// idempotent as well as commutative.
 type DomainObservation struct {
 	// PolicyTXTAt is the earliest TXT query for the name itself — the
 	// SPF policy fetch that makes the receiver count as SPF-validating;
 	// zero = never seen.
 	PolicyTXTAt time.Time
-	// MTAAddr: the policy's a-mechanism target "mta" was asked for, the
-	// lookup that completes the evaluation (without it, §6.1's partial
-	// validator).
+	// MTAAddr: the policy's a-mechanism target (policy.MTALabel) was
+	// asked for, the lookup that completes the evaluation (without it,
+	// §6.1's partial validator).
 	MTAAddr bool
-	// DKIMKey: a key was asked for under "<selector>._domainkey".
+	// DKIMKey: a key was asked for under <selector>.<policy.DKIMLabel>.
 	DKIMKey bool
-	// DMARC: the "_dmarc" policy was asked for.
+	// DMARC: the policy.DMARCLabel policy was asked for.
 	DMARC bool
-	// Queries counts every query attributed to the id.
+	// Queries counts every query attributed to the id, repeats
+	// included: the one count outside the set semantics, kept for
+	// selftest's report, which shows it.
 	Queries int
 }
 
@@ -190,11 +142,11 @@ func (obs DomainObservations) Add(e *dnsserver.LogEntry) {
 	switch {
 	case len(e.Rest) == 0 && e.Type == dns.TypeTXT:
 		earliest(&o.PolicyTXTAt, e.Time)
-	case len(e.Rest) == 1 && e.Rest[0] == "mta":
+	case len(e.Rest) == 1 && e.Rest[0] == policy.MTALabel:
 		o.MTAAddr = true
-	case len(e.Rest) == 1 && e.Rest[0] == "_dmarc":
+	case len(e.Rest) == 1 && e.Rest[0] == policy.DMARCLabel:
 		o.DMARC = true
-	case len(e.Rest) == 2 && e.Rest[1] == "_domainkey":
+	case len(e.Rest) == 2 && e.Rest[1] == policy.DKIMLabel:
 		o.DKIMKey = true
 	}
 }
@@ -206,29 +158,37 @@ func earliest(t *time.Time, at time.Time) {
 }
 
 // Serial reports whether the a-mechanism target was asked for only
-// after the shaped l3 include answered (on demand, §7.1) rather than
-// before it (prefetched). ok is false unless both signals were seen.
+// after the shaped chain's last include answered (on demand, §7.1)
+// rather than before it (prefetched). ok is false unless both signals
+// were seen.
 func (o *Observation) Serial() (serial, ok bool) {
-	if o.FooAddrAt.IsZero() || o.L3TXTAt.IsZero() {
+	if o.targetAt.IsZero() || o.lastAt.IsZero() {
 		return false, false
 	}
-	return o.FooAddrAt.After(o.L3TXTAt), true
+	return o.targetAt.After(o.lastAt), true
 }
 
-// The limit rules both readings share, each meaningful only when the
-// matching *Base field says the axis was tested: at most ten follow-ups
-// on the limits tree, all 46 of them, at most ten MX-host address
-// lookups.
-func (o *Observation) WithinLookupLimit() bool { return o.LimitsFollowUps <= spf.DefaultLookupLimit }
-func (o *Observation) RanFullTree() bool       { return o.LimitsFollowUps >= policy.LimitsTreeSize() }
-func (o *Observation) WithinMXLimit() bool     { return o.MXAddrLookups <= spf.DefaultMXAddressLimit }
+// The limit rules both readings share, each meaningful only when Tested
+// says the axis was: at most ten of the limits tree's policies asked
+// for, all 46 of them, at most ten MX-host addresses.
+func (o *Observation) WithinLookupLimit() bool {
+	return o.Count(policy.LimitsTree) <= spf.DefaultLookupLimit
+}
+func (o *Observation) RanFullTree() bool {
+	return o.Count(policy.LimitsTree) == policy.LimitsTree.Len()
+}
+func (o *Observation) WithinMXLimit() bool {
+	return o.Count(policy.MXHosts) <= spf.DefaultMXAddressLimit
+}
 
 // PastVoidLimit reports whether the MTA went past the two-void-lookup
-// limit of RFC 7208 §4.6.4. A validator holding the limit still sends
-// limit + 1 void queries — it cannot know the limit is reached until
-// the third answer comes back empty (spf.Checker.checkVoid) — so only
-// a fourth query shows a violation.
-func (o *Observation) PastVoidLimit() bool { return o.VoidQueries > spf.DefaultVoidLookupLimit+1 }
+// limit of RFC 7208 §4.6.4. A validator holding the limit still asks
+// limit + 1 void names — it cannot know the limit is reached until the
+// third answer comes back empty (spf.Checker.checkVoid) — so only a
+// fourth name shows a violation.
+func (o *Observation) PastVoidLimit() bool {
+	return o.Count(policy.Void) > spf.DefaultVoidLookupLimit+1
+}
 
 // known is Unknown for an untested axis, else what was observed.
 func known(tested, observed bool) Trait {
@@ -247,17 +207,17 @@ func (o *Observation) Vector() *Vector {
 	return &Vector{
 		MTAID:                o.MTAID,
 		SerialLookups:        known(serialOK, serial),
-		RespectsLookupLimit:  known(o.LimitsBase, o.WithinLookupLimit()),
-		RanFullTree:          known(o.LimitsBase, o.RanFullTree()),
-		ChecksHELO:           known(o.MailTXT || o.HeloTXT, o.HeloTXT),
-		TolerantMainSyntax:   known(o.MainBase, o.MainAfter),
-		TolerantChildSyntax:  known(o.ChildBase, o.ChildCont),
-		RespectsVoidLimit:    known(o.VoidBase, !o.PastVoidLimit()),
-		MXFallbackA:          known(o.NoMXBase, o.NoMXAddr),
-		FollowsOneOfMultiple: known(o.MultiBase, o.MultiOne || o.MultiTwo),
+		RespectsLookupLimit:  known(o.Tested(policy.LimitsTree), o.WithinLookupLimit()),
+		RanFullTree:          known(o.Tested(policy.LimitsTree), o.RanFullTree()),
+		ChecksHELO:           known(o.Tested(policy.HELO) || o.Has(policy.HELO), o.Has(policy.HELO)),
+		TolerantMainSyntax:   known(o.Tested(policy.MainAfter), o.Has(policy.MainAfter)),
+		TolerantChildSyntax:  known(o.Tested(policy.ChildCont), o.Has(policy.ChildCont)),
+		RespectsVoidLimit:    known(o.Tested(policy.Void), !o.PastVoidLimit()),
+		MXFallbackA:          known(o.Tested(policy.MXFallback), o.Has(policy.MXFallback)),
+		FollowsOneOfMultiple: known(o.Tested(policy.MultiOne), o.Has(policy.MultiOne) || o.Has(policy.MultiTwo)),
 		TCPCapable:           known(o.UDP || o.TCP, o.TCP),
-		IPv6Capable:          known(o.V6Base, o.V6L1),
-		RespectsMXLimit:      known(o.MXBase, o.WithinMXLimit()),
+		IPv6Capable:          known(o.Tested(policy.IPv6Only), o.V6),
+		RespectsMXLimit:      known(o.Tested(policy.MXHosts), o.WithinMXLimit()),
 	}
 }
 

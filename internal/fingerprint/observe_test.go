@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -51,11 +52,11 @@ func TestVectorFieldOrder(t *testing.T) {
 	}
 }
 
-// TestObserveRealCatalog folds the log of real SPF evaluations against
-// the served catalog, so a follow-up label renamed in
-// internal/policy/catalog.go cannot silently zero an axis the way it
-// could with the hand-typed labels of serialMTALog/violatorMTALog.
-func TestObserveRealCatalog(t *testing.T) {
+// realCatalogLog serves policy.StudyZones and evaluates every catalog
+// policy with a default spf.Checker (MTA "strict") and with every limit
+// off (MTA "legacy"), returning the query log.
+func realCatalogLog(t *testing.T) []dnsserver.LogEntry {
+	t.Helper()
 	const suffix = "spf-test.dns-lab.example."
 	env := &policy.Env{Suffix: suffix, TimeScale: 0.001}
 	notify := &policy.NotifyEmailConfig{Suffix: "notify.dns-lab.example.", Contact: "ops@dns-lab.example"}
@@ -79,13 +80,52 @@ func TestObserveRealCatalog(t *testing.T) {
 	client := netip.MustParseAddr("203.0.113.9")
 	for id, opts := range validators {
 		checker := &spf.Checker{Resolver: res, Options: opts}
-		for i := 1; i <= 11; i++ {
-			domain := fmt.Sprintf("t%02d.%s.%s", i, id, suffix)
+		for _, test := range policy.Catalog() {
+			domain := test.ID + "." + id + "." + suffix
 			checker.CheckHost(context.Background(), client, domain, "probe@"+domain, "helo."+domain)
 		}
 	}
+	return log.Entries()
+}
 
-	obs := Observe(log.Entries())
+// TestObserveRealCatalog folds the log of real SPF evaluations of all
+// 39 served policies, so a row renamed in internal/policy cannot
+// silently zero an axis the way it could with hand-typed labels.
+func TestObserveRealCatalog(t *testing.T) {
+	log := realCatalogLog(t)
+
+	// Every name the two validators ask is a row of its policy, but for
+	// the listed policies, each for its reason. The base name's TXT is a
+	// row even where nothing is published there (t28, t31).
+	unpublished := map[string]string{
+		"t14": "exists:%{ir}.x.<base> expands to the client address's labels, a name no table lists",
+		"t33": "exists:%{l}.lp.<base> expands to the sender's local part",
+	}
+	seen := map[string]bool{}
+	for _, e := range log {
+		_, row, ok := policy.Row(e.TestID, e.Rest, e.Type)
+		switch {
+		case !ok:
+			t.Errorf("%s: not a catalog policy", e.TestID)
+		case row == policy.Unpublished && unpublished[e.TestID] == "":
+			t.Errorf("%s: %s %s was asked but is no row of the policy", e.TestID, strings.Join(e.Rest, "."), e.Type)
+		case row == policy.Unpublished:
+			seen[e.TestID] = true
+		}
+	}
+	for id, why := range unpublished {
+		if !seen[id] {
+			t.Errorf("%s asked no unpublished name, yet is listed (%s)", id, why)
+		}
+	}
+	// Every policy's index holds its _dmarc row too.
+	for _, test := range policy.Catalog() {
+		if _, row, _ := policy.Row(test.ID, []string{"_dmarc"}, dns.TypeTXT); row == policy.Unpublished || row == policy.Base {
+			t.Errorf("%s: _dmarc is not a row of its own", test.ID)
+		}
+	}
+
+	obs := Observe(log)
 	refs := make(map[string]Vector)
 	for _, r := range References() {
 		refs[r.Name] = r.Vector
@@ -101,17 +141,132 @@ func TestObserveRealCatalog(t *testing.T) {
 				id, name, d, c, known, o.Vector().Signature(), ref.Signature())
 		}
 	}
-	if s, l := obs["strict"], obs["legacy"]; s != nil && l != nil {
-		// A compliant validator issues limit + 1 void queries: it cannot
-		// know the limit is hit before the third comes back empty.
-		if s.VoidQueries != spf.DefaultVoidLookupLimit+1 || l.VoidQueries != 5 {
-			t.Errorf("void queries: strict %d, legacy %d; want 3, 5", s.VoidQueries, l.VoidQueries)
+	// A compliant validator asks limit + 1 void names: it cannot know
+	// the limit is hit before the third comes back empty. Both ask one
+	// address type per name, the client's.
+	s, l := obs["strict"], obs["legacy"]
+	for _, c := range []struct {
+		name           string
+		r              policy.Reading
+		strict, legacy int // strict -1: at most the spf default limit of 10
+	}{
+		{"void names", policy.Void, spf.DefaultVoidLookupLimit + 1, 5},
+		{"limits tree", policy.LimitsTree, -1, policy.LimitsTree.Len()},
+		{"MX host addresses", policy.MXHosts, -1, policy.MXLimitCount},
+	} {
+		strict := s.Count(c.r) == c.strict || c.strict < 0 && s.Count(c.r) <= 10
+		if !strict || l.Count(c.r) != c.legacy {
+			t.Errorf("%s: strict %d, legacy %d; want %d, %d", c.name, s.Count(c.r), l.Count(c.r), c.strict, c.legacy)
 		}
-		if s.LimitsFollowUps > 10 || l.LimitsFollowUps != policy.LimitsTreeSize() {
-			t.Errorf("limits follow-ups: strict %d, legacy %d; want <= 10, 46", s.LimitsFollowUps, l.LimitsFollowUps)
+	}
+}
+
+// TestFoldLaws holds the fold to a join-semilattice over random entries
+// drawn from the names real validators ask of the catalog plus names it
+// does not publish: folding an entry twice is folding it once, any
+// order of the entries folds the same, and a log folded in two parts —
+// the second first, or overlapping as a resumed run re-reads its tail —
+// folds like the whole.
+func TestFoldLaws(t *testing.T) {
+	var pool []dnsserver.LogEntry
+	for _, e := range realCatalogLog(t) {
+		pool = append(pool, dnsserver.LogEntry{TestID: e.TestID, Rest: e.Rest, Type: e.Type})
+	}
+	for _, test := range policy.Catalog() {
+		for _, owner := range [][]string{{"zz"}, {"x", "zz"}, {"mx20"}, {"v9"}} {
+			pool = append(pool, dnsserver.LogEntry{TestID: test.ID, Rest: owner, Type: dns.TypeA})
 		}
-		if s.MXAddrLookups > 10 || l.MXAddrLookups != policy.MXLimitCount {
-			t.Errorf("MX address lookups: strict %d, legacy %d; want <= 10, 20", s.MXAddrLookups, l.MXAddrLookups)
+	}
+	rng := rand.New(rand.NewSource(1))
+	log := make([]dnsserver.LogEntry, 300)
+	for i := range log {
+		e := pool[rng.Intn(len(pool))]
+		e.MTAID = fmt.Sprintf("m%d", rng.Intn(3))
+		e.Time = time.Unix(1_600_000_000, int64(rng.Intn(50))*int64(time.Millisecond))
+		e.Transport = []string{"udp", "tcp"}[rng.Intn(2)]
+		e.OverIPv6 = rng.Intn(2) == 0
+		log[i] = e
+	}
+	want := Observe(log)
+	fold := func(parts ...[]dnsserver.LogEntry) Observations {
+		obs := make(Observations)
+		for _, part := range parts {
+			for i := range part {
+				obs.Add(&part[i])
+			}
+		}
+		return obs
+	}
+
+	var doubled []dnsserver.LogEntry
+	for _, e := range log {
+		doubled = append(doubled, e, e)
+	}
+	if !reflect.DeepEqual(fold(doubled), want) {
+		t.Error("Add(e); Add(e) folds differently from Add(e)")
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		shuffled := append([]dnsserver.LogEntry(nil), log...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		if !reflect.DeepEqual(fold(shuffled), want) {
+			t.Errorf("permutation %d folds differently", seed)
+		}
+	}
+	for i := 0; i <= len(log); i++ {
+		if !reflect.DeepEqual(fold(log[i:], log[:i]), want) {
+			t.Fatalf("split at %d: the second part folded first differs", i)
+		}
+		if j := min(i+25, len(log)); !reflect.DeepEqual(fold(log[:j], log[i:]), want) {
+			t.Fatalf("split at %d: re-reading %d entries differs", i, j-i)
+		}
+	}
+}
+
+// TestFoldReadsOnlyRows: a name its policy does not publish — or one
+// no reading names — moves no reading. Each entry is folded into an MTA
+// standing exactly on the lookup, void and MX limit lines, where one
+// more counted name would flip a trait; the owners follow the
+// unpublished owners of internal/policy's answers.golden.
+func TestFoldReadsOnlyRows(t *testing.T) {
+	cases := []struct {
+		name string
+		e    dnsserver.LogEntry
+		row  bool // a published row that no reading names, not Unpublished
+	}{
+		{"_dmarc under t02", entry("m1", "t02", []string{"_dmarc"}, dns.TypeTXT, 200), true},
+		{"two labels under t02", entry("m1", "t02", []string{"x", "zz"}, dns.TypeTXT, 200), false},
+		{"one label under t02", entry("m1", "t02", []string{"zz"}, dns.TypeTXT, 200), false},
+		{"past t02's tree", entry("m1", "t02", []string{"n9"}, dns.TypeTXT, 200), false},
+		{"address for a t02 node", entry("m1", "t02", []string{limitsNodes[20]}, dns.TypeA, 200), false},
+		{"v9 under t06", entry("m1", "t06", []string{"v9"}, dns.TypeA, 200), false},
+		{"void under t06", entry("m1", "t06", []string{"void"}, dns.TypeA, 200), false},
+		{"a void name's TXT", entry("m1", "t06", []string{"v4"}, dns.TypeTXT, 200), false},
+		{"the MX-less name's TXT", entry("m1", "t07", []string{"nomx"}, dns.TypeTXT, 200), false},
+		{"two labels under t06", entry("m1", "t06", []string{"x", "v4"}, dns.TypeA, 200), false},
+		{"mx20 under t11", entry("m1", "t11", []string{"mx20"}, dns.TypeA, 200), false},
+		{"mxbackup under t11", entry("m1", "t11", []string{"mxbackup"}, dns.TypeA, 200), false},
+		{"an MX host's TXT", entry("m1", "t11", []string{"mx15"}, dns.TypeTXT, 200), false},
+		{"l1 address over IPv6 under t10", entry("m1", "t10", []string{"l1"}, dns.TypeAAAA, 200, overIPv6), false},
+	}
+	for _, c := range cases {
+		obs := Observe(serialMTALog("m1"))
+		before := *obs["m1"]
+		obs.Add(&c.e)
+		after := *obs["m1"]
+		p, row, _ := policy.Row(c.e.TestID, c.e.Rest, c.e.Type)
+		if added := after.asked[p] &^ before.asked[p]; (row == policy.Unpublished) == c.row || added != row {
+			t.Errorf("%s: set rows %#x (row %#x)", c.name, added, row)
+		}
+		after.asked = before.asked
+		if !reflect.DeepEqual(before.Vector(), obs["m1"].Vector()) || after != before {
+			t.Errorf("%s moved a reading: %s -> %s", c.name, before.Vector().Signature(), obs["m1"].Vector().Signature())
+		}
+		for _, r := range []policy.Reading{policy.LimitsTree, policy.Void, policy.MXHosts} {
+			if before.Count(r) != obs["m1"].Count(r) {
+				t.Errorf("%s moved a count: %d -> %d", c.name, before.Count(r), obs["m1"].Count(r))
+			}
 		}
 	}
 }
@@ -225,7 +380,10 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Observe(log)
+		observeSink = Observe(log)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/entry")
 }
+
+// observeSink keeps BenchmarkObserve's fold, as every caller keeps it.
+var observeSink Observations

@@ -55,11 +55,36 @@ type Env struct {
 
 // serialChain is the include chain l1 → l2 → l3, l1 and l2 answering
 // after 100 ms, that separates serial from parallel validators (§7.1).
-var serialChain = []row{
-	{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 include:l2.{base} ?all", delay: 100 * time.Millisecond},
-	{owner: "l2", typ: dns.TypeTXT, data: "v=spf1 include:l3.{base} ?all", delay: 100 * time.Millisecond},
-	{owner: "l3", typ: dns.TypeTXT, data: "v=spf1 ?all"},
-}
+var serialChain = func() []row {
+	rows := chainRows("l", 3, "include:%s ?all")[1:]
+	rows[0].delay, rows[1].delay = 100*time.Millisecond, 100*time.Millisecond
+	return rows
+}()
+
+// The owner labels the readings (readings.go) test, each spelled once:
+// the payloads, the rows and the reading sets are all built from these.
+const (
+	serialTarget       = "foo"   // t01's a-mechanism target
+	mainAfter          = "after" // t04's name right of the syntax error
+	childCont          = "cont"  // t05's name past the erring include
+	noMX               = "nomx"  // t07's MX-less name
+	multiOne, multiTwo = "one", "two"
+)
+
+var (
+	heloRows  = []row{{owner: "helo", typ: dns.TypeTXT, data: "v=spf1 -all"}}
+	voidNames = []string{"v1", "v2", "v3", "v4", "v5"}
+	// tcpFallback is t09: every answer at tcponly, of any type, is
+	// truncated over UDP, and so is the base policy.
+	tcpFallback = []row{
+		{typ: dns.TypeTXT, data: "v=spf1 a:tcponly.{base} ?all", tc: true},
+		{owner: "tcponly", typ: dns.TypeA, rdata: &dns.A{Addr: Unaffiliated}, tc: true},
+		{owner: "tcponly", typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: UnaffiliatedV6}, tc: true},
+		{owner: "tcponly", tc: true},
+	}
+	ipv6Only = []row{{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 ?all", v6: true}}
+	mxHosts  = numbered("mx", MXLimitCount)
+)
 
 // Catalog returns all 39 test policies in ID order.
 func Catalog() []Test {
@@ -69,8 +94,8 @@ func Catalog() []Test {
 			ID: "t01", Name: "serial-vs-parallel", Section: "§7.1",
 			Description: "include chain (100 ms shaped) before an a mechanism distinguishes serial from parallel lookup scheduling",
 			rows: append(append([]row{
-				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:foo.{base} -all"},
-			}, serialChain...), addrs("foo")...),
+				{typ: dns.TypeTXT, data: "v=spf1" + terms("include", serialChain[0].owner) + terms("a", serialTarget) + " -all"},
+			}, serialChain...), addrs(serialTarget)...),
 		},
 		{
 			ID: "t02", Name: "lookup-limits", Section: "§7.2",
@@ -86,59 +111,58 @@ func Catalog() []Test {
 		{
 			ID: "t03", Name: "helo-check", Section: "§7.3",
 			Description: "a -all policy at the HELO domain detects validators that check the HELO identity",
-			rows: append([]row{
-				{owner: "helo", typ: dns.TypeTXT, data: "v=spf1 -all"},
+			rows: append(append([]row{
 				{typ: dns.TypeTXT, data: "v=spf1 a:mail.{base} -all"},
-			}, addrs("mail")...),
+			}, heloRows...), addrs("mail")...),
 		},
 		// --- t04/t05: syntax errors ---
 		//
 		// "ipv4" instead of "ip4" — the paper's deliberate typo.
 		simple("t04", "syntax-error-main", "§7.3",
 			"an ipv4: typo in the main policy; lookups right of the error reveal non-compliant continuation",
-			"v=spf1 ipv4:"+Unaffiliated.String()+" a:after.{base} ?all", "after"),
+			"v=spf1 ipv4:"+Unaffiliated.String()+terms("a", mainAfter)+" ?all", mainAfter),
 		{
 			ID: "t05", Name: "syntax-error-child", Section: "§7.3",
 			Description: "an ipv4: typo inside an included policy; parent-policy lookups after the include reveal continuation",
 			rows: append([]row{
-				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:cont.{base} ?all"},
+				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base}" + terms("a", childCont) + " ?all"},
 				{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 ipv4:" + Unaffiliated.String() + " ?all"},
-			}, addrs("cont")...),
+			}, addrs(childCont)...),
 		},
 		// --- t06: void lookups ---
 		//
 		// Every vN name exists but has no address records: NOERROR with
 		// an empty answer — a textbook void lookup.
-		simple("t06", "void-lookups", "§7.3",
-			"five a mechanisms that resolve to nothing probe the two-void-lookup limit",
-			"v=spf1 a:v1.{base} a:v2.{base} a:v3.{base} a:v4.{base} a:v5.{base} ?all"),
+		{
+			ID: "t06", Name: "void-lookups", Section: "§7.3",
+			Description: "five a mechanisms that resolve to nothing probe the two-void-lookup limit",
+			rows:        voids(voidNames...),
+		},
 		// --- t07: mx fallback ---
 		//
-		// nomx has neither MX nor address records.
-		simple("t07", "mx-fallback-a", "§7.3",
-			"an mx mechanism whose domain has no MX records; A/AAAA follow-ups violate RFC 7208 §5.4",
-			"v=spf1 mx:nomx.{base} ?all"),
+		// nomx has neither MX nor address records: empty answers.
+		{
+			ID: "t07", Name: "mx-fallback-a", Section: "§7.3",
+			Description: "an mx mechanism whose domain has no MX records; A/AAAA follow-ups violate RFC 7208 §5.4",
+			rows: append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1" + terms("mx", noMX) + " ?all"},
+				{owner: noMX, typ: dns.TypeMX},
+			}, noAddrs(noMX)...),
+		},
 		// --- t08: multiple records ---
 		{
 			ID: "t08", Name: "multiple-records", Section: "§7.3",
 			Description: "two SPF TXT records, each with a distinct a name, reveal whether validators permerror, follow one, or follow both",
 			rows: append([]row{
-				{typ: dns.TypeTXT, data: "v=spf1 a:one.{base} ?all"},
-				{typ: dns.TypeTXT, data: "v=spf1 a:two.{base} ?all"},
-			}, addrs("one", "two")...),
+				{typ: dns.TypeTXT, data: "v=spf1" + terms("a", multiOne) + " ?all"},
+				{typ: dns.TypeTXT, data: "v=spf1" + terms("a", multiTwo) + " ?all"},
+			}, addrs(multiOne, multiTwo)...),
 		},
 		// --- t09: TCP fallback ---
-		//
-		// Every answer at tcponly, of any type, is truncated over UDP.
 		{
 			ID: "t09", Name: "tcp-fallback", Section: "§7.3",
 			Description: "truncated UDP responses force policy retrieval over TCP",
-			rows: []row{
-				{typ: dns.TypeTXT, data: "v=spf1 a:tcponly.{base} ?all", tc: true},
-				{owner: "tcponly", typ: dns.TypeA, rdata: &dns.A{Addr: Unaffiliated}, tc: true},
-				{owner: "tcponly", typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: UnaffiliatedV6}, tc: true},
-				{owner: "tcponly", tc: true},
-			},
+			rows:        tcpFallback,
 		},
 		// --- t10: IPv6-only ---
 		//
@@ -147,10 +171,9 @@ func Catalog() []Test {
 		{
 			ID: "t10", Name: "ipv6-only", Section: "§7.3",
 			Description: "follow-up names served only at the IPv6 endpoint test resolver IPv6 capability",
-			rows: []row{
-				{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} ?all"},
-				{owner: "l1", typ: dns.TypeTXT, data: "v=spf1 ?all", v6: true},
-			},
+			rows: append([]row{
+				{typ: dns.TypeTXT, data: "v=spf1" + terms("include", ipv6Only[0].owner) + " ?all"},
+			}, ipv6Only...),
 			miss: dnsserver.Response{RequireIPv6: true},
 		},
 		// --- t11: MX address limit ---
@@ -159,7 +182,7 @@ func Catalog() []Test {
 		{
 			ID: "t11", Name: "mx-address-limit", Section: "§7.3",
 			Description: "an mx mechanism yielding 20 MX records probes the 10-address-lookup limit",
-			rows:        append(mxFarmRows("mxfarm", "mx", MXLimitCount, 10), addrs("mxfarm")...),
+			rows:        append(mxFarmRows("mxfarm", mxHosts, 10), addrs("mxfarm")...),
 		},
 		// --- t12: baseline ---
 		simple("t12", "baseline", "§6",
@@ -187,8 +210,8 @@ func RespondersWithDMARC(env *Env, contact string) map[string]dnsserver.Responde
 // responders compiles every catalog policy, each with the extra rows.
 func (e *Env) responders(extra ...row) map[string]dnsserver.Responder {
 	out := make(map[string]dnsserver.Responder)
-	for _, t := range Catalog() {
-		out[t.ID] = newView(e.Suffix, 60, e.TimeScale, t.miss, t.rows, extra) // TTL 60 s
+	for i, t := range Catalog() {
+		out[t.ID] = newView(e.Suffix, 60, e.TimeScale, t.miss, catalog[i], t.rows, extra) // TTL 60 s
 	}
 	return out
 }
@@ -199,16 +222,40 @@ func simple(id, name, section, desc, payload string, addrOwners ...string) Test 
 		rows: append([]row{{typ: dns.TypeTXT, data: payload}}, addrs(addrOwners...)...)}
 }
 
+// terms writes one " <mech>:<name>.{base}" term per name.
+func terms(mech string, names ...string) string {
+	s := ""
+	for _, n := range names {
+		s += " " + mech + ":" + n + "." + base
+	}
+	return s
+}
+
+// voids publishes an a mechanism for each name and no address at any:
+// each is a void lookup (t06, t36).
+func voids(names ...string) []row {
+	return append([]row{{typ: dns.TypeTXT, data: "v=spf1" + terms("a", names...) + " ?all"}}, noAddrs(names...)...)
+}
+
 // MXLimitCount is the number of MX records the t11 policy publishes.
 const MXLimitCount = 20
 
-// mxFarmRows publishes an mx mechanism naming farm: n MX hosts <prefix>00…
-// from preference pref0, each resolving to the unaffiliated addresses.
-func mxFarmRows(farm, prefix string, n, pref0 int) []row {
-	rows := []row{{typ: dns.TypeTXT, data: "v=spf1 mx:" + farm + ".{base} ?all"}}
-	for i := 0; i < n; i++ {
-		host := fmt.Sprintf("%s%02d", prefix, i)
-		rows = append(rows, row{owner: farm, typ: dns.TypeMX, pref: uint16(pref0 + i), data: host + ".{base}"})
+// numbered names n hosts <prefix>00, <prefix>01, ….
+func numbered(prefix string, n int) []string {
+	hosts := make([]string, n)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("%s%02d", prefix, i)
+	}
+	return hosts
+}
+
+// mxFarmRows publishes an mx mechanism naming farm: an MX record per
+// host from preference pref0, each host resolving to the unaffiliated
+// addresses.
+func mxFarmRows(farm string, hosts []string, pref0 int) []row {
+	rows := []row{{typ: dns.TypeTXT, data: "v=spf1" + terms("mx", farm) + " ?all"}}
+	for i, host := range hosts {
+		rows = append(rows, row{owner: farm, typ: dns.TypeMX, pref: uint16(pref0 + i), data: host + "." + base})
 		rows = append(rows, addrs(host)...)
 	}
 	return rows
@@ -216,80 +263,43 @@ func mxFarmRows(farm, prefix string, n, pref0 int) []row {
 
 // --- t02: lookup limits (paper Figure 4) ---
 //
-// The policy tree has five levels. Each L1 policy includes further
-// policies so a fully violating validator issues 46 lookups total. We
-// reproduce the paper's structure: evaluation order is depth-first,
-// and every L1–L5 response is delayed 800 ms.
-
-// limitsChildren maps a node label to its ordered include children.
-// Node labels encode the path, e.g. "n1", "n1-2".
-var limitsChildren = buildLimitsTree()
-
-// buildLimitsTree constructs a 46-node include tree with 5 levels,
-// matching Figure 4's box count (46 policies under L0).
-func buildLimitsTree() map[string][]string {
-	children := make(map[string][]string)
-	// L0 has 8 children; the first six each root a 6-node subtree
-	// (1+2+3 arrangement down to level 5), the last two are leaves.
-	// Total: 8 + 6*5 + 8 = 46 nodes. We keep the exact counts the
-	// figure implies: 46 queries after the base L0 lookup.
-	var l1 []string
-	for i := 1; i <= 8; i++ {
-		l1 = append(l1, fmt.Sprintf("n%d", i))
-	}
-	children["root"] = l1
-	// Six subtrees of depth 4 under the first six L1 nodes: each node
-	// chain n_i -> n_i-1 -> n_i-1-1 -> n_i-1-1-1 plus siblings to
-	// total 38 descendant nodes across the tree.
-	total := 8
-	for i := 1; i <= 6 && total < 46; i++ {
-		parent := fmt.Sprintf("n%d", i)
-		for j := 1; j <= 2 && total < 46; j++ {
-			child := fmt.Sprintf("%s-%d", parent, j)
-			children[parent] = append(children[parent], child)
-			total++
-			for k := 1; k <= 2 && total < 46; k++ {
-				grand := fmt.Sprintf("%s-%d", child, k)
-				children[child] = append(children[child], grand)
-				total++
-				if total < 46 {
-					great := fmt.Sprintf("%s-%d", grand, 1)
-					children[grand] = append(children[grand], great)
-					total++
-				}
-			}
-		}
-	}
-	return children
-}
-
-// LimitsTreeSize returns the number of non-root policies in the t02
-// tree (the maximum lookups after the base query).
-func LimitsTreeSize() int {
-	n := 0
-	for _, c := range limitsChildren {
-		n += len(c)
-	}
-	return n
-}
+// The policy tree has five levels and 46 policies below the base, so a
+// fully violating validator issues 46 lookups after the base policy.
+// The base includes n1…n8; from n1 on, each of those includes two
+// children, each child two grandchildren and each grandchild one
+// great-grandchild, until the tree holds 46 (n4's last branch is cut
+// short). Labels encode the path: n1, n1-2, n1-2-1. Evaluation order is
+// depth-first, and every policy below the base is delayed 800 ms.
 
 // LimitsDelay is the paper's per-response delay for t02 names.
 const LimitsDelay = 800 * time.Millisecond
 
-// limitsRows publishes the t02 tree: each node includes its children (a
-// leaf is a bare ?all); each node below the base answers after LimitsDelay.
+// limitsRows publishes the t02 tree, the base first: each node includes
+// its children in order; a leaf is a bare ?all.
 func limitsRows() []row {
+	const size = 46
 	rows := []row{{typ: dns.TypeTXT}}
-	for i, node := 0, "root"; i < len(rows); i++ {
-		if i > 0 {
-			node = rows[i].owner
+	kid := func(parent int, owner string) int {
+		rows[parent].data += terms("include", owner)
+		rows = append(rows, row{owner: owner, typ: dns.TypeTXT, delay: LimitsDelay})
+		return len(rows) - 1
+	}
+	for i := 1; i <= 8; i++ {
+		kid(0, fmt.Sprintf("n%d", i))
+	}
+	for i := 1; len(rows) <= size; i++ {
+		for j := 1; j <= 2 && len(rows) <= size; j++ {
+			child := kid(i, fmt.Sprintf("%s-%d", rows[i].owner, j))
+			for k := 1; k <= 2 && len(rows) <= size; k++ {
+				grand := kid(child, fmt.Sprintf("%s-%d", rows[child].owner, k))
+				if len(rows) <= size {
+					kid(grand, rows[grand].owner+"-1")
+				}
+			}
 		}
-		rows[i].data = "v=spf1"
-		for _, kid := range limitsChildren[node] {
-			rows[i].data += " include:" + kid + ".{base}"
-			rows = append(rows, row{owner: kid, typ: dns.TypeTXT, delay: LimitsDelay})
-		}
-		rows[i].data += " ?all"
+	}
+	for i := range rows {
+		rows[i].data = "v=spf1" + rows[i].data + " ?all"
 	}
 	return rows
 }

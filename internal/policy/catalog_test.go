@@ -96,11 +96,11 @@ func TestCatalogComplete(t *testing.T) {
 }
 
 func TestLimitsTreeShape(t *testing.T) {
-	if got := LimitsTreeSize(); got != 46 {
+	if got := LimitsTree.Len(); got != 46 {
 		t.Errorf("limits tree has %d nodes, want 46 (paper Figure 4)", got)
 	}
-	if len(limitsChildren["root"]) != 8 {
-		t.Errorf("L1 has %d children", len(limitsChildren["root"]))
+	if n := strings.Count(limitsRows()[0].data, "include:"); n != 8 {
+		t.Errorf("L1 has %d policies", n)
 	}
 }
 

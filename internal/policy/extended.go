@@ -123,12 +123,14 @@ func extendedCatalog() []Test {
 		{
 			ID: "t35", Name: "mx-limit-boundary",
 			Description: "an mx mechanism with exactly 10 MX records probes off-by-one MX limit handling",
-			rows:        mxFarmRows("mxten", "h", 10, 0),
+			rows:        mxFarmRows("mxten", numbered("h", 10), 0),
 		},
 		// t36: three void lookups (one past the recommended limit).
-		simple("t36", "void-boundary", "",
-			"three non-resolving a mechanisms straddle the two-void-lookup limit",
-			"v=spf1 a:w1.{base} a:w2.{base} a:w3.{base} ?all"),
+		{
+			ID: "t36", Name: "void-boundary",
+			Description: "three non-resolving a mechanisms straddle the two-void-lookup limit",
+			rows:        voids("w1", "w2", "w3"),
+		},
 		// t37: CNAME at the policy name.
 		{
 			ID: "t37", Name: "cname-policy",

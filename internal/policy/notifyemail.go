@@ -33,21 +33,30 @@ type NotifyEmailConfig struct {
 	TimeScale float64
 }
 
+// The labels below a NotifyEmail domain's name that the domain fold
+// (package fingerprint) reads: the SPF policy's a-mechanism target, the
+// DMARC policy and, one label further down, the DKIM key's parent.
+const (
+	MTALabel   = "mta"
+	DMARCLabel = "_dmarc"
+	DKIMLabel  = "_domainkey"
+)
+
 // Responder synthesizes the NotifyEmail DNS view. Use it as the
 // Default responder of a LabelDepth-1 zone.
 func (cfg *NotifyEmailConfig) Responder() dnsserver.Responder {
 	rows := []row{
-		{typ: dns.TypeTXT, data: "v=spf1 include:l1.{base} a:mta.{base} -all"},
+		{typ: dns.TypeTXT, data: "v=spf1" + terms("include", serialChain[0].owner) + terms("a", MTALabel) + " -all"},
 		dmarcRow(cfg.Contact),
 	}
 	if cfg.SenderV4.IsValid() {
-		rows = append(rows, row{owner: "mta", typ: dns.TypeA, rdata: &dns.A{Addr: cfg.SenderV4}})
+		rows = append(rows, row{owner: MTALabel, typ: dns.TypeA, rdata: &dns.A{Addr: cfg.SenderV4}})
 	}
 	if cfg.SenderV6.IsValid() {
-		rows = append(rows, row{owner: "mta", typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: cfg.SenderV6}})
+		rows = append(rows, row{owner: MTALabel, typ: dns.TypeAAAA, rdata: &dns.AAAA{Addr: cfg.SenderV6}})
 	}
 	if cfg.DKIMSelector != "" && cfg.DKIMKeyRecord != "" {
-		rows = append(rows, row{owner: cfg.DKIMSelector + "._domainkey", typ: dns.TypeTXT, data: cfg.DKIMKeyRecord})
+		rows = append(rows, row{owner: cfg.DKIMSelector + "." + DKIMLabel, typ: dns.TypeTXT, data: cfg.DKIMKeyRecord})
 	}
-	return newView(cfg.Suffix, 300, cfg.TimeScale, dnsserver.Response{}, rows, serialChain) // TTL 300 s
+	return newView(cfg.Suffix, 300, cfg.TimeScale, dnsserver.Response{}, newKeys(rows, serialChain), rows, serialChain) // TTL 300 s
 }
