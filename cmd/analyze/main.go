@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"sendervalid/internal/cli"
@@ -117,11 +118,15 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	err = dnsserver.ParForEachLogJSONOrdered(mr, *workers, func(e dnsserver.LogEntry) error {
 		total++
 		ingested.Inc()
-		if e.TestID != "" {
-			tests[e.TestID] = true
+		// The sets keep clones: a decoded string keeps its chunk's
+		// strings alive.
+		if e.TestID != "" && !tests[e.TestID] {
+			tests[strings.Clone(e.TestID)] = true
 		}
 		if e.MTAID != "" {
-			mtas[e.MTAID] = true
+			if !mtas[e.MTAID] {
+				mtas[strings.Clone(e.MTAID)] = true
+			}
 			attributed++
 			obs.Add(&e)
 			if *tracePath != "" {

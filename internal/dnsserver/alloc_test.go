@@ -8,9 +8,10 @@ import (
 )
 
 // The log codec promises zero-allocation encode into a reused buffer
-// and at-most-two-allocations decode with a reused parser (one
-// backing string shared by every string field, plus the Rest slice).
-// These tests pin that contract so a regression shows up as a test
+// and at-most-two-allocations decode per batch with a reused parser
+// (one string shared by every string field, plus one slab shared by
+// every Rest): per line on the serial path, per chunk on the parallel
+// one. These tests pin that contract so a regression shows up as a test
 // failure, not just a drifting benchmark number.
 
 func allocTestEntry() LogEntry {
@@ -64,5 +65,29 @@ func TestLogLineParseAllocBudget(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("parse without rest: %v allocs/op, want <= 1 (backing string)", allocs)
+	}
+}
+
+// TestDecodeChunkAllocBudget: a chunk costs its two allocations
+// whatever its line count, once the parser's buffers and the entry
+// slice have grown to it.
+func TestDecodeChunkAllocBudget(t *testing.T) {
+	for _, n := range []int{1, 10, 1000} {
+		var buf []byte
+		for i := 0; i < n; i++ {
+			buf = AppendLogJSON(buf, allocTestEntry())
+		}
+		c := logChunk{firstLine: 1, buf: buf}
+		var p logLineParser
+		entries, err := decodeChunk(&p, c, nil)
+		if err != nil || len(entries) != n {
+			t.Fatalf("%d lines: %d entries, %v", n, len(entries), err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			entries, _ = decodeChunk(&p, c, entries)
+		})
+		if allocs > 2 {
+			t.Errorf("decodeChunk of %d lines: %v allocs/op, want <= 2 (arena string + Rest slab)", n, allocs)
+		}
 	}
 }

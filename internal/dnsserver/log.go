@@ -68,19 +68,14 @@ func (l *QueryLog) Entries() []LogEntry {
 	return append([]LogEntry(nil), l.entries...)
 }
 
-// ForEach visits every entry in arrival order under the log's lock,
-// stopping early when fn returns false. It exists so WriteJSON and
-// the analyses' folds can stream a large log without the full-slice
-// copy Entries makes; fn must not retain the pointer
-// or call back into the log.
-func (l *QueryLog) ForEach(fn func(*LogEntry) bool) {
+// View calls fn with the entries in arrival order, under the log's
+// lock. It exists so WriteJSON and the analyses' folds can read a large
+// log in place, without the full-slice copy Entries makes; fn must not
+// modify or retain the slice, or call back into the log.
+func (l *QueryLog) View(fn func([]LogEntry)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := range l.entries {
-		if !fn(&l.entries[i]) {
-			return
-		}
-	}
+	fn(l.entries)
 }
 
 // Len returns the number of logged queries.

@@ -18,10 +18,10 @@ import (
 // for byte, so the collect-and-analyze loop keeps up with the
 // allocation-free serving path: AppendLogJSON encodes with zero
 // allocations into a reused buffer, and parseFast decodes the
-// encoder's own canonical output in at most two (one backing string
-// shared by all string fields, plus the Rest slice when present).
-// Anything else — a hand-edited or foreign log — is decoded by
-// json.Unmarshal into this struct.
+// encoder's own canonical output a batch of lines at a time in two
+// allocations per batch (one string shared by every string field, one
+// slab shared by every Rest). Anything else — a hand-edited or foreign
+// log — is decoded by json.Unmarshal into this struct.
 type logRecord struct {
 	Time      time.Time `json:"t"`
 	Name      string    `json:"name"`
@@ -172,45 +172,130 @@ func parseType(b []byte) (dns.Type, bool) {
 	return dns.Type(v), true
 }
 
-// logLineParser decodes one query-log line. It is reusable: the
-// scratch buffer that gathers the string fields and the rest slice are
-// retained across lines, so a long scan settles into the
-// two-allocations-per-record regime.
+// logLineParser decodes query-log lines a batch at a time: decode
+// appends each line's entry, settle gives the batch's fast-tier entries
+// their strings. It is reusable: its buffers are retained across
+// batches, so a long scan settles into the two-allocations-per-batch
+// regime — one string holding every fast-tier string field of the
+// batch, one []string slab holding every Rest value.
 type logLineParser struct {
-	scratch []byte
-	rest    [][]byte
+	// arena holds the string fields of the batch's unsettled fast-tier
+	// lines back to back, in scan order: name, test, mta, the Rest
+	// values, via, remote.
+	arena []byte
+	// lens holds, per unsettled line, the length of each of those
+	// fields, with the line's Rest count before its Rest lengths.
+	lens []int
+	// lines holds each unsettled line's index in the batch.
+	lines []int
+	// rests counts the batch's Rest values.
+	rests int
 }
 
-// parse decodes one log line: the canonical fast tier first, then
-// encoding/json for whatever that declines.
+// parse decodes one log line: a batch of one.
 func (p *logLineParser) parse(line []byte) (LogEntry, error) {
-	if e, ok := p.parseFast(line); ok {
-		return e, nil
+	var one [1]LogEntry
+	entries, err := p.decode(one[:0], line)
+	if err != nil {
+		return LogEntry{}, err
 	}
+	p.settle(entries)
+	return entries[0], nil
+}
+
+// decode appends line's entry to the batch in entries: the canonical
+// fast tier first, then encoding/json for whatever that declines. A
+// fast-tier entry's string fields stay empty until settle.
+func (p *logLineParser) decode(entries []LogEntry, line []byte) ([]LogEntry, error) {
+	arenaMark, lensMark := len(p.arena), len(p.lens)
+	if e, ok := p.parseFast(line); ok {
+		p.lines = append(p.lines, len(entries))
+		return append(entries, e), nil
+	}
+	// A declined line may have left fields behind: drop them, so the
+	// arena holds exactly the fast-tier lines' fields.
+	p.arena, p.lens = p.arena[:arenaMark], p.lens[:lensMark]
 	var rec logRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return LogEntry{}, err
+		return entries, err
 	}
 	t, ok := parseType([]byte(rec.Type))
 	if !ok {
-		return LogEntry{}, fmt.Errorf("unknown type %q", rec.Type)
+		return entries, fmt.Errorf("unknown type %q", rec.Type)
 	}
-	return LogEntry{
+	return append(entries, LogEntry{
 		Time: rec.Time, Name: rec.Name, Type: t,
 		TestID: rec.TestID, MTAID: rec.MTAID, Rest: rec.Rest,
 		Transport: rec.Transport, OverIPv6: rec.OverIPv6, Remote: rec.Remote,
-	}, nil
+	}), nil
+}
+
+// settle hands the batch's fast-tier entries their string fields, all
+// slices of one copy of the arena (never the caller's reused line
+// buffer), and their Rest values, capped slices of one slab so that a
+// caller's append cannot overwrite the next entry's. It then empties
+// the parser for the next batch.
+func (p *logLineParser) settle(entries []LogEntry) {
+	if len(p.lines) == 0 {
+		return
+	}
+	arena, lens := string(p.arena), p.lens
+	var slab []string
+	if p.rests > 0 {
+		slab = make([]string, p.rests)
+	}
+	next := func() string {
+		n := lens[0]
+		lens = lens[1:]
+		if n == 0 {
+			return "" // holds no reference to the arena
+		}
+		s := arena[:n]
+		arena = arena[n:]
+		return s
+	}
+	for _, i := range p.lines {
+		e := &entries[i]
+		e.Name = next()
+		e.TestID = next()
+		e.MTAID = next()
+		n := lens[0]
+		lens = lens[1:]
+		if n > 0 {
+			e.Rest, slab = slab[:n:n], slab[n:]
+			for j := range e.Rest {
+				e.Rest[j] = next()
+			}
+		}
+		e.Transport = next()
+		e.Remote = next()
+	}
+	p.arena, p.lens, p.lines, p.rests = p.arena[:0], p.lens[:0], p.lines[:0], 0
 }
 
 // parseFast decodes the canonical encoding AppendLogJSON emits:
 // fields in wire order, no interior whitespace, plain ASCII strings.
 // That is every line the server itself wrote. ok=false means "not
 // canonical", not "invalid"; on anything it accepts it must agree
-// with the json.Unmarshal tier byte for byte.
+// with the json.Unmarshal tier byte for byte. It appends the line's
+// string fields and their lengths to the arena as it scans them.
 func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
 	c := jsonwire.NewCursor(line)
-	var raw, name, test, mta, via, remote []byte
-	p.rest = p.rest[:0]
+	var raw []byte
+	str := func() bool {
+		s, ok := c.RawStr()
+		p.arena = append(p.arena, s...)
+		p.lens = append(p.lens, len(s))
+		return ok
+	}
+	// optStr reads an omitempty string field: absent is empty.
+	optStr := func(key string) bool {
+		if c.Lit(key) {
+			return str()
+		}
+		p.lens = append(p.lens, 0)
+		return true
+	}
 
 	if !c.Lit(`{"t":"`) {
 		return e, false
@@ -221,10 +306,7 @@ func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
 	if e.Time, ok = jsonwire.TryParseTime(raw); !ok {
 		return e, false
 	}
-	if !c.Lit(`,"name":"`) {
-		return e, false
-	}
-	if name, ok = c.RawStr(); !ok {
+	if !c.Lit(`,"name":"`) || !str() {
 		return e, false
 	}
 	if !c.Lit(`,"type":"`) {
@@ -236,27 +318,19 @@ func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
 	if e.Type, ok = parseType(raw); !ok {
 		return e, false
 	}
-	if c.Lit(`,"test":"`) {
-		if test, ok = c.RawStr(); !ok {
-			return e, false
-		}
+	if !optStr(`,"test":"`) || !optStr(`,"mta":"`) {
+		return e, false
 	}
-	if c.Lit(`,"mta":"`) {
-		if mta, ok = c.RawStr(); !ok {
-			return e, false
-		}
-	}
+	restAt := len(p.lens)
+	p.lens = append(p.lens, 0)
 	if c.Lit(`,"rest":[`) {
 		// At least one element: the encoder omits an empty rest, and
 		// "rest":[] (non-nil empty slice) is the fallback's to decode.
 		for {
-			if !c.Lit(`"`) {
+			if !c.Lit(`"`) || !str() {
 				return e, false
 			}
-			if raw, ok = c.RawStr(); !ok {
-				return e, false
-			}
-			p.rest = append(p.rest, raw)
+			p.lens[restAt]++
 			if c.Lit(`,`) {
 				continue
 			}
@@ -266,49 +340,15 @@ func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
 			return e, false
 		}
 	}
-	if c.Lit(`,"via":"`) {
-		if via, ok = c.RawStr(); !ok {
-			return e, false
-		}
+	if !optStr(`,"via":"`) {
+		return e, false
 	}
 	if c.Lit(`,"v6":true`) {
 		e.OverIPv6 = true
 	}
-	if c.Lit(`,"remote":"`) {
-		if remote, ok = c.RawStr(); !ok {
-			return e, false
-		}
-	}
-	if !c.End() {
+	if !optStr(`,"remote":"`) || !c.End() {
 		return e, false
 	}
-
-	// Every string field shares one compact backing allocation (never
-	// the caller's reused line buffer), plus the Rest slice when
-	// present. next hands the fields back out in the order gathered.
-	p.scratch = p.scratch[:0]
-	for _, f := range [...][]byte{name, test, mta, via, remote} {
-		p.scratch = append(p.scratch, f...)
-	}
-	for _, f := range p.rest {
-		p.scratch = append(p.scratch, f...)
-	}
-	backing := string(p.scratch)
-	next := func(f []byte) string {
-		s := backing[:len(f)]
-		backing = backing[len(f):]
-		return s
-	}
-	e.Name = next(name)
-	e.TestID = next(test)
-	e.MTAID = next(mta)
-	e.Transport = next(via)
-	e.Remote = next(remote)
-	if len(p.rest) > 0 {
-		e.Rest = make([]string, len(p.rest))
-		for j, f := range p.rest {
-			e.Rest[j] = next(f)
-		}
-	}
+	p.rests += p.lens[restAt]
 	return e, true
 }

@@ -148,10 +148,46 @@ func FuzzLogCodecEquivalence(f *testing.F) {
 			t.Fatalf("decode disagreement on %q:\n codec: %v, %v\n   ref: %v, %v",
 				line, got, gotErr, want, wantErr)
 		}
+		if gotErr == nil {
+			sameDecodedEntry(t, got, want)
+		}
+
+		// The same line in a chunk, between two fast-tier lines: the
+		// entries around it must keep their fields, whatever the fast
+		// tier scanned into the arena before declining it.
+		before := AppendLogJSON(nil, allocTestEntry())
+		after := AppendLogJSON(nil, LogEntry{Time: logTestTime, Name: "after.", Type: dns.TypeMX, Rest: []string{"l9"}})
+		chunk := append(append(append(append([]byte(nil), before...), line...), '\n'), after...)
+		var around [2]LogEntry
+		for i, l := range [][]byte{before, after} {
+			var err error
+			if around[i], err = refDecodeLogLine(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entries, chunkErr := decodeChunk(&p, logChunk{firstLine: 1, buf: chunk}, nil)
+		switch {
+		case blankLine(line):
+			if chunkErr != nil || len(entries) != 2 {
+				t.Fatalf("chunk with a blank middle line: %d entries, %v", len(entries), chunkErr)
+			}
+			sameDecodedEntry(t, entries[0], around[0])
+			sameDecodedEntry(t, entries[1], around[1])
+		case wantErr != nil:
+			if chunkErr == nil || !strings.Contains(chunkErr.Error(), "line 2:") {
+				t.Fatalf("chunk decode error %v, want one at line 2", chunkErr)
+			}
+		default:
+			if chunkErr != nil || len(entries) != 3 {
+				t.Fatalf("chunk decode: %d entries, %v", len(entries), chunkErr)
+			}
+			sameDecodedEntry(t, entries[0], around[0])
+			sameDecodedEntry(t, entries[1], want)
+			sameDecodedEntry(t, entries[2], around[1])
+		}
 		if gotErr != nil {
 			return
 		}
-		sameDecodedEntry(t, got, want)
 
 		// Round trip: the hand-rolled encoder must reproduce the
 		// encoding/json bytes for everything the decoder can produce.
@@ -272,7 +308,7 @@ func TestParseTypeStrict(t *testing.T) {
 // json.Unmarshal fallback), and a field that needs escaping falls back
 // and still decodes to exactly what encoding/json gives.
 func TestLogFastTierTakesEncoderOutput(t *testing.T) {
-	when := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+	when := logTestTime
 	plain := []LogEntry{
 		{Time: when, Name: "x.", Type: dns.TypeA},
 		{Time: when.Truncate(time.Second), Name: "", Type: dns.TypeNone},
@@ -291,9 +327,9 @@ func TestLogFastTierTakesEncoderOutput(t *testing.T) {
 	for _, e := range plain {
 		line := AppendLogJSON(nil, e)
 		for _, in := range [][]byte{line, line[:len(line)-1]} { // with and without the newline
-			got, ok := p.parseFast(in)
-			if !ok {
-				t.Errorf("fast tier declined the encoder's own line %q", in)
+			got, fast, err := parseTier(&p, in)
+			if err != nil || !fast {
+				t.Errorf("fast tier declined the encoder's own line %q (%v)", in, err)
 				continue
 			}
 			want, err := refDecodeLogLine(in)
@@ -304,28 +340,94 @@ func TestLogFastTierTakesEncoderOutput(t *testing.T) {
 		}
 	}
 
-	escaped := []LogEntry{
-		{Time: when, Name: `esc"aped\.`, Type: dns.TypeA},
-		{Time: when, Name: "<html>&.", Type: dns.TypeA},
-		{Time: when, Name: "héllo.例え.", Type: dns.TypeA},
-		{Time: when, Name: "x.", Type: dns.TypeA, TestID: "tab\there"},
-		{Time: when, Name: "x.", Type: dns.TypeA, Rest: []string{"ok", "bad\xff"}},
-		{Time: when, Name: "x.", Type: dns.TypeA, Remote: "line\u2028sep"},
-	}
-	for _, e := range escaped {
+	for _, e := range escapedLogEntries {
 		line := AppendLogJSON(nil, e)
-		if _, ok := p.parseFast(line); ok {
-			t.Errorf("fast tier accepted a line with escapes: %q", line)
-		}
-		got, err := p.parse(line)
+		got, fast, err := parseTier(&p, line)
 		if err != nil {
 			t.Errorf("fallback failed on %q: %v", line, err)
 			continue
+		}
+		if fast {
+			t.Errorf("fast tier accepted a line with escapes: %q", line)
 		}
 		want, err := refDecodeLogLine(line)
 		if err != nil {
 			t.Fatalf("reference decode of %q: %v", line, err)
 		}
 		sameDecodedEntry(t, got, want)
+	}
+}
+
+// escapedLogEntries each have a field the encoder escapes, so their
+// lines are the json.Unmarshal tier's; several first scan fields into
+// the arena that the decline must drop.
+var escapedLogEntries = []LogEntry{
+	{Time: logTestTime, Name: `esc"aped\.`, Type: dns.TypeA},
+	{Time: logTestTime, Name: "<html>&.", Type: dns.TypeA},
+	{Time: logTestTime, Name: "héllo.例え.", Type: dns.TypeA},
+	{Time: logTestTime, Name: "x.", Type: dns.TypeA, TestID: "tab\there"},
+	{Time: logTestTime, Name: "x.", Type: dns.TypeA, Rest: []string{"ok", "bad\xff"}},
+	{Time: logTestTime, Name: "x.", Type: dns.TypeA, Remote: "line\u2028sep"},
+}
+
+var logTestTime = time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+
+// parseTier decodes line as a batch of one, like parse, and reports
+// whether the fast tier took it.
+func parseTier(p *logLineParser, line []byte) (e LogEntry, fast bool, err error) {
+	entries, err := p.decode(nil, line)
+	if err != nil {
+		return e, false, err
+	}
+	fast = len(p.lines) == 1
+	p.settle(entries)
+	return entries[0], fast, nil
+}
+
+// TestDecodeChunkMixedTiers decodes one chunk of canonical lines with
+// fallback lines among them. Every entry must equal encoding/json's
+// decode of its line: the fallback lines keep their own strings and
+// the fast-tier lines after them still find theirs in the arena. An
+// append to one entry's Rest must not reach the next entry's.
+func TestDecodeChunkMixedTiers(t *testing.T) {
+	_, plain := parTestLog(t, 40)
+	var buf []byte
+	var want []LogEntry
+	for i, e := range plain {
+		if i%8 == 3 {
+			e = escapedLogEntries[(i/8)%len(escapedLogEntries)]
+		}
+		line := AppendLogJSON(nil, e)
+		ref, err := refDecodeLogLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, line...)
+		want = append(want, ref)
+	}
+	var p logLineParser
+	got, err := decodeChunk(&p, logChunk{firstLine: 1, buf: buf}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		sameDecodedEntry(t, got[i], want[i])
+	}
+	prev := -1
+	for i, e := range got {
+		if e.Rest == nil {
+			continue
+		}
+		if prev >= 0 {
+			first := e.Rest[0]
+			_ = append(got[prev].Rest, "appended")
+			if e.Rest[0] != first {
+				t.Fatalf("appending to entry %d's Rest overwrote entry %d's: %q", prev, i, e.Rest[0])
+			}
+		}
+		prev = i
 	}
 }

@@ -25,16 +25,16 @@ func (l *QueryLog) WriteJSON(w io.Writer) error {
 	// writes — records never pass through an intermediate bufio copy.
 	buf := make([]byte, 0, 64*1024)
 	var werr error
-	l.ForEach(func(e *LogEntry) bool {
-		buf = AppendLogJSON(buf, *e)
-		if len(buf) >= 32*1024 {
-			if _, err := w.Write(buf); err != nil {
-				werr = err
-				return false
+	l.View(func(entries []LogEntry) {
+		for i := range entries {
+			buf = AppendLogJSON(buf, entries[i])
+			if len(buf) >= 32*1024 {
+				if _, werr = w.Write(buf); werr != nil {
+					return
+				}
+				buf = buf[:0]
 			}
-			buf = buf[:0]
 		}
-		return true
 	})
 	if werr == nil && len(buf) > 0 {
 		_, werr = w.Write(buf)
@@ -52,6 +52,11 @@ func (l *QueryLog) WriteJSON(w io.Writer) error {
 // skipped. Decode errors carry the 1-based line number. A non-nil
 // error from fn stops the scan and is returned unwrapped. For
 // multi-core ingest over large logs see ParForEachLogJSONOrdered.
+//
+// An entry's string fields share one string, so fn may keep the entry
+// or any of its strings, and a kept string keeps the line's others
+// alive; clone (strings.Clone) the few you keep past the scan, as with
+// ParForEachLogJSONOrdered, where the sharing spans a chunk.
 func ForEachLogJSON(r io.Reader, fn func(LogEntry) error) error {
 	var p logLineParser
 	lr := jsonwire.NewLineReader(r)

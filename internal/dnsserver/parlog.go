@@ -47,6 +47,12 @@ var (
 // fingerprint vectors) get identical results to the serial path.
 // Decode errors carry the 1-based line number. A non-nil error from
 // fn stops the scan and is returned unwrapped (first error wins).
+//
+// The entries of one 256 KiB chunk share storage: their string fields
+// are slices of one string, their Rest values of one slab. fn may keep
+// an entry or any of its strings, but a string kept past the scan keeps
+// its whole chunk's strings alive (about 100 KB): clone
+// (strings.Clone) the few you keep, such as a map key per MTA.
 func ParForEachLogJSONOrdered(r io.Reader, workers int, fn func(LogEntry) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -225,7 +231,9 @@ func fillChunk(r io.Reader, buf []byte, target int) (out []byte, eof bool, err e
 	return buf, false, nil
 }
 
-// decodeChunk parses every non-blank line of the chunk.
+// decodeChunk parses every non-blank line of the chunk as one batch of
+// the parser: the chunk's fast-tier string fields share one string, its
+// Rest values one slab.
 func decodeChunk(p *logLineParser, c logChunk, entries []LogEntry) ([]LogEntry, error) {
 	entries = entries[:0]
 	buf := c.buf
@@ -239,14 +247,15 @@ func decodeChunk(p *logLineParser, c logChunk, entries []LogEntry) ([]LogEntry, 
 			line, buf = buf[:nl+1], buf[nl+1:]
 		}
 		if !blankLine(line) {
-			e, err := p.parse(line)
-			if err != nil {
+			var err error
+			if entries, err = p.decode(entries, line); err != nil {
+				p.settle(entries)
 				return entries, fmt.Errorf("dnsserver: reading log line %d: %w", lineNo, err)
 			}
-			entries = append(entries, e)
 		}
 		lineNo++
 	}
+	p.settle(entries)
 	return entries, nil
 }
 

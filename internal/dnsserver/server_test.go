@@ -482,12 +482,13 @@ func TestQueryLogHelpers(t *testing.T) {
 		t.Errorf("Entries = %v", got)
 	}
 	var names []string
-	log.ForEach(func(e *LogEntry) bool {
-		names = append(names, e.Name)
-		return e.Name != "b." // stops after the second entry
+	log.View(func(entries []LogEntry) {
+		for _, e := range entries {
+			names = append(names, e.Name)
+		}
 	})
-	if len(names) != 2 || names[0] != "a." || names[1] != "b." {
-		t.Errorf("ForEach visited %v", names)
+	if len(names) != 3 || names[0] != "a." || names[2] != "c." {
+		t.Errorf("View saw %v", names)
 	}
 	log.Reset()
 	if log.Len() != 0 {

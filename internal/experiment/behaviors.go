@@ -13,22 +13,20 @@ import (
 // LookupLimits, Behaviors and Fingerprints. The Analyze*Entries(log)
 // adapters fold per call; only the frozen bench/ uses them (ROADMAP 7(c)).
 
-// Observations folds the test zone of the world's query log in place.
-func (w *World) Observations() fingerprint.Observations {
-	obs := make(fingerprint.Observations)
-	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		obs.Add(e)
-		return true
-	})
+// Observations folds the test zone of the world's query log in place,
+// through fingerprint.Observe's split fold.
+func (w *World) Observations() (obs fingerprint.Observations) {
+	w.Log.View(func(entries []dnsserver.LogEntry) { obs = fingerprint.Observe(entries) })
 	return obs
 }
 
 // DomainObservations folds its NotifyEmail zone.
 func (w *World) DomainObservations() fingerprint.DomainObservations {
 	obs := make(fingerprint.DomainObservations)
-	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		obs.Add(e)
-		return true
+	w.Log.View(func(entries []dnsserver.LogEntry) {
+		for i := range entries {
+			obs.Add(&entries[i])
+		}
 	})
 	return obs
 }

@@ -390,9 +390,10 @@ func TestFullCatalogProbeRun(t *testing.T) {
 	}
 	// Validating MTAs must have touched the extended policies too.
 	queried := make(map[string]bool)
-	w.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		queried[e.TestID] = true
-		return true
+	w.Log.View(func(entries []dnsserver.LogEntry) {
+		for _, e := range entries {
+			queried[e.TestID] = true
+		}
 	})
 	for _, id := range []string{"t13", "t16", "t27", "t37", "t39"} {
 		if !queried[id] {

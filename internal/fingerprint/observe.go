@@ -2,6 +2,9 @@ package fingerprint
 
 import (
 	"math/bits"
+	"runtime"
+	"strings"
+	"sync"
 	"time"
 
 	"sendervalid/internal/dns"
@@ -43,8 +46,43 @@ type Observation struct {
 // at least one query under a test policy, keyed by MTA ID.
 type Observations map[string]*Observation
 
-// Observe folds a whole log.
+// minPartEntries is the fewest entries Observe gives a part of its own,
+// so that starting a goroutine and merging its fold stay small beside
+// folding the part (about 50 µs at 1024 entries), and a small log is
+// folded in one loop.
+const minPartEntries = 1024
+
+// Observe folds a whole log. It splits the log into up to GOMAXPROCS
+// contiguous parts of at least minPartEntries entries, folds each on
+// its own goroutine into its own Observations (the first on the
+// calling goroutine) and merges the parts into the first. The fold is
+// commutative and idempotent, so the result is the serial fold's
+// whatever the split; a log too small to split is one part, folded in
+// one loop.
 func Observe(entries []dnsserver.LogEntry) Observations {
+	n := max(1, min(runtime.GOMAXPROCS(0), len(entries)/minPartEntries))
+	parts := make([]Observations, n)
+	part := func(k int) []dnsserver.LogEntry {
+		return entries[k*len(entries)/n : (k+1)*len(entries)/n]
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[k] = fold(part(k))
+		}()
+	}
+	parts[0] = fold(part(0))
+	wg.Wait()
+	for _, p := range parts[1:] {
+		parts[0].merge(p)
+	}
+	return parts[0]
+}
+
+// fold folds entries in order into a new Observations.
+func fold(entries []dnsserver.LogEntry) Observations {
 	obs := make(Observations)
 	for i := range entries {
 		obs.Add(&entries[i])
@@ -52,16 +90,43 @@ func Observe(entries []dnsserver.LogEntry) Observations {
 	return obs
 }
 
-// Add folds one entry in. It does not retain e. Entries the server
-// could not attribute to an (MTA, test policy) pair are ignored.
+// merge folds other's observations into obs, as if obs had also been
+// handed other's entries: row sets are unions, t01's times the earlier
+// of the two, the t09/t10 flags ORs. obs takes over observations only
+// other holds, so other must not be folded into afterwards.
+func (obs Observations) merge(other Observations) {
+	for id, src := range other {
+		o := obs[id]
+		if o == nil {
+			obs[id] = src
+			continue
+		}
+		for p := range o.asked {
+			o.asked[p] |= src.asked[p]
+		}
+		if !src.targetAt.IsZero() {
+			earliest(&o.targetAt, src.targetAt)
+		}
+		if !src.lastAt.IsZero() {
+			earliest(&o.lastAt, src.lastAt)
+		}
+		o.UDP, o.TCP, o.V6 = o.UDP || src.UDP, o.TCP || src.TCP, o.V6 || src.V6
+	}
+}
+
+// Add folds one entry in. It does not retain e: the MTA ID is cloned
+// when the MTA is first seen, so a decoded entry's shared string
+// storage is not kept alive by the fold. Entries the server could not
+// attribute to an (MTA, test policy) pair are ignored.
 func (obs Observations) Add(e *dnsserver.LogEntry) {
 	if e.MTAID == "" || e.TestID == "" {
 		return
 	}
 	o := obs[e.MTAID]
 	if o == nil {
-		o = &Observation{MTAID: e.MTAID}
-		obs[e.MTAID] = o
+		id := strings.Clone(e.MTAID)
+		o = &Observation{MTAID: id}
+		obs[id] = o
 	}
 	p, row, ok := policy.Row(e.TestID, e.Rest, e.Type)
 	if !ok {
@@ -126,7 +191,8 @@ func (o *DomainObservation) FetchedPolicy() bool { return !o.PolicyTXTAt.IsZero(
 // domain or session id.
 type DomainObservations map[string]*DomainObservation
 
-// Add folds one entry in. It does not retain e. The zone has one
+// Add folds one entry in. It does not retain e, cloning the id when it
+// is first seen, as Observations.Add does. The zone has one
 // identifying label, so its entries are the attributed ones without a
 // test label; the rest (test-zone queries, the apex) are ignored.
 func (obs DomainObservations) Add(e *dnsserver.LogEntry) {
@@ -136,7 +202,7 @@ func (obs DomainObservations) Add(e *dnsserver.LogEntry) {
 	o := obs[e.MTAID]
 	if o == nil {
 		o = &DomainObservation{}
-		obs[e.MTAID] = o
+		obs[strings.Clone(e.MTAID)] = o
 	}
 	o.Queries++
 	switch {

@@ -1,14 +1,17 @@
 package fingerprint
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
@@ -166,7 +169,9 @@ func TestObserveRealCatalog(t *testing.T) {
 // does not publish: folding an entry twice is folding it once, any
 // order of the entries folds the same, and a log folded in two parts —
 // the second first, or overlapping as a resumed run re-reads its tail —
-// folds like the whole.
+// folds like the whole. So the split fold is exact: merging the folds
+// of two parts is folding the whole, wherever the split falls, and
+// Observe equals the serial fold at any GOMAXPROCS.
 func TestFoldLaws(t *testing.T) {
 	var pool []dnsserver.LogEntry
 	for _, e := range realCatalogLog(t) {
@@ -187,8 +192,8 @@ func TestFoldLaws(t *testing.T) {
 		e.OverIPv6 = rng.Intn(2) == 0
 		log[i] = e
 	}
-	want := Observe(log)
-	fold := func(parts ...[]dnsserver.LogEntry) Observations {
+	want := fold(log)
+	addAll := func(parts ...[]dnsserver.LogEntry) Observations {
 		obs := make(Observations)
 		for _, part := range parts {
 			for i := range part {
@@ -202,7 +207,7 @@ func TestFoldLaws(t *testing.T) {
 	for _, e := range log {
 		doubled = append(doubled, e, e)
 	}
-	if !reflect.DeepEqual(fold(doubled), want) {
+	if !reflect.DeepEqual(addAll(doubled), want) {
 		t.Error("Add(e); Add(e) folds differently from Add(e)")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -210,16 +215,64 @@ func TestFoldLaws(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		if !reflect.DeepEqual(fold(shuffled), want) {
+		if !reflect.DeepEqual(addAll(shuffled), want) {
 			t.Errorf("permutation %d folds differently", seed)
 		}
 	}
 	for i := 0; i <= len(log); i++ {
-		if !reflect.DeepEqual(fold(log[i:], log[:i]), want) {
+		if !reflect.DeepEqual(addAll(log[i:], log[:i]), want) {
 			t.Fatalf("split at %d: the second part folded first differs", i)
 		}
-		if j := min(i+25, len(log)); !reflect.DeepEqual(fold(log[:j], log[i:]), want) {
+		if j := min(i+25, len(log)); !reflect.DeepEqual(addAll(log[:j], log[i:]), want) {
 			t.Fatalf("split at %d: re-reading %d entries differs", i, j-i)
+		}
+	}
+
+	// Splits put an MTA's earliest t01 time in either part; count the
+	// splits that leave it to the second, so the merge must take it
+	// from there.
+	secondHolds := 0
+	for i := 0; i <= len(log); i++ {
+		for _, swap := range []bool{false, true} {
+			a, b := fold(log[:i]), fold(log[i:])
+			for id, o := range a {
+				if !o.targetAt.Equal(want[id].targetAt) || !o.lastAt.Equal(want[id].lastAt) {
+					secondHolds++
+				}
+			}
+			if swap {
+				a, b = b, a
+			}
+			a.merge(b)
+			if !reflect.DeepEqual(a, want) {
+				t.Fatalf("split at %d (swapped %v): merge of the parts' folds differs", i, swap)
+			}
+		}
+	}
+	if secondHolds == 0 {
+		t.Error("no split left an earliest t01 time to the second part")
+	}
+
+	// Observe's split fold at several part counts, on a log large enough
+	// for eight parts: grouped by MTA, as a campaign writes its log, and
+	// the same entries interleaved.
+	big := make([]dnsserver.LogEntry, 10*minPartEntries)
+	for i := range big {
+		big[i] = log[rng.Intn(len(log))]
+		big[i].MTAID = fmt.Sprintf("g%d", i/50)
+	}
+	interleaved := append([]dnsserver.LogEntry(nil), big...)
+	rng.Shuffle(len(interleaved), func(i, j int) {
+		interleaved[i], interleaved[j] = interleaved[j], interleaved[i]
+	})
+	wantBig := fold(big)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for name, l := range map[string][]dnsserver.LogEntry{"grouped": big, "interleaved": interleaved} {
+			if !reflect.DeepEqual(Observe(l), wantBig) {
+				t.Errorf("GOMAXPROCS %d: Observe of the %s log differs from the serial fold", procs, name)
+			}
 		}
 	}
 }
@@ -371,19 +424,75 @@ func TestDomainObserveAllocs(t *testing.T) {
 // BenchmarkObserve is the per-entry cost of the one reading of the
 // log: BENCHMARK.json's `log-ingest` workload runs it under each of its
 // four analyses (analyze_s), `probe-campaign` in its closing analyses.
+// It folds the log grouped by MTA, as a campaign writes it, and the same
+// entries shuffled with a fixed seed, where every part of the split
+// fold meets most MTAs and the merge has the most to do.
 func BenchmarkObserve(b *testing.B) {
-	var log []dnsserver.LogEntry
+	var grouped []dnsserver.LogEntry
 	for i := 0; i < 100; i++ {
-		log = append(log, serialMTALog(fmt.Sprintf("s%03d", i))...)
-		log = append(log, violatorMTALog(fmt.Sprintf("v%03d", i))...)
+		grouped = append(grouped, serialMTALog(fmt.Sprintf("s%03d", i))...)
+		grouped = append(grouped, violatorMTALog(fmt.Sprintf("v%03d", i))...)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		observeSink = Observe(log)
+	interleaved := append([]dnsserver.LogEntry(nil), grouped...)
+	rand.New(rand.NewSource(1)).Shuffle(len(interleaved), func(i, j int) {
+		interleaved[i], interleaved[j] = interleaved[j], interleaved[i]
+	})
+	for _, c := range []struct {
+		name string
+		log  []dnsserver.LogEntry
+	}{{"grouped", grouped}, {"interleaved", interleaved}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				observeSink = Observe(c.log)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.log)), "ns/entry")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/entry")
 }
 
 // observeSink keeps BenchmarkObserve's fold, as every caller keeps it.
 var observeSink Observations
+
+// TestFoldKeysOwnTheirStrings decodes a log the way cmd/analyze and
+// log-ingest do, whose entries share their chunk's string storage, and
+// folds it: no fold key and no Observation's MTAID may alias a decoded
+// string, or keeping the fold would keep every chunk's strings alive.
+func TestFoldKeysOwnTheirStrings(t *testing.T) {
+	var jsonl []byte
+	for i := 0; i < 20; i++ {
+		for _, e := range serialMTALog(fmt.Sprintf("s%03d", i)) {
+			jsonl = dnsserver.AppendLogJSON(jsonl, e)
+		}
+		jsonl = dnsserver.AppendLogJSON(jsonl, entry(fmt.Sprintf("d%03d", i), "", nil, dns.TypeTXT, 0))
+	}
+	var entries []dnsserver.LogEntry
+	err := dnsserver.ParForEachLogJSONOrdered(bytes.NewReader(jsonl), 2, func(e dnsserver.LogEntry) error {
+		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := map[*byte]bool{}
+	for _, e := range entries {
+		decoded[unsafe.StringData(e.MTAID)] = true
+	}
+	obs, domains := Observe(entries), make(DomainObservations)
+	for i := range entries {
+		domains.Add(&entries[i])
+	}
+	if len(obs) != 20 || len(domains) != 20 {
+		t.Fatalf("folded %d MTAs and %d domains, want 20 each", len(obs), len(domains))
+	}
+	for id, o := range obs {
+		if decoded[unsafe.StringData(id)] || decoded[unsafe.StringData(o.MTAID)] {
+			t.Errorf("Observations key or MTAID %q aliases a decoded entry's string", id)
+		}
+	}
+	for id := range domains {
+		if decoded[unsafe.StringData(id)] {
+			t.Errorf("DomainObservations key %q aliases a decoded entry's string", id)
+		}
+	}
+}

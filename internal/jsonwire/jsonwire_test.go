@@ -187,6 +187,53 @@ func TestCursorLitAndStrings(t *testing.T) {
 	}
 }
 
+// refRawStr is RawStr as a byte loop, the reference its eight-byte
+// scan must agree with.
+func refRawStr(c *Cursor) ([]byte, bool) {
+	for i := c.i; i < len(c.in); i++ {
+		b := c.in[i]
+		if b == '"' {
+			s := c.in[c.i:i]
+			c.i = i + 1
+			return s, true
+		}
+		if b == '\\' || b < 0x20 || b >= 0x80 {
+			break
+		}
+	}
+	return nil, false
+}
+
+// FuzzRawStr holds RawStr's eight-byte scan to the byte loop: the same
+// contents, the same cursor position and the same ok, from any start.
+// The seeds put every stop byte in every lane of the first and second
+// word, beside the two allowed bytes at the edges of the plain range.
+func FuzzRawStr(f *testing.F) {
+	for n := 0; n <= 17; n++ {
+		f.Add(append(bytes.Repeat([]byte{'a'}, n), '"', 'z'), uint8(0))
+		f.Add(bytes.Repeat([]byte{'a'}, n), uint8(0))
+	}
+	for _, stop := range []byte{'"', '\\', 0x00, 0x1f, 0x80, 0xff, 0x20, 0x7f} {
+		for lane := 0; lane < 16; lane++ {
+			in := bytes.Repeat([]byte{'a'}, 19)
+			in[lane] = stop
+			in[18] = '"'
+			f.Add(in, uint8(0))
+			f.Add(in, uint8(lane%3))
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte, start uint8) {
+		c := Cursor{in: in, i: int(start) % (len(in) + 1)}
+		ref := c
+		got, ok := c.RawStr()
+		want, wantOK := refRawStr(&ref)
+		if ok != wantOK || !bytes.Equal(got, want) || c.i != ref.i {
+			t.Fatalf("RawStr(%q from %d) = %q, %v at %d; byte loop %q, %v at %d",
+				in, start, got, ok, c.i, want, wantOK, ref.i)
+		}
+	})
+}
+
 // TestCursorAllocFree pins the shared primitives at zero allocations:
 // the query-log codec's own pin (decode <= 2) budgets only for the
 // strings it materializes.

@@ -157,11 +157,12 @@ func (s *Service) Assess(ctx context.Context, address string) (*Assessment, erro
 // collect reads the session's validation activity off the query log.
 func (s *Service) collect(a *Assessment) {
 	obs := make(fingerprint.DomainObservations)
-	s.Log.ForEach(func(e *dnsserver.LogEntry) bool {
-		if e.MTAID == a.SessionID {
-			obs.Add(e)
+	s.Log.View(func(entries []dnsserver.LogEntry) {
+		for i := range entries {
+			if entries[i].MTAID == a.SessionID {
+				obs.Add(&entries[i])
+			}
 		}
-		return true
 	})
 	if o := obs[a.SessionID]; o != nil {
 		a.SPF, a.SPFComplete, a.DKIM, a.DMARC = o.FetchedPolicy(), o.MTAAddr, o.DKIMKey, o.DMARC
