@@ -93,12 +93,11 @@ bulk-race:
 		-run 'TestBulkPipelineChaos' ./internal/bulkspf/
 
 # The tracing subsystem under the race detector: the full span
-# lifecycle (pooling, exporter handoff, Close drain), the wire/wait
-# attribution split, and a seeded-chaos bulk run at sample=1.0 with a
-# leak-checked exporter. Reproduce with `make trace-race CHAOS_SEED=<seed>`.
+# lifecycle (pooling, exporter handoff, Close drain) and a seeded-chaos
+# bulk run at sample=1.0 with a leak-checked exporter, its resolver
+# spans included. Reproduce with `make trace-race CHAOS_SEED=<seed>`.
 trace-race:
 	$(GO) test -race -count=1 ./internal/trace/
-	$(GO) test -race -count=1 -run 'TestWireWait|TestWireAttribution' ./internal/resolver/
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
 		-run 'TestBulkPipelineChaosTraced' ./internal/bulkspf/
 

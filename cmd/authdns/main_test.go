@@ -58,7 +58,7 @@ func startAuthdns(t *testing.T, args ...string) *authdns {
 func TestRunServeShutdown(t *testing.T) {
 	a := startAuthdns(t, "-quiet", "-metrics-addr", "127.0.0.1:0")
 	// Send real queries so the serving-path counters move.
-	res := resolver.New(resolver.Config{Server: a.dnsAddr, DisableCache: true})
+	res := resolver.New(resolver.Config{Server: a.dnsAddr})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, name := range []string{
@@ -96,16 +96,17 @@ func TestRunServeShutdown(t *testing.T) {
 	}
 
 	// Keep traffic flowing while the signal lands, to exercise the
-	// shutdown/append race.
+	// shutdown/append race. Each lookup names a new MTA so the
+	// resolver's cache cannot answer it and the query reaches the wire.
 	raceCtx, raceCancel := context.WithCancel(context.Background())
 	defer raceCancel()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for raceCtx.Err() == nil {
+		for i := 3; raceCtx.Err() == nil; i++ {
 			qctx, qcancel := context.WithTimeout(raceCtx, 200*time.Millisecond)
-			_, _ = res.LookupTXT(qctx, "t03.mta00003.spf-test.dns-lab.example")
+			_, _ = res.LookupTXT(qctx, fmt.Sprintf("t03.mta%05d.spf-test.dns-lab.example", i))
 			qcancel()
 		}
 	}()
@@ -136,7 +137,7 @@ func TestRunServeShutdown(t *testing.T) {
 // the log's drain goroutine, so all are out once run has returned.
 func TestRunPrintsAttributedLines(t *testing.T) {
 	a := startAuthdns(t)
-	res := resolver.New(resolver.Config{Server: a.dnsAddr, DisableCache: true})
+	res := resolver.New(resolver.Config{Server: a.dnsAddr})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	queries := []struct{ test, mta string }{

@@ -229,3 +229,128 @@ func Example_validatingReceiver() {
 	//   [receiver] DMARC for legit-sender.example: fail (disposition reject)
 	//   [sender] delivery refused: smtp: 550 5.7.1 rejected by DMARC policy
 }
+
+// Choose what a DKIM signature covers: sign only From and Subject, with
+// simple canonicalization for both header and body. A header outside
+// the signed set may change in transit; under simple canonicalization
+// even refolded whitespace in a signed header breaks the signature,
+// where the relaxed default (ExampleDKIMSigner) survives it.
+func ExampleDKIMSigner_canonicalization() {
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		log.Fatal(err)
+	}
+	keyRecord, err := sendervalid.FormatDKIMKey(pub)
+	if err != nil {
+		log.Fatal(err)
+	}
+	zone := sendervalid.NewStaticZone().DKIMKey("strict", "sender.example", keyRecord)
+	authdns := &sendervalid.AuthServer{
+		Zones: []*sendervalid.AuthZone{{Suffix: "sender.example.", LabelDepth: 1, Default: zone}},
+	}
+	dnsAddr, err := authdns.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = authdns.Shutdown(ctx)
+	}()
+
+	signer := &sendervalid.DKIMSigner{
+		Domain: "sender.example", Selector: "strict", Key: priv,
+		Headers:     []string{"From", "Subject"},
+		HeaderCanon: "simple",
+		BodyCanon:   "simple",
+	}
+	signed, err := signer.Sign([]byte("From: notify@sender.example\r\n" +
+		"To: operator@recipient.example\r\n" +
+		"Subject: vulnerability notification\r\n" +
+		"\r\n" +
+		"Details follow.\r\n"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	sigLine, _, _ := strings.Cut(string(signed), "\r\n")
+	fmt.Printf("signature header: %.60s...\n", sigLine)
+
+	verifier := &sendervalid.DKIMVerifier{Resolver: sendervalid.NewResolver(sendervalid.ResolverConfig{Server: dnsAddr.String()})}
+	ctx := context.Background()
+	for _, c := range []struct{ what, from, to string }{
+		{"as signed", "", ""},
+		{"unsigned To rewritten", "To: operator@recipient.example", "To: list@recipient.example"},
+		{"signed Subject refolded", "Subject: vulnerability notification", "Subject:  vulnerability notification"},
+	} {
+		out := verifier.Verify(ctx, []byte(strings.Replace(string(signed), c.from, c.to, 1)))
+		fmt.Printf("%-24s %s\n", c.what+":", out.Result)
+	}
+
+	// Output:
+	// signature header: DKIM-Signature: v=1; a=ed25519-sha256; c=simple/simple; d=se...
+	// as signed:               pass
+	// unsigned To rewritten:   pass
+	// signed Subject refolded: fail
+}
+
+// Cap how many sessions a receiver serves at once. A connection over
+// the cap is greeted with 421, which tells a well-behaved sender to
+// retry later, and closed, instead of waiting in the accept queue.
+func ExampleSMTPServer_maxConns() {
+	receiver := &sendervalid.SMTPServer{Hostname: "mx.receiver.example", MaxConns: 1}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go receiver.Serve(ln)
+	defer receiver.Close()
+
+	first, err := sendervalid.DialSMTP(context.Background(), ln.Addr().String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer first.Quit()
+	fmt.Println("first session: greeted")
+
+	_, err = sendervalid.DialSMTP(context.Background(), ln.Addr().String())
+	fmt.Println("second session:", err)
+
+	// Output:
+	// first session: greeted
+	// second session: smtp: 421 mx.receiver.example too many connections, try again later
+}
+
+// Evaluate DMARC for two From domains: one whose policy the message
+// fails, and one whose policy cannot be fetched because the DNS refuses
+// to answer. The second is a temperror, and Err says why, so a receiver
+// can defer the message rather than guess.
+func ExampleDMARCEvaluator() {
+	zone := sendervalid.NewStaticZone().DMARC("bank.example", "v=DMARC1; p=reject")
+	authdns := &sendervalid.AuthServer{
+		Zones: []*sendervalid.AuthZone{{Suffix: "bank.example.", LabelDepth: 1, Default: zone}},
+	}
+	dnsAddr, err := authdns.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = authdns.Shutdown(ctx)
+	}()
+
+	evaluator := &sendervalid.DMARCEvaluator{
+		Resolver: sendervalid.NewResolver(sendervalid.ResolverConfig{Server: dnsAddr.String()}),
+	}
+	for _, from := range []string{"bank.example", "elsewhere.example"} {
+		out := evaluator.Evaluate(context.Background(), sendervalid.DMARCInputs{
+			FromDomain: from,
+			SPFResult:  sendervalid.SPFFail, SPFDomain: "attacker.example",
+		})
+		fmt.Printf("%s: %s, disposition %q, err %v\n", from, out.Result, out.Disposition, out.Err)
+	}
+
+	// Output:
+	// bank.example: fail, disposition "reject", err <nil>
+	// elsewhere.example: temperror, disposition "none", err resolver: REFUSED for _dmarc.elsewhere.example.
+}

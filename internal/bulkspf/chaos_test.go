@@ -133,7 +133,6 @@ func TestBulkPipelineChaos(t *testing.T) {
 		Dialer:     fabric,
 		DisableTCP: true,
 		Timeout:    150 * time.Millisecond,
-		MaxRetries: 5,
 	})
 
 	const tuples = 150
@@ -246,7 +245,6 @@ func TestBulkPipelineChaosTraced(t *testing.T) {
 		Dialer:     fabric,
 		DisableTCP: true,
 		Timeout:    150 * time.Millisecond,
-		MaxRetries: 5,
 	})
 
 	spans := &lockedBuffer{}

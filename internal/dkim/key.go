@@ -39,11 +39,6 @@ type KeyRecord struct {
 	Services []string
 }
 
-// Testing reports whether the key carries the t=y testing flag.
-func (k *KeyRecord) Testing() bool {
-	return slices.Contains(k.Flags, "y")
-}
-
 // forEmail reports whether the s= tag admits email: absent, "*" or
 // "email" (RFC 6376 §3.6.1).
 func (k *KeyRecord) forEmail() bool {

@@ -126,21 +126,3 @@ func (m *Message) Prepend(name, value string) {
 	h := Header{Name: name, Value: " " + value, Raw: name + ": " + value + "\r\n"}
 	m.Headers = append([]Header{h}, m.Headers...)
 }
-
-// AddressDomain extracts the domain of the first address-like token in
-// a header value such as From. It handles "Display <user@dom>" and
-// bare "user@dom" forms; the result is lowercased.
-func AddressDomain(headerValue string) string {
-	v := unfold(headerValue)
-	if i := strings.IndexByte(v, '<'); i >= 0 {
-		if j := strings.IndexByte(v[i:], '>'); j > 0 {
-			v = v[i+1 : i+j]
-		}
-	}
-	v = strings.TrimSpace(v)
-	at := strings.LastIndexByte(v, '@')
-	if at < 0 || at == len(v)-1 {
-		return ""
-	}
-	return strings.ToLower(strings.TrimRight(v[at+1:], "> \t"))
-}

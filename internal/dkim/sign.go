@@ -26,8 +26,6 @@ type Signer struct {
 	// relaxed/relaxed, the dominant deployment choice.
 	HeaderCanon Canonicalization
 	BodyCanon   Canonicalization
-	// Timestamp, when nonzero, is published in the t= tag.
-	Timestamp int64
 }
 
 var defaultSignedHeaders = []string{"From", "To", "Subject", "Date", "Message-ID"}
@@ -97,9 +95,6 @@ func (s *Signer) SignatureHeader(msg *Message) (string, error) {
 
 	var tags strings.Builder
 	fmt.Fprintf(&tags, "v=1; a=%s; c=%s/%s; d=%s; s=%s;", alg, hc, bc, s.Domain, s.Selector)
-	if s.Timestamp != 0 {
-		fmt.Fprintf(&tags, " t=%d;", s.Timestamp)
-	}
 	fmt.Fprintf(&tags, " h=%s; bh=%s; b=", strings.Join(signedNames, ":"), bh)
 	unsigned := tags.String()
 

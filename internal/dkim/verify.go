@@ -132,8 +132,6 @@ type Verification struct {
 	Domain string
 	// Err carries detail for non-pass results.
 	Err error
-	// Testing reports the key's t=y flag.
-	Testing bool
 }
 
 // Verifier checks DKIM signatures on incoming messages.
@@ -193,7 +191,6 @@ func (v *Verifier) verifyOne(ctx context.Context, msg *Message, sigHeader *Heade
 		out.Result, out.Err = ResultPermError, keyErr
 		return out
 	}
-	out.Testing = key.Testing()
 	// RFC 6376 §3.6.1: under t=s the i= domain must equal d=.
 	if slices.Contains(key.Flags, "s") && !strings.EqualFold(sig.identityDomain(), sig.Domain) {
 		out.Result, out.Err = ResultPermError, fmt.Errorf("dkim: key flag t=s: i= domain %q is not d=", sig.identityDomain())

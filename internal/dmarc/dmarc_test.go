@@ -281,9 +281,6 @@ func TestEvaluateSubdomainPolicy(t *testing.T) {
 	if out.Result != ResultFail || out.Disposition != Quarantine {
 		t.Errorf("subdomain policy: %+v", out)
 	}
-	if !out.FromOrgFallback {
-		t.Error("fallback flag unset")
-	}
 }
 
 func TestEvaluateNoPolicy(t *testing.T) {
@@ -321,28 +318,24 @@ func TestEvaluatePctSampling(t *testing.T) {
 		"_dmarc.victim.example": {"v=DMARC1; p=reject; pct=30"},
 	}}
 	e := &Evaluator{Resolver: r}
-	failing := func(point float64) *Evaluation {
+	failing := func() *Evaluation {
 		return e.Evaluate(context.Background(), Inputs{
-			FromDomain: "victim.example", SamplePoint: point,
-			SPFResult: spf.Fail, SPFDomain: "victim.example",
+			FromDomain: "victim.example",
+			SPFResult:  spf.Fail, SPFDomain: "victim.example",
 		})
 	}
-	// Inside the 30% sample: full reject.
-	if out := failing(0.1); out.Disposition != Reject || out.SampledOut {
-		t.Errorf("in-sample: %+v", out)
+	// A message counts as sampled in under any pct above 0.
+	if out := failing(); out.Disposition != Reject {
+		t.Errorf("pct=30: %+v", out)
 	}
-	// Outside the sample: downgraded to quarantine.
-	if out := failing(0.9); out.Disposition != Quarantine || !out.SampledOut {
-		t.Errorf("sampled out: %+v", out)
+	// pct=0 samples nothing in: reject weakens to quarantine, and
+	// quarantine to none.
+	r.txt["_dmarc.victim.example"] = []string{"v=DMARC1; p=reject; pct=0"}
+	if out := failing(); out.Disposition != Quarantine {
+		t.Errorf("reject at pct=0: %+v", out)
 	}
-	// Quarantine downgrades to none when sampled out.
-	r.txt["_dmarc.victim.example"] = []string{"v=DMARC1; p=quarantine; pct=30"}
-	if out := failing(0.9); out.Disposition != None || !out.SampledOut {
-		t.Errorf("quarantine sampled out: %+v", out)
-	}
-	// pct=100 (default) never samples out.
-	r.txt["_dmarc.victim.example"] = []string{"v=DMARC1; p=reject"}
-	if out := failing(0.99); out.Disposition != Reject || out.SampledOut {
-		t.Errorf("pct=100: %+v", out)
+	r.txt["_dmarc.victim.example"] = []string{"v=DMARC1; p=quarantine; pct=0"}
+	if out := failing(); out.Disposition != None {
+		t.Errorf("quarantine at pct=0: %+v", out)
 	}
 }

@@ -26,17 +26,10 @@ type Evaluation struct {
 	// Disposition is the action the policy requests on failure
 	// (None when Result is pass or none).
 	Disposition Disposition
-	// Record is the discovered policy, nil when none.
-	Record *Record
-	// FromOrgFallback reports that the policy came from the
-	// organizational domain rather than the exact From domain.
-	FromOrgFallback bool
 	// SPFAligned and DKIMAligned report which mechanism(s) produced
 	// the pass.
 	SPFAligned  bool
 	DKIMAligned bool
-	// SampledOut reports that pct= sampling weakened the disposition.
-	SampledOut bool
 	// Err carries detail for error results.
 	Err error
 }
@@ -96,13 +89,6 @@ func (e *Evaluator) query(ctx context.Context, domain string) (*Record, error) {
 type Inputs struct {
 	// FromDomain is the RFC5322.From header domain.
 	FromDomain string
-	// SamplePoint in [0, 1) positions this message within the pct=
-	// sampling space (RFC 7489 §6.6.4): a failing message whose point
-	// falls at or above pct/100 receives the next-weaker disposition
-	// (reject→quarantine, quarantine→none). The zero value falls
-	// inside every sample, so callers that ignore sampling get the
-	// full policy; out-of-range values also apply the policy fully.
-	SamplePoint float64
 	// SPFResult and SPFDomain are the SPF outcome and the domain it
 	// authenticated (the MAIL FROM domain, or HELO for a null path).
 	SPFResult spf.Result
@@ -129,9 +115,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, in Inputs) *Evaluation {
 		out.Result = ResultNone
 		return out
 	}
-	out.Record = rec
-	out.FromOrgFallback = fallback
-
 	out.SPFAligned = in.SPFResult == spf.Pass &&
 		Aligned(in.SPFDomain, in.FromDomain, rec.SPFAlignment)
 	out.DKIMAligned = in.DKIMResult == dkim.ResultPass &&
@@ -143,16 +126,16 @@ func (e *Evaluator) Evaluate(ctx context.Context, in Inputs) *Evaluation {
 	}
 	out.Result = ResultFail
 	out.Disposition = rec.PolicyFor(fallback)
-	if rec.Percent < 100 && in.SamplePoint >= 0 && in.SamplePoint < 1 &&
-		in.SamplePoint*100 >= float64(rec.Percent) {
-		// Sampled out: apply the next-weaker disposition (§6.6.4).
+	if rec.Percent == 0 {
+		// pct=0 samples no message in (§6.6.4), so a failing one gets
+		// the next-weaker disposition. The evaluator draws no sample:
+		// under any other pct the message counts as sampled in.
 		switch out.Disposition {
 		case Reject:
 			out.Disposition = Quarantine
 		case Quarantine:
 			out.Disposition = None
 		}
-		out.SampledOut = true
 	}
 	return out
 }

@@ -32,15 +32,17 @@ type Client struct {
 	Dialer Dialer
 	// Timeout bounds a single exchange. Zero means 5 seconds.
 	Timeout time.Duration
-	// UDPSize is the EDNS0 payload size advertised on UDP queries.
-	// Zero means 1232. Negative disables EDNS0.
-	UDPSize int
 	// DisableTCPFallback suppresses the TCP retry that normally
 	// follows a truncated UDP response.
 	DisableTCPFallback bool
 }
 
 const defaultTimeout = 5 * time.Second
+
+// ednsUDPSize is the EDNS0 payload size advertised on UDP queries: the
+// 1232 octets DNS Flag Day 2020 settled on, which fits an IPv6 path's
+// minimum MTU.
+const ednsUDPSize = 1232
 
 // pktPool recycles the 4096-byte buffers ExchangeOver reads replies
 // into.
@@ -104,16 +106,12 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 	defer cancel()
 
 	wire := msg
-	if network == "udp" && c.UDPSize >= 0 {
+	if network == "udp" {
 		// Advertise EDNS0 on a copy so the caller's message is
 		// unchanged for a potential TCP retry.
 		clone := *msg
 		clone.Additional = append([]RR(nil), msg.Additional...)
-		size := c.UDPSize
-		if size == 0 {
-			size = 1232
-		}
-		clone.SetEDNS(uint16(size))
+		clone.SetEDNS(ednsUDPSize)
 		wire = &clone
 	}
 	packed, err := wire.Pack()

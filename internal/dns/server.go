@@ -90,8 +90,6 @@ type Server struct {
 	Addr string
 	// Handler responds to queries. Required.
 	Handler Handler
-	// ReadTimeout bounds TCP connection idle time. Zero means 10s.
-	ReadTimeout time.Duration
 	// MaxQPSPerSource, when positive, rate-limits queries per client
 	// IP with a token bucket; queries over budget receive REFUSED so
 	// a well-behaved resolver backs off rather than timing out.
@@ -405,12 +403,12 @@ func (s *Server) serveTCP(ln net.Listener) {
 	}
 }
 
+// tcpIdleTimeout bounds how long a TCP connection may sit idle between
+// queries.
+const tcpIdleTimeout = 10 * time.Second
+
 func (s *Server) handleTCPConn(conn net.Conn) {
 	defer conn.Close()
-	timeout := s.ReadTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
 	w := &tcpResponseWriter{conn: conn, metrics: &s.metrics}
 	var pkt []byte // per-connection read buffer, grown on demand
 	msg := GetMsg()
@@ -420,7 +418,7 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 		r.RemoteAddr = unmap(a.AddrPort())
 	}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
+		_ = conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout))
 		var err error
 		pkt, err = readTCPMessageInto(conn, pkt)
 		if err != nil {

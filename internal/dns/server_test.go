@@ -75,12 +75,12 @@ func TestClientServerTCP(t *testing.T) {
 }
 
 func TestTruncationForcesTCPFallback(t *testing.T) {
-	// A response bigger than the 512-octet non-EDNS limit must arrive
-	// truncated over UDP and complete over TCP.
-	big := strings.Repeat("a", 900)
+	// A response bigger than the advertised EDNS0 payload size must
+	// arrive truncated over UDP and complete over TCP.
+	big := strings.Repeat("a", 2*ednsUDPSize)
 	addr := startTestServer(t, echoTXTHandler(big))
 
-	c := &Client{Timeout: 2 * time.Second, UDPSize: -1} // no EDNS
+	c := &Client{Timeout: 2 * time.Second}
 	q := new(Message).SetQuestion("example.com", TypeTXT)
 	udpResp, err := c.ExchangeOver(context.Background(), q, "udp", addr)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestTruncationForcesTCPFallback(t *testing.T) {
 func TestEDNSAvoidsTruncation(t *testing.T) {
 	big := strings.Repeat("a", 900)
 	addr := startTestServer(t, echoTXTHandler(big))
-	c := &Client{Timeout: 2 * time.Second, UDPSize: 1232, DisableTCPFallback: true}
+	c := &Client{Timeout: 2 * time.Second, DisableTCPFallback: true}
 	resp, err := c.Exchange(context.Background(),
 		new(Message).SetQuestion("example.com", TypeTXT), addr)
 	if err != nil {

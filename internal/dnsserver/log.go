@@ -84,10 +84,3 @@ func (l *QueryLog) Len() int {
 	defer l.mu.Unlock()
 	return len(l.entries)
 }
-
-// Reset discards all entries.
-func (l *QueryLog) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = nil
-}

@@ -174,8 +174,6 @@ type Server struct {
 	// "127.0.0.1:0"; Addr6 is optional ("[::1]:0" to enable).
 	Addr4 string
 	Addr6 string
-	// TTL is the answer TTL. Defaults to 60.
-	TTL uint32
 	// Log records every query: a *QueryLog for in-memory collection,
 	// or an *AsyncLog wrapping a disk sink so logging backpressure can
 	// never stall query serving. A nil log disables recording.
@@ -282,14 +280,6 @@ func (s *Server) Refused() uint64 {
 	return n
 }
 
-// Addr returns the bound IPv4 endpoint, or nil before Start.
-func (s *Server) Addr() net.Addr {
-	if s.srv4 == nil {
-		return nil
-	}
-	return s.srv4.LocalAddr()
-}
-
 // Addr6Bound returns the bound IPv6 endpoint, or nil when disabled.
 func (s *Server) Addr6Bound() net.Addr {
 	if s.srv6 == nil {
@@ -310,13 +300,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	return first
-}
-
-func (s *Server) ttl() uint32 {
-	if s.TTL == 0 {
-		return 60
-	}
-	return s.TTL
 }
 
 // zoneFor returns the longest-suffix zone containing the canonical
@@ -407,6 +390,9 @@ func (s *Server) handler(v6 bool) dns.Handler {
 	})
 }
 
+// soaTTL is the TTL of the SOA record a negative answer carries.
+const soaTTL = 60
+
 func (s *Server) soa(z *Zone) dns.RR {
 	contact := z.Contact
 	if contact == "" {
@@ -414,7 +400,7 @@ func (s *Server) soa(z *Zone) dns.RR {
 	}
 	return dns.RR{
 		Name: dns.CanonicalName(z.Suffix), Type: dns.TypeSOA, Class: dns.ClassINET,
-		TTL: s.ttl(),
+		TTL: soaTTL,
 		Data: &dns.SOA{
 			MName: prefixName("ns1", z.Suffix), RName: dns.CanonicalName(contact),
 			Serial: 2021100401, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300,

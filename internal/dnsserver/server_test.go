@@ -490,10 +490,6 @@ func TestQueryLogHelpers(t *testing.T) {
 	if len(names) != 3 || names[0] != "a." || names[2] != "c." {
 		t.Errorf("View saw %v", names)
 	}
-	log.Reset()
-	if log.Len() != 0 {
-		t.Error("Reset failed")
-	}
 }
 
 func TestRejoin(t *testing.T) {

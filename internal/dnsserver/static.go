@@ -69,11 +69,6 @@ func (s *Static) MX(name string, pref uint16, host string) *Static {
 	return s.Add(dns.RR{Name: name, Type: dns.TypeMX, Data: &dns.MX{Preference: pref, Host: host}})
 }
 
-// CNAME adds an alias record.
-func (s *Static) CNAME(name, target string) *Static {
-	return s.Add(dns.RR{Name: name, Type: dns.TypeCNAME, Data: &dns.CNAME{Target: target}})
-}
-
 // SPF publishes an SPF policy (a TXT record) for name.
 func (s *Static) SPF(name, policy string) *Static { return s.TXT(name, policy) }
 
@@ -85,17 +80,6 @@ func (s *Static) DKIMKey(selector, domain, record string) *Static {
 // DMARC publishes a DMARC policy at _dmarc.<domain>.
 func (s *Static) DMARC(domain, policy string) *Static {
 	return s.TXT("_dmarc."+strings.TrimSuffix(domain, "."), policy)
-}
-
-// Len returns the number of records held.
-func (s *Static) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, rrs := range s.records {
-		n += len(rrs)
-	}
-	return n
 }
 
 // Respond implements Responder: exact-match on (name, type), CNAMEs

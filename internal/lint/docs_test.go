@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,6 +130,80 @@ func TestMakeTargetsInHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestMakeRunPatterns fails on a `-run '<re>'` in the Makefile with an
+// alternative (a |-separated part of <re>) that names no Test, Fuzz,
+// Example or Benchmark function in the packages its command line
+// lists: a deleted or renamed test would otherwise leave its target
+// running nothing, and passing.
+func TestMakeRunPatterns(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join(moduleRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run '([^']*)'`)
+	var checked int
+	for _, line := range strings.Split(strings.ReplaceAll(string(mk), "\\\n", " "), "\n") {
+		m := runFlag.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var names []string
+		for _, arg := range strings.Fields(line) {
+			if strings.HasPrefix(arg, "./") {
+				names = append(names, testFuncs(t, arg)...)
+			}
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			re := regexp.MustCompile(alt)
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("Makefile: -run alternative %q matches no test in %s", alt, strings.TrimSpace(line))
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run pattern in the Makefile")
+	}
+}
+
+// testFuncs lists the Test, Fuzz, Example and Benchmark functions in
+// the test files of the packages a go command's package argument
+// names: one directory, or every directory below it for a /... pattern.
+func testFuncs(t *testing.T, pkg string) []string {
+	dir, recursive := strings.CutSuffix(pkg, "...")
+	var names []string
+	err := filepath.WalkDir(filepath.Join(moduleRoot, dir), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || !recursive && path != filepath.Join(moduleRoot, dir) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+var testFunc = regexp.MustCompile(`^(Test|Fuzz|Example|Benchmark)`)
 
 // TestBenchmarksNameWorkload fails on a Benchmark function whose doc
 // comment neither names, in backquotes, a BENCHMARK.json workload that

@@ -20,10 +20,14 @@ const moduleRoot = "../.."
 //     knob with one value in use;
 //   - (c) an exported struct field that no non-test file reads.
 //
-// Methods that implement an interface, the methods and fields of a
-// type the module root's api.go aliases, fields carrying a struct tag
-// and fields of values handed to encoding/json or a template package
-// (read by reflection) are exempt. Seams kept for tests are listed,
+// The module root's external test files, api_test.go and
+// example_test.go, count as readers too: they use the facade api.go
+// re-exports as an importing module would, so a public member earns
+// its place there with a runnable Example. Other test files, the
+// root's in-package bench_test.go among them, do not count. Methods
+// that implement an interface, fields carrying a struct tag and fields
+// of values handed to encoding/json or a template package (read by
+// reflection) are exempt. Seams kept for tests are listed,
 // with their reason, in one allowlist per rule; an entry the check no
 // longer reports is itself a failure, so the lists can only shrink.
 func TestExportsHaveReaders(t *testing.T) {

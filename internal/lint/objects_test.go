@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,41 +43,44 @@ type checked struct {
 }
 
 // loadModule type-checks the non-test files of every package in the
-// module rooted at dir. `go list -deps` yields the packages in
-// dependency order; module packages are checked from source, and the
-// standard library is read from the export data `-export` names.
+// module rooted at dir, and the root package's external test files
+// (api_test.go and example_test.go, package <root>_test): they use the
+// facade the way an importing module would, so their uses count. The
+// root's in-package test files (bench_test.go) are not checked.
+// `go list -deps` yields the packages in dependency order; module
+// packages are checked from source, and the standard library is read
+// from the export data `-export` names.
 func loadModule(dir string) (*module, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,Module", "./...")
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	local, exports, err := goList(dir, "./...")
 	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+		return nil, err
 	}
-	type listed struct {
-		ImportPath, Dir, Export string
-		GoFiles                 []string
-		Standard                bool
-		Module                  *struct{ Path, GoVersion string }
+	var root *listed
+	for i, p := range local {
+		if p.ImportPath == p.Module.Path {
+			root = &local[i]
+		}
 	}
-	exports := map[string]string{}
-	var local []listed
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listed
-		if err := dec.Decode(&p); err != nil {
+	// The external test files may import packages no non-test file
+	// does; list those for their export data.
+	var extra []string
+	if root != nil {
+		for _, imp := range root.XTestImports {
+			if exports[imp] == "" && !strings.HasPrefix(imp, root.Module.Path) {
+				extra = append(extra, imp)
+			}
+		}
+	}
+	if len(extra) > 0 {
+		_, more, err := goList(dir, extra...)
+		if err != nil {
 			return nil, err
 		}
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		} else {
-			local = append(local, p)
-		}
+		maps.Copy(exports, more)
 	}
 
 	m := &module{root: dir, fset: token.NewFileSet()}
@@ -93,32 +97,81 @@ func loadModule(dir string) (*module, error) {
 		}
 		return std.Import(path)
 	})
-	for _, p := range local {
-		if p.Module == nil {
-			return nil, fmt.Errorf("%s: not in a module", p.ImportPath)
-		}
-		m.path = p.Module.Path
-		c := &checked{path: p.ImportPath, info: &types.Info{
+	check := func(path, dir string, files []string, goVersion string) error {
+		c := &checked{path: path, info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		for _, name := range files {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c.files = append(c.files, f)
 		}
-		conf := types.Config{Importer: imp, GoVersion: "go" + p.Module.GoVersion}
-		if c.types, err = conf.Check(p.ImportPath, m.fset, c.files, c.info); err != nil {
+		conf := types.Config{Importer: imp, GoVersion: "go" + goVersion}
+		var err error
+		if c.types, err = conf.Check(path, m.fset, c.files, c.info); err != nil {
+			return err
+		}
+		byPath[path] = c.types
+		m.pkgs = append(m.pkgs, c)
+		return nil
+	}
+	for _, p := range local {
+		m.path = p.Module.Path
+		if err := check(p.ImportPath, p.Dir, p.GoFiles, p.Module.GoVersion); err != nil {
 			return nil, err
 		}
-		byPath[p.ImportPath] = c.types
-		m.pkgs = append(m.pkgs, c)
+	}
+	if root != nil && len(root.XTestGoFiles) > 0 {
+		if err := check(root.ImportPath+"_test", root.Dir, root.XTestGoFiles, root.Module.GoVersion); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
+}
+
+// listed is the part of a `go list -json` record loadModule reads.
+type listed struct {
+	ImportPath, Dir, Export    string
+	GoFiles                    []string
+	XTestGoFiles, XTestImports []string
+	Standard                   bool
+	Module                     *struct{ Path, GoVersion string }
+}
+
+// goList runs `go list -deps -export` on the patterns in dir and
+// returns the module's packages in dependency order and the export
+// data file of each standard-library package.
+func goList(dir string, patterns ...string) (local []listed, exports map[string]string, err error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,XTestGoFiles,XTestImports,Export,Standard,Module"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	exports = map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case p.Standard:
+			exports[p.ImportPath] = p.Export
+		case p.Module == nil:
+			return nil, nil, fmt.Errorf("%s: not in a module", p.ImportPath)
+		default:
+			local = append(local, p)
+		}
+	}
+	return local, exports, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -128,11 +181,10 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // candidate is one exported object or struct field declared in a
 // non-test file under internal/.
 type candidate struct {
-	qual   string          // pkg.Name, pkg.Type.Method or pkg.Type.Field
-	obj    types.Object    // the declared object
-	decl   ast.Node        // its declaration: uses inside it do not count
-	owner  *types.TypeName // the package-level type a method or field belongs to
-	tagged bool            // a field carrying a struct tag
+	qual   string       // pkg.Name, pkg.Type.Method or pkg.Type.Field
+	obj    types.Object // the declared object
+	decl   ast.Node     // its declaration: uses inside it do not count
+	tagged bool         // a field carrying a struct tag
 }
 
 // findings applies the three rules to the module and returns, per
@@ -167,7 +219,6 @@ func (m *module) findings() map[string][]string {
 		}
 	}
 
-	facade := m.facade()
 	ifaces := m.interfaces()
 	out := map[string][]string{}
 	report := func(rule string, c candidate) {
@@ -178,13 +229,13 @@ func (m *module) findings() map[string][]string {
 			continue
 		}
 		if fn, ok := c.obj.(*types.Func); ok && fn.Signature().Recv() != nil &&
-			(facade[c.owner] || implements(fn, ifaces)) {
+			implements(fn, ifaces) {
 			continue
 		}
 		report(ruleUnused, c)
 	}
 	for _, c := range fields {
-		if c.tagged || facade[c.owner] {
+		if c.tagged {
 			continue
 		}
 		if !written[c.obj] {
@@ -218,8 +269,7 @@ func (m *module) declared() (objs, fields []candidate) {
 					fn := p.info.Defs[d.Name].(*types.Func)
 					c := candidate{qual: pkg + "." + d.Name.Name, obj: fn, decl: d}
 					if recv := fn.Signature().Recv(); recv != nil {
-						c.owner = typeName(recv.Type())
-						c.qual = pkg + "." + c.owner.Name() + "." + d.Name.Name
+						c.qual = pkg + "." + typeName(recv.Type()).Name() + "." + d.Name.Name
 					}
 					objs = append(objs, c)
 				case *ast.GenDecl:
@@ -231,7 +281,7 @@ func (m *module) declared() (objs, fields []candidate) {
 							if s.Name.IsExported() {
 								objs = append(objs, candidate{qual: qual, obj: tn, decl: s})
 							}
-							fields = append(fields, structFields(p.info, s.Type, qual, tn)...)
+							fields = append(fields, structFields(p.info, s.Type, qual)...)
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
 								if id.IsExported() {
@@ -249,7 +299,7 @@ func (m *module) declared() (objs, fields []candidate) {
 
 // structFields lists the exported named fields of every struct type
 // written inside e, nested struct types included (pkg.Type.Outer.Inner).
-func structFields(info *types.Info, e ast.Expr, prefix string, owner *types.TypeName) []candidate {
+func structFields(info *types.Info, e ast.Expr, prefix string) []candidate {
 	var out []candidate
 	ast.Inspect(e, func(n ast.Node) bool {
 		st, ok := n.(*ast.StructType)
@@ -259,9 +309,9 @@ func structFields(info *types.Info, e ast.Expr, prefix string, owner *types.Type
 		for _, f := range st.Fields.List {
 			for _, id := range f.Names {
 				if id.IsExported() {
-					out = append(out, candidate{qual: prefix + "." + id.Name, obj: info.Defs[id], owner: owner, tagged: f.Tag != nil})
+					out = append(out, candidate{qual: prefix + "." + id.Name, obj: info.Defs[id], tagged: f.Tag != nil})
 				}
-				out = append(out, structFields(info, f.Type, prefix+"."+id.Name, owner)...)
+				out = append(out, structFields(info, f.Type, prefix+"."+id.Name)...)
 			}
 		}
 		return false
@@ -414,31 +464,6 @@ func readAll(t types.Type, read map[types.Object]bool, seen map[types.Type]bool)
 			readAll(u.Field(i).Type(), read, seen)
 		}
 	}
-}
-
-// facade is the set of types the module root's api.go aliases: their
-// methods and fields are the public API, used or not.
-func (m *module) facade() map[*types.TypeName]bool {
-	out := map[*types.TypeName]bool{}
-	for _, p := range m.pkgs {
-		if p.path != m.path {
-			continue
-		}
-		for _, f := range p.files {
-			if filepath.Base(m.fset.File(f.Pos()).Name()) != "api.go" {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if s, ok := n.(*ast.TypeSpec); ok && s.Assign.IsValid() {
-					if tn := typeName(p.info.Defs[s.Name].Type()); tn != nil {
-						out[tn] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
 }
 
 // interfaces indexes by method name every interface the module's

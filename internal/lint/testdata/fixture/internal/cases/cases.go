@@ -50,10 +50,13 @@ type Err struct{}
 func (Err) Error() string { return "err" }
 func (Err) Unwrap() error { return nil }
 
-// Facade is aliased by api.go.
+// Facade is aliased by api.go. Its Field and Method are used only by
+// the root example_test.go, which counts; Idle is used by nothing.
 type Facade struct{ Field int }
 
 func (Facade) Method() {}
+
+func (Facade) Idle() {}
 
 // Tagged's field carries a struct tag.
 type Tagged struct {

@@ -61,16 +61,22 @@ func TestNoRawTimeFixture(t *testing.T) {
 }
 
 // rawTimeUses counts, per non-test file (relative to the module root),
-// the identifiers that refer to a rawTime function of package time.
+// the identifiers that refer to a rawTime function of package time. The
+// root's external test files, which loadModule also checks, are skipped.
 func (m *module) rawTimeUses() map[string]int {
 	out := map[string]int{}
 	for _, p := range m.pkgs {
 		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
-			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Signature().Recv() == nil && rawTime[fn.Name()] {
-				rel, _ := filepath.Rel(m.root, m.fset.Position(id.Pos()).Filename)
-				out[filepath.ToSlash(rel)]++
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || fn.Signature().Recv() != nil || !rawTime[fn.Name()] {
+				continue
 			}
+			file := m.fset.Position(id.Pos()).Filename
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			rel, _ := filepath.Rel(m.root, file)
+			out[filepath.ToSlash(rel)]++
 		}
 	}
 	return out

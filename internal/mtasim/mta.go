@@ -3,7 +3,9 @@ package mtasim
 import (
 	"context"
 	"fmt"
+	"net/mail"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -325,26 +327,46 @@ func (m *MTA) onMessage(s *smtp.Session, msg []byte) *smtp.Reply {
 
 	if p.ValidatesDMARC {
 		m.bump(statDMARCChecks)
-		parsed, err := dkim.ParseMessage(msg)
-		fromDomain := spfDomain
-		if err == nil {
-			if d := dkim.AddressDomain(parsed.Get("From")); d != "" {
-				fromDomain = d
-			}
+		fromDomains := []string{spfDomain}
+		if parsed, err := dkim.ParseMessage(msg); err == nil && parsed.Get("From") != "" {
+			fromDomains = authorDomains(parsed.Get("From"))
 		}
-		eval := (&dmarc.Evaluator{Resolver: m.resolver}).Evaluate(context.Background(), dmarc.Inputs{
-			FromDomain: fromDomain,
-			SPFResult:  spfResult, SPFDomain: spfDomain,
-			DKIMResult: dkimResult, DKIMDomain: dkimDomain,
-		})
-		if p.EnforceDMARC && eval.Result == dmarc.ResultFail && eval.Disposition == dmarc.Reject {
-			m.bump(statMessagesRejected)
-			return &smtp.Reply{Code: 550, Text: "5.7.1 rejected by DMARC policy of " + fromDomain}
+		for _, fromDomain := range fromDomains {
+			eval := (&dmarc.Evaluator{Resolver: m.resolver}).Evaluate(context.Background(), dmarc.Inputs{
+				FromDomain: fromDomain,
+				SPFResult:  spfResult, SPFDomain: spfDomain,
+				DKIMResult: dkimResult, DKIMDomain: dkimDomain,
+			})
+			if p.EnforceDMARC && eval.Result == dmarc.ResultFail && eval.Disposition == dmarc.Reject {
+				m.bump(statMessagesRejected)
+				return &smtp.Reply{Code: 550, Text: "5.7.1 rejected by DMARC policy of " + fromDomain}
+			}
 		}
 	}
 
 	m.bump(statMessagesAccepted)
 	return nil
+}
+
+// authorDomains returns the Author Domains of a From header value, in
+// order and without repeats. When From names several authors, RFC 7489
+// §6.6.1 checks DMARC once per Author Domain and the strictest failing
+// policy applies. A value net/mail cannot parse as an address list, or
+// one that names no address at all (an empty group such as
+// "undisclosed:;"), yields one empty domain, which DMARC answers with
+// permerror.
+func authorDomains(from string) []string {
+	addrs, err := mail.ParseAddressList(from)
+	if err != nil || len(addrs) == 0 {
+		return []string{""}
+	}
+	var out []string
+	for _, a := range addrs {
+		if d := smtp.DomainOf(a.Address); !slices.Contains(out, d) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // runSPF performs the SPF check for the session — the HELO identity

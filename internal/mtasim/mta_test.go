@@ -7,6 +7,7 @@ import (
 	"math"
 	mrand "math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,9 @@ func newWorld(t *testing.T) *world {
 		Zones: []*dnsserver.Zone{
 			{Suffix: testSuffix, Responders: policy.RespondersWithDMARC(env, "contact@dns-lab.example")},
 			{Suffix: notifySuffix, LabelDepth: 1, Default: neCfg.Responder()},
+			// A domain outside the study's organizational domain, for a
+			// spoofed author's policy.
+			{Suffix: "bank.example.", LabelDepth: 1, Default: dnsserver.NewStatic().DMARC("bank.example", "v=DMARC1; p=reject")},
 		},
 		Log: log,
 	}
@@ -462,7 +466,10 @@ func TestFullValidationOnDeliveredSignedMessage(t *testing.T) {
 // message: under the notify domain's p=reject policy an unsigned
 // message passes DMARC only through an aligned SPF pass, so it is
 // accepted from the authorized sender address and rejected from any
-// other; a signed one passes through DKIM from either.
+// other; a signed one passes through DKIM from either. A From naming a
+// second author is checked for each (RFC 7489 §6.6.1), so an author
+// whose domain's policy fails gets the message rejected even when the
+// other author's domain passes.
 func TestAuthenticationResultsStamping(t *testing.T) {
 	w := newWorld(t)
 	mta := w.startMTA(t, "m21", "10.0.0.21", Profile{
@@ -512,13 +519,19 @@ func TestAuthenticationResultsStamping(t *testing.T) {
 	if err := deliver(authorized, signed); err != nil {
 		t.Errorf("signed, authorized sender: %v", err)
 	}
+	// Two authors: the spoofed one's domain fails its p=reject.
+	twoAuthors := []byte("From: ceo@bank.example, spf-test@" + domain + "\r\nSubject: s\r\n\r\nbody\r\n")
+	err = deliver(authorized, twoAuthors)
+	if se, ok := err.(*smtp.Error); !ok || se.Code != 550 || !strings.Contains(se.Message, "bank.example") {
+		t.Errorf("two authors, one spoofed: %v", err)
+	}
 	mta.Close()
 
 	st := mta.Stats()
-	if st.SPFChecks != 3 || st.DKIMChecks != 3 || st.DMARCChecks != 3 {
+	if st.SPFChecks != 4 || st.DKIMChecks != 4 || st.DMARCChecks != 4 {
 		t.Errorf("checks: %+v", st)
 	}
-	if st.MessagesAccepted != 2 || st.MessagesRejected != 1 {
+	if st.MessagesAccepted != 2 || st.MessagesRejected != 2 {
 		t.Errorf("accepted %d rejected %d", st.MessagesAccepted, st.MessagesRejected)
 	}
 }
@@ -675,5 +688,36 @@ func TestMTALifecycle(t *testing.T) {
 	m2.Close() // idempotent
 	if m2.Profile().ValidatesSPF {
 		t.Error("accessors")
+	}
+}
+
+// TestAuthorDomains pins the From header shapes that decide which
+// domain's DMARC policy a message answers to. The last four are the
+// From-ambiguity shapes of "Composition Kills" (Chen, Paxson and Jiang,
+// USENIX Security 2020): a display name or comment carrying a second
+// address must not stand in for the author, a comment must not hide
+// one, and two authors are each checked (RFC 7489 §6.6.1).
+func TestAuthorDomains(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{" Alice <alice@Sender.Example>", []string{"sender.example"}},
+		{"bob@example.com", []string{"example.com"}},
+		{"no-address-here", []string{""}},
+		{"trailing@", []string{""}},
+		// An empty group parses cleanly but names no author.
+		{"undisclosed:;", []string{""}},
+		// net/mail refuses folding whitespace inside the angle brackets.
+		{`"Quoted" <q@d.example >`, []string{""}},
+		{`"x <a@evil.example>" <b@good.example>`, []string{"good.example"}},
+		{`b@good.example (x@evil.example)`, []string{"good.example"}},
+		{`(c <c@evil.example>) b@good.example`, []string{""}},
+		{`a@evil.example, b@good.example, c@evil.example`, []string{"evil.example", "good.example"}},
+	}
+	for _, c := range cases {
+		if got := authorDomains(c.in); !slices.Equal(got, c.want) {
+			t.Errorf("authorDomains(%q) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

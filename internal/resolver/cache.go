@@ -113,11 +113,3 @@ func (c *cache) len() int {
 	defer c.mu.RUnlock()
 	return len(c.entries)
 }
-
-// flush drops every entry.
-func (c *cache) flush() {
-	c.mu.Lock()
-	c.entries = make(map[cacheKey]cacheEntry)
-	c.reapAt = minReap
-	c.mu.Unlock()
-}

@@ -41,7 +41,7 @@ func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if n := r.CacheLen(); n > bound {
+				if n := r.cache.len(); n > bound {
 					t.Errorf("cache grew to %d entries, bound %d", n, bound)
 					return
 				}
@@ -49,7 +49,7 @@ func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := r.CacheLen(); n > bound {
+	if n := r.cache.len(); n > bound {
 		t.Errorf("final cache size %d exceeds bound %d", n, bound)
 	}
 }
@@ -118,8 +118,8 @@ func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
 	}
 	live := cacheKey{name: "live.example.com.", typ: dns.TypeTXT}
 	r.cache.put(live, &dns.Message{}, time.Now().Add(time.Hour))
-	if got := r.CacheLen(); got > minReap {
-		t.Errorf("CacheLen() = %d after 1000 expired inserts and one live one, want ≤ %d", got, minReap)
+	if got := r.cache.len(); got > minReap {
+		t.Errorf("cache.len() = %d after 1000 expired inserts and one live one, want ≤ %d", got, minReap)
 	}
 	if _, ok := r.cache.get(live, time.Now()); !ok {
 		t.Error("the live entry was reaped with the expired ones")
@@ -130,8 +130,8 @@ func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		r.cache.put(cacheKey{name: fmt.Sprintf("l%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
 	}
-	if got := r.CacheLen(); got < 1001 {
-		t.Errorf("CacheLen() = %d after 1001 live inserts below capacity, want all of them", got)
+	if got := r.cache.len(); got < 1001 {
+		t.Errorf("cache.len() = %d after 1001 live inserts below capacity, want all of them", got)
 	}
 }
 
@@ -148,8 +148,8 @@ func TestCacheBoundIsExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		insert(i)
 	}
-	if got := r.CacheLen(); got != n {
-		t.Errorf("CacheLen() = %d after %d distinct live inserts, want %d", got, n, n)
+	if got := r.cache.len(); got != n {
+		t.Errorf("cache.len() = %d after %d distinct live inserts, want %d", got, n, n)
 	}
 	// A cancelled context turns a miss into an immediate error instead
 	// of a wire query; a hit never looks at it.
@@ -161,14 +161,13 @@ func TestCacheBoundIsExact(t *testing.T) {
 		}
 	}
 	insert(n)
-	if got := r.CacheLen(); got != n {
-		t.Errorf("CacheLen() = %d after an insert at capacity, want %d", got, n)
+	if got := r.cache.len(); got != n {
+		t.Errorf("cache.len() = %d after an insert at capacity, want %d", got, n)
 	}
 }
 
 // TestExchangeHitPathAllocFree pins the zero-allocation cache-hit
-// path: a warm Exchange performs no heap allocations (metrics
-// increments, the read lock, and the map probe are all alloc-free),
+// path: a warm Exchange performs no heap allocations (the read lock, and the map probe are all alloc-free),
 // for the canonical spelling and for the one SPF evaluation passes —
 // no trailing dot.
 func TestExchangeHitPathAllocFree(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 
 	"sendervalid/internal/dns"
 	"sendervalid/internal/spf"
-	"sendervalid/internal/telemetry"
 	"sendervalid/internal/trace"
 )
 
@@ -71,19 +70,8 @@ type Config struct {
 	// response. The paper found only 2 of 1336 resolvers with this
 	// defect (§7.3).
 	DisableTCP bool
-	// DisableCache turns off response caching and, with it, in-flight
-	// query deduplication: configurations that disable the cache (the
-	// wire-behaviour ablations) want every lookup observable on the
-	// wire.
-	DisableCache bool
 	// MaxCacheEntries bounds the cache, exactly. Zero means 4096.
 	MaxCacheEntries int
-	// MaxRetries is how many times a query is re-sent after a
-	// transport failure — a timeout, a connection reset mid-message, a
-	// truncated/short TCP read — before the error is surfaced. Server
-	// failures (non-success RCODEs) are never retried. Zero means 2;
-	// negative disables retries.
-	MaxRetries int
 	// Dialer, when set, overrides socket creation (used to route
 	// queries through a simulated network fabric).
 	Dialer dns.Dialer
@@ -97,9 +85,6 @@ type Config struct {
 type Resolver struct {
 	cfg    Config
 	client *dns.Client
-
-	metrics resolverMetrics
-
 	cache  *cache
 	flight flightGroup
 }
@@ -108,12 +93,18 @@ type Resolver struct {
 // records) stay cached.
 const DefaultNegativeTTL = 30 * time.Second
 
+// maxRetries is how many times a query is re-sent after a transport
+// failure — a timeout, a connection reset mid-message, a truncated or
+// short TCP read — before the error is surfaced. Server failures
+// (non-success RCODEs) are never retried.
+const maxRetries = 2
+
 // New creates a Resolver from cfg.
 func New(cfg Config) *Resolver {
 	if cfg.MaxCacheEntries == 0 {
 		cfg.MaxCacheEntries = 4096
 	}
-	r := &Resolver{
+	return &Resolver{
 		cfg: cfg,
 		client: &dns.Client{
 			Timeout:            cfg.Timeout,
@@ -122,9 +113,6 @@ func New(cfg Config) *Resolver {
 		},
 		cache: newCache(cfg.MaxCacheEntries),
 	}
-	r.metrics.wireSeconds = telemetry.NewHistogram(telemetry.LatencyBuckets)
-	r.metrics.waitSeconds = telemetry.NewHistogram(telemetry.LatencyBuckets)
-	return r
 }
 
 // server picks the upstream endpoint honouring the transport policy.
@@ -167,7 +155,7 @@ func isV6HostPort(hostport string) bool {
 // the exchange itself keeps running under a flight-owned context and
 // still populates the cache. Transport failures — timeouts, resets,
 // short TCP reads from a dying connection — are retried up to
-// MaxRetries times, so the faults a hostile network injects between
+// maxRetries times, so the faults a hostile network injects between
 // the stub and its upstream do not surface as measurement noise;
 // non-success RCODEs are surfaced immediately and never cached.
 //
@@ -176,25 +164,12 @@ func isV6HostPort(hostport string) bool {
 // spans need is built only on a miss or for a recorded span.
 func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.Message, error) {
 	key := keyFor(name, t)
-	r.metrics.queries.Inc()
 	ctx, sp := trace.Start(ctx, "resolver.exchange")
 	if sp != nil {
 		sp.SetAttr("dns.name", dns.CanonicalName(name))
 		sp.SetAttr("dns.type", t.String())
 	}
-	if r.cfg.DisableCache {
-		// No cache means no flight either: a deduplicated answer is a
-		// momentary cache, and cache-disabled configurations exist to
-		// make every lookup observable at the server.
-		began := time.Now()
-		msg, err := r.exchangeWithRetry(ctx, dns.CanonicalName(name), t)
-		r.metrics.observeWire(time.Since(began).Seconds(), sp.ExemplarID())
-		sp.SetError(err)
-		sp.End()
-		return msg, err
-	}
 	if msg, ok := r.cache.get(key, time.Now()); ok {
-		r.metrics.cacheHits.Inc()
 		sp.SetAttr("outcome", "cache")
 		sp.End()
 		return msg, nil
@@ -211,31 +186,18 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 	key.name = name[:len(name)-1]
 	c, leader := r.flight.join(key)
 	if leader {
-		r.metrics.sfLeader.Inc()
 		sp.SetAttr("singleflight", "leader")
 		go r.lead(key, c, name, t, sp.Link())
 	} else {
-		r.metrics.sfShared.Inc()
 		sp.SetAttr("singleflight", "waiter")
 	}
-	// Wire time is attributed once, by the leader goroutine, to
-	// resolver_wire_seconds; a waiter records only how long it waited
-	// on someone else's exchange, in resolver_wait_seconds. Summing
-	// the two families therefore never double-counts an exchange.
-	waitStart := time.Now()
 	select {
 	case <-c.done:
-		if !leader {
-			r.metrics.observeWait(time.Since(waitStart).Seconds(), sp.ExemplarID())
-		}
 		sp.SetError(c.err)
 		sp.End()
 		return c.msg, c.err
 	case <-ctx.Done():
 		r.flight.leave(c)
-		if !leader {
-			r.metrics.observeWait(time.Since(waitStart).Seconds(), sp.ExemplarID())
-		}
 		sp.SetError(ctx.Err())
 		sp.End()
 		return nil, ctx.Err()
@@ -254,9 +216,7 @@ func (r *Resolver) lead(key cacheKey, c *flightCall, name string, t dns.Type, li
 		wsp.SetAttr("dns.name", name)
 		wsp.SetAttr("dns.type", t.String())
 	}
-	began := time.Now()
 	msg, err := r.exchangeWithRetry(c.ctx, name, t)
-	r.metrics.observeWire(time.Since(began).Seconds(), wsp.ExemplarID())
 	wsp.SetError(err)
 	wsp.End()
 	if err == nil {
@@ -268,13 +228,6 @@ func (r *Resolver) lead(key cacheKey, c *flightCall, name string, t dns.Type, li
 // exchangeWithRetry is the wire path: one exchange plus the
 // transport-fault retry loop.
 func (r *Resolver) exchangeWithRetry(ctx context.Context, name string, t dns.Type) (*dns.Message, error) {
-	retries := r.cfg.MaxRetries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
 	var resp *dns.Message
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -282,13 +235,9 @@ func (r *Resolver) exchangeWithRetry(ctx context.Context, name string, t dns.Typ
 		if err == nil {
 			break
 		}
-		if isTimeout(err) {
-			r.metrics.timeouts.Inc()
-		}
-		if ctx.Err() != nil || attempt >= retries || !retryable(err) {
+		if ctx.Err() != nil || attempt >= maxRetries || !retryable(err) {
 			return nil, err
 		}
-		r.metrics.retries.Inc()
 	}
 	switch resp.RCode {
 	case dns.RCodeSuccess, dns.RCodeNameError:
@@ -323,10 +272,6 @@ func (r *Resolver) exchangeOnce(ctx context.Context, name string, t dns.Type) (*
 	return resp, nil
 }
 
-// RetryCount returns the number of transport-level query retries the
-// resolver has performed.
-func (r *Resolver) RetryCount() uint64 { return r.metrics.retries.Value() }
-
 // retryable classifies an exchange error as a transient transport
 // fault worth re-sending the query for: deadline expiry, refused or
 // reset connections, and short reads from a connection that died
@@ -345,13 +290,6 @@ func retryable(err error) bool {
 	var netErr net.Error
 	return errors.As(err, &netErr) && netErr.Timeout()
 }
-
-// CacheLen returns the number of cached responses, including expired
-// entries not yet reclaimed by capacity-time eviction.
-func (r *Resolver) CacheLen() int { return r.cache.len() }
-
-// FlushCache drops all cached responses.
-func (r *Resolver) FlushCache() { r.cache.flush() }
 
 // minTTL returns how long msg may be cached: DefaultNegativeTTL for an
 // empty result, else the smallest answer TTL clamped to [1s, 1h].

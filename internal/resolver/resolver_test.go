@@ -175,30 +175,8 @@ func TestCaching(t *testing.T) {
 	if got := h.queries("A cached.example.com."); got != 1 {
 		t.Errorf("server saw %d queries, want 1 (cached)", got)
 	}
-	if r.CacheLen() != 1 {
-		t.Errorf("cache has %d entries", r.CacheLen())
-	}
-	r.FlushCache()
-	if _, err := r.LookupA(ctx, "cached.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.queries("A cached.example.com."); got != 2 {
-		t.Errorf("flush did not clear cache: %d queries", got)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	h := newStaticHandler()
-	h.add("x.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
-	r := New(Config{Server: startServer(t, h), DisableCache: true})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := r.LookupA(ctx, "x.example.com"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := h.queries("A x.example.com."); got != 3 {
-		t.Errorf("server saw %d queries, want 3 (uncached)", got)
+	if n := r.cache.len(); n != 1 {
+		t.Errorf("cache has %d entries", n)
 	}
 }
 
@@ -307,8 +285,8 @@ func TestCachePressureRelief(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.CacheLen() > 10 {
-		t.Errorf("cache grew to %d entries, cap 10", r.CacheLen())
+	if r.cache.len() > 10 {
+		t.Errorf("cache grew to %d entries, cap 10", r.cache.len())
 	}
 }
 

@@ -3,7 +3,6 @@ package resolver
 import (
 	"context"
 	"errors"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,12 +68,6 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if got := h.queries("TXT dedup.example.com."); got != 1 {
 		t.Errorf("%d concurrent lookups produced %d wire exchanges, want exactly 1", callers, got)
-	}
-	if shared := r.metrics.sfShared.Value(); shared != callers-1 {
-		t.Errorf("shared counter = %d, want %d", shared, callers-1)
-	}
-	if leaders := r.metrics.sfLeader.Value(); leaders != 1 {
-		t.Errorf("leader counter = %d, want 1", leaders)
 	}
 }
 
@@ -215,115 +208,5 @@ func TestLeaderErrorNotCached(t *testing.T) {
 	txts, err := r.LookupTXT(ctx, "flaky.example.com")
 	if err != nil || len(txts) != 1 {
 		t.Fatalf("recovered lookup = %v, %v (leader error was cached?)", txts, err)
-	}
-}
-
-// TestDisableCacheBypassesSingleflight pins the ablation contract:
-// with the cache disabled every lookup hits the wire, even perfectly
-// concurrent identical ones.
-func TestDisableCacheBypassesSingleflight(t *testing.T) {
-	h := &slowHandler{staticHandler: newStaticHandler(), delay: 50 * time.Millisecond}
-	h.add("raw.example.com", dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
-	r := New(Config{Server: startServer(t, h), DisableCache: true})
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	var failed atomic.Int32
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := r.LookupA(ctx, "raw.example.com"); err != nil {
-				failed.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() != 0 {
-		t.Fatal("lookups failed")
-	}
-	if got := h.queries("A raw.example.com."); got != 4 {
-		t.Errorf("server saw %d queries, want 4 (no dedup with cache disabled)", got)
-	}
-}
-
-// TestWireWaitAttributionSplit pins the latency-attribution regression
-// the split histograms exist for: N concurrent identical lookups are
-// one wire exchange, so resolver_wire_seconds must record exactly one
-// observation (the leader's) and resolver_wait_seconds one per waiter.
-// The pre-split behaviour — every deduplicated caller logging the full
-// wire latency into one shared histogram — inflated the apparent wire
-// time N-fold under load.
-func TestWireWaitAttributionSplit(t *testing.T) {
-	t.Cleanup(leaktest.Check(t))
-	h := &slowHandler{staticHandler: newStaticHandler(), delay: 100 * time.Millisecond}
-	h.add("split.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 -all"}})
-	r := New(Config{Server: startServer(t, h)})
-	ctx := context.Background()
-
-	const callers = 12
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := r.LookupTXT(ctx, "split.example.com"); err != nil {
-				t.Errorf("lookup: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := r.metrics.wireSeconds.Snapshot().Count; got != 1 {
-		t.Errorf("wire_seconds observations = %d, want 1 (leader only)", got)
-	}
-	if got := r.metrics.waitSeconds.Snapshot().Count; got != callers-1 {
-		t.Errorf("wait_seconds observations = %d, want %d (one per waiter)", got, callers-1)
-	}
-	// The exchange ran behind a 100ms-slow server; both the single wire
-	// observation and the waiters' blocked time must reflect that.
-	if sum := r.metrics.wireSeconds.Snapshot().Sum; sum < 0.05 {
-		t.Errorf("wire_seconds sum = %v, want >= 0.05 (one real exchange)", sum)
-	}
-	if sum := r.metrics.waitSeconds.Snapshot().Sum; sum < 0.05 {
-		t.Errorf("wait_seconds sum = %v, want blocked waiters to have waited", sum)
-	}
-
-	// A cache hit is neither a wire exchange nor a wait.
-	if _, err := r.LookupTXT(ctx, "split.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.metrics.wireSeconds.Snapshot().Count; got != 1 {
-		t.Errorf("cache hit bumped wire_seconds to %d", got)
-	}
-	if got := r.metrics.waitSeconds.Snapshot().Count; got != callers-1 {
-		t.Errorf("cache hit bumped wait_seconds to %d", got)
-	}
-}
-
-// TestWireAttributionDisableCache pins the no-cache ablation: without
-// singleflight every caller performs (and is attributed) its own wire
-// exchange, and nobody waits.
-func TestWireAttributionDisableCache(t *testing.T) {
-	h := &slowHandler{staticHandler: newStaticHandler(), delay: 20 * time.Millisecond}
-	h.add("rawsplit.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 -all"}})
-	r := New(Config{Server: startServer(t, h), DisableCache: true})
-	ctx := context.Background()
-	const callers = 3
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := r.LookupTXT(ctx, "rawsplit.example.com"); err != nil {
-				t.Errorf("lookup: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.metrics.wireSeconds.Snapshot().Count; got != callers {
-		t.Errorf("wire_seconds observations = %d, want %d (no dedup)", got, callers)
-	}
-	if got := r.metrics.waitSeconds.Snapshot().Count; got != 0 {
-		t.Errorf("wait_seconds observations = %d, want 0", got)
 	}
 }

@@ -23,12 +23,6 @@ type Client struct {
 	bw   *bufio.Writer
 	// Timeout bounds each command/reply exchange. Zero means 30s.
 	Timeout time.Duration
-	// Greeting is the server's 220 banner text.
-	Greeting string
-	// DidEhlo reports whether the session used EHLO (vs HELO fallback).
-	DidEhlo bool
-	// Extensions holds the EHLO capability lines announced.
-	Extensions []string
 }
 
 // Dial connects to addr and consumes the greeting. A nil dialer uses
@@ -51,7 +45,6 @@ func Dial(ctx context.Context, dialer Dialer, addr string) (*Client, error) {
 		c.Abort()
 		return nil, &Error{Code: code, Message: text}
 	}
-	c.Greeting = text
 	return c, nil
 }
 
@@ -130,12 +123,8 @@ func (c *Client) readReply() (int, string, error) {
 // Hello negotiates EHLO, falling back to HELO when the server rejects
 // it — the probe client's behaviour per paper §4.6.
 func (c *Client) Hello(heloDomain string) error {
-	code, text, err := c.Cmd("EHLO %s", heloDomain)
+	code, _, err := c.Cmd("EHLO %s", heloDomain)
 	if err == nil && code == 250 {
-		c.DidEhlo = true
-		if lines := strings.Split(text, "\n"); len(lines) > 1 {
-			c.Extensions = lines[1:]
-		}
 		return nil
 	}
 	if smtpErr, ok := err.(*Error); ok && smtpErr.Permanent() {

@@ -3,24 +3,19 @@ package smtp
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"strings"
 	"sync"
 	"time"
-
-	"sendervalid/internal/trace"
 )
 
 // Session carries the state of one SMTP connection through the
 // handler hooks.
 type Session struct {
-	// RemoteAddr is the client's transport address.
-	RemoteAddr net.Addr
-	// ClientIP is the client address parsed from RemoteAddr. SPF
-	// validation evaluates this address.
+	// ClientIP is the client's address. SPF validation evaluates it.
 	ClientIP netip.Addr
 	// Helo is the argument of the client's HELO/EHLO command.
 	Helo string
@@ -68,8 +63,6 @@ type Handler struct {
 	OnData func(s *Session) *Reply
 	// OnMessage runs after the terminating dot with the full message.
 	OnMessage func(s *Session, msg []byte) *Reply
-	// OnClose runs when the connection ends (normally or not).
-	OnClose func(s *Session)
 }
 
 // Server is a receiving MTA front end.
@@ -82,44 +75,34 @@ type Server struct {
 	Extensions []string
 	// ReadTimeout bounds waiting for a client command. Zero means 60s.
 	ReadTimeout time.Duration
-	// MaxMessageBytes caps DATA payloads. Zero means 10 MiB.
-	MaxMessageBytes int
 	// MaxConns caps concurrent sessions; connections over the cap are
 	// greeted with 421 and closed immediately (graceful shedding, not
 	// a wedged accept queue). Zero means 1024.
 	MaxConns int
-	// MaxLineBytes caps one command line (RFC 5321 §4.5.3.1.6 requires
-	// at least 512 octets; ESMTP in practice needs more). An over-long
-	// line is consumed and answered 500, charging the session's error
-	// budget, so a byte-spewing client cannot grow memory without
-	// bound. Zero means 2048.
-	MaxLineBytes int
-	// MaxErrors is the per-session error budget: syntax errors,
-	// unknown commands, bad sequences, and over-long lines each charge
-	// it, and exceeding it closes the session with 421. Zero means 10.
-	MaxErrors int
-	// MaxCommands caps commands per session before a 421 close — a
-	// slowloris/abuse guard so one client cannot hold a session
-	// forever. Zero means 4096.
-	MaxCommands int
-	// StampReceived prepends the RFC 5321 §4.4 trace header to each
-	// accepted message before OnMessage sees it.
-	StampReceived bool
-	// Clock supplies timestamps for trace headers; nil means time.Now.
-	Clock func() time.Time
-	// Tracer, when non-nil, opens one root span per accepted session
-	// ("smtp.session"), annotated at close with the client's HELO
-	// identity and command count.
-	Tracer *trace.Tracer
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup
 	ln     []net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
-
-	metrics serverMetrics
 }
+
+// Per-session limits, so a byte-spewing or stalling client cannot grow
+// memory or hold a session without bound.
+const (
+	// maxMessageBytes caps a DATA payload (RFC 1870's 552 over it).
+	maxMessageBytes = 10 << 20
+	// maxLineBytes caps one command line (RFC 5321 §4.5.3.1.6 requires
+	// at least 512 octets; ESMTP in practice needs more). An over-long
+	// line is consumed and answered 500, charging the error budget.
+	maxLineBytes = 2048
+	// maxErrors is the error budget: syntax errors, unknown commands,
+	// bad sequences and over-long lines each charge it, and exceeding
+	// it closes the session with 421.
+	maxErrors = 10
+	// maxCommands caps commands per session before a 421 close.
+	maxCommands = 4096
+)
 
 // forget deregisters an active session connection (admit registers
 // them, so Close can interrupt sessions blocked on reads).
@@ -207,39 +190,11 @@ func (s *Server) readTimeout() time.Duration {
 	return 60 * time.Second
 }
 
-func (s *Server) maxMessage() int {
-	if s.MaxMessageBytes > 0 {
-		return s.MaxMessageBytes
-	}
-	return 10 << 20
-}
-
 func (s *Server) maxConns() int {
 	if s.MaxConns > 0 {
 		return s.MaxConns
 	}
 	return 1024
-}
-
-func (s *Server) maxLine() int {
-	if s.MaxLineBytes > 0 {
-		return s.MaxLineBytes
-	}
-	return 2048
-}
-
-func (s *Server) maxErrors() int {
-	if s.MaxErrors > 0 {
-		return s.MaxErrors
-	}
-	return 10
-}
-
-func (s *Server) maxCommands() int {
-	if s.MaxCommands > 0 {
-		return s.MaxCommands
-	}
-	return 4096
 }
 
 func clientIP(addr net.Addr) netip.Addr {
@@ -261,7 +216,6 @@ func (s *Server) admit(conn net.Conn) (ok, overCap bool) {
 		return false, false
 	}
 	if len(s.conns) >= s.maxConns() {
-		s.metrics.shedded.Inc()
 		return false, true
 	}
 	if s.conns == nil {
@@ -269,10 +223,6 @@ func (s *Server) admit(conn net.Conn) (ok, overCap bool) {
 	}
 	s.conns[conn] = struct{}{}
 	return true, false
-}
-
-func (s *Server) noteEvicted() {
-	s.metrics.evicted.Inc()
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -290,16 +240,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	defer s.forget(conn)
-	s.metrics.sessions.Inc()
-	s.metrics.active.Add(1)
-	defer s.metrics.active.Add(-1)
 	sess := &Session{
-		RemoteAddr: conn.RemoteAddr(),
-		ClientIP:   clientIP(conn.RemoteAddr()),
-		Meta:       make(map[string]any),
-	}
-	if s.Handler.OnClose != nil {
-		defer s.Handler.OnClose(sess)
+		ClientIP: clientIP(conn.RemoteAddr()),
+		Meta:     make(map[string]any),
 	}
 	br, bw := getBuffers(conn)
 	defer putBuffers(br, bw)
@@ -314,26 +257,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	// are both bounded, and exhausting either closes with 421 instead
 	// of looping forever against a byte-spewing or stalling client.
 	commands, errs := 0, 0
-	sp := s.Tracer.StartSpan("smtp.session")
-	if sp != nil {
-		sp.SetAttr("client", sess.ClientIP.String())
-	}
-	defer func() {
-		if sp != nil {
-			sp.SetAttr("helo", sess.Helo)
-			sp.SetInt("commands", int64(commands))
-			sp.End()
-		}
-	}()
 	evict := func(text string) {
-		s.noteEvicted()
 		send(&Reply{Code: 421, Text: s.hostname() + " " + text})
 	}
 	// chargeError charges one protocol error and sends r; it returns
 	// false when the session must end (budget exhausted or dead conn).
 	chargeError := func(r *Reply) bool {
 		errs++
-		if errs > s.maxErrors() {
+		if errs > maxErrors {
 			evict("too many errors, closing connection")
 			return false
 		}
@@ -363,7 +294,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-		line, err := readCommandLine(br, s.maxLine())
+		line, err := readCommandLine(br, maxLineBytes)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
 				if !chargeError(ReplyLineTooLong) {
@@ -377,8 +308,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		commands++
-		s.metrics.commands.Inc()
-		if commands > s.maxCommands() {
+		if commands > maxCommands {
 			evict("too many commands, closing connection")
 			return
 		}
@@ -443,22 +373,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			if reply.Code != 354 {
 				continue
 			}
-			msg, err := s.readData(conn, br)
+			msg, refused, err := s.readData(conn, br)
 			if err != nil {
 				return
 			}
-			if s.StampReceived {
-				msg = append([]byte(s.receivedHeader(sess)), msg...)
-			}
-			final := &Reply{Code: 250, Text: "OK: queued"}
-			if s.Handler.OnMessage != nil {
-				if r := s.Handler.OnMessage(sess, msg); r != nil {
-					final = r
+			final := refused
+			if final == nil {
+				final = &Reply{Code: 250, Text: "OK: queued"}
+				if s.Handler.OnMessage != nil {
+					if r := s.Handler.OnMessage(sess, msg); r != nil {
+						final = r
+					}
 				}
 			}
-			s.metrics.messages.Inc()
 			sess.reset()
-			if !send(final) {
+			if !sendOutcome(final) {
 				return
 			}
 
@@ -607,46 +536,39 @@ func discardLine(br *bufio.Reader, limit int) error {
 	}
 }
 
+// replyMessageTooBig refuses a DATA payload over maxMessageBytes
+// (RFC 1870).
+var replyMessageTooBig = &Reply{Code: 552, Text: "Message size exceeds fixed maximum message size"}
+
 // readData consumes a DATA payload up to the terminating
-// <CRLF>.<CRLF>, reversing dot-stuffing. Over-long text lines
-// terminate the connection: mid-payload there is no way to recover
-// command framing with a misbehaving sender.
-func (s *Server) readData(conn net.Conn, br *bufio.Reader) ([]byte, error) {
+// <CRLF>.<CRLF>, reversing dot-stuffing. A text line over maxDataLine
+// or a payload over maxMessageBytes refuses the message but keeps the
+// session: the rest of the payload is read and dropped up to the
+// terminator, and the refusal — 500 (RFC 5321 §4.5.3.1.9) or 552 — is
+// returned for the caller to send.
+func (s *Server) readData(conn net.Conn, br *bufio.Reader) (msg []byte, refused *Reply, err error) {
 	var buf bytes.Buffer
-	max := s.maxMessage()
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
 		line, err := readCommandLine(br, maxDataLine)
-		if err != nil {
-			return nil, err
+		switch {
+		case errors.Is(err, errLineTooLong):
+			refused = cmp.Or(refused, ReplyLineTooLong)
+		case err != nil:
+			return nil, nil, err
+		case line == ".":
+			if refused != nil {
+				return nil, refused, nil
+			}
+			return buf.Bytes(), nil, nil
+		case refused == nil:
+			line = strings.TrimPrefix(line, ".") // un-stuff
+			if buf.Len()+len(line)+2 > maxMessageBytes {
+				refused = replyMessageTooBig
+				continue
+			}
+			buf.WriteString(line)
+			buf.WriteString("\r\n")
 		}
-		trimmed := line
-		if trimmed == "." {
-			return buf.Bytes(), nil
-		}
-		if strings.HasPrefix(trimmed, ".") {
-			trimmed = trimmed[1:] // un-stuff
-		}
-		if buf.Len()+len(trimmed)+2 > max {
-			return nil, fmt.Errorf("smtp: message exceeds %d bytes", max)
-		}
-		buf.WriteString(trimmed)
-		buf.WriteString("\r\n")
 	}
-}
-
-// receivedHeader builds the trace header recording how the message
-// arrived (RFC 5321 §4.4).
-func (s *Server) receivedHeader(sess *Session) string {
-	now := time.Now()
-	if s.Clock != nil {
-		now = s.Clock()
-	}
-	with := "SMTP"
-	if sess.Ehlo {
-		with = "ESMTP"
-	}
-	return fmt.Sprintf("Received: from %s (%s)\r\n\tby %s with %s; %s\r\n",
-		sess.Helo, sess.ClientIP, s.hostname(), with,
-		now.Format("Mon, 02 Jan 2006 15:04:05 -0700"))
 }

@@ -17,12 +17,7 @@ import (
 // sets a campaign's allocation rate; with it recycled the dialogue
 // costs its replies and strings. Run by `make telemetry-alloc`.
 func TestSessionAllocs(t *testing.T) {
-	ended := make(chan struct{}, 1)
-	srv := &Server{Hostname: "mx.example", Handler: Handler{
-		// OnClose runs after the session has handed its buffers back, so
-		// waiting for it makes every run start from the same pool state.
-		OnClose: func(*Session) { ended <- struct{}{} },
-	}}
+	srv := &Server{Hostname: "mx.example"}
 	fabric, addr := startServer(t, srv)
 	ctx := context.Background()
 	session := func() {
@@ -44,7 +39,7 @@ func TestSessionAllocs(t *testing.T) {
 			t.Fatalf("DATA = %d, %v", code, err)
 		}
 		c.Abort()
-		<-ended
+		waitIdle(srv)
 	}
 
 	const runs = 200
@@ -70,10 +65,8 @@ func TestSessionAllocs(t *testing.T) {
 // into whichever session draws that reader from the pool next.
 func TestPooledReaderIsClean(t *testing.T) {
 	var mails []string
-	ended := make(chan struct{}, 1)
 	srv := &Server{Handler: Handler{
-		OnMail:  func(_ *Session, from string) *Reply { mails = append(mails, from); return nil },
-		OnClose: func(*Session) { ended <- struct{}{} },
+		OnMail: func(_ *Session, from string) *Reply { mails = append(mails, from); return nil },
 	}}
 	fabric, addr := startServer(t, srv)
 	// Repeated so that, pool willing, several sessions do draw a reader
@@ -84,7 +77,7 @@ func TestPooledReaderIsClean(t *testing.T) {
 		_, _ = conn.Write([]byte("EHLO a.example\r\nQUIT\r\nMAIL FROM:<left@behind.example>\r\n"))
 		expect("250")
 		expect("221")
-		<-ended
+		waitIdle(srv)
 
 		conn, expect = rawSession(t, fabric, addr)
 		expect("220")
@@ -92,7 +85,7 @@ func TestPooledReaderIsClean(t *testing.T) {
 		expect("250")
 		_, _ = conn.Write([]byte("QUIT\r\n"))
 		expect("221")
-		<-ended
+		waitIdle(srv)
 	}
 	if len(mails) != 0 {
 		t.Errorf("a later session executed bytes an earlier one left unread: MAIL FROM %q", mails)
@@ -113,6 +106,21 @@ func TestPooledReaderIsClean(t *testing.T) {
 	defer putBuffers(br, bw)
 	if line, err := br.ReadString('\n'); err != nil || line != "NOOP\r\n" {
 		t.Errorf("recycled reader returned %q, %v; want its own connection's line", line, err)
+	}
+}
+
+// waitIdle returns once srv holds no session. A session is forgotten
+// after it has handed its buffers back, so waiting for that makes
+// every session start from the same pool state.
+func waitIdle(srv *Server) {
+	for {
+		srv.mu.Lock()
+		n := len(srv.conns)
+		srv.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 

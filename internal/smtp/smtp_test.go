@@ -62,14 +62,8 @@ func TestBasicDelivery(t *testing.T) {
 	}
 	fabric, addr := startServer(t, srv)
 	c := dial(t, fabric, addr)
-	if !strings.Contains(c.Greeting, "mx.recipient.example") {
-		t.Errorf("greeting %q", c.Greeting)
-	}
 	if err := c.Hello("sender.example"); err != nil {
 		t.Fatal(err)
-	}
-	if !c.DidEhlo {
-		t.Error("EHLO not used")
 	}
 	if err := c.Mail("alice@sender.example"); err != nil {
 		t.Fatal(err)
@@ -148,12 +142,14 @@ func TestProbeSequenceStopsBeforeContent(t *testing.T) {
 
 func TestHeloFallback(t *testing.T) {
 	// A server that rejects EHLO forces the client down to HELO.
+	helo := make(chan bool, 1)
 	srv := &Server{
 		Handler: Handler{
 			OnHelo: func(s *Session) *Reply {
 				if s.Ehlo {
 					return &Reply{Code: 502, Text: "EHLO not supported"}
 				}
+				helo <- true
 				return nil
 			},
 		},
@@ -163,8 +159,10 @@ func TestHeloFallback(t *testing.T) {
 	if err := c.Hello("old-client.example"); err != nil {
 		t.Fatal(err)
 	}
-	if c.DidEhlo {
-		t.Error("client believes EHLO succeeded")
+	select {
+	case <-helo:
+	default:
+		t.Error("client never fell back to HELO")
 	}
 }
 
@@ -301,11 +299,12 @@ func TestEhloExtensions(t *testing.T) {
 	srv := &Server{Extensions: []string{"8BITMIME", "SIZE 10485760"}}
 	fabric, addr := startServer(t, srv)
 	c := dial(t, fabric, addr)
-	if err := c.Hello("client.example"); err != nil {
-		t.Fatal(err)
+	code, text, err := c.Cmd("EHLO client.example")
+	if err != nil || code != 250 {
+		t.Fatalf("EHLO: %d, %v", code, err)
 	}
-	if len(c.Extensions) != 2 || c.Extensions[0] != "8BITMIME" {
-		t.Errorf("extensions %v", c.Extensions)
+	if lines := strings.Split(text, "\n"); len(lines) != 3 || lines[1] != "8BITMIME" || lines[2] != "SIZE 10485760" {
+		t.Errorf("EHLO reply lines %q, want the greeting and both extensions", lines)
 	}
 }
 
@@ -377,15 +376,20 @@ func TestReplyFormatting(t *testing.T) {
 	}
 }
 
-func TestSessionMetaAndOnClose(t *testing.T) {
-	closed := make(chan *Session, 1)
+// TestSessionMeta: what one hook stores in Session.Meta, a later hook
+// of the same session reads.
+func TestSessionMeta(t *testing.T) {
+	seen := make(chan any, 1)
 	srv := &Server{
 		Handler: Handler{
 			OnMail: func(s *Session, from string) *Reply {
 				s.Meta["spf"] = "pass"
 				return nil
 			},
-			OnClose: func(s *Session) { closed <- s },
+			OnRcpt: func(s *Session, to string) *Reply {
+				seen <- s.Meta["spf"]
+				return nil
+			},
 		},
 	}
 	fabric, addr := startServer(t, srv)
@@ -396,15 +400,13 @@ func TestSessionMetaAndOnClose(t *testing.T) {
 	if err := c.Mail("a@b.example"); err != nil {
 		t.Fatal(err)
 	}
-	_ = c.Quit()
-	select {
-	case s := <-closed:
-		if s.Meta["spf"] != "pass" {
-			t.Errorf("meta %v", s.Meta)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("OnClose never ran")
+	if err := c.Rcpt("x@y.example"); err != nil {
+		t.Fatal(err)
 	}
+	if got := <-seen; got != "pass" {
+		t.Errorf("OnRcpt read Meta[spf] = %v, want the value OnMail stored", got)
+	}
+	_ = c.Quit()
 }
 
 func TestConcurrentSessions(t *testing.T) {

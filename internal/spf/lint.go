@@ -92,16 +92,10 @@ type Linter struct {
 	// Resolver retrieves published records; nil restricts analysis to
 	// the record text.
 	Resolver Resolver
-	// MaxDepth bounds include/redirect recursion. Zero means 10.
-	MaxDepth int
 }
 
-func (l *Linter) maxDepth() int {
-	if l.MaxDepth > 0 {
-		return l.MaxDepth
-	}
-	return 10
-}
+// maxDepth bounds the linter's include/redirect recursion.
+const maxDepth = 10
 
 // LintRecord analyzes a single record without DNS traversal.
 func (l *Linter) LintRecord(domain, txt string) *LintReport {
@@ -164,8 +158,8 @@ func (l *Linter) traverse(ctx context.Context, r *LintReport, domain string, see
 		return 0, nil
 	}
 	seen[key] = true
-	if depth > l.maxDepth() {
-		r.add(Warning, "depth", domain, "include/redirect nesting exceeds %d", l.maxDepth())
+	if depth > maxDepth {
+		r.add(Warning, "depth", domain, "include/redirect nesting exceeds %d", maxDepth)
 		return 0, nil
 	}
 

@@ -125,16 +125,20 @@ func TestLintTraversalOverLimit(t *testing.T) {
 		res.txt[name] = []string{"v=spf1 include:" + next + " ?all"}
 	}
 	res.txt["l"+string(rune('a'+12))+".example.com"] = []string{"v=spf1 ?all"}
-	l := &Linter{Resolver: res, MaxDepth: 20}
+	l := &Linter{Resolver: res}
 	r, err := l.Lint(context.Background(), "la.example.com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Lookups != 12 {
-		t.Errorf("lookups %d, want 12", r.Lookups)
+	// The walk stops below maxDepth, already past the lookup limit.
+	if r.Lookups != maxDepth+1 {
+		t.Errorf("lookups %d, want %d", r.Lookups, maxDepth+1)
 	}
 	if findCode(r, "lookup-limit") == nil {
 		t.Errorf("over-limit chain not flagged: %v", r.Findings)
+	}
+	if findCode(r, "depth") == nil {
+		t.Errorf("chain deeper than %d not flagged: %v", maxDepth, r.Findings)
 	}
 }
 

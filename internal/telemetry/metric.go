@@ -115,21 +115,11 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveExemplar records one value and, when traceID is non-empty,
-// stores it as the containing bucket's exemplar. An empty traceID —
-// what an unsampled or nil span's ExemplarID returns — makes this
-// exactly Observe, so instrumented sites call it unconditionally.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID != "" {
-		h.ex[h.bucket(v)].Store(&exemplarData{value: v, trace: traceID})
-	}
-}
-
 // SetExemplar stores an exemplar for the bucket containing v without
 // recording an observation — for sites whose Observe happens
 // elsewhere (the DNS serve path observes latency outside the span's
-// lifetime). Empty traceID is a no-op.
+// lifetime). An empty traceID, what an unsampled or nil span's
+// ExemplarID returns, is a no-op.
 func (h *Histogram) SetExemplar(v float64, traceID string) {
 	if traceID == "" {
 		return

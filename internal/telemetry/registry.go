@@ -34,7 +34,6 @@ type series struct {
 
 	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -88,11 +87,6 @@ func (r *Registry) MustCounter(name, help string, c *Counter, labels ...Label) {
 // other packages (AsyncLog drops, rate-limiter refusals).
 func (r *Registry) MustCounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.add(name, help, typeCounter, &series{labels: labels, counterFn: fn})
-}
-
-// MustGauge registers g under name with optional constant labels.
-func (r *Registry) MustGauge(name, help string, g *Gauge, labels ...Label) {
-	r.add(name, help, typeGauge, &series{labels: labels, gauge: g})
 }
 
 // MustGaugeFunc registers a gauge read from fn at render time.
@@ -359,8 +353,6 @@ func (r *Registry) visit(fn func(f *family, readings []reading)) {
 				rd.count = s.counter.Value()
 			case s.counterFn != nil:
 				rd.count = s.counterFn()
-			case s.gauge != nil:
-				rd.value = s.gauge.Value()
 			case s.gaugeFn != nil:
 				rd.value = s.gaugeFn()
 			}

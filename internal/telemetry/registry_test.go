@@ -28,9 +28,7 @@ func goldenRegistry() *Registry {
 	reg.MustCounter("zz_requests_total", "Requests served.", &reqs6,
 		L("endpoint", "v6"), L("path", "back\\slash\nnewline"))
 
-	var temp Gauge
-	temp.Add(-3.25)
-	reg.MustGauge("aa_temperature", "A negative gauge.", &temp)
+	reg.MustGaugeFunc("aa_temperature", "A negative gauge.", func() float64 { return -3.25 })
 
 	reg.MustGaugeFunc("mm_nan", "Not a number.", func() float64 { return math.NaN() })
 	reg.MustGaugeFunc("mm_posinf", "Positive infinity.", func() float64 { return math.Inf(1) })
@@ -106,11 +104,10 @@ func TestRegistryConflicts(t *testing.T) {
 	}
 
 	var c Counter
-	var g Gauge
 	reg := NewRegistry()
 	reg.MustCounter("x_total", "help", &c)
 
-	mustPanic("type conflict", func() { reg.MustGauge("x_total", "help", &g) })
+	mustPanic("type conflict", func() { reg.MustGaugeFunc("x_total", "help", func() float64 { return 0 }) })
 	mustPanic("help conflict", func() {
 		var c2 Counter
 		reg.MustCounter("x_total", "different help", &c2)

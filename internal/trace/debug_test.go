@@ -59,8 +59,9 @@ func debugTracer(t *testing.T) *Tracer {
 func debugRegistry() *telemetry.Registry {
 	reg := telemetry.NewRegistry()
 	h := telemetry.NewHistogram([]float64{0.01, 0.1, 1})
-	h.ObserveExemplar(0.075, "ccccccccccccccccccccccccccccccc3")
-	reg.MustHistogram("resolver_wire_seconds", "Wire latency.", h)
+	h.Observe(0.075)
+	h.SetExemplar(0.075, "ccccccccccccccccccccccccccccccc3")
+	reg.MustHistogram("dns_serve_duration_seconds", "Serve latency.", h)
 	return reg
 }
 

@@ -77,7 +77,7 @@ func (s *Span) SetError(err error) {
 
 // ExemplarID returns the hex trace ID for use as a histogram
 // exemplar, or "" when the span is nil or its trace unsampled — so
-// wiring it into ObserveExemplar costs nothing when tracing is off.
+// wiring it into SetExemplar costs nothing when tracing is off.
 // The rendering is cached on the span (one allocation per sampled
 // span, amortized across its exemplar sites).
 func (s *Span) ExemplarID() string {
