@@ -5,8 +5,9 @@
 # `telemetry-alloc` (the allocation pins, which need a run without the
 # race detector) and `bench-smoke` (a one-iteration smoke pass over
 # every benchmark). Every target is named here; internal/lint checks it.
-# `make fuzz-seeds`, `crash`, `bulk-race`, `trace-race` and `chaos` run
-# their suite on its own, to reproduce a failure at another CHAOS_SEED;
+# `make fuzz-seeds`, `crash`, `bulk-race` (the whole bulk SPF package,
+# three times over), `trace-race` and `chaos` run their suite on its
+# own, to reproduce a failure at another CHAOS_SEED;
 # `make bench-e2e` / `bench-e2e-compare` are the one performance gate.
 
 GO ?= go
@@ -73,8 +74,8 @@ crash:
 # budget, the query-log codec and journal encoder pins, the tracer's
 # span-lifecycle pins, the shared jsonwire cursor pin, the resolver
 # cache-hit, warm-lookup and warm-CheckHost pins, the SPF record parse
-# pin, the WAL replay pin and the query-log fold pin that
-# share the naming convention), and the
+# pin, the WAL replay pin, the query-log fold pin and the bulk SPF
+# per-tuple pin that share the naming convention), and the
 # connection-lifecycle pins: what one SMTP probe dialogue allocates
 # (internal/smtp), that re-arming a netsim deadline reuses its timer and
 # that closed connections retain nothing (internal/netsim).
@@ -82,15 +83,16 @@ telemetry-alloc:
 	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
 		./internal/spf/ ./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
-		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/
+		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/ ./internal/bulkspf/
 
-# The bulk-SPF pipeline under seeded netsim faults and the race
-# detector: every input line must come back out exactly once while the
-# resolver retries through packet loss and refused dials. Reproduce a
+# The bulk-SPF pipeline under the race detector, three times over:
+# the seeded netsim faults (every input line must come back out exactly
+# once while the resolver retries through packet loss and refused
+# dials) and the order, trickle, cancellation and write-error tests
+# that cross the reader/worker/writer segment hand-offs. Reproduce a
 # failure with `make bulk-race CHAOS_SEED=<seed>`.
 bulk-race:
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'TestBulkPipelineChaos' ./internal/bulkspf/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=3 ./internal/bulkspf/
 
 # The tracing subsystem under the race detector: the full span
 # lifecycle (pooling, exporter handoff, Close drain) and a seeded-chaos

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sendervalid/internal/jsonwire"
@@ -28,10 +29,6 @@ import (
 	"sendervalid/internal/spf"
 	"sendervalid/internal/trace"
 )
-
-// maxLineBytes bounds one input line (a tuple is tiny; the headroom is
-// for pathological inputs, which error rather than split).
-const maxLineBytes = 1 << 20
 
 // Tuple is one connection to validate. Domain is optional: when empty
 // the mail-from domain is used, matching check_host()'s definition.
@@ -139,20 +136,40 @@ type Evaluator struct {
 // New creates an Evaluator from cfg.
 func New(cfg Config) *Evaluator { return &Evaluator{cfg: cfg} }
 
-// job is one input line moving through the pipeline. res has capacity
-// one so a worker's delivery never blocks, even for jobs whose result
-// nobody collects after a cancellation.
-type job struct {
-	seq  int
-	line []byte
-	res  chan Result
+// segmentLines caps the lines in one segment, the unit the reader
+// copies, the workers share out and the writer emits.
+const segmentLines = 128
+
+// segmentsAhead is how many dispatched segments may wait for the
+// writer: the backpressure window between the reader and the output.
+const segmentsAhead = 4
+
+// segment is a run of consecutive input lines moving through the
+// pipeline together. The reader copies the lines into buf; workers
+// claim them one at a time through next and store each result in res;
+// done counts the lines not yet evaluated.
+type segment struct {
+	seq  int // seq of the first line
+	buf  []byte
+	ends []int // line i is buf[ends[i-1]:ends[i]]
+	res  []Result
+	next atomic.Int64
+	done sync.WaitGroup
+}
+
+func (s *segment) line(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.buf[start:s.ends[i]]
 }
 
 // Run streams tuples from in, evaluates them on the worker pool, and
 // writes JSONL results to out. It returns when the input is exhausted
 // and all results are written, or when ctx is cancelled. Input lines
-// that cannot be parsed become permerror results with Err set; they do
-// not abort the run.
+// that cannot be parsed, however long, become permerror results with
+// Err set; they do not abort the run.
 func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -160,58 +177,27 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The backpressure window between the input reader and evaluation:
-	// enough buffered jobs that no worker idles while the reader scans.
-	depth := 4 * workers
-	jobs := make(chan *job, depth)
-	order := make(chan *job, depth) // jobs in input order for the writer
-
-	// Reader. Every job is sent to jobs BEFORE order, so the writer
-	// never waits on a job no worker will see: order is always a
-	// subset (a prefix-closed one) of jobs.
+	work := make(chan *segment, segmentsAhead*workers) // up to workers hand-offs per segment order holds
+	order := make(chan *segment, segmentsAhead)        // segments in input order for the writer
 	readErr := make(chan error, 1)
-	go func() {
-		defer close(jobs)
-		defer close(order)
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-		seq := 0
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			j := &job{seq: seq, line: append([]byte(nil), line...), res: make(chan Result, 1)}
-			seq++
-			select {
-			case jobs <- j:
-			case <-ctx.Done():
-				readErr <- ctx.Err()
-				return
-			}
-			select {
-			case order <- j:
-			case <-ctx.Done():
-				readErr <- ctx.Err()
-				return
-			}
-		}
-		readErr <- sc.Err()
-	}()
+	go func() { readErr <- read(ctx, in, workers, work, order) }()
 
 	// Workers. Each carries its own Checker (Checker is cheap; the
 	// shared state that matters — cache, singleflight — lives in the
-	// resolver). Workers drain jobs unconditionally: res has capacity
-	// one, so delivery never blocks and every job the writer holds is
-	// guaranteed a result even mid-cancellation.
+	// resolver). A worker given a segment evaluates its lines until
+	// none is left unclaimed, even mid-cancellation, so every segment
+	// the writer holds is guaranteed to complete.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			checker := &spf.Checker{Resolver: e.cfg.Resolver, Options: e.cfg.SPF}
-			for j := range jobs {
-				j.res <- e.eval(ctx, checker, j)
+			for s := range work {
+				for i := int(s.next.Add(1)) - 1; i < len(s.res); i = int(s.next.Add(1)) - 1 {
+					s.res[i] = e.eval(ctx, checker, s.seq+i, s.line(i))
+					s.done.Done()
+				}
 			}
 		}()
 	}
@@ -223,47 +209,93 @@ func (e *Evaluator) Run(ctx context.Context, in io.Reader, out io.Writer) (Stats
 	bw := bufio.NewWriter(out)
 	var line []byte
 	var werr error
-	emit := func(r Result) {
-		stats.Results[r.Result]++
-		if r.Err != "" {
-			stats.Errored++
-		} else {
-			stats.Evaluated++
-		}
-		if werr == nil {
-			line = appendResultJSON(line[:0], &r)
-			if _, werr = bw.Write(line); werr != nil {
-				cancel()
+	for s := range order {
+		s.done.Wait()
+		for i := range s.res {
+			r := &s.res[i]
+			stats.Results[r.Result]++
+			if r.Err != "" {
+				stats.Errored++
+			} else {
+				stats.Evaluated++
+			}
+			if werr == nil {
+				line = appendResultJSON(line[:0], r)
+				if _, werr = bw.Write(line); werr != nil {
+					cancel()
+				}
 			}
 		}
-	}
-	for j := range order {
-		emit(<-j.res)
 	}
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
 	if err := bw.Flush(); werr == nil {
 		werr = err
 	}
-	if err := <-readErr; err != nil {
-		return stats, err
-	}
 	if werr != nil {
 		return stats, fmt.Errorf("bulkspf: writing results: %w", werr)
 	}
-	return stats, nil
+	if err := <-readErr; err != nil {
+		return stats, err
+	}
+	return stats, ctx.Err()
+}
+
+// read cuts in into segments of up to segmentLines non-blank lines and
+// dispatches each. A segment also closes when its next line is not yet
+// buffered, so a trickling input is evaluated as it arrives; the last
+// line never has one buffered, so no segment is left over.
+func read(ctx context.Context, in io.Reader, workers int, work, order chan<- *segment) error {
+	defer close(work)
+	defer close(order)
+	lr := jsonwire.NewLineReader(in)
+	s := &segment{}
+	for lr.Next() {
+		if line := bytes.TrimSpace(lr.Bytes()); len(line) > 0 {
+			s.buf = append(s.buf, line...)
+			s.ends = append(s.ends, len(s.buf))
+		}
+		if len(s.ends) == segmentLines || len(s.ends) > 0 && !lr.Ready() {
+			if err := s.dispatch(ctx, workers, work, order); err != nil {
+				return err
+			}
+			s = &segment{seq: s.seq + len(s.ends)}
+		}
+	}
+	return lr.Err()
+}
+
+// dispatch hands s to min(workers, lines) workers, then to the
+// writer. Work goes out before order, so the writer never waits on a
+// segment no worker will see.
+func (s *segment) dispatch(ctx context.Context, workers int, work, order chan<- *segment) error {
+	s.res = make([]Result, len(s.ends))
+	s.done.Add(len(s.ends))
+	for range min(workers, len(s.ends)) {
+		select {
+		case work <- s:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	select {
+	case order <- s:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // eval turns one input line into a Result.
-func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, j *job) Result {
-	r := Result{Seq: j.seq}
+func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, seq int, line []byte) Result {
+	r := Result{Seq: seq}
 	fail := func(msg string) Result {
 		r.Result = spf.PermError
 		r.Err = msg
 		return r
 	}
 	var tup Tuple
-	if err := json.Unmarshal(j.line, &tup); err != nil {
+	if err := json.Unmarshal(line, &tup); err != nil {
 		return fail("bad tuple: " + err.Error())
 	}
 	r.IP = tup.IP
@@ -291,7 +323,7 @@ func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, j *job) Result {
 	}
 	tctx, sp := e.cfg.Tracer.Start(ctx, "bulkspf.tuple")
 	if sp != nil {
-		sp.SetInt("seq", int64(j.seq))
+		sp.SetInt("seq", int64(seq))
 		sp.SetAttr("domain", domain)
 		sp.SetAttr("ip", tup.IP)
 	}

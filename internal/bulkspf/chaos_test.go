@@ -95,7 +95,8 @@ func fabricDNS(t *testing.T, ln *netsim.Listener, txt map[string]string) {
 // server reached through a lossy, refusal-prone netsim fabric: every
 // input line must still produce exactly one output line, worst case a
 // temperror, and the run must not leak goroutines. `make bulk-race`
-// runs it alone under -race at a chosen CHAOS_SEED.
+// runs it, with the rest of the package, under -race at a chosen
+// CHAOS_SEED.
 func TestBulkPipelineChaos(t *testing.T) {
 	t.Cleanup(leaktest.Check(t))
 	seed := chaosSeed(t)

@@ -330,3 +330,31 @@ func TestLineReader(t *testing.T) {
 		t.Errorf("Next after the end = true or Err = %v", lr.Err())
 	}
 }
+
+// TestLineReaderReady pins what Ready promises a caller that must not
+// block: true only while a whole line waits in the buffer.
+func TestLineReaderReady(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	lr := NewLineReader(pr)
+	if lr.Ready() {
+		t.Fatal("Ready before any read")
+	}
+	go func() { _, _ = pw.Write([]byte("a\nb\npart")) }()
+	if !lr.Next() || string(lr.Bytes()) != "a" {
+		t.Fatalf("first line %q", lr.Bytes())
+	}
+	if !lr.Ready() {
+		t.Error("Ready = false with b buffered")
+	}
+	if !lr.Next() || string(lr.Bytes()) != "b" {
+		t.Fatalf("second line %q", lr.Bytes())
+	}
+	if lr.Ready() {
+		t.Error("Ready = true with only a partial line buffered")
+	}
+	go func() { _, _ = pw.Write([]byte("\n")); _ = pw.Close() }()
+	if !lr.Next() || string(lr.Bytes()) != "part" {
+		t.Fatalf("third line %q", lr.Bytes())
+	}
+}

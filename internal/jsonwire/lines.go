@@ -2,6 +2,7 @@ package jsonwire
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 )
 
@@ -60,6 +61,13 @@ func (lr *LineReader) Next() bool {
 	lr.line = line
 	lr.n++
 	return true
+}
+
+// Ready reports whether the next line is already in the read buffer,
+// so that Next returns it without reading from the underlying reader.
+func (lr *LineReader) Ready() bool {
+	b, _ := lr.br.Peek(lr.br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // Bytes returns the current line without its "\n" or "\r\n"
