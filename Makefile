@@ -71,11 +71,12 @@ crash:
 # The instrument allocation pins: metric increments are on the DNS
 # serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
 # must stay at zero allocations (alongside the UDP endpoint's per-query
-# budget, the query-log codec and journal encoder pins, the tracer's
-# span-lifecycle pins, the shared jsonwire cursor pin, the resolver
-# cache-hit, warm-lookup and warm-CheckHost pins, the SPF record parse
-# pin, the WAL replay pin, the query-log fold pin and the bulk SPF
-# per-tuple pin that share the naming convention), and the
+# budget, the query-log codec, per-chunk ingest pipeline and journal
+# encoder pins, the tracer's span-lifecycle pins, the shared jsonwire
+# cursor pin, the resolver cache-hit, warm-lookup and warm-CheckHost
+# pins, the SPF record parse pin, the WAL replay pin, the query-log
+# fold pin and the bulk SPF per-tuple pin that share the naming
+# convention), and the
 # connection-lifecycle pins: what one SMTP probe dialogue allocates
 # (internal/smtp), that re-arming a netsim deadline reuses its timer and
 # that closed connections retain nothing (internal/netsim).

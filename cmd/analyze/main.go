@@ -14,8 +14,11 @@
 //
 // Usage:
 //
-//	analyze -log queries.jsonl [-fingerprints 10] [-workers N]
+//	analyze -log queries.jsonl [-fingerprints 10]
 //	        [-trace spans.wal] [-trace-trees 10]
+//
+// The log is decoded on GOMAXPROCS goroutines and delivered in file
+// order, so the output does not depend on the core count.
 package main
 
 import (
@@ -24,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -73,10 +75,8 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		logPath = fs.String("log", "", "query log file (JSON lines; required)")
-		topFP   = fs.Int("fingerprints", 10, "behaviour families to show")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0),
-			"parallel log-decode workers (1 = serial)")
+		logPath   = fs.String("log", "", "query log file (JSON lines; required)")
+		topFP     = fs.Int("fingerprints", 10, "behaviour families to show")
 		tracePath = fs.String("trace", "",
 			"span stream (as written by -trace-file) to reassemble and join against the query log")
 		traceMax = fs.Int("trace-trees", 10, "trace trees to print with -trace (0 = all)")
@@ -104,9 +104,8 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	// Stream the log rather than slurping it: each attributed entry is
 	// folded into its MTA's observation and dropped, so memory is
 	// O(MTAs); only -trace's span join needs the entries themselves.
-	// Decoding fans out over -workers goroutines; the ordered merge
-	// delivers entries in file order, so the output is identical to a
-	// serial scan at any worker count.
+	// Decoding fans out over GOMAXPROCS goroutines; entries still
+	// arrive in file order.
 	obs := make(fingerprint.Observations)
 	var entries []dnsserver.LogEntry // retained for the -trace join only
 	var ingested telemetry.Counter
@@ -115,7 +114,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	tests := map[string]bool{}
 	mr := &meteredReader{r: f, reads: telemetry.NewHistogram(telemetry.SizeBuckets)}
 	ingestStart := time.Now()
-	err = dnsserver.ParForEachLogJSONOrdered(mr, *workers, func(e dnsserver.LogEntry) error {
+	err = dnsserver.ParForEachLogJSONOrdered(mr, 0, func(e dnsserver.LogEntry) error {
 		total++
 		ingested.Inc()
 		// The sets keep clones: a decoded string keeps its chunk's

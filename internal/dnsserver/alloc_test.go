@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -77,17 +78,49 @@ func TestDecodeChunkAllocBudget(t *testing.T) {
 		for i := 0; i < n; i++ {
 			buf = AppendLogJSON(buf, allocTestEntry())
 		}
-		c := logChunk{firstLine: 1, buf: buf}
 		var p logLineParser
-		entries, err := decodeChunk(&p, c, nil)
+		entries, err := decodeChunk(&p, 1, buf, nil)
 		if err != nil || len(entries) != n {
 			t.Fatalf("%d lines: %d entries, %v", n, len(entries), err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			entries, _ = decodeChunk(&p, c, entries)
+			entries, _ = decodeChunk(&p, 1, buf, entries)
 		})
 		if allocs > 2 {
 			t.Errorf("decodeChunk of %d lines: %v allocs/op, want <= 2 (arena string + Rest slab)", n, allocs)
+		}
+	}
+}
+
+// TestParForEachLogJSONAllocBudget pins what the pipeline costs per
+// 256 KiB chunk once its pool is warm: the difference between scanning
+// a log and one twice its size, so the scan's fixed cost (channels,
+// goroutines, the workers' parsers growing their buffers) cancels out.
+// What is left is the chunk's two decode allocations; a chunk whose
+// buffer or entry slice came from the allocator instead of the pool
+// costs at least one more.
+func TestParForEachLogJSONAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the pool pin needs a run without -race (make telemetry-alloc)")
+	}
+	small, _ := parTestLog(t, 20000) // ~2.5 MB
+	large, _ := parTestLog(t, 40000)
+	chunks := func(jsonl []byte) float64 { return float64(len(jsonl) / parChunkSize) }
+	for _, workers := range []int{1, 2} {
+		allocs := func(jsonl []byte) float64 {
+			scan := func() {
+				if err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), workers, func(LogEntry) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan() // warm the pool
+			return testing.AllocsPerRun(10, scan)
+		}
+		// Measured 2.00–2.08 on 2 vCPUs; the bound leaves half an
+		// allocation per chunk for the GC emptying the pool mid-scan.
+		perChunk := (allocs(large) - allocs(small)) / (chunks(large) - chunks(small))
+		if perChunk > 2.5 {
+			t.Errorf("workers=%d: %.2f allocs per chunk, want <= 2.5 (arena string + Rest slab)", workers, perChunk)
 		}
 	}
 }

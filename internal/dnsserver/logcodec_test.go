@@ -165,7 +165,7 @@ func FuzzLogCodecEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		entries, chunkErr := decodeChunk(&p, logChunk{firstLine: 1, buf: chunk}, nil)
+		entries, chunkErr := decodeChunk(&p, 1, chunk, nil)
 		switch {
 		case blankLine(line):
 			if chunkErr != nil || len(entries) != 2 {
@@ -406,7 +406,7 @@ func TestDecodeChunkMixedTiers(t *testing.T) {
 		want = append(want, ref)
 	}
 	var p logLineParser
-	got, err := decodeChunk(&p, logChunk{firstLine: 1, buf: buf}, nil)
+	got, err := decodeChunk(&p, 1, buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

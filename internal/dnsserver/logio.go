@@ -3,16 +3,14 @@ package dnsserver
 import (
 	"fmt"
 	"io"
-
-	"sendervalid/internal/jsonwire"
 )
 
-// This file is the serial half of the log's disk I/O. The study's
-// workflow separates collection from analysis: the authoritative
-// server writes its query log to disk as JSON lines, and the analyses
-// run offline over the file (possibly repeatedly, as new questions
-// arise). The wire format and the per-record codec live in
-// logcodec.go; the parallel ingest pipeline lives in parlog.go.
+// This file is the log's disk I/O. The study's workflow separates
+// collection from analysis: the authoritative server writes its query
+// log to disk as JSON lines, and the analyses run offline over the file
+// (possibly repeatedly, as new questions arise). The wire format and
+// the per-record codec live in logcodec.go; the one read pipeline,
+// which ForEachLogJSON runs at one worker, lives in parlog.go.
 
 // WriteJSON streams the log's entries as JSON lines through the
 // reflection-free encoder. It iterates under the log's lock instead
@@ -46,37 +44,12 @@ func (l *QueryLog) WriteJSON(w io.Writer) error {
 }
 
 // ForEachLogJSON streams a JSON-lines query log, calling fn once per
-// record in file order. It decodes one line at a time with the
-// reflection-free codec, so a multi-gigabyte collection log can be
-// analyzed without holding the whole run in memory. Blank lines are
-// skipped. Decode errors carry the 1-based line number. A non-nil
-// error from fn stops the scan and is returned unwrapped. For
-// multi-core ingest over large logs see ParForEachLogJSONOrdered.
-//
-// An entry's string fields share one string, so fn may keep the entry
-// or any of its strings, and a kept string keeps the line's others
-// alive; clone (strings.Clone) the few you keep past the scan, as with
-// ParForEachLogJSONOrdered, where the sharing spans a chunk.
+// record in file order: ParForEachLogJSONOrdered with one worker, which
+// still reads the next chunk while that worker decodes, so a
+// multi-gigabyte collection log is analyzed a 256 KiB chunk at a time
+// and never held in memory whole.
 func ForEachLogJSON(r io.Reader, fn func(LogEntry) error) error {
-	var p logLineParser
-	lr := jsonwire.NewLineReader(r)
-	for lr.Next() {
-		line := lr.Bytes()
-		if blankLine(line) {
-			continue
-		}
-		e, err := p.parse(line)
-		if err != nil {
-			return fmt.Errorf("dnsserver: reading log line %d: %w", lr.Line(), err)
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	if err := lr.Err(); err != nil {
-		return fmt.Errorf("dnsserver: reading log: %w", err)
-	}
-	return nil
+	return ParForEachLogJSONOrdered(r, 1, fn)
 }
 
 // blankLine reports whether the line holds only JSON whitespace.

@@ -5,48 +5,60 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 )
 
-// Parallel analysis ingest: the query log is a line-oriented format,
-// so a stream can be split into newline-aligned chunks and decoded on
-// a worker pool — the reader goroutine only finds newlines, all JSON
-// scanning happens concurrently. An order-preserving merge then calls
-// fn from a single goroutine in exact file order, so the parallel
-// path is a drop-in for the serial one.
+// Query-log ingest: the log is a line-oriented format, so a stream is
+// split into newline-aligned chunks and decoded on a worker pool — the
+// reader goroutine only finds newlines, all JSON scanning happens on
+// the workers. The caller's goroutine takes the chunks back in file
+// order and calls fn, so one worker is the serial path and every worker
+// count delivers the same entries in the same order.
 
 // parChunkSize is the newline-aligned chunk handed to each decode
 // worker. Large enough to amortize channel traffic, small enough that
-// workers*chunks in flight stay modest.
+// the chunks in flight stay modest.
 const parChunkSize = 256 * 1024
 
-// logChunk is one newline-aligned slice of the stream.
+// logChunk is one newline-aligned slice of the stream. The reader sends
+// it to a worker and then, in file order, to the caller, which waits on
+// done before it reads entries and err. Chunks are pooled, buffers and
+// all, so a long scan stops allocating them.
 type logChunk struct {
-	idx       int
 	firstLine int // 1-based line number of the chunk's first line
 	buf       []byte
+	entries   []LogEntry
+	// err is the read error that ended the stream after this chunk, or
+	// the decode error of its first bad line; entries holds what comes
+	// before it.
+	err  error
+	done chan struct{} // the worker's token; buffered, so it is reused with the chunk
 }
 
-// decodedChunk is a worker's output for one chunk.
-type decodedChunk struct {
-	idx     int
-	entries []LogEntry
-	err     error
+var chunkPool = sync.Pool{New: func() any {
+	return &logChunk{buf: make([]byte, 0, parChunkSize), done: make(chan struct{}, 1)}
+}}
+
+// recycle returns c to the pool. Only the buffers are reused, never the
+// strings the entries point into, which the caller may have kept.
+func (c *logChunk) recycle() {
+	clear(c.entries)
+	c.entries, c.err = c.entries[:0], nil
+	chunkPool.Put(c)
 }
 
-var (
-	parBufPool   = sync.Pool{New: func() any { b := make([]byte, 0, parChunkSize); return &b }}
-	parEntryPool = sync.Pool{New: func() any { s := make([]LogEntry, 0, 1024); return &s }}
-)
-
-// ParForEachLogJSONOrdered streams a JSON-lines query log like
-// ForEachLogJSON but decodes on workers goroutines (<=0 means
-// GOMAXPROCS; 1 is the serial path itself). fn is called from a
-// single goroutine in exact file order, so it needs no locking and
-// analyses that depend on arrival order (session reconstruction,
-// fingerprint vectors) get identical results to the serial path.
-// Decode errors carry the 1-based line number. A non-nil error from
-// fn stops the scan and is returned unwrapped (first error wins).
+// ParForEachLogJSONOrdered streams a JSON-lines query log, calling fn
+// once per record in file order, with the decoding spread over workers
+// goroutines (<=0 means GOMAXPROCS). fn is called from the caller's
+// goroutine, so it needs no locking, and analyses that depend on
+// arrival order (session reconstruction, fingerprint vectors) get the
+// same results at any worker count. Blank lines are skipped. A decode
+// error carries the 1-based line number; a read error is wrapped as
+// "dnsserver: reading log:". Either way fn has first seen every entry
+// before the failure — a line cut short by a read error is dropped, a
+// final line without a newline is not. A non-nil error from fn stops
+// the scan and is returned unwrapped; fn is not called again.
 //
 // The entries of one 256 KiB chunk share storage: their string fields
 // are slices of one string, their Rest values of one slab. fn may keep
@@ -57,187 +69,122 @@ func ParForEachLogJSONOrdered(r io.Reader, workers int, fn func(LogEntry) error)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return ForEachLogJSON(r, fn)
-	}
-
+	// work queues a chunk per worker. order holds two per worker, so the
+	// reader can cut every worker's next chunk while the caller
+	// delivers; it also bounds the chunks in flight to 2*workers + 2.
 	var (
-		chunks  = make(chan logChunk, workers)
-		results = make(chan decodedChunk, workers)
-		stop    = make(chan struct{})
-		once    sync.Once
-		failErr error
+		work  = make(chan *logChunk, workers)
+		order = make(chan *logChunk, 2*workers)
+		stop  = make(chan struct{})
+		wg    sync.WaitGroup
 	)
-	fail := func(err error) {
-		once.Do(func() {
-			failErr = err
-			close(stop)
-		})
-	}
 
-	// Reader: split the stream into newline-aligned chunks.
-	var readWG sync.WaitGroup
-	readWG.Add(1)
+	// Reader: cut the stream into newline-aligned chunks. Every chunk
+	// goes to a worker and then to order, so the caller recycles it.
 	go func() {
-		defer readWG.Done()
-		defer close(chunks)
+		defer close(order)
+		defer close(work)
 		var carry []byte
-		idx, line := 0, 1
+		line := 1
 		for {
-			bp := parBufPool.Get().(*[]byte)
-			buf := append((*bp)[:0], carry...)
-			carry = carry[:0]
-			buf, eof, err := fillChunk(r, buf, parChunkSize)
-			if err != nil {
-				fail(fmt.Errorf("dnsserver: reading log: %w", err))
-				*bp = buf
-				parBufPool.Put(bp)
+			select {
+			case <-stop:
 				return
+			default:
 			}
+			c := chunkPool.Get().(*logChunk)
+			buf, eof, err := fillChunk(r, append(c.buf[:0], carry...), parChunkSize)
+			cut := bytes.LastIndexByte(buf, '\n')
+			for cut < 0 && !eof && err == nil {
+				// A line longer than a chunk: keep extending.
+				buf, eof, err = fillChunk(r, buf, len(buf)+parChunkSize)
+				cut = bytes.LastIndexByte(buf, '\n')
+			}
+			// Past the last newline is the next chunk's start, or, after
+			// a read error, a cut-short line that is dropped.
+			carry = carry[:0]
 			if !eof {
-				cut := bytes.LastIndexByte(buf, '\n')
-				for cut < 0 && !eof {
-					// A line longer than a chunk: keep extending.
-					buf, eof, err = fillChunk(r, buf, len(buf)+parChunkSize)
-					if err != nil {
-						fail(fmt.Errorf("dnsserver: reading log: %w", err))
-						*bp = buf
-						parBufPool.Put(bp)
-						return
-					}
-					cut = bytes.LastIndexByte(buf, '\n')
-				}
-				if cut >= 0 && cut+1 < len(buf) {
+				if err == nil {
 					carry = append(carry, buf[cut+1:]...)
-					buf = buf[:cut+1]
 				}
+				buf = buf[:cut+1]
 			}
-			*bp = buf
-			if len(buf) == 0 {
-				parBufPool.Put(bp)
-			} else {
-				select {
-				case chunks <- logChunk{idx: idx, firstLine: line, buf: buf}:
-				case <-stop:
-					parBufPool.Put(bp)
-					return
-				}
-				idx++
-				line += bytes.Count(buf, []byte{'\n'})
+			c.firstLine, c.buf = line, buf
+			if err != nil {
+				c.err = fmt.Errorf("dnsserver: reading log: %w", err)
 			}
-			if eof {
+			line += bytes.Count(buf, []byte{'\n'})
+			// Workers and caller drain until these channels close, even
+			// after stop, so neither send needs a stop case.
+			work <- c
+			order <- c
+			if eof || err != nil {
 				return
 			}
 		}
 	}()
 
-	// Workers: decode chunks and hand them to the merge.
-	var workWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workWG.Add(1)
+	// Workers: decode chunks, unless the scan has already failed.
+	wg.Add(workers)
+	for range workers {
 		go func() {
-			defer workWG.Done()
+			defer wg.Done()
 			var p logLineParser
-			for c := range chunks {
-				ep := parEntryPool.Get().(*[]LogEntry)
-				entries, err := decodeChunk(&p, c, *ep)
-				*ep = entries
-				if err != nil {
-					fail(err)
-				}
-				select {
-				case results <- decodedChunk{idx: c.idx, entries: entries, err: err}:
-				case <-stop:
-					putChunkEntries(ep)
-				}
-				parBufPool.Put(&c.buf)
+			for c := range work {
 				select {
 				case <-stop:
-					// Drain remaining chunks cheaply after a failure.
-					for c := range chunks {
-						parBufPool.Put(&c.buf)
-					}
-					return
 				default:
+					var err error
+					if c.entries, err = decodeChunk(&p, c.firstLine, c.buf, c.entries); err != nil {
+						c.err = err
+					}
 				}
+				c.done <- struct{}{}
 			}
 		}()
 	}
 
-	// Ordered merge: deliver chunks in index order from this
-	// goroutine.
-	go func() {
-		workWG.Wait()
-		close(results)
-	}()
-	pending := make(map[int][]LogEntry)
-	next := 0
-	deliver := func(entries []LogEntry) {
-		// Reading failErr directly would race the workers; observing
-		// stop closed happens-after the failing write, so gate on it.
-		select {
-		case <-stop:
-		default:
-			for _, e := range entries {
-				if err := fn(e); err != nil {
-					fail(err)
+	// Caller: deliver each chunk's entries, then its error. The first
+	// error stops the reader and workers; the rest is drained unread.
+	var err error
+	for c := range order {
+		<-c.done
+		if err == nil {
+			for i := range c.entries {
+				if err = fn(c.entries[i]); err != nil {
 					break
 				}
 			}
-		}
-		putChunkEntries(&entries)
-	}
-	for dc := range results {
-		if dc.err != nil {
-			putChunkEntries(&dc.entries)
-			continue
-		}
-		pending[dc.idx] = dc.entries
-		for {
-			entries, ok := pending[next]
-			if !ok {
-				break
+			if err == nil {
+				err = c.err
 			}
-			delete(pending, next)
-			next++
-			deliver(entries)
+			if err != nil {
+				close(stop)
+			}
 		}
+		c.recycle()
 	}
-	for idx, entries := range pending {
-		delete(pending, idx)
-		putChunkEntries(&entries)
-	}
-	readWG.Wait()
-	return failErr
+	wg.Wait()
+	return err
 }
 
 // fillChunk reads until len(buf) reaches target or the stream ends.
 func fillChunk(r io.Reader, buf []byte, target int) (out []byte, eof bool, err error) {
-	for len(buf) < target {
-		if cap(buf) < target {
-			grown := make([]byte, len(buf), target)
-			copy(grown, buf)
-			buf = grown
-		}
-		n, rerr := r.Read(buf[len(buf):target])
-		buf = buf[:len(buf)+n]
-		if rerr == io.EOF {
-			return buf, true, nil
-		}
-		if rerr != nil {
-			return buf, false, rerr
-		}
+	buf = slices.Grow(buf, target-len(buf))
+	n, err := io.ReadFull(r, buf[len(buf):target])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return buf[:len(buf)+n], true, nil
 	}
-	return buf, false, nil
+	return buf[:len(buf)+n], false, err
 }
 
-// decodeChunk parses every non-blank line of the chunk as one batch of
-// the parser: the chunk's fast-tier string fields share one string, its
-// Rest values one slab.
-func decodeChunk(p *logLineParser, c logChunk, entries []LogEntry) ([]LogEntry, error) {
+// decodeChunk parses every non-blank line of buf, whose first line is
+// file line firstLine, as one batch of the parser: the chunk's
+// fast-tier string fields share one string, its Rest values one slab.
+// On a bad line it returns the entries before it and the error.
+func decodeChunk(p *logLineParser, firstLine int, buf []byte, entries []LogEntry) ([]LogEntry, error) {
 	entries = entries[:0]
-	buf := c.buf
-	lineNo := c.firstLine
+	lineNo := firstLine
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
 		var line []byte
@@ -257,13 +204,4 @@ func decodeChunk(p *logLineParser, c logChunk, entries []LogEntry) ([]LogEntry, 
 	}
 	p.settle(entries)
 	return entries, nil
-}
-
-// putChunkEntries recycles a worker's entry slice. Entries are value
-// types whose strings the caller may retain; only the slice header's
-// backing array is reused, never the strings, so recycling is safe.
-func putChunkEntries(entries *[]LogEntry) {
-	clear(*entries)
-	*entries = (*entries)[:0]
-	parEntryPool.Put(entries)
 }

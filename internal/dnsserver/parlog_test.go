@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"sendervalid/internal/dns"
+	"sendervalid/internal/jsonwire"
+	"sendervalid/internal/leaktest"
 )
 
 // parTestLog builds a log large enough to span several chunks so the
@@ -40,15 +44,39 @@ func parTestLog(t testing.TB, n int) (jsonl []byte, entries []LogEntry) {
 	return buf, entries
 }
 
+// lineAtATime is the reference the pipeline is held to: the log read a
+// line at a time with jsonwire.LineReader and decoded with parse,
+// stopping at the first bad line or read error with the entries before
+// it.
+func lineAtATime(r io.Reader) ([]LogEntry, error) {
+	var p logLineParser
+	var out []LogEntry
+	lr := jsonwire.NewLineReader(r)
+	for n := 1; lr.Next(); n++ {
+		if blankLine(lr.Bytes()) {
+			continue
+		}
+		e, err := p.parse(lr.Bytes())
+		if err != nil {
+			return out, fmt.Errorf("dnsserver: reading log line %d: %w", n, err)
+		}
+		out = append(out, e)
+	}
+	if err := lr.Err(); err != nil {
+		return out, fmt.Errorf("dnsserver: reading log: %w", err)
+	}
+	return out, nil
+}
+
 // TestParForEachLogJSONMatchesSerial drives every worker count,
-// including the GOMAXPROCS default (0) and the serial short-circuit
-// (1): each must deliver exactly what ForEachLogJSON delivers, in the
-// same order.
+// including the GOMAXPROCS default (0) and ForEachLogJSON's one: each
+// must deliver exactly what a line-at-a-time read delivers, in the same
+// order.
 func TestParForEachLogJSONMatchesSerial(t *testing.T) {
 	jsonl, _ := parTestLog(t, 20000) // ~2.5 MB, ~10 chunks
-	want, err := ReadLogJSON(bytes.NewReader(jsonl))
+	want, err := lineAtATime(bytes.NewReader(jsonl))
 	if err != nil {
-		t.Fatalf("serial reference: %v", err)
+		t.Fatalf("line-at-a-time reference: %v", err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -61,7 +89,7 @@ func TestParForEachLogJSONMatchesSerial(t *testing.T) {
 				t.Fatalf("ParForEachLogJSONOrdered: %v", err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("got %d entries, want the serial path's %d in the same order", len(got), len(want))
+				t.Fatalf("got %d entries, want the line-at-a-time read's %d in the same order", len(got), len(want))
 			}
 		})
 	}
@@ -91,39 +119,86 @@ func TestParForEachLogJSONOrderedPreservesFileOrder(t *testing.T) {
 	}
 }
 
+// TestParForEachLogJSONCallbackError: fn's error ends the scan at the
+// failing call, is returned unwrapped, and leaves no goroutine behind.
 func TestParForEachLogJSONCallbackError(t *testing.T) {
 	jsonl, _ := parTestLog(t, 5000)
 	sentinel := errors.New("stop here")
-	n := 0
-	err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), 4, func(LogEntry) error {
-		n++
-		if n == 100 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("got %v, want the callback's error unwrapped", err)
-	}
-	if n != 100 {
-		t.Errorf("callback ran %d times, want delivery to stop at the failing call (100)", n)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer leaktest.Check(t)()
+			n, failed := 0, false
+			err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), workers, func(LogEntry) error {
+				if failed {
+					t.Error("fn called after it returned an error")
+				}
+				n++
+				if n == 100 {
+					failed = true
+					return sentinel
+				}
+				return nil
+			})
+			if err != sentinel {
+				t.Errorf("got %v, want the callback's error unwrapped", err)
+			}
+			if n != 100 {
+				t.Errorf("callback ran %d times, want delivery to stop at the failing call (100)", n)
+			}
+		})
 	}
 }
 
+// TestParForEachLogJSONParseError: on a bad line or a failed read,
+// every worker count delivers exactly the entries a line-at-a-time read
+// delivers before the failure, then returns the failure.
 func TestParForEachLogJSONParseError(t *testing.T) {
-	jsonl, _ := parTestLog(t, 5000)
-	jsonl = append(jsonl, "{broken\n"...)
-	tail, _ := parTestLog(t, 100)
-	jsonl = append(jsonl, tail...)
-	// The broken line is the file's 5001st; the serial path (workers=1)
-	// and the chunked path must name it identically.
-	for _, workers := range []int{1, 4} {
-		err := ParForEachLogJSONOrdered(bytes.NewReader(jsonl), workers, func(LogEntry) error { return nil })
-		if err == nil {
-			t.Fatalf("workers=%d: malformed line not reported", workers)
+	jsonl, _ := parTestLog(t, 20000)
+	withBadLine := func(n int) []byte {
+		at := 0
+		for range n - 1 {
+			at += bytes.IndexByte(jsonl[at:], '\n') + 1
 		}
-		if !strings.Contains(err.Error(), "reading log line 5001:") {
-			t.Errorf("workers=%d: error %q does not carry the 1-based line number 5001", workers, err)
+		return append(append(append([]byte(nil), jsonl[:at]...), "{broken\n"...), jsonl[at:]...)
+	}
+	boom := errors.New("disk on fire")
+	half := jsonl[:len(jsonl)/2] // ends mid-line
+	cases := []struct {
+		name    string
+		in      func() io.Reader
+		want    int // entries delivered
+		wantErr string
+		wraps   error
+	}{
+		{"bad line 10", func() io.Reader { return bytes.NewReader(withBadLine(10)) }, 9, "dnsserver: reading log line 10: ", nil},
+		{"bad line 15001", func() io.Reader { return bytes.NewReader(withBadLine(15001)) }, 15000, "dnsserver: reading log line 15001: ", nil},
+		{"read error halfway", func() io.Reader {
+			return io.MultiReader(bytes.NewReader(half), iotest.ErrReader(boom))
+		}, bytes.Count(half, []byte{'\n'}), "dnsserver: reading log: disk on fire", boom},
+	}
+	for _, c := range cases {
+		want, wantErr := lineAtATime(c.in())
+		if len(want) != c.want || wantErr == nil || !strings.HasPrefix(wantErr.Error(), c.wantErr) {
+			t.Fatalf("%s: the line-at-a-time reference delivers %d entries and %v", c.name, len(want), wantErr)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				defer leaktest.Check(t)()
+				var got []LogEntry
+				err := ParForEachLogJSONOrdered(c.in(), workers, func(e LogEntry) error {
+					got = append(got, e)
+					return nil
+				})
+				if err == nil || !strings.HasPrefix(err.Error(), c.wantErr) {
+					t.Fatalf("error %v, want one starting %q", err, c.wantErr)
+				}
+				if c.wraps != nil && !errors.Is(err, c.wraps) {
+					t.Errorf("error %v does not wrap the read error", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("delivered %d entries before the error, want the line-at-a-time read's %d", len(got), len(want))
+				}
+			})
 		}
 	}
 }

@@ -16,8 +16,8 @@
 //   - Cursor decodes the canonical lines the query-log encoder emits —
 //     wire order, no whitespace, plain ASCII strings — and refuses
 //     everything else, which the codec hands to json.Unmarshal.
-//   - LineReader is the JSONL read loop the four stream readers
-//     (query log, journal, span file, bulk SPF tuples) share.
+//   - LineReader is the JSONL read loop the three line-at-a-time
+//     readers (journal, span file, bulk SPF tuples) share.
 //
 // The equivalence with encoding/json is pinned by the tests in this
 // package and by fuzz tests in the three consumers.

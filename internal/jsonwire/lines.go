@@ -16,7 +16,6 @@ type LineReader struct {
 	br    *bufio.Reader
 	spill []byte
 	line  []byte
-	n     int
 	err   error
 	done  bool
 }
@@ -59,7 +58,6 @@ func (lr *LineReader) Next() bool {
 		line = line[:n-1]
 	}
 	lr.line = line
-	lr.n++
 	return true
 }
 
@@ -73,9 +71,6 @@ func (lr *LineReader) Ready() bool {
 // Bytes returns the current line without its "\n" or "\r\n"
 // terminator. The slice is only valid until the next call to Next.
 func (lr *LineReader) Bytes() []byte { return lr.line }
-
-// Line returns the 1-based number of the current line.
-func (lr *LineReader) Line() int { return lr.n }
 
 // Err returns the read error that ended the iteration, if any; io.EOF
 // is not an error.
