@@ -29,13 +29,6 @@ import (
 	"sendervalid/internal/probe"
 )
 
-// tcpDialer adapts net.Dialer to the probe client's interface.
-type tcpDialer struct{ d net.Dialer }
-
-func (t *tcpDialer) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
-	return t.d.DialContext(ctx, network, address)
-}
-
 func main() {
 	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
@@ -86,7 +79,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	}
 
 	client := &probe.Client{
-		Dialer:          &tcpDialer{},
+		Dialer:          &net.Dialer{},
 		Suffix:          *suffix,
 		HeloDomain:      *helo,
 		RecipientDomain: recipientDomain,

@@ -113,22 +113,13 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
-// taskState tracks one task through the campaign.
-type taskState struct {
-	task     Task
-	attempts int
-	state    State
-}
-
-// State is a task's position in the lifecycle.
+// State is a task's final outcome, as a journal replay reports it.
 type State string
 
-// Task states, as they appear in journal events.
+// Final task states.
 const (
-	StatePending State = "pending"
-	StateRunning State = "running"
-	StateDone    State = "done"
-	StateFailed  State = "failed"
+	StateDone   State = "done"
+	StateFailed State = "failed"
 )
 
 // Campaign is a durable, rate-limited run over a set of tasks.
@@ -140,7 +131,7 @@ type Campaign struct {
 	shards  map[string]*shard
 	order   []string // shard round-robin order (insertion order)
 	rrNext  int
-	tasks   map[Key]*taskState
+	tasks   map[Key]int // attempts started per task
 	journal *journalWriter
 	rng     *mrand.Rand
 
@@ -163,7 +154,7 @@ func New(cfg Config, run TaskFunc) *Campaign {
 		cfg:     cfg,
 		run:     run,
 		shards:  make(map[string]*shard),
-		tasks:   make(map[Key]*taskState),
+		tasks:   make(map[Key]int),
 		journal: newJournalWriter(cfg.Journal, cfg.Logf),
 		rng:     mrand.New(mrand.NewSource(cfg.Seed ^ 0x636d70)),
 		wake:    make(chan struct{}, 1),
@@ -181,7 +172,7 @@ func (c *Campaign) Add(tasks ...Task) {
 		if _, dup := c.tasks[k]; dup {
 			continue
 		}
-		c.tasks[k] = &taskState{task: t, state: StatePending}
+		c.tasks[k] = 0
 		c.total++
 		s := c.shardFor(t.MTA)
 		s.push(t, time.Time{})
@@ -322,11 +313,9 @@ func (c *Campaign) nextLocked(now time.Time) (Task, bool, time.Duration) {
 func (c *Campaign) attempt(ctx context.Context, t Task) {
 	k := t.Key()
 	c.mu.Lock()
-	st := c.tasks[k]
-	st.state = StateRunning
-	st.attempts++
+	c.tasks[k]++
 	c.attempts++
-	n := st.attempts
+	n := c.tasks[k]
 	c.journal.event(event{Ev: evAttempt, Key: k, N: n})
 	c.mu.Unlock()
 
@@ -352,22 +341,18 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 
 	switch class {
 	case Done:
-		st.state = StateDone
 		c.done++
 		c.journal.event(event{Ev: evDone, Key: k, N: n})
 	case Terminal:
-		st.state = StateFailed
 		c.failed++
 		c.journal.event(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
 	case Transient:
 		if n >= c.cfg.MaxAttempts {
-			st.state = StateFailed
 			c.failed++
 			c.journal.event(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
 			break
 		}
 		delay := c.backoff(n)
-		st.state = StatePending
 		c.retried++
 		c.journal.event(event{Ev: evRetry, Key: k, N: n, Err: errString(err), DelayMS: delay.Milliseconds()})
 		s.push(t, time.Now().Add(delay))
@@ -375,9 +360,8 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 		// Cancellation voided the attempt: it neither consumed budget
 		// nor produced an outcome. The task stays pending (and
 		// unfinished in the journal) for a resumed run.
-		st.attempts--
+		c.tasks[k]--
 		c.attempts--
-		st.state = StatePending
 		s.pushFront(t, time.Time{})
 	}
 }

@@ -160,7 +160,7 @@ func notifyQuery(owner string) dnsserver.Query {
 // validator can be led to: what a default spf.Checker and a maximal
 // violator query, every target named in an answer to those names, the
 // _dmarc name, and for t03 the HELO name.
-func publishedNames(t *testing.T, id string, r dnsserver.Responder) []string {
+func publishedNames(t testing.TB, id string, r dnsserver.Responder) []string {
 	base := id + "." + goldenMTA + "." + suffix
 	rec := &recordingResolver{r: r, seen: map[string]bool{}}
 	maximal := spf.Options{

@@ -93,18 +93,18 @@ func (c *Client) FromAddress(testID, mtaID string) string {
 	return fmt.Sprintf("spf-test@%s.%s.%s", testID, mtaID, strings.TrimSuffix(c.Suffix, "."))
 }
 
-// sleep pauses before the next command, aborting promptly when the
-// context is cancelled — a cancelled campaign must stop within one
+// sleep pauses for d before the next command, aborting promptly when
+// the context is cancelled — a cancelled campaign must stop within one
 // step, not finish the full EHLO→DATA walk.
-func (c *Client) sleep(ctx context.Context) error {
+func sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if c.Sleep <= 0 {
+	if d <= 0 {
 		return nil
 	}
 	select {
-	case <-time.After(c.Sleep):
+	case <-time.After(d):
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -141,10 +141,7 @@ func (c *Client) Probe(ctx context.Context, addr netip.Addr, mtaID, testID strin
 	psp.End()
 	if err != nil {
 		res.Err = err
-		var smtpErr *smtp.Error
-		if errors.As(err, &smtpErr) {
-			res.ReplyCode, res.ReplyText = smtpErr.Code, smtpErr.Message
-		}
+		fillReply(res, err)
 		return res
 	}
 	defer cl.Abort()
@@ -157,85 +154,60 @@ func (c *Client) Probe(ctx context.Context, addr netip.Addr, mtaID, testID strin
 		helo = fmt.Sprintf("helo.%s.%s.%s", testID, mtaID, strings.TrimSuffix(c.Suffix, "."))
 	}
 	res.Stage = StageHelo
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	_, psp = trace.Start(ctx, "probe.helo")
-	err = cl.Hello(helo)
-	psp.SetError(err)
-	psp.End()
-	if err != nil {
-		res.Err = err
-		fillReply(res, err)
-		return res
-	}
-
-	if err := c.sleep(ctx); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Stage = StageMail
-	_, psp = trace.Start(ctx, "probe.mail")
-	err = cl.Mail(c.FromAddress(testID, mtaID))
-	psp.SetError(err)
-	psp.End()
-	if err != nil {
-		res.Err = err
-		fillReply(res, err)
-		return res
-	}
-
-	if err := c.sleep(ctx); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Stage = StageRcpt
-	_, psp = trace.Start(ctx, "probe.rcpt")
-	var rcptErr error
-	for _, user := range DefaultRecipients {
-		if err := ctx.Err(); err != nil {
-			psp.SetError(err)
-			psp.End()
+	for _, step := range [...]struct {
+		stage Stage
+		span  string
+	}{{StageHelo, "probe.helo"}, {StageMail, "probe.mail"}, {StageRcpt, "probe.rcpt"}, {StageData, "probe.data"}} {
+		pause := c.Sleep // before MAIL, RCPT and DATA, not HELO
+		if step.stage == StageHelo {
+			pause = 0
+		}
+		if err := sleep(ctx, pause); err != nil {
 			res.Err = err
 			return res
 		}
+		res.Stage = step.stage
+		_, psp := trace.Start(ctx, step.span)
+		var err error
+		switch step.stage {
+		case StageHelo:
+			err = cl.Hello(helo)
+		case StageMail:
+			err = cl.Mail(c.FromAddress(testID, mtaID))
+		case StageRcpt:
+			err = c.rcpt(ctx, cl, res, psp)
+		case StageData:
+			res.ReplyCode, res.ReplyText, err = cl.DataCommand()
+		}
+		psp.SetError(err)
+		psp.End()
+		if err != nil {
+			res.Err = err
+			fillReply(res, err)
+			return res
+		}
+	}
+	// Disconnect without sending any content (§4.6): nothing can be
+	// delivered.
+	res.Stage = StageDone
+	return res
+}
+
+// rcpt walks the recipient ladder until an address is accepted,
+// recording it in res and on sp.
+func (c *Client) rcpt(ctx context.Context, cl *smtp.Client, res *Result, sp *trace.Span) (err error) {
+	for _, user := range DefaultRecipients {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		to := user + "@" + c.RecipientDomain
-		if rcptErr = cl.Rcpt(to); rcptErr == nil {
+		if err = cl.Rcpt(to); err == nil {
 			res.Recipient = to
 			break
 		}
 	}
-	if psp != nil {
-		psp.SetAttr("recipient", res.Recipient)
-		psp.SetError(rcptErr)
-		psp.End()
-	}
-	if rcptErr != nil {
-		res.Err = rcptErr
-		fillReply(res, rcptErr)
-		return res
-	}
-
-	if err := c.sleep(ctx); err != nil {
-		res.Err = err
-		return res
-	}
-	res.Stage = StageData
-	_, psp = trace.Start(ctx, "probe.data")
-	code, text, err := cl.DataCommand()
-	psp.SetError(err)
-	psp.End()
-	if err != nil {
-		res.Err = err
-		fillReply(res, err)
-		return res
-	}
-	res.Stage = StageDone
-	res.ReplyCode, res.ReplyText = code, text
-	// Disconnect without sending any content (§4.6): nothing can be
-	// delivered.
-	return res
+	sp.SetAttr("recipient", res.Recipient)
+	return err
 }
 
 func fillReply(res *Result, err error) {

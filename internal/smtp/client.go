@@ -1,12 +1,10 @@
 package smtp
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
+	"net/textproto"
 	"time"
 )
 
@@ -16,11 +14,12 @@ type Dialer interface {
 	DialContext(ctx context.Context, network, address string) (net.Conn, error)
 }
 
-// Client is a sending-MTA SMTP client.
+// Client is a sending-MTA SMTP client. Replies are read, and
+// messages dot-stuffed, by net/textproto over the pooled bufio pair.
 type Client struct {
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	r    textproto.Reader
+	w    textproto.Writer
 	// Timeout bounds each command/reply exchange. Zero means 30s.
 	Timeout time.Duration
 }
@@ -52,9 +51,8 @@ func Dial(ctx context.Context, dialer Dialer, addr string) (*Client, error) {
 // the greeting (Dial does this automatically). The client's buffers
 // come from the package pool; Quit or Abort hands them back.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn}
-	c.br, c.bw = getBuffers(conn)
-	return c
+	br, bw := getBuffers(conn)
+	return &Client{conn: conn, r: textproto.Reader{R: br}, w: textproto.Writer{W: bw}}
 }
 
 // errClientClosed answers a command issued after Quit or Abort.
@@ -70,15 +68,12 @@ func (c *Client) timeout() time.Duration {
 // Cmd sends one command line and returns the reply. A non-2xx/3xx
 // reply is returned as *Error.
 func (c *Client) Cmd(format string, args ...any) (int, string, error) {
-	if c.bw == nil {
+	if c.w.W == nil {
 		return 0, "", errClientClosed
 	}
 	_ = c.conn.SetDeadline(time.Now().Add(c.timeout()))
-	if _, err := fmt.Fprintf(c.bw, format+"\r\n", args...); err != nil {
+	if err := c.w.PrintfLine(format, args...); err != nil {
 		return 0, "", fmt.Errorf("smtp: write: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, "", fmt.Errorf("smtp: flush: %w", err)
 	}
 	code, text, err := c.readReply()
 	if err != nil {
@@ -90,34 +85,16 @@ func (c *Client) Cmd(format string, args ...any) (int, string, error) {
 	return code, text, nil
 }
 
-// readReply consumes one (possibly multiline) reply.
+// readReply consumes one (possibly multiline) reply. Every line must
+// carry a code and a space or hyphen, and a continuation ends only at
+// a final line with the first line's code, as net/smtp reads them.
 func (c *Client) readReply() (int, string, error) {
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.timeout()))
-	var lines []string
-	for {
-		line, err := c.br.ReadString('\n')
-		if err != nil {
-			return 0, "", fmt.Errorf("smtp: reading reply: %w", err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if len(line) < 3 {
-			return 0, "", fmt.Errorf("smtp: short reply line %q", line)
-		}
-		code, err := strconv.Atoi(line[:3])
-		if err != nil {
-			return 0, "", fmt.Errorf("smtp: bad reply code in %q", line)
-		}
-		text := ""
-		cont := false
-		if len(line) > 3 {
-			cont = line[3] == '-'
-			text = line[4:]
-		}
-		lines = append(lines, text)
-		if !cont {
-			return code, strings.Join(lines, "\n"), nil
-		}
+	code, text, err := c.r.ReadResponse(0)
+	if err != nil {
+		return 0, "", fmt.Errorf("smtp: reading reply: %w", err)
 	}
+	return code, text, nil
 }
 
 // Hello negotiates EHLO, falling back to HELO when the server rejects
@@ -159,14 +136,12 @@ func (c *Client) Data(msg []byte) error {
 		return &Error{Code: code, Message: text}
 	}
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout()))
-	if _, err := c.bw.WriteString(DotStuff(msg)); err != nil {
+	dw := c.w.DotWriter()
+	if _, err := dw.Write(msg); err != nil {
 		return fmt.Errorf("smtp: writing message: %w", err)
 	}
-	if _, err := c.bw.WriteString(".\r\n"); err != nil {
+	if err := dw.Close(); err != nil {
 		return fmt.Errorf("smtp: terminating message: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("smtp: flushing message: %w", err)
 	}
 	code, text, err = c.readReply()
 	if err != nil {
@@ -196,28 +171,9 @@ func (c *Client) Quit() error {
 // leaves after the DATA reply — and returns the client's buffers to
 // the pool. It is safe after Quit and more than once.
 func (c *Client) Abort() error {
-	if c.br != nil {
-		putBuffers(c.br, c.bw)
-		c.br, c.bw = nil, nil
+	if c.r.R != nil {
+		putBuffers(c.r.R, c.w.W)
+		c.r, c.w = textproto.Reader{}, textproto.Writer{}
 	}
 	return c.conn.Close()
-}
-
-// DotStuff prepares a message body for DATA transmission: normalizes
-// line endings to CRLF and doubles leading dots (RFC 5321 §4.5.2).
-func DotStuff(msg []byte) string {
-	text := strings.ReplaceAll(string(msg), "\r\n", "\n")
-	lines := strings.Split(text, "\n")
-	var sb strings.Builder
-	for i, line := range lines {
-		if i == len(lines)-1 && line == "" {
-			break // avoid a trailing blank line from a final newline
-		}
-		if strings.HasPrefix(line, ".") {
-			sb.WriteByte('.')
-		}
-		sb.WriteString(line)
-		sb.WriteString("\r\n")
-	}
-	return sb.String()
 }

@@ -242,32 +242,61 @@ func TestServerManySequentialTransactions(t *testing.T) {
 	}
 }
 
+// TestClientReplyParsingEdgeCases pins how the client reads a reply to
+// its first command, served as raw bytes before the peer closes. The
+// reader is net/textproto's, and it is stricter than RFC 5321 §4.2 in
+// two places: a bare code with no text is an error, and a final line
+// whose code differs from the first line's continues the reply.
 func TestClientReplyParsingEdgeCases(t *testing.T) {
-	fabric := netsim.NewFabric()
-	ln, err := fabric.Listen(netip.MustParseAddrPort("10.2.0.1:25"))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, reply string
+		code        int
+		text        string // the reply text, or a substring of the error
+		fails       bool
+	}{
+		{"multiline EHLO", "250-mx.example\r\n250-PIPELINING\r\n250 8BITMIME\r\n", 250, "mx.example\nPIPELINING\n8BITMIME", false},
+		{"empty text", "250 \r\n", 250, "", false},
+		{"bare code", "250\r\n", 0, "short response", true},
+		{"final code differs", "250-a\r\n251 b\r\n", 0, "EOF", true},
+		{"non-numeric code", "xyz not a reply\r\n", 0, "invalid response code", true},
+		{"no newline before EOF", "250 done", 250, "done", false},
 	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Greeting, then a malformed reply to the first command.
-		_, _ = conn.Write([]byte("220 weird server\r\n"))
-		buf := make([]byte, 256)
-		_, _ = conn.Read(buf)
-		_, _ = conn.Write([]byte("xx not a reply\r\n"))
-	}()
-	c, err := Dial(context.Background(), fabric, "10.2.0.1:25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Timeout = 2 * time.Second
-	if _, _, err := c.Cmd("NOOP"); err == nil {
-		t.Error("malformed reply accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fabric := netsim.NewFabric()
+			ln, err := fabric.Listen(netip.MustParseAddrPort("10.2.0.1:25"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				_, _ = conn.Write([]byte("220 weird server\r\n"))
+				buf := make([]byte, 256)
+				_, _ = conn.Read(buf)
+				_, _ = conn.Write([]byte(tc.reply))
+			}()
+			c, err := Dial(context.Background(), fabric, "10.2.0.1:25")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Abort()
+			c.Timeout = 2 * time.Second
+			code, text, err := c.Cmd("EHLO probe.example")
+			if tc.fails {
+				if err == nil || !strings.HasPrefix(err.Error(), "smtp: reading reply: ") || !strings.Contains(err.Error(), tc.text) {
+					t.Fatalf("Cmd = %d %q, %v; want a reading-reply error containing %q", code, text, err, tc.text)
+				}
+				return
+			}
+			if err != nil || code != tc.code || text != tc.text {
+				t.Errorf("Cmd = %d %q, %v; want %d %q", code, text, err, tc.code, tc.text)
+			}
+		})
 	}
 }
 
@@ -293,7 +322,7 @@ func TestClientMultilineGreeting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Abort()
-	if n := c.br.Buffered(); n != 0 {
+	if n := c.r.R.Buffered(); n != 0 {
 		t.Errorf("%d bytes of the greeting left unread", n)
 	}
 }

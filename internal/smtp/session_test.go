@@ -152,7 +152,7 @@ func TestClientAbortIsIdempotent(t *testing.T) {
 	a, b := dial(t, fabric, addr), dial(t, fabric, addr)
 	defer a.Abort()
 	defer b.Abort()
-	if a.br == b.br || a.bw == b.bw {
+	if a.r.R == b.r.R || a.w.W == b.w.W {
 		t.Fatal("two open clients hold the same pooled buffer")
 	}
 	if err := a.Hello("a.example"); err != nil {

@@ -308,17 +308,42 @@ func TestEhloExtensions(t *testing.T) {
 	}
 }
 
-func TestDotStuffing(t *testing.T) {
+// TestDataRoundTrip sends each body through Client.Data to a Server and
+// checks what OnMessage receives: line endings become CRLF, a leading
+// dot survives the stuffing, a last line gains its CRLF, and an empty
+// body arrives as one empty line.
+func TestDataRoundTrip(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"plain\r\n", "plain\r\n"},
-		{".leading\r\n", "..leading\r\n"},
-		{"a\n.b\nc\n", "a\r\n..b\r\nc\r\n"},
+		{".leading\r\n", ".leading\r\n"},
+		{"a\n.b\nc\n", "a\r\n.b\r\nc\r\n"},
 		{"no trailing newline", "no trailing newline\r\n"},
-		{"", ""},
+		{"", "\r\n"},
 	}
-	for _, c := range cases {
-		if got := DotStuff([]byte(c.in)); got != c.want {
-			t.Errorf("DotStuff(%q) = %q, want %q", c.in, got, c.want)
+	var got []string
+	srv := &Server{Handler: Handler{OnMessage: func(_ *Session, msg []byte) *Reply {
+		got = append(got, string(msg))
+		return nil
+	}}}
+	fabric, addr := startServer(t, srv)
+	c := dial(t, fabric, addr)
+	defer c.Abort()
+	if err := c.Hello("sender.example"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if err := c.Mail("a@sender.example"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Rcpt("b@recipient.example"); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		if err := c.Data([]byte(tc.in)); err != nil {
+			t.Fatalf("Data(%q): %v", tc.in, err)
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("Data(%q) delivered %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
