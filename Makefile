@@ -5,9 +5,9 @@
 # `telemetry-alloc` (the allocation pins, which need a run without the
 # race detector) and `bench-smoke` (a one-iteration smoke pass over
 # every benchmark). Every target is named here; internal/lint checks it.
-# `make fuzz-seeds`, `crash`, `bulk-race` (the whole bulk SPF package,
-# three times over), `trace-race` and `chaos` run their suite on its
-# own, to reproduce a failure at another CHAOS_SEED;
+# `make fuzz-seeds`, `crash`, `bulk-race` (the bulk SPF and SPF
+# packages, three times over), `trace-race` and `chaos` run their suite
+# on its own, to reproduce a failure at another CHAOS_SEED;
 # `make bench-e2e` / `bench-e2e-compare` are the one performance gate.
 
 GO ?= go
@@ -90,10 +90,12 @@ telemetry-alloc:
 # the seeded netsim faults (every input line must come back out exactly
 # once while the resolver retries through packet loss and refused
 # dials) and the order, trickle, cancellation and write-error tests
-# that cross the reader/worker/writer segment hand-offs. Reproduce a
-# failure with `make bulk-race CHAOS_SEED=<seed>`.
+# that cross the reader/worker/writer segment hand-offs, and the SPF
+# evaluator, whose prefetch goroutines arm check_host()'s budget
+# concurrently (TestCheckHostBudget). Reproduce a failure with
+# `make bulk-race CHAOS_SEED=<seed>`.
 bulk-race:
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=3 ./internal/bulkspf/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=3 ./internal/bulkspf/ ./internal/spf/
 
 # The tracing subsystem under the race detector: the full span
 # lifecycle (pooling, exporter handoff, Close drain) and a seeded-chaos

@@ -93,6 +93,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fs.Usage()
 		return exitUsage
 	}
+	if *timeoutS <= 0 {
+		// spf.Options reads a zero Timeout as its default, so a
+		// non-positive flag would silently run with 20s.
+		fmt.Fprintf(stderr, "spfcheck: -timeout must be positive, got %v\n", *timeoutS)
+		return exitUsage
+	}
 	tracing, err := traceFlags.Open(cli.Logf(stderr, "spfcheck"))
 	if err != nil {
 		fmt.Fprintf(stderr, "spfcheck: %v\n", err)

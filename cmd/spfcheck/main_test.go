@@ -101,6 +101,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-server", server, "-input", "-", "-ip", "203.0.113.9"}, // mode mix
 		{"-server", server, "-input", "/does/not/exist.jsonl"},   // unreadable input
 		{"-bogus-flag"}, // unknown flag
+		{"-server", server, "-ip", "203.0.113.9", "-from", "a@pass.example", "-timeout", "0"},
+		{"-server", server, "-ip", "203.0.113.9", "-from", "a@pass.example", "-timeout", "-1s"},
+		{"-server", server, "-input", "-", "-timeout", "0"},
 	}
 	for _, args := range cases {
 		if code, _, _ := runCmd(t, args, ""); code != exitUsage {

@@ -286,6 +286,46 @@ func (s *segment) dispatch(ctx context.Context, workers int, work, order chan<- 
 	}
 }
 
+// decodeTuple is the fast tier of tuple decoding: it takes a line that
+// is '{' then Tuple's exact keys, in any order, each with a plain
+// string value, and nothing else (jsonwire.Cursor's canonical form).
+// A later duplicate key wins, as in encoding/json. ok=false means "not
+// canonical", and the caller hands the line to json.Unmarshal, the
+// authority (FuzzDecodeTuple).
+func decodeTuple(line []byte) (Tuple, bool) {
+	var t Tuple
+	c := jsonwire.NewCursor(line)
+	if !c.Lit(`{"`) {
+		return Tuple{}, false
+	}
+	for {
+		var dst *string
+		switch {
+		case c.Lit(`ip":"`):
+			dst = &t.IP
+		case c.Lit(`mail_from":"`):
+			dst = &t.MailFrom
+		case c.Lit(`helo":"`):
+			dst = &t.Helo
+		case c.Lit(`domain":"`):
+			dst = &t.Domain
+		default:
+			return Tuple{}, false
+		}
+		v, ok := c.RawStr()
+		if !ok {
+			return Tuple{}, false
+		}
+		*dst = string(v)
+		if c.End() {
+			return t, true
+		}
+		if !c.Lit(`,"`) {
+			return Tuple{}, false
+		}
+	}
+}
+
 // eval turns one input line into a Result.
 func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, seq int, line []byte) Result {
 	r := Result{Seq: seq}
@@ -294,9 +334,11 @@ func (e *Evaluator) eval(ctx context.Context, c *spf.Checker, seq int, line []by
 		r.Err = msg
 		return r
 	}
-	var tup Tuple
-	if err := json.Unmarshal(line, &tup); err != nil {
-		return fail("bad tuple: " + err.Error())
+	tup, ok := decodeTuple(line)
+	if !ok {
+		if err := json.Unmarshal(line, &tup); err != nil {
+			return fail("bad tuple: " + err.Error())
+		}
 	}
 	r.IP = tup.IP
 	ip, err := netip.ParseAddr(tup.IP)

@@ -6,12 +6,13 @@ import (
 )
 
 // Cursor walks one line in the canonical form the Append* encoders
-// emit: fields in wire order, no interior whitespace, plain ASCII
-// strings. Every method reports ok=false on anything else, which means
-// "not canonical", never "invalid" — the query-log codec (its one
-// user) then hands the line to json.Unmarshal, the authority on what
-// the format accepts. So a decoder built on Cursor must agree with
-// json.Unmarshal on every line it does accept, and nothing more.
+// emit: no interior whitespace, plain ASCII strings. Every method
+// reports ok=false on anything else, which means "not canonical",
+// never "invalid" — its users, the query-log codec (fields in wire
+// order) and the bulk SPF tuple decoder (keys in any order), then hand
+// the line to json.Unmarshal, the authority on what the format
+// accepts. So a decoder built on Cursor must agree with json.Unmarshal
+// on every line it does accept, and nothing more.
 type Cursor struct {
 	in []byte
 	i  int

@@ -1,8 +1,8 @@
 // Package jsonwire provides the reflection-free JSON primitives behind
 // the repo's three hand-written JSONL record paths: the DNS query log
 // codec (internal/dnsserver, both directions), the campaign journal's
-// encoder (internal/campaign) and the bulk SPF result-line encoder
-// (internal/bulkspf). Each format is defined by encoding/json struct
+// encoder (internal/campaign) and the bulk SPF pipeline
+// (internal/bulkspf: tuple decoder, result-line encoder). Each format is defined by encoding/json struct
 // tags, and files written by older builds must stay readable (and vice
 // versa), so the primitives here reproduce encoding/json's bytes rather
 // than define a fresh JSON dialect:
@@ -13,9 +13,10 @@
 //     UTF-8 coerced to U+FFFD.
 //   - AppendTime mirrors time.Time's MarshalJSON (RFC 3339 with
 //     nanoseconds); TryParseTime is the strict inverse.
-//   - Cursor decodes the canonical lines the query-log encoder emits —
-//     wire order, no whitespace, plain ASCII strings — and refuses
-//     everything else, which the codec hands to json.Unmarshal.
+//   - Cursor decodes canonical lines — no whitespace, plain ASCII
+//     strings: the query-log encoder's, in wire order, and bulk SPF
+//     tuples, keys in any order — and refuses everything else, which
+//     each decoder hands to json.Unmarshal.
 //   - LineReader is the JSONL read loop the three line-at-a-time
 //     readers (journal, span file, bulk SPF tuples) share.
 //

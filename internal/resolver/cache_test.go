@@ -225,9 +225,10 @@ func TestLookupHitAllocs(t *testing.T) {
 // TestCheckHostWarmAllocs bounds what one SPF evaluation allocates on a
 // warm resolver — the bulk re-validation steady state, where nothing
 // new can be learned. The fixture spends two lookups (a, include) over
-// three cached names. What is left is the evaluation's own state, its
-// timeout context, the two parsed records and the slices the lookups
-// return.
+// three cached names. What is left is the evaluation's own state, the
+// two parsed records and the slices the lookups return: 9 measured, 13
+// while every evaluation armed its timeout context up front. The bound
+// leaves one for a Go release to move it.
 func TestCheckHostWarmAllocs(t *testing.T) {
 	h := newStaticHandler()
 	h.add("example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 a:mail.example.com include:_spf.example.net -all"}})
@@ -244,8 +245,8 @@ func TestCheckHostWarmAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() { check() })
 	t.Logf("warm CheckHost: %v allocs/op", allocs)
-	if allocs > 16 {
-		t.Errorf("warm CheckHost: %v allocs/op, want ≤ 16", allocs)
+	if allocs > 10 {
+		t.Errorf("warm CheckHost: %v allocs/op, want ≤ 10", allocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sendervalid/internal/trace"
@@ -60,8 +61,10 @@ type Options struct {
 	// the specified default of 10; negative means unlimited (a
 	// violation).
 	MXAddressLimit int
-	// Timeout bounds the whole evaluation. 0 means 20 seconds, the
-	// specification's recommended minimum.
+	// Timeout bounds the whole evaluation from its first DNS wait: an
+	// evaluation answered wholly from a resolver's cache starts no
+	// timer. 0 means 20 seconds, the specification's recommended
+	// minimum.
 	Timeout time.Duration
 	// IgnoreSyntaxErrors continues evaluation past malformed terms
 	// instead of returning permerror (a violation).
@@ -125,13 +128,57 @@ type Outcome struct {
 	Err error
 }
 
-// state threads evaluation counters through recursion.
+// state threads evaluation counters through recursion. Its budget is
+// the context every lookup of the evaluation runs under.
 type state struct {
+	budget      budget
 	lookups     int
 	voidLookups int
 	depth       int
 	prefetchWG  sync.WaitGroup
 }
+
+// budget is check_host()'s evaluation context: its parent, bounded by
+// timeout from the first call to Done or Deadline — in practice the
+// first lookup that waits. Until then Err is the parent's and nothing
+// is registered with the parent, so an evaluation served wholly from a
+// cache costs no timer. Arming is safe from the prefetch goroutines.
+type budget struct {
+	parent  context.Context
+	timeout time.Duration
+	once    sync.Once
+	armed   atomic.Bool // set once ctx and cancel are
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
+
+func (b *budget) arm() context.Context {
+	b.once.Do(func() {
+		b.ctx, b.cancel = context.WithTimeout(b.parent, b.timeout)
+		b.armed.Store(true)
+	})
+	return b.ctx
+}
+
+// current is the armed context, or the parent before arming.
+func (b *budget) current() context.Context {
+	if b.armed.Load() {
+		return b.ctx
+	}
+	return b.parent
+}
+
+// stop releases the timer, if one was armed.
+func (b *budget) stop() {
+	if b.armed.Load() {
+		b.cancel()
+	}
+}
+
+func (b *budget) Deadline() (time.Time, bool) { return b.arm().Deadline() }
+func (b *budget) Done() <-chan struct{}       { return b.arm().Done() }
+func (b *budget) Err() error                  { return b.current().Err() }
+func (b *budget) Value(key any) any           { return b.current().Value(key) }
 
 // Hard safety ceilings that apply even to deliberately violating
 // configurations (LookupLimit < 0 and friends): a real validator that
@@ -152,14 +199,13 @@ func (e *limitError) Error() string { return "spf: " + e.what + " limit exceeded
 // ip with the given MAIL FROM sender ("user@domain"; pass
 // "postmaster@"+helo to check the HELO identity) and HELO domain.
 func (c *Checker) CheckHost(ctx context.Context, ip netip.Addr, domain, sender, helo string) *Outcome {
-	ctx, cancel := context.WithTimeout(ctx, c.Options.timeout())
-	defer cancel()
-	ctx, sp := trace.Start(ctx, "spf.check")
+	st := &state{budget: budget{parent: ctx, timeout: c.Options.timeout()}}
+	defer st.budget.stop()
+	ctx, sp := trace.Start(&st.budget, "spf.check")
 	if sp != nil {
 		sp.SetAttr("domain", domain)
 	}
 
-	st := &state{}
 	out := &Outcome{}
 	env := &MacroEnv{
 		Sender:   sender,

@@ -7,8 +7,10 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // mockResolver is an in-memory Resolver with a query log.
@@ -299,6 +301,104 @@ func TestCheckHostTempError(t *testing.T) {
 	}
 	if out.Err == nil {
 		t.Error("temperror without detail")
+	}
+}
+
+// blockingResolver answers TXT for example.com with policy and blocks
+// every other lookup until its context is done. A blocked lookup first
+// holds at a gate that opens when want lookups have arrived, so that
+// they all reach ctx.Done at once.
+type blockingResolver struct {
+	policy  string
+	want    int32
+	arrived atomic.Int32
+	gate    chan struct{}
+}
+
+func newBlockingResolver(policy string, want int32) *blockingResolver {
+	return &blockingResolver{policy: policy, want: want, gate: make(chan struct{})}
+}
+
+func (r *blockingResolver) block(ctx context.Context) error {
+	if r.arrived.Add(1) == r.want {
+		close(r.gate)
+	}
+	select {
+	case <-r.gate:
+	case <-time.After(5 * time.Second): // a miscounted want: slow, not hung
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (r *blockingResolver) LookupTXT(ctx context.Context, name string) ([]string, error) {
+	if name == "example.com" {
+		return []string{r.policy}, nil
+	}
+	return nil, r.block(ctx)
+}
+
+func (r *blockingResolver) LookupA(ctx context.Context, name string) ([]netip.Addr, error) {
+	return nil, r.block(ctx)
+}
+
+func (r *blockingResolver) LookupAAAA(ctx context.Context, name string) ([]netip.Addr, error) {
+	return nil, r.block(ctx)
+}
+
+func (r *blockingResolver) LookupMX(ctx context.Context, name string) ([]MXRecord, error) {
+	return nil, r.block(ctx)
+}
+
+func (r *blockingResolver) LookupPTR(ctx context.Context, ip netip.Addr) ([]string, error) {
+	return nil, r.block(ctx)
+}
+
+// TestCheckHostBudget pins that Options.Timeout bounds an evaluation
+// whose lookups never return, that cancelling the caller's context
+// ends it with the caller's error, and that concurrent prefetch
+// lookups waiting on the budget at once still see it expire.
+func TestCheckHostBudget(t *testing.T) {
+	cases := []struct {
+		name    string
+		policy  string
+		opts    Options
+		waiters int32
+		cancel  bool
+		want    error
+	}{
+		{"timeout", "v=spf1 a:slow.example -all", Options{Timeout: 50 * time.Millisecond}, 1, false, context.DeadlineExceeded},
+		{"parent cancelled", "v=spf1 a:slow.example -all", Options{Timeout: time.Minute}, 1, true, context.Canceled},
+		// Four prefetch goroutines (a, mx, exists, include) and the
+		// serial "a" lookup.
+		{"prefetch", "v=spf1 a:a.example mx:mx.example exists:e.example include:i.example -all",
+			Options{Timeout: 50 * time.Millisecond, Prefetch: true}, 5, false, context.DeadlineExceeded},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newBlockingResolver(tc.policy, tc.waiters)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				go func() {
+					<-r.gate
+					cancel()
+				}()
+			}
+			c := &Checker{Resolver: r, Options: tc.opts}
+			start := time.Now()
+			out := c.CheckHost(ctx, ip4Client, "example.com", "user@example.com", "helo.example.net")
+			elapsed := time.Since(start)
+			if out.Result != TempError || !errors.Is(out.Err, tc.want) {
+				t.Errorf("CheckHost = %s (%v), want temperror wrapping %v", out.Result, out.Err, tc.want)
+			}
+			if elapsed > 2*time.Second {
+				t.Errorf("CheckHost took %v, want well under 2s", elapsed)
+			}
+			if got := r.arrived.Load(); got != tc.waiters {
+				t.Errorf("%d lookups waited, want %d", got, tc.waiters)
+			}
+		})
 	}
 }
 
