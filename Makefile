@@ -3,8 +3,10 @@
 # full test suite under the race detector: fuzz seed corpora and the
 # seeded crash/bulk/trace suites included, at the default seed),
 # `telemetry-alloc` (the allocation pins, which need a run without the
-# race detector) and `bench-smoke` (a one-iteration smoke pass over
-# every benchmark). Every target is named here; internal/lint checks it.
+# race detector), `synctest` (the study at paper timing in a
+# testing/synctest bubble, which tier-1 `go test ./...` does not build)
+# and `bench-smoke` (a one-iteration smoke pass over every benchmark).
+# Every target is named here; internal/lint checks it.
 # `make fuzz-seeds`, `crash`, `bulk-race` (the bulk SPF and SPF
 # packages, three times over), `trace-race` and `chaos` run their suite
 # on its own, to reproduce a failure at another CHAOS_SEED;
@@ -16,9 +18,9 @@ GO ?= go
 # with; reproduce a failure with `make chaos CHAOS_SEED=<seed>`.
 CHAOS_SEED ?= 42
 
-.PHONY: check fmt vet build test fuzz-seeds no-stale-refs chaos crash telemetry-alloc bulk-race trace-race bench-smoke bench-e2e bench-e2e-compare
+.PHONY: check fmt vet build test fuzz-seeds no-stale-refs chaos crash telemetry-alloc synctest bulk-race trace-race bench-smoke bench-e2e bench-e2e-compare
 
-check: fmt vet build no-stale-refs test telemetry-alloc bench-smoke
+check: fmt vet build no-stale-refs test telemetry-alloc synctest bench-smoke
 
 # Fails, listing the files, when anything is not gofmt-clean.
 fmt:
@@ -52,7 +54,7 @@ no-stale-refs:
 # included), all under the race detector.
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'TestChaos|TestPipeConn' -v ./internal/netsim/
+		-run 'TestChaos|TestPipeConn|TestPacketConn' -v ./internal/netsim/
 	$(GO) test -race -count=1 \
 		-run 'Panic|RateLimit|TCPServer|Retry|AsyncLog|Evict|Shed|LineTooLong|PolicyRejections|Shutdown|HeadOfLine' \
 		./internal/dns/ ./internal/dnsserver/ ./internal/smtp/ ./internal/resolver/
@@ -85,6 +87,15 @@ telemetry-alloc:
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
 		./internal/spf/ ./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
 		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/ ./internal/bulkspf/
+
+# The tests that run in a testing/synctest bubble, on virtual time:
+# today one, the whole study at paper timing (TimeScale 1.0), which
+# finishes only while nothing in it waits on a host socket. They live
+# in `//go:build goexperiment.synctest` files, so tier-1 `go test
+# ./...` does not build them. Go 1.25 replaces synctest.Run with
+# synctest.Test(t, f) and drops the GOEXPERIMENT flag.
+synctest:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run 'Bubble' ./internal/experiment/
 
 # The bulk-SPF pipeline under the race detector, three times over:
 # the seeded netsim faults (every input line must come back out exactly

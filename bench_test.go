@@ -2,7 +2,8 @@
 // evaluation (see DESIGN.md §4 for the experiment index), plus
 // ablations of the design choices DESIGN.md calls out. Each benchmark
 // performs the real measurement per iteration — protocol traffic over
-// the in-process fabric and loopback DNS — at a reduced population
+// the in-process fabric, DNS included (the resolver-only ablations
+// query a loopback server) — at a reduced population
 // scale, and reports the paper-relevant statistic as a custom metric
 // so the shape can be compared against the published numbers.
 package sendervalid
@@ -623,7 +624,7 @@ func BenchmarkSMTPProbeSession(b *testing.B) {
 // the baseline policy from an in-process authoritative server. Every
 // iteration names a new MTA id, as every (MTA, test) pair of a campaign
 // does, so the resolver misses its cache and the query crosses the
-// loopback. B/op and allocs/op are what the session leaves for the
+// fabric. B/op and allocs/op are what the session leaves for the
 // collector — the figure the campaign's peak RSS follows.
 func BenchmarkProbeSession(b *testing.B) {
 	env := &policy.Env{Suffix: experiment.DefaultTestSuffix, TimeScale: 0.0002}
@@ -631,12 +632,20 @@ func BenchmarkProbeSession(b *testing.B) {
 		Zones: []*dnsserver.Zone{{Suffix: env.Suffix, Responders: policy.Responders(env)}},
 		Log:   &dnsserver.QueryLog{},
 	}
-	dnsAddr, err := srv.Start()
+	fabric := netsim.NewFabric()
+	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(dnsAddr)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ln, err := fabric.Listen(dnsAddr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+		b.Fatal(err)
+	}
 	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
-	fabric := netsim.NewFabric()
 	addr := netip.MustParseAddr("203.0.113.98")
 	mta := mtasim.New(mtasim.Config{
 		ID: "bench", Hostname: "bench.mx.example", Addr4: addr,

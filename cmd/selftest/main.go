@@ -79,8 +79,19 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		Zones: []*dnsserver.Zone{{Suffix: *zone + ".", LabelDepth: 1, Default: cfg.Responder()}},
 		Log:   log,
 	}
-	dnsAddr, err := srv.Start()
+	// The zone is served to the demo fleet on its simulated fabric,
+	// UDP and TCP on one address.
+	fabric := netsim.NewFabric()
+	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(dnsAddr)
 	if err != nil {
+		return fail(err)
+	}
+	dnsLn, err := fabric.Listen(dnsAddr)
+	if err != nil {
+		return fail(err)
+	}
+	if err := srv.Serve(pc, dnsLn, nil, nil); err != nil {
 		return fail(err)
 	}
 	defer func() {
@@ -90,7 +101,6 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	}()
 
 	// The demo fleet: one MTA per behaviour archetype.
-	fabric := netsim.NewFabric()
 	demo := map[string]mtasim.Profile{
 		"full.example": {ValidatesSPF: true, ValidatesDKIM: true, ValidatesDMARC: true,
 			Phase: mtasim.AtData, AcceptAnyUser: true},
@@ -140,7 +150,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "selftest: serving on http://%s (DNS zone %s on %s)\n", ln.Addr(), *zone, dnsAddr)
+	fmt.Fprintf(stdout, "selftest: serving on http://%s (DNS zone %s on %s, simulated)\n", ln.Addr(), *zone, dnsAddr)
 	fmt.Fprintln(stdout, "demo mailboxes: operator@full.example operator@spfonly.example "+
 		"operator@partial.example operator@postdata.example operator@none.example")
 	web := &http.Server{Handler: &selftest.Handler{Service: service}}

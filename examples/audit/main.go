@@ -60,8 +60,19 @@ func main() {
 		},
 		Log: log2,
 	}
-	dnsAddr, err := srv.Start()
+	// Everything talks over one simulated network fabric: the server
+	// answers UDP and TCP on one address there.
+	fabric := netsim.NewFabric()
+	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(dnsAddr)
 	if err != nil {
+		log.Fatal(err)
+	}
+	ln, err := fabric.Listen(dnsAddr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := srv.Serve(pc, ln, nil, nil); err != nil {
 		log.Fatal(err)
 	}
 	defer func() {
@@ -72,7 +83,7 @@ func main() {
 
 	// --- Sender-side audit: lint the published deployment. ---
 	fmt.Println("== sender-side audit: SPF deployment of flawed-corp.example ==")
-	res := resolver.New(resolver.Config{Server: dnsAddr.String(), Timeout: 3 * time.Second})
+	res := resolver.New(resolver.Config{Server: dnsAddr.String(), Timeout: 3 * time.Second, Dialer: fabric})
 	linter := &spf.Linter{Resolver: res}
 	report, err := linter.Lint(context.Background(), "flawed-corp.example")
 	if err != nil {
@@ -86,7 +97,6 @@ func main() {
 
 	// --- Receiver-side audit: probe and fingerprint the MTA. ---
 	fmt.Println("\n== receiver-side audit: the organization's MTA ==")
-	fabric := netsim.NewFabric()
 	mta := mtasim.New(mtasim.Config{
 		ID: "corpmx", Hostname: "mx.flawed-corp.example",
 		Addr4: netip.MustParseAddr("203.0.113.80"),

@@ -38,8 +38,19 @@ func main() {
 		}},
 		Log: queryLog,
 	}
-	dnsAddr, err := authdns.Start()
+	// It serves UDP and TCP on one address of an in-process network
+	// fabric, which carries every packet of the run.
+	fabric := netsim.NewFabric()
+	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(dnsAddr)
 	if err != nil {
+		log.Fatal(err)
+	}
+	ln, err := fabric.Listen(dnsAddr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := authdns.Serve(pc, ln, nil, nil); err != nil {
 		log.Fatal(err)
 	}
 	defer func() {
@@ -47,12 +58,11 @@ func main() {
 		defer cancel()
 		_ = authdns.Shutdown(ctx)
 	}()
-	fmt.Printf("authoritative DNS on loopback serving %d test policies\n", len(policy.Catalog()))
+	fmt.Printf("authoritative DNS at %s (fabric) serving %d test policies\n", dnsAddr, len(policy.Catalog()))
 
-	// 2. One simulated receiving MTA on an in-process network fabric:
-	// a real SMTP server wired to a real stub resolver and a fully
-	// compliant SPF validator.
-	fabric := netsim.NewFabric()
+	// 2. One simulated receiving MTA on the fabric: a real SMTP server
+	// wired to a real stub resolver, which queries from the MTA's own
+	// address, and a fully compliant SPF validator.
 	mta := mtasim.New(mtasim.Config{
 		ID:       "m0001",
 		Hostname: "mx1.recipient.example",
@@ -87,7 +97,8 @@ func main() {
 	// 4. Read the measurement off the DNS query log.
 	fmt.Println("\nqueries observed at the authoritative server:")
 	for _, e := range queryLog.Entries() {
-		fmt.Printf("  %-5s %-55s test=%s mta=%s\n", e.Type, e.Name, e.TestID, e.MTAID)
+		from := netip.MustParseAddrPort(e.Remote).Addr()
+		fmt.Printf("  %-5s %-55s test=%s mta=%s from=%s\n", e.Type, e.Name, e.TestID, e.MTAID, from)
 	}
 	if queryLog.Len() > 0 {
 		fmt.Println("\n=> the MTA is SPF-validating (it fetched and evaluated the policy)")

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/netip"
 	"os"
 	"strconv"
@@ -14,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"sendervalid/internal/dns"
+	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/leaktest"
 	"sendervalid/internal/netsim"
 	"sendervalid/internal/resolver"
@@ -38,57 +37,34 @@ func chaosSeed(t *testing.T) int64 {
 	return seed
 }
 
-// fabricDNS serves a static TXT zone over fabric datagram connections:
-// one read is one query (the fabric preserves datagram framing), so a
-// reply per read and close. Lost datagrams surface to the resolver as
-// read timeouts, which its retry loop absorbs.
-func fabricDNS(t *testing.T, ln *netsim.Listener, txt map[string]string) {
+// fabricDNS serves a static TXT zone under suffix with dnsserver.Server
+// on the fabric's datagram endpoint at addr (TCP beside it), so every
+// query and every reply crosses the link's faults. Lost datagrams
+// surface to the resolver as read timeouts, which its retry loop
+// absorbs.
+func fabricDNS(t *testing.T, fabric *netsim.Fabric, addr netip.AddrPort, suffix string, txt map[string]string) {
 	t.Helper()
-	serveConn := func(conn net.Conn) {
-		defer conn.Close()
-		buf := make([]byte, 4096)
-		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			n, err := conn.Read(buf)
-			if err != nil {
-				return
-			}
-			var req dns.Message
-			if err := req.Unpack(buf[:n]); err != nil {
-				continue
-			}
-			q := req.Question()
-			resp := new(dns.Message).SetReply(&req)
-			resp.Authoritative = true
-			name := dns.CanonicalName(q.Name)
-			rec, ok := txt[name]
-			switch {
-			case !ok:
-				resp.RCode = dns.RCodeNameError
-			case q.Type == dns.TypeTXT:
-				resp.Answers = []dns.RR{{
-					Name: name, Type: dns.TypeTXT, Class: dns.ClassINET, TTL: 300,
-					Data: &dns.TXT{Strings: []string{rec}},
-				}}
-			}
-			pkt, err := resp.Pack()
-			if err != nil {
-				continue
-			}
-			if _, err := conn.Write(pkt); err != nil {
-				return
-			}
-		}
+	static := dnsserver.NewStatic()
+	for name, rec := range txt {
+		static.TXT(name, rec)
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go serveConn(conn)
-		}
-	}()
+	srv := &dnsserver.Server{Zones: []*dnsserver.Zone{{Suffix: suffix, LabelDepth: 1, Default: static}}}
+	pc, err := fabric.ListenPacket(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := fabric.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
 }
 
 // TestBulkPipelineChaos runs the full bulk pipeline against a DNS
@@ -104,11 +80,6 @@ func TestBulkPipelineChaos(t *testing.T) {
 	fabric := netsim.NewFabric()
 	fabric.SetChaosSeed(seed)
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 
 	const domains = 12
 	zone := make(map[string]string, domains)
@@ -119,7 +90,7 @@ func TestBulkPipelineChaos(t *testing.T) {
 		}
 		zone[fmt.Sprintf("d%02d.chaos.example.", i)] = policy
 	}
-	fabricDNS(t, ln, zone)
+	fabricDNS(t, fabric, dnsAddr, "chaos.example.", zone)
 
 	// Faults on every path between the stub resolver and the server:
 	// dropped datagrams (queries and replies), refused dials, jitter.
@@ -223,18 +194,13 @@ func TestBulkPipelineChaosTraced(t *testing.T) {
 	fabric := netsim.NewFabric()
 	fabric.SetChaosSeed(seed)
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 
 	const domains = 8
 	zone := make(map[string]string, domains)
 	for i := 0; i < domains; i++ {
 		zone[fmt.Sprintf("d%02d.traced.example.", i)] = "v=spf1 ip4:203.0.113.0/24 -all"
 	}
-	fabricDNS(t, ln, zone)
+	fabricDNS(t, fabric, dnsAddr, "traced.example.", zone)
 	fabric.SetDefaultFaults(&netsim.FaultProfile{
 		DialFailure: 0.05,
 		Loss:        0.12,

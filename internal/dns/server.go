@@ -78,6 +78,18 @@ type HandlerFunc func(w ResponseWriter, r *Request)
 // ServeDNS calls f(w, r).
 func (f HandlerFunc) ServeDNS(w ResponseWriter, r *Request) { f(w, r) }
 
+// PacketConn is the datagram endpoint a Server reads queries from and
+// answers on: a *net.UDPConn, or a simulated fabric's endpoint.
+type PacketConn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	// SetReadDeadline with a past time wakes every blocked reader:
+	// Shutdown relies on it.
+	SetReadDeadline(t time.Time) error
+	LocalAddr() net.Addr
+	Close() error
+}
+
 // Server serves DNS over both UDP and TCP on the same address.
 //
 // The serving path degrades instead of dying: handler panics are
@@ -86,7 +98,7 @@ func (f HandlerFunc) ServeDNS(w ResponseWriter, r *Request) { f(w, r) }
 // back off on transient errors (EMFILE-class descriptor exhaustion)
 // instead of spinning or exiting.
 type Server struct {
-	// Addr is the listen address, e.g. "127.0.0.1:0".
+	// Addr is the address Start binds, e.g. "127.0.0.1:0".
 	Addr string
 	// Handler responds to queries. Required.
 	Handler Handler
@@ -105,7 +117,7 @@ type Server struct {
 	Tracer *trace.Tracer
 
 	mu       sync.Mutex
-	udp      *net.UDPConn
+	udp      PacketConn
 	ln       net.Listener
 	started  bool
 	shutdown chan struct{}
@@ -121,45 +133,61 @@ type Server struct {
 // ErrServerStarted is returned when a server is started twice.
 var ErrServerStarted = errors.New("dns: server already started")
 
-// Start binds the UDP and TCP sockets and begins serving in background
-// goroutines: GOMAXPROCS(0) readers on the UDP socket and an accept
-// loop. It returns the bound address (useful with port 0).
+// Start binds UDP and TCP sockets on Addr (default "127.0.0.1:0") and
+// serves them. It returns the bound address (useful with port 0).
 func (s *Server) Start() (net.Addr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return nil, ErrServerStarted
-	}
-	if s.Handler == nil {
-		return nil, errors.New("dns: server has no handler")
-	}
 	addr := s.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	// Bind UDP and TCP on the same port. With an ephemeral port the
-	// TCP side can race other processes, so retry with a fresh UDP
-	// socket when the matching TCP port is taken.
-	var pc net.PacketConn
-	var ln net.Listener
-	var err error
+	pc, ln, err := listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Serve(pc, ln); err != nil {
+		pc.Close()
+		ln.Close()
+		return nil, err
+	}
+	return pc.LocalAddr(), nil
+}
+
+// listen binds a UDP socket and a TCP listener on the same address.
+// With an ephemeral port the TCP side can race other processes, so it
+// retries with a fresh UDP socket when the matching TCP port is taken.
+func listen(addr string) (*net.UDPConn, net.Listener, error) {
 	for attempt := 0; ; attempt++ {
-		pc, err = net.ListenPacket("udp", addr)
+		pc, err := net.ListenPacket("udp", addr)
 		if err != nil {
-			return nil, fmt.Errorf("dns: udp listen: %w", err)
+			return nil, nil, fmt.Errorf("dns: udp listen: %w", err)
 		}
-		ln, err = net.Listen("tcp", pc.LocalAddr().String())
+		ln, err := net.Listen("tcp", pc.LocalAddr().String())
 		if err == nil {
-			break
+			return pc.(*net.UDPConn), ln, nil
 		}
 		pc.Close()
 		_, port, splitErr := net.SplitHostPort(addr)
 		ephemeral := splitErr == nil && port == "0"
 		if !ephemeral || attempt >= 16 {
-			return nil, fmt.Errorf("dns: tcp listen: %w", err)
+			return nil, nil, fmt.Errorf("dns: tcp listen: %w", err)
 		}
 	}
-	s.udp, s.ln = pc.(*net.UDPConn), ln
+}
+
+// Serve answers queries on an endpoint the caller bound — host sockets
+// or a simulated fabric's — in background goroutines:
+// GOMAXPROCS(0) readers on pc and an accept loop on ln. Shutdown
+// closes both.
+func (s *Server) Serve(pc PacketConn, ln net.Listener) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started {
+		return ErrServerStarted
+	}
+	if s.Handler == nil {
+		return errors.New("dns: server has no handler")
+	}
+	s.udp, s.ln = pc, ln
 	s.shutdown = make(chan struct{})
 	s.started = true
 	s.metrics.init()
@@ -172,7 +200,7 @@ func (s *Server) Start() (net.Addr, error) {
 		go s.serveUDP()
 	}
 	go s.serveTCP(ln)
-	return pc.LocalAddr(), nil
+	return nil
 }
 
 // LocalAddr returns the bound UDP address, or nil before Start.
@@ -407,16 +435,24 @@ func (s *Server) serveTCP(ln net.Listener) {
 // queries.
 const tcpIdleTimeout = 10 * time.Second
 
+// remoteAddrPort reads a connection's remote address: directly from a
+// *net.TCPAddr, by its string form from any other net.Addr (a
+// simulated fabric's). It is the zero AddrPort when neither works.
+func remoteAddrPort(a net.Addr) netip.AddrPort {
+	if ta, ok := a.(*net.TCPAddr); ok {
+		return unmap(ta.AddrPort())
+	}
+	ap, _ := netip.ParseAddrPort(a.String())
+	return unmap(ap)
+}
+
 func (s *Server) handleTCPConn(conn net.Conn) {
 	defer conn.Close()
 	w := &tcpResponseWriter{conn: conn, metrics: &s.metrics}
 	var pkt []byte // per-connection read buffer, grown on demand
 	msg := GetMsg()
 	defer PutMsg(msg)
-	r := &Request{Msg: msg, Transport: "tcp"}
-	if a, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-		r.RemoteAddr = unmap(a.AddrPort())
-	}
+	r := &Request{Msg: msg, Transport: "tcp", RemoteAddr: remoteAddrPort(conn.RemoteAddr())}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout))
 		var err error

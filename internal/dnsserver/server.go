@@ -164,13 +164,14 @@ func (z *Zone) responderFor(q *Query) Responder {
 	return z.Default
 }
 
-// Server is the synthesizing authoritative server. It binds an IPv4
-// and (optionally) an IPv6 endpoint, serves the configured zones, and
-// records every query in its log.
+// Server is the synthesizing authoritative server. It serves the
+// configured zones on an IPv4 and (optionally) an IPv6 endpoint, host
+// sockets (Start) or a simulated fabric's (Serve), and records every
+// query in its log.
 type Server struct {
 	// Zones are served authoritatively. Longest-suffix match wins.
 	Zones []*Zone
-	// Addr4 and Addr6 are the listen addresses. Addr4 defaults to
+	// Addr4 and Addr6 are the addresses Start binds. Addr4 defaults to
 	// "127.0.0.1:0"; Addr6 is optional ("[::1]:0" to enable).
 	Addr4 string
 	Addr6 string
@@ -219,21 +220,23 @@ func (s *Server) init() {
 	})
 }
 
-// Start binds the endpoints and begins serving. It returns the bound
-// IPv4 address; Addr6Bound exposes the IPv6 one.
+// Start binds Addr4 and, when set, Addr6 on host sockets and serves
+// them. It returns the bound IPv4 address; Addr6Bound exposes the IPv6
+// one.
 func (s *Server) Start() (net.Addr, error) {
 	s.init()
-	addr4 := s.Addr4
-	if addr4 == "" {
-		addr4 = "127.0.0.1:0"
+	s.srv4 = s.endpoint(false)
+	s.srv4.Addr = s.Addr4
+	if s.srv4.Addr == "" {
+		s.srv4.Addr = "127.0.0.1:0"
 	}
-	s.srv4 = s.endpoint(addr4, false)
 	bound, err := s.srv4.Start()
 	if err != nil {
 		return nil, err
 	}
 	if s.Addr6 != "" {
-		s.srv6 = s.endpoint(s.Addr6, true)
+		s.srv6 = s.endpoint(true)
+		s.srv6.Addr = s.Addr6
 		if _, err := s.srv6.Start(); err != nil {
 			_ = s.srv4.Shutdown(context.Background())
 			return nil, err
@@ -242,11 +245,30 @@ func (s *Server) Start() (net.Addr, error) {
 	return bound, nil
 }
 
+// Serve answers on endpoints the caller bound, a simulated fabric's
+// say: pc4 and ln4 are the IPv4 datagram endpoint and stream listener,
+// pc6 and ln6 the IPv6 pair, or nil for none. Queries on the IPv6 pair
+// are the ones logged OverIPv6.
+func (s *Server) Serve(pc4 dns.PacketConn, ln4 net.Listener, pc6 dns.PacketConn, ln6 net.Listener) error {
+	s.init()
+	s.srv4 = s.endpoint(false)
+	if err := s.srv4.Serve(pc4, ln4); err != nil {
+		return err
+	}
+	if pc6 != nil {
+		s.srv6 = s.endpoint(true)
+		if err := s.srv6.Serve(pc6, ln6); err != nil {
+			_ = s.srv4.Shutdown(context.Background())
+			return err
+		}
+	}
+	return nil
+}
+
 // endpoint builds one transport endpoint with the server's hardening
 // configuration applied.
-func (s *Server) endpoint(addr string, v6 bool) *dns.Server {
+func (s *Server) endpoint(v6 bool) *dns.Server {
 	return &dns.Server{
-		Addr:            addr,
 		Handler:         s.handler(v6),
 		MaxQPSPerSource: s.MaxQPSPerSource,
 		BurstPerSource:  s.BurstPerSource,

@@ -23,8 +23,8 @@ func TestProbeSurvivesDeadDNS(t *testing.T) {
 		Addr4:   netip.MustParseAddr("10.9.0.1"),
 		Profile: mtasim.Profile{ValidatesSPF: true, Phase: mtasim.AtMail, AcceptAnyUser: true},
 		Fabric:  fabric,
-		// A loopback port with nothing listening.
-		DNSAddr:    "127.0.0.1:1",
+		// Nothing serves DNS on this fabric.
+		DNSAddr:    "192.0.2.53:53",
 		DNSTimeout: 200 * time.Millisecond,
 		SPFTimeout: 500 * time.Millisecond,
 	})

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"sendervalid/internal/campaign"
+	"sendervalid/internal/dataset"
 	"sendervalid/internal/mtasim"
 	"sendervalid/internal/netsim"
 	"sendervalid/internal/probe"
@@ -269,4 +271,63 @@ func TestProbeCampaignRateLimit(t *testing.T) {
 	if aggregate := float64(len(tasks)) / elapsed.Seconds(); aggregate <= rate {
 		t.Errorf("aggregate %.1f probes/s does not exceed the single-MTA budget %.1f/s", aggregate, rate)
 	}
+}
+
+// TestQueryLogAttributesBySource runs a probe campaign over a small
+// world and checks that the query log names each querying resolver by
+// its MTA's own fabric address: every entry's Remote parses to a
+// source address of the MTA its MTAID label names — Addr4, Addr6, or
+// for a v4-only MTA's IPv6 queries Addr4 under 64:ff9b::/96 — arrives
+// on the endpoint of its family, and is never loopback.
+func TestQueryLogAttributesBySource(t *testing.T) {
+	pop := dataset.Generate(smallNotifySpec(40, 5))
+	w, err := BuildWorld(pop, WorldConfig{
+		Seed: 5, Rates: NotifyRates(), TimeScale: 0.0005, EnableIPv6DNS: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	pc := NewProbeCampaign(w, []string{"t01", "t03", "t10", "t12"}, ProbeCampaignOpts{Workers: 16})
+	if _, err := pc.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	w.Quiesce()
+
+	nat64 := netip.MustParseAddr("64:ff9b::").As16()
+	sources := make(map[string][]netip.Addr, len(pop.MTAs))
+	for _, m := range pop.MTAs {
+		a := nat64
+		v4 := m.Addr4.As4()
+		copy(a[12:], v4[:])
+		sources[m.ID] = []netip.Addr{m.Addr4, netip.AddrFrom16(a)}
+		if m.Addr6.IsValid() {
+			sources[m.ID] = append(sources[m.ID], m.Addr6)
+		}
+	}
+	entries := w.Log.Entries()
+	if len(entries) == 0 {
+		t.Fatal("the campaign logged no queries")
+	}
+	var v6 int
+	for _, e := range entries {
+		remote, err := netip.ParseAddrPort(e.Remote)
+		if err != nil {
+			t.Fatalf("%s %s: Remote %q: %v", e.MTAID, e.Name, e.Remote, err)
+		}
+		from := remote.Addr()
+		if from.IsLoopback() || !slices.Contains(sources[e.MTAID], from) {
+			t.Errorf("%s %s came from %s, not from MTA %s (%v)", e.Type, e.Name, from, e.MTAID, sources[e.MTAID])
+		}
+		if e.OverIPv6 != from.Is6() {
+			t.Errorf("%s %s from %s logged OverIPv6=%v", e.Type, e.Name, from, e.OverIPv6)
+		}
+		if e.OverIPv6 {
+			v6++
+		}
+	}
+	if v6 == 0 {
+		t.Error("no query reached the IPv6 endpoint; t10 should send some there")
+	}
+	t.Logf("%d entries, %d over IPv6", len(entries), v6)
 }

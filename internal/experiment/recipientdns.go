@@ -86,11 +86,12 @@ func resolveHost(ctx context.Context, res *resolver.Resolver, host string) ([]pr
 }
 
 // senderResolver builds the sending MTA's resolver against the world's
-// DNS service.
+// DNS service, querying from the sender's own fabric addresses.
 func (w *World) senderResolver() *resolver.Resolver {
 	return resolver.New(resolver.Config{
 		Server:  w.DNSAddr,
 		Server6: w.DNSAddr6,
 		Timeout: w.cfg.DNSTimeout,
+		Dialer:  w.Fabric.BoundDialer(SenderAddr4, SenderAddr6),
 	})
 }

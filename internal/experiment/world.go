@@ -11,11 +11,13 @@ import (
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
+	"net"
 	"net/netip"
 	"time"
 
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/dkim"
+	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/mtasim"
 	"sendervalid/internal/netsim"
@@ -44,6 +46,13 @@ var (
 	ProbeAddr6 = netip.MustParseAddr("2001:db8:1::66")
 )
 
+// The authoritative DNS server's endpoints on the fabric: UDP and TCP
+// each, on the same address and port.
+var (
+	dnsAddr4 = netip.MustParseAddrPort("192.0.2.53:53")
+	dnsAddr6 = netip.MustParseAddrPort("[2001:db8:53::53]:53")
+)
+
 // WorldConfig parameterizes a simulated world.
 type WorldConfig struct {
 	// Seed drives profile sampling (combined with each MTA's own
@@ -54,8 +63,8 @@ type WorldConfig struct {
 	// TimeScale multiplies protocol shaping delays (1.0 = paper
 	// timing; tests use ~0.01 or less).
 	TimeScale float64
-	// EnableIPv6DNS binds the authoritative server's [::1] endpoint so
-	// the IPv6 test policy is exercisable.
+	// EnableIPv6DNS serves the authoritative server's IPv6 endpoint on
+	// the fabric too, so the IPv6 test policy is exercisable.
 	EnableIPv6DNS bool
 	// SPFTimeout and DNSTimeout bound the MTAs' validation work.
 	SPFTimeout time.Duration
@@ -81,8 +90,9 @@ type WorldConfig struct {
 }
 
 // World is a running simulated environment: the authoritative DNS
-// server (both zones), the network fabric, and a fleet of simulated
-// MTAs built from a dataset population.
+// server (both zones), the network fabric that carries its queries and
+// every SMTP session, and a fleet of simulated MTAs built from a
+// dataset population.
 type World struct {
 	Population *dataset.Population
 	Fabric     *netsim.Fabric
@@ -134,6 +144,7 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		Contact:       DefaultContact,
 		TimeScale:     cfg.TimeScale,
 	}
+	fabric := netsim.NewFabric()
 	log := &dnsserver.QueryLog{}
 	srv := &dnsserver.Server{
 		// The study's two zones plus the recipient-domain MX/A records,
@@ -143,32 +154,22 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		Log:    log,
 		Tracer: cfg.Tracer,
 	}
-	if cfg.EnableIPv6DNS {
-		srv.Addr6 = "[::1]:0"
-	}
-	addr, err := srv.Start()
-	if err != nil && cfg.EnableIPv6DNS {
-		// No IPv6 loopback on this host: fall back to IPv4-only DNS
-		// (the IPv6 test policy then reports zero retrievals).
-		srv.Addr6 = ""
-		addr, err = srv.Start()
-	}
-	if err != nil {
+	if err := serveDNS(fabric, srv, cfg.EnableIPv6DNS); err != nil {
 		return nil, err
 	}
 
 	w := &World{
 		Population: pop,
-		Fabric:     netsim.NewFabric(),
+		Fabric:     fabric,
 		DNS:        srv,
 		Log:        log,
-		DNSAddr:    addr.String(),
+		DNSAddr:    dnsAddr4.String(),
 		MTAs:       make(map[string]*mtasim.MTA, len(pop.MTAs)),
 		Signer:     &dkim.Signer{Selector: "exp", Key: priv},
 		cfg:        cfg,
 	}
-	if a6 := srv.Addr6Bound(); a6 != nil {
-		w.DNSAddr6 = a6.String()
+	if cfg.EnableIPv6DNS {
+		w.DNSAddr6 = dnsAddr6.String()
 	}
 
 	providerFlags := providerFlagsByMTA(pop)
@@ -196,6 +197,29 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		w.MTAs[info.ID] = mta
 	}
 	return w, nil
+}
+
+// serveDNS serves srv on the fabric: UDP and TCP on dnsAddr4, and on
+// dnsAddr6 too when v6 is set. On error nothing is serving, and the
+// endpoints bound so far go with the fabric the caller discards.
+func serveDNS(fabric *netsim.Fabric, srv *dnsserver.Server, v6 bool) error {
+	addrs := []netip.AddrPort{dnsAddr4}
+	if v6 {
+		addrs = append(addrs, dnsAddr6)
+	}
+	pcs, lns := make([]dns.PacketConn, 2), make([]net.Listener, 2)
+	for i, addr := range addrs {
+		pc, err := fabric.ListenPacket(addr)
+		if err != nil {
+			return err
+		}
+		ln, err := fabric.Listen(addr)
+		if err != nil {
+			return err
+		}
+		pcs[i], lns[i] = pc, ln
+	}
+	return srv.Serve(pcs[0], lns[0], pcs[1], lns[1])
 }
 
 // RegisterMetrics publishes the world's serving-side telemetry — the

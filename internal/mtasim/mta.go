@@ -30,10 +30,12 @@ type Config struct {
 	Addr6 netip.Addr
 	// Profile governs behaviour.
 	Profile Profile
-	// Fabric carries the MTA's SMTP traffic.
+	// Fabric carries the MTA's SMTP sessions and its resolver's
+	// queries.
 	Fabric *netsim.Fabric
-	// DNSAddr and DNSAddr6 are the upstream DNS endpoints for the
-	// MTA's resolver.
+	// DNSAddr and DNSAddr6 are the upstream DNS endpoints on Fabric for
+	// the MTA's resolver, which queries from the MTA's own addresses
+	// (see resolverAddr6).
 	DNSAddr  string
 	DNSAddr6 string
 	// SPFTimeout bounds one SPF evaluation. Zero means the RFC's 20 s.
@@ -88,6 +90,7 @@ func New(cfg Config) *MTA {
 		Transport:  cfg.Profile.ResolverTransport,
 		DisableTCP: cfg.Profile.ResolverNoTCP,
 		Timeout:    cfg.DNSTimeout,
+		Dialer:     cfg.Fabric.BoundDialer(cfg.Addr4, resolverAddr6(cfg.Addr4, cfg.Addr6)),
 	})
 	opts := cfg.Profile.SPFOptions
 	if cfg.SPFTimeout > 0 && opts.Timeout == 0 {
@@ -113,6 +116,25 @@ func New(cfg Config) *MTA {
 		},
 	}
 	return m
+}
+
+// nat64 is the well-known NAT64 prefix, 64:ff9b::/96 (RFC 6052).
+var nat64 = netip.MustParseAddr("64:ff9b::").As16()
+
+// resolverAddr6 is the source address of the MTA resolver's IPv6
+// queries: the MTA's own IPv6 address, or for a v4-only MTA its IPv4
+// address under 64:ff9b::/96. A real MTA's resolver is a recursive
+// server whose address family the MTA's own does not decide, so whether
+// the resolver reaches an IPv6-only name server stays up to its
+// ResolverTransport alone (the paper's IPv6 test, §7.3).
+func resolverAddr6(addr4, addr6 netip.Addr) netip.Addr {
+	if addr6.IsValid() || !addr4.Is4() {
+		return addr6
+	}
+	a := nat64
+	v4 := addr4.As4()
+	copy(a[12:], v4[:])
+	return netip.AddrFrom16(a)
 }
 
 // Profile returns the MTA's behaviour profile.

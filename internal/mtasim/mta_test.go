@@ -31,14 +31,16 @@ var (
 	senderV6 = netip.MustParseAddr("2001:db8::10")
 )
 
-// world is a complete simulated environment: authoritative DNS with
-// the full policy catalog plus the NotifyEmail zone, and a fabric.
+// world is a complete simulated environment: a fabric, and on it
+// authoritative DNS with the full policy catalog plus the NotifyEmail
+// zone, at an IPv4 and an IPv6 endpoint.
 type world struct {
-	fabric  *netsim.Fabric
-	dns     *dnsserver.Server
-	log     *dnsserver.QueryLog
-	dnsAddr string
-	signer  *dkim.Signer
+	fabric   *netsim.Fabric
+	dns      *dnsserver.Server
+	log      *dnsserver.QueryLog
+	dnsAddr  string
+	dnsAddr6 string
+	signer   *dkim.Signer
 }
 
 var (
@@ -81,8 +83,21 @@ func newWorld(t *testing.T) *world {
 		},
 		Log: log,
 	}
-	addr, err := srv.Start()
-	if err != nil {
+	fabric := netsim.NewFabric()
+	addr4 := netip.MustParseAddrPort("192.0.2.53:53")
+	addr6 := netip.MustParseAddrPort("[2001:db8:53::53]:53")
+	var pcs [2]*netsim.PacketConn
+	var lns [2]*netsim.Listener
+	for i, addr := range []netip.AddrPort{addr4, addr6} {
+		var err error
+		if pcs[i], err = fabric.ListenPacket(addr); err != nil {
+			t.Fatal(err)
+		}
+		if lns[i], err = fabric.Listen(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Serve(pcs[0], lns[0], pcs[1], lns[1]); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -91,11 +106,12 @@ func newWorld(t *testing.T) *world {
 		_ = srv.Shutdown(ctx)
 	})
 	return &world{
-		fabric:  netsim.NewFabric(),
-		dns:     srv,
-		log:     log,
-		dnsAddr: addr.String(),
-		signer:  &dkim.Signer{Domain: "", Selector: "exp", Key: worldRSAKey},
+		fabric:   fabric,
+		dns:      srv,
+		log:      log,
+		dnsAddr:  addr4.String(),
+		dnsAddr6: addr6.String(),
+		signer:   &dkim.Signer{Domain: "", Selector: "exp", Key: worldRSAKey},
 	}
 }
 
@@ -108,6 +124,7 @@ func (w *world) startMTA(t *testing.T, id string, addr4 string, p Profile) *MTA 
 		Profile:    p,
 		Fabric:     w.fabric,
 		DNSAddr:    w.dnsAddr,
+		DNSAddr6:   w.dnsAddr6,
 		SPFTimeout: 10 * time.Second,
 		DNSTimeout: 3 * time.Second,
 	})
@@ -576,29 +593,45 @@ func TestDMARCOnlyMTA(t *testing.T) {
 	}
 }
 
+// TestIPv4OnlyResolverFailsIPv6Policy probes t10 on two v4-only MTAs.
+// The follow-up name is served only at the IPv6 endpoint: the MTA
+// whose resolver is IPv4-only never reaches it, while the dual-stack
+// one retrieves it over IPv6, from its IPv4 address under 64:ff9b::/96.
 func TestIPv4OnlyResolverFailsIPv6Policy(t *testing.T) {
 	w := newWorld(t)
-	w.startMTA(t, "m14", "10.0.0.14", Profile{
-		ValidatesSPF: true, Phase: AtMail, AcceptAnyUser: true,
-		ResolverTransport: resolver.IPv4Only,
-	})
+	p := Profile{ValidatesSPF: true, Phase: AtMail, AcceptAnyUser: true}
+	v4only := p
+	v4only.ResolverTransport = resolver.IPv4Only
+	w.startMTA(t, "m14", "10.0.0.14", v4only)
+	w.startMTA(t, "m15", "10.0.0.15", p)
 	_ = w.probe(t, "10.0.0.14", "t10", "m14")
-	// The base policy is fetched; the l1 follow-up is v6-only and the
-	// IPv4-only resolver cannot retrieve it.
-	var l1OK bool
+	_ = w.probe(t, "10.0.0.15", "t10", "m15")
+
+	overV6 := map[string][]string{}
 	for _, e := range w.log.Entries() {
-		if e.MTAID == "m14" && len(e.Rest) == 1 && e.Rest[0] == "l1" && e.Transport != "" {
-			// Query arrived but was refused (v4): retrieval failed.
-			_ = e
+		if e.OverIPv6 {
+			overV6[e.MTAID] = append(overV6[e.MTAID], e.Remote)
 		}
 	}
-	// Verify through the resolver directly: the v6-only name must fail.
-	res := resolver.New(resolver.Config{Server: w.dnsAddr, Transport: resolver.IPv4Only})
-	_, err := res.LookupTXT(context.Background(), "l1.t10.m14."+strings.TrimSuffix(testSuffix, "."))
-	if err == nil {
+	if got := overV6["m14"]; len(got) != 0 {
+		t.Errorf("the IPv4-only resolver reached the IPv6 endpoint: %v", got)
+	}
+	if len(overV6["m15"]) == 0 {
+		t.Fatalf("the dual-stack resolver never reached the IPv6 endpoint: %v", w.queriesFor("m15"))
+	}
+	for _, remote := range overV6["m15"] {
+		if got := netip.MustParseAddrPort(remote).Addr(); got != netip.MustParseAddr("64:ff9b::a00:f") {
+			t.Errorf("IPv6 query from %s, want the MTA's address under 64:ff9b::/96", got)
+		}
+	}
+
+	// Through the resolver directly: the v6-only name fails over IPv4.
+	res := resolver.New(resolver.Config{
+		Server: w.dnsAddr, Server6: w.dnsAddr6, Transport: resolver.IPv4Only, Dialer: w.fabric,
+	})
+	if _, err := res.LookupTXT(context.Background(), "l1.t10.m14."+strings.TrimSuffix(testSuffix, ".")); err == nil {
 		t.Error("IPv4-only resolver retrieved a v6-only policy")
 	}
-	_ = l1OK
 }
 
 func TestProfileSampling(t *testing.T) {

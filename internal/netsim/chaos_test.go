@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -125,74 +126,149 @@ func TestChaosSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosDatagramLoss checks that loss drops whole datagrams —
-// silently, and only some of them — and never corrupts the ones that
-// arrive.
+// TestChaosDatagramLoss checks that Loss drops whole datagrams in both
+// directions between clients and a PacketConn — silently, and only
+// some of them — never corrupts or misroutes the ones that arrive, and
+// drops the same ones again from the same seed.
 func TestChaosDatagramLoss(t *testing.T) {
 	defer leaktest.Check(t)()
 	seed := chaosSeed(t)
 	server := netip.MustParseAddrPort("203.0.113.53:53")
 
-	f := netsim.NewFabric()
-	f.SetChaosSeed(seed)
-	f.SetFaults(server.Addr(), &netsim.FaultProfile{Loss: 0.5})
-	l, err := f.Listen(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	received := make(chan []string, 1)
-	go func() {
-		conn, err := l.Accept()
+	// schedule sends one query from each of n clients, one reply to
+	// every query that arrives, and returns one mark per client: '.'
+	// for a lost query, 'q' for a lost reply, 'r' for a round trip.
+	schedule := func(seed int64) string {
+		f := netsim.NewFabric()
+		f.SetChaosSeed(seed)
+		f.SetFaults(server.Addr(), &netsim.FaultProfile{Loss: 0.5})
+		ep, err := f.ListenPacket(server)
 		if err != nil {
-			received <- nil
-			return
+			t.Fatal(err)
 		}
-		defer conn.Close()
-		var got []string
-		buf := make([]byte, 64)
-		for {
-			conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-			n, err := conn.Read(buf)
+		defer ep.Close()
+		dialer := f.BoundDialer(netip.MustParseAddr("198.51.100.7"), netip.Addr{})
+
+		const n = 100
+		clients := make([]net.Conn, n)
+		for i := range clients {
+			c, err := dialer.DialContext(context.Background(), "udp", server.String())
 			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			clients[i] = c
+			if _, err := fmt.Fprintf(c, "query-%03d", i); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+
+		// A query that survived is already in the inbox, in order.
+		marks := []byte(strings.Repeat(".", n))
+		buf := make([]byte, 64)
+		last := -1
+		_ = ep.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		for {
+			got, from, err := ep.ReadFromUDPAddrPort(buf)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				break
 			}
-			got = append(got, string(buf[:n]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var i int
+			if _, err := fmt.Sscanf(string(buf[:got]), "query-%d", &i); err != nil || got != 9 || i <= last {
+				t.Fatalf("query %q after query %d: corrupted or out of order", buf[:got], last)
+			}
+			last = i
+			if want := clients[i].LocalAddr().String(); from.String() != want {
+				t.Fatalf("query %d tagged with %s, sent from %s", i, from, want)
+			}
+			marks[i] = 'q'
+			if _, err := ep.WriteToUDPAddrPort([]byte(fmt.Sprintf("reply-%03d", i)), from); err != nil {
+				t.Fatal(err)
+			}
 		}
-		received <- got
-	}()
 
-	dialer := f.BoundDialer(netip.MustParseAddr("198.51.100.7"), netip.Addr{})
-	conn, err := dialer.DialContext(context.Background(), "udp", server.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sent = 200
-	for i := 0; i < sent; i++ {
-		if _, err := conn.Write([]byte(fmt.Sprintf("dgram-%03d", i))); err != nil {
-			t.Fatalf("datagram %d: %v", i, err)
+		// A reply that survived is already queued at its client.
+		var wg sync.WaitGroup
+		deadline := time.Now().Add(300 * time.Millisecond)
+		for i, c := range clients {
+			if marks[i] != 'q' {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = c.SetReadDeadline(deadline)
+				b := make([]byte, 64)
+				got, err := c.Read(b)
+				switch {
+				case errors.Is(err, os.ErrDeadlineExceeded):
+				case err != nil:
+					t.Errorf("client %d: %v", i, err)
+				case string(b[:got]) != fmt.Sprintf("reply-%03d", i):
+					t.Errorf("client %d received %q", i, b[:got])
+				default:
+					marks[i] = 'r'
+				}
+			}()
 		}
+		wg.Wait()
+		return string(marks)
 	}
-	conn.Close()
 
-	got := <-received
-	if len(got) == 0 || len(got) >= sent {
-		t.Fatalf("received %d of %d datagrams; loss=0.5 should drop some and deliver some", len(got), sent)
+	a := schedule(seed)
+	t.Logf("schedule: %s", a)
+	queries, replies := strings.Count(a, "q")+strings.Count(a, "r"), strings.Count(a, "r")
+	if queries == 0 || queries == len(a) || replies == 0 || replies == queries {
+		t.Fatalf("%d of %d queries and %d of their replies arrived; loss=0.5 should drop some and deliver some each way",
+			queries, len(a), replies)
 	}
-	// Delivered datagrams must be intact and in order.
-	last := -1
-	for _, d := range got {
-		var n int
-		if _, err := fmt.Sscanf(d, "dgram-%d", &n); err != nil || len(d) != 9 {
-			t.Fatalf("corrupted datagram %q", d)
-		}
-		if n <= last {
-			t.Fatalf("datagram %d delivered after %d", n, last)
-		}
-		last = n
+	if b := schedule(seed); b != a {
+		t.Errorf("same seed, different loss schedules:\n%s\n%s", a, b)
 	}
-	t.Logf("delivered %d/%d datagrams", len(got), sent)
+}
+
+// TestChaosPacketDialFailure checks that DialFailure refuses datagram
+// dials on the schedule the seed fixes, as it refuses stream dials.
+func TestChaosPacketDialFailure(t *testing.T) {
+	defer leaktest.Check(t)()
+	seed := chaosSeed(t)
+	server := netip.MustParseAddrPort("203.0.113.53:53")
+
+	schedule := func(seed int64) string {
+		f := netsim.NewFabric()
+		f.SetChaosSeed(seed)
+		f.SetFaults(server.Addr(), &netsim.FaultProfile{DialFailure: 0.5})
+		ep, err := f.ListenPacket(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		var bits []byte
+		for i := 0; i < 64; i++ {
+			conn, err := f.DialContext(context.Background(), "udp", server.String())
+			if err == nil {
+				conn.Close()
+				bits = append(bits, '1')
+				continue
+			}
+			if !errors.Is(err, netsim.ErrConnRefused) {
+				t.Fatalf("dial %d: unexpected error %v", i, err)
+			}
+			bits = append(bits, '0')
+		}
+		return string(bits)
+	}
+
+	a, b := schedule(seed), schedule(seed)
+	if a != b {
+		t.Errorf("same seed, different datagram dial schedules:\n%s\n%s", a, b)
+	}
+	if c := schedule(seed + 1); c == a {
+		t.Errorf("different seed reproduced the same 64-dial schedule %s", a)
+	}
 }
 
 // TestChaosStreamChunking checks that MaxChunk forces partial reads on
@@ -523,6 +599,7 @@ func TestChaosMiniCampaign(t *testing.T) {
 		OnRcpt: func(s *smtp.Session, to string) *smtp.Reply { return smtp.ReplyOK },
 	}
 	var servers []*smtp.Server
+	var endpoints []*netsim.PacketConn
 	mtaAddr := make(map[string]string)
 	for i := 0; i < fleet; i++ {
 		addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(10 + i)}), 25)
@@ -533,11 +610,20 @@ func TestChaosMiniCampaign(t *testing.T) {
 		srv := &smtp.Server{Hostname: fmt.Sprintf("mta%d.example", i), Handler: handler}
 		go srv.Serve(l)
 		servers = append(servers, srv)
+		// The udp-probe task's datagrams land here, unread.
+		ep, err := f.ListenPacket(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		endpoints = append(endpoints, ep)
 		mtaAddr[fmt.Sprintf("mta%d", i)] = addr.String()
 	}
 	defer func() {
 		for _, s := range servers {
 			s.Close()
+		}
+		for _, ep := range endpoints {
+			ep.Close()
 		}
 	}()
 
@@ -545,9 +631,9 @@ func TestChaosMiniCampaign(t *testing.T) {
 	run := func(ctx context.Context, task campaign.Task) error {
 		addr := mtaAddr[task.MTA]
 		if task.Test == "udp-probe" {
-			// Fire-and-forget datagram: loss drops some silently;
-			// the probe is complete once the datagram is handed to
-			// the fabric.
+			// Fire-and-forget datagram to the MTA's PacketConn: loss
+			// drops some silently; the probe is complete once the
+			// datagram is handed to the fabric.
 			conn, err := dialer.DialContext(ctx, "udp", addr)
 			if err != nil {
 				return err

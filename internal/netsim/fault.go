@@ -24,10 +24,11 @@ type FaultProfile struct {
 	// fails with ErrConnRefused (a filtered port, a dead host, an
 	// overloaded accept queue).
 	DialFailure float64
-	// Loss is the probability in [0, 1] that a datagram write is
-	// silently dropped. It applies only to datagram ("udp")
-	// connections; stream connections are never corrupted by loss
-	// (TCP retransmits below the layer this fabric models).
+	// Loss is the probability in [0, 1] that a datagram is silently
+	// dropped: a client's write to a PacketConn, or the endpoint's
+	// reply to it, each drawn on its own. Stream connections are never
+	// corrupted by loss (TCP retransmits below the layer this fabric
+	// models).
 	Loss float64
 	// ResetRate is the probability in [0, 1] that any given write
 	// resets the connection mid-stream: the write fails with

@@ -2,10 +2,13 @@
 // protocol simulation. Simulated hosts listen on arbitrary synthetic
 // IPv4/IPv6 addresses (the public addresses a measurement dataset
 // assigns to MTAs), and dialers connect to them without consuming real
-// sockets. Connections are buffered duplex pipes whose LocalAddr and
-// RemoteAddr report the synthetic addresses, so address-sensitive
+// sockets. Stream connections are buffered duplex pipes whose LocalAddr
+// and RemoteAddr report the synthetic addresses, so address-sensitive
 // protocol logic — SPF validation of the connecting client's IP, AS
 // attribution — behaves exactly as it would over a real network.
+// Datagram endpoints (ListenPacket) are the UDP side: each "udp" dial
+// is a connected client whose datagrams reach the endpoint tagged with
+// the client's address, and whose replies are routed back by it.
 package netsim
 
 import (
@@ -42,6 +45,11 @@ var (
 type Fabric struct {
 	mu        sync.Mutex
 	listeners map[netip.AddrPort]*Listener
+	packets   map[netip.AddrPort]*PacketConn
+	// bound holds the live client ends of datagram dials by local
+	// address: the routing table for replies, and the ports an
+	// ephemeral allocation must skip.
+	bound     map[netip.AddrPort]*datagramConn
 	nextEphem uint16
 	// Unreachable marks addresses that refuse all connections,
 	// simulating filtered or offline hosts.
@@ -60,9 +68,11 @@ type Fabric struct {
 func NewFabric() *Fabric {
 	return &Fabric{
 		listeners:   make(map[netip.AddrPort]*Listener),
+		packets:     make(map[netip.AddrPort]*PacketConn),
+		bound:       make(map[netip.AddrPort]*datagramConn),
 		unreachable: make(map[netip.Addr]bool),
 		faults:      make(map[netip.Addr]*linkFaults),
-		nextEphem:   32768,
+		nextEphem:   ephemeralFirst,
 	}
 }
 
@@ -94,21 +104,46 @@ func (f *Fabric) Listen(addr netip.AddrPort) (*Listener, error) {
 	return l, nil
 }
 
-// dial establishes a connection, applying the link's fault profile.
-// datagram marks the connection as message-oriented ("udp"), which
-// makes it subject to probabilistic loss but exempt from chunking.
-func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagram bool) (net.Conn, error) {
-	f.mu.Lock()
-	if local.Port() == 0 {
-		f.nextEphem++
-		if f.nextEphem == 0 {
-			f.nextEphem = 32768
+// ephemeralFirst is the first port of the ephemeral range, which runs
+// to 65535 and then wraps.
+const ephemeralFirst = 32768
+
+// ephemeralLocked returns addr with the next port of the ephemeral
+// range, skipping any port a datagram client from addr still holds, as
+// a host's stack skips a port still bound. Caller holds f.mu.
+func (f *Fabric) ephemeralLocked(addr netip.Addr) (netip.AddrPort, error) {
+	for range 1<<16 - ephemeralFirst {
+		if f.nextEphem++; f.nextEphem == 0 {
+			f.nextEphem = ephemeralFirst
 		}
-		local = netip.AddrPortFrom(local.Addr(), f.nextEphem)
+		local := netip.AddrPortFrom(addr, f.nextEphem)
+		if f.bound[local] == nil {
+			return local, nil
+		}
 	}
-	l, ok := f.listeners[remote]
-	refused := f.unreachable[remote.Addr()]
+	return netip.AddrPort{}, fmt.Errorf("%w: no free ephemeral port on %s", ErrAddrInUse, addr)
+}
+
+// dial establishes a connection, applying the link's fault profile.
+// datagram ("udp") connects to the PacketConn bound at remote, a
+// stream dial to the Listener.
+func (f *Fabric) dial(ctx context.Context, local netip.Addr, remote netip.AddrPort, datagram bool) (net.Conn, error) {
+	f.mu.Lock()
+	var l *Listener
+	var ep *PacketConn
+	var client netip.AddrPort
+	var err error
+	if datagram {
+		ep = f.packets[remote] // its client binds a port in connect
+	} else {
+		l = f.listeners[remote]
+		client, err = f.ephemeralLocked(local)
+	}
+	refused := f.unreachable[remote.Addr()] || (l == nil && ep == nil)
 	f.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	faults := f.faultsFor(remote.Addr())
 	if faults != nil {
@@ -126,13 +161,15 @@ func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagra
 			}
 		}
 	}
-	if refused || !ok {
+	if refused {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
 	}
+	if datagram {
+		return ep.connect(local, faults)
+	}
 
-	clientEnd, serverEnd := newPipePair(local, remote)
+	clientEnd, serverEnd := newPipePair(client, remote)
 	clientEnd.faults, serverEnd.faults = faults, faults
-	clientEnd.datagram, serverEnd.datagram = datagram, datagram
 	select {
 	case l.backlog <- serverEnd:
 		if isClosedChan(l.closed) {
@@ -146,24 +183,23 @@ func (f *Fabric) dial(ctx context.Context, local, remote netip.AddrPort, datagra
 	}
 }
 
-// DialContext implements the dns.Dialer / generic dialer shape. All
-// connections are duplex pipes, but "udp" networks mark the connection
-// as message-oriented: each write is one datagram, subject to the
-// link's probabilistic loss but never split into partial reads. The
+// DialContext implements the dns.Dialer / generic dialer shape. A "tcp"
+// network connects a duplex pipe to the Listener at address; a "udp"
+// network connects a datagram client to the PacketConn there. The
 // local address is a synthetic client endpoint.
 func (f *Fabric) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
 	remote, err := netip.ParseAddrPort(address)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: bad address %q: %w", address, err)
 	}
-	local := netip.AddrPortFrom(netip.MustParseAddr("198.18.0.1"), 0)
+	local := netip.MustParseAddr("198.18.0.1")
 	if remote.Addr().Is6() {
-		local = netip.AddrPortFrom(netip.MustParseAddr("2001:db8:ffff::1"), 0)
+		local = netip.MustParseAddr("2001:db8:ffff::1")
 	}
 	return f.dial(ctx, local, remote, isDatagram(network))
 }
 
-// isDatagram reports whether the dial network names a message-oriented
+// isDatagram reports whether the dial network names a datagram
 // transport.
 func isDatagram(network string) bool {
 	return strings.HasPrefix(network, "udp")
@@ -197,7 +233,7 @@ func (d *BoundDialer) DialContext(ctx context.Context, network, address string) 
 	if !local.IsValid() {
 		return nil, fmt.Errorf("%w: no local %s address bound", ErrConnRefused, address)
 	}
-	return d.fabric.dial(ctx, netip.AddrPortFrom(local, 0), remote, isDatagram(network))
+	return d.fabric.dial(ctx, local, remote, isDatagram(network))
 }
 
 // Listener accepts fabric connections for one address.
@@ -420,16 +456,15 @@ func isClosedChan(c <-chan struct{}) bool {
 	}
 }
 
-// pipeConn is one endpoint of a fabric connection.
+// pipeConn is one endpoint of a fabric stream connection.
 type pipeConn struct {
 	rd, wr *half
 	local  netip.AddrPort
 	remote netip.AddrPort
 
 	// faults is the link's fault state (shared by both ends); nil on a
-	// healthy link. datagram marks message-oriented connections.
-	faults   *linkFaults
-	datagram bool
+	// healthy link.
+	faults *linkFaults
 
 	rdDL connDeadline
 	wrDL connDeadline
@@ -504,13 +539,7 @@ func (c *pipeConn) Write(p []byte) (int, error) {
 		if err := c.injectWriteFault(); err != nil {
 			return 0, err
 		}
-		if c.datagram {
-			if c.faults.roll(c.faults.profile.Loss) {
-				// The datagram vanishes on the wire: a successful local
-				// write the receiver never sees.
-				return len(p), nil
-			}
-		} else if max := c.faults.maxChunk(); max > 0 && len(p) > max {
+		if max := c.faults.maxChunk(); max > 0 && len(p) > max {
 			return c.writeChunked(p, max)
 		}
 	}
@@ -521,12 +550,17 @@ func (c *pipeConn) Write(p []byte) (int, error) {
 // injection it tears down both directions so the peer observes the
 // reset too, and returns the error the writer sees.
 func (c *pipeConn) injectWriteFault() error {
-	lf := c.faults
-	if lf.down(time.Now()) || lf.roll(lf.profile.ResetRate) {
+	if c.faults.resetsWrite() {
 		c.reset()
 		return ErrConnReset
 	}
 	return nil
+}
+
+// resetsWrite rolls one write's faults: it reports whether the write
+// resets its connection, inside a flap window or by a ResetRate draw.
+func (lf *linkFaults) resetsWrite() bool {
+	return lf.down(time.Now()) || lf.roll(lf.profile.ResetRate)
 }
 
 // reset tears down both directions with ErrConnReset, so this end and

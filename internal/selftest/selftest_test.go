@@ -54,8 +54,17 @@ func newRig(t *testing.T, profile mtasim.Profile) *rig {
 		Zones: []*dnsserver.Zone{{Suffix: zone, LabelDepth: 1, Default: cfg.Responder()}},
 		Log:   log,
 	}
-	dnsAddr, err := srv.Start()
+	fabric := netsim.NewFabric()
+	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(dnsAddr)
 	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := fabric.Listen(dnsAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(pc, ln, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -64,7 +73,6 @@ func newRig(t *testing.T, profile mtasim.Profile) *rig {
 		_ = srv.Shutdown(ctx)
 	})
 
-	fabric := netsim.NewFabric()
 	profile.ValidUsers = append(profile.ValidUsers, "operator")
 	mtaAddr := netip.MustParseAddr("198.51.100.25")
 	mta := mtasim.New(mtasim.Config{
