@@ -80,8 +80,9 @@ crash:
 # fold pin and the bulk SPF per-tuple pin that share the naming
 # convention), and the
 # connection-lifecycle pins: what one SMTP probe dialogue allocates
-# (internal/smtp), that re-arming a netsim deadline reuses its timer and
-# that closed connections retain nothing (internal/netsim).
+# (internal/smtp), what one resolver miss over the fabric allocates
+# (internal/resolver), that re-arming a netsim deadline reuses its timer
+# and that closed connections retain nothing (internal/netsim).
 telemetry-alloc:
 	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \

@@ -559,7 +559,7 @@ func BenchmarkBulkSPF(b *testing.B) {
 func BenchmarkDNSMessagePackUnpack(b *testing.B) {
 	msg := new(dns.Message).SetQuestion("t01.m000001."+experiment.DefaultTestSuffix, dns.TypeTXT)
 	msg.ID = 42
-	packed, err := msg.Pack()
+	packed, err := msg.AppendPack(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func BenchmarkDNSMessagePackUnpack(b *testing.B) {
 		if err := m.Unpack(packed); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Pack(); err != nil {
+		if _, err := m.AppendPack(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

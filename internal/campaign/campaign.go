@@ -144,7 +144,10 @@ type Campaign struct {
 	attempts int
 	started  time.Time
 
-	wake chan struct{}
+	// changed is closed, and dropped, when an attempt ends: the
+	// broadcast that wakes idle workers. The first worker to idle
+	// after the last broadcast makes it.
+	changed chan struct{}
 }
 
 // New builds an empty campaign; Add queues work and Run executes it.
@@ -157,7 +160,6 @@ func New(cfg Config, run TaskFunc) *Campaign {
 		tasks:   make(map[Key]int),
 		journal: newJournalWriter(cfg.Journal, cfg.Logf),
 		rng:     mrand.New(mrand.NewSource(cfg.Seed ^ 0x636d70)),
-		wake:    make(chan struct{}, 1),
 	}
 }
 
@@ -193,11 +195,15 @@ func (c *Campaign) shardFor(name string) *shard {
 }
 
 // Run executes the campaign until every task reaches a final state or
-// ctx is cancelled. On cancellation, in-flight attempts are given the
-// cancelled context (a context-aware TaskFunc returns within one
-// protocol step), their outcomes are journaled if they completed, and
-// Run returns ctx.Err(); everything unfinished stays pending in the
-// journal for a later Resume.
+// ctx is cancelled. Workers goroutines each take the next dispatchable
+// task (nextLocked's round robin) and run its attempt, so Inflight
+// never exceeds Workers; a worker with nothing dispatchable waits for
+// an attempt to end, a rate or retry window to open, or cancellation.
+// On cancellation, in-flight attempts are given the cancelled context
+// (a context-aware TaskFunc returns within one protocol step), their
+// outcomes are journaled if they completed, and Run returns ctx.Err();
+// everything unfinished stays pending in the journal for a later
+// Resume.
 func (c *Campaign) Run(ctx context.Context) error {
 	if c.run == nil {
 		return errors.New("campaign: no TaskFunc configured")
@@ -208,73 +214,63 @@ func (c *Campaign) Run(ctx context.Context) error {
 	}
 	c.mu.Unlock()
 
-	sem := make(chan struct{}, c.cfg.Workers)
 	var wg sync.WaitGroup
-	cancelled := false
+	for range c.cfg.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.work(ctx)
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
 
-	for !cancelled {
+// work is one worker's loop. It checks ctx before every dispatch: an
+// attempt the cancellation voided is pushed back pending, and at once
+// dispatchable again.
+func (c *Campaign) work(ctx context.Context) {
+	var timer *time.Timer // one per worker, re-armed for each timed wait
+	for ctx.Err() == nil {
 		c.mu.Lock()
-		remaining := c.total - c.done - c.failed
-		c.mu.Unlock()
-		if remaining == 0 {
-			break
+		if c.done+c.failed == c.total {
+			c.mu.Unlock()
+			return
 		}
-
-		// Take a worker slot before popping work, so Inflight never
-		// overshoots the cap while a dispatched task waits to start.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			cancelled = true
-			continue
-		}
-		c.mu.Lock()
 		task, ready, wait := c.nextLocked(time.Now())
-		c.mu.Unlock()
-
 		if ready {
-			wg.Add(1)
-			go func(t Task) {
-				defer wg.Done()
-				c.attempt(ctx, t)
-				<-sem
-				c.wakeup()
-			}(task)
+			c.mu.Unlock()
+			c.attempt(ctx, task)
 			continue
 		}
-		<-sem
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
+		changed := c.changed
+		c.mu.Unlock()
 
-		// Nothing dispatchable: wait for an attempt to finish, a rate
-		// or retry window to open, or cancellation.
 		var timerC <-chan time.Time
-		var timer *time.Timer
 		if wait > 0 {
-			timer = time.NewTimer(wait)
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
 			timerC = timer.C
 		}
 		select {
-		case <-c.wake:
+		case <-changed:
 		case <-timerC:
 		case <-ctx.Done():
-			cancelled = true
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 	}
-
-	wg.Wait()
-	if cancelled || ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
 }
 
 // nextLocked scans shards round-robin for a dispatchable task: the
 // shard has queued eligible work, no attempt in flight, and a rate
 // token available. When nothing is dispatchable it returns the
 // shortest wait until a rate or retry window opens (0 = no timed
-// window; wait on the wake channel alone). Caller holds mu.
+// window; wait for an attempt to end alone). Caller holds mu.
 func (c *Campaign) nextLocked(now time.Time) (Task, bool, time.Duration) {
 	minWait := time.Duration(0)
 	consider := func(d time.Duration) {
@@ -338,6 +334,10 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 	s := c.shards[t.MTA]
 	s.inflight = false
 	c.inflight--
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
 
 	switch class {
 	case Done:
@@ -386,14 +386,6 @@ func (c *Campaign) backoff(attempt int) time.Duration {
 func (c *Campaign) JournalError() error {
 	err, _ := c.journal.status()
 	return err
-}
-
-// wakeup nudges the dispatcher after an attempt completes.
-func (c *Campaign) wakeup() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 func errString(err error) string {

@@ -336,6 +336,7 @@ func TestDefaultClassify(t *testing.T) {
 		{&smtp.Error{Code: 550, Message: "no such user"}, Terminal},
 		{&smtp.Error{Code: 554, Message: "blacklisted"}, Terminal},
 		{fmt.Errorf("dial: %w", errConnRefusedForTest()), Transient},
+		{fmt.Errorf("smtp: read: %w", netsim.ErrConnReset), Transient},
 		{errors.New("malformed address"), Terminal},
 	}
 	for _, tc := range cases {

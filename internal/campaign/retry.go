@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"syscall"
 
 	"sendervalid/internal/netsim"
 	"sendervalid/internal/smtp"
@@ -56,8 +57,9 @@ func (c Class) String() string {
 //   - 4xx SMTP replies → Transient (the destination asked us to come
 //     back later: greylisting, temporary local errors)
 //   - 5xx SMTP replies → Terminal
-//   - connection refused, I/O deadlines, network timeouts, dropped
-//     connections → Transient
+//   - connection refused, connection reset (on a host socket or the
+//     fabric), I/O deadlines, network timeouts, dropped connections →
+//     Transient
 //   - anything else → Terminal
 func DefaultClassify(err error) Class {
 	if err == nil {
@@ -73,7 +75,7 @@ func DefaultClassify(err error) Class {
 		}
 		return Terminal
 	}
-	if errors.Is(err, netsim.ErrConnRefused) || errors.Is(err, netsim.ErrDeadlineExceeded) {
+	if errors.Is(err, netsim.ErrConnRefused) || errors.Is(err, netsim.ErrDeadlineExceeded) || errors.Is(err, syscall.ECONNRESET) {
 		return Transient
 	}
 	var netErr net.Error

@@ -37,7 +37,7 @@ func TestAppendPackZeroAlloc(t *testing.T) {
 
 func TestAppendPackMatchesPackAtOffset(t *testing.T) {
 	msg := sampleMessage()
-	want, err := msg.Pack()
+	want, err := msg.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAppendPackMatchesPackAtOffset(t *testing.T) {
 }
 
 func TestPooledUnpackZeroAlloc(t *testing.T) {
-	packed, err := new(Message).SetQuestion("t01.m000001.spf-test.dns-lab.example.", TypeTXT).Pack()
+	packed, err := new(Message).SetQuestion("t01.m000001.spf-test.dns-lab.example.", TypeTXT).AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestCanonicalNameFastPath(t *testing.T) {
 // string instead of each rebuilding it.
 func TestUnpackFromReusedBuffer(t *testing.T) {
 	want := sampleMessage()
-	packed, err := want.Pack()
+	packed, err := want.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestServeUDPAllocs(t *testing.T) {
 		})
 	}
 	query := new(Message).SetQuestion("t01.m000001.spf-test.dns-lab.example.", TypeTXT)
-	packed, err := query.Pack()
+	packed, err := query.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"time"
 )
@@ -96,14 +97,23 @@ func (c *Client) Exchange(ctx context.Context, msg *Message, addr string) (*Mess
 	return resp, nil
 }
 
+// aLongTimeAgo is the deadline that ends an exchange's I/O at once:
+// a fixed time in the past, so waking a blocked read reads no clock.
+var aLongTimeAgo = time.Unix(1, 0)
+
 // ExchangeOver sends msg to addr over the given network ("udp" or
-// "tcp") and returns the response.
+// "tcp") and returns the response. One deadline bounds the whole
+// exchange: the earlier of Timeout from now and ctx's own deadline,
+// set on the connection (and bounding the dial, for a stream).
+// Cancelling ctx ends the exchange at once.
 func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr string) (*Message, error) {
 	if msg.ID == 0 {
 		msg.ID = nextID()
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
+	deadline := time.Now().Add(c.timeout())
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 
 	wire := msg
 	if network == "udp" {
@@ -114,27 +124,28 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 		clone.SetEDNS(ednsUDPSize)
 		wire = &clone
 	}
-	packed, err := wire.Pack()
+	// One pooled packet buffer carries the query out and the reply
+	// back: a write copies the query (the kernel and the fabric both
+	// do), and Unpack copies everything the returned Message keeps.
+	pktp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(pktp)
+	packed, err := wire.AppendPack((*pktp)[:0])
 	if err != nil {
 		return nil, fmt.Errorf("dns: packing query: %w", err)
 	}
 
-	conn, err := c.dialer().DialContext(ctx, network, addr)
+	conn, err := c.dial(ctx, network, addr, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("dns: dialing %s %s: %w", network, addr, err)
 	}
 	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
+	_ = conn.SetDeadline(deadline)
 	// Cancellation ends the exchange at once rather than at the
 	// deadline, so an orphaned resolver flight stops with its callers.
-	defer context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Now()) })()
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })()
+	}
 
-	// The reply is read into a pooled packet buffer: Unpack copies
-	// everything the returned Message keeps.
-	pktp := pktPool.Get().(*[]byte)
-	defer pktPool.Put(pktp)
 	var respBuf []byte
 	switch network {
 	case "tcp", "tcp4", "tcp6":
@@ -157,6 +168,17 @@ func (c *Client) ExchangeOver(ctx context.Context, msg *Message, network, addr s
 		return nil, ErrNotReply
 	}
 	return resp, nil
+}
+
+// dial connects to addr. A datagram dial never waits on the peer; a
+// stream dial does, and stays inside the exchange's deadline.
+func (c *Client) dial(ctx context.Context, network, addr string, deadline time.Time) (net.Conn, error) {
+	if strings.HasPrefix(network, "tcp") {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	return c.dialer().DialContext(ctx, network, addr)
 }
 
 // exchangeUDP sends query and reads the reply datagram into buf. A

@@ -21,7 +21,7 @@ func FuzzMessageUnpack(f *testing.F) {
 	// A real query and a real TXT answer.
 	q := new(Message).SetQuestion("probe.spf-test.example.com", TypeTXT)
 	q.ID = 0x1234
-	if packed, err := q.Pack(); err == nil {
+	if packed, err := q.AppendPack(nil); err == nil {
 		f.Add(packed)
 	}
 	resp := new(Message).SetReply(q)
@@ -30,7 +30,7 @@ func FuzzMessageUnpack(f *testing.F) {
 		Name: "probe.spf-test.example.com.", Type: TypeTXT, Class: ClassINET, TTL: 60,
 		Data: &TXT{Strings: []string{"v=spf1 include:other.example -all"}},
 	})
-	if packed, err := resp.Pack(); err == nil {
+	if packed, err := resp.AppendPack(nil); err == nil {
 		f.Add(packed)
 	}
 	// Degenerate shapes.
@@ -42,7 +42,7 @@ func FuzzMessageUnpack(f *testing.F) {
 	// A reply with several records owned by the question's name (they
 	// share its string), others that are not, and names inside rdata;
 	// then the same reply with the question in upper case on the wire.
-	if packed, err := sampleMessage().Pack(); err == nil {
+	if packed, err := sampleMessage().AppendPack(nil); err == nil {
 		f.Add(packed)
 		mixed := append([]byte(nil), packed...)
 		copy(mixed[13:], "EXAMPLE") // header, then the first label's length octet
@@ -62,7 +62,7 @@ func FuzzMessageUnpack(f *testing.F) {
 		if err := pristine.Unpack(data); err != nil || !reflect.DeepEqual(&m, &pristine) {
 			t.Fatalf("message changed when its input buffer was overwritten (%v):\n got %v\nwant %v", err, &m, &pristine)
 		}
-		repacked, err := m.Pack()
+		repacked, err := m.AppendPack(nil)
 		if err != nil {
 			// Some accepted messages are not re-packable (e.g. names
 			// that decompressed past length limits); rejection at this

@@ -205,7 +205,7 @@ func TestTCPServerSurvivesShortWrites(t *testing.T) {
 
 	q := new(Message).SetQuestion("drip.example", TypeTXT)
 	q.ID = 77
-	packed, err := q.Pack()
+	packed, err := q.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestTCPServerCleansUpMidMessageResets(t *testing.T) {
 	addr := laddr.String()
 
 	q := new(Message).SetQuestion("cut.example", TypeTXT)
-	packed, err := q.Pack()
+	packed, err := q.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

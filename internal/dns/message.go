@@ -48,11 +48,6 @@ const (
 	rcodeMask   = 0xF
 )
 
-// Pack encodes the message into wire format with name compression.
-func (m *Message) Pack() ([]byte, error) {
-	return m.AppendPack(make([]byte, 0, 512))
-}
-
 // AppendPack encodes the message into wire format with name
 // compression, appending to dst and returning the extended buffer.
 // The message starts at len(dst), so a caller can reserve prefix bytes

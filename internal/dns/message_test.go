@@ -43,7 +43,7 @@ func sampleMessage() *Message {
 
 func TestMessageRoundTrip(t *testing.T) {
 	orig := sampleMessage()
-	packed, err := orig.Pack()
+	packed, err := orig.AppendPack(nil)
 	if err != nil {
 		t.Fatalf("Pack: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestMessageCompressionSavesSpace(t *testing.T) {
 	msg := sampleMessage()
-	packed, err := msg.Pack()
+	packed, err := msg.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMessageHeaderFlags(t *testing.T) {
 	} {
 		m := &Message{ID: 1}
 		tc.mut(m)
-		packed, err := m.Pack()
+		packed, err := m.AppendPack(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -101,7 +101,7 @@ func TestMessageRCodeRoundTrip(t *testing.T) {
 	for _, rc := range []RCode{RCodeSuccess, RCodeFormatError, RCodeServerFailure,
 		RCodeNameError, RCodeNotImplemented, RCodeRefused} {
 		m := &Message{ID: 7, Response: true, RCode: rc}
-		packed, err := m.Pack()
+		packed, err := m.AppendPack(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestEDNS(t *testing.T) {
 	if len(m.Additional) != 1 {
 		t.Errorf("SetEDNS accumulated %d additional records", len(m.Additional))
 	}
-	packed, err := m.Pack()
+	packed, err := m.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTXTJoinedAndSplit(t *testing.T) {
 }
 
 func TestUnpackMalformed(t *testing.T) {
-	good, err := sampleMessage().Pack()
+	good, err := sampleMessage().AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestUnpackRawRData(t *testing.T) {
 			Data: &RawRData{Data: []byte{1, 2, 3, 4}},
 		}},
 	}
-	packed, err := orig.Pack()
+	packed, err := orig.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestBadRDataRejected(t *testing.T) {
 		Name: "x.example.", Type: TypeA, Class: ClassINET,
 		Data: &A{Addr: netip.MustParseAddr("2001:db8::1")},
 	}}}
-	if _, err := m.Pack(); err == nil {
+	if _, err := m.AppendPack(nil); err == nil {
 		t.Error("A record with IPv6 address packed successfully")
 	}
 	m.Answers[0] = RR{Name: "x.example.", Type: TypeAAAA, Class: ClassINET,
 		Data: &AAAA{Addr: netip.MustParseAddr("192.0.2.1")}}
-	if _, err := m.Pack(); err == nil {
+	if _, err := m.AppendPack(nil); err == nil {
 		t.Error("AAAA record with IPv4 address packed successfully")
 	}
 }
@@ -277,7 +277,7 @@ func TestQuestionRoundTripProperty(t *testing.T) {
 		m := &Message{ID: id}
 		m.SetQuestion("probe.example.com", Type(t8))
 		m.ID = id
-		packed, err := m.Pack()
+		packed, err := m.AppendPack(nil)
 		if err != nil {
 			return false
 		}

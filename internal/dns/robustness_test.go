@@ -53,7 +53,7 @@ func TestServerIgnoresResponses(t *testing.T) {
 	reply := new(Message).SetQuestion("loop.example", TypeTXT)
 	reply.Response = true
 	reply.ID = 99
-	packed, err := reply.Pack()
+	packed, err := reply.AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestClientRejectsMismatchedID(t *testing.T) {
 		}
 		resp := new(Message).SetReply(&q)
 		resp.ID ^= 0xFFFF // wrong ID: an off-path spoof
-		packed, _ := resp.Pack()
+		packed, _ := resp.AppendPack(nil)
 		_, _ = pc.WriteTo(packed, raddr)
 	}()
 	c := &Client{Timeout: 500 * time.Millisecond}

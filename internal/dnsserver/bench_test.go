@@ -62,7 +62,7 @@ func benchPackets(b *testing.B, n int) [][]byte {
 	for i := range pkts {
 		q := new(dns.Message).SetQuestion(fmt.Sprintf("t01.m%06d.%s", i, testSuffix), dns.TypeTXT)
 		q.ID = uint16(i + 1)
-		raw, err := q.Pack()
+		raw, err := q.AppendPack(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func TestResponseDelayShaping(t *testing.T) {
 // test controls which socket, and in which order, queries leave.
 func sendQuery(t *testing.T, conn net.Conn, name string) {
 	t.Helper()
-	packed, err := new(dns.Message).SetQuestion(name, dns.TypeTXT).Pack()
+	packed, err := new(dns.Message).SetQuestion(name, dns.TypeTXT).AppendPack(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/netip"
 	"slices"
 	"sync"
@@ -153,16 +154,13 @@ func TestProbeCampaignResume(t *testing.T) {
 	totalTasks := len(w.Population.MTAs) * len(campaignTests)
 	var journal bytes.Buffer
 
+	// The journal sees each transition as it happens: cancelling from
+	// it once half the tasks are finished lands the cancellation
+	// mid-run however fast the probes go.
 	ctx, cancel := context.WithCancel(context.Background())
 	pc1 := NewProbeCampaign(w, campaignTests, ProbeCampaignOpts{
-		Workers: 4, Journal: &journal,
+		Workers: 4, Journal: &cancelAfterFinished{w: &journal, left: totalTasks / 2, cancel: cancel},
 	})
-	go func() {
-		for pc1.Snapshot().Completed() < totalTasks/2 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
 	_, err := pc1.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
@@ -201,6 +199,24 @@ func TestProbeCampaignResume(t *testing.T) {
 	if finished1+pc2.Snapshot().Completed() != totalTasks {
 		t.Errorf("runs overlap: %d + %d != %d", finished1, pc2.Snapshot().Completed(), totalTasks)
 	}
+}
+
+// cancelAfterFinished passes journal lines through to w and calls
+// cancel once left of them have recorded a finished task.
+type cancelAfterFinished struct {
+	w      io.Writer
+	left   int
+	cancel func()
+}
+
+func (c *cancelAfterFinished) Write(p []byte) (int, error) {
+	finished := bytes.Count(p, []byte(`"ev":"done"`)) + bytes.Count(p, []byte(`"ev":"failed"`))
+	if c.left > 0 && finished > 0 {
+		if c.left -= finished; c.left <= 0 {
+			c.cancel()
+		}
+	}
+	return c.w.Write(p)
 }
 
 // TestProbeCampaignRateLimit verifies the politeness budget end to

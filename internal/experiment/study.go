@@ -74,6 +74,10 @@ type study struct {
 	sync   wal.SyncPolicy
 	tests  []string
 	res    StudyResult
+	// probing, when set, sees each probe sweep's world and campaign
+	// before the sweep runs: the seam the apparatus-invariance test
+	// injects SMTP faults and reads the campaign's outcome counts by.
+	probing func(w *World, pc *ProbeCampaign)
 }
 
 // RunStudy runs the whole measurement in one process — NotifyEmail
@@ -88,7 +92,14 @@ type study struct {
 // -resume — comes back as a cli.Usage error; cancelling ctx ends the
 // run with ctx's error.
 func RunStudy(ctx context.Context, cfg StudyConfig, stdout, stderr io.Writer) (*StudyResult, error) {
-	s := &study{cfg: cfg, out: stdout, logf: cli.Logf(stderr, "experiment"), tests: CoreTests}
+	return (&study{cfg: cfg, out: stdout, logf: cli.Logf(stderr, "experiment")}).run(ctx)
+}
+
+// run is RunStudy's body, over a study carrying its config, output and
+// (for tests) its probing seam.
+func (s *study) run(ctx context.Context) (*StudyResult, error) {
+	cfg := s.cfg
+	s.tests = CoreTests
 	if cfg.AllTests {
 		s.tests = AllTests()
 	}
@@ -111,7 +122,7 @@ func RunStudy(ctx context.Context, cfg StudyConfig, stdout, stderr io.Writer) (*
 		telemetry.RegisterRuntimeMetrics(s.reg)
 		s.tracer.RegisterMetrics(s.reg)
 	}
-	stopAdmin, err := cli.StartAdmin("experiment", cfg.MetricsAddr, stdout, s.reg, telemetry.NewHealth(), s.tracer)
+	stopAdmin, err := cli.StartAdmin("experiment", cfg.MetricsAddr, s.out, s.reg, telemetry.NewHealth(), s.tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -264,6 +275,9 @@ func (s *study) probe(ctx context.Context, w *World, name string) (run *ProbeRun
 		}
 	}
 	pc := NewProbeCampaign(w, s.tests, opts)
+	if s.probing != nil {
+		s.probing(w, pc)
+	}
 	if run, err = pc.Run(ctx); err != nil {
 		return nil, fmt.Errorf("%s interrupted: %w", name, err)
 	}

@@ -299,8 +299,6 @@ func newPipePair(client, server netip.AddrPort) (*pipeConn, *pipeConn) {
 	s2c := newHalf()
 	clientEnd := &pipeConn{rd: s2c, wr: c2s, local: client, remote: server}
 	serverEnd := &pipeConn{rd: c2s, wr: s2c, local: server, remote: client}
-	clientEnd.initDeadlines()
-	serverEnd.initDeadlines()
 	return clientEnd, serverEnd
 }
 
@@ -352,54 +350,115 @@ func (h *half) closeCause() error {
 	return h.fail
 }
 
-// connDeadline is one direction's cancellable deadline. Setting the
-// deadline while an I/O operation is blocked takes effect immediately:
-// the operation selects on the cancel channel the deadline closes when
-// it fires. This mirrors net.Pipe's deadline machinery, which is the
-// contract net.Conn implementations must honour under concurrent
-// SetDeadline calls — except that one timer serves the connection's
-// whole life: a protocol that pushes its deadline forward before every
-// command re-arms it with Reset, and stop releases it.
+// connDeadline holds a connection's read and write deadlines behind
+// one timer. Setting a deadline while an I/O operation is blocked takes
+// effect immediately: the operation selects on its direction's wake
+// channel, which the deadline closes when it expires. This mirrors
+// net.Pipe's deadline machinery, the contract net.Conn implementations
+// must honour under concurrent SetDeadline calls, at less cost:
+//   - One timer serves both directions for the connection's whole
+//     life. It is armed for the earlier pending deadline; a protocol
+//     that pushes its deadline forward before every command re-arms it
+//     with Reset, and stop releases it.
+//   - A direction's wake channel is made only when an I/O operation
+//     first blocks on it. A deadline that expires before anything
+//     waits hands later waiters the shared closed channel.
 type connDeadline struct {
-	mu     sync.Mutex
-	timer  *time.Timer // runs fire; created by the first future deadline
-	armed  bool        // timer is pending and its fire will be honoured
-	stale  int         // fire calls in flight for a deadline since replaced
-	cancel chan struct{}
+	mu    sync.Mutex
+	timer *time.Timer // runs fire; created by the first future deadline
+	when  time.Time   // what the timer is armed for: at or before every pending deadline
+	armed bool        // timer is pending and its fire will be honoured
+	stale int         // fire calls in flight for a deadline since replaced
+	dir   [2]dirDeadline
 }
 
-func (d *connDeadline) init() {
-	d.cancel = make(chan struct{})
+// direction indexes connDeadline.dir.
+type direction int
+
+const (
+	reading direction = iota
+	writing
+)
+
+// dirDeadline is one direction's deadline.
+type dirDeadline struct {
+	at      time.Time // zero: none
+	expired bool
+	wake    chan struct{} // made by the first waiter, closed at expiry
 }
 
-// set arms (or clears, for a zero time) the deadline.
-func (d *connDeadline) set(t time.Time) {
+// closedChan is what a waiter on an already expired deadline gets.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// expire marks the deadline passed and wakes its waiters.
+func (dd *dirDeadline) expire() {
+	if dd.expired {
+		return
+	}
+	dd.expired = true
+	if dd.wake != nil {
+		close(dd.wake)
+	}
+}
+
+// set arms (or clears, for a zero time) the deadline of dirs.
+func (d *connDeadline) set(t time.Time, dirs ...direction) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	expired := isClosedChan(d.cancel)
-	dur := time.Until(t)
+	var dur time.Duration
+	if !t.IsZero() {
+		dur = time.Until(t)
+	}
+	for _, i := range dirs {
+		dd := &d.dir[i]
+		dd.at = t
+		switch {
+		case !t.IsZero() && dur <= 0:
+			dd.expire()
+		case dd.expired:
+			// Future I/O blocks again, on a channel of its own.
+			dd.expired, dd.wake = false, nil
+		}
+	}
+	if dur > 0 {
+		d.armLocked(t.Add(-dur))
+	} else if d.nextLocked().IsZero() {
+		d.disarmLocked()
+	}
+	// Otherwise the timer stays pointed at or before the other
+	// direction's deadline, and fire re-arms it from there.
+}
+
+// nextLocked returns the earliest pending deadline, zero when none is.
+// Caller holds d.mu.
+func (d *connDeadline) nextLocked() time.Time {
+	var next time.Time
+	for _, dd := range d.dir {
+		if !dd.expired && !dd.at.IsZero() && (next.IsZero() || dd.at.Before(next)) {
+			next = dd.at
+		}
+	}
+	return next
+}
+
+// armLocked points the timer at the earliest pending deadline, timed
+// from now. Caller holds d.mu.
+func (d *connDeadline) armLocked(now time.Time) {
+	next := d.nextLocked()
 	switch {
-	case t.IsZero():
-		// No deadline: replace an already-fired channel so future I/O
-		// blocks again.
+	case next.IsZero():
 		d.disarmLocked()
-		if expired {
-			d.cancel = make(chan struct{})
-		}
 		return
-	case dur <= 0:
-		// Deadline in the past: expire immediately.
-		d.disarmLocked()
-		if !expired {
-			close(d.cancel)
-		}
+	case d.armed && next.Equal(d.when):
 		return
 	}
-	if expired {
-		d.cancel = make(chan struct{})
-	}
-	switch {
+	d.when = next
+	switch dur := next.Sub(now); {
 	case d.timer == nil:
 		d.timer = time.AfterFunc(dur, d.fire)
 	case !d.timer.Reset(dur) && d.armed:
@@ -413,7 +472,7 @@ func (d *connDeadline) set(t time.Time) {
 // disarmLocked stops a pending timer. Caller holds d.mu.
 func (d *connDeadline) disarmLocked() {
 	if d.armed && !d.timer.Stop() {
-		d.stale++ // already running: see set
+		d.stale++ // already running: see armLocked
 	}
 	d.armed = false
 }
@@ -427,8 +486,10 @@ func (d *connDeadline) stop() {
 	d.mu.Unlock()
 }
 
-// fire is the timer's function: it expires the deadline unless set or
-// stop overtook it between the timer going off and fire taking d.mu.
+// fire is the timer's function. Unless set or stop overtook it between
+// the timer going off and fire taking d.mu, it expires every deadline
+// the timer was armed for and re-arms it for a later one, timed from
+// the one that fired: no clock read.
 func (d *connDeadline) fire() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -437,14 +498,34 @@ func (d *connDeadline) fire() {
 		return
 	}
 	d.armed = false
-	close(d.cancel)
+	for i := range d.dir {
+		if dd := &d.dir[i]; !dd.at.IsZero() && !dd.at.After(d.when) {
+			dd.expire()
+		}
+	}
+	d.armLocked(d.when)
 }
 
-// wait returns the channel closed when the deadline fires.
-func (d *connDeadline) wait() chan struct{} {
+// expired reports whether direction i's deadline has passed.
+func (d *connDeadline) expired(i direction) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.cancel
+	return d.dir[i].expired
+}
+
+// wait returns the channel closed when direction i's deadline expires,
+// making it when nothing waits on it yet.
+func (d *connDeadline) wait(i direction) <-chan struct{} {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dd := &d.dir[i]
+	if dd.expired {
+		return closedChan
+	}
+	if dd.wake == nil {
+		dd.wake = make(chan struct{})
+	}
+	return dd.wake
 }
 
 func isClosedChan(c <-chan struct{}) bool {
@@ -466,15 +547,11 @@ type pipeConn struct {
 	// healthy link.
 	faults *linkFaults
 
-	rdDL connDeadline
-	wrDL connDeadline
+	dl connDeadline
 }
 
-func (c *pipeConn) initDeadlines() {
-	c.rdDL.init()
-	c.wrDL.init()
-}
-
+// Read returns queued bytes at once, and blocks on the deadline only
+// when nothing is queued.
 func (c *pipeConn) Read(p []byte) (int, error) {
 	c.rd.mu.Lock()
 	if len(c.rd.rem) > 0 {
@@ -485,41 +562,40 @@ func (c *pipeConn) Read(p []byte) (int, error) {
 	}
 	c.rd.mu.Unlock()
 
-	cancel := c.rdDL.wait()
-	if isClosedChan(cancel) {
+	if c.dl.expired(reading) {
 		return 0, ErrDeadlineExceeded
 	}
 	select {
-	case chunk, ok := <-c.rd.ch:
-		if !ok {
-			return 0, c.readCloseErr()
-		}
-		n := copy(p, chunk)
-		if n < len(chunk) {
-			c.rd.mu.Lock()
-			c.rd.rem = chunk[n:]
-			c.rd.mu.Unlock()
-		}
-		return n, nil
+	case chunk := <-c.rd.ch:
+		return c.take(p, chunk), nil
+	default:
+	}
+	select {
+	case chunk := <-c.rd.ch:
+		return c.take(p, chunk), nil
 	case <-c.rd.closed:
 		// Drain anything enqueued before close.
 		select {
-		case chunk, ok := <-c.rd.ch:
-			if ok && len(chunk) > 0 {
-				n := copy(p, chunk)
-				if n < len(chunk) {
-					c.rd.mu.Lock()
-					c.rd.rem = chunk[n:]
-					c.rd.mu.Unlock()
-				}
-				return n, nil
-			}
+		case chunk := <-c.rd.ch:
+			return c.take(p, chunk), nil
 		default:
 		}
 		return 0, c.readCloseErr()
-	case <-cancel:
+	case <-c.dl.wait(reading):
 		return 0, ErrDeadlineExceeded
 	}
+}
+
+// take copies chunk into p and keeps what does not fit for the next
+// Read.
+func (c *pipeConn) take(p, chunk []byte) int {
+	n := copy(p, chunk)
+	if n < len(chunk) {
+		c.rd.mu.Lock()
+		c.rd.rem = chunk[n:]
+		c.rd.mu.Unlock()
+	}
+	return n
 }
 
 // readCloseErr maps a closed read half to its surfaced error: the
@@ -596,10 +672,10 @@ func (c *pipeConn) writeChunked(p []byte, max int) (int, error) {
 	return written, nil
 }
 
-// writeChunk enqueues one chunk, honouring the write deadline.
+// writeChunk enqueues one chunk, honouring the write deadline. It
+// blocks on the deadline only when the queue is full.
 func (c *pipeConn) writeChunk(p []byte) (int, error) {
-	cancel := c.wrDL.wait()
-	if isClosedChan(cancel) {
+	if c.dl.expired(writing) {
 		return 0, ErrDeadlineExceeded
 	}
 	chunk := append([]byte(nil), p...)
@@ -611,9 +687,14 @@ func (c *pipeConn) writeChunk(p []byte) (int, error) {
 	select {
 	case c.wr.ch <- chunk:
 		return len(p), nil
+	default:
+	}
+	select {
+	case c.wr.ch <- chunk:
+		return len(p), nil
 	case <-c.wr.closed:
 		return 0, c.writeCloseErr()
-	case <-cancel:
+	case <-c.dl.wait(writing):
 		return 0, ErrDeadlineExceeded
 	}
 }
@@ -627,13 +708,12 @@ func (c *pipeConn) writeCloseErr() error {
 }
 
 // Close closes both directions and releases this end's deadline
-// timers; nothing of a closed connection stays reachable from the
+// timer; nothing of a closed connection stays reachable from the
 // runtime.
 func (c *pipeConn) Close() error {
 	c.wr.close()
 	c.rd.close()
-	c.rdDL.stop()
-	c.wrDL.stop()
+	c.dl.stop()
 	return nil
 }
 
@@ -641,17 +721,16 @@ func (c *pipeConn) LocalAddr() net.Addr  { return simAddr(c.local) }
 func (c *pipeConn) RemoteAddr() net.Addr { return simAddr(c.remote) }
 
 func (c *pipeConn) SetDeadline(t time.Time) error {
-	c.rdDL.set(t)
-	c.wrDL.set(t)
+	c.dl.set(t, reading, writing)
 	return nil
 }
 
 func (c *pipeConn) SetReadDeadline(t time.Time) error {
-	c.rdDL.set(t)
+	c.dl.set(t, reading)
 	return nil
 }
 
 func (c *pipeConn) SetWriteDeadline(t time.Time) error {
-	c.wrDL.set(t)
+	c.dl.set(t, writing)
 	return nil
 }

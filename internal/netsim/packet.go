@@ -21,7 +21,7 @@ type PacketConn struct {
 	inbox  chan datagram
 	closed chan struct{}
 	once   sync.Once
-	rdDL   connDeadline
+	dl     connDeadline // reading only
 }
 
 // datagram is one message in an endpoint's inbox, tagged with its
@@ -53,7 +53,6 @@ func (f *Fabric) ListenPacket(addr netip.AddrPort) (*PacketConn, error) {
 		inbox:  make(chan datagram, inboxDepth),
 		closed: make(chan struct{}),
 	}
-	pc.rdDL.init()
 	f.packets[addr] = pc
 	return pc, nil
 }
@@ -61,16 +60,20 @@ func (f *Fabric) ListenPacket(addr netip.AddrPort) (*PacketConn, error) {
 // ReadFromUDPAddrPort reads the next datagram into b, truncating it to
 // len(b) as a UDP read does, and returns its sender's address.
 func (pc *PacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
-	cancel := pc.rdDL.wait()
-	if isClosedChan(cancel) {
+	if pc.dl.expired(reading) {
 		return 0, netip.AddrPort{}, ErrDeadlineExceeded
+	}
+	select {
+	case d := <-pc.inbox:
+		return copy(b, d.p), d.from, nil
+	default:
 	}
 	select {
 	case d := <-pc.inbox:
 		return copy(b, d.p), d.from, nil
 	case <-pc.closed:
 		return 0, netip.AddrPort{}, net.ErrClosed
-	case <-cancel:
+	case <-pc.dl.wait(reading):
 		return 0, netip.AddrPort{}, ErrDeadlineExceeded
 	}
 }
@@ -94,7 +97,7 @@ func (pc *PacketConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, er
 // SetReadDeadline bounds ReadFromUDPAddrPort. A deadline already past
 // wakes every blocked reader at once.
 func (pc *PacketConn) SetReadDeadline(t time.Time) error {
-	pc.rdDL.set(t)
+	pc.dl.set(t, reading)
 	return nil
 }
 
@@ -111,7 +114,7 @@ func (pc *PacketConn) Close() error {
 		pc.fabric.mu.Lock()
 		delete(pc.fabric.packets, pc.addr)
 		pc.fabric.mu.Unlock()
-		pc.rdDL.stop()
+		pc.dl.stop()
 	})
 	return nil
 }
@@ -130,8 +133,6 @@ func (pc *PacketConn) connect(local netip.Addr, faults *linkFaults) (net.Conn, e
 		return nil, err
 	}
 	c := &datagramConn{ep: pc, local: addr, faults: faults, rd: newHalf()}
-	c.rdDL.init()
-	c.wrDL.init()
 	f.bound[addr] = c
 	return c, nil
 }
@@ -148,8 +149,7 @@ type datagramConn struct {
 	// rd queues the replies routed to this client.
 	rd *half
 
-	rdDL connDeadline
-	wrDL connDeadline
+	dl connDeadline
 }
 
 // receive queues a reply, unless the link loses it or the client's
@@ -165,16 +165,20 @@ func (c *datagramConn) receive(b []byte) {
 }
 
 func (c *datagramConn) Read(p []byte) (int, error) {
-	cancel := c.rdDL.wait()
-	if isClosedChan(cancel) {
+	if c.dl.expired(reading) {
 		return 0, ErrDeadlineExceeded
+	}
+	select {
+	case d := <-c.rd.ch:
+		return copy(p, d), nil
+	default:
 	}
 	select {
 	case d := <-c.rd.ch:
 		return copy(p, d), nil
 	case <-c.rd.closed:
 		return 0, c.closedErr()
-	case <-cancel:
+	case <-c.dl.wait(reading):
 		return 0, ErrDeadlineExceeded
 	}
 }
@@ -195,19 +199,24 @@ func (c *datagramConn) Write(p []byte) (int, error) {
 			return len(p), nil
 		}
 	}
-	cancel := c.wrDL.wait()
 	switch {
-	case isClosedChan(cancel):
+	case c.dl.expired(writing):
 		return 0, ErrDeadlineExceeded
 	case isClosedChan(c.ep.closed):
 		return 0, ErrConnRefused
 	}
+	d := datagram{from: c.local, p: append([]byte(nil), p...)}
 	select {
-	case c.ep.inbox <- datagram{from: c.local, p: append([]byte(nil), p...)}:
+	case c.ep.inbox <- d:
+		return len(p), nil
+	default:
+	}
+	select {
+	case c.ep.inbox <- d:
 		return len(p), nil
 	case <-c.ep.closed:
 		return 0, ErrConnRefused
-	case <-cancel:
+	case <-c.dl.wait(writing):
 		return 0, ErrDeadlineExceeded
 	}
 }
@@ -225,8 +234,7 @@ func (c *datagramConn) closedErr() error {
 // and the port can be handed out again.
 func (c *datagramConn) Close() error {
 	c.rd.close()
-	c.rdDL.stop()
-	c.wrDL.stop()
+	c.dl.stop()
 	f := c.ep.fabric
 	f.mu.Lock()
 	if f.bound[c.local] == c {
@@ -240,17 +248,16 @@ func (c *datagramConn) LocalAddr() net.Addr  { return simAddr(c.local) }
 func (c *datagramConn) RemoteAddr() net.Addr { return simAddr(c.ep.addr) }
 
 func (c *datagramConn) SetDeadline(t time.Time) error {
-	c.rdDL.set(t)
-	c.wrDL.set(t)
+	c.dl.set(t, reading, writing)
 	return nil
 }
 
 func (c *datagramConn) SetReadDeadline(t time.Time) error {
-	c.rdDL.set(t)
+	c.dl.set(t, reading)
 	return nil
 }
 
 func (c *datagramConn) SetWriteDeadline(t time.Time) error {
-	c.wrDL.set(t)
+	c.dl.set(t, writing)
 	return nil
 }

@@ -161,6 +161,38 @@ func TestPacketConnDeadlineAndCloseWakeRead(t *testing.T) {
 	}
 }
 
+// TestPacketConnPastDeadlineWakesEveryReader pins what a server's
+// Shutdown relies on: with several readers blocked and no deadline
+// set, one SetReadDeadline in the past wakes every one of them.
+func TestPacketConnPastDeadlineWakesEveryReader(t *testing.T) {
+	f := NewFabric()
+	ep, err := f.ListenPacket(dnsAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	const readers = 4
+	done := make(chan error, readers)
+	for range readers {
+		go func() {
+			_, _, err := ep.ReadFromUDPAddrPort(make([]byte, 16))
+			done <- err
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let them block
+	_ = ep.SetReadDeadline(time.Unix(1, 0))
+	for range readers {
+		select {
+		case err := <-done:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("reader woken with %v; want a deadline error", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a past read deadline left a blocked reader asleep")
+		}
+	}
+}
+
 // TestPacketConnClose checks what closing either end does: a dial to a
 // closed endpoint is refused and a connected client's write fails the
 // same way, while a reply to a closed client is dropped, as UDP drops

@@ -186,7 +186,7 @@ func FuzzStdlibResolverParse(f *testing.F) {
 		for i, typ := range lookupTypes {
 			resp := dns.Message{Response: true, Authoritative: true, RecursionDesired: true, RecursionAvailable: true,
 				Questions: []dns.Question{{Name: qname, Type: typ, Class: dns.ClassINET}}, Answers: answers}
-			packed, err := resp.Pack()
+			packed, err := resp.AppendPack(nil)
 			if err != nil || len(packed) > 0xFFFF {
 				return // not representable on the wire
 			}

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -38,15 +39,33 @@ type cacheEntry struct {
 // cache is the resolver's response cache: one map behind one RWMutex,
 // holding at most capacity entries. Concurrent cache hits — the
 // bulk-validation hot path — share the read lock. Expired entries are
-// not reaped on read (that would need the write lock); an insert reaps
-// them, expired-first, when the map is at capacity or has doubled since
-// the last reap, so a cache that never fills still forgets what its
-// TTLs say it should at an amortised constant cost per insert.
+// not reaped on read (that would need the write lock). An insert of a
+// new key pays an amortised constant cost:
+//   - Below capacity, it reaps the expired entries when the map has
+//     doubled since the last reap, so a cache that never fills still
+//     forgets what its TTLs say it should.
+//   - At capacity, it evicts exactly one entry. One walk of the map
+//     drops every expired entry and, when the map is still full, picks
+//     the capacity/8 live entries closest to expiry (the ones whose
+//     loss costs the fewest future hits) as the next victims, evicted
+//     one per insert. So a walk and a sort of capacity entries come
+//     once every capacity/8 inserts at most: 8 entries visited per
+//     insert, amortised.
 type cache struct {
 	mu       sync.RWMutex
 	entries  map[cacheKey]cacheEntry
 	capacity int
 	reapAt   int // entry count at which the next insert reaps
+	// victims are the next entries to evict at capacity, latest
+	// expiry first: each is evicted unless it was replaced since.
+	victims []victim
+	visited int // entries the reaping walks have visited
+}
+
+// victim is an entry picked for eviction, as it was when picked.
+type victim struct {
+	key     cacheKey
+	expires time.Time
 }
 
 // minReap is the smallest map worth a reaping pass.
@@ -74,35 +93,62 @@ func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
 	return e.msg, true
 }
 
-// put stores msg under key, reaping first if the cache is full or due
-// a sweep.
+// put stores msg under key, first making room for a new key in a full
+// cache, or reaping one due a sweep.
 func (c *cache) put(key cacheKey, msg *dns.Message, expires time.Time) {
 	c.mu.Lock()
-	if n := len(c.entries); n >= c.capacity || n >= c.reapAt {
-		if _, ok := c.entries[key]; !ok {
-			c.reapLocked(time.Now())
-		}
+	if _, ok := c.entries[key]; !ok && len(c.entries) >= min(c.capacity, c.reapAt) {
+		c.makeRoomLocked(time.Now())
 	}
 	c.entries[key] = cacheEntry{msg: msg, expires: expires}
 	c.mu.Unlock()
 }
 
-// reapLocked drops every expired entry and, if the map is still at
-// capacity, frees room for one insert by dropping the live entry
-// closest to expiry — the one whose loss costs the fewest future hits.
-// The next sweep is due when the survivors have doubled.
+// makeRoomLocked reaps a cache below capacity. In a full one it frees
+// room for one insert: it evicts the next victim still in place, and
+// when none is left it reaps, which either frees room or picks the
+// next victims.
+func (c *cache) makeRoomLocked(now time.Time) {
+	if len(c.entries) < c.capacity {
+		c.reapLocked(now)
+		return
+	}
+	for {
+		for len(c.victims) > 0 {
+			v := c.victims[len(c.victims)-1]
+			c.victims = c.victims[:len(c.victims)-1]
+			if e, ok := c.entries[v.key]; ok && e.expires.Equal(v.expires) {
+				delete(c.entries, v.key)
+				return
+			}
+		}
+		if c.reapLocked(now); len(c.entries) < c.capacity {
+			return
+		}
+	}
+}
+
+// reapLocked drops every expired entry. If the map was full and still
+// is, it picks the capacity/8 live entries closest to expiry as the
+// next victims. The next sweep below capacity is due when the
+// survivors have doubled.
 func (c *cache) reapLocked(now time.Time) {
-	var victim cacheKey
-	var soonest time.Time
+	full := len(c.entries) >= c.capacity
+	c.visited += len(c.entries)
+	c.victims = c.victims[:0]
 	for k, e := range c.entries {
 		if now.After(e.expires) {
 			delete(c.entries, k)
-		} else if soonest.IsZero() || e.expires.Before(soonest) {
-			victim, soonest = k, e.expires
+		} else if full {
+			c.victims = append(c.victims, victim{k, e.expires})
 		}
 	}
-	if len(c.entries) >= c.capacity {
-		delete(c.entries, victim)
+	if len(c.entries) < c.capacity {
+		c.victims = c.victims[:0]
+	} else {
+		// Latest expiry first, so the soonest are popped off the end.
+		slices.SortFunc(c.victims, func(a, b victim) int { return b.expires.Compare(a.expires) })
+		c.victims = append(c.victims[:0], c.victims[len(c.victims)-max(1, c.capacity/8):]...)
 	}
 	c.reapAt = max(minReap, 2*len(c.entries))
 }

@@ -74,7 +74,7 @@ func (u *flakyUpstream) answer(buf []byte, truncated bool) []byte {
 			Data: &dns.TXT{Strings: []string{"v=spf1 -all"}},
 		})
 	}
-	packed, err := resp.Pack()
+	packed, err := resp.AppendPack(nil)
 	if err != nil {
 		return nil
 	}
@@ -206,7 +206,7 @@ func TestRetryNotTriggeredByServerFailure(t *testing.T) {
 			}
 			resp := new(dns.Message).SetReply(&q)
 			resp.RCode = dns.RCodeServerFailure
-			packed, _ := resp.Pack()
+			packed, _ := resp.AppendPack(nil)
 			_, _ = pc.WriteTo(packed, raddr)
 		}
 	}()

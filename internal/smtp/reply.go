@@ -9,6 +9,7 @@ package smtp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -36,18 +37,28 @@ var (
 // Positive reports whether the reply code indicates success (2xx/3xx).
 func (r *Reply) Positive() bool { return r.Code >= 200 && r.Code < 400 }
 
-// format renders the reply in wire form, handling multiline text.
-func (r *Reply) format() string {
-	lines := strings.Split(r.Text, "\n")
-	var sb strings.Builder
-	for i, line := range lines {
-		sep := " "
-		if i < len(lines)-1 {
-			sep = "-"
+// appendWire appends the reply in wire form to b, one line per line
+// of Text: every line but the last continues with "-" after the code.
+func (r *Reply) appendWire(b []byte) []byte {
+	text := r.Text
+	for {
+		line, rest, more := strings.Cut(text, "\n")
+		if c := r.Code; c >= 0 && c <= 999 {
+			b = append(b, byte('0'+c/100), byte('0'+c/10%10), byte('0'+c%10))
+		} else {
+			b = strconv.AppendInt(b, int64(c), 10)
 		}
-		fmt.Fprintf(&sb, "%03d%s%s\r\n", r.Code, sep, line)
+		if more {
+			b = append(b, '-')
+		} else {
+			b = append(b, ' ')
+		}
+		b = append(append(b, line...), "\r\n"...)
+		if !more {
+			return b
+		}
+		text = rest
 	}
-	return sb.String()
 }
 
 // Error is a non-2xx/3xx SMTP reply surfaced as a Go error.

@@ -233,7 +233,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// letting it queue against a saturated server.
 		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 		reply := &Reply{Code: 421, Text: s.hostname() + " too many connections, try again later"}
-		_, _ = conn.Write([]byte(reply.format()))
+		_, _ = conn.Write(reply.appendWire(nil))
 		return
 	}
 	if !ok {
@@ -247,7 +247,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	br, bw := getBuffers(conn)
 	defer putBuffers(br, bw)
 	send := func(r *Reply) bool {
-		if _, err := bw.WriteString(r.format()); err != nil {
+		if _, err := bw.Write(r.appendWire(bw.AvailableBuffer())); err != nil {
 			return false
 		}
 		return bw.Flush() == nil

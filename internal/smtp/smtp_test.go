@@ -385,8 +385,11 @@ func TestAddressHelpers(t *testing.T) {
 func TestReplyFormatting(t *testing.T) {
 	r := &Reply{Code: 250, Text: "first\nsecond\nlast"}
 	want := "250-first\r\n250-second\r\n250 last\r\n"
-	if got := r.format(); got != want {
-		t.Errorf("format = %q", got)
+	if got := string(r.appendWire(nil)); got != want {
+		t.Errorf("appendWire = %q", got)
+	}
+	if got := string((&Reply{Code: 7, Text: "x"}).appendWire([]byte("> "))); got != "> 007 x\r\n" {
+		t.Errorf("appendWire of a short code after a prefix = %q", got)
 	}
 	if !ReplyOK.Positive() || ReplyNoSuchUser.Positive() {
 		t.Error("Positive misclassifies")
