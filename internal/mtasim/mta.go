@@ -80,6 +80,7 @@ type MTA struct {
 
 	mu     sync.Mutex
 	closed bool
+	lns    []*netsim.Listener // the addresses' registrations on the fabric
 }
 
 // New builds an MTA from cfg. Start must be called to serve.
@@ -140,28 +141,30 @@ func resolverAddr6(addr4, addr6 netip.Addr) netip.Addr {
 // Profile returns the MTA's behaviour profile.
 func (m *MTA) Profile() Profile { return m.cfg.Profile }
 
-// Start registers the MTA's listeners on the fabric and begins
-// serving.
+// Start registers the MTA's addresses on the fabric, which hands each
+// SMTP connection to the MTA's server on a goroutine of its own: an
+// MTA nobody dials holds no goroutine.
 func (m *MTA) Start() error {
-	started := 0
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, addr := range []netip.Addr{m.cfg.Addr4, m.cfg.Addr6} {
 		if !addr.IsValid() {
 			continue
 		}
-		ln, err := m.cfg.Fabric.Listen(netip.AddrPortFrom(addr, 25))
+		ln, err := m.cfg.Fabric.Handle(netip.AddrPortFrom(addr, 25), m.server.ServeConn)
 		if err != nil {
 			return fmt.Errorf("mtasim: %s: %w", m.cfg.ID, err)
 		}
-		go m.server.Serve(ln)
-		started++
+		m.lns = append(m.lns, ln)
 	}
-	if started == 0 {
+	if len(m.lns) == 0 {
 		return fmt.Errorf("mtasim: %s has no valid addresses", m.cfg.ID)
 	}
 	return nil
 }
 
-// Close stops serving and waits for asynchronous validations.
+// Close deregisters the MTA's addresses, stops serving, and waits for
+// asynchronous validations.
 func (m *MTA) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -169,7 +172,11 @@ func (m *MTA) Close() {
 		return
 	}
 	m.closed = true
+	lns := m.lns
 	m.mu.Unlock()
+	for _, ln := range lns {
+		ln.Close()
+	}
 	m.server.Close()
 	m.async.Wait()
 }

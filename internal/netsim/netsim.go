@@ -89,16 +89,23 @@ func (f *Fabric) SetUnreachable(addr netip.Addr, unreachable bool) {
 
 // Listen registers a listener on addr.
 func (f *Fabric) Listen(addr netip.AddrPort) (*Listener, error) {
+	return f.Handle(addr, nil)
+}
+
+// Handle registers serve as the server of addr: each connection
+// dialled to it is handed to serve on a goroutine the dial starts, so
+// an address nobody dials holds no goroutine. serve owns the
+// connection. The Listener's Close deregisters addr, and its Accept
+// only waits for that. A nil serve is Listen.
+func (f *Fabric) Handle(addr netip.AddrPort, serve func(net.Conn)) (*Listener, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, taken := f.listeners[addr]; taken {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	l := &Listener{
-		fabric:  f,
-		addr:    addr,
-		backlog: make(chan *pipeConn, 128),
-		closed:  make(chan struct{}),
+	l := &Listener{fabric: f, addr: addr, serve: serve, closed: make(chan struct{})}
+	if serve == nil {
+		l.backlog = make(chan *pipeConn, 128)
 	}
 	f.listeners[addr] = l
 	return l, nil
@@ -170,6 +177,16 @@ func (f *Fabric) dial(ctx context.Context, local netip.Addr, remote netip.AddrPo
 
 	clientEnd, serverEnd := newPipePair(client, remote)
 	clientEnd.faults, serverEnd.faults = faults, faults
+	if l.serve != nil {
+		// Under f.mu, so no hand-off starts once Close has deregistered l.
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.listeners[remote] != l {
+			return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
+		}
+		go l.serve(serverEnd)
+		return clientEnd, nil
+	}
 	select {
 	case l.backlog <- serverEnd:
 		if isClosedChan(l.closed) {
@@ -236,10 +253,12 @@ func (d *BoundDialer) DialContext(ctx context.Context, network, address string) 
 	return d.fabric.dial(ctx, local, remote, isDatagram(network))
 }
 
-// Listener accepts fabric connections for one address.
+// Listener is an address's registration: it queues dialled
+// connections for Accept, or hands each to its serve function.
 type Listener struct {
 	fabric  *Fabric
 	addr    netip.AddrPort
+	serve   func(net.Conn) // nil: connections queue in backlog
 	backlog chan *pipeConn
 	closed  chan struct{}
 	once    sync.Once
@@ -259,6 +278,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 // waiting in its backlog, so their dialers see ErrConnReset — what TCP
 // delivers when a listening socket goes away — instead of waiting out
 // their own read deadlines on a connection nobody will ever serve.
+// Once Close returns no hand-off starts, and a dial is refused.
 func (l *Listener) Close() error {
 	l.once.Do(func() {
 		close(l.closed)
@@ -292,6 +312,10 @@ type simAddr netip.AddrPort
 
 func (a simAddr) Network() string { return "sim" }
 func (a simAddr) String() string  { return netip.AddrPort(a).String() }
+
+// AddrPort returns the address as *net.TCPAddr's method does, so a
+// server reads the client's address without parsing its String.
+func (a simAddr) AddrPort() netip.AddrPort { return netip.AddrPort(a) }
 
 // newPipePair creates the two ends of a buffered duplex connection.
 func newPipePair(client, server netip.AddrPort) (*pipeConn, *pipeConn) {

@@ -112,10 +112,10 @@ func (s *Server) forget(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// Serve accepts connections from ln until the server shuts down. It
-// may be called for several listeners concurrently (e.g. the MTA's
-// IPv4 and IPv6 addresses). Transient accept errors — EMFILE-class
-// descriptor exhaustion above all — are retried with exponential
+// Serve accepts connections from ln, each served by ServeConn on its
+// own goroutine, until the server shuts down. It may be called for
+// several listeners concurrently. Transient accept errors — EMFILE-
+// class descriptor exhaustion above all — are retried with exponential
 // backoff instead of killing the accept loop.
 func (s *Server) Serve(ln net.Listener) {
 	s.mu.Lock()
@@ -142,11 +142,7 @@ func (s *Server) Serve(ln net.Listener) {
 			continue
 		}
 		delay = 0
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
+		go s.ServeConn(conn)
 	}
 }
 
@@ -197,24 +193,30 @@ func (s *Server) maxConns() int {
 	return 1024
 }
 
+// clientIP reads a RemoteAddr through its AddrPort method (*net.TCPAddr
+// and the fabric's addresses have one), else by parsing its String.
 func clientIP(addr net.Addr) netip.Addr {
+	if a, ok := addr.(interface{ AddrPort() netip.AddrPort }); ok {
+		return a.AddrPort().Addr().Unmap()
+	}
 	if addr == nil {
 		return netip.Addr{}
 	}
-	if ap, err := netip.ParseAddrPort(addr.String()); err == nil {
-		return ap.Addr().Unmap()
-	}
-	return netip.Addr{}
+	ap, _ := netip.ParseAddrPort(addr.String())
+	return ap.Addr().Unmap()
 }
 
 // admit registers the connection, enforcing the concurrent-session
 // cap. overCap is true when the connection must be shed with 421.
+// Unless the server is closed, it counts the connection in s.wg, under
+// s.mu after the closed check, so Close's Wait never races an Add.
 func (s *Server) admit(conn net.Conn) (ok, overCap bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false, false
 	}
+	s.wg.Add(1)
 	if len(s.conns) >= s.maxConns() {
 		return false, true
 	}
@@ -225,9 +227,15 @@ func (s *Server) admit(conn net.Conn) (ok, overCap bool) {
 	return true, false
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
+// ServeConn runs one SMTP session over conn on the caller's goroutine
+// and closes conn when it ends. A connection over MaxConns is shed
+// with 421; after Close, conn is closed unserved.
+func (s *Server) ServeConn(conn net.Conn) {
 	ok, overCap := s.admit(conn)
+	if ok || overCap {
+		defer s.wg.Done()
+	}
+	defer conn.Close()
 	if overCap {
 		// Graceful shedding: tell the client to come back rather than
 		// letting it queue against a saturated server.

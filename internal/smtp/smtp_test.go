@@ -13,18 +13,21 @@ import (
 	"sendervalid/internal/netsim"
 )
 
-// startServer runs a Server over the netsim fabric and returns the
-// fabric plus the MTA's simulated address.
+// startServer runs a Server over the netsim fabric, which hands it
+// each connection as it does an MTA's, and returns the fabric plus the
+// MTA's simulated address.
 func startServer(t *testing.T, srv *Server) (*netsim.Fabric, string) {
 	t.Helper()
 	fabric := netsim.NewFabric()
 	addr := netip.MustParseAddrPort("203.0.113.25:25")
-	ln, err := fabric.Listen(addr)
+	ln, err := fabric.Handle(addr, srv.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Close()
+	})
 	return fabric, addr.String()
 }
 
