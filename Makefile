@@ -4,8 +4,9 @@
 # seeded crash/bulk/trace suites included, at the default seed),
 # `telemetry-alloc` (the allocation pins, which need a run without the
 # race detector), `synctest` (the study at paper timing in a
-# testing/synctest bubble, which tier-1 `go test ./...` does not build)
-# and `bench-smoke` (a one-iteration smoke pass over every benchmark).
+# testing/synctest bubble against its golden report, at three
+# apparatus settings) and `bench-smoke` (a one-iteration smoke pass
+# over every benchmark).
 # Every target is named here; internal/lint checks it.
 # `make fuzz-seeds`, `crash`, `bulk-race` (the bulk SPF and SPF
 # packages, three times over), `trace-race` and `chaos` run their suite
@@ -90,11 +91,18 @@ telemetry-alloc:
 		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/ ./internal/bulkspf/
 
 # The tests that run in a testing/synctest bubble, on virtual time:
-# today one, the whole study at paper timing (TimeScale 1.0), which
-# finishes only while nothing in it waits on a host socket. They live
-# in `//go:build goexperiment.synctest` files, so tier-1 `go test
-# ./...` does not build them. Go 1.25 replaces synctest.Run with
-# synctest.Test(t, f) and drops the GOEXPERIMENT flag.
+# the whole study at paper timing (TimeScale 1.0), whose stdout
+# TestStudyBubble holds byte for byte to
+# internal/experiment/testdata/report-4000.golden, and again at
+# -workers 1 and 24 and under SMTP faults, each of which must print
+# that report outside its "completed in" line. They finish only while
+# nothing in them waits on a host socket. They live in `//go:build
+# goexperiment.synctest` files; tier-1 `go test ./...` runs
+# TestStudyBubble alone, as a subprocess (TestStudyBubbleGolden).
+# After a deliberate change of a result, rerun TestStudyBubble with
+# `-args -update` to rewrite the golden file, and show its diff. Go 1.25
+# replaces synctest.Run with synctest.Test(t, f) and drops the
+# GOEXPERIMENT flag.
 synctest:
 	GOEXPERIMENT=synctest $(GO) test -count=1 -run 'Bubble' ./internal/experiment/
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -32,9 +31,10 @@ var headingRE = regexp.MustCompile(`(?m)^(== \w+|Table \d|Figure \d|Section [\d.
 
 // TestStudyEndToEnd runs `experiment -domains 120 -seed 1 -journal
 // PREFIX` in-process three times — fresh, again without -resume, again
-// with it — and checks what a reader of the command sees: Tables 1–3
-// (pure functions of the seed) byte for byte, the section order, every
-// analysis returned as a value, and the journal dialogue.
+// with it — and checks what a reader of the command sees: the section
+// order, every analysis returned as a value, and the journal dialogue.
+// The printed numbers are internal/experiment's golden report's to
+// check (TestStudyBubble).
 func TestStudyEndToEnd(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "study")
 	args := []string{"-domains", "120", "-seed", "1", "-journal", prefix}
@@ -56,13 +56,6 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 	out := stdout.String()
 
-	golden, err := os.ReadFile("testdata/tables123.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _, _ := strings.Cut(out, "== NotifyEmail experiment"); got != string(golden) {
-		t.Errorf("Tables 1–3 differ from testdata/tables123.golden:\n%s", got)
-	}
 	if got := headingRE.FindAllString(out, -1); !reflect.DeepEqual(got, headings) {
 		t.Errorf("section headings\n got %q\nwant %q", got, headings)
 	}

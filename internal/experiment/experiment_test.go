@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/dnsserver"
@@ -26,13 +25,7 @@ func smallTwoWeekSpec(n int, seed int64) dataset.Spec {
 func buildTestWorld(t *testing.T, spec dataset.Spec, rates mtasim.Rates) *World {
 	t.Helper()
 	pop := dataset.Generate(spec)
-	w, err := BuildWorld(pop, WorldConfig{
-		Seed:       spec.Seed,
-		Rates:      rates,
-		TimeScale:  0.0005,
-		SPFTimeout: 20 * time.Second,
-		DNSTimeout: 5 * time.Second,
-	})
+	w, err := BuildWorld(pop, WorldConfig{Seed: spec.Seed, Rates: rates, TimeScale: 0.0005})
 	if err != nil {
 		t.Fatal(err)
 	}

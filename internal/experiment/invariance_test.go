@@ -19,8 +19,8 @@ import (
 // idempotent and order-free, so neither the worker count, nor the time
 // scale, nor SMTP faults the probe campaigns retry through may move a
 // table: each variant's StudyResult must equal the baseline's, field
-// by field. Two analyses are excluded, because timing decides them
-// until the study runs on virtual time (ROADMAP item 1(c)):
+// by field. Two analyses are excluded, because on the wall clock
+// timing decides them:
 //   - Figure 2 (NotifyEmail.TimingSamples, TimingFiltered) measures
 //     tSPF − tEmail on the wall clock;
 //   - §7.1 (SerialParallel) infers serial or parallel lookups from
@@ -28,6 +28,10 @@ import (
 //     reads are a fraction of a millisecond apart. The §8 vectors
 //     carry the same inference as their SerialLookups trait, so they
 //     are compared, and clustered again, with it masked.
+//
+// TestStudyIndependentOfApparatusBubble (`make synctest`) is the exact
+// form: on virtual time it compares the printed report byte for byte,
+// with no exclusions.
 func TestStudyIndependentOfApparatus(t *testing.T) {
 	study := func(workers int, timeScale float64, probing func(*World, *ProbeCampaign)) *StudyResult {
 		t.Helper()

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"sync"
-	"time"
 
 	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
@@ -57,7 +56,7 @@ func RunNotifyEmail(ctx context.Context, w *World, workers int) *NotifyEmailRun 
 		HeloDomain: "mta.dns-lab.example",
 		Signer:     w.Signer,
 		ReplyTo:    DefaultContact,
-		Timeout:    10 * time.Second,
+		Timeout:    smtpTimeout,
 	}
 	run := &NotifyEmailRun{
 		Deliveries: make(map[string]*probe.Delivery, len(w.Population.Domains)),

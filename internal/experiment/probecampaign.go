@@ -5,7 +5,6 @@ import (
 	"errors"
 	mrand "math/rand"
 	"sync"
-	"time"
 
 	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
@@ -74,7 +73,7 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 		Suffix:     DefaultTestSuffix,
 		HeloDomain: "probe.dns-lab.example",
 		HeloTestID: "t03",
-		Timeout:    10 * time.Second,
+		Timeout:    smtpTimeout,
 	}
 
 	// One recipient domain per MTA: the first domain designating it

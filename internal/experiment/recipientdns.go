@@ -91,7 +91,7 @@ func (w *World) senderResolver() *resolver.Resolver {
 	return resolver.New(resolver.Config{
 		Server:  w.DNSAddr,
 		Server6: w.DNSAddr6,
-		Timeout: w.cfg.DNSTimeout,
+		Timeout: dnsTimeout,
 		Dialer:  w.Fabric.BoundDialer(SenderAddr4, SenderAddr6),
 	})
 }

@@ -53,6 +53,47 @@ var (
 	dnsAddr6 = netip.MustParseAddrPort("[2001:db8:53::53]:53")
 )
 
+// Every duration the world owns, in paper time. Two kinds:
+//
+// The delays the measurement reads are scaled by WorldConfig.TimeScale,
+// in BuildWorld: postDataDelayMax here, and the policy views' shaping
+// (policy.LimitsDelay's 800 ms, the 100 ms include chain), which
+// policy.Env and policy.NotifyEmailConfig scale by the same factor.
+//
+// The give-up budgets are never scaled. On virtual time (a
+// testing/synctest bubble at TimeScale 1.0) they have their paper
+// values, so they fire only where the paper's would; on the wall clock
+// at a small TimeScale they never fire. A budget scaled to wall time
+// fires whenever the host is busy, and the report then depends on the
+// host: a 60 ms SPF budget at TimeScale 0.001 cut a t02 tree short in
+// one run of two and moved Figure 5.
+const (
+	// postDataDelayMax bounds a post-DATA validator's wait between
+	// accepting a message and validating it, which makes Figure 2's
+	// positive tail: 25 s keeps it inside the ±30 s the paper finds
+	// 91% of differences within. Per-MTA values are drawn uniformly
+	// from (0, max].
+	postDataDelayMax = 25 * time.Second
+
+	// spfBudget bounds one check_host() evaluation. RFC 7208 §4.6.4
+	// asks for at least 20 s, and the 28% of validators that run t02's
+	// whole tree (Figure 5) need more than its 46 × 800 ms.
+	spfBudget = 60 * time.Second
+	// dnsTimeout bounds one DNS exchange of an MTA's or the sender's
+	// resolver. RFC 1035 §4.2.1 leaves retransmission to the resolver;
+	// 3 s is far inside spfBudget, so a lost datagram costs an
+	// evaluation one exchange, not its budget.
+	dnsTimeout = 3 * time.Second
+	// smtpTimeout bounds each SMTP exchange of the probe and of the
+	// NotifyEmail sender. RFC 5321 §4.5.3.2 gives a client minutes per
+	// command; a MAIL-time validator replies only once it has
+	// evaluated, so the wait must at least outlast spfBudget.
+	smtpTimeout = 90 * time.Second
+	// shutdownGrace is how long Close waits for the DNS server's
+	// in-flight exchanges: host housekeeping, not part of the study.
+	shutdownGrace = 5 * time.Second
+)
+
 // WorldConfig parameterizes a simulated world.
 type WorldConfig struct {
 	// Seed drives profile sampling (combined with each MTA's own
@@ -60,19 +101,13 @@ type WorldConfig struct {
 	Seed int64
 	// Rates is the behaviour-trait distribution for TierGeneral MTAs.
 	Rates mtasim.Rates
-	// TimeScale multiplies protocol shaping delays (1.0 = paper
-	// timing; tests use ~0.01 or less).
+	// TimeScale multiplies the delays the measurement reads (1.0 =
+	// paper timing; zero means 0.001). The give-up budgets are never
+	// scaled (see the table above).
 	TimeScale float64
 	// EnableIPv6DNS serves the authoritative server's IPv6 endpoint on
 	// the fabric too, so the IPv6 test policy is exercisable.
 	EnableIPv6DNS bool
-	// SPFTimeout and DNSTimeout bound the MTAs' validation work.
-	SPFTimeout time.Duration
-	DNSTimeout time.Duration
-	// PostDataDelayMax is the maximum extra delay a post-data
-	// validator waits after accepting a message (Figure 2's positive
-	// tail); per-MTA values are sampled uniformly from (0, max].
-	PostDataDelayMax time.Duration
 	// ProfileDrift is the probability that an MTA's behaviour profile
 	// is resampled for this world instead of keeping its stable
 	// per-MTA identity. An MTA's profile is otherwise a deterministic
@@ -115,15 +150,9 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 0.001
 	}
-	if cfg.SPFTimeout == 0 {
-		cfg.SPFTimeout = 10 * time.Second
-	}
-	if cfg.DNSTimeout == 0 {
-		cfg.DNSTimeout = 3 * time.Second
-	}
-	if cfg.PostDataDelayMax == 0 {
-		cfg.PostDataDelayMax = time.Duration(float64(25*time.Second) * cfg.TimeScale)
-	}
+	// The one place a paper-time delay becomes the world's; the policy
+	// views scale their shaping by the same factor.
+	postDataMax := time.Duration(float64(postDataDelayMax) * cfg.TimeScale)
 
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -184,9 +213,9 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 			Fabric:             w.Fabric,
 			DNSAddr:            w.DNSAddr,
 			DNSAddr6:           w.DNSAddr6,
-			SPFTimeout:         cfg.SPFTimeout,
-			DNSTimeout:         cfg.DNSTimeout,
-			PostDataDelay:      w.postDataDelay(info.ProfileSeed),
+			SPFTimeout:         spfBudget,
+			DNSTimeout:         dnsTimeout,
+			PostDataDelay:      postDataDelay(info.ProfileSeed, postDataMax),
 			BlacklistedSources: []netip.Addr{ProbeAddr4, ProbeAddr6},
 			Metrics:            cfg.FleetMetrics,
 		})
@@ -285,10 +314,10 @@ func (w *World) sampleProfile(info *dataset.MTAInfo, provider *dataset.Provider)
 }
 
 // postDataDelay derives a deterministic per-MTA post-data validation
-// delay in (0, PostDataDelayMax].
-func (w *World) postDataDelay(seed int64) time.Duration {
+// delay in (0, max].
+func postDataDelay(seed int64, max time.Duration) time.Duration {
 	rng := mrand.New(mrand.NewSource(seed*31 + 7))
-	return time.Duration(1 + rng.Int63n(int64(w.cfg.PostDataDelayMax)))
+	return time.Duration(1 + rng.Int63n(int64(max)))
 }
 
 // Close stops every MTA and the DNS server.
@@ -296,7 +325,7 @@ func (w *World) Close() {
 	for _, m := range w.MTAs {
 		m.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	_ = w.DNS.Shutdown(ctx)
 }

@@ -152,6 +152,17 @@ func TestExtractSerialCompliant(t *testing.T) {
 			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
 		}
 	}
+
+	// On virtual time l3, answered unshaped, and foo share an instant.
+	log := serialMTALog("m1")
+	for i, e := range log {
+		if e.TestID == "t01" && len(e.Rest) == 1 && e.Rest[0] == "foo" {
+			log[i].Time = log[i-1].Time
+		}
+	}
+	if got := Observe(log)["m1"].Vector().SerialLookups; got != True {
+		t.Errorf("SerialLookups with foo at l3's instant = %s, want %s", got, True)
+	}
 }
 
 func TestExtractViolator(t *testing.T) {

@@ -225,13 +225,15 @@ func earliest(t *time.Time, at time.Time) {
 
 // Serial reports whether the a-mechanism target was asked for only
 // after the shaped chain's last include answered (on demand, §7.1)
-// rather than before it (prefetched). ok is false unless both signals
-// were seen.
+// rather than before it (prefetched). The last include answers
+// unshaped, so on virtual time a serial validator asks for the target
+// at the very instant it asked for that include: not before it counts
+// as serial. ok is false unless both signals were seen.
 func (o *Observation) Serial() (serial, ok bool) {
 	if o.targetAt.IsZero() || o.lastAt.IsZero() {
 		return false, false
 	}
-	return o.targetAt.After(o.lastAt), true
+	return !o.targetAt.Before(o.lastAt), true
 }
 
 // The limit rules both readings share, each meaningful only when Tested

@@ -12,7 +12,9 @@ import (
 )
 
 // rawTime names the functions of package time that read or wait on the
-// wall clock, which ROADMAP item 1 moves behind one injectable clock.
+// wall clock. allowlist-time.txt is the inventory of their callers;
+// virtual time comes from testing/synctest, whose bubble gives these
+// same calls its clock.
 var rawTime = map[string]bool{
 	"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
 	"NewTimer": true, "NewTicker": true, "Since": true,
