@@ -384,8 +384,10 @@ func BenchmarkProbeSession(b *testing.B) {
 // initially dark (netsim-injected connection refusals), so the
 // transient-retry path — classification, backoff, re-dispatch — is on
 // the measured path. Each outage heals at first contact; every task
-// must finish within the attempt budget. The `probe-campaign` workload
-// runs the same scheduler over the whole fleet.
+// must finish within the attempt budget. An op includes the campaign's
+// own backoff: a dark MTA's tasks wait 50–100 ms before their retry.
+// The `probe-campaign` workload runs the same scheduler over the whole
+// fleet.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	const fleet = 20
 	fabric := netsim.NewFabric()
@@ -418,10 +420,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		for j := 0; j < fleet; j += 5 {
 			fabric.SetUnreachable(addrs[ids[j]], true)
 		}
-		c := campaign.New(campaign.Config{
-			Workers: 16, MaxAttempts: 4, Seed: int64(i),
-			BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-		}, func(ctx context.Context, t campaign.Task) error {
+		c := campaign.New(campaign.Config{Workers: 16, MaxAttempts: 4, Seed: int64(i)}, func(ctx context.Context, t campaign.Task) error {
 			res := client.Probe(ctx, addrs[t.MTA], t.MTA, t.Test)
 			if errors.Is(res.Err, netsim.ErrConnRefused) {
 				fabric.SetUnreachable(addrs[t.MTA], false)
@@ -454,8 +453,8 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // of the `log-ingest` workload.
 func BenchmarkFingerprintExtraction(b *testing.B) {
 	w := benchWorld(b, 17)
-	experiment.RunProbes(context.Background(), w,
-		[]string{"t01", "t02", "t06", "t07", "t08", "t11"}, 32)
+	tests := []string{"t01", "t02", "t06", "t07", "t08", "t11"}
+	experiment.NewProbeCampaign(w, tests, experiment.ProbeCampaignOpts{Workers: 32}).Run(context.Background())
 	entries := w.Log.Entries()
 	b.ResetTimer()
 	var families int
@@ -509,7 +508,7 @@ func (s staticTXT) LookupTXT(ctx context.Context, name string) ([]string, error)
 // workload writes its log out this way before ingesting it.
 func BenchmarkQueryLogJSONRoundTrip(b *testing.B) {
 	w := benchWorld(b, 18)
-	experiment.RunProbes(context.Background(), w, []string{"t01", "t12"}, 32)
+	experiment.NewProbeCampaign(w, []string{"t01", "t12"}, experiment.ProbeCampaignOpts{Workers: 32}).Run(context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var entries int

@@ -21,8 +21,10 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
-	mrand "math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -68,15 +70,9 @@ type Config struct {
 	// MaxAttempts bounds attempts per task, first try included.
 	// Default 4.
 	MaxAttempts int
-	// BackoffBase is the delay before the first retry; each further
-	// retry doubles it. Default 100ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff growth. Default 10s.
-	BackoffMax time.Duration
-	// Seed drives retry jitter (full jitter in [delay/2, delay]).
+	// Seed drives retry jitter: the delay before a retry is a
+	// function of (Seed, MTA, test, attempt) alone (see backoff).
 	Seed int64
-	// Classify overrides DefaultClassify.
-	Classify func(error) Class
 	// Journal, when set, receives the append-only JSONL record of
 	// task state transitions. Each event is written as one line as it
 	// happens, so a crash loses at most the event in flight. Use the
@@ -102,16 +98,14 @@ func (cfg *Config) fillDefaults() {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 10 * time.Second
-	}
-	if cfg.Classify == nil {
-		cfg.Classify = DefaultClassify
-	}
 }
+
+// The retry schedule: the first retry waits backoffBase, each further
+// one twice the last, capped at backoffMax (before jitter).
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 10 * time.Second
+)
 
 // State is a task's final outcome, as a journal replay reports it.
 type State string
@@ -133,7 +127,6 @@ type Campaign struct {
 	rrNext  int
 	tasks   map[Key]int // attempts started per task
 	journal *journalWriter
-	rng     *mrand.Rand
 
 	// counters (guarded by mu)
 	total    int
@@ -159,7 +152,6 @@ func New(cfg Config, run TaskFunc) *Campaign {
 		shards:  make(map[string]*shard),
 		tasks:   make(map[Key]int),
 		journal: newJournalWriter(cfg.Journal, cfg.Logf),
-		rng:     mrand.New(mrand.NewSource(cfg.Seed ^ 0x636d70)),
 	}
 }
 
@@ -322,7 +314,7 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 		sp.SetInt("attempt", int64(n))
 	}
 	err := c.run(tctx, t)
-	class := c.cfg.Classify(err)
+	class := DefaultClassify(err)
 	if sp != nil {
 		sp.SetAttr("class", class.String())
 		sp.SetError(err)
@@ -352,7 +344,7 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 			c.journal.event(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
 			break
 		}
-		delay := c.backoff(n)
+		delay := c.backoff(k, n)
 		c.retried++
 		c.journal.event(event{Ev: evRetry, Key: k, N: n, Err: errString(err), DelayMS: delay.Milliseconds()})
 		s.push(t, time.Now().Add(delay))
@@ -366,17 +358,22 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 	}
 }
 
-// backoff computes the delay before retry n+1: exponential growth from
-// BackoffBase capped at BackoffMax, with jitter in [delay/2, delay] so
-// synchronized failures (one dead destination, many queued tests)
-// don't retry in lockstep. Caller holds mu (rng is not goroutine-safe).
-func (c *Campaign) backoff(attempt int) time.Duration {
-	d := c.cfg.BackoffBase << (attempt - 1)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
+// backoff computes the delay before retry n+1 of task k: exponential
+// growth from backoffBase capped at backoffMax, with jitter in
+// [delay/2, delay] so synchronized failures (one dead destination,
+// many queued tests) don't retry in lockstep. The jitter is drawn from
+// a generator seeded by (Seed, MTA, test, attempt), so a task's retry
+// schedule does not depend on the order in which attempts end.
+func (c *Campaign) backoff(k Key, attempt int) time.Duration {
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := d / 2
-	return half + time.Duration(c.rng.Int63n(int64(half)+1))
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%s\x00%d", k.MTA, k.Test, attempt)
+	r := rand.New(rand.NewPCG(uint64(c.cfg.Seed), h.Sum64()))
+	return half + time.Duration(r.Int64N(int64(half)+1))
 }
 
 // JournalError returns the first journal write failure, nil while the

@@ -3,12 +3,15 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -89,12 +92,7 @@ func TestTransientRetryWithBudget(t *testing.T) {
 	transient := &smtp.Error{Code: 421, Message: "greylisted, try again"}
 	var mu sync.Mutex
 	attempts := make(map[Key]int)
-	c := New(Config{
-		Workers:     4,
-		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-	}, func(ctx context.Context, task Task) error {
+	c := New(Config{Workers: 4, MaxAttempts: 3}, func(ctx context.Context, task Task) error {
 		mu.Lock()
 		attempts[task.Key()]++
 		n := attempts[task.Key()]
@@ -336,6 +334,8 @@ func TestDefaultClassify(t *testing.T) {
 		{&smtp.Error{Code: 550, Message: "no such user"}, Terminal},
 		{&smtp.Error{Code: 554, Message: "blacklisted"}, Terminal},
 		{fmt.Errorf("dial: %w", errConnRefusedForTest()), Transient},
+		{fmt.Errorf("dial 203.0.113.9:25: %w", netsim.ErrLinkDown), Transient},
+		{&net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}, Transient},
 		{fmt.Errorf("smtp: read: %w", netsim.ErrConnReset), Transient},
 		{errors.New("malformed address"), Terminal},
 	}
@@ -344,6 +344,82 @@ func TestDefaultClassify(t *testing.T) {
 			t.Errorf("Classify(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
+}
+
+// TestRetryDelayIsPerTask pins that a retry's delay is a function of
+// (Seed, MTA, test, attempt): two runs with one seed whose failed
+// attempts end in different orders journal the same delay_ms for every
+// retry. The first run takes its tasks one at a time, in insertion
+// order; the second holds m000's first attempt back until every other
+// task has journaled its retry.
+func TestRetryDelayIsPerTask(t *testing.T) {
+	tasks := tasksFor(4, 1)
+	run := func(workers int, hold chan struct{}) map[string]int64 {
+		var mu sync.Mutex
+		attempts := make(map[Key]int)
+		j := &retryWatch{left: len(tasks) - 1, release: hold}
+		c := New(Config{Workers: workers, MaxAttempts: 2, Seed: 5, Journal: j}, func(ctx context.Context, task Task) error {
+			mu.Lock()
+			attempts[task.Key()]++
+			n := attempts[task.Key()]
+			mu.Unlock()
+			if n > 1 {
+				return nil
+			}
+			if hold != nil && task.MTA == "m000" {
+				<-hold
+			}
+			return &smtp.Error{Code: 451, Message: "try again later"}
+		})
+		c.Add(tasks...)
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if s := c.Snapshot(); s.Done != len(tasks) || s.Retried != len(tasks) {
+			t.Fatalf("run with %d workers: %s, want every task done after one retry", workers, s)
+		}
+		delays := make(map[string]int64)
+		for _, line := range strings.Split(strings.TrimSpace(j.buf.String()), "\n") {
+			var e event
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Ev == evRetry {
+				delays[fmt.Sprintf("%s/%s#%d", e.Key.MTA, e.Key.Test, e.N)] = e.DelayMS
+			}
+		}
+		return delays
+	}
+	inOrder := run(1, nil)
+	heldBack := run(len(tasks), make(chan struct{}))
+	if len(inOrder) != len(tasks) {
+		t.Fatalf("journaled %d retries, want %d", len(inOrder), len(tasks))
+	}
+	for k, d := range inOrder {
+		if d < 50 || d > 100 {
+			t.Errorf("%s: first retry after %d ms, want within [50, 100]", k, d)
+		}
+		if heldBack[k] != d {
+			t.Errorf("%s: retry delay %d ms in one run, %d ms in the other", k, d, heldBack[k])
+		}
+	}
+}
+
+// retryWatch is a journal sink that closes release once left retry
+// events have been written.
+type retryWatch struct {
+	buf     bytes.Buffer
+	left    int
+	release chan struct{}
+}
+
+func (w *retryWatch) Write(p []byte) (int, error) {
+	if w.release != nil && bytes.Contains(p, []byte(`"ev":"retry"`)) {
+		if w.left--; w.left == 0 {
+			close(w.release)
+		}
+	}
+	return w.buf.Write(p)
 }
 
 func TestAddIsIdempotentPerKey(t *testing.T) {

@@ -57,9 +57,9 @@ func (c Class) String() string {
 //   - 4xx SMTP replies → Transient (the destination asked us to come
 //     back later: greylisting, temporary local errors)
 //   - 5xx SMTP replies → Terminal
-//   - connection refused, connection reset (on a host socket or the
-//     fabric), I/O deadlines, network timeouts, dropped connections →
-//     Transient
+//   - connection refused (a refused dial or a link flap, on a host
+//     socket or the fabric), connection reset, I/O deadlines, network
+//     timeouts, dropped connections → Transient
 //   - anything else → Terminal
 func DefaultClassify(err error) Class {
 	if err == nil {
@@ -75,7 +75,7 @@ func DefaultClassify(err error) Class {
 		}
 		return Terminal
 	}
-	if errors.Is(err, netsim.ErrConnRefused) || errors.Is(err, netsim.ErrDeadlineExceeded) || errors.Is(err, syscall.ECONNRESET) {
+	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, netsim.ErrDeadlineExceeded) {
 		return Transient
 	}
 	var netErr net.Error

@@ -111,7 +111,7 @@ func TestNotifyEmailExperiment(t *testing.T) {
 	// The upper bound leaves headroom for scheduler-load skew: under
 	// -race the post-data validation window can slip past delivery for
 	// a few extra domains (seen up to 0.96 on unmodified code).
-	if frac := b.NegativeFraction(); frac < 0.70 || frac > 0.98 {
+	if frac := float64(b.LE30Neg+b.Neg15+b.Neg0) / float64(b.Total); frac < 0.70 || frac > 0.98 {
 		t.Errorf("negative timing fraction %.2f, paper ≈ 0.83", frac)
 	}
 
@@ -132,7 +132,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 	// Same population recipe as NotifyEmail, probed instead of mailed:
 	// the §6.2 contrast.
 	w := buildTestWorld(t, smallNotifySpec(240, 13), NotifyRates())
-	run := RunProbes(context.Background(), w, []string{"t12"}, 24)
+	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
@@ -155,7 +155,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 
 func TestTwoWeekMXExperiment(t *testing.T) {
 	w := buildTestWorld(t, smallTwoWeekSpec(300, 17), TwoWeekRates())
-	run := RunProbes(context.Background(), w, []string{"t12"}, 24)
+	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, true)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
@@ -190,7 +190,7 @@ func TestBehaviorAnalyses(t *testing.T) {
 	// A small fleet probed with the behaviour-revealing tests.
 	w := buildTestWorld(t, smallNotifySpec(160, 19), NotifyRates())
 	tests := []string{"t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}
-	RunProbes(context.Background(), w, tests, 24)
+	NewProbeCampaign(w, tests, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 
 	obs := w.Observations()
 	sp := SerialParallel(obs)
@@ -256,8 +256,8 @@ func TestBehaviorAnalyses(t *testing.T) {
 
 func TestFingerprintPipeline(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(120, 29), NotifyRates())
-	RunProbes(context.Background(), w,
-		[]string{"t01", "t02", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}, 24)
+	tests := []string{"t01", "t02", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}
+	NewProbeCampaign(w, tests, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 	clusters, vectors := Fingerprints(w.Observations())
 	if len(clusters) == 0 || len(vectors) == 0 {
 		t.Fatal("no fingerprints extracted")
@@ -311,11 +311,8 @@ func TestBucketize(t *testing.T) {
 		b.Pos15 != 1 || b.Pos30 != 1 || b.GE30 != 1 {
 		t.Errorf("buckets %+v", b)
 	}
-	if b.NegativeFraction() != 0.5 {
-		t.Errorf("negative fraction %.2f", b.NegativeFraction())
-	}
-	if (Figure2Buckets{}).NegativeFraction() != 0 {
-		t.Error("empty buckets")
+	if b.Total != 6 {
+		t.Errorf("Total = %d, want 6", b.Total)
 	}
 }
 
@@ -339,7 +336,7 @@ func TestCrossExperimentConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer probeWorld.Close()
-	probeRun := RunProbes(context.Background(), probeWorld, []string{"t12"}, 24)
+	probeRun, _ := NewProbeCampaign(probeWorld, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 	probes := Probes(probeWorld.Population, probeWorld.Observations(), probeRun, false)
 
 	c := Compare(pop, ne, probes)
@@ -369,7 +366,7 @@ func TestFullCatalogProbeRun(t *testing.T) {
 	// against a small fleet: every policy must be servable end to end
 	// without stalling a probe or crashing an MTA.
 	w := buildTestWorld(t, smallNotifySpec(60, 59), NotifyRates())
-	run := RunProbes(context.Background(), w, AllTests(), 16)
+	run, _ := NewProbeCampaign(w, AllTests(), ProbeCampaignOpts{Workers: 16}).Run(context.Background())
 	if got := len(run.Results); got != len(w.Population.MTAs) {
 		t.Fatalf("results for %d of %d MTAs", got, len(w.Population.MTAs))
 	}
@@ -418,7 +415,7 @@ func TestFleetMetricsEqualPerMTAStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	w.RegisterMetrics(reg)
 
-	RunProbes(context.Background(), w, []string{"t01", "t03", "t12"}, 16)
+	NewProbeCampaign(w, []string{"t01", "t03", "t12"}, ProbeCampaignOpts{Workers: 16}).Run(context.Background())
 
 	fields := []struct {
 		name string

@@ -59,7 +59,7 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 		w.Fabric.SetUnreachable(info.Addr4, true)
 		down++
 	}
-	run := RunProbes(context.Background(), w, []string{"t12"}, 16)
+	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 16}).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 	if a.ProbesTotal != len(w.Population.MTAs) {
 		t.Errorf("probes %d for %d MTAs", a.ProbesTotal, len(w.Population.MTAs))
@@ -88,7 +88,7 @@ func TestRunCancellation(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(120, 37), NotifyRates())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	run := RunProbes(ctx, w, []string{"t12"}, 8)
+	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 8}).Run(ctx)
 	if len(run.Results) >= len(w.Population.MTAs) {
 		t.Errorf("cancelled probe run processed all %d MTAs", len(run.Results))
 	}
@@ -110,7 +110,7 @@ func TestWorldRebuildAfterClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %d: %v", i, err)
 		}
-		run := RunProbes(context.Background(), w, []string{"t12"}, 8)
+		run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 8}).Run(context.Background())
 		if len(run.Results) != len(pop.MTAs) {
 			t.Errorf("build %d: %d results", i, len(run.Results))
 		}
@@ -146,7 +146,7 @@ func TestPaperScaleWorld(t *testing.T) {
 		t.Skip("larger-scale world")
 	}
 	w := buildTestWorld(t, smallNotifySpec(1200, 43), NotifyRates())
-	run := RunProbes(context.Background(), w, []string{"t01", "t12"}, 64)
+	run, _ := NewProbeCampaign(w, []string{"t01", "t12"}, ProbeCampaignOpts{Workers: 64}).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 	rate := float64(a.SPFDomains) / float64(a.Domains)
 	if rate < 0.40 || rate > 0.62 {

@@ -316,12 +316,3 @@ func Bucketize(samples []float64) Figure2Buckets {
 	}
 	return b
 }
-
-// NegativeFraction is the share of domains whose SPF lookup preceded
-// delivery (the paper reports 83%).
-func (b Figure2Buckets) NegativeFraction() float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return float64(b.LE30Neg+b.Neg15+b.Neg0) / float64(b.Total)
-}

@@ -73,7 +73,7 @@ func foldProperties[M ~map[string]V, V any](t *testing.T, log []dnsserver.LogEnt
 // real one: a small fleet probed with every behaviour-revealing policy.
 func TestObservations(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(400, 19), NotifyRates())
-	RunProbes(context.Background(), w, CoreTests[:11], 24)
+	NewProbeCampaign(w, CoreTests[:11], ProbeCampaignOpts{Workers: 24}).Run(context.Background())
 	log := w.Log.Entries()
 	obs := w.Observations()
 	if len(obs) < 100 {

@@ -112,10 +112,7 @@ func TestProbeCampaignTempfailGreylisting(t *testing.T) {
 	addrs := map[string]netip.Addr{"grey": greyAddr, "reject": rejectAddr}
 	var mu sync.Mutex
 	results := make(map[campaign.Key]*probe.Result)
-	c := campaign.New(campaign.Config{
-		Workers: 4, MaxAttempts: 5,
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-	}, func(ctx context.Context, task campaign.Task) error {
+	c := campaign.New(campaign.Config{Workers: 4, MaxAttempts: 5}, func(ctx context.Context, task campaign.Task) error {
 		res := client.Probe(ctx, addrs[task.MTA], task.MTA, task.Test)
 		mu.Lock()
 		results[task.Key()] = res

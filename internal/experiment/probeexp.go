@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/probe"
@@ -34,17 +32,6 @@ type ProbeRun struct {
 	Results map[string][]*probe.Result
 	// Tests is the test-ID list each MTA was probed with.
 	Tests []string
-}
-
-// RunProbes executes the probe experiment against every MTA in the
-// population: all test policies per MTA, MTA order shuffled (paper
-// §5.2), bounded worker concurrency, and the probing client pinned to
-// its (blacklisted) source addresses. It is a thin wrapper over a
-// campaign with the historical defaults (no rate limit, no journal);
-// NewProbeCampaign exposes the durable, rate-limited form.
-func RunProbes(ctx context.Context, w *World, tests []string, workers int) *ProbeRun {
-	run, _ := NewProbeCampaign(w, tests, ProbeCampaignOpts{Workers: workers}).Run(ctx)
-	return run
 }
 
 // ProbeAnalysis is the Table 5 summary of a probe experiment.

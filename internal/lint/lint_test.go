@@ -17,7 +17,8 @@ const moduleRoot = "../.."
 //   - (a) an exported func, type, const, var or method that no non-test
 //     file in the module uses, apart from its own declaration;
 //   - (b) an exported struct field that no non-test file writes: a
-//     knob with one value in use;
+//     knob with one value in use. A defaulting fill, x.F = d inside
+//     an if whose condition reads x.F, is no write;
 //   - (c) an exported struct field that no non-test file reads.
 //
 // The module root's external test files, api_test.go and

@@ -321,11 +321,13 @@ func structFields(info *types.Info, e ast.Expr, prefix string) []candidate {
 
 // access marks in written every field one of p's files writes, and in
 // read every field a value handed to encoding/json or a template
-// package carries, since those read fields by reflection. It returns
-// the field identifiers that are only written, never read (a
-// composite-literal key, an assignment's or ++'s left side), and the
-// receiver type identifiers of method declarations, which do not count
-// as uses of the type.
+// package carries, since those read fields by reflection. A defaulting
+// fill, an assignment to x.F inside an if whose condition reads x.F
+// (if x.F <= 0 { x.F = 32 }), is no write: it supplies the value no
+// caller set. It returns the field identifiers that are only written,
+// never read (a composite-literal key, an assignment's or ++'s left
+// side), and the receiver type identifiers of method declarations,
+// which do not count as uses of the type.
 func access(p *checked, written, read map[types.Object]bool) (writeOnly, recvs map[*ast.Ident]bool) {
 	writeOnly = map[*ast.Ident]bool{}
 	recvs = map[*ast.Ident]bool{}
@@ -354,9 +356,32 @@ func access(p *checked, written, read map[types.Object]bool) (writeOnly, recvs m
 			}
 		}
 	}
+	fills := map[ast.Expr]bool{} // the left sides of defaulting fills
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.IfStmt:
+				cond := map[string]bool{}
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if sel, ok := c.(*ast.SelectorExpr); ok {
+						cond[types.ExprString(sel)] = true
+					}
+					return true
+				})
+				ast.Inspect(n.Body, func(b ast.Node) bool {
+					if as, ok := b.(*ast.AssignStmt); ok {
+						for _, lhs := range as.Lhs {
+							sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+							if !ok || !cond[types.ExprString(sel)] {
+								continue
+							}
+							if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+								fills[lhs] = true
+							}
+						}
+					}
+					return true
+				})
 			case *ast.FuncDecl:
 				if n.Recv != nil {
 					ast.Inspect(n.Recv, func(n ast.Node) bool {
@@ -368,6 +393,12 @@ func access(p *checked, written, read map[types.Object]bool) (writeOnly, recvs m
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
+					if fills[lhs] {
+						sel := ast.Unparen(lhs).(*ast.SelectorExpr)
+						writeOnly[sel.Sel] = true
+						chain(sel.X, true)
+						continue
+					}
 					chain(lhs, true)
 				}
 			case *ast.IncDecStmt:

@@ -15,11 +15,19 @@ func (Box) Flush() {}
 
 func Flush() {}
 
-// Knobs holds Unset, read but never written (rule b), and Unread,
-// written but never read (rule c).
+// Knobs holds Unset, read but never written (rule b); Filled, written
+// only by the defaulting fill in fill, which is no write (rule b); and
+// Unread, written but never read (rule c).
 type Knobs struct {
 	Unset  int
+	Filled int
 	Unread int
+}
+
+func (k *Knobs) fill() {
+	if k.Filled <= 0 {
+		k.Filled = 3
+	}
 }
 
 // Writes has one field per write form; each is read once in Run.
@@ -70,6 +78,7 @@ func Run() {
 	Flush()
 	_, _ = Box{}, Tagged{}
 	var k Knobs
+	k.fill()
 	k.Unread = 1
 	w := Writes{Keyed: 1}
 	w.Assigned = 2

@@ -90,7 +90,7 @@ func BenchmarkSingleflightDedup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.cache = newCache(r.cfg.MaxCacheEntries)
+		r.cache = newCache(cacheEntries)
 		var wg sync.WaitGroup
 		for w := 0; w < g; w++ {
 			wg.Add(1)

@@ -16,11 +16,11 @@ import (
 	"sendervalid/internal/spf"
 )
 
-// TestCacheBoundUnderConcurrentHammer proves the configured
-// MaxCacheEntries bound holds while many goroutines insert disjoint
-// names concurrently (run under -race by `make test`): the cache may
-// hold stale entries between accesses, but it can never exceed the
-// configured capacity.
+// TestCacheBoundUnderConcurrentHammer proves the cache's capacity
+// bound holds while many goroutines insert disjoint names concurrently
+// (run under -race by `make test`): the cache may hold stale entries
+// between accesses, but it can never exceed its capacity. A 64-entry
+// cache lets 400 names overflow it.
 func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 	h := newStaticHandler()
 	const names = 400
@@ -29,7 +29,8 @@ func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 			&dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
 	}
 	const bound = 64
-	r := New(Config{Server: startServer(t, h), MaxCacheEntries: bound})
+	r := New(Config{Server: startServer(t, h)})
+	r.cache = newCache(bound)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -137,12 +138,12 @@ func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
 	}
 }
 
-// TestCacheBoundIsExact pins that MaxCacheEntries is the capacity, not
-// an upper bound on it: a default cache given exactly 4096 distinct
+// TestCacheBoundIsExact pins that cacheEntries is the capacity, not
+// an upper bound on it: a resolver's cache given exactly 4096 distinct
 // live entries keeps every one, and the next insert evicts exactly one.
 func TestCacheBoundIsExact(t *testing.T) {
 	r := New(Config{Server: "192.0.2.1:53"})
-	const n = 4096
+	const n = cacheEntries
 	name := func(i int) string { return fmt.Sprintf("e%04d.example.com.", i) }
 	insert := func(i int) {
 		r.cache.put(keyFor(name(i), dns.TypeTXT), &dns.Message{}, time.Now().Add(time.Hour))
@@ -172,9 +173,9 @@ func TestCacheBoundIsExact(t *testing.T) {
 // cache, as entries visited per insert: a cache that holds its whole
 // capacity live — the NotifyEmail sender's, at scale — must not walk
 // every entry to make room for each new one. It visits 8 per insert,
-// amortised, at the default capacity; a walk per insert visits 4096.
+// amortised, at the resolver's capacity; a walk per insert visits 4096.
 func TestCacheEvictionIsAmortised(t *testing.T) {
-	c := newCache(4096)
+	c := newCache(cacheEntries)
 	later := time.Now().Add(time.Hour)
 	msg := &dns.Message{}
 	for i := range c.capacity {

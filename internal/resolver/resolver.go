@@ -70,8 +70,6 @@ type Config struct {
 	// response. The paper found only 2 of 1336 resolvers with this
 	// defect (§7.3).
 	DisableTCP bool
-	// MaxCacheEntries bounds the cache, exactly. Zero means 4096.
-	MaxCacheEntries int
 	// Dialer, when set, overrides socket creation (used to route
 	// queries through a simulated network fabric).
 	Dialer dns.Dialer
@@ -89,6 +87,9 @@ type Resolver struct {
 	flight flightGroup
 }
 
+// cacheEntries is the cache's capacity, exactly.
+const cacheEntries = 4096
+
 // DefaultNegativeTTL is how long empty results (NXDOMAIN or no
 // records) stay cached.
 const DefaultNegativeTTL = 30 * time.Second
@@ -101,9 +102,6 @@ const maxRetries = 2
 
 // New creates a Resolver from cfg.
 func New(cfg Config) *Resolver {
-	if cfg.MaxCacheEntries == 0 {
-		cfg.MaxCacheEntries = 4096
-	}
 	return &Resolver{
 		cfg: cfg,
 		client: &dns.Client{
@@ -111,7 +109,7 @@ func New(cfg Config) *Resolver {
 			Dialer:             cfg.Dialer,
 			DisableTCPFallback: cfg.DisableTCP,
 		},
-		cache: newCache(cfg.MaxCacheEntries),
+		cache: newCache(cacheEntries),
 	}
 }
 

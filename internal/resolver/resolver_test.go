@@ -278,7 +278,8 @@ func TestCachePressureRelief(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h.add(name(i), dns.TypeA, &dns.A{Addr: netip.MustParseAddr("192.0.2.9")})
 	}
-	r := New(Config{Server: startServer(t, h), MaxCacheEntries: 10})
+	r := New(Config{Server: startServer(t, h)})
+	r.cache = newCache(10)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		if _, err := r.LookupA(ctx, name(i)); err != nil {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // BenchmarkWALAppend measures the per-record append cost of each sync
@@ -20,7 +19,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []SyncPolicy{SyncNone, SyncInterval, SyncAlways} {
 		b.Run(policy.String(), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.wal")
-			w, err := Open(path, Options{Sync: policy, Interval: 10 * time.Millisecond})
+			w, err := Open(path, Options{Sync: policy})
 			if err != nil {
 				b.Fatal(err)
 			}

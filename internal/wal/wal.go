@@ -73,14 +73,17 @@ const (
 	// crash can lose recently appended records.
 	SyncNone SyncPolicy = iota
 	// SyncInterval group-commits: a background flusher fsyncs the file
-	// every Options.Interval while appends are dirty. A machine crash
-	// loses at most one interval of records.
+	// every syncPeriod while appends are dirty. A machine crash loses
+	// at most one period of records.
 	SyncInterval
 	// SyncAlways fsyncs before Append returns: once Append returns
 	// nil, the record survives machine failure. The per-record fsync
 	// cost is measured by BenchmarkWALAppend.
 	SyncAlways
 )
+
+// syncPeriod is SyncInterval's group-commit period.
+const syncPeriod = 100 * time.Millisecond
 
 // String returns the flag spelling of the policy.
 func (p SyncPolicy) String() string {
@@ -118,8 +121,6 @@ type File interface {
 type Options struct {
 	// Sync is the durability policy; see SyncPolicy.
 	Sync SyncPolicy
-	// Interval is the SyncInterval group-commit period. Default 100ms.
-	Interval time.Duration
 	// RotateBytes rotates the live file to <path>.<seq> via atomic
 	// rename once appending a record would push it past this size.
 	// Zero disables rotation. Records never span segments.
@@ -130,12 +131,6 @@ type Options struct {
 	// stops writing at a scheduled byte offset simulates torn writes
 	// without killing the process.
 	WrapFile func(File) File
-}
-
-func (o *Options) fillDefaults() {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 }
 
 // ErrNotWAL is returned by Open for a non-empty file that does not
@@ -188,7 +183,6 @@ type WAL struct {
 // Recovered. A non-empty file that is not framed fails with ErrNotWAL
 // rather than truncating someone else's data.
 func Open(path string, opts Options) (*WAL, error) {
-	opts.fillDefaults()
 	stats, err := Recover(path, RecoverOptions{RefuseUnframed: true})
 	if err != nil {
 		return nil, err
@@ -373,7 +367,7 @@ func (w *WAL) fail(err error) {
 // flusher is the SyncInterval group-commit loop.
 func (w *WAL) flusher() {
 	defer close(w.flushDone)
-	ticker := time.NewTicker(w.opts.Interval)
+	ticker := time.NewTicker(syncPeriod)
 	defer ticker.Stop()
 	for {
 		select {

@@ -117,7 +117,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncNone, SyncInterval, SyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log.wal")
-			w, err := Open(path, Options{Sync: policy, Interval: 5 * time.Millisecond})
+			w, err := Open(path, Options{Sync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
