@@ -335,15 +335,7 @@ func BenchmarkProbeSession(b *testing.B) {
 	}
 	fabric := netsim.NewFabric()
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(dnsAddr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+	if err := srv.Serve(fabric, dnsAddr); err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })

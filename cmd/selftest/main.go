@@ -83,15 +83,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	// UDP and TCP on one address.
 	fabric := netsim.NewFabric()
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(dnsAddr)
-	if err != nil {
-		return fail(err)
-	}
-	dnsLn, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		return fail(err)
-	}
-	if err := srv.Serve(pc, dnsLn, nil, nil); err != nil {
+	if err := srv.Serve(fabric, dnsAddr); err != nil {
 		return fail(err)
 	}
 	defer func() {

@@ -64,15 +64,7 @@ func main() {
 	// answers UDP and TCP on one address there.
 	fabric := netsim.NewFabric()
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(dnsAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+	if err := srv.Serve(fabric, dnsAddr); err != nil {
 		log.Fatal(err)
 	}
 	defer func() {

@@ -42,15 +42,7 @@ func main() {
 	// fabric, which carries every packet of the run.
 	fabric := netsim.NewFabric()
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(dnsAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := authdns.Serve(pc, ln, nil, nil); err != nil {
+	if err := authdns.Serve(fabric, dnsAddr); err != nil {
 		log.Fatal(err)
 	}
 	defer func() {

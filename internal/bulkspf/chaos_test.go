@@ -49,15 +49,7 @@ func fabricDNS(t *testing.T, fabric *netsim.Fabric, addr netip.AddrPort, suffix 
 		static.TXT(name, rec)
 	}
 	srv := &dnsserver.Server{Zones: []*dnsserver.Zone{{Suffix: suffix, LabelDepth: 1, Default: static}}}
-	pc, err := fabric.ListenPacket(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := fabric.Listen(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+	if err := srv.Serve(fabric, addr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

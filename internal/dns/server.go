@@ -90,7 +90,10 @@ type PacketConn interface {
 	Close() error
 }
 
-// Server serves DNS over both UDP and TCP on the same address.
+// Server serves DNS over both UDP and TCP on the same address: host
+// sockets it binds itself (Start), or a datagram endpoint and stream
+// connections handed to it (Serve and ServeConn), a simulated
+// fabric's say.
 //
 // The serving path degrades instead of dying: handler panics are
 // recovered into SERVFAIL responses, per-source rate limiting (when
@@ -118,7 +121,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	udp      PacketConn
-	ln       net.Listener
+	ln       net.Listener          // Start's listener; nil under Serve
+	conns    map[net.Conn]struct{} // the TCP connections being served
 	started  bool
 	shutdown chan struct{}
 	wg       sync.WaitGroup
@@ -144,7 +148,7 @@ func (s *Server) Start() (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Serve(pc, ln); err != nil {
+	if err := s.start(pc, ln); err != nil {
 		pc.Close()
 		ln.Close()
 		return nil, err
@@ -174,11 +178,17 @@ func listen(addr string) (*net.UDPConn, net.Listener, error) {
 	}
 }
 
-// Serve answers queries on an endpoint the caller bound — host sockets
-// or a simulated fabric's — in background goroutines:
-// GOMAXPROCS(0) readers on pc and an accept loop on ln. Shutdown
-// closes both.
-func (s *Server) Serve(pc PacketConn, ln net.Listener) error {
+// Serve answers the datagrams of an endpoint the caller bound, a
+// simulated fabric's say, on GOMAXPROCS(0) reader goroutines; TCP
+// connections reach the server through ServeConn. Shutdown stops the
+// readers and closes pc.
+func (s *Server) Serve(pc PacketConn) error {
+	return s.start(pc, nil)
+}
+
+// start serves pc and, for Start's host sockets, runs the accept loop
+// on ln.
+func (s *Server) start(pc PacketConn, ln net.Listener) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started {
@@ -188,6 +198,7 @@ func (s *Server) Serve(pc PacketConn, ln net.Listener) error {
 		return errors.New("dns: server has no handler")
 	}
 	s.udp, s.ln = pc, ln
+	s.conns = make(map[net.Conn]struct{})
 	s.shutdown = make(chan struct{})
 	s.started = true
 	s.metrics.init()
@@ -195,15 +206,19 @@ func (s *Server) Serve(pc PacketConn, ln net.Listener) error {
 		s.limiter = NewRateLimiter(s.MaxQPSPerSource, s.BurstPerSource)
 	}
 	readers := runtime.GOMAXPROCS(0)
-	s.wg.Add(readers + 1)
+	s.wg.Add(readers)
 	for range readers {
 		go s.serveUDP()
 	}
-	go s.serveTCP(ln)
+	if ln != nil {
+		s.wg.Add(1)
+		go s.acceptTCP(ln)
+	}
 	return nil
 }
 
-// LocalAddr returns the bound UDP address, or nil before Start.
+// LocalAddr returns the bound UDP address, or nil before Start or
+// Serve.
 func (s *Server) LocalAddr() net.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,7 +231,8 @@ func (s *Server) LocalAddr() net.Addr {
 // Shutdown stops accepting queries, waits for in-flight handlers and
 // delayed answers (or ctx), then closes the UDP socket. The socket
 // stays open meanwhile so that a query already being answered still
-// gets its answer.
+// gets its answer; so does a TCP connection, whose idle wait for its
+// next query ends at once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
@@ -224,8 +240,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	close(s.shutdown)
-	_ = s.udp.SetReadDeadline(time.Now()) // wakes every reader, which exits on closing()
-	s.ln.Close()
+	// A past read deadline wakes every UDP reader and every TCP
+	// connection waiting for a query; each exits on closing().
+	now := time.Now()
+	_ = s.udp.SetReadDeadline(now)
+	for c := range s.conns {
+		_ = c.SetReadDeadline(now)
+	}
+	if s.ln != nil {
+		s.ln.Close()
+	}
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -408,7 +432,9 @@ func (s *Server) serveUDP() {
 	}
 }
 
-func (s *Server) serveTCP(ln net.Listener) {
+// acceptTCP is Start's accept loop: each connection is served by
+// ServeConn on a goroutine of its own.
+func (s *Server) acceptTCP(ln net.Listener) {
 	defer s.wg.Done()
 	var delay time.Duration
 	for {
@@ -423,11 +449,7 @@ func (s *Server) serveTCP(ln net.Listener) {
 			continue
 		}
 		delay = 0
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleTCPConn(conn)
-		}()
+		go s.ServeConn(conn)
 	}
 }
 
@@ -435,18 +457,50 @@ func (s *Server) serveTCP(ln net.Listener) {
 // queries.
 const tcpIdleTimeout = 10 * time.Second
 
-// remoteAddrPort reads a connection's remote address: directly from a
-// *net.TCPAddr, by its string form from any other net.Addr (a
-// simulated fabric's). It is the zero AddrPort when neither works.
+// remoteAddrPort reads a connection's remote address through its
+// AddrPort method, which *net.TCPAddr and a simulated fabric's
+// addresses both have. It is the zero AddrPort for any other net.Addr.
 func remoteAddrPort(a net.Addr) netip.AddrPort {
-	if ta, ok := a.(*net.TCPAddr); ok {
-		return unmap(ta.AddrPort())
+	if ap, ok := a.(interface{ AddrPort() netip.AddrPort }); ok {
+		return unmap(ap.AddrPort())
 	}
-	ap, _ := netip.ParseAddrPort(a.String())
-	return unmap(ap)
+	return netip.AddrPort{}
 }
 
-func (s *Server) handleTCPConn(conn net.Conn) {
+// admit registers a TCP connection for Shutdown to wake. Unless the
+// server is shutting down or not yet serving, it counts the connection
+// in s.wg, under s.mu after the closing check, so Shutdown's Wait never
+// races the Add.
+func (s *Server) admit(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.started || s.closing() {
+		return false
+	}
+	s.wg.Add(1)
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+// release deregisters a connection admit registered.
+func (s *Server) release(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// ServeConn answers the queries of one TCP connection on the caller's
+// goroutine and closes conn when the client does, after tcpIdleTimeout
+// without a query, or at Shutdown. A simulated fabric hands each stream
+// connection here (netsim.Fabric.Handle). Before Serve or Start, and
+// after Shutdown, conn is closed unserved.
+func (s *Server) ServeConn(conn net.Conn) {
+	if !s.admit(conn) {
+		conn.Close()
+		return
+	}
+	defer s.release(conn)
 	defer conn.Close()
 	w := &tcpResponseWriter{conn: conn, metrics: &s.metrics}
 	var pkt []byte // per-connection read buffer, grown on demand
@@ -455,6 +509,11 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 	r := &Request{Msg: msg, Transport: "tcp", RemoteAddr: remoteAddrPort(conn.RemoteAddr())}
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout))
+		// Checked after the deadline is set: Shutdown sets its past one
+		// after closing, so a read begun here is woken either way.
+		if s.closing() {
+			return
+		}
 		var err error
 		pkt, err = readTCPMessageInto(conn, pkt)
 		if err != nil {
@@ -467,9 +526,6 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 		s.metrics.queriesTCP.Inc()
 		if s.serve(w, r) {
 			s.finish(r.Received, r.Span)
-		}
-		if s.closing() {
-			return
 		}
 	}
 }

@@ -50,10 +50,11 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	reg.MustCounter("dnsserver_zone_misses_total",
 		"Queries refused for matching no served zone.",
 		&s.metrics.zoneMiss, labels...)
-	if s.srv4 != nil {
-		s.srv4.RegisterMetrics(reg, telemetry.WithLabel(labels, "endpoint", "v4")...)
-	}
-	if s.srv6 != nil {
-		s.srv6.RegisterMetrics(reg, telemetry.WithLabel(labels, "endpoint", "v6")...)
+	for _, ep := range s.eps {
+		family := "v4"
+		if ep.v6 {
+			family = "v6"
+		}
+		ep.RegisterMetrics(reg, telemetry.WithLabel(labels, "endpoint", family)...)
 	}
 }

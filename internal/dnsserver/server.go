@@ -1,14 +1,17 @@
 package dnsserver
 
 import (
+	"cmp"
 	"context"
 	"net"
+	"net/netip"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"sendervalid/internal/dns"
+	"sendervalid/internal/netsim"
 	"sendervalid/internal/trace"
 )
 
@@ -165,9 +168,9 @@ func (z *Zone) responderFor(q *Query) Responder {
 }
 
 // Server is the synthesizing authoritative server. It serves the
-// configured zones on an IPv4 and (optionally) an IPv6 endpoint, host
-// sockets (Start) or a simulated fabric's (Serve), and records every
-// query in its log.
+// configured zones on host sockets (Start: an IPv4 and optionally an
+// IPv6 endpoint) or at addresses of a simulated fabric (Serve), and
+// records every query in its log.
 type Server struct {
 	// Zones are served authoritatively. Longest-suffix match wins.
 	Zones []*Zone
@@ -192,8 +195,8 @@ type Server struct {
 	// annotates it with the (testid, mtaid) attribution.
 	Tracer *trace.Tracer
 
-	srv4 *dns.Server
-	srv6 *dns.Server
+	eps []endpoint         // the transport endpoints, in the order bound
+	lns []*netsim.Listener // Serve's stream registrations on the fabric
 
 	// initOnce guards ordered: the zones compiled and sorted
 	// longest-suffix-first at Start, so the per-query zoneFor walk is a
@@ -225,67 +228,86 @@ func (s *Server) init() {
 // one.
 func (s *Server) Start() (net.Addr, error) {
 	s.init()
-	s.srv4 = s.endpoint(false)
-	s.srv4.Addr = s.Addr4
-	if s.srv4.Addr == "" {
-		s.srv4.Addr = "127.0.0.1:0"
-	}
-	bound, err := s.srv4.Start()
+	v4 := s.newEndpoint(false)
+	v4.Addr = cmp.Or(s.Addr4, "127.0.0.1:0")
+	bound, err := v4.Start()
 	if err != nil {
 		return nil, err
 	}
+	s.eps = append(s.eps, v4)
 	if s.Addr6 != "" {
-		s.srv6 = s.endpoint(true)
-		s.srv6.Addr = s.Addr6
-		if _, err := s.srv6.Start(); err != nil {
-			_ = s.srv4.Shutdown(context.Background())
+		v6 := s.newEndpoint(true)
+		v6.Addr = s.Addr6
+		if _, err := v6.Start(); err != nil {
+			_ = s.Shutdown(context.Background())
 			return nil, err
 		}
+		s.eps = append(s.eps, v6)
 	}
 	return bound, nil
 }
 
-// Serve answers on endpoints the caller bound, a simulated fabric's
-// say: pc4 and ln4 are the IPv4 datagram endpoint and stream listener,
-// pc6 and ln6 the IPv6 pair, or nil for none. Queries on the IPv6 pair
-// are the ones logged OverIPv6.
-func (s *Server) Serve(pc4 dns.PacketConn, ln4 net.Listener, pc6 dns.PacketConn, ln6 net.Listener) error {
+// Serve answers at each of addrs on the simulated fabric f: UDP on an
+// endpoint it binds there, TCP by the fabric handing each connection
+// to that endpoint. Queries to an IPv6 address are the ones logged
+// OverIPv6. On error nothing is left serving.
+func (s *Server) Serve(f *netsim.Fabric, addrs ...netip.AddrPort) error {
 	s.init()
-	s.srv4 = s.endpoint(false)
-	if err := s.srv4.Serve(pc4, ln4); err != nil {
-		return err
-	}
-	if pc6 != nil {
-		s.srv6 = s.endpoint(true)
-		if err := s.srv6.Serve(pc6, ln6); err != nil {
-			_ = s.srv4.Shutdown(context.Background())
+	for _, addr := range addrs {
+		if err := s.bind(f, addr); err != nil {
+			_ = s.Shutdown(context.Background())
 			return err
 		}
 	}
 	return nil
 }
 
-// endpoint builds one transport endpoint with the server's hardening
+// bind serves one endpoint at addr on f. The endpoint joins s.eps as
+// soon as it serves, so Shutdown stops it even when Handle fails.
+func (s *Server) bind(f *netsim.Fabric, addr netip.AddrPort) error {
+	pc, err := f.ListenPacket(addr)
+	if err != nil {
+		return err
+	}
+	ep := s.newEndpoint(addr.Addr().Is6())
+	if err := ep.Serve(pc); err != nil {
+		pc.Close()
+		return err
+	}
+	s.eps = append(s.eps, ep)
+	ln, err := f.Handle(addr, ep.ServeConn)
+	if err != nil {
+		return err
+	}
+	s.lns = append(s.lns, ln)
+	return nil
+}
+
+// endpoint is one transport endpoint, and whether its queries are the
+// ones logged OverIPv6.
+type endpoint struct {
+	*dns.Server
+	v6 bool
+}
+
+// newEndpoint builds one transport endpoint with the server's hardening
 // configuration applied.
-func (s *Server) endpoint(v6 bool) *dns.Server {
-	return &dns.Server{
+func (s *Server) newEndpoint(v6 bool) endpoint {
+	return endpoint{&dns.Server{
 		Handler:         s.handler(v6),
 		MaxQPSPerSource: s.MaxQPSPerSource,
 		BurstPerSource:  s.BurstPerSource,
 		Logf:            s.Logf,
 		Tracer:          s.Tracer,
-	}
+	}, v6}
 }
 
 // Panics returns the number of handler panics — a responder's
 // included — the endpoints recovered into SERVFAIL answers since Start.
 func (s *Server) Panics() uint64 {
 	var n uint64
-	if s.srv4 != nil {
-		n += s.srv4.Panics()
-	}
-	if s.srv6 != nil {
-		n += s.srv6.Panics()
+	for _, ep := range s.eps {
+		n += ep.Panics()
 	}
 	return n
 }
@@ -293,31 +315,32 @@ func (s *Server) Panics() uint64 {
 // Refused returns the number of rate-limited queries across endpoints.
 func (s *Server) Refused() uint64 {
 	var n uint64
-	if s.srv4 != nil {
-		n += s.srv4.Refused()
-	}
-	if s.srv6 != nil {
-		n += s.srv6.Refused()
+	for _, ep := range s.eps {
+		n += ep.Refused()
 	}
 	return n
 }
 
-// Addr6Bound returns the bound IPv6 endpoint, or nil when disabled.
+// Addr6Bound returns the bound IPv6 endpoint, or nil when none is.
 func (s *Server) Addr6Bound() net.Addr {
-	if s.srv6 == nil {
-		return nil
+	for _, ep := range s.eps {
+		if ep.v6 {
+			return ep.LocalAddr()
+		}
 	}
-	return s.srv6.LocalAddr()
+	return nil
 }
 
-// Shutdown stops both endpoints.
+// Shutdown deregisters Serve's fabric addresses, so no connection is
+// handed over any more, then stops every endpoint. It returns the
+// first endpoint's error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var first error
-	if s.srv4 != nil {
-		first = s.srv4.Shutdown(ctx)
+	for _, ln := range s.lns {
+		ln.Close()
 	}
-	if s.srv6 != nil {
-		if err := s.srv6.Shutdown(ctx); err != nil && first == nil {
+	var first error
+	for _, ep := range s.eps {
+		if err := ep.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}
 	}

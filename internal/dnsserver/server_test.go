@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"sendervalid/internal/dns"
+	"sendervalid/internal/leaktest"
+	"sendervalid/internal/netsim"
 )
 
 const testSuffix = "spf-test.dns-lab.example."
@@ -561,5 +564,83 @@ func TestARecordSynthesis(t *testing.T) {
 	}
 	if len(resp.Answers) != 1 || resp.Answers[0].Data.(*dns.A).Addr.String() != "192.0.2.1" {
 		t.Errorf("A synthesis: %s", resp)
+	}
+}
+
+// TestServeFabric serves one server at a fabric's IPv6 and IPv4
+// addresses, IPv6 first: each answers over UDP and TCP, and a query is
+// logged OverIPv6 by the family of the address it reached, not by the
+// argument's position. Shutdown leaves nothing running.
+func TestServeFabric(t *testing.T) {
+	defer leaktest.Check(t)()
+	fabric := netsim.NewFabric()
+	addr4 := netip.MustParseAddrPort("192.0.2.53:53")
+	addr6 := netip.MustParseAddrPort("[2001:db8:53::53]:53")
+	log := &QueryLog{}
+	srv := &Server{Zones: []*Zone{{Suffix: testSuffix, Default: ResponderFunc(func(q *Query) Response {
+		return Response{Records: []dns.RR{TXTRecord(q.Name, "v=spf1 -all", 60)}}
+	})}}, Log: log}
+	if err := srv.Serve(fabric, addr6, addr4); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Addr6Bound(); got == nil || got.String() != addr6.String() {
+		t.Errorf("Addr6Bound = %v, want %s", got, addr6)
+	}
+	c := &dns.Client{Timeout: 2 * time.Second, Dialer: fabric.BoundDialer(
+		netip.MustParseAddr("203.0.113.25"), netip.MustParseAddr("2001:db8:25::25"))}
+	for _, addr := range []netip.AddrPort{addr4, addr6} {
+		for _, network := range []string{"udp", "tcp"} {
+			q := new(dns.Message).SetQuestion("t01.m0001."+testSuffix, dns.TypeTXT)
+			resp, err := c.ExchangeOver(context.Background(), q, network, addr.String())
+			if err != nil {
+				t.Fatalf("%s query to %s: %v", network, addr, err)
+			}
+			if len(resp.Answers) != 1 {
+				t.Errorf("%s query to %s: %d answers, want 1", network, addr, len(resp.Answers))
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	var got []string
+	for _, e := range log.Entries() {
+		got = append(got, fmt.Sprintf("%s v6=%t", e.Transport, e.OverIPv6))
+	}
+	want := []string{"udp v6=false", "tcp v6=false", "udp v6=true", "tcp v6=true"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("logged %v, want %v", got, want)
+	}
+}
+
+// TestServeFabricErrorLeavesNothingServing makes Serve fail at its
+// second address, whose stream side is taken after its datagram
+// endpoint already serves. Nothing may be left serving: both datagram
+// addresses are free again, and no reader goroutine remains.
+func TestServeFabricErrorLeavesNothingServing(t *testing.T) {
+	defer leaktest.Check(t)()
+	fabric := netsim.NewFabric()
+	addr4 := netip.MustParseAddrPort("192.0.2.53:53")
+	addr6 := netip.MustParseAddrPort("[2001:db8:53::53]:53")
+	taken, err := fabric.Handle(addr6, func(c net.Conn) { c.Close() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	srv := &Server{Zones: []*Zone{{Suffix: testSuffix}}}
+	if err := srv.Serve(fabric, addr4, addr6); !errors.Is(err, netsim.ErrAddrInUse) {
+		t.Fatalf("Serve with a taken stream address = %v, want ErrAddrInUse", err)
+	}
+	for _, addr := range []netip.AddrPort{addr4, addr6} {
+		pc, err := fabric.ListenPacket(addr)
+		if err != nil {
+			t.Fatalf("%s still bound after a failed Serve: %v", addr, err)
+		}
+		pc.Close()
+	}
+	if _, err := fabric.DialContext(context.Background(), "tcp", addr4.String()); err == nil {
+		t.Errorf("%s still takes stream dials after a failed Serve", addr4)
 	}
 }

@@ -11,13 +11,11 @@ import (
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
-	"net"
 	"net/netip"
 	"time"
 
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/dkim"
-	"sendervalid/internal/dns"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/mtasim"
 	"sendervalid/internal/netsim"
@@ -183,7 +181,11 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		Log:    log,
 		Tracer: cfg.Tracer,
 	}
-	if err := serveDNS(fabric, srv, cfg.EnableIPv6DNS); err != nil {
+	dnsAddrs := []netip.AddrPort{dnsAddr4}
+	if cfg.EnableIPv6DNS {
+		dnsAddrs = append(dnsAddrs, dnsAddr6)
+	}
+	if err := srv.Serve(fabric, dnsAddrs...); err != nil {
 		return nil, err
 	}
 
@@ -226,29 +228,6 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		w.MTAs[info.ID] = mta
 	}
 	return w, nil
-}
-
-// serveDNS serves srv on the fabric: UDP and TCP on dnsAddr4, and on
-// dnsAddr6 too when v6 is set. On error nothing is serving, and the
-// endpoints bound so far go with the fabric the caller discards.
-func serveDNS(fabric *netsim.Fabric, srv *dnsserver.Server, v6 bool) error {
-	addrs := []netip.AddrPort{dnsAddr4}
-	if v6 {
-		addrs = append(addrs, dnsAddr6)
-	}
-	pcs, lns := make([]dns.PacketConn, 2), make([]net.Listener, 2)
-	for i, addr := range addrs {
-		pc, err := fabric.ListenPacket(addr)
-		if err != nil {
-			return err
-		}
-		ln, err := fabric.Listen(addr)
-		if err != nil {
-			return err
-		}
-		pcs[i], lns[i] = pc, ln
-	}
-	return srv.Serve(pcs[0], lns[0], pcs[1], lns[1])
 }
 
 // RegisterMetrics publishes the world's serving-side telemetry — the

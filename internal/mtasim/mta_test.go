@@ -86,18 +86,7 @@ func newWorld(t *testing.T) *world {
 	fabric := netsim.NewFabric()
 	addr4 := netip.MustParseAddrPort("192.0.2.53:53")
 	addr6 := netip.MustParseAddrPort("[2001:db8:53::53]:53")
-	var pcs [2]*netsim.PacketConn
-	var lns [2]*netsim.Listener
-	for i, addr := range []netip.AddrPort{addr4, addr6} {
-		var err error
-		if pcs[i], err = fabric.ListenPacket(addr); err != nil {
-			t.Fatal(err)
-		}
-		if lns[i], err = fabric.Listen(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Serve(pcs[0], lns[0], pcs[1], lns[1]); err != nil {
+	if err := srv.Serve(fabric, addr4, addr6); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

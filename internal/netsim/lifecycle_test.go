@@ -9,34 +9,6 @@ import (
 	"time"
 )
 
-// TestListenerCloseResetsBacklog pins what happens to a connection that
-// was dialled but never accepted when its listener goes away: the
-// dialer sees a reset at once, not its own read deadline.
-func TestListenerCloseResetsBacklog(t *testing.T) {
-	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := dial(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	l.Close()
-
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, ErrConnReset) {
-		t.Fatalf("read on a connection stranded in a closed listener's backlog = %v; want ErrConnReset", err)
-	}
-	if _, err := conn.Write([]byte("x")); !errors.Is(err, ErrConnReset) {
-		t.Errorf("write = %v; want ErrConnReset", err)
-	}
-	if _, err := dial(f); !errors.Is(err, ErrConnRefused) {
-		t.Errorf("dial after close = %v; want ErrConnRefused", err)
-	}
-}
-
 // TestClosedConnsRetainNothing is the connection-lifecycle pin: a
 // connection that armed far-future deadlines on both ends, carried
 // traffic and was closed leaves nothing reachable — in particular not
@@ -44,7 +16,7 @@ func TestListenerCloseResetsBacklog(t *testing.T) {
 // timer keeps its whole connection alive until it goes off.
 func TestClosedConnsRetainNothing(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +27,7 @@ func TestClosedConnsRetainNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		server, err := l.Accept()
+		server, err := l.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +204,7 @@ func TestPipeConnSetDeadlineArmsOneTimer(t *testing.T) {
 // SetDeadline armed for both directions.
 func TestPipeConnWriteAfterDeadlineFires(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +228,7 @@ func TestPipeConnWriteAfterDeadlineFires(t *testing.T) {
 // future or the past, through either setter.
 func TestPipeConnDeadlineSetWhileBlocked(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

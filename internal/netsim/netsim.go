@@ -34,7 +34,6 @@ var (
 	ErrAddrInUse        = errors.New("netsim: address already in use")
 	ErrConnRefused      = fmt.Errorf("netsim: %w", syscall.ECONNREFUSED)
 	ErrConnReset        = fmt.Errorf("netsim: %w", syscall.ECONNRESET)
-	ErrListenerClosed   = errors.New("netsim: listener closed")
 	ErrDeadlineExceeded = fmt.Errorf("netsim: %w", os.ErrDeadlineExceeded)
 	// ErrLinkDown reports a dial attempted while the link is inside a
 	// fault-profile flap window.
@@ -87,26 +86,17 @@ func (f *Fabric) SetUnreachable(addr netip.Addr, unreachable bool) {
 	}
 }
 
-// Listen registers a listener on addr.
-func (f *Fabric) Listen(addr netip.AddrPort) (*Listener, error) {
-	return f.Handle(addr, nil)
-}
-
-// Handle registers serve as the server of addr: each connection
-// dialled to it is handed to serve on a goroutine the dial starts, so
-// an address nobody dials holds no goroutine. serve owns the
-// connection. The Listener's Close deregisters addr, and its Accept
-// only waits for that. A nil serve is Listen.
+// Handle registers serve as the stream server of addr: each
+// connection dialled to it is handed to serve on a goroutine the dial
+// starts, so an address nobody dials holds no goroutine. serve owns the
+// connection. The Listener's Close deregisters addr.
 func (f *Fabric) Handle(addr netip.AddrPort, serve func(net.Conn)) (*Listener, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, taken := f.listeners[addr]; taken {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, addr)
 	}
-	l := &Listener{fabric: f, addr: addr, serve: serve, closed: make(chan struct{})}
-	if serve == nil {
-		l.backlog = make(chan *pipeConn, 128)
-	}
+	l := &Listener{fabric: f, addr: addr, serve: serve}
 	f.listeners[addr] = l
 	return l, nil
 }
@@ -133,7 +123,7 @@ func (f *Fabric) ephemeralLocked(addr netip.Addr) (netip.AddrPort, error) {
 
 // dial establishes a connection, applying the link's fault profile.
 // datagram ("udp") connects to the PacketConn bound at remote, a
-// stream dial to the Listener.
+// stream dial hands its server end to the Listener's serve.
 func (f *Fabric) dial(ctx context.Context, local netip.Addr, remote netip.AddrPort, datagram bool) (net.Conn, error) {
 	f.mu.Lock()
 	var l *Listener
@@ -177,33 +167,20 @@ func (f *Fabric) dial(ctx context.Context, local netip.Addr, remote netip.AddrPo
 
 	clientEnd, serverEnd := newPipePair(client, remote)
 	clientEnd.faults, serverEnd.faults = faults, faults
-	if l.serve != nil {
-		// Under f.mu, so no hand-off starts once Close has deregistered l.
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.listeners[remote] != l {
-			return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
-		}
-		go l.serve(serverEnd)
-		return clientEnd, nil
-	}
-	select {
-	case l.backlog <- serverEnd:
-		if isClosedChan(l.closed) {
-			l.resetBacklog() // Close may have swept before this landed
-		}
-		return clientEnd, nil
-	case <-l.closed:
+	// Under f.mu, so no hand-off starts once Close has deregistered l.
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.listeners[remote] != l {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, remote)
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	go l.serve(serverEnd)
+	return clientEnd, nil
 }
 
 // DialContext implements the dns.Dialer / generic dialer shape. A "tcp"
-// network connects a duplex pipe to the Listener at address; a "udp"
-// network connects a datagram client to the PacketConn there. The
-// local address is a synthetic client endpoint.
+// network connects a duplex pipe to the server Handle registered at
+// address; a "udp" network connects a datagram client to the
+// PacketConn there. The local address is a synthetic client endpoint.
 func (f *Fabric) DialContext(ctx context.Context, network, address string) (net.Conn, error) {
 	remote, err := netip.ParseAddrPort(address)
 	if err != nil {
@@ -253,58 +230,24 @@ func (d *BoundDialer) DialContext(ctx context.Context, network, address string) 
 	return d.fabric.dial(ctx, local, remote, isDatagram(network))
 }
 
-// Listener is an address's registration: it queues dialled
-// connections for Accept, or hands each to its serve function.
+// Listener is an address's registration with Handle: it hands each
+// dialled connection to its serve function.
 type Listener struct {
-	fabric  *Fabric
-	addr    netip.AddrPort
-	serve   func(net.Conn) // nil: connections queue in backlog
-	backlog chan *pipeConn
-	closed  chan struct{}
-	once    sync.Once
+	fabric *Fabric
+	addr   netip.AddrPort
+	serve  func(net.Conn)
 }
 
-// Accept waits for the next inbound connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.closed:
-		return nil, ErrListenerClosed
-	}
-}
-
-// Close deregisters the listener and resets the connections still
-// waiting in its backlog, so their dialers see ErrConnReset — what TCP
-// delivers when a listening socket goes away — instead of waiting out
-// their own read deadlines on a connection nobody will ever serve.
-// Once Close returns no hand-off starts, and a dial is refused.
+// Close deregisters the address. Once Close returns no hand-off
+// starts, and a dial is refused; connections already handed off stay
+// with their server.
 func (l *Listener) Close() error {
-	l.once.Do(func() {
-		close(l.closed)
-		l.fabric.mu.Lock()
+	l.fabric.mu.Lock()
+	if l.fabric.listeners[l.addr] == l {
 		delete(l.fabric.listeners, l.addr)
-		l.fabric.mu.Unlock()
-		l.resetBacklog()
-	})
-	return nil
-}
-
-// resetBacklog aborts every connection queued but not accepted.
-func (l *Listener) resetBacklog() {
-	for {
-		select {
-		case c := <-l.backlog:
-			c.reset() // never accepted, so it holds no deadline to stop
-		default:
-			return
-		}
 	}
-}
-
-// Addr returns the simulated listen address.
-func (l *Listener) Addr() net.Addr {
-	return simAddr(l.addr)
+	l.fabric.mu.Unlock()
+	return nil
 }
 
 // simAddr renders a simulated address as a net.Addr.

@@ -24,9 +24,58 @@ func dial(f *Fabric) (net.Conn, error) {
 	return f.BoundDialer(clientAddr, netip.Addr{}).DialContext(context.Background(), "tcp", mtaAddr.String())
 }
 
+// Queue is the server the stream tests register with Handle: it holds
+// each handed-off connection until Next takes it, so a test drives the
+// server end from its own goroutine. Close deregisters the address and
+// closes every connection not taken. The netsim_test package's tests
+// use it too.
+type Queue struct {
+	l     *Listener
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+// NewQueue registers a Queue as the server of addr.
+func NewQueue(f *Fabric, addr netip.AddrPort) (*Queue, error) {
+	q := &Queue{conns: make(chan net.Conn), done: make(chan struct{})}
+	l, err := f.Handle(addr, func(c net.Conn) {
+		select {
+		case q.conns <- c:
+		case <-q.done:
+			c.Close()
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	q.l = l
+	return q, nil
+}
+
+// Next waits for the next handed-off connection; it fails once Close
+// has run.
+func (q *Queue) Next() (net.Conn, error) {
+	select {
+	case c := <-q.conns:
+		return c, nil
+	case <-q.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close deregisters the address and closes the connections not taken.
+func (q *Queue) Close() error {
+	q.once.Do(func() {
+		q.l.Close()
+		close(q.done)
+	})
+	return nil
+}
+
 func TestDialAndAccept(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +83,7 @@ func TestDialAndAccept(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		conn, err := l.Accept()
+		conn, err := l.Next()
 		if err != nil {
 			done <- err
 			return
@@ -93,7 +142,7 @@ func TestDialUnknownAddressRefused(t *testing.T) {
 
 func TestUnreachable(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,42 +161,36 @@ func TestUnreachable(t *testing.T) {
 
 func TestAddressInUse(t *testing.T) {
 	f := NewFabric()
-	l, err := f.Listen(mtaAddr)
+	l, err := NewQueue(f, mtaAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Listen(mtaAddr); !errors.Is(err, ErrAddrInUse) {
-		t.Errorf("second listen: %v", err)
+	if _, err := NewQueue(f, mtaAddr); !errors.Is(err, ErrAddrInUse) {
+		t.Errorf("second registration: %v", err)
 	}
 	l.Close()
 	// Address is free again after close.
-	l2, err := f.Listen(mtaAddr)
+	l2, err := NewQueue(f, mtaAddr)
 	if err != nil {
-		t.Errorf("listen after close: %v", err)
+		t.Fatalf("registration after close: %v", err)
 	}
-	l2.Close()
-}
-
-func TestListenerClose(t *testing.T) {
-	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
-	go l.Close()
-	if _, err := l.Accept(); !errors.Is(err, ErrListenerClosed) {
-		t.Errorf("accept after close: %v", err)
+	defer l2.Close()
+	// Closing the first registration again leaves the second in place.
+	l.l.Close()
+	conn, err := dial(f)
+	if err != nil {
+		t.Fatalf("dial after a stale Close: %v", err)
 	}
-	// Close must be idempotent.
-	if err := l.Close(); err != nil {
-		t.Error(err)
-	}
+	conn.Close()
 }
 
 func TestEphemeralPorts(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
 		for {
-			c, err := l.Accept()
+			c, err := l.Next()
 			if err != nil {
 				return
 			}
@@ -171,10 +214,10 @@ func TestEphemeralPorts(t *testing.T) {
 
 func TestReadAfterPeerClose(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err != nil {
 			return
 		}
@@ -197,10 +240,10 @@ func TestReadAfterPeerClose(t *testing.T) {
 
 func TestWriteAfterCloseFails(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err == nil {
 			c.Close()
 		}
@@ -217,11 +260,11 @@ func TestWriteAfterCloseFails(t *testing.T) {
 
 func TestReadDeadline(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	accepted := make(chan struct{})
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err == nil {
 			defer c.Close()
 			close(accepted)
@@ -255,10 +298,10 @@ func TestReadDeadline(t *testing.T) {
 func TestLineProtocolOverFabric(t *testing.T) {
 	// Exercise bufio-based line protocols (the SMTP usage pattern).
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err != nil {
 			return
 		}
@@ -308,11 +351,11 @@ func TestLineProtocolOverFabric(t *testing.T) {
 
 func TestConcurrentConnections(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
 		for {
-			c, err := l.Accept()
+			c, err := l.Next()
 			if err != nil {
 				return
 			}
@@ -359,10 +402,10 @@ func TestConcurrentConnections(t *testing.T) {
 
 func TestDialContextStringAddress(t *testing.T) {
 	f := NewFabric()
-	l, _ := f.Listen(mtaAddr)
+	l, _ := NewQueue(f, mtaAddr)
 	defer l.Close()
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err == nil {
 			c.Close()
 		}
@@ -380,13 +423,13 @@ func TestDialContextStringAddress(t *testing.T) {
 func TestIPv6Fabric(t *testing.T) {
 	f := NewFabric()
 	v6 := netip.MustParseAddrPort("[2001:db8::25]:25")
-	l, err := f.Listen(v6)
+	l, err := NewQueue(f, v6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	go func() {
-		c, err := l.Accept()
+		c, err := l.Next()
 		if err == nil {
 			c.Close()
 		}

@@ -38,8 +38,8 @@ type datagram struct {
 // profile planted.
 const inboxDepth = 256
 
-// ListenPacket binds a datagram endpoint on addr. A stream Listener
-// may share the address: the two are separate port spaces, as UDP and
+// ListenPacket binds a datagram endpoint on addr. A stream server
+// (Handle) may share the address: the two are separate port spaces, as UDP and
 // TCP are.
 func (f *Fabric) ListenPacket(addr netip.AddrPort) (*PacketConn, error) {
 	f.mu.Lock()

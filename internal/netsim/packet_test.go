@@ -235,8 +235,8 @@ func TestPacketConnClose(t *testing.T) {
 	ep.Close()
 }
 
-// TestPacketConnStreamShareAddress binds a Listener and a PacketConn
-// on one address, as a DNS server serves UDP and TCP on one port: each
+// TestPacketConnStreamShareAddress registers a stream server and binds
+// a PacketConn on one address, as a DNS server serves UDP and TCP on one port: each
 // dial reaches its own kind.
 func TestPacketConnStreamShareAddress(t *testing.T) {
 	f := NewFabric()
@@ -251,13 +251,13 @@ func TestPacketConnStreamShareAddress(t *testing.T) {
 	if _, err := f.DialContext(context.Background(), "tcp", dnsAddr.String()); !errors.Is(err, ErrConnRefused) {
 		t.Errorf("stream dial with only a datagram endpoint bound: %v, want ErrConnRefused", err)
 	}
-	l, err := f.Listen(dnsAddr)
+	l, err := NewQueue(f, dnsAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	go func() {
-		if c, err := l.Accept(); err == nil {
+		if c, err := l.Next(); err == nil {
 			c.Close()
 		}
 	}()

@@ -37,12 +37,14 @@ func testKey(t *testing.T) *rsa.PrivateKey {
 func scriptedMTA(t *testing.T, fabric *netsim.Fabric, addr string, h smtp.Handler) *smtp.Server {
 	t.Helper()
 	srv := &smtp.Server{Hostname: "scripted.example", Handler: h}
-	ln, err := fabric.Listen(netip.AddrPortFrom(netip.MustParseAddr(addr), 25))
+	ln, err := fabric.Handle(netip.AddrPortFrom(netip.MustParseAddr(addr), 25), srv.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Close()
+	})
 	return srv
 }
 

@@ -349,10 +349,6 @@ func TestFabricMissAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := fabric.Listen(server)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := &dns.A{Addr: netip.MustParseAddr("192.0.2.9")}
 	srv := &dns.Server{Handler: dns.HandlerFunc(func(w dns.ResponseWriter, r *dns.Request) {
 		q := r.Msg.Question()
@@ -360,7 +356,7 @@ func TestFabricMissAllocs(t *testing.T) {
 		resp.Answers = []dns.RR{{Name: q.Name, Type: dns.TypeA, Class: dns.ClassINET, TTL: 300, Data: a}}
 		_ = w.WriteMsg(resp)
 	})}
-	if err := srv.Serve(pc, ln); err != nil {
+	if err := srv.Serve(pc); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

@@ -56,15 +56,7 @@ func newRig(t *testing.T, profile mtasim.Profile) *rig {
 	}
 	fabric := netsim.NewFabric()
 	dnsAddr := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(dnsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := fabric.Listen(dnsAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(pc, ln, nil, nil); err != nil {
+	if err := srv.Serve(fabric, dnsAddr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {

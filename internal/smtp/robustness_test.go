@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/netip"
 	netsmtp "net/smtp"
 	"net/textproto"
@@ -264,22 +265,17 @@ func TestClientReplyParsingEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fabric := netsim.NewFabric()
-			ln, err := fabric.Listen(netip.MustParseAddrPort("10.2.0.1:25"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
+			ln, err := fabric.Handle(netip.MustParseAddrPort("10.2.0.1:25"), func(conn net.Conn) {
 				defer conn.Close()
 				_, _ = conn.Write([]byte("220 weird server\r\n"))
 				buf := make([]byte, 256)
 				_, _ = conn.Read(buf)
 				_, _ = conn.Write([]byte(tc.reply))
-			}()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
 			c, err := Dial(context.Background(), fabric, "10.2.0.1:25")
 			if err != nil {
 				t.Fatal(err)
@@ -302,21 +298,16 @@ func TestClientReplyParsingEdgeCases(t *testing.T) {
 
 func TestClientMultilineGreeting(t *testing.T) {
 	fabric := netsim.NewFabric()
-	ln, err := fabric.Listen(netip.MustParseAddrPort("10.2.0.2:25"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
+	ln, err := fabric.Handle(netip.MustParseAddrPort("10.2.0.2:25"), func(conn net.Conn) {
 		defer conn.Close()
 		_, _ = conn.Write([]byte("220-first line\r\n220-second line\r\n220 ready\r\n"))
 		buf := make([]byte, 256)
 		_, _ = conn.Read(buf)
-	}()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
 	c, err := Dial(context.Background(), fabric, "10.2.0.2:25")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/netip"
 	"sync"
@@ -14,12 +15,13 @@ import (
 )
 
 // TestServeShutdownRace storms a server with dials while Close runs,
-// over both ways a connection reaches it: Serve's accept loop and the
-// fabric's hand-off to ServeConn. Close must not return while a
-// session it let in is still starting: no OnConnect may run after it,
-// and under -race the session count's Add must never race Close's Wait
-// (a WaitGroup counted up from zero while Wait runs). Nothing may be
-// left running afterwards. `make chaos` runs it.
+// over both ways a connection reaches it: Serve's accept loop on a
+// host loopback listener, and the fabric's hand-off to ServeConn.
+// Close must not return while a session it let in is still starting:
+// no OnConnect may run after it, and under -race the session count's
+// Add must never race Close's Wait (a WaitGroup counted up from zero
+// while Wait runs). Nothing may be left running afterwards. `make
+// chaos` runs it.
 func TestServeShutdownRace(t *testing.T) {
 	defer leaktest.Check(t)()
 	addr := netip.MustParseAddrPort("203.0.113.25:25")
@@ -42,32 +44,41 @@ func TestServeShutdownRace(t *testing.T) {
 						return nil
 					},
 				}}
-				fabric := netsim.NewFabric()
-				var ln *netsim.Listener
-				var err error
+				var ln io.Closer
+				var dial func() (net.Conn, error)
 				served := make(chan struct{})
 				if mode == "accept" {
-					ln, err = fabric.Listen(addr)
+					host, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
 					go func() {
 						defer close(served)
-						srv.Serve(ln)
+						srv.Serve(host)
 					}()
+					ln = host
+					dial = func() (net.Conn, error) { return net.Dial("tcp", host.Addr().String()) }
 				} else {
-					ln, err = fabric.Handle(addr, srv.ServeConn)
+					fabric := netsim.NewFabric()
+					handed, err := fabric.Handle(addr, srv.ServeConn)
+					if err != nil {
+						t.Fatal(err)
+					}
 					close(served)
-				}
-				if err != nil {
-					t.Fatal(err)
+					ln = handed
+					dialer := fabric.BoundDialer(client, netip.Addr{})
+					dial = func() (net.Conn, error) {
+						return dialer.DialContext(context.Background(), "tcp", addr.String())
+					}
 				}
 
-				dialer := fabric.BoundDialer(client, netip.Addr{})
 				var storm sync.WaitGroup
 				for range 8 {
 					storm.Add(1)
 					go func() {
 						defer storm.Done()
 						for {
-							conn, err := dialer.DialContext(context.Background(), "tcp", addr.String())
+							conn, err := dial()
 							if err != nil {
 								return // refused: the listener is gone
 							}
@@ -105,17 +116,23 @@ func greet(conn net.Conn) {
 // net.Addr a connection reports.
 func TestClientIP(t *testing.T) {
 	want := netip.MustParseAddr("198.51.100.7")
-	ln, err := netsim.NewFabric().Listen(netip.AddrPortFrom(want, 25))
+	fabric, server := netsim.NewFabric(), netip.MustParseAddrPort("203.0.113.25:25")
+	ln, err := fabric.Handle(server, func(c net.Conn) { c.Close() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	conn, err := fabric.BoundDialer(want, netip.Addr{}).DialContext(context.Background(), "tcp", server.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	for _, tc := range []struct {
 		name string
 		addr net.Addr
 		want netip.Addr
 	}{
-		{"fabric", ln.Addr(), want},
+		{"fabric", conn.LocalAddr(), want},
 		{"tcp", &net.TCPAddr{IP: net.ParseIP("198.51.100.7"), Port: 25}, want},
 		{"tcp v4-mapped", net.TCPAddrFromAddrPort(netip.MustParseAddrPort("[::ffff:198.51.100.7]:25")), want},
 		{"other", &net.UnixAddr{Name: "smtp.sock", Net: "unix"}, netip.Addr{}},
