@@ -95,7 +95,9 @@ telemetry-alloc:
 # TestStudyBubble holds byte for byte to
 # internal/experiment/testdata/report-4000.golden, and again at
 # -workers 1 and 24 and under SMTP faults, each of which must print
-# that report outside its "completed in" line. They finish only while
+# that report outside its "completed in" line; and, in internal/dns,
+# Shutdown against a TCP client that never reads its answers, which
+# waits out the server's write deadline. They finish only while
 # nothing in them waits on a host socket. They live in `//go:build
 # goexperiment.synctest` files; tier-1 `go test ./...` runs
 # TestStudyBubble alone, as a subprocess (TestStudyBubbleGolden).
@@ -104,7 +106,7 @@ telemetry-alloc:
 # replaces synctest.Run with synctest.Test(t, f) and drops the
 # GOEXPERIMENT flag.
 synctest:
-	GOEXPERIMENT=synctest $(GO) test -count=1 -run 'Bubble' ./internal/experiment/
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run 'Bubble' ./internal/dns/ ./internal/experiment/
 
 # The bulk-SPF pipeline under the race detector, three times over:
 # the seeded netsim faults (every input line must come back out exactly

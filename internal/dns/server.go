@@ -232,7 +232,8 @@ func (s *Server) LocalAddr() net.Addr {
 // delayed answers (or ctx), then closes the UDP socket. The socket
 // stays open meanwhile so that a query already being answered still
 // gets its answer; so does a TCP connection, whose idle wait for its
-// next query ends at once.
+// next query ends at once, and whose unread answer is given up after
+// tcpWriteTimeout.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
@@ -457,6 +458,15 @@ func (s *Server) acceptTCP(ln net.Listener) {
 // queries.
 const tcpIdleTimeout = 10 * time.Second
 
+// tcpWriteTimeout bounds how long one answer may take to go out over
+// TCP, counted from its query's arrival plus any delay the handler
+// asked for (WriteMsgAfter). A write blocks only once the client has
+// left a send window of answers unread, so a client that reads never
+// comes near it; one that stops reading loses its connection instead
+// of holding its handler, and Shutdown, for good. 2 s is inside
+// cmd/authdns's 3 s shutdown grace.
+const tcpWriteTimeout = 2 * time.Second
+
 // remoteAddrPort reads a connection's remote address through its
 // AddrPort method, which *net.TCPAddr and a simulated fabric's
 // addresses both have. It is the zero AddrPort for any other net.Addr.
@@ -523,6 +533,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err := msg.Unpack(pkt); err != nil || msg.Response {
 			return
 		}
+		w.deadline = r.Received.Add(tcpWriteTimeout)
 		s.metrics.queriesTCP.Inc()
 		if s.serve(w, r) {
 			s.finish(r.Received, r.Span)
@@ -602,11 +613,15 @@ func (w *udpResponseWriter) finish(r *Request) {
 }
 
 // tcpResponseWriter answers on one connection, reusing one encode
-// buffer for the connection's lifetime.
+// buffer for the connection's lifetime. An answer that cannot be
+// written by deadline closes the connection: a client that does not
+// read gets no more answers, and a partial write has broken the
+// stream's framing anyway.
 type tcpResponseWriter struct {
-	conn    net.Conn
-	metrics *serverMetrics
-	buf     []byte
+	conn     net.Conn
+	metrics  *serverMetrics
+	buf      []byte
+	deadline time.Time // the current answer's write deadline
 }
 
 func (w *tcpResponseWriter) WriteMsg(m *Message) error {
@@ -623,13 +638,18 @@ func (w *tcpResponseWriter) WriteMsg(m *Message) error {
 		return ErrRDataTooLong
 	}
 	buf[0], buf[1] = byte(n>>8), byte(n)
-	_, err = w.conn.Write(buf)
+	_ = w.conn.SetWriteDeadline(w.deadline)
+	if _, err = w.conn.Write(buf); err != nil {
+		w.conn.Close()
+	}
 	return err
 }
 
 // WriteMsgAfter waits out d on the connection's own goroutine, which
-// answers the connection's queries in order anyway.
+// answers the connection's queries in order anyway. The wait does not
+// count against the write deadline.
 func (w *tcpResponseWriter) WriteMsgAfter(m *Message, d time.Duration) error {
 	time.Sleep(d)
+	w.deadline = w.deadline.Add(d)
 	return w.WriteMsg(m)
 }

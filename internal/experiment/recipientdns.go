@@ -89,9 +89,10 @@ func resolveHost(ctx context.Context, res *resolver.Resolver, host string) ([]pr
 // DNS service, querying from the sender's own fabric addresses.
 func (w *World) senderResolver() *resolver.Resolver {
 	return resolver.New(resolver.Config{
-		Server:  w.DNSAddr,
-		Server6: w.DNSAddr6,
-		Timeout: dnsTimeout,
-		Dialer:  w.Fabric.BoundDialer(SenderAddr4, SenderAddr6),
+		Server:    w.DNSAddr,
+		Server6:   w.DNSAddr6,
+		Timeout:   dnsTimeout,
+		Dialer:    w.Fabric.BoundDialer(SenderAddr4, SenderAddr6),
+		TimeScale: w.cfg.TimeScale,
 	})
 }

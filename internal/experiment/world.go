@@ -65,6 +65,16 @@ var (
 // fires whenever the host is busy, and the report then depends on the
 // host: a 60 ms SPF budget at TimeScale 0.001 cut a t02 tree short in
 // one run of two and moved Figure 5.
+//
+// Cache lifetimes run on the world's clock as well: every resolver the
+// world builds gets its TimeScale (resolver.Config.TimeScale), so an
+// answer cached for its TTL (60 s for the test policies, 300 s for the
+// NotifyEmail names, 30 s for an empty answer) expires after that much
+// paper time, as the delays above do, and once an evaluation is over
+// its answers leave memory. They are not give-up budgets: nothing
+// waits on one, so a busy host can at most expire an entry early on
+// the paper clock, and the re-query fetches the same answer from the
+// same server.
 const (
 	// postDataDelayMax bounds a post-DATA validator's wait between
 	// accepting a message and validating it, which makes Figure 2's
@@ -99,9 +109,9 @@ type WorldConfig struct {
 	Seed int64
 	// Rates is the behaviour-trait distribution for TierGeneral MTAs.
 	Rates mtasim.Rates
-	// TimeScale multiplies the delays the measurement reads (1.0 =
-	// paper timing; zero means 0.001). The give-up budgets are never
-	// scaled (see the table above).
+	// TimeScale multiplies the delays the measurement reads and the
+	// resolver caches' TTLs (1.0 = paper timing; zero means 0.001). The
+	// give-up budgets are never scaled (see the table above).
 	TimeScale float64
 	// EnableIPv6DNS serves the authoritative server's IPv6 endpoint on
 	// the fabric too, so the IPv6 test policy is exercisable.
@@ -217,6 +227,7 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 			DNSAddr6:           w.DNSAddr6,
 			SPFTimeout:         spfBudget,
 			DNSTimeout:         dnsTimeout,
+			TimeScale:          cfg.TimeScale,
 			PostDataDelay:      postDataDelay(info.ProfileSeed, postDataMax),
 			BlacklistedSources: []netip.Addr{ProbeAddr4, ProbeAddr6},
 			Metrics:            cfg.FleetMetrics,

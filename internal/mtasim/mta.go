@@ -42,6 +42,9 @@ type Config struct {
 	SPFTimeout time.Duration
 	// DNSTimeout bounds one DNS exchange. Zero means 5 s.
 	DNSTimeout time.Duration
+	// TimeScale scales the resolver cache's TTLs to the world's clock
+	// (resolver.Config.TimeScale; zero means 1).
+	TimeScale float64
 	// PostDataDelay is how long after accepting a message a PostData
 	// validator waits before validating (Figure 2's positive tail).
 	PostDataDelay time.Duration
@@ -83,6 +86,10 @@ type MTA struct {
 	lns    []*netsim.Listener // the addresses' registrations on the fabric
 }
 
+// commandTimeout bounds the MTA's wait for a client's next command:
+// RFC 5321 §4.5.3.2.7's server timeout, "at least 5 minutes".
+const commandTimeout = 5 * time.Minute
+
 // New builds an MTA from cfg. Start must be called to serve.
 func New(cfg Config) *MTA {
 	res := resolver.New(resolver.Config{
@@ -92,6 +99,7 @@ func New(cfg Config) *MTA {
 		DisableTCP: cfg.Profile.ResolverNoTCP,
 		Timeout:    cfg.DNSTimeout,
 		Dialer:     cfg.Fabric.BoundDialer(cfg.Addr4, resolverAddr6(cfg.Addr4, cfg.Addr6)),
+		TimeScale:  cfg.TimeScale,
 	})
 	opts := cfg.Profile.SPFOptions
 	if cfg.SPFTimeout > 0 && opts.Timeout == 0 {
@@ -106,7 +114,7 @@ func New(cfg Config) *MTA {
 	m.server = &smtp.Server{
 		Hostname:    cfg.Hostname,
 		Extensions:  []string{"8BITMIME", "SIZE 10485760"},
-		ReadTimeout: 120 * time.Second,
+		ReadTimeout: commandTimeout,
 		Handler: smtp.Handler{
 			OnConnect: m.onConnect,
 			OnHelo:    m.onHelo,

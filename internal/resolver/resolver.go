@@ -73,6 +73,11 @@ type Config struct {
 	// Dialer, when set, overrides socket creation (used to route
 	// queries through a simulated network fabric).
 	Dialer dns.Dialer
+	// TimeScale is how many wall-clock seconds one second of a TTL
+	// lasts (zero means 1). A simulated world that runs its delays at
+	// a fraction of paper time passes its factor, so cached answers
+	// expire on the same clock as those delays.
+	TimeScale float64
 }
 
 // Resolver is a caching stub resolver bound to one upstream server.
@@ -91,7 +96,7 @@ type Resolver struct {
 const cacheEntries = 4096
 
 // DefaultNegativeTTL is how long empty results (NXDOMAIN or no
-// records) stay cached.
+// records) stay cached, in the TTLs' time (see Config.TimeScale).
 const DefaultNegativeTTL = 30 * time.Second
 
 // maxRetries is how many times a query is re-sent after a transport
@@ -203,8 +208,8 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 }
 
 // lead performs a flight's wire exchange under the flight-owned
-// context, caches a successful response, and publishes the outcome to
-// every waiter. Leader errors are not cached: the next caller after
+// context, caches a successful response for its TTL scaled by
+// Config.TimeScale, and publishes the outcome to every waiter. Leader errors are not cached: the next caller after
 // finish starts a fresh flight. link carries the leading Exchange
 // span's identity (a value snapshot — the span itself may already be
 // recycled by the time this goroutine runs).
@@ -218,7 +223,11 @@ func (r *Resolver) lead(key cacheKey, c *flightCall, name string, t dns.Type, li
 	wsp.SetError(err)
 	wsp.End()
 	if err == nil {
-		r.cache.put(key, msg, time.Now().Add(minTTL(msg)))
+		ttl := minTTL(msg)
+		if r.cfg.TimeScale > 0 {
+			ttl = time.Duration(float64(ttl) * r.cfg.TimeScale)
+		}
+		r.cache.put(key, msg, time.Now().Add(ttl))
 	}
 	r.flight.finish(key, c, msg, err)
 }
@@ -289,8 +298,9 @@ func retryable(err error) bool {
 	return errors.As(err, &netErr) && netErr.Timeout()
 }
 
-// minTTL returns how long msg may be cached: DefaultNegativeTTL for an
-// empty result, else the smallest answer TTL clamped to [1s, 1h].
+// minTTL returns how long msg may be cached, in the TTLs' time:
+// DefaultNegativeTTL for an empty result, else the smallest answer TTL
+// clamped to [1s, 1h].
 func minTTL(msg *dns.Message) time.Duration {
 	if len(msg.Answers) == 0 {
 		return DefaultNegativeTTL

@@ -273,6 +273,49 @@ func TestMinTTL(t *testing.T) {
 	}
 }
 
+// TestCacheLifetimeScaled counts wire exchanges across a wait at
+// TimeScale 0.001, where one second of TTL lasts one wall-clock
+// millisecond: a 60 s answer, an empty one (DefaultNegativeTTL, 30 s)
+// and a TTL-0 one (clamped to 1 s) go back to the wire once their
+// scaled TTL has passed. At TimeScale 0 (unscaled) the same 60 ms wait
+// is a cache hit. A load-stalled host only lengthens a wait, so only
+// the expired-after direction is asserted on the wall clock.
+func TestCacheLifetimeScaled(t *testing.T) {
+	cases := []struct {
+		name  string
+		ttl   int // the answer's TTL; -1 answers NXDOMAIN
+		scale float64
+		wait  time.Duration
+		want  int // wire exchanges for two lookups
+	}{
+		{"60s answer at 0.001", 60, 0.001, 60 * time.Millisecond, 2},
+		{"empty answer at 0.001", -1, 0.001, 30 * time.Millisecond, 2},
+		{"TTL 0 at 0.001", 0, 0.001, time.Millisecond, 2},
+		{"60s answer unscaled", 60, 0, 60 * time.Millisecond, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newStaticHandler()
+			if c.ttl >= 0 {
+				h.add("ttl.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 -all"}})
+				h.records["TXT ttl.example.com."][0].TTL = uint32(c.ttl)
+			}
+			r := New(Config{Server: startServer(t, h), TimeScale: c.scale})
+			for i := range 2 {
+				if i > 0 {
+					time.Sleep(c.wait)
+				}
+				if _, err := r.LookupTXT(context.Background(), "ttl.example.com"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := h.queries("TXT ttl.example.com."); got != c.want {
+				t.Errorf("two lookups %v apart sent %d exchanges, want %d", c.wait, got, c.want)
+			}
+		})
+	}
+}
+
 func TestCachePressureRelief(t *testing.T) {
 	h := newStaticHandler()
 	for i := 0; i < 20; i++ {
