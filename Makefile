@@ -8,9 +8,9 @@
 # apparatus settings) and `bench-smoke` (a one-iteration smoke pass
 # over every benchmark).
 # Every target is named here; internal/lint checks it.
-# `make fuzz-seeds`, `crash`, `bulk-race` (the bulk SPF and SPF
-# packages, three times over), `trace-race` and `chaos` run their suite
-# on its own, to reproduce a failure at another CHAOS_SEED;
+# `make fuzz-seeds`, `crash`, `bulk-race` (the bulk SPF, SPF and
+# resolver packages, three times over), `trace-race` and `chaos` run
+# their suite on its own, to reproduce a failure at another CHAOS_SEED;
 # `make bench-e2e` / `bench-e2e-compare` are the one performance gate.
 
 GO ?= go
@@ -114,10 +114,13 @@ synctest:
 # dials) and the order, trickle, cancellation and write-error tests
 # that cross the reader/worker/writer segment hand-offs, and the SPF
 # evaluator, whose prefetch goroutines arm check_host()'s budget
-# concurrently (TestCheckHostBudget). Reproduce a failure with
-# `make bulk-race CHAOS_SEED=<seed>`.
+# concurrently (TestCheckHostBudget), and the resolver, whose one
+# table the pipeline's workers all lean on: a miss looks its key up
+# again and joins or leads its flight under one lock, so N workers on
+# one cold name cost one query (TestSingleflightOneQueryPerKey).
+# Reproduce a failure with `make bulk-race CHAOS_SEED=<seed>`.
 bulk-race:
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=3 ./internal/bulkspf/ ./internal/spf/
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=3 ./internal/bulkspf/ ./internal/spf/ ./internal/resolver/
 
 # The tracing subsystem under the race detector: the full span
 # lifecycle (pooling, exporter handoff, Close drain) and a seeded-chaos

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"sync"
@@ -9,7 +10,8 @@ import (
 	"sendervalid/internal/dns"
 )
 
-// cacheKey identifies one cached response, and one in-flight exchange.
+// cacheKey identifies one entry of the cache: a response, or the
+// exchange in flight for it.
 type cacheKey struct {
 	name string
 	typ  dns.Type
@@ -30,17 +32,38 @@ func keyFor(name string, t dns.Type) cacheKey {
 	return cacheKey{name: strings.TrimSuffix(name, "."), typ: t}
 }
 
-// cacheEntry is one cached response with its expiry.
-type cacheEntry struct {
+// entry is one key's state: an answer and its expiry, or, while call
+// is set, the exchange in flight for the key. A flight's entry has the
+// zero expiry, so get reports it as a miss.
+type entry struct {
 	msg     *dns.Message
 	expires time.Time
+	call    *flight
 }
 
-// cache is the resolver's response cache: one map behind one RWMutex,
-// holding at most capacity entries. Concurrent cache hits — the
-// bulk-validation hot path — share the read lock. Expired entries are
-// not reaped on read (that would need the write lock). An insert of a
-// new key pays an amortised constant cost:
+// flight is one in-flight wire exchange, shared by every caller that
+// joined it.
+type flight struct {
+	// done is closed by finish after msg and err are set.
+	done chan struct{}
+	msg  *dns.Message
+	err  error
+
+	// refs counts callers still waiting on the flight, under the
+	// cache's lock. ctx is the flight-owned exchange context, cancelled
+	// when refs drops to zero before the exchange finishes.
+	refs   int
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// cache is the resolver's one table: one map behind one RWMutex, each
+// key holding its answer or its flight. Concurrent cache hits — the
+// bulk-validation hot path — share the read lock. A miss takes the
+// write lock once (join) and either finds an answer that landed since,
+// joins the flight in progress, or starts one. Expired entries are
+// not reaped on read (that would need the write lock); a miss replaces
+// its own. An insert of a new key pays an amortised constant cost:
 //   - Below capacity, it reaps the expired entries when the map has
 //     doubled since the last reap, so a cache that never fills still
 //     forgets what its TTLs say it should.
@@ -51,9 +74,15 @@ type cacheEntry struct {
 //     one per insert. So a walk and a sort of capacity entries come
 //     once every capacity/8 inserts at most: 8 entries visited per
 //     insert, amortised.
+//
+// Neither a reap nor an eviction drops a flight. A miss that finds
+// every entry in flight starts its own over capacity, and a flight
+// that finishes while the cache is over capacity answers its callers
+// without keeping the answer, so the cache holds at most capacity
+// entries again once its flights have finished.
 type cache struct {
 	mu       sync.RWMutex
-	entries  map[cacheKey]cacheEntry
+	entries  map[cacheKey]entry
 	capacity int
 	reapAt   int // entry count at which the next insert reaps
 	// victims are the next entries to evict at capacity, latest
@@ -75,14 +104,14 @@ func newCache(maxEntries int) *cache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	return &cache{entries: make(map[cacheKey]cacheEntry), capacity: maxEntries, reapAt: minReap}
+	return &cache{entries: make(map[cacheKey]entry), capacity: maxEntries, reapAt: minReap}
 }
 
 // get returns the cached message for key if present and not expired.
 // The hit path is allocation-free (pinned by TestExchangeHitPathAllocFree):
 // a read lock, one map probe, and an expiry comparison outside the
 // lock. Expired entries are reported as misses but left in place for
-// the next insert-time reap.
+// the miss's join or the next insert-time reap.
 func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
@@ -93,21 +122,65 @@ func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
 	return e.msg, true
 }
 
-// put stores msg under key, first making room for a new key in a full
-// cache, or reaping one due a sweep.
-func (c *cache) put(key cacheKey, msg *dns.Message, expires time.Time) {
+// join looks key up again under the write lock, at now. It returns
+// the entry found there: an answer that is live (its call is nil), or
+// the flight in progress, which the caller joins. Otherwise the caller
+// leads a new flight, which replaces any expired entry for key, and
+// leader is true.
+func (c *cache) join(key cacheKey, now time.Time) (e entry, leader bool) {
 	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok && len(c.entries) >= min(c.capacity, c.reapAt) {
-		c.makeRoomLocked(time.Now())
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	switch {
+	case e.call != nil:
+		e.call.refs++
+		return e, false
+	case ok && !now.After(e.expires):
+		return e, false
+	case !ok && len(c.entries) >= min(c.capacity, c.reapAt):
+		c.makeRoomLocked(now)
 	}
-	c.entries[key] = cacheEntry{msg: msg, expires: expires}
+	ctx, cancel := context.WithCancel(context.Background())
+	e = entry{call: &flight{done: make(chan struct{}), refs: 1, ctx: ctx, cancel: cancel}}
+	c.entries[key] = e
+	return e, true
+}
+
+// leave abandons a flight whose result the caller no longer wants (its
+// own context was cancelled). The last departure cancels the flight
+// context so an exchange nobody is waiting for stops retrying.
+func (c *cache) leave(f *flight) {
+	c.mu.Lock()
+	f.refs--
+	orphaned := f.refs == 0
 	c.mu.Unlock()
+	if orphaned {
+		f.cancel()
+	}
+}
+
+// finish publishes a flight's outcome. Its entry becomes the answer,
+// live until expires; an error deletes it, so a leader error is never
+// replayed to a later caller (only the callers already joined share
+// it), and the next miss starts a fresh flight.
+func (c *cache) finish(key cacheKey, f *flight, msg *dns.Message, expires time.Time, err error) {
+	c.mu.Lock()
+	if err == nil && len(c.entries) <= c.capacity {
+		c.entries[key] = entry{msg: msg, expires: expires}
+	} else {
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
+	f.msg, f.err = msg, err
+	close(f.done)
+	f.cancel()
 }
 
 // makeRoomLocked reaps a cache below capacity. In a full one it frees
 // room for one insert: it evicts the next victim still in place, and
 // when none is left it reaps, which either frees room or picks the
-// next victims.
+// next victims. A full cache with no answer left to evict (every
+// entry in flight) gets no room.
 func (c *cache) makeRoomLocked(now time.Time) {
 	if len(c.entries) < c.capacity {
 		c.reapLocked(now)
@@ -122,21 +195,24 @@ func (c *cache) makeRoomLocked(now time.Time) {
 				return
 			}
 		}
-		if c.reapLocked(now); len(c.entries) < c.capacity {
+		if c.reapLocked(now); len(c.entries) < c.capacity || len(c.victims) == 0 {
 			return
 		}
 	}
 }
 
-// reapLocked drops every expired entry. If the map was full and still
-// is, it picks the capacity/8 live entries closest to expiry as the
-// next victims. The next sweep below capacity is due when the
-// survivors have doubled.
+// reapLocked drops every expired answer. If the map was full and
+// still is, it picks the capacity/8 live answers closest to expiry as
+// the next victims. A flight is neither dropped nor picked. The next
+// sweep below capacity is due when the survivors have doubled.
 func (c *cache) reapLocked(now time.Time) {
 	full := len(c.entries) >= c.capacity
 	c.visited += len(c.entries)
 	c.victims = c.victims[:0]
 	for k, e := range c.entries {
+		if e.call != nil {
+			continue
+		}
 		if now.After(e.expires) {
 			delete(c.entries, k)
 		} else if full {
@@ -148,12 +224,12 @@ func (c *cache) reapLocked(now time.Time) {
 	} else {
 		// Latest expiry first, so the soonest are popped off the end.
 		slices.SortFunc(c.victims, func(a, b victim) int { return b.expires.Compare(a.expires) })
-		c.victims = append(c.victims[:0], c.victims[len(c.victims)-max(1, c.capacity/8):]...)
+		c.victims = append(c.victims[:0], c.victims[max(0, len(c.victims)-max(1, c.capacity/8)):]...)
 	}
 	c.reapAt = max(minReap, 2*len(c.entries))
 }
 
-// len returns the entry count, stale entries included.
+// len returns the entry count, stale and in-flight entries included.
 func (c *cache) len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sendervalid/internal/dns"
+	"sendervalid/internal/leaktest"
 	"sendervalid/internal/netsim"
 	"sendervalid/internal/spf"
 )
@@ -57,6 +58,31 @@ func TestCacheBoundUnderConcurrentHammer(t *testing.T) {
 	}
 }
 
+// store puts msg in c under key as a finished flight does: the
+// caller joins the key as its leader, then finishes the flight with
+// msg, live until expires.
+func store(t *testing.T, c *cache, key cacheKey, msg *dns.Message, expires time.Time) {
+	t.Helper()
+	e, leader := c.join(key, time.Now())
+	if !leader {
+		t.Fatalf("store: %q already holds a live answer or a flight", key.name)
+	}
+	c.finish(key, e.call, msg, expires, nil)
+}
+
+// inflight returns how many of c's entries are flights.
+func inflight(c *cache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := 0
+	for _, e := range c.entries {
+		if e.call != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestEvictExpiredFirst pins the capacity-time eviction policy: when
 // the cache is full, expired entries are reclaimed before any live
 // entry is dropped.
@@ -67,15 +93,15 @@ func TestEvictExpiredFirst(t *testing.T) {
 	live1, live2 := mk("live1."), mk("live2.")
 	dead1, dead2 := mk("dead1."), mk("dead2.")
 	msg := &dns.Message{}
-	c.put(live1, msg, now.Add(time.Hour))
-	c.put(live2, msg, now.Add(time.Hour))
-	c.put(dead1, msg, now.Add(-time.Second))
-	c.put(dead2, msg, now.Add(-time.Second))
+	store(t, c, live1, msg, now.Add(time.Hour))
+	store(t, c, live2, msg, now.Add(time.Hour))
+	store(t, c, dead1, msg, now.Add(-time.Second))
+	store(t, c, dead2, msg, now.Add(-time.Second))
 
 	// The cache is at capacity; the next insert must reclaim the two
 	// expired entries and keep both live ones.
 	fresh := mk("fresh.")
-	c.put(fresh, msg, now.Add(time.Hour))
+	store(t, c, fresh, msg, now.Add(time.Hour))
 	for _, k := range []cacheKey{live1, live2, fresh} {
 		if _, ok := c.get(k, now); !ok {
 			t.Errorf("live entry %q evicted while expired entries existed", k.name)
@@ -95,11 +121,11 @@ func TestEvictSoonestExpiryWhenNoneExpired(t *testing.T) {
 	now := time.Now()
 	msg := &dns.Message{}
 	near := cacheKey{name: "near.", typ: dns.TypeA}
-	c.put(cacheKey{name: "far1.", typ: dns.TypeA}, msg, now.Add(time.Hour))
-	c.put(near, msg, now.Add(time.Minute))
-	c.put(cacheKey{name: "far2.", typ: dns.TypeA}, msg, now.Add(time.Hour))
+	store(t, c, cacheKey{name: "far1.", typ: dns.TypeA}, msg, now.Add(time.Hour))
+	store(t, c, near, msg, now.Add(time.Minute))
+	store(t, c, cacheKey{name: "far2.", typ: dns.TypeA}, msg, now.Add(time.Hour))
 
-	c.put(cacheKey{name: "new.", typ: dns.TypeA}, msg, now.Add(time.Hour))
+	store(t, c, cacheKey{name: "new.", typ: dns.TypeA}, msg, now.Add(time.Hour))
 	if _, ok := c.get(near, now); ok {
 		t.Error("soonest-expiring entry survived a full-cache insert")
 	}
@@ -117,10 +143,10 @@ func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
 	r := New(Config{Server: "192.0.2.1:53"})
 	past := time.Now().Add(-time.Second)
 	for i := 0; i < 1000; i++ {
-		r.cache.put(cacheKey{name: fmt.Sprintf("e%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, past)
+		store(t, r.cache, cacheKey{name: fmt.Sprintf("e%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, past)
 	}
 	live := cacheKey{name: "live.example.com.", typ: dns.TypeTXT}
-	r.cache.put(live, &dns.Message{}, time.Now().Add(time.Hour))
+	store(t, r.cache, live, &dns.Message{}, time.Now().Add(time.Hour))
 	if got := r.cache.len(); got > minReap {
 		t.Errorf("cache.len() = %d after 1000 expired inserts and one live one, want ≤ %d", got, minReap)
 	}
@@ -131,10 +157,107 @@ func TestExpiredEntriesReapedBelowCapacity(t *testing.T) {
 	// Live entries are never reaped below capacity, however many sweeps
 	// their growth triggers.
 	for i := 0; i < 1000; i++ {
-		r.cache.put(cacheKey{name: fmt.Sprintf("l%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
+		store(t, r.cache, cacheKey{name: fmt.Sprintf("l%04d.example.com.", i), typ: dns.TypeTXT}, &dns.Message{}, time.Now().Add(time.Hour))
 	}
 	if got := r.cache.len(); got < 1001 {
 		t.Errorf("cache.len() = %d after 1001 live inserts below capacity, want all of them", got)
+	}
+}
+
+// TestFlightsAtCapacity: no reap or eviction drops a flight, and an
+// insert never waits for room. A cache of two, with three misses on
+// distinct keys in flight at once, holds all three flights; each
+// caller gets its own answer, and once every flight has finished the
+// cache holds at most two entries again.
+func TestFlightsAtCapacity(t *testing.T) {
+	t.Cleanup(leaktest.Check(t))
+	h := &slowHandler{staticHandler: newStaticHandler(), delay: 200 * time.Millisecond}
+	const n = 3
+	name := func(i int) string { return fmt.Sprintf("f%d.example.com", i) }
+	addr := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)}) }
+	for i := range n {
+		h.add(name(i), dns.TypeA, &dns.A{Addr: addr(i)})
+	}
+	r := New(Config{Server: startServer(t, h)})
+	r.cache = newCache(2)
+	done := make(chan error, n)
+	for i := range n {
+		go func() {
+			addrs, err := r.LookupA(context.Background(), name(i))
+			if err == nil && (len(addrs) != 1 || addrs[0] != addr(i)) {
+				err = fmt.Errorf("%s: got %v, want [%v]", name(i), addrs, addr(i))
+			}
+			done <- err
+		}()
+	}
+	deadline := time.Now().Add(time.Second)
+	for inflight(r.cache) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d flights in the cache, want all of them", inflight(r.cache), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for range n {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a miss into a cache full of flights never returned")
+		}
+	}
+	if got := r.cache.len(); got > 2 {
+		t.Errorf("cache.len() = %d once every flight finished, capacity 2", got)
+	}
+}
+
+// TestExpiredEntryReasked: a miss that finds its own entry expired
+// replaces it with its flight. The name costs one wire query, the
+// cache keeps one entry for it, and the stale answer is never served,
+// not even while the new flight runs.
+func TestExpiredEntryReasked(t *testing.T) {
+	h := &slowHandler{staticHandler: newStaticHandler(), delay: 200 * time.Millisecond}
+	h.add("stale.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 -all"}})
+	r := New(Config{Server: startServer(t, h)})
+	key := keyFor("stale.example.com", dns.TypeTXT)
+	stale := &dns.Message{}
+	store(t, r.cache, key, stale, time.Now().Add(-time.Second))
+	before := r.cache.len()
+
+	answers := make(chan *dns.Message, 2)
+	ask := func() {
+		msg, err := r.Exchange(context.Background(), "stale.example.com", dns.TypeTXT)
+		if err != nil {
+			t.Error(err)
+		}
+		answers <- msg
+	}
+	go ask()
+	deadline := time.Now().Add(time.Second)
+	for inflight(r.cache) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the miss started no flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := r.cache.len(); got != before {
+		t.Errorf("cache.len() = %d with the flight running, want %d", got, before)
+	}
+	if _, ok := r.cache.get(key, time.Now()); ok {
+		t.Error("a hit while the flight that replaced the stale entry runs")
+	}
+	go ask()
+	for range 2 {
+		if msg := <-answers; msg == stale || msg == nil || len(msg.Answers) != 1 {
+			t.Errorf("Exchange returned %v, want the fresh answer", msg)
+		}
+	}
+	if got := h.queries("TXT stale.example.com."); got != 1 {
+		t.Errorf("server saw %d queries, want 1", got)
+	}
+	if got := r.cache.len(); got != before {
+		t.Errorf("cache.len() = %d after the re-ask, want %d", got, before)
 	}
 }
 
@@ -146,7 +269,7 @@ func TestCacheBoundIsExact(t *testing.T) {
 	const n = cacheEntries
 	name := func(i int) string { return fmt.Sprintf("e%04d.example.com.", i) }
 	insert := func(i int) {
-		r.cache.put(keyFor(name(i), dns.TypeTXT), &dns.Message{}, time.Now().Add(time.Hour))
+		store(t, r.cache, keyFor(name(i), dns.TypeTXT), &dns.Message{}, time.Now().Add(time.Hour))
 	}
 	for i := 0; i < n; i++ {
 		insert(i)
@@ -179,12 +302,12 @@ func TestCacheEvictionIsAmortised(t *testing.T) {
 	later := time.Now().Add(time.Hour)
 	msg := &dns.Message{}
 	for i := range c.capacity {
-		c.put(cacheKey{name: fmt.Sprintf("fill%05d.example", i), typ: dns.TypeA}, msg, later.Add(time.Duration(i)*time.Millisecond))
+		store(t, c, cacheKey{name: fmt.Sprintf("fill%05d.example", i), typ: dns.TypeA}, msg, later.Add(time.Duration(i)*time.Millisecond))
 	}
 	c.visited = 0
 	const inserts = 4096
 	for i := range inserts {
-		c.put(cacheKey{name: fmt.Sprintf("new%05d.example", i), typ: dns.TypeA}, msg, later.Add(time.Hour))
+		store(t, c, cacheKey{name: fmt.Sprintf("new%05d.example", i), typ: dns.TypeA}, msg, later.Add(time.Hour))
 		if len(c.entries) != c.capacity {
 			t.Fatalf("insert %d at capacity left %d entries, want %d", i, len(c.entries), c.capacity)
 		}
@@ -333,6 +456,32 @@ func TestNegativeCaching(t *testing.T) {
 	}
 }
 
+// fabricResolver returns a resolver whose upstream is h, served on a
+// netsim fabric as the world's authoritative server is: an exchange
+// crosses no socket and costs a few microseconds.
+func fabricResolver(t *testing.T, h dns.Handler) *Resolver {
+	t.Helper()
+	fabric := netsim.NewFabric()
+	server := netip.MustParseAddrPort("192.0.2.53:53")
+	pc, err := fabric.ListenPacket(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &dns.Server{Handler: h}
+	if err := srv.Serve(pc); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	return New(Config{
+		Server: server.String(),
+		Dialer: fabric.BoundDialer(netip.MustParseAddr("203.0.113.25"), netip.Addr{}),
+	})
+}
+
 // TestFabricMissAllocs pins what one resolver miss costs the process
 // when it crosses the netsim fabric, as every MTA's resolver does in a
 // probe campaign: the query packed and written, the server's read,
@@ -343,31 +492,13 @@ func TestNegativeCaching(t *testing.T) {
 // against 50 and ≈4.1 KB with a timeout context and a timer per
 // direction. Run by `make telemetry-alloc`.
 func TestFabricMissAllocs(t *testing.T) {
-	fabric := netsim.NewFabric()
-	server := netip.MustParseAddrPort("192.0.2.53:53")
-	pc, err := fabric.ListenPacket(server)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := &dns.A{Addr: netip.MustParseAddr("192.0.2.9")}
-	srv := &dns.Server{Handler: dns.HandlerFunc(func(w dns.ResponseWriter, r *dns.Request) {
+	r := fabricResolver(t, dns.HandlerFunc(func(w dns.ResponseWriter, r *dns.Request) {
 		q := r.Msg.Question()
 		resp := new(dns.Message).SetReply(r.Msg)
 		resp.Answers = []dns.RR{{Name: q.Name, Type: dns.TypeA, Class: dns.ClassINET, TTL: 300, Data: a}}
 		_ = w.WriteMsg(resp)
-	})}
-	if err := srv.Serve(pc); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-	r := New(Config{
-		Server: server.String(),
-		Dialer: fabric.BoundDialer(netip.MustParseAddr("203.0.113.25"), netip.Addr{}),
-	})
+	}))
 
 	const runs = 500
 	names := make([]string, runs+1)

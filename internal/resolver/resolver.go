@@ -81,15 +81,14 @@ type Config struct {
 }
 
 // Resolver is a caching stub resolver bound to one upstream server.
-// It is safe for concurrent use: cache hits share one read lock on one
-// map, and concurrent identical queries are collapsed into one wire
-// exchange by a singleflight group (see flightGroup), so a bulk SPF
-// stampede on a cold name costs one query, not one per worker.
+// It is safe for concurrent use. Its cache is one table: each key
+// holds its answer or the one wire exchange in flight for it, so cache
+// hits share one read lock on one map, and concurrent identical
+// queries cost one exchange, not one per caller (see cache).
 type Resolver struct {
 	cfg    Config
 	client *dns.Client
 	cache  *cache
-	flight flightGroup
 }
 
 // cacheEntries is the cache's capacity, exactly.
@@ -152,11 +151,12 @@ func isV6HostPort(hostport string) bool {
 }
 
 // Exchange resolves (name, t) against the upstream, consulting the
-// cache first. Concurrent identical queries share one wire exchange
-// (singleflight): the first caller leads, later callers wait for its
-// result. A waiter whose context is cancelled returns promptly while
-// the exchange itself keeps running under a flight-owned context and
-// still populates the cache. Transport failures — timeouts, resets,
+// cache first. Concurrent identical queries share one wire exchange:
+// the first caller to miss leads, later callers wait for its result,
+// and a caller that misses as the exchange finishes finds its answer.
+// A waiter whose context is cancelled returns promptly while the
+// exchange itself keeps running under a flight-owned context and still
+// populates the cache. Transport failures — timeouts, resets,
 // short TCP reads from a dying connection — are retried up to
 // maxRetries times, so the faults a hostile network injects between
 // the stub and its upstream do not surface as measurement noise;
@@ -172,7 +172,8 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 		sp.SetAttr("dns.name", dns.CanonicalName(name))
 		sp.SetAttr("dns.type", t.String())
 	}
-	if msg, ok := r.cache.get(key, time.Now()); ok {
+	now := time.Now()
+	if msg, ok := r.cache.get(key, now); ok {
 		sp.SetAttr("outcome", "cache")
 		sp.End()
 		return msg, nil
@@ -187,20 +188,25 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 	// string.
 	name = dns.CanonicalName(name)
 	key.name = name[:len(name)-1]
-	c, leader := r.flight.join(key)
-	if leader {
+	e, leader := r.cache.join(key, now)
+	switch {
+	case e.call == nil:
+		sp.SetAttr("outcome", "cache")
+		sp.End()
+		return e.msg, nil
+	case leader:
 		sp.SetAttr("singleflight", "leader")
-		go r.lead(key, c, name, t, sp.Link())
-	} else {
+		go r.lead(key, e.call, name, t, sp.Link())
+	default:
 		sp.SetAttr("singleflight", "waiter")
 	}
 	select {
-	case <-c.done:
-		sp.SetError(c.err)
+	case <-e.call.done:
+		sp.SetError(e.call.err)
 		sp.End()
-		return c.msg, c.err
+		return e.call.msg, e.call.err
 	case <-ctx.Done():
-		r.flight.leave(c)
+		r.cache.leave(e.call)
 		sp.SetError(ctx.Err())
 		sp.End()
 		return nil, ctx.Err()
@@ -208,28 +214,29 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 }
 
 // lead performs a flight's wire exchange under the flight-owned
-// context, caches a successful response for its TTL scaled by
-// Config.TimeScale, and publishes the outcome to every waiter. Leader errors are not cached: the next caller after
-// finish starts a fresh flight. link carries the leading Exchange
-// span's identity (a value snapshot — the span itself may already be
-// recycled by the time this goroutine runs).
-func (r *Resolver) lead(key cacheKey, c *flightCall, name string, t dns.Type, link trace.Link) {
+// context and finishes the flight: a successful response stays cached
+// for its TTL scaled by Config.TimeScale, an error is not cached. link
+// carries the leading Exchange span's identity (a value snapshot — the
+// span itself may already be recycled by the time this goroutine
+// runs).
+func (r *Resolver) lead(key cacheKey, f *flight, name string, t dns.Type, link trace.Link) {
 	wsp := link.Start("resolver.wire")
 	if wsp != nil {
 		wsp.SetAttr("dns.name", name)
 		wsp.SetAttr("dns.type", t.String())
 	}
-	msg, err := r.exchangeWithRetry(c.ctx, name, t)
+	msg, err := r.exchangeWithRetry(f.ctx, name, t)
 	wsp.SetError(err)
 	wsp.End()
+	var expires time.Time
 	if err == nil {
 		ttl := minTTL(msg)
 		if r.cfg.TimeScale > 0 {
 			ttl = time.Duration(float64(ttl) * r.cfg.TimeScale)
 		}
-		r.cache.put(key, msg, time.Now().Add(ttl))
+		expires = time.Now().Add(ttl)
 	}
-	r.flight.finish(key, c, msg, err)
+	r.cache.finish(key, f, msg, expires, err)
 }
 
 // exchangeWithRetry is the wire path: one exchange plus the
