@@ -72,18 +72,18 @@ crash:
 		-run 'TestKillResumeConvergence' ./cmd/campaign/
 
 # The instrument allocation pins: metric increments are on the DNS
-# serving hot path, so Counter.Inc / Histogram.Observe / vec lookups
-# must stay at zero allocations (alongside the UDP endpoint's per-query
-# budget, the query-log codec, per-chunk ingest pipeline and journal
-# encoder pins, the tracer's span-lifecycle pins, the shared jsonwire
-# cursor pin, the resolver cache-hit, warm-lookup and warm-CheckHost
-# pins, the SPF record parse pin, the WAL replay pin, the query-log
-# fold pin and the bulk SPF per-tuple pin that share the naming
-# convention), and the
-# connection-lifecycle pins: what one SMTP probe dialogue allocates
-# (internal/smtp), what one resolver miss over the fabric allocates
-# (internal/resolver), that re-arming a netsim deadline reuses its timer
-# and that closed connections retain nothing (internal/netsim).
+# serving hot path, so Counter.Inc / Histogram.Observe / the
+# per-policy count must stay at zero allocations (alongside the UDP
+# endpoint's per-query budget, the query-log codec, per-chunk ingest
+# pipeline and journal encoder pins, the tracer's span-lifecycle pins,
+# the shared jsonwire cursor pin, the resolver cache-hit, warm-lookup
+# and warm-CheckHost pins, the SPF record parse pin, the WAL replay
+# pin, the query-log fold pin and the bulk SPF per-tuple pin that share
+# the naming convention), and the connection-lifecycle pins: what one
+# SMTP probe dialogue allocates (internal/smtp), what one resolver miss
+# over the fabric allocates (internal/resolver), that re-arming a
+# netsim deadline reuses its timer and that closed connections retain
+# nothing (internal/netsim).
 telemetry-alloc:
 	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \

@@ -410,12 +410,12 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	var retried, attempts float64
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < fleet; j += 5 {
-			fabric.SetUnreachable(addrs[ids[j]], true)
+			fabric.SetFaults(addrs[ids[j]], &netsim.FaultProfile{DialFailure: 1})
 		}
 		c := campaign.New(campaign.Config{Workers: 16, MaxAttempts: 4, Seed: int64(i)}, func(ctx context.Context, t campaign.Task) error {
 			res := client.Probe(ctx, addrs[t.MTA], t.MTA, t.Test)
 			if errors.Is(res.Err, netsim.ErrConnRefused) {
-				fabric.SetUnreachable(addrs[t.MTA], false)
+				fabric.SetFaults(addrs[t.MTA], nil)
 			}
 			return res.Err
 		})

@@ -14,20 +14,15 @@ import (
 // value is usable for all counters; the latency histogram is created
 // by init (idempotent, called from Start).
 type serverMetrics struct {
-	queriesUDP Counter
-	queriesTCP Counter
+	queriesUDP telemetry.Counter
+	queriesTCP telemetry.Counter
 	// rcodes counts responses by RCODE. DNS header RCODEs are 4 bits,
 	// so a fixed array replaces a labeled family on the write path.
-	rcodes [16]Counter
+	rcodes [16]telemetry.Counter
 	// serve is the query latency from packet arrival to response
 	// written, in seconds.
 	serve *telemetry.Histogram
 }
-
-// Counter aliases the telemetry counter so the dns package's exported
-// accessors keep returning plain uint64s without importing telemetry
-// at every call site.
-type Counter = telemetry.Counter
 
 func (m *serverMetrics) init() {
 	if m.serve == nil {

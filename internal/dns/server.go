@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sendervalid/internal/telemetry"
 	"sendervalid/internal/trace"
 )
 
@@ -130,8 +131,8 @@ type Server struct {
 	limiter *RateLimiter
 
 	metrics serverMetrics
-	panics  Counter
-	refused Counter
+	panics  telemetry.Counter
+	refused telemetry.Counter
 }
 
 // ErrServerStarted is returned when a server is started twice.

@@ -124,3 +124,19 @@ func TestParForEachLogJSONAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestCountQueryAllocs pins the per-policy count on the serving path:
+// a served label and an unserved one are both a lookup in the table
+// fixed at start and an atomic add.
+func TestCountQueryAllocs(t *testing.T) {
+	zone := &Zone{Suffix: testSuffix, Responders: map[string]Responder{"t01": nil}}
+	zone.compile()
+	var m serverMetrics
+	m.init([]*Zone{zone})
+	if n := testing.AllocsPerRun(1000, func() {
+		m.countQuery("t01")
+		m.countQuery("x001")
+	}); n != 0 {
+		t.Errorf("countQuery: %v allocs/op, want 0", n)
+	}
+}

@@ -8,30 +8,52 @@ import (
 // They sit above the transport endpoints (which carry their own
 // dns_* families): attribution-level counts the transport cannot see.
 type serverMetrics struct {
-	// queries counts attributed queries by test-policy label. The
-	// label comes off the wire (any probe can mint one), so the family
-	// is cardinality-bounded: the catalog's 39 policies plus apex and
-	// infrastructure labels fit, and junk beyond the bound lands in
-	// the overflow child.
-	queries *telemetry.CounterVec
+	// queries counts attributed queries by test-policy label. It is
+	// fixed when the server starts: one counter per label a depth-2
+	// zone has a responder for, noPolicyLabel and overflowLabel. The
+	// label comes off the wire (any probe can put anything in a
+	// name), so a label the server does not serve mints no series:
+	// the handler counts it under overflowLabel.
+	queries map[string]*telemetry.Counter
 	// zoneMiss counts queries refused for matching no served zone.
 	zoneMiss telemetry.Counter
 }
 
-const maxPolicySeries = 128
+const (
+	// noPolicyLabel attributes apex and other unlabeled in-zone queries.
+	noPolicyLabel = "none"
+	// overflowLabel attributes queries whose test label the server
+	// does not serve.
+	overflowLabel = "_overflow"
+)
 
-// noPolicyLabel attributes apex and other unlabeled in-zone queries.
-const noPolicyLabel = "none"
-
-func (m *serverMetrics) init() {
-	m.queries = telemetry.NewCounterVec(maxPolicySeries)
+func (m *serverMetrics) init(zones []*Zone) {
+	m.queries = map[string]*telemetry.Counter{
+		noPolicyLabel: new(telemetry.Counter),
+		overflowLabel: new(telemetry.Counter),
+	}
+	for _, z := range zones {
+		if z.depth < 2 {
+			continue
+		}
+		for id := range z.Responders {
+			if m.queries[id] == nil {
+				m.queries[id] = new(telemetry.Counter)
+			}
+		}
+	}
 }
 
-func policyLabel(testID string) string {
+// countQuery counts one attributed query under its test label.
+func (m *serverMetrics) countQuery(testID string) {
 	if testID == "" {
-		return noPolicyLabel
+		testID = noPolicyLabel
 	}
-	return testID
+	c := m.queries[testID]
+	if c == nil {
+		c = m.queries[overflowLabel]
+	}
+	c.Inc()
 }
 
 // RegisterMetrics publishes the server's families: the per-policy
@@ -44,9 +66,11 @@ func policyLabel(testID string) string {
 // owner (see AsyncLog.RegisterMetrics), which also owns its lifecycle.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
 	s.init()
-	reg.MustCounterVec("dnsserver_queries_total",
-		"Attributed queries, by test-policy label.",
-		"policy", s.metrics.queries, labels...)
+	for policy, c := range s.metrics.queries {
+		reg.MustCounter("dnsserver_queries_total",
+			"Attributed queries, by test-policy label.",
+			c, telemetry.WithLabel(labels, "policy", policy)...)
+	}
 	reg.MustCounter("dnsserver_zone_misses_total",
 		"Queries refused for matching no served zone.",
 		&s.metrics.zoneMiss, labels...)

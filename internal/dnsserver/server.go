@@ -208,7 +208,8 @@ type Server struct {
 }
 
 // init compiles every zone and orders them longest-suffix-first, and
-// creates the always-on instruments the handler increments.
+// creates the always-on instruments the handler increments: the
+// per-policy query counters are fixed here by the zones' responders.
 func (s *Server) init() {
 	s.initOnce.Do(func() {
 		s.ordered = make([]*Zone, len(s.Zones))
@@ -219,7 +220,7 @@ func (s *Server) init() {
 		sort.SliceStable(s.ordered, func(i, j int) bool {
 			return len(s.ordered[i].suffix) > len(s.ordered[j].suffix)
 		})
-		s.metrics.init()
+		s.metrics.init(s.ordered)
 	})
 }
 
@@ -376,7 +377,7 @@ func (s *Server) handler(v6 bool) dns.Handler {
 			return
 		}
 		q, _ := zone.parse(name, question.Type, r.Transport)
-		s.metrics.queries.With(policyLabel(q.TestID)).Inc()
+		s.metrics.countQuery(q.TestID)
 		if sp := r.Span; sp != nil {
 			sp.SetAttr("name", q.Name)
 			sp.SetAttr("type", q.Type.String())

@@ -56,7 +56,7 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 		if down >= len(w.Population.MTAs)/3 {
 			break
 		}
-		w.Fabric.SetUnreachable(info.Addr4, true)
+		w.Fabric.SetFaults(info.Addr4, &netsim.FaultProfile{DialFailure: 1})
 		down++
 	}
 	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 16}).Run(context.Background())

@@ -31,10 +31,10 @@ func TestProbeCampaignRetriesNetsimFailures(t *testing.T) {
 
 	flaky := w.Population.MTAs[0]
 	dead := w.Population.MTAs[1]
-	w.Fabric.SetUnreachable(flaky.Addr4, true)
-	w.Fabric.SetUnreachable(dead.Addr4, true)
+	w.Fabric.SetFaults(flaky.Addr4, &netsim.FaultProfile{DialFailure: 1})
+	w.Fabric.SetFaults(dead.Addr4, &netsim.FaultProfile{DialFailure: 1})
 	recover := time.AfterFunc(150*time.Millisecond, func() {
-		w.Fabric.SetUnreachable(flaky.Addr4, false)
+		w.Fabric.SetFaults(flaky.Addr4, nil)
 	})
 	defer recover.Stop()
 

@@ -263,3 +263,41 @@ func TestBenchmarksNameWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDocTestNames fails on a Test, Benchmark or Fuzz name inside a
+// backquoted span of README.md, DESIGN.md or EXPERIMENTS.md that names
+// no function in any test file of the module: a deleted or renamed
+// test would otherwise leave the docs citing it as evidence. The
+// history files (CHANGES.md, ROADMAP.md) and bench/README.md are not
+// checked.
+func TestDocTestNames(t *testing.T) {
+	defined := map[string]bool{}
+	for _, name := range testFuncs(t, "./...") {
+		defined[name] = true
+	}
+	span := regexp.MustCompile("`([^`]*)`")
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	var checked int
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(filepath.Join(moduleRoot, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, s := range span.FindAllSubmatch(raw, -1) {
+			for _, n := range name.FindAll(s[1], -1) {
+				if seen[string(n)] {
+					continue
+				}
+				seen[string(n)] = true
+				checked++
+				if !defined[string(n)] {
+					t.Errorf("%s names %s, which no test file defines", doc, n)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no test name in the docs")
+	}
+}

@@ -50,9 +50,6 @@ type Fabric struct {
 	// ephemeral allocation must skip.
 	bound     map[netip.AddrPort]*datagramConn
 	nextEphem uint16
-	// Unreachable marks addresses that refuse all connections,
-	// simulating filtered or offline hosts.
-	unreachable map[netip.Addr]bool
 
 	// Chaos state: per-link fault profiles (keyed by remote address),
 	// the default profile for unlisted links, and the seed/epoch that
@@ -66,23 +63,11 @@ type Fabric struct {
 // NewFabric creates an empty fabric.
 func NewFabric() *Fabric {
 	return &Fabric{
-		listeners:   make(map[netip.AddrPort]*Listener),
-		packets:     make(map[netip.AddrPort]*PacketConn),
-		bound:       make(map[netip.AddrPort]*datagramConn),
-		unreachable: make(map[netip.Addr]bool),
-		faults:      make(map[netip.Addr]*linkFaults),
-		nextEphem:   ephemeralFirst,
-	}
-}
-
-// SetUnreachable marks or clears an address as refusing connections.
-func (f *Fabric) SetUnreachable(addr netip.Addr, unreachable bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if unreachable {
-		f.unreachable[addr] = true
-	} else {
-		delete(f.unreachable, addr)
+		listeners: make(map[netip.AddrPort]*Listener),
+		packets:   make(map[netip.AddrPort]*PacketConn),
+		bound:     make(map[netip.AddrPort]*datagramConn),
+		faults:    make(map[netip.Addr]*linkFaults),
+		nextEphem: ephemeralFirst,
 	}
 }
 
@@ -136,7 +121,7 @@ func (f *Fabric) dial(ctx context.Context, local netip.Addr, remote netip.AddrPo
 		l = f.listeners[remote]
 		client, err = f.ephemeralLocked(local)
 	}
-	refused := f.unreachable[remote.Addr()] || (l == nil && ep == nil)
+	refused := l == nil && ep == nil
 	f.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -147,11 +147,11 @@ func TestUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	f.SetUnreachable(mtaAddr.Addr(), true)
+	f.SetFaults(mtaAddr.Addr(), &FaultProfile{DialFailure: 1})
 	if _, err := dial(f); !errors.Is(err, ErrConnRefused) {
 		t.Errorf("unreachable dial: %v", err)
 	}
-	f.SetUnreachable(mtaAddr.Addr(), false)
+	f.SetFaults(mtaAddr.Addr(), nil)
 	conn, err := dial(f)
 	if err != nil {
 		t.Fatalf("reachable again: %v", err)

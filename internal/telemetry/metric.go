@@ -1,9 +1,8 @@
 // Package telemetry is the observability plane for every serving
 // component: allocation-free metric instruments (atomic counters,
-// gauges, fixed-bucket histograms, bounded-cardinality labeled
-// families), a Registry that renders them deterministically in
-// Prometheus text exposition format, and an admin HTTP server exposing
-// /metrics, /healthz, /statusz, and /debug/pprof.
+// gauges, fixed-bucket histograms), a Registry that renders them
+// deterministically in Prometheus text exposition format, and an admin
+// HTTP server exposing /metrics, /healthz, /statusz, and /debug/pprof.
 //
 // The design splits instruments from registration: a Counter is a
 // plain struct usable at its zero value, so a server embeds its

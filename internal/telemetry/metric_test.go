@@ -132,11 +132,3 @@ func TestHistogramObserveAllocs(t *testing.T) {
 		t.Fatalf("Histogram.Observe allocates %v times per op", n)
 	}
 }
-
-func TestCounterVecWithAllocs(t *testing.T) {
-	v := NewCounterVec(8)
-	v.With("warm").Inc()
-	if n := testing.AllocsPerRun(1000, func() { v.With("warm").Inc() }); n != 0 {
-		t.Fatalf("CounterVec.With on existing child allocates %v times per op", n)
-	}
-}

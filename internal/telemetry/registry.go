@@ -38,27 +38,13 @@ type series struct {
 	hist      *Histogram
 }
 
-// vecEntry is one registered vec under a family name: the vec itself
-// plus the constant labels distinguishing it from sibling vecs (the
-// same way two static series share a name with disjoint labelsets).
-type vecEntry struct {
-	labelName string
-	constants []Label
-	key       string // canonical signature of the constant labels
-
-	cvec *CounterVec
-}
-
-// family groups every series sharing a metric name. A family is either
-// static (explicitly registered series) or dynamic (backed by vecs
-// whose children appear and disappear at render time); never both.
+// family groups every series sharing a metric name.
 type family struct {
 	name string
 	help string
 	typ  string
 
 	series []*series
-	vecs   []*vecEntry
 }
 
 // Registry holds registered metrics and renders them. The zero value
@@ -99,15 +85,6 @@ func (r *Registry) MustHistogram(name, help string, h *Histogram, labels ...Labe
 	r.add(name, help, typeHistogram, &series{labels: labels, hist: h})
 }
 
-// MustCounterVec registers a bounded counter family keyed by
-// labelName. Like MustCounter, it attaches a caller-owned instrument:
-// the component creates its vec (NewCounterVec) and increments it on
-// its hot path whether or not anything registers it. Constant labels
-// are rendered before the family label.
-func (r *Registry) MustCounterVec(name, help, labelName string, v *CounterVec, labels ...Label) {
-	r.addVec(name, help, typeCounter, labelName, labels, &vecEntry{cvec: v})
-}
-
 func (r *Registry) add(name, help, typ string, s *series) {
 	validateName(name)
 	for _, l := range s.labels {
@@ -117,42 +94,12 @@ func (r *Registry) add(name, help, typ string, s *series) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.familyLocked(name, help, typ)
-	if len(f.vecs) > 0 {
-		panic(fmt.Sprintf("telemetry: metric %q is a labeled family; cannot add static series", name))
-	}
 	for _, have := range f.series {
 		if have.key == s.key {
 			panic(fmt.Sprintf("telemetry: duplicate series %s%s", name, s.key))
 		}
 	}
 	f.series = append(f.series, s)
-}
-
-func (r *Registry) addVec(name, help, typ, labelName string, labels []Label, e *vecEntry) {
-	validateName(name)
-	validateLabel(labelName)
-	for _, l := range labels {
-		validateLabel(l.Name)
-	}
-	e.labelName = labelName
-	e.constants = labels
-	e.key = labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typ)
-	if len(f.series) > 0 {
-		panic(fmt.Sprintf("telemetry: metric %q already registered", name))
-	}
-	for _, have := range f.vecs {
-		if have.key == e.key {
-			panic(fmt.Sprintf("telemetry: duplicate series %s%s", name, e.key))
-		}
-		if have.labelName != e.labelName {
-			panic(fmt.Sprintf("telemetry: metric %q registered with family labels %q and %q",
-				name, have.labelName, e.labelName))
-		}
-	}
-	f.vecs = append(f.vecs, e)
 }
 
 // familyLocked returns (creating if needed) the family for name,
@@ -318,8 +265,7 @@ type reading struct {
 
 // visit calls fn once per family with its series' readings, in the one
 // deterministic order every renderer shares: families sorted by name,
-// static series by label signature, vecs by constant-label signature
-// and their children by label value.
+// series by label signature.
 func (r *Registry) visit(fn func(f *family, readings []reading)) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
@@ -330,19 +276,9 @@ func (r *Registry) visit(fn func(f *family, readings []reading)) {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
-		var out []reading
-		vecs := append([]*vecEntry(nil), f.vecs...)
-		sort.Slice(vecs, func(i, j int) bool { return vecs[i].key < vecs[j].key })
-		for _, e := range vecs {
-			for _, child := range sortedCounterChildren(e.cvec) {
-				out = append(out, reading{
-					labels: WithLabel(e.constants, e.labelName, child.label),
-					count:  child.c.Value(),
-				})
-			}
-		}
 		ordered := append([]*series(nil), f.series...)
 		sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
+		out := make([]reading, 0, len(ordered))
 		for _, s := range ordered {
 			rd := reading{labels: s.labels}
 			switch {
@@ -415,18 +351,6 @@ func writeSample(b *strings.Builder, name, suffix string, labels []Label, extraN
 	b.WriteByte(' ')
 	b.WriteString(value)
 	b.WriteByte('\n')
-}
-
-type counterChild struct {
-	label string
-	c     *Counter
-}
-
-func sortedCounterChildren(v *CounterVec) []counterChild {
-	var out []counterChild
-	v.each(func(label string, c *Counter) { out = append(out, counterChild{label, c}) })
-	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
-	return out
 }
 
 // SeriesSnapshot is one series' current value for /statusz.

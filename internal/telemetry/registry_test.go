@@ -12,8 +12,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenRegistry builds a registry exercising every exposition corner:
-// all five instrument kinds, constant labels, a labeled family with an
-// overflow child, label-value escaping, non-finite gauge values, and
+// every instrument kind, constant labels, a family of sibling series
+// told apart by one label, label-value escaping, non-finite gauge values, and
 // names chosen so sorted output differs from registration order.
 func goldenRegistry() *Registry {
 	reg := NewRegistry()
@@ -41,11 +41,11 @@ func goldenRegistry() *Registry {
 	}
 	reg.MustHistogram("dd_latency_seconds", "A histogram.", h, L("op", "serve"))
 
-	cv := NewCounterVec(2)
-	cv.With("t01").Inc()
-	cv.With("t02").Add(3)
-	cv.With("minted-by-wire").Inc() // over the bound: overflow child
-	reg.MustCounterVec("ff_by_policy_total", "Labeled family.", "policy", cv, L("zone", "test"))
+	for policy, n := range map[string]uint64{"t01": 1, "t02": 3, "_overflow": 1} {
+		var c Counter
+		c.Add(n)
+		reg.MustCounter("ff_by_policy_total", "Labeled family.", &c, L("zone", "test"), L("policy", policy))
+	}
 
 	return reg
 }
@@ -119,14 +119,6 @@ func TestRegistryConflicts(t *testing.T) {
 	mustPanic("invalid name", func() { reg.MustCounter("0bad", "help", &c) })
 	mustPanic("invalid name char", func() { reg.MustCounter("bad-name", "help", &c) })
 	mustPanic("reserved label", func() { reg.MustCounter("y_total", "help", &c, L("__name__", "x")) })
-	mustPanic("vec over static", func() {
-		reg.MustCounterVec("x_total", "help", "k", NewCounterVec(4))
-	})
-	mustPanic("static over vec", func() {
-		reg.MustCounterVec("v_total", "help", "k", NewCounterVec(4))
-		var c2 Counter
-		reg.MustCounter("v_total", "help", &c2)
-	})
 
 	// Disjoint labelsets under one name are allowed — that is how two
 	// endpoints share a family.
@@ -134,41 +126,6 @@ func TestRegistryConflicts(t *testing.T) {
 	reg2 := NewRegistry()
 	reg2.MustCounter("ok_total", "help", &a, L("endpoint", "v4"))
 	reg2.MustCounter("ok_total", "help", &b, L("endpoint", "v6"))
-
-	// The same holds for vecs: one component registered several times
-	// under distinct constant labels (sequential experiment worlds).
-	reg3 := NewRegistry()
-	reg3.MustCounterVec("w_total", "help", "k", NewCounterVec(4), L("world", "one"))
-	reg3.MustCounterVec("w_total", "help", "k", NewCounterVec(4), L("world", "two"))
-	mustPanic("duplicate vec labelset", func() {
-		reg3.MustCounterVec("w_total", "help", "k", NewCounterVec(4), L("world", "one"))
-	})
-	mustPanic("conflicting vec family label", func() {
-		reg3.MustCounterVec("w_total", "help", "other", NewCounterVec(4), L("world", "three"))
-	})
-}
-
-func TestSiblingVecsRender(t *testing.T) {
-	reg := NewRegistry()
-	one := NewCounterVec(4)
-	one.With("t01").Add(2)
-	two := NewCounterVec(4)
-	two.With("t01").Inc()
-	reg.MustCounterVec("q_total", "Queries.", "policy", one, L("world", "one"))
-	reg.MustCounterVec("q_total", "Queries.", "policy", two, L("world", "two"))
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `q_total{world="one",policy="t01"} 2`) ||
-		!strings.Contains(out, `q_total{world="two",policy="t01"} 1`) {
-		t.Errorf("sibling vec samples missing:\n%s", out)
-	}
-	if strings.Count(out, "# TYPE q_total") != 1 {
-		t.Errorf("family header duplicated:\n%s", out)
-	}
 }
 
 func TestWriteSummary(t *testing.T) {
