@@ -51,13 +51,16 @@ no-stale-refs:
 	[ $$? -eq 1 ] || { echo "stale reference to the deleted micro-harness"; exit 1; }
 
 # The chaos suite: seeded fault injection through netsim plus the
-# serving-path robustness tests (shutdown and shaped-delay head-of-line
-# included), all under the race detector.
+# serving-path robustness tests (shutdown, shaped-delay head-of-line
+# and the slow-peer tables included), all under the race detector. The
+# serving-path run builds with GOEXPERIMENT=synctest, so internal/dns's
+# bubble tests (a TCP peer that never reads, never sends or trickles)
+# run in it on virtual time.
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
 		-run 'TestChaos|TestPipeConn|TestPacketConn' -v ./internal/netsim/
-	$(GO) test -race -count=1 \
-		-run 'Panic|RateLimit|TCPServer|Retry|AsyncLog|Evict|Shed|LineTooLong|PolicyRejections|Shutdown|HeadOfLine' \
+	GOEXPERIMENT=synctest $(GO) test -race -count=1 \
+		-run 'Panic|RateLimit|TCPServer|Retry|AsyncLog|Evict|Shed|LineTooLong|PolicyRejections|Shutdown|HeadOfLine|SlowPeer' \
 		./internal/dns/ ./internal/dnsserver/ ./internal/smtp/ ./internal/resolver/
 
 # The crash-recovery suite: the byte-level kill/recover sweeps over
@@ -97,7 +100,8 @@ telemetry-alloc:
 # -workers 1 and 24 and under SMTP faults, each of which must print
 # that report outside its "completed in" line; and, in internal/dns,
 # Shutdown against a TCP client that never reads its answers, which
-# waits out the server's write deadline. They finish only while
+# waits out the server's write deadline, and the TCP clients that never
+# send or trickle a query, which wait out its idle deadline. They finish only while
 # nothing in them waits on a host socket. They live in `//go:build
 # goexperiment.synctest` files; tier-1 `go test ./...` runs
 # TestStudyBubble alone, as a subprocess (TestStudyBubbleGolden).

@@ -446,7 +446,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 func BenchmarkFingerprintExtraction(b *testing.B) {
 	w := benchWorld(b, 17)
 	tests := []string{"t01", "t02", "t06", "t07", "t08", "t11"}
-	experiment.NewProbeCampaign(w, tests, experiment.ProbeCampaignOpts{Workers: 32}).Run(context.Background())
+	experiment.NewProbeCampaign(w, tests, campaign.Config{Workers: 32}, nil).Run(context.Background())
 	entries := w.Log.Entries()
 	b.ResetTimer()
 	var families int
@@ -500,7 +500,7 @@ func (s staticTXT) LookupTXT(ctx context.Context, name string) ([]string, error)
 // workload writes its log out this way before ingesting it.
 func BenchmarkQueryLogJSONRoundTrip(b *testing.B) {
 	w := benchWorld(b, 18)
-	experiment.NewProbeCampaign(w, []string{"t01", "t12"}, experiment.ProbeCampaignOpts{Workers: 32}).Run(context.Background())
+	experiment.NewProbeCampaign(w, []string{"t01", "t12"}, campaign.Config{Workers: 32}, nil).Run(context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var entries int

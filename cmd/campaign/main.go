@@ -1,5 +1,5 @@
-// Command campaign runs a durable, rate-limited probe campaign against
-// the simulated world. It is the operational face of the
+// Command campaign runs a durable, paced probe campaign against the
+// simulated world. It is the operational face of the
 // internal/campaign subsystem: the same sweep cmd/experiment performs
 // one-shot, but paced per MTA, retrying transient failures, journaling
 // every task transition, and resumable after a crash or Ctrl-C.
@@ -7,7 +7,7 @@
 // Usage:
 //
 //	campaign [-domains 2000] [-seed 1] [-tests core|all|t01,t02,...]
-//	         [-workers 64] [-rate 2] [-burst 1] [-attempts 4]
+//	         [-workers 64] [-rate 2] [-attempts 4]
 //	         [-journal camp.wal] [-journal-sync none|interval|always]
 //	         [-journal-rotate BYTES] [-resume] [-interval 2s]
 //	         [-population notify|twoweek] [-timescale 0.001]
@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	var (
 		testsFlag    = fs.String("tests", "core", `test policies: "core", "all", or a comma-separated ID list`)
 		rate         = fs.Float64("rate", 2, "probes/second budget per MTA (0 = unlimited)")
-		burst        = fs.Int("burst", 1, "per-MTA token bucket depth")
 		attempts     = fs.Int("attempts", 4, "attempt budget per (MTA, test) pair")
 		journalRotat = fs.Int64("journal-rotate", 0, "rotate the journal when the live segment exceeds this many bytes (0 = never)")
 		chaosSeed    = fs.Int64("chaos-seed", 0, "inject seeded network chaos into the simulated fabric (0 disables)")
@@ -119,18 +118,18 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		return fail(err)
 	}
 	defer tracing.Close()
-	opts := experiment.ProbeCampaignOpts{
+	cfg := campaign.Config{
 		Workers:     study.Workers,
-		MTARate:     *rate,
-		MTABurst:    *burst,
+		ShardRate:   *rate,
 		MaxAttempts: *attempts,
 		Logf:        logf,
 		Tracer:      tracing.Tracer,
 	}
 	var jnl campaign.Journal
+	var replay *campaign.Replay
 	if study.Journal != "" {
-		var replay *campaign.Replay
-		replay, jnl, err = campaign.OpenJournal(study.Journal, campaign.JournalOptions{
+		var recorded *campaign.Replay
+		recorded, jnl, err = campaign.OpenJournal(study.Journal, campaign.JournalOptions{
 			Sync:        syncPolicy,
 			RotateBytes: *journalRotat,
 		})
@@ -138,17 +137,17 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 			return fail(err)
 		}
 		defer jnl.Close()
-		opts.Journal = jnl
-		if opts.Replay, err = replay.Admit(study.Journal, study.Resume, logf); err != nil {
+		cfg.Journal = jnl
+		if replay, err = recorded.Admit(study.Journal, study.Resume, logf); err != nil {
 			return fail(cli.Usage(err))
 		}
 		if study.Resume {
 			fmt.Fprintf(stdout, "journal %s: %d events, %d done, %d failed — resuming unfinished work\n",
-				study.Journal, replay.Events, replay.Done(), replay.Failed())
+				study.Journal, recorded.Events, recorded.Done(), recorded.Failed())
 		}
 	}
 
-	pc := experiment.NewProbeCampaign(world, tests, opts)
+	pc := experiment.NewProbeCampaign(world, tests, cfg, replay)
 
 	reg := telemetry.NewRegistry()
 	pc.RegisterMetrics(reg)

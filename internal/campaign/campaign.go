@@ -6,9 +6,10 @@
 //
 //   - a sharded work queue keyed by target MTA so no single
 //     destination is ever probed concurrently;
-//   - per-shard token-bucket rate limiting under a global concurrency
-//     cap, so aggregate throughput scales with the number of targets
-//     while each target sees at most its own budget;
+//   - a per-shard pace under a global concurrency cap: a shard's next
+//     attempt starts no sooner than 1/rate after its last, so aggregate
+//     throughput scales with the number of targets while each target
+//     sees at most its own budget;
 //   - retry of transient failures (connection refused, timeouts, 4xx
 //     SMTP replies) with exponential backoff and jitter, bounded by an
 //     attempt budget, while terminal outcomes are never retried;
@@ -61,12 +62,10 @@ type TaskFunc func(ctx context.Context, t Task) error
 type Config struct {
 	// Workers caps concurrent attempts across all shards. Default 32.
 	Workers int
-	// ShardRate is the sustained attempt budget per shard in
-	// attempts/second. Zero means unlimited.
+	// ShardRate is the attempt budget per shard in attempts/second: a
+	// fresh shard is probed at once, and each further attempt starts
+	// at least 1/ShardRate after the one before. Zero means unlimited.
 	ShardRate float64
-	// ShardBurst is the token-bucket depth per shard. Default 1: a
-	// fresh shard may be probed immediately, then paces at ShardRate.
-	ShardBurst int
 	// MaxAttempts bounds attempts per task, first try included.
 	// Default 4.
 	MaxAttempts int
@@ -91,9 +90,6 @@ type Config struct {
 func (cfg *Config) fillDefaults() {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 32
-	}
-	if cfg.ShardBurst <= 0 {
-		cfg.ShardBurst = 1
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
@@ -120,6 +116,9 @@ const (
 type Campaign struct {
 	cfg Config
 	run TaskFunc
+	// pace is 1/ShardRate, the least gap between the starts of one
+	// shard's attempts; zero when ShardRate is unlimited.
+	pace time.Duration
 
 	mu      sync.Mutex
 	shards  map[string]*shard
@@ -146,9 +145,14 @@ type Campaign struct {
 // New builds an empty campaign; Add queues work and Run executes it.
 func New(cfg Config, run TaskFunc) *Campaign {
 	cfg.fillDefaults()
+	var pace time.Duration
+	if cfg.ShardRate > 0 {
+		pace = time.Duration(float64(time.Second) / cfg.ShardRate)
+	}
 	return &Campaign{
 		cfg:     cfg,
 		run:     run,
+		pace:    pace,
 		shards:  make(map[string]*shard),
 		tasks:   make(map[Key]int),
 		journal: newJournalWriter(cfg.Journal, cfg.Logf),
@@ -179,7 +183,7 @@ func (c *Campaign) Add(tasks ...Task) {
 func (c *Campaign) shardFor(name string) *shard {
 	s, ok := c.shards[name]
 	if !ok {
-		s = newShard(name, c.cfg.ShardRate, c.cfg.ShardBurst)
+		s = &shard{}
 		c.shards[name] = s
 		c.order = append(c.order, name)
 	}
@@ -259,9 +263,9 @@ func (c *Campaign) work(ctx context.Context) {
 }
 
 // nextLocked scans shards round-robin for a dispatchable task: the
-// shard has queued eligible work, no attempt in flight, and a rate
-// token available. When nothing is dispatchable it returns the
-// shortest wait until a rate or retry window opens (0 = no timed
+// shard has queued eligible work, no attempt in flight, and its pace
+// (next) has come. When nothing is dispatchable it returns the
+// shortest wait until a pace or retry window opens (0 = no timed
 // window; wait for an attempt to end alone). Caller holds mu.
 func (c *Campaign) nextLocked(now time.Time) (Task, bool, time.Duration) {
 	minWait := time.Duration(0)
@@ -279,16 +283,17 @@ func (c *Campaign) nextLocked(now time.Time) (Task, bool, time.Duration) {
 		if s.inflight || len(s.queue) == 0 {
 			continue
 		}
+		if s.next.After(now) {
+			consider(s.next.Sub(now))
+			continue
+		}
 		idx, notBefore := s.eligible(now)
 		if idx < 0 {
 			consider(notBefore.Sub(now))
 			continue
 		}
-		if !s.bucket.take(now) {
-			consider(s.bucket.wait(now))
-			continue
-		}
 		task := s.pop(idx)
+		s.next = now.Add(c.pace)
 		s.inflight = true
 		c.inflight++
 		c.rrNext = (c.rrNext + i + 1) % n

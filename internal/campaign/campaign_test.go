@@ -227,7 +227,7 @@ func TestResumeAfterCancel(t *testing.T) {
 }
 
 // TestPerShardRateLimit is the rate-limiting acceptance criterion: no
-// shard exceeds its token budget in any window while aggregate
+// shard exceeds its budget in any window while aggregate
 // throughput across shards exceeds any single shard's rate.
 func TestPerShardRateLimit(t *testing.T) {
 	const (
@@ -238,9 +238,8 @@ func TestPerShardRateLimit(t *testing.T) {
 	var mu sync.Mutex
 	grants := make(map[string][]time.Time)
 	c := New(Config{
-		Workers:    16,
-		ShardRate:  rate,
-		ShardBurst: 1,
+		Workers:   16,
+		ShardRate: rate,
 	}, func(ctx context.Context, task Task) error {
 		mu.Lock()
 		grants[task.MTA] = append(grants[task.MTA], time.Now())
@@ -254,8 +253,8 @@ func TestPerShardRateLimit(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	// Per shard: with burst 1, consecutive grants may never be closer
-	// than the refill interval (20% slack for timestamping skew).
+	// Per shard: consecutive grants may never be closer than 1/rate
+	// (20% slack for timestamping skew).
 	minGap := time.Duration(0.8 / rate * float64(time.Second))
 	for shard, times := range grants {
 		if len(times) != tasksPerShard {
@@ -283,40 +282,47 @@ func TestPerShardRateLimit(t *testing.T) {
 	}
 }
 
-func TestTokenBucketDeterministic(t *testing.T) {
-	b := newTokenBucket(2, 1) // 2 tokens/sec, burst 1
+// TestShardPaceDeterministic drives nextLocked at fixed instants: a
+// fresh shard dispatches at once, a second attempt at the same instant
+// is refused with a wait of exactly 1/rate and dispatches at t0 +
+// 1/rate, and at rate 0 nothing ever waits.
+func TestShardPaceDeterministic(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	if !b.take(t0) {
-		t.Fatal("fresh bucket must grant its burst")
-	}
-	if b.take(t0) {
-		t.Fatal("burst-1 bucket granted twice at the same instant")
-	}
-	if w := b.wait(t0); w != 500*time.Millisecond {
-		t.Fatalf("wait = %v, want 500ms", w)
-	}
-	if b.take(t0.Add(200 * time.Millisecond)) {
-		t.Fatal("granted before refill")
-	}
-	if !b.take(t0.Add(700 * time.Millisecond)) {
-		t.Fatal("refused after a full refill interval")
-	}
-	// Burst never exceeds the cap, however long the idle period.
-	b2 := newTokenBucket(2, 3)
-	t1 := t0.Add(time.Hour)
-	for i := 0; i < 3; i++ {
-		if !b2.take(t1) {
-			t.Fatalf("burst grant %d refused", i)
+	// next dispatches from c at now and ends the attempt at once, so
+	// only the pace can hold the shard back.
+	next := func(c *Campaign, now time.Time) (bool, time.Duration) {
+		task, ready, wait := c.nextLocked(now)
+		if ready {
+			c.shards[task.MTA].inflight = false
+			c.inflight--
 		}
+		return ready, wait
 	}
-	if b2.take(t1) {
-		t.Fatal("granted beyond burst after idle")
+
+	c := New(Config{ShardRate: 2}, nil) // 2 attempts/sec: 500 ms apart
+	c.Add(tasksFor(1, 3)...)
+	if ready, _ := next(c, t0); !ready {
+		t.Fatal("fresh shard refused")
 	}
-	// Unlimited bucket always grants.
-	b3 := newTokenBucket(0, 1)
+	ready, wait := next(c, t0)
+	if ready {
+		t.Fatal("shard dispatched twice at the same instant")
+	}
+	if wait != 500*time.Millisecond {
+		t.Fatalf("wait = %v, want 500ms", wait)
+	}
+	if ready, _ := next(c, t0.Add(499*time.Millisecond)); ready {
+		t.Fatal("dispatched before 1/rate had passed")
+	}
+	if ready, _ := next(c, t0.Add(500*time.Millisecond)); !ready {
+		t.Fatal("refused at t0 + 1/rate")
+	}
+
+	unlimited := New(Config{}, nil)
+	unlimited.Add(tasksFor(1, 100)...)
 	for i := 0; i < 100; i++ {
-		if !b3.take(t0) {
-			t.Fatal("unlimited bucket refused")
+		if ready, wait := next(unlimited, t0); !ready || wait != 0 {
+			t.Fatalf("rate 0: attempt %d refused (wait %v)", i, wait)
 		}
 	}
 }

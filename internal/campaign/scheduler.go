@@ -4,12 +4,13 @@ import "time"
 
 // shard is one politeness domain: a FIFO of pending work, an in-flight
 // flag enforcing "never two concurrent attempts to one destination",
-// and a token bucket pacing its attempts.
+// and the instant its pace lets the next attempt start.
 type shard struct {
-	name     string
 	queue    []pendingTask
 	inflight bool
-	bucket   tokenBucket
+	// next is the earliest instant the shard's next attempt may start:
+	// its last dispatch plus 1/ShardRate (zero until the first).
+	next time.Time
 }
 
 // pendingTask is one queued attempt; notBefore is zero for fresh work
@@ -17,10 +18,6 @@ type shard struct {
 type pendingTask struct {
 	task      Task
 	notBefore time.Time
-}
-
-func newShard(name string, rate float64, burst int) *shard {
-	return &shard{name: name, bucket: newTokenBucket(rate, burst)}
 }
 
 func (s *shard) push(t Task, notBefore time.Time) {
@@ -63,61 +60,4 @@ func (s *shard) waitingRetry(now time.Time) int {
 		}
 	}
 	return n
-}
-
-// tokenBucket is a standard leaky/token bucket: tokens accrue at rate
-// per second up to burst; each attempt consumes one. rate <= 0
-// disables limiting.
-type tokenBucket struct {
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64, burst int) tokenBucket {
-	return tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
-}
-
-// refill accrues tokens for the time elapsed since the last call.
-func (b *tokenBucket) refill(now time.Time) {
-	if b.last.IsZero() {
-		b.last = now
-		return
-	}
-	elapsed := now.Sub(b.last).Seconds()
-	if elapsed <= 0 {
-		return
-	}
-	b.tokens += elapsed * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-}
-
-// take consumes one token if available.
-func (b *tokenBucket) take(now time.Time) bool {
-	if b.rate <= 0 {
-		return true
-	}
-	b.refill(now)
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// wait reports how long until the next token accrues.
-func (b *tokenBucket) wait(now time.Time) time.Duration {
-	if b.rate <= 0 {
-		return 0
-	}
-	b.refill(now)
-	if b.tokens >= 1 {
-		return 0
-	}
-	missing := 1 - b.tokens
-	return time.Duration(missing / b.rate * float64(time.Second))
 }

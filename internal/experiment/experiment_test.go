@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/mtasim"
@@ -132,7 +133,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 	// Same population recipe as NotifyEmail, probed instead of mailed:
 	// the §6.2 contrast.
 	w := buildTestWorld(t, smallNotifySpec(240, 13), NotifyRates())
-	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
@@ -155,7 +156,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 
 func TestTwoWeekMXExperiment(t *testing.T) {
 	w := buildTestWorld(t, smallTwoWeekSpec(300, 17), TwoWeekRates())
-	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, true)
 
 	rate := float64(a.SPFDomains) / float64(a.Domains)
@@ -190,7 +191,7 @@ func TestBehaviorAnalyses(t *testing.T) {
 	// A small fleet probed with the behaviour-revealing tests.
 	w := buildTestWorld(t, smallNotifySpec(160, 19), NotifyRates())
 	tests := []string{"t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}
-	NewProbeCampaign(w, tests, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	NewProbeCampaign(w, tests, campaign.Config{Workers: 24}, nil).Run(context.Background())
 
 	obs := w.Observations()
 	sp := SerialParallel(obs)
@@ -257,7 +258,7 @@ func TestBehaviorAnalyses(t *testing.T) {
 func TestFingerprintPipeline(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(120, 29), NotifyRates())
 	tests := []string{"t01", "t02", "t04", "t05", "t06", "t07", "t08", "t09", "t11"}
-	NewProbeCampaign(w, tests, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	NewProbeCampaign(w, tests, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	clusters, vectors := Fingerprints(w.Observations())
 	if len(clusters) == 0 || len(vectors) == 0 {
 		t.Fatal("no fingerprints extracted")
@@ -336,7 +337,7 @@ func TestCrossExperimentConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer probeWorld.Close()
-	probeRun, _ := NewProbeCampaign(probeWorld, []string{"t12"}, ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	probeRun, _ := NewProbeCampaign(probeWorld, []string{"t12"}, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	probes := Probes(probeWorld.Population, probeWorld.Observations(), probeRun, false)
 
 	c := Compare(pop, ne, probes)
@@ -366,7 +367,7 @@ func TestFullCatalogProbeRun(t *testing.T) {
 	// against a small fleet: every policy must be servable end to end
 	// without stalling a probe or crashing an MTA.
 	w := buildTestWorld(t, smallNotifySpec(60, 59), NotifyRates())
-	run, _ := NewProbeCampaign(w, AllTests(), ProbeCampaignOpts{Workers: 16}).Run(context.Background())
+	run, _ := NewProbeCampaign(w, AllTests(), campaign.Config{Workers: 16}, nil).Run(context.Background())
 	if got := len(run.Results); got != len(w.Population.MTAs) {
 		t.Fatalf("results for %d of %d MTAs", got, len(w.Population.MTAs))
 	}
@@ -415,7 +416,7 @@ func TestFleetMetricsEqualPerMTAStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	w.RegisterMetrics(reg)
 
-	NewProbeCampaign(w, []string{"t01", "t03", "t12"}, ProbeCampaignOpts{Workers: 16}).Run(context.Background())
+	NewProbeCampaign(w, []string{"t01", "t03", "t12"}, campaign.Config{Workers: 16}, nil).Run(context.Background())
 
 	fields := []struct {
 		name string

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sendervalid/internal/campaign"
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/mtasim"
 	"sendervalid/internal/netsim"
@@ -59,7 +60,7 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 		w.Fabric.SetFaults(info.Addr4, &netsim.FaultProfile{DialFailure: 1})
 		down++
 	}
-	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 16}).Run(context.Background())
+	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 16}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 	if a.ProbesTotal != len(w.Population.MTAs) {
 		t.Errorf("probes %d for %d MTAs", a.ProbesTotal, len(w.Population.MTAs))
@@ -88,7 +89,7 @@ func TestRunCancellation(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(120, 37), NotifyRates())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 8}).Run(ctx)
+	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 8}, nil).Run(ctx)
 	if len(run.Results) >= len(w.Population.MTAs) {
 		t.Errorf("cancelled probe run processed all %d MTAs", len(run.Results))
 	}
@@ -110,7 +111,7 @@ func TestWorldRebuildAfterClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %d: %v", i, err)
 		}
-		run, _ := NewProbeCampaign(w, []string{"t12"}, ProbeCampaignOpts{Workers: 8}).Run(context.Background())
+		run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 8}, nil).Run(context.Background())
 		if len(run.Results) != len(pop.MTAs) {
 			t.Errorf("build %d: %d results", i, len(run.Results))
 		}
@@ -146,7 +147,7 @@ func TestPaperScaleWorld(t *testing.T) {
 		t.Skip("larger-scale world")
 	}
 	w := buildTestWorld(t, smallNotifySpec(1200, 43), NotifyRates())
-	run, _ := NewProbeCampaign(w, []string{"t01", "t12"}, ProbeCampaignOpts{Workers: 64}).Run(context.Background())
+	run, _ := NewProbeCampaign(w, []string{"t01", "t12"}, campaign.Config{Workers: 64}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 	rate := float64(a.SPFDomains) / float64(a.Domains)
 	if rate < 0.40 || rate > 0.62 {

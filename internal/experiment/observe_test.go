@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sendervalid/internal/campaign"
 	"sendervalid/internal/dnsserver"
 	"sendervalid/internal/fingerprint"
 	"sendervalid/internal/policy"
@@ -73,7 +74,7 @@ func foldProperties[M ~map[string]V, V any](t *testing.T, log []dnsserver.LogEnt
 // real one: a small fleet probed with every behaviour-revealing policy.
 func TestObservations(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(400, 19), NotifyRates())
-	NewProbeCampaign(w, CoreTests[:11], ProbeCampaignOpts{Workers: 24}).Run(context.Background())
+	NewProbeCampaign(w, CoreTests[:11], campaign.Config{Workers: 24}, nil).Run(context.Background())
 	log := w.Log.Entries()
 	obs := w.Observations()
 	if len(obs) < 100 {

@@ -10,37 +10,7 @@ import (
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/probe"
 	"sendervalid/internal/smtp"
-	"sendervalid/internal/trace"
 )
-
-// ProbeCampaignOpts configures a durable probe run. The zero value
-// reproduces the historical one-shot behaviour: unlimited per-MTA
-// rate, default worker pool, no journal.
-type ProbeCampaignOpts struct {
-	// Workers caps concurrent probes across the fleet.
-	Workers int
-	// MTARate limits probes/second against any single MTA (the
-	// politeness budget; 0 = unlimited). MTABurst is the bucket
-	// depth (default 1).
-	MTARate  float64
-	MTABurst int
-	// MaxAttempts bounds attempts per (MTA, test) pair; transient
-	// failures (connection refused, timeouts, 4xx greylisting) are
-	// retried with exponential backoff up to this budget.
-	MaxAttempts int
-	// Journal receives the append-only JSONL record of task
-	// transitions (see campaign.OpenJournal).
-	Journal interface{ Write([]byte) (int, error) }
-	// Replay, when resuming, prunes (MTA, test) pairs the journal
-	// already records as finished.
-	Replay *campaign.Replay
-	// Logf receives operational warnings (the one-line journal-failure
-	// notice); nil discards them.
-	Logf func(format string, args ...any)
-	// Tracer, when non-nil, records one root span per probe attempt
-	// (see campaign.Config.Tracer).
-	Tracer *trace.Tracer
-}
 
 // ProbeCampaign is a prepared probe run over every (MTA, test) pair of
 // a world. Its embedded *campaign.Campaign exposes Snapshot for live
@@ -59,14 +29,14 @@ type ProbeCampaign struct {
 
 // NewProbeCampaign builds (without running) a campaign covering the
 // full (MTA, test) cross product, sharded by MTA so no destination is
-// probed concurrently, with MTA order shuffled (paper §5.2).
-func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCampaign {
+// probed concurrently, with MTA order shuffled (paper §5.2). cfg goes
+// to campaign.New as it is, except that its Seed is the world's seed.
+// replay, when resuming, prunes the pairs it records as finished.
+func NewProbeCampaign(w *World, tests []string, cfg campaign.Config, replay *campaign.Replay) *ProbeCampaign {
 	if len(tests) == 0 {
 		tests = CoreTests
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 32
-	}
+	cfg.Seed = w.cfg.Seed
 
 	client := &probe.Client{
 		Dialer:     w.Fabric.BoundDialer(ProbeAddr4, ProbeAddr6),
@@ -96,16 +66,7 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 		tests:   tests,
 		results: make(map[campaign.Key]*probe.Result),
 	}
-	pc.Campaign = campaign.New(campaign.Config{
-		Workers:     opts.Workers,
-		ShardRate:   opts.MTARate,
-		ShardBurst:  opts.MTABurst,
-		MaxAttempts: opts.MaxAttempts,
-		Seed:        w.cfg.Seed,
-		Journal:     opts.Journal,
-		Logf:        opts.Logf,
-		Tracer:      opts.Tracer,
-	}, func(ctx context.Context, t campaign.Task) error {
+	pc.Campaign = campaign.New(cfg, func(ctx context.Context, t campaign.Task) error {
 		info := addrOf[t.MTA]
 		c := *client
 		c.RecipientDomain = recipientDomain[t.MTA]
@@ -124,9 +85,9 @@ func NewProbeCampaign(w *World, tests []string, opts ProbeCampaignOpts) *ProbeCa
 			tasks = append(tasks, campaign.Task{MTA: info.ID, Test: testID})
 		}
 	}
-	if opts.Replay != nil {
+	if replay != nil {
 		all := len(tasks)
-		tasks = opts.Replay.Unfinished(tasks)
+		tasks = replay.Unfinished(tasks)
 		pc.pruned = all - len(tasks)
 	}
 	pc.Campaign.Add(tasks...)

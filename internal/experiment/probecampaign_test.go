@@ -40,10 +40,10 @@ func TestProbeCampaignRetriesNetsimFailures(t *testing.T) {
 
 	// Five attempts on the default 100 ms backoff: the fifth comes at
 	// least 750 ms in, well after the flaky MTA recovers.
-	pc := NewProbeCampaign(w, campaignTests, ProbeCampaignOpts{
+	pc := NewProbeCampaign(w, campaignTests, campaign.Config{
 		Workers:     16,
 		MaxAttempts: 5,
-	})
+	}, nil)
 	run, err := pc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +155,9 @@ func TestProbeCampaignResume(t *testing.T) {
 	// it once half the tasks are finished lands the cancellation
 	// mid-run however fast the probes go.
 	ctx, cancel := context.WithCancel(context.Background())
-	pc1 := NewProbeCampaign(w, campaignTests, ProbeCampaignOpts{
+	pc1 := NewProbeCampaign(w, campaignTests, campaign.Config{
 		Workers: 4, Journal: &cancelAfterFinished{w: &journal, left: totalTasks / 2, cancel: cancel},
-	})
+	}, nil)
 	_, err := pc1.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
@@ -175,9 +175,7 @@ func TestProbeCampaignResume(t *testing.T) {
 		t.Errorf("journal replay sees %d finished, campaign reported %d", got, finished1)
 	}
 
-	pc2 := NewProbeCampaign(w, campaignTests, ProbeCampaignOpts{
-		Workers: 4, Journal: &journal, Replay: replay,
-	})
+	pc2 := NewProbeCampaign(w, campaignTests, campaign.Config{Workers: 4, Journal: &journal}, replay)
 	if got := pc2.Snapshot().Total; got != totalTasks-finished1 {
 		t.Errorf("resumed campaign enqueued %d tasks, want %d unfinished", got, totalTasks-finished1)
 	}
@@ -258,7 +256,7 @@ func TestProbeCampaignRateLimit(t *testing.T) {
 		Timeout: 5 * time.Second,
 	}
 	c := campaign.New(campaign.Config{
-		Workers: 16, ShardRate: rate, ShardBurst: 1,
+		Workers: 16, ShardRate: rate,
 	}, func(ctx context.Context, task campaign.Task) error {
 		<-grants.mu
 		grants.times[task.MTA] = append(grants.times[task.MTA], time.Now())
@@ -301,7 +299,7 @@ func TestQueryLogAttributesBySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	pc := NewProbeCampaign(w, []string{"t01", "t03", "t10", "t12"}, ProbeCampaignOpts{Workers: 16})
+	pc := NewProbeCampaign(w, []string{"t01", "t03", "t10", "t12"}, campaign.Config{Workers: 16}, nil)
 	if _, err := pc.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -254,10 +254,11 @@ func (s *study) twoWeekMX(ctx context.Context) error {
 // journal that already has events is refused. Journals are checksummed
 // WALs under the -journal-sync policy.
 func (s *study) probe(ctx context.Context, w *World, name string) (run *ProbeRun, err error) {
-	opts := ProbeCampaignOpts{Workers: s.cfg.Workers, Logf: s.logf, Tracer: s.tracer}
+	cfg := campaign.Config{Workers: s.cfg.Workers, Logf: s.logf, Tracer: s.tracer}
+	var replay *campaign.Replay
 	path := s.cfg.Journal + "." + name + ".jsonl"
 	if s.cfg.Journal != "" {
-		replay, jnl, oerr := campaign.OpenJournal(path, campaign.JournalOptions{Sync: s.sync})
+		recorded, jnl, oerr := campaign.OpenJournal(path, campaign.JournalOptions{Sync: s.sync})
 		if oerr != nil {
 			return nil, oerr
 		}
@@ -266,15 +267,15 @@ func (s *study) probe(ctx context.Context, w *World, name string) (run *ProbeRun
 				err = cerr
 			}
 		}()
-		opts.Journal = jnl
-		if opts.Replay, err = replay.Admit(path, s.cfg.Resume, s.logf); err != nil {
+		cfg.Journal = jnl
+		if replay, err = recorded.Admit(path, s.cfg.Resume, s.logf); err != nil {
 			return nil, cli.Usage(err)
 		}
-		if n := len(replay.Final); s.cfg.Resume && n > 0 {
+		if n := len(recorded.Final); s.cfg.Resume && n > 0 {
 			fmt.Fprintf(s.out, "resuming %s: %d pairs already finished in %s\n", name, n, path)
 		}
 	}
-	pc := NewProbeCampaign(w, s.tests, opts)
+	pc := NewProbeCampaign(w, s.tests, cfg, replay)
 	if s.probing != nil {
 		s.probing(w, pc)
 	}

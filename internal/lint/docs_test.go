@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,7 +18,10 @@ import (
 )
 
 // TestFlagsInREADME fails on a command-line flag registered in cmd/ or
-// internal/cli that README.md never names as -<flag>.
+// internal/cli that README.md never names as -<flag>, and on a -<flag>
+// that a command's bullet of README's "Every flag, by command" list
+// names but neither that command nor internal/cli (the shared study and
+// tracing flags) registers.
 func TestFlagsInREADME(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join(moduleRoot, "README.md"))
 	if err != nil {
@@ -32,6 +36,7 @@ func TestFlagsInREADME(t *testing.T) {
 		files = append(files, m...)
 	}
 	var missing []string
+	registers := make(map[string]bool) // "<directory> -<flag>"
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
@@ -41,7 +46,9 @@ func TestFlagsInREADME(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dir := filepath.Base(filepath.Dir(path))
 		for _, name := range flagNames(f) {
+			registers[dir+" -"+name] = true
 			named := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`)
 			if !named.Match(readme) {
 				rel, _ := filepath.Rel(moduleRoot, path)
@@ -53,6 +60,44 @@ func TestFlagsInREADME(t *testing.T) {
 	for _, m := range missing {
 		t.Errorf("flag not named in README.md: %s", m)
 	}
+
+	bullets := readmeFlagBullets(t, string(readme))
+	for _, cmd := range slices.Sorted(maps.Keys(bullets)) {
+		for _, name := range bullets[cmd] {
+			if !registers[cmd+" -"+name] && !registers["cli -"+name] {
+				t.Errorf("README.md lists -%s under %s, which does not register it", name, cmd)
+			}
+		}
+	}
+}
+
+// readmeFlagBullets maps each command of README's "Every flag, by
+// command" list to the -<flag> names its bullet mentions. A bullet
+// opens "- `command`:" and continues on indented lines; the first
+// other line after the list has begun ends it.
+func readmeFlagBullets(t *testing.T, readme string) map[string][]string {
+	_, list, ok := strings.Cut(readme, "Every flag, by command")
+	if !ok {
+		t.Fatal(`README.md has no "Every flag, by command" list`)
+	}
+	flagRef := regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9-]*)`)
+	bullets := make(map[string][]string)
+	cmd := ""
+	for _, line := range strings.Split(list, "\n") {
+		switch {
+		case strings.HasPrefix(line, "- `"):
+			cmd, _, _ = strings.Cut(line[len("- `"):], "`")
+		case cmd != "" && strings.HasPrefix(line, "  "):
+		case cmd != "":
+			return bullets
+		default:
+			continue // the list's introduction
+		}
+		for _, m := range flagRef.FindAllStringSubmatch(line, -1) {
+			bullets[cmd] = append(bullets[cmd], m[1])
+		}
+	}
+	return bullets
 }
 
 // flagNames lists the names a file registers through the flag

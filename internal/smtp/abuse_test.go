@@ -2,6 +2,8 @@ package smtp
 
 import (
 	"context"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +156,53 @@ func TestMaxConnsSheds(t *testing.T) {
 			t.Fatal("freed connection slot was never readmitted")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestSlowPeer holds a session against three slow clients over an
+// unbuffered pipe: one that never reads (the greeting's write blocks),
+// one that never sends, and one that trickles a command one byte per
+// second. Each session must end, freeing its MaxConns slot, within
+// ReadTimeout of its last exchange starting.
+func TestSlowPeer(t *testing.T) {
+	const readTimeout = 2500 * time.Millisecond
+	cases := []struct {
+		name string
+		peer func(conn net.Conn)
+	}{
+		{"never reads", func(net.Conn) {}},
+		{"never sends", func(conn net.Conn) { _, _ = io.Copy(io.Discard, conn) }},
+		{"trickles", func(conn net.Conn) {
+			go func() { _, _ = io.Copy(io.Discard, conn) }()
+			for _, b := range []byte("EHLO slow.example\r\n") {
+				if _, err := conn.Write([]byte{b}); err != nil {
+					return // the server ended the session
+				}
+				time.Sleep(time.Second)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			srv := &Server{MaxConns: 1, ReadTimeout: readTimeout}
+			server, client := net.Pipe()
+			defer client.Close()
+			go tc.peer(client)
+			start := time.Now()
+			ended := make(chan struct{})
+			go func() {
+				srv.ServeConn(server)
+				close(ended)
+			}()
+			select {
+			case <-ended:
+			case <-time.After(2 * readTimeout):
+				t.Fatalf("session still held %v after it started; ReadTimeout is %v", 2*readTimeout, readTimeout)
+			}
+			if took := time.Since(start); took > readTimeout+time.Second {
+				t.Errorf("session ended after %v; ReadTimeout is %v", took, readTimeout)
+			}
+		})
 	}
 }

@@ -73,7 +73,11 @@ type Server struct {
 	Handler Handler
 	// Extensions lists EHLO capability lines (e.g. "8BITMIME").
 	Extensions []string
-	// ReadTimeout bounds waiting for a client command. Zero means 60s.
+	// ReadTimeout bounds each exchange of a session in both directions:
+	// the greeting's write, and from the start of each command (or DATA
+	// line) read to the end of its reply's write. A client that stops
+	// sending or stops reading loses its session, and its MaxConns
+	// slot, after it. Zero means 60s.
 	ReadTimeout time.Duration
 	// MaxConns caps concurrent sessions; connections over the cap are
 	// greeted with 421 and closed immediately (graceful shedding, not
@@ -179,11 +183,14 @@ func (s *Server) hostname() string {
 	return "mta.invalid"
 }
 
-func (s *Server) readTimeout() time.Duration {
-	if s.ReadTimeout > 0 {
-		return s.ReadTimeout
+// extendDeadline gives the session's next exchange ReadTimeout to
+// finish, reads and writes alike.
+func (s *Server) extendDeadline(conn net.Conn) {
+	d := s.ReadTimeout
+	if d <= 0 {
+		d = 60 * time.Second
 	}
-	return 60 * time.Second
+	_ = conn.SetDeadline(time.Now().Add(d))
 }
 
 func (s *Server) maxConns() int {
@@ -296,12 +303,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 			greeting = r
 		}
 	}
+	s.extendDeadline(conn)
 	if !send(greeting) || !greeting.Positive() {
 		return
 	}
 
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		s.extendDeadline(conn)
 		line, err := readCommandLine(br, maxLineBytes)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
@@ -557,7 +565,7 @@ var replyMessageTooBig = &Reply{Code: 552, Text: "Message size exceeds fixed max
 func (s *Server) readData(conn net.Conn, br *bufio.Reader) (msg []byte, refused *Reply, err error) {
 	var buf bytes.Buffer
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		s.extendDeadline(conn)
 		line, err := readCommandLine(br, maxDataLine)
 		switch {
 		case errors.Is(err, errLineTooLong):
