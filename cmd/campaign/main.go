@@ -2,7 +2,7 @@
 // simulated world. It is the operational face of the
 // internal/campaign subsystem: the same sweep cmd/experiment performs
 // one-shot, but paced per MTA, retrying transient failures, journaling
-// every task transition, and resumable after a crash or Ctrl-C.
+// every attempt outcome, and resumable after a crash or Ctrl-C.
 //
 // Usage:
 //
@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	logf := cli.Logf(stderr, "campaign")
 	fail := func(err error) int { return cli.Exit(ctx, logf, err) }
 
-	syncPolicy, err := study.SyncPolicy()
+	syncPolicy, err := study.Check()
 	if err != nil {
 		return fail(err)
 	}
@@ -122,7 +122,6 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		Workers:     study.Workers,
 		ShardRate:   *rate,
 		MaxAttempts: *attempts,
-		Logf:        logf,
 		Tracer:      tracing.Tracer,
 	}
 	var jnl campaign.Journal

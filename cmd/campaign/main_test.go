@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,9 +205,15 @@ func TestKillResumeConvergence(t *testing.T) {
 		}
 	}
 
-	// Kill/resume rounds against one journal. The seeded RNG picks how
-	// far past the previous round's high-water mark each kill lands, so
-	// the schedule covers both the enqueue burst and the probing phase.
+	// Kill/resume rounds against one journal. The journal grows by one
+	// line per attempt outcome, so the reference run's journal size is
+	// the scale of a whole sweep. The seeded RNG picks how far past the
+	// previous round's high-water mark each kill lands, between 1/10
+	// and 4/15 of that size. The kills spread from the first outcomes
+	// to the last, and three steps reach at most 4/5 of a sweep, so at
+	// least three kills land before a round can complete (the killed
+	// runs retry about as often as the reference run did).
+	refSize := fileSize(ref)
 	rng := mrand.New(mrand.NewSource(seed))
 	jp := filepath.Join(dir, "kill.wal")
 	kills := 0
@@ -215,17 +222,17 @@ func TestKillResumeConvergence(t *testing.T) {
 		if round > 0 {
 			args = append(args, "-resume")
 		}
-		target := fileSize(jp) + 1000 + rng.Int63n(12000)
+		target := fileSize(jp) + refSize/10 + rng.Int63n(refSize/6)
 		cmd, out := child(t, args)
 		if !killWhenGrown(t, cmd, out, jp, target) {
 			break // completed before the kill could land
 		}
 		kills++
 	}
-	if kills == 0 {
-		t.Fatal("no kill ever landed; the harness is not exercising crashes")
+	if kills < 3 {
+		t.Fatalf("only %d kills landed (reference journal %d bytes); the harness needs at least 3 to exercise crashes", kills, refSize)
 	}
-	t.Logf("killed the campaign %d times", kills)
+	t.Logf("killed the campaign %d times (reference journal %d bytes)", kills, refSize)
 
 	// Final resume must drive the journal to convergence — and say that
 	// its closing summary covers only the pairs it ran itself.
@@ -264,6 +271,21 @@ func TestKillResumeConvergence(t *testing.T) {
 	// journal never contains a malformed payload line.
 	if replay.Malformed != 0 {
 		t.Fatalf("converged journal contains %d malformed lines", replay.Malformed)
+	}
+}
+
+// TestUsageErrors: a -workers count the campaign would not run with
+// is refused before anything starts, so the count the start line
+// prints is the one that runs.
+func TestUsageErrors(t *testing.T) {
+	for _, workers := range []string{"0", "-3"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-domains", "20", "-tests", "t01", "-interval", "0", "-workers", workers}
+		code := run(context.Background(), args, nil, &stdout, &stderr)
+		want := "campaign: -workers must be at least 1, got " + workers + "\n"
+		if code != cli.ExitUsage || stdout.Len() != 0 || stderr.String() != want {
+			t.Errorf("run(%q) = %d, stdout %q, stderr %q; want %d and %q", args, code, stdout.String(), stderr.String(), cli.ExitUsage, want)
+		}
 	}
 }
 

@@ -100,6 +100,8 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-resume"}, "experiment: -resume requires -journal\n"},
 		{[]string{"-journal-sync", "sometimes"}, "experiment: "},
+		{[]string{"-workers", "0"}, "experiment: -workers must be at least 1, got 0\n"},
+		{[]string{"-workers", "-3"}, "experiment: -workers must be at least 1, got -3\n"},
 		{[]string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 	} {
 		code, out, errOut := runCmd(tc.args...)

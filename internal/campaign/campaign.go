@@ -13,9 +13,9 @@
 //   - retry of transient failures (connection refused, timeouts, 4xx
 //     SMTP replies) with exponential backoff and jitter, bounded by an
 //     attempt budget, while terminal outcomes are never retried;
-//   - a crash-safe append-only JSONL journal of task state transitions
-//     (pending → attempt(n) → done/failed) that Resume replays so a
-//     restarted campaign re-runs only unfinished (MTA, test) pairs;
+//   - a crash-safe append-only JSONL journal of attempt outcomes (a
+//     retry, then the final done or failed) that a resumed run replays
+//     so it re-runs only unfinished (MTA, test) pairs;
 //   - a live Snapshot of counters for progress reporting.
 package campaign
 
@@ -73,14 +73,11 @@ type Config struct {
 	// function of (Seed, MTA, test, attempt) alone (see backoff).
 	Seed int64
 	// Journal, when set, receives the append-only JSONL record of
-	// task state transitions. Each event is written as one line as it
-	// happens, so a crash loses at most the event in flight. Use the
-	// Journal returned by OpenJournal for a checksummed, crash-
+	// attempt outcomes. Each event is written as one line as the
+	// attempt ends, so a crash loses at most the event in flight. Use
+	// the Journal returned by OpenJournal for a checksummed, crash-
 	// recoverable record.
 	Journal io.Writer
-	// Logf, when set, receives the campaign's rare operational
-	// warnings (currently: the one-time journal-failure notice).
-	Logf func(format string, args ...any)
 	// Tracer, when non-nil, opens one root span per attempt
 	// ("campaign.task") carrying the (MTA, test, attempt) attribution;
 	// the TaskFunc's probes hang their spans off it via the context.
@@ -120,12 +117,11 @@ type Campaign struct {
 	// shard's attempts; zero when ShardRate is unlimited.
 	pace time.Duration
 
-	mu      sync.Mutex
-	shards  map[string]*shard
-	order   []string // shard round-robin order (insertion order)
-	rrNext  int
-	tasks   map[Key]int // attempts started per task
-	journal *journalWriter
+	mu     sync.Mutex
+	shards map[string]*shard
+	order  []string // shard round-robin order (insertion order)
+	rrNext int
+	tasks  map[Key]int // attempts started per task
 
 	// counters (guarded by mu)
 	total    int
@@ -135,6 +131,13 @@ type Campaign struct {
 	retried  int
 	attempts int
 	started  time.Time
+
+	// the journal's state (guarded by mu; see journal): jbuf is the
+	// reused line buffer, jerr the first write failure, jdrops the
+	// events lost from it on.
+	jbuf   []byte
+	jerr   error
+	jdrops int
 
 	// changed is closed, and dropped, when an attempt ends: the
 	// broadcast that wakes idle workers. The first worker to idle
@@ -150,12 +153,11 @@ func New(cfg Config, run TaskFunc) *Campaign {
 		pace = time.Duration(float64(time.Second) / cfg.ShardRate)
 	}
 	return &Campaign{
-		cfg:     cfg,
-		run:     run,
-		pace:    pace,
-		shards:  make(map[string]*shard),
-		tasks:   make(map[Key]int),
-		journal: newJournalWriter(cfg.Journal, cfg.Logf),
+		cfg:    cfg,
+		run:    run,
+		pace:   pace,
+		shards: make(map[string]*shard),
+		tasks:  make(map[Key]int),
 	}
 }
 
@@ -172,9 +174,7 @@ func (c *Campaign) Add(tasks ...Task) {
 		}
 		c.tasks[k] = 0
 		c.total++
-		s := c.shardFor(t.MTA)
-		s.push(t, time.Time{})
-		c.journal.event(event{Ev: evEnqueue, Key: k})
+		c.shardFor(t.MTA).push(t, time.Time{})
 	}
 }
 
@@ -309,7 +309,6 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 	c.tasks[k]++
 	c.attempts++
 	n := c.tasks[k]
-	c.journal.event(event{Ev: evAttempt, Key: k, N: n})
 	c.mu.Unlock()
 
 	tctx, sp := c.cfg.Tracer.Start(ctx, "campaign.task")
@@ -339,19 +338,19 @@ func (c *Campaign) attempt(ctx context.Context, t Task) {
 	switch class {
 	case Done:
 		c.done++
-		c.journal.event(event{Ev: evDone, Key: k, N: n})
+		c.journal(event{Ev: evDone, Key: k, N: n})
 	case Terminal:
 		c.failed++
-		c.journal.event(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
+		c.journal(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
 	case Transient:
 		if n >= c.cfg.MaxAttempts {
 			c.failed++
-			c.journal.event(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
+			c.journal(event{Ev: evFailed, Key: k, N: n, Err: errString(err)})
 			break
 		}
 		delay := c.backoff(k, n)
 		c.retried++
-		c.journal.event(event{Ev: evRetry, Key: k, N: n, Err: errString(err), DelayMS: delay.Milliseconds()})
+		c.journal(event{Ev: evRetry, Key: k, N: n, Err: errString(err), DelayMS: delay.Milliseconds()})
 		s.push(t, time.Now().Add(delay))
 	case Aborted:
 		// Cancellation voided the attempt: it neither consumed budget
@@ -386,8 +385,9 @@ func (c *Campaign) backoff(k Key, attempt int) time.Duration {
 // running but its journal stopped growing at that point — a resume
 // from it would re-run everything recorded only after the failure.
 func (c *Campaign) JournalError() error {
-	err, _ := c.journal.status()
-	return err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.jerr
 }
 
 func errString(err error) string {

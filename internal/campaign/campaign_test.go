@@ -384,14 +384,25 @@ func TestRetryDelayIsPerTask(t *testing.T) {
 		if s := c.Snapshot(); s.Done != len(tasks) || s.Retried != len(tasks) {
 			t.Fatalf("run with %d workers: %s, want every task done after one retry", workers, s)
 		}
+		// The journal records outcomes only: one line per retry and one
+		// per finished task, and nothing when an attempt starts.
+		s := c.Snapshot()
+		lines := strings.Split(strings.TrimSpace(j.buf.String()), "\n")
+		if want := s.Completed() + s.Retried; len(lines) != want {
+			t.Fatalf("run with %d workers journaled %d lines, want %d (finished tasks + retries)", workers, len(lines), want)
+		}
 		delays := make(map[string]int64)
-		for _, line := range strings.Split(strings.TrimSpace(j.buf.String()), "\n") {
+		for _, line := range lines {
 			var e event
 			if err := json.Unmarshal([]byte(line), &e); err != nil {
 				t.Fatal(err)
 			}
-			if e.Ev == evRetry {
+			switch e.Ev {
+			case evRetry:
 				delays[fmt.Sprintf("%s/%s#%d", e.Key.MTA, e.Key.Test, e.N)] = e.DelayMS
+			case evDone, evFailed:
+			default:
+				t.Fatalf("journal holds a %q event: %s", e.Ev, line)
 			}
 		}
 		return delays
@@ -439,15 +450,9 @@ func TestAddIsIdempotentPerKey(t *testing.T) {
 }
 
 func TestJournalTornTailLine(t *testing.T) {
-	var buf bytes.Buffer
-	j := newJournalWriter(&buf, nil)
-	j.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
-	j.event(event{Ev: evAttempt, Key: Key{"m0", "t1"}, N: 1})
-	j.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
-	j.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
 	// Simulate a crash mid-write: truncate the final line.
-	torn := buf.Bytes()[:buf.Len()-9]
-	rp, err := ReadJournal(bytes.NewReader(torn))
+	torn := legacyJournal[:len(legacyJournal)-9]
+	rp, err := ReadJournal(strings.NewReader(torn))
 	if err != nil {
 		t.Fatalf("torn tail must replay cleanly: %v", err)
 	}
@@ -476,11 +481,7 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJournalWriter(jf0, nil)
-	j.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
-	j.event(event{Ev: evAttempt, Key: Key{"m0", "t1"}, N: 1})
-	j.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
-	j.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
+	writeLines(t, jf0, legacyJournal)
 	if err := jf0.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -499,9 +500,9 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 	if rp.Final[Key{"m0", "t1"}] != StateDone || !rp.TornTail || rp.Events != 3 {
 		t.Fatalf("first resume: %+v; want m0/t1 done, the torn m1/t1 enqueue dropped and reported", rp)
 	}
-	j2 := newJournalWriter(jf, nil)
-	j2.event(event{Ev: evAttempt, Key: Key{"m1", "t1"}, N: 1})
-	// Second crash: close without finishing m1/t1.
+	// The resumed run's first outcome is a retry of m1/t1; the second
+	// crash comes before m1/t1 finishes.
+	writeLines(t, jf, `{"t":"2026-01-01T00:00:02Z","ev":"retry","k":{"mta":"m1","test":"t1"},"n":1,"err":"try again later","delay_ms":75}`+"\n")
 	if err := jf.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestResumeTerminatesTornTail(t *testing.T) {
 		t.Errorf("finished task lost on second replay: %+v", rp2.Final)
 	}
 	if rp2.Events != 4 {
-		t.Errorf("replayed %d events, want 4: the post-resume attempt was lost", rp2.Events)
+		t.Errorf("replayed %d events, want 4: the post-resume retry was lost", rp2.Events)
 	}
 	if _, finished := rp2.Final[Key{"m1", "t1"}]; finished {
 		t.Error("unfinished task counted as finished")

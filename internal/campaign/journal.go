@@ -4,27 +4,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sendervalid/internal/jsonwire"
-	"sendervalid/internal/telemetry"
 )
 
 // The journal is the campaign's durability mechanism: an append-only
-// JSON-lines file of task state transitions, one event per line,
-// written as each transition happens. A crash loses at most the line
-// in flight; replaying the surviving prefix reconstructs exactly which
-// (MTA, test) pairs reached a final state, so a resumed campaign
-// re-enqueues only unfinished work.
+// JSON-lines file of attempt outcomes, one event per line, written as
+// each attempt ends. A crash loses at most the line in flight;
+// replaying the surviving prefix reconstructs exactly which (MTA, test)
+// pairs reached a final state, so a resumed campaign re-enqueues only
+// unfinished work. The task set itself is never journaled: it is a
+// function of the world's spec and seed, rebuilt by every run.
 
-// Journal event kinds.
+// Journal event kinds. A journal records outcomes only: a retry, and
+// the final done or failed. Older journals also hold "enqueue" and
+// "attempt" lines; replay counts them as events and reads nothing else
+// from them, so those journals still resume.
 const (
-	evEnqueue = "enqueue"
-	evAttempt = "attempt"
-	evRetry   = "retry"
-	evDone    = "done"
-	evFailed  = "failed"
+	evRetry  = "retry"
+	evDone   = "done"
+	evFailed = "failed"
 )
 
 // event is one JSONL journal line.
@@ -32,7 +32,7 @@ type event struct {
 	Time time.Time `json:"t"`
 	Ev   string    `json:"ev"`
 	Key  Key       `json:"k"`
-	// N is the attempt number for attempt/retry/done/failed events.
+	// N is the attempt number.
 	N int `json:"n,omitempty"`
 	// Err carries the failure text on retry/failed events.
 	Err string `json:"err,omitempty"`
@@ -40,69 +40,28 @@ type event struct {
 	DelayMS int64 `json:"delay_ms,omitempty"`
 }
 
-// journalWriter serializes events to the configured sink. A nil sink
-// makes every method a no-op, so journaling is strictly opt-in.
-type journalWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-
-	// err is the first write failure; once set, writing stops (a dead
-	// disk should not be hammered per event) and every further event
-	// is counted in drops. The failure is surfaced — via Snapshot,
-	// JournalError, and the campaign metrics — instead of silently
-	// disabling durability.
-	err   error
-	drops int
-	logf  func(format string, args ...any)
-
-	// writeSeconds times each sink Write — the durability tax per
-	// event, fsync included when the sink syncs per write.
-	writeSeconds *telemetry.Histogram
-}
-
-func newJournalWriter(w io.Writer, logf func(string, ...any)) *journalWriter {
-	return &journalWriter{w: w, logf: logf, writeSeconds: telemetry.NewHistogram(telemetry.LatencyBuckets)}
-}
-
-// event appends one line through the reflection-free encoder, reusing
-// one buffer across events. A write failure must not take the campaign
-// down with it — the measurement continues — but it is never silent:
-// the first error sticks, is logged once, and subsequent events are
-// counted as dropped.
-func (j *journalWriter) event(e event) {
-	if j == nil || j.w == nil {
+// journal appends one event line to cfg.Journal, encoded into the
+// campaign's one reused buffer. A nil Journal makes it a no-op, so
+// journaling is strictly opt-in. A write failure must not take the
+// campaign down with it (the measurement continues), but it is never
+// silent: the first error sticks, writing stops (a dead disk should not
+// be hammered per event), and the failed event and every one after it
+// are counted in jdrops, for Snapshot, JournalError and the metrics to
+// surface. Caller holds mu.
+func (c *Campaign) journal(e event) {
+	if c.cfg.Journal == nil {
+		return
+	}
+	if c.jerr != nil {
+		c.jdrops++
 		return
 	}
 	e.Time = time.Now()
-	j.mu.Lock()
-	if j.err != nil {
-		j.drops++
-		j.mu.Unlock()
-		return
+	c.jbuf = appendEventJSON(c.jbuf[:0], &e)
+	if _, err := c.cfg.Journal.Write(c.jbuf); err != nil {
+		c.jerr = err
+		c.jdrops++
 	}
-	j.buf = appendEventJSON(j.buf[:0], &e)
-	start := time.Now()
-	_, err := j.w.Write(j.buf)
-	j.writeSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		j.err = err
-		j.drops++
-		if j.logf != nil {
-			j.logf("campaign: journal write failed, further events will be dropped: %v", err)
-		}
-	}
-	j.mu.Unlock()
-}
-
-// status reports the sticky failure and how many events it has cost.
-func (j *journalWriter) status() (error, int) {
-	if j == nil {
-		return nil, 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err, j.drops
 }
 
 // Replay is the durable state recovered from a journal.
@@ -159,6 +118,8 @@ func (r *Replay) Unfinished(tasks []Task) []Task {
 // prune finished pairs (Unfinished); without it a journal that already
 // holds events is refused — two fresh runs must never interleave in one
 // record — and an empty one admits the run with nothing to prune (nil).
+// A journal records outcomes only, so one whose run was cut before any
+// attempt ended holds no events, and a fresh run may take it.
 func (r *Replay) Admit(path string, resume bool, logf func(format string, args ...any)) (*Replay, error) {
 	if r.TornTail {
 		logf("journal %s had a torn tail (%d bytes dropped, %d malformed lines); valid prefix salvaged",

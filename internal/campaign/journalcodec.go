@@ -13,10 +13,9 @@ import (
 //	 "n":<int,omitempty>,"err":<string,omitempty>,"delay_ms":<int,omitempty>}
 //
 // one event per line. Only the write side is hand-written: the journal
-// write sits on the campaign's task-transition path (every attempt,
-// retry, and completion — the benchmark's probe-campaign workload
-// writes ~150k events per run), so it does not pay reflection per
-// record. Replay is json.Unmarshal into the event struct (ReadJournal):
+// write sits on the campaign's attempt-outcome path (every retry and
+// completion — the benchmark's probe-campaign workload writes ~50k
+// events per run), so it does not pay reflection per record. Replay is json.Unmarshal into the event struct (ReadJournal):
 // a journal is read once per -resume and no workload measures it.
 
 // appendEventJSON encodes e as one journal line, including the

@@ -5,11 +5,11 @@ import (
 )
 
 // RegisterMetrics publishes the campaign's progress counters and the
-// journal write-latency histogram under the campaign_ namespace. The
-// progress counters live under the campaign mutex (they are part of
-// the scheduler's state, not hot-path instruments), so they are
-// exported as funcs that take the lock per scrape — a scrape every few
-// seconds against a lock held for microseconds.
+// journal's drop count under the campaign_ namespace. They live under
+// the campaign mutex (they are part of the scheduler's state, not
+// hot-path instruments), so they are exported as funcs that take the
+// lock per scrape — a scrape every few seconds against a lock held for
+// microseconds.
 func (c *Campaign) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.Label) {
 	reg.MustGaugeFunc("campaign_tasks",
 		"Tasks enqueued in the campaign (lifetime, including finished).",
@@ -29,12 +29,7 @@ func (c *Campaign) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.
 	reg.MustGaugeFunc("campaign_probes_in_flight",
 		"Task attempts currently executing.",
 		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.inflight) }, labels...)
-	if h := c.journal.writeSeconds; h != nil {
-		reg.MustHistogram("campaign_journal_write_seconds",
-			"Latency of appending one event line to the journal sink (fsync included when the sink syncs per write).",
-			h, labels...)
-	}
 	reg.MustCounterFunc("campaign_journal_dropped_total",
 		"Journal events dropped after the first write failure (nonzero means the durable record is incomplete).",
-		func() uint64 { _, drops := c.journal.status(); return uint64(drops) }, labels...)
+		func() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return uint64(c.jdrops) }, labels...)
 }

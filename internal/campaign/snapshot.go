@@ -71,9 +71,9 @@ func (c *Campaign) Snapshot() Snapshot {
 	for _, sh := range c.shards {
 		s.WaitingRetry += sh.waitingRetry(now)
 	}
-	if jerr, drops := c.journal.status(); jerr != nil {
-		s.JournalErr = jerr.Error()
-		s.JournalDropped = drops
+	if c.jerr != nil {
+		s.JournalErr = c.jerr.Error()
+		s.JournalDropped = c.jdrops
 	}
 	if !c.started.IsZero() {
 		s.Elapsed = now.Sub(c.started)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,11 +106,10 @@ func TestOpenJournalWALTornTail(t *testing.T) {
 		t.Fatal("torn WAL tail reported zero dropped bytes")
 	}
 	// The torn record was exactly one event; everything before it
-	// replays. 4 MTAs x 2 tests = 8 done events plus enqueue/attempt
-	// lines; losing the last means at most one task loses its final
-	// state.
-	if got := replay.Done(); got < 7 || got > 8 {
-		t.Fatalf("salvaged %d done tasks, want 7 or 8", got)
+	// replays. 4 MTAs x 2 tests = 8 done events and nothing else, so
+	// the torn one is the last task's final state.
+	if got := replay.Done(); got != 7 {
+		t.Fatalf("salvaged %d done tasks, want 7", got)
 	}
 	if replay.Malformed != 0 {
 		t.Fatalf("WAL replay saw %d malformed lines, want 0 (tears are truncated, not parsed)", replay.Malformed)
@@ -120,17 +120,35 @@ func TestOpenJournalWALTornTail(t *testing.T) {
 	}
 }
 
-// legacyJournalBytes is an unframed journal image: plain JSONL, m0/t1
-// done and m1/t1 enqueued. With torn set the last line is cut mid-way
-// and has no newline, the classic crash artifact.
+// legacyJournal is a journal as written before journals recorded
+// outcomes only, with "enqueue" and "attempt" lines: m0/t1 done and
+// m1/t1 enqueued. The tests that replay it show that such a journal
+// still resumes.
+const legacyJournal = `{"t":"2026-01-01T00:00:00Z","ev":"enqueue","k":{"mta":"m0","test":"t1"}}
+{"t":"2026-01-01T00:00:00Z","ev":"attempt","k":{"mta":"m0","test":"t1"},"n":1}
+{"t":"2026-01-01T00:00:01Z","ev":"done","k":{"mta":"m0","test":"t1"},"n":1}
+{"t":"2026-01-01T00:00:01Z","ev":"enqueue","k":{"mta":"m1","test":"t1"}}
+`
+
+// writeLines writes text to w one line per Write, as the campaign
+// writes events: one WAL record each.
+func writeLines(t *testing.T, w io.Writer, text string) {
+	t.Helper()
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if line == "" {
+			continue
+		}
+		if _, err := io.WriteString(w, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// legacyJournalBytes is legacyJournal as an unframed journal image:
+// plain JSONL. With torn set the last line is cut mid-way and has no
+// newline, the classic crash artifact.
 func legacyJournalBytes(torn bool) []byte {
-	var buf bytes.Buffer
-	jw := newJournalWriter(&buf, nil)
-	jw.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
-	jw.event(event{Ev: evAttempt, Key: Key{"m0", "t1"}, N: 1})
-	jw.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
-	jw.event(event{Ev: evEnqueue, Key: Key{"m1", "t1"}})
-	full := buf.Bytes()
+	full := []byte(legacyJournal)
 	if !torn {
 		return full
 	}
@@ -240,9 +258,7 @@ func TestOpenJournalRotatedSegmentDebris(t *testing.T) {
 // the resume.
 func TestOpenJournalOversizedGarbageLine(t *testing.T) {
 	var buf bytes.Buffer
-	jw := newJournalWriter(&buf, nil)
-	jw.event(event{Ev: evEnqueue, Key: Key{"m0", "t1"}})
-	jw.event(event{Ev: evDone, Key: Key{"m0", "t1"}, N: 1})
+	buf.WriteString(legacyJournal)
 	buf.WriteString(strings.Repeat("x", 256*1024))
 
 	replay, err := ReadJournal(&buf)
@@ -270,21 +286,14 @@ func (w *errAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestJournalFailureSurfaces is the satellite-1 regression: a journal
-// write failure must not silently disable durability — it shows up in
-// the snapshot (and its String), in JournalError, and the drop count
-// grows per suppressed event. Exactly one warning is logged.
+// TestJournalFailureSurfaces: a journal write failure must not
+// silently disable durability — it shows up in the snapshot (and its
+// String) and in JournalError, and the drop count grows per suppressed
+// event.
 func TestJournalFailureSurfaces(t *testing.T) {
-	var logMu sync.Mutex
-	var logged []string
 	c := New(Config{
 		Workers: 2,
 		Journal: &errAfterWriter{n: 3},
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logged = append(logged, format)
-			logMu.Unlock()
-		},
 	}, func(ctx context.Context, task Task) error { return nil })
 	c.Add(tasksFor(3, 2)...)
 	if err := c.Run(context.Background()); err != nil {
@@ -298,19 +307,14 @@ func TestJournalFailureSurfaces(t *testing.T) {
 	if s.JournalErr == "" {
 		t.Fatal("snapshot missing journal error")
 	}
-	// 6 tasks emit 3 events each (enqueue/attempt/done) = 18; 3
-	// succeeded, the 4th hit the error (counted as dropped) and the
-	// remaining 14 were suppressed.
-	if s.JournalDropped != 15 {
-		t.Fatalf("JournalDropped = %d, want 15", s.JournalDropped)
+	// 6 tasks emit one done event each; 3 were written, the 4th hit
+	// the error (counted as dropped) and the remaining 2 were
+	// suppressed.
+	if s.JournalDropped != 3 {
+		t.Fatalf("JournalDropped = %d, want 3", s.JournalDropped)
 	}
 	if !strings.Contains(s.String(), "JOURNAL-FAILED") {
 		t.Fatalf("snapshot string hides the failure: %q", s.String())
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	if len(logged) != 1 {
-		t.Fatalf("logged %d warnings, want exactly 1: %v", len(logged), logged)
 	}
 }
 

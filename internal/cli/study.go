@@ -3,6 +3,7 @@ package cli
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"runtime"
 
 	"sendervalid/internal/wal"
@@ -30,16 +31,20 @@ func (s *Study) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&s.Seed, "seed", 1, "generation seed (must match across -resume)")
 	fs.IntVar(&s.Workers, "workers", 2*runtime.NumCPU(), "global probe/delivery concurrency cap")
 	fs.Float64Var(&s.TimeScale, "timescale", 0.001, "protocol delay multiplier (1.0 = paper timing)")
-	fs.StringVar(&s.Journal, "journal", "", "append-only journal of probe task transitions (checksummed WAL; an unframed file at the path is refused); experiment takes it as the prefix of PREFIX.notifymx.jsonl and PREFIX.twoweekmx.jsonl")
+	fs.StringVar(&s.Journal, "journal", "", "append-only journal of probe outcomes (checksummed WAL; an unframed file at the path is refused); experiment takes it as the prefix of PREFIX.notifymx.jsonl and PREFIX.twoweekmx.jsonl")
 	fs.StringVar(&s.JournalSync, "journal-sync", "none", `journal fsync policy: "none" (kernel-buffered), "interval" (group commit), "always" (fsync per event)`)
 	fs.BoolVar(&s.Resume, "resume", false, "replay the journal and re-run only unfinished (MTA, test) pairs (requires -journal)")
 	fs.StringVar(&s.MetricsAddr, "metrics-addr", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof; empty disables")
 	s.Trace.Register(fs)
 }
 
-// SyncPolicy checks the journal flags against each other and parses
-// -journal-sync; what it rejects is a Usage error.
-func (s *Study) SyncPolicy() (wal.SyncPolicy, error) {
+// Check rejects the flag values a study cannot run with — -workers
+// below 1, -resume without -journal, an unknown -journal-sync — as
+// Usage errors, and returns the parsed -journal-sync policy.
+func (s *Study) Check() (wal.SyncPolicy, error) {
+	if s.Workers < 1 {
+		return 0, Usage(fmt.Errorf("-workers must be at least 1, got %d", s.Workers))
+	}
 	if s.Resume && s.Journal == "" {
 		return 0, Usage(errors.New("-resume requires -journal"))
 	}

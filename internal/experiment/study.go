@@ -104,7 +104,7 @@ func (s *study) run(ctx context.Context) (*StudyResult, error) {
 		s.tests = AllTests()
 	}
 	var err error
-	if s.sync, err = cfg.SyncPolicy(); err != nil {
+	if s.sync, err = cfg.Check(); err != nil {
 		return nil, err
 	}
 	tracing, err := cfg.Trace.Open(s.logf)
@@ -254,7 +254,7 @@ func (s *study) twoWeekMX(ctx context.Context) error {
 // journal that already has events is refused. Journals are checksummed
 // WALs under the -journal-sync policy.
 func (s *study) probe(ctx context.Context, w *World, name string) (run *ProbeRun, err error) {
-	cfg := campaign.Config{Workers: s.cfg.Workers, Logf: s.logf, Tracer: s.tracer}
+	cfg := campaign.Config{Workers: s.cfg.Workers, Tracer: s.tracer}
 	var replay *campaign.Replay
 	path := s.cfg.Journal + "." + name + ".jsonl"
 	if s.cfg.Journal != "" {

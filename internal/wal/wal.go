@@ -237,8 +237,8 @@ func (w *WAL) Append(p []byte) error {
 
 // Write implements io.Writer over Append — one record per call — so
 // the WAL drops into io.Writer plumbing like the campaign's journal
-// sink. The callers that use it (journalWriter, WALSink) write exactly
-// one logical record per call.
+// sink. The callers that use it (the campaign journal, WALSink) write
+// exactly one logical record per call.
 func (w *WAL) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
