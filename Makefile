@@ -64,13 +64,16 @@ chaos:
 		./internal/dns/ ./internal/dnsserver/ ./internal/smtp/ ./internal/resolver/
 
 # The crash-recovery suite: the byte-level kill/recover sweeps over
-# internal/wal (every byte offset of a recorded schedule, bit flips,
-# randomized kill cycles) and the process-level proof that SIGKILLing
-# a real `campaign` run under chaos converges through -resume. Seeded
-# like `make chaos`; reproduce with `make crash CHAOS_SEED=<seed>`.
+# internal/wal (every byte offset of a recorded schedule, appended one
+# record or one seeded batch at a time, bit flips, randomized kill
+# cycles), the query log torn inside a batch (AsyncLog over a WALSink
+# whose file stops at a byte offset, internal/dnsserver) and the
+# process-level proof that SIGKILLing a real `campaign` run under
+# chaos converges through -resume. Seeded like `make chaos`; reproduce
+# with `make crash CHAOS_SEED=<seed>`.
 crash:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'TestCrash|TestRandomizedKillAndReopen|FuzzWALRecover' ./internal/wal/
+		-run 'TestCrash|TestRandomizedKillAndReopen|FuzzWALRecover' ./internal/wal/ ./internal/dnsserver/
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -count=1 -timeout 300s \
 		-run 'TestKillResumeConvergence' ./cmd/campaign/
 

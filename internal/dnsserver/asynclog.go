@@ -44,13 +44,23 @@ func NewAsyncLog(sink Sink, buffer int) *AsyncLog {
 	return a
 }
 
-// drain delivers buffered entries to the sink. On Close it flushes
-// whatever the buffer still holds, then exits. The entry channel is
-// never closed, so an Append racing Close can never panic — it just
-// finds the log closed (or its entry is flushed, if it won the race).
+// drain delivers buffered entries to the sink. Whenever the buffer
+// runs empty it flushes the sink, so a sink that batches (WALSink)
+// holds nothing back while the log is idle. On Close it delivers
+// whatever the buffer still holds, flushes the sink once more, and
+// exits. The entry channel is never closed, so an Append racing Close
+// can never panic — it just finds the log closed (or its entry is
+// delivered, if it won the race).
 func (a *AsyncLog) drain() {
 	defer close(a.done)
 	for {
+		select {
+		case e := <-a.ch:
+			a.sink.Append(e)
+			continue
+		default:
+		}
+		flush(a.sink)
 		select {
 		case e := <-a.ch:
 			a.sink.Append(e)
@@ -60,6 +70,7 @@ func (a *AsyncLog) drain() {
 				case e := <-a.ch:
 					a.sink.Append(e)
 				default:
+					flush(a.sink)
 					return
 				}
 			}

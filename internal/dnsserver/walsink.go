@@ -29,15 +29,39 @@ func (m MultiSink) Append(e LogEntry) {
 	}
 }
 
+// flush writes out what each member holds back.
+func (m MultiSink) flush() {
+	for _, s := range m {
+		flush(s)
+	}
+}
+
+// flush writes out what sink holds back, if it batches: a WALSink's
+// pending batch, or those of a MultiSink's members. AsyncLog calls it
+// whenever its queue runs empty, so an idle log holds nothing back.
+func flush(sink Sink) {
+	if f, ok := sink.(interface{ flush() }); ok {
+		f.flush()
+	}
+}
+
+// walBatchBytes is the size at which WALSink writes its pending
+// entries out: one write per 64 KiB of entries, not one per entry.
+const walBatchBytes = 64 << 10
+
 // WALSink appends each query-log entry as one checksummed WAL record.
 // It is safe for concurrent use, encodes through the reflection-free
-// codec into a reused buffer, and keeps write errors sticky — surfaced
-// through Err and Check rather than the serving path. It is a blocking
-// disk sink: wrap it in an AsyncLog.
+// codec straight into its pending batch, and keeps write errors
+// sticky — surfaced through Err and Check rather than the serving
+// path. The batch goes to the WAL, one write, once it reaches
+// walBatchBytes, when AsyncLog's queue runs empty, and at Close. It is
+// a blocking disk sink: wrap it in an AsyncLog.
 type WALSink struct {
-	mu  sync.Mutex
-	w   *wal.WAL
-	buf []byte
+	mu   sync.Mutex
+	w    *wal.WAL
+	buf  []byte   // pending entries, encoded back to back
+	ends []int    // where each pending entry ends in buf
+	recs [][]byte // buf cut at ends, reused by flushLocked
 }
 
 // NewWALSink opens (recovering if needed) the WAL at path and returns
@@ -47,21 +71,49 @@ func NewWALSink(path string, opts wal.Options) (*WALSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: opening query-log WAL: %w", err)
 	}
-	return &WALSink{w: w, buf: make([]byte, 0, 512)}, nil
+	return &WALSink{w: w}, nil
 }
 
-// Append implements Sink. The first append failure wedges the
+// Append implements Sink. The first write failure wedges the
 // underlying WAL; later entries are dropped there and counted in its
 // failure metric.
 func (s *WALSink) Append(e LogEntry) {
 	s.mu.Lock()
-	s.buf = AppendLogJSON(s.buf[:0], e)
-	_ = s.w.Append(s.buf)
+	s.buf = AppendLogJSON(s.buf, e)
+	s.ends = append(s.ends, len(s.buf))
+	if len(s.buf) >= walBatchBytes {
+		s.flushLocked()
+	}
 	s.mu.Unlock()
 }
 
-// Close syncs and closes the underlying WAL.
-func (s *WALSink) Close() error { return s.w.Close() }
+// flush writes the pending batch out.
+func (s *WALSink) flush() {
+	s.mu.Lock()
+	s.flushLocked()
+	s.mu.Unlock()
+}
+
+func (s *WALSink) flushLocked() {
+	if len(s.ends) == 0 {
+		return
+	}
+	s.recs = s.recs[:0]
+	start := 0
+	for _, end := range s.ends {
+		s.recs = append(s.recs, s.buf[start:end])
+		start = end
+	}
+	_ = s.w.AppendBatch(s.recs...)
+	s.buf, s.ends = s.buf[:0], s.ends[:0]
+}
+
+// Close writes the pending batch out, then syncs and closes the
+// underlying WAL.
+func (s *WALSink) Close() error {
+	s.flush()
+	return s.w.Close()
+}
 
 // Check returns the WAL's sticky failure, nil while healthy, in
 // telemetry.Health check form.

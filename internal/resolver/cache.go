@@ -32,11 +32,14 @@ func keyFor(name string, t dns.Type) cacheKey {
 	return cacheKey{name: strings.TrimSuffix(name, "."), typ: t}
 }
 
-// entry is one key's state: an answer and its expiry, or, while call
-// is set, the exchange in flight for the key. A flight's entry has the
-// zero expiry, so get reports it as a miss.
+// entry is one key's state: an outcome and its expiry, or, while call
+// is set, the exchange in flight for the key. An outcome is an answer
+// (msg) or a resolution failure (err, a *ServerError; see
+// cachedFailure). A flight's entry has the zero expiry, so get reports
+// it as a miss.
 type entry struct {
 	msg     *dns.Message
+	err     error
 	expires time.Time
 	call    *flight
 }
@@ -107,23 +110,23 @@ func newCache(maxEntries int) *cache {
 	return &cache{entries: make(map[cacheKey]entry), capacity: maxEntries, reapAt: minReap}
 }
 
-// get returns the cached message for key if present and not expired.
+// get returns the cached outcome for key if present and not expired.
 // The hit path is allocation-free (pinned by TestExchangeHitPathAllocFree):
 // a read lock, one map probe, and an expiry comparison outside the
 // lock. Expired entries are reported as misses but left in place for
 // the miss's join or the next insert-time reap.
-func (c *cache) get(key cacheKey, now time.Time) (*dns.Message, bool) {
+func (c *cache) get(key cacheKey, now time.Time) (entry, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[key]
 	c.mu.RUnlock()
 	if !ok || now.After(e.expires) {
-		return nil, false
+		return entry{}, false
 	}
-	return e.msg, true
+	return e, true
 }
 
 // join looks key up again under the write lock, at now. It returns
-// the entry found there: an answer that is live (its call is nil), or
+// the entry found there: an outcome that is live (its call is nil), or
 // the flight in progress, which the caller joins. Otherwise the caller
 // leads a new flight, which replaces any expired entry for key, and
 // leader is true.
@@ -159,14 +162,15 @@ func (c *cache) leave(f *flight) {
 	}
 }
 
-// finish publishes a flight's outcome. Its entry becomes the answer,
-// live until expires; an error deletes it, so a leader error is never
-// replayed to a later caller (only the callers already joined share
-// it), and the next miss starts a fresh flight.
+// finish publishes a flight's outcome. Its entry becomes the outcome,
+// live until expires. The zero expiry (a transport error, a
+// cancellation) deletes it instead, so such an error is never replayed
+// to a later caller (only the callers already joined share it), and
+// the next miss starts a fresh flight.
 func (c *cache) finish(key cacheKey, f *flight, msg *dns.Message, expires time.Time, err error) {
 	c.mu.Lock()
-	if err == nil && len(c.entries) <= c.capacity {
-		c.entries[key] = entry{msg: msg, expires: expires}
+	if !expires.IsZero() && len(c.entries) <= c.capacity {
+		c.entries[key] = entry{msg: msg, err: err, expires: expires}
 	} else {
 		delete(c.entries, key)
 	}
@@ -201,8 +205,8 @@ func (c *cache) makeRoomLocked(now time.Time) {
 	}
 }
 
-// reapLocked drops every expired answer. If the map was full and
-// still is, it picks the capacity/8 live answers closest to expiry as
+// reapLocked drops every expired outcome. If the map was full and
+// still is, it picks the capacity/8 live outcomes closest to expiry as
 // the next victims. A flight is neither dropped nor picked. The next
 // sweep below capacity is due when the survivors have doubled.
 func (c *cache) reapLocked(now time.Time) {

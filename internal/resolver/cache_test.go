@@ -2,11 +2,13 @@ package resolver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -453,6 +455,43 @@ func TestNegativeCaching(t *testing.T) {
 	}
 	if got := h.queries("TXT missing.example.com."); got != 1 {
 		t.Errorf("server saw %d queries, want 1 (negative-cached)", got)
+	}
+}
+
+// TestFailureCaching: a REFUSED or SERVFAIL answer is a resolution
+// failure, cached for failureTTL scaled by TimeScale (RFC 9520). A
+// name that fails asked twice costs one wire query; asked again after
+// the failure's lifetime it costs two. (That a transport failure is
+// not cached is TestLeaderErrorNotCached.)
+func TestFailureCaching(t *testing.T) {
+	ctx := context.Background()
+	for _, rcode := range []dns.RCode{dns.RCodeRefused, dns.RCodeServerFailure} {
+		var queries atomic.Int64
+		r := fabricResolver(t, dns.HandlerFunc(func(w dns.ResponseWriter, req *dns.Request) {
+			queries.Add(1)
+			resp := new(dns.Message).SetReply(req.Msg)
+			resp.RCode = rcode
+			_ = w.WriteMsg(resp)
+		}))
+		r.cfg.TimeScale = 0.01 // a failure lives 50 ms
+		ask := func() {
+			t.Helper()
+			_, err := r.LookupTXT(ctx, "failing.example.")
+			var se *ServerError
+			if !errors.As(err, &se) || se.RCode != rcode {
+				t.Fatalf("%v: lookup returned %v, want a ServerError", rcode, err)
+			}
+		}
+		ask()
+		ask()
+		if n := queries.Load(); n != 1 {
+			t.Errorf("%v asked twice: %d wire queries, want 1", rcode, n)
+		}
+		time.Sleep(time.Duration(float64(failureTTL)*r.cfg.TimeScale) + 20*time.Millisecond)
+		ask()
+		if n := queries.Load(); n != 2 {
+			t.Errorf("%v asked again after its lifetime: %d wire queries, want 2", rcode, n)
+		}
 	}
 }
 

@@ -98,6 +98,13 @@ const cacheEntries = 4096
 // records) stay cached, in the TTLs' time (see Config.TimeScale).
 const DefaultNegativeTTL = 30 * time.Second
 
+// failureTTL is how long a resolution failure (cachedFailure) stays
+// cached, in the TTLs' time (see Config.TimeScale). RFC 9520 §3.2 has
+// a resolver cache a failure for at least 5 seconds, doubling the time
+// for a failure that persists, and never for more than 5 minutes; this
+// is its floor, without the back-off.
+const failureTTL = 5 * time.Second
+
 // maxRetries is how many times a query is re-sent after a transport
 // failure — a timeout, a connection reset mid-message, a truncated or
 // short TCP read — before the error is surfaced. Server failures
@@ -159,8 +166,9 @@ func isV6HostPort(hostport string) bool {
 // populates the cache. Transport failures — timeouts, resets,
 // short TCP reads from a dying connection — are retried up to
 // maxRetries times, so the faults a hostile network injects between
-// the stub and its upstream do not surface as measurement noise;
-// non-success RCODEs are surfaced immediately and never cached.
+// the stub and its upstream do not surface as measurement noise, and
+// are never cached. Non-success RCODEs are surfaced immediately, and a
+// REFUSED or SERVFAIL answer is cached as a failure (failureTTL).
 //
 // A cache hit copies nothing: the key is the name as given, less its
 // trailing dot (keyFor), and the canonical spelling the wire and the
@@ -173,10 +181,11 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 		sp.SetAttr("dns.type", t.String())
 	}
 	now := time.Now()
-	if msg, ok := r.cache.get(key, now); ok {
+	if e, ok := r.cache.get(key, now); ok {
 		sp.SetAttr("outcome", "cache")
+		sp.SetError(e.err)
 		sp.End()
-		return msg, nil
+		return e.msg, e.err
 	}
 	if err := ctx.Err(); err != nil {
 		sp.SetError(err)
@@ -192,8 +201,9 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 	switch {
 	case e.call == nil:
 		sp.SetAttr("outcome", "cache")
+		sp.SetError(e.err)
 		sp.End()
-		return e.msg, nil
+		return e.msg, e.err
 	case leader:
 		sp.SetAttr("singleflight", "leader")
 		go r.lead(key, e.call, name, t, sp.Link())
@@ -215,7 +225,8 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 
 // lead performs a flight's wire exchange under the flight-owned
 // context and finishes the flight: a successful response stays cached
-// for its TTL scaled by Config.TimeScale, an error is not cached. link
+// for its TTL, a resolution failure for failureTTL, both scaled by
+// Config.TimeScale; any other error is not cached. link
 // carries the leading Exchange span's identity (a value snapshot — the
 // span itself may already be recycled by the time this goroutine
 // runs).
@@ -228,15 +239,29 @@ func (r *Resolver) lead(key cacheKey, f *flight, name string, t dns.Type, link t
 	msg, err := r.exchangeWithRetry(f.ctx, name, t)
 	wsp.SetError(err)
 	wsp.End()
+	var ttl time.Duration
+	switch {
+	case err == nil:
+		ttl = minTTL(msg)
+	case cachedFailure(err):
+		ttl = failureTTL
+	}
 	var expires time.Time
-	if err == nil {
-		ttl := minTTL(msg)
+	if ttl > 0 {
 		if r.cfg.TimeScale > 0 {
 			ttl = time.Duration(float64(ttl) * r.cfg.TimeScale)
 		}
 		expires = time.Now().Add(ttl)
 	}
 	r.cache.finish(key, f, msg, expires, err)
+}
+
+// cachedFailure reports whether err is one of the resolution failures
+// RFC 9520 has a resolver cache: the upstream answered REFUSED or
+// SERVFAIL. A transport error or a cancellation is not cached.
+func cachedFailure(err error) bool {
+	var se *ServerError
+	return errors.As(err, &se) && (se.RCode == dns.RCodeRefused || se.RCode == dns.RCodeServerFailure)
 }
 
 // exchangeWithRetry is the wire path: one exchange plus the

@@ -172,38 +172,36 @@ func TestSingleflightOrphanedFlightStops(t *testing.T) {
 	}
 }
 
-// flakyHandler refuses every query while the flag is set, then serves
-// the embedded static records once cleared. The flag is atomic so the
-// test can flip it while the server is live.
+// flakyHandler leaves every query unanswered while the flag is set,
+// then serves the embedded static records once cleared. The flag is
+// atomic so the test can flip it while the server is live.
 type flakyHandler struct {
 	*staticHandler
-	refusing atomic.Bool
+	silent atomic.Bool
 }
 
 func (h *flakyHandler) ServeDNS(w dns.ResponseWriter, r *dns.Request) {
-	if h.refusing.Load() {
-		resp := new(dns.Message).SetReply(r.Msg)
-		resp.RCode = dns.RCodeRefused
-		_ = w.WriteMsg(resp)
+	if h.silent.Load() {
 		return
 	}
 	h.staticHandler.ServeDNS(w, r)
 }
 
 // TestLeaderErrorNotCached pins that a failed exchange is shared with
-// the waiters already joined but never cached: the next caller retries
-// the wire and can succeed.
+// the waiters already joined but, unless it is a resolution failure
+// the cache keeps for failureTTL (REFUSED, SERVFAIL), never cached:
+// after a timeout the next caller retries the wire and can succeed.
 func TestLeaderErrorNotCached(t *testing.T) {
 	h := &flakyHandler{staticHandler: newStaticHandler()}
 	h.add("flaky.example.com", dns.TypeTXT, &dns.TXT{Strings: []string{"v=spf1 -all"}})
-	h.refusing.Store(true)
-	r := New(Config{Server: startServer(t, h)})
+	h.silent.Store(true)
+	r := New(Config{Server: startServer(t, h), Timeout: 20 * time.Millisecond})
 	ctx := context.Background()
 	if _, err := r.LookupTXT(ctx, "flaky.example.com"); err == nil {
-		t.Fatal("expected REFUSED error")
+		t.Fatal("expected a timeout")
 	}
 	// The server recovers; the error must not have been cached.
-	h.refusing.Store(false)
+	h.silent.Store(false)
 	txts, err := r.LookupTXT(ctx, "flaky.example.com")
 	if err != nil || len(txts) != 1 {
 		t.Fatalf("recovered lookup = %v, %v (leader error was cached?)", txts, err)

@@ -34,6 +34,27 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 		})
 	}
+	// The same records written as the query log's sink writes them:
+	// 64 KiB of frames per AppendBatch, one write. ns/op is per record.
+	b.Run("none-batched", func(b *testing.B) {
+		w, err := Open(filepath.Join(b.TempDir(), "bench.wal"), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		batch := make([][]byte, (64<<10)/(headerSize+len(rec)))
+		for i := range batch {
+			batch[i] = rec
+		}
+		b.SetBytes(int64(len(rec)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(batch) {
+			if err := w.AppendBatch(batch[:min(len(batch), b.N-i)]...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkWALRecover measures replaying a journal-sized log: the cost

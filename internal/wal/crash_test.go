@@ -253,3 +253,60 @@ func TestCrashBitFlips(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashBatchedAtEveryOffset appends the schedule through
+// AppendBatch in seeded random batch sizes, one write per batch, over
+// a WriteSyncer that dies at byte offset k. A kill inside a batch's
+// write must cost exactly the frames it cut: Recover yields the whole
+// frames below k and drops the k-minus-prefix bytes of the torn one,
+// whatever the batch boundaries were.
+func TestCrashBatchedAtEveryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(chaosSeed(t) + 3))
+	s := makeSchedule(rng, 24)
+	var batches [][][]byte
+	for rest := s.records; len(rest) > 0; {
+		n := min(1+rng.Intn(8), len(rest))
+		batches = append(batches, rest[:n])
+		rest = rest[n:]
+	}
+	dir := t.TempDir()
+	for k := 0; k <= len(s.image); k++ {
+		path := filepath.Join(dir, fmt.Sprintf("log-%d.wal", k))
+		w, err := Open(path, Options{WrapFile: func(f File) File {
+			return &faultFile{f: f, budget: k}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrote := 0 // records of the batches that returned nil
+		var failErr error
+		for _, b := range batches {
+			if failErr = w.AppendBatch(b...); failErr != nil {
+				break
+			}
+			wrote += len(b)
+		}
+		if (failErr != nil) != (k < len(s.image)) {
+			t.Fatalf("kill at %d: AppendBatch error %v with %d of %d bytes allowed", k, failErr, k, len(s.image))
+		}
+		_ = w.Close()
+
+		stats, got := recoverRecords(t, path)
+		wantRecords, wantGood := s.prefixRecords[k], s.prefixGood[k]
+		if stats.Records != wantRecords || stats.GoodBytes != wantGood {
+			t.Fatalf("kill at %d: recovered %d records / %d bytes, want %d / %d",
+				k, stats.Records, stats.GoodBytes, wantRecords, wantGood)
+		}
+		if wantDropped := int64(k) - wantGood; stats.DroppedBytes != wantDropped {
+			t.Fatalf("kill at %d: dropped %d bytes, want %d", k, stats.DroppedBytes, wantDropped)
+		}
+		if wrote > wantRecords {
+			t.Fatalf("kill at %d: batches holding %d records returned nil, %d recovered", k, wrote, wantRecords)
+		}
+		for i, p := range got {
+			if !bytes.Equal(p, s.records[i]) {
+				t.Fatalf("kill at %d: salvaged record %d differs", k, i)
+			}
+		}
+	}
+}

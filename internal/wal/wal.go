@@ -22,9 +22,10 @@
 // Durability is a policy, not a constant: SyncAlways fsyncs every
 // record (the journal of a two-week campaign), SyncInterval group-
 // commits on a background flusher (the high-rate query log), SyncNone
-// leaves flushing to the kernel. In every mode Append hands the whole
-// frame to the kernel in one write, so a SIGKILL — as opposed to a
-// machine crash — loses at most the record in flight.
+// leaves flushing to the kernel. In every mode AppendBatch hands its
+// frames to the kernel whole and in order, one write per segment, so a
+// SIGKILL — as opposed to a machine crash — loses at most the tail of
+// the batch in flight (the record in flight, for Append).
 package wal
 
 import (
@@ -68,17 +69,17 @@ func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, crcTable) 
 type SyncPolicy int
 
 const (
-	// SyncNone never fsyncs: records reach the kernel per Append (so
-	// process death loses nothing already appended) but a machine
-	// crash can lose recently appended records.
+	// SyncNone never fsyncs: records reach the kernel before Append
+	// or AppendBatch returns (so process death loses nothing already
+	// appended) but a machine crash can lose recently appended records.
 	SyncNone SyncPolicy = iota
 	// SyncInterval group-commits: a background flusher fsyncs the file
 	// every syncPeriod while appends are dirty. A machine crash loses
 	// at most one period of records.
 	SyncInterval
-	// SyncAlways fsyncs before Append returns: once Append returns
-	// nil, the record survives machine failure. The per-record fsync
-	// cost is measured by BenchmarkWALAppend.
+	// SyncAlways fsyncs before Append or AppendBatch returns: once it
+	// returns nil, its records survive machine failure. The per-call
+	// fsync cost is measured by BenchmarkWALAppend.
 	SyncAlways
 )
 
@@ -226,29 +227,34 @@ func (w *WAL) wrap(f File) File {
 func (w *WAL) Recovered() RecoverStats { return w.recovered }
 
 // Append frames one record and writes it to the live segment,
-// honouring the sync policy. The record is framed and handed to the
-// kernel in a single write, so a process kill can only lose whole
-// records, never interleave them. Append retains no reference to p.
-func (w *WAL) Append(p []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(p)
-}
+// honouring the sync policy: the one-record case of AppendBatch.
+// Append retains no reference to p.
+func (w *WAL) Append(p []byte) error { return w.AppendBatch(p) }
 
 // Write implements io.Writer over Append — one record per call — so
-// the WAL drops into io.Writer plumbing like the campaign's journal
-// sink. The callers that use it (the campaign journal, WALSink) write
-// exactly one logical record per call.
+// the WAL drops into io.Writer plumbing. Its callers, the campaign
+// journal and the -trace-file span exporter, write exactly one logical
+// record per call, so each reaches the kernel as it is written.
 func (w *WAL) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.appendLocked(p); err != nil {
+	if err := w.Append(p); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
-func (w *WAL) appendLocked(p []byte) error {
+// AppendBatch frames recs, in order, into the WAL's reused buffer and
+// hands them to the kernel in one write per segment: where the next
+// frame would push the live segment past RotateBytes, the frames
+// before it are written and the segment rotates, so no record spans
+// two segments and no segment outgrows RotateBytes unless a single
+// frame does. Frames reach the file in order and whole, so a process
+// kill can only cut the batch after some prefix of its records. Under
+// SyncAlways it fsyncs once before returning. A record over
+// MaxRecordBytes fails the batch before anything is written.
+// AppendBatch retains no reference to recs.
+func (w *WAL) AppendBatch(recs ...[]byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
@@ -256,30 +262,54 @@ func (w *WAL) appendLocked(p []byte) error {
 		w.failures.Inc()
 		return w.err
 	}
-	if len(p) > MaxRecordBytes {
-		// An oversized record is a caller bug, not a log failure: the
-		// error is returned but not made sticky.
-		w.failures.Inc()
-		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecordBytes)
-	}
-	frame := int64(headerSize + len(p))
-	if w.opts.RotateBytes > 0 && w.size > 0 && w.size+frame > w.opts.RotateBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
+	for _, p := range recs {
+		if len(p) > MaxRecordBytes {
+			// An oversized record is a caller bug, not a log failure:
+			// the error is returned but not made sticky.
+			w.failures.Inc()
+			return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecordBytes)
 		}
 	}
-	w.buf = appendFrame(w.buf[:0], p)
+	w.buf = w.buf[:0]
+	framed := 0 // records framed into w.buf
+	for _, p := range recs {
+		pending := w.size + int64(len(w.buf))
+		if w.opts.RotateBytes > 0 && pending > 0 && pending+int64(headerSize+len(p)) > w.opts.RotateBytes {
+			if err := w.writeLocked(framed); err != nil {
+				return err
+			}
+			if err := w.rotateLocked(); err != nil {
+				return err
+			}
+			framed = 0
+		}
+		w.buf = appendFrame(w.buf, p)
+		framed++
+	}
+	if err := w.writeLocked(framed); err != nil {
+		return err
+	}
+	if w.opts.Sync == SyncAlways {
+		return w.syncLocked()
+	}
+	return nil
+}
+
+// writeLocked hands the records framed in w.buf to the live segment in
+// one write and empties w.buf.
+func (w *WAL) writeLocked(records int) error {
+	if len(w.buf) == 0 {
+		return nil
+	}
 	if _, err := w.w.Write(w.buf); err != nil {
 		w.fail(fmt.Errorf("wal: appending to %s: %w", w.path, err))
 		return w.err
 	}
-	w.size += frame
+	w.size += int64(len(w.buf))
 	w.dirty = true
-	w.appends.Inc()
-	w.appendBytes.Add(uint64(frame))
-	if w.opts.Sync == SyncAlways {
-		return w.syncLocked()
-	}
+	w.appends.Add(uint64(records))
+	w.appendBytes.Add(uint64(len(w.buf)))
+	w.buf = w.buf[:0]
 	return nil
 }
 

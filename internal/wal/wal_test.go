@@ -521,3 +521,66 @@ func TestRandomizedKillAndReopen(t *testing.T) {
 		}
 	}
 }
+
+// countingFile counts the writes the WAL makes to a segment.
+type countingFile struct {
+	File
+	writes *int
+}
+
+func (c countingFile) Write(p []byte) (int, error) {
+	*c.writes++
+	return c.File.Write(p)
+}
+
+// TestAppendBatchOneWritePerSegment: a batch reaches each segment it
+// touches in one write, splits only where the next frame would push
+// the segment past RotateBytes, and keeps its records in order.
+func TestAppendBatchOneWritePerSegment(t *testing.T) {
+	const rotate = 256
+	path := filepath.Join(t.TempDir(), "log.wal")
+	writes := 0
+	w, err := Open(path, Options{RotateBytes: rotate, WrapFile: func(f File) File {
+		return countingFile{File: f, writes: &writes}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40 frames of headerSize+20 = 29 bytes: 8 fit in a 256-byte
+	// segment, so one batch fills five segments, one write each.
+	var recs [][]byte
+	for i := range 40 {
+		recs = append(recs, []byte(fmt.Sprintf("record %012d\n", i)))
+	}
+	if err := w.AppendBatch(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := Segments(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 5 || writes != 5 {
+		t.Fatalf("%d segments, %d writes; want 5 and 5", len(segs), writes)
+	}
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > rotate {
+			t.Fatalf("segment %s holds %d bytes, over RotateBytes %d", seg, fi.Size(), rotate)
+		}
+	}
+	got, stats := readAll(t, path)
+	if stats.Truncated || len(got) != len(recs) {
+		t.Fatalf("read %d records (%+v), want %d", len(got), stats, len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(got[i], recs[i]) {
+			t.Fatalf("record %d = %q, want %q", i, got[i], recs[i])
+		}
+	}
+}
