@@ -89,12 +89,15 @@ crash:
 # SMTP probe dialogue allocates (internal/smtp), what one resolver miss
 # over the fabric allocates (internal/resolver), that re-arming a
 # netsim deadline reuses its timer and that closed connections retain
-# nothing (internal/netsim).
+# nothing (internal/netsim), and what building a world allocates per
+# MTA, which one reseeded generator for the fleet keeps free of a
+# math/rand source per MTA (internal/experiment).
 telemetry-alloc:
 	$(GO) test -run 'Alloc|RetainNothing|ReusesTimer' -count=1 \
 		./internal/telemetry/ ./internal/dns/ ./internal/dnsserver/ ./internal/resolver/ \
 		./internal/spf/ ./internal/trace/ ./internal/campaign/ ./internal/jsonwire/ ./internal/wal/ \
-		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/ ./internal/bulkspf/
+		./internal/fingerprint/ ./internal/netsim/ ./internal/smtp/ ./internal/bulkspf/ \
+		./internal/experiment/
 
 # The tests that run in a testing/synctest bubble, on virtual time:
 # the whole study at paper timing (TimeScale 1.0), whose stdout

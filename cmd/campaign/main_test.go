@@ -274,17 +274,24 @@ func TestKillResumeConvergence(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a -workers count the campaign would not run with
-// is refused before anything starts, so the count the start line
-// prints is the one that runs.
+// TestUsageErrors: a -workers count or a -timescale the campaign would
+// not run with is refused before anything starts, so the count the
+// start line prints is the one that runs and no world is built on a
+// scale it cannot draw delays from.
 func TestUsageErrors(t *testing.T) {
-	for _, workers := range []string{"0", "-3"} {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-workers", "0", "campaign: -workers must be at least 1, got 0\n"},
+		{"-workers", "-3", "campaign: -workers must be at least 1, got -3\n"},
+		{"-timescale", "-1", "campaign: -timescale must be a positive finite number, got -1\n"},
+		{"-timescale", "0", "campaign: -timescale must be a positive finite number, got 0\n"},
+		{"-timescale", "NaN", "campaign: -timescale must be a positive finite number, got NaN\n"},
+		{"-timescale", "-Inf", "campaign: -timescale must be a positive finite number, got -Inf\n"},
+	} {
 		var stdout, stderr bytes.Buffer
-		args := []string{"-domains", "20", "-tests", "t01", "-interval", "0", "-workers", workers}
+		args := []string{"-domains", "20", "-tests", "t01", "-interval", "0", tc.flag, tc.value}
 		code := run(context.Background(), args, nil, &stdout, &stderr)
-		want := "campaign: -workers must be at least 1, got " + workers + "\n"
-		if code != cli.ExitUsage || stdout.Len() != 0 || stderr.String() != want {
-			t.Errorf("run(%q) = %d, stdout %q, stderr %q; want %d and %q", args, code, stdout.String(), stderr.String(), cli.ExitUsage, want)
+		if code != cli.ExitUsage || stdout.Len() != 0 || stderr.String() != tc.want {
+			t.Errorf("run(%q) = %d, stdout %q, stderr %q; want %d and %q", args, code, stdout.String(), stderr.String(), cli.ExitUsage, tc.want)
 		}
 	}
 }

@@ -102,6 +102,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-journal-sync", "sometimes"}, "experiment: "},
 		{[]string{"-workers", "0"}, "experiment: -workers must be at least 1, got 0\n"},
 		{[]string{"-workers", "-3"}, "experiment: -workers must be at least 1, got -3\n"},
+		{[]string{"-domains", "20", "-timescale", "-1"}, "experiment: -timescale must be a positive finite number, got -1\n"},
+		{[]string{"-domains", "20", "-timescale", "0"}, "experiment: -timescale must be a positive finite number, got 0\n"},
+		{[]string{"-domains", "20", "-timescale", "NaN"}, "experiment: -timescale must be a positive finite number, got NaN\n"},
+		{[]string{"-domains", "20", "-timescale", "Inf"}, "experiment: -timescale must be a positive finite number, got +Inf\n"},
 		{[]string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 	} {
 		code, out, errOut := runCmd(tc.args...)

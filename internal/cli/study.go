@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"runtime"
 
 	"sendervalid/internal/wal"
@@ -39,11 +40,15 @@ func (s *Study) Register(fs *flag.FlagSet) {
 }
 
 // Check rejects the flag values a study cannot run with — -workers
-// below 1, -resume without -journal, an unknown -journal-sync — as
-// Usage errors, and returns the parsed -journal-sync policy.
+// below 1, a -timescale that is not a positive finite number, -resume
+// without -journal, an unknown -journal-sync — as Usage errors, and
+// returns the parsed -journal-sync policy.
 func (s *Study) Check() (wal.SyncPolicy, error) {
 	if s.Workers < 1 {
 		return 0, Usage(fmt.Errorf("-workers must be at least 1, got %d", s.Workers))
+	}
+	if !(s.TimeScale > 0) || math.IsInf(s.TimeScale, 1) {
+		return 0, Usage(fmt.Errorf("-timescale must be a positive finite number, got %v", s.TimeScale))
 	}
 	if s.Resume && s.Journal == "" {
 		return 0, Usage(errors.New("-resume requires -journal"))

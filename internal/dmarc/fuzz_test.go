@@ -1,7 +1,9 @@
 package dmarc
 
 import (
+	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -65,6 +67,61 @@ func FuzzStrictAlignmentImpliesRelaxed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, auth, from string) {
 		if Aligned(auth, from, Strict) && !Aligned(auth, from, Relaxed) {
 			t.Errorf("%q and %q align strictly but not relaxed", auth, from)
+		}
+	})
+}
+
+// FuzzParseTagOrder: only v= has a fixed place (RFC 7489 §6.3); the
+// tags after it may come in any order. For a record Parse accepts
+// whose tag names are distinct, a seeded shuffle of the tags after v=
+// parses to an equal Record.
+func FuzzParseTagOrder(f *testing.F) {
+	raw, err := os.ReadFile("../policy/testdata/answers.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if _, rec, ok := strings.Cut(line, `TXT "v=DMARC1`); ok && !seen[rec] {
+			seen[rec] = true
+			f.Add("v=DMARC1"+strings.TrimSuffix(rec, `"`), int64(len(seen)))
+		}
+	}
+	for i, rec := range []string{
+		"v=DMARC1; p=none; sp=quarantine; adkim=s; aspf=s; pct=50; rua=mailto:a@example.com,mailto:b@example.org; ruf=mailto:c@example.net; fo=1",
+		"v=DMARC1;P=Reject;SP=none;ADKIM=S; pct=0;;",
+		"v=DMARC1 ; p=quarantine ; rua= mailto:x@example.com , ; ri=86400",
+		"v=DMARC1; p=reject; p=none",
+		"v=DMARC1; p=reject; v=DMARC1",
+	} {
+		f.Add(rec, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, txt string, seed int64) {
+		want, err := Parse(txt)
+		if err != nil {
+			return
+		}
+		tags := strings.Split(txt, ";")
+		names := map[string]bool{}
+		for _, tag := range tags[1:] {
+			if strings.TrimSpace(tag) == "" {
+				continue
+			}
+			name, _, _ := strings.Cut(tag, "=")
+			if name = strings.TrimSpace(strings.ToLower(name)); names[name] {
+				return // a repeated tag: the last one wins, so order matters
+			}
+			names[name] = true
+		}
+		rest := tags[1:]
+		rand.New(rand.NewSource(seed)).Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		shuffled := tags[0] + ";" + strings.Join(rest, ";")
+		got, err := Parse(shuffled)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, its shuffle %q fails: %v", txt, shuffled, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parse(%q) = %+v, its shuffle %q = %+v", txt, want, shuffled, got)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"net/netip"
 	"time"
@@ -110,8 +111,9 @@ type WorldConfig struct {
 	// Rates is the behaviour-trait distribution for TierGeneral MTAs.
 	Rates mtasim.Rates
 	// TimeScale multiplies the delays the measurement reads and the
-	// resolver caches' TTLs (1.0 = paper timing; zero means 0.001). The
-	// give-up budgets are never scaled (see the table above).
+	// resolver caches' TTLs (1.0 = paper timing; zero means 0.001; a
+	// negative, NaN or infinite scale is an error). The give-up
+	// budgets are never scaled (see the table above).
 	TimeScale float64
 	// EnableIPv6DNS serves the authoritative server's IPv6 endpoint on
 	// the fabric too, so the IPv6 test policy is exercisable.
@@ -158,9 +160,15 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 0.001
 	}
+	// NaN, a negative or infinite scale, or one that carries
+	// postDataDelayMax past time.Duration's range fails here.
+	if !(cfg.TimeScale > 0 && float64(postDataDelayMax)*cfg.TimeScale < math.MaxInt64) {
+		return nil, fmt.Errorf("experiment: TimeScale %v is out of range (want a positive finite scale)", cfg.TimeScale)
+	}
 	// The one place a paper-time delay becomes the world's; the policy
-	// views scale their shaping by the same factor.
-	postDataMax := time.Duration(float64(postDataDelayMax) * cfg.TimeScale)
+	// views scale their shaping by the same factor. A scale that takes
+	// the bound below 1 ns gets 1 ns.
+	postDataMax := max(time.Duration(float64(postDataDelayMax)*cfg.TimeScale), 1)
 
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -214,24 +222,10 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 	}
 
 	providerFlags := providerFlagsByMTA(pop)
+	// One generator for the whole fleet, reseeded for each draw.
+	rng := mrand.New(mrand.NewSource(0))
 	for _, info := range pop.MTAs {
-		prof := w.sampleProfile(info, providerFlags[info.ID])
-		mta := mtasim.New(mtasim.Config{
-			ID:                 info.ID,
-			Hostname:           info.Hostname,
-			Addr4:              info.Addr4,
-			Addr6:              info.Addr6,
-			Profile:            prof,
-			Fabric:             w.Fabric,
-			DNSAddr:            w.DNSAddr,
-			DNSAddr6:           w.DNSAddr6,
-			SPFTimeout:         spfBudget,
-			DNSTimeout:         dnsTimeout,
-			TimeScale:          cfg.TimeScale,
-			PostDataDelay:      postDataDelay(info.ProfileSeed, postDataMax),
-			BlacklistedSources: []netip.Addr{ProbeAddr4, ProbeAddr6},
-			Metrics:            cfg.FleetMetrics,
-		})
+		mta := mtasim.New(w.mtaConfig(rng, info, providerFlags[info.ID], postDataMax))
 		if err := mta.Start(); err != nil {
 			w.Close()
 			return nil, err
@@ -239,6 +233,33 @@ func BuildWorld(pop *dataset.Population, cfg WorldConfig) (*World, error) {
 		w.MTAs[info.ID] = mta
 	}
 	return w, nil
+}
+
+// mtaConfig draws the MTA's profile and, for a post-DATA SPF
+// validator, its post-DATA delay from rng, and returns the MTA's
+// simulator configuration.
+func (w *World) mtaConfig(rng *mrand.Rand, info *dataset.MTAInfo, provider *dataset.Provider, postDataMax time.Duration) mtasim.Config {
+	prof := w.sampleProfile(rng, info, provider)
+	var delay time.Duration
+	if prof.ValidatesSPF && prof.Phase == mtasim.PostData {
+		delay = postDataDelay(rng, info.ProfileSeed, postDataMax)
+	}
+	return mtasim.Config{
+		ID:                 info.ID,
+		Hostname:           info.Hostname,
+		Addr4:              info.Addr4,
+		Addr6:              info.Addr6,
+		Profile:            prof,
+		Fabric:             w.Fabric,
+		DNSAddr:            w.DNSAddr,
+		DNSAddr6:           w.DNSAddr6,
+		SPFTimeout:         spfBudget,
+		DNSTimeout:         dnsTimeout,
+		TimeScale:          w.cfg.TimeScale,
+		PostDataDelay:      delay,
+		BlacklistedSources: []netip.Addr{ProbeAddr4, ProbeAddr6},
+		Metrics:            w.cfg.FleetMetrics,
+	}
 }
 
 // RegisterMetrics publishes the world's serving-side telemetry — the
@@ -269,18 +290,20 @@ func providerFlagsByMTA(pop *dataset.Population) map[string]*dataset.Provider {
 	return out
 }
 
-// sampleProfile draws the MTA's behaviour from tier-adjusted rates.
-// The profile is a stable function of the MTA's identity; WorldConfig
-// fields only matter through Rates, tier, and the drift probability.
-func (w *World) sampleProfile(info *dataset.MTAInfo, provider *dataset.Provider) mtasim.Profile {
+// sampleProfile draws the MTA's behaviour from tier-adjusted rates,
+// reseeding rng for each draw, so the draws are those of fresh sources
+// at the same seeds. The profile is a stable function of the MTA's
+// identity; WorldConfig fields only matter through Rates, tier, and
+// the drift probability.
+func (w *World) sampleProfile(rng *mrand.Rand, info *dataset.MTAInfo, provider *dataset.Provider) mtasim.Profile {
 	seed := info.ProfileSeed
 	if w.cfg.ProfileDrift > 0 {
-		driftRng := mrand.New(mrand.NewSource(info.ProfileSeed ^ w.cfg.Seed ^ 0x9e3779b9))
-		if driftRng.Float64() < w.cfg.ProfileDrift {
+		rng.Seed(info.ProfileSeed ^ w.cfg.Seed ^ 0x9e3779b9)
+		if rng.Float64() < w.cfg.ProfileDrift {
 			seed = info.ProfileSeed ^ w.cfg.Seed
 		}
 	}
-	rng := mrand.New(mrand.NewSource(seed))
+	rng.Seed(seed)
 	rates := TierRates(w.cfg.Rates, info.Tier)
 	prof := rates.Sample(rng)
 	if provider != nil {
@@ -304,9 +327,11 @@ func (w *World) sampleProfile(info *dataset.MTAInfo, provider *dataset.Provider)
 }
 
 // postDataDelay derives a deterministic per-MTA post-data validation
-// delay in (0, max].
-func postDataDelay(seed int64, max time.Duration) time.Duration {
-	rng := mrand.New(mrand.NewSource(seed*31 + 7))
+// delay in (0, max], reseeding rng. mtaConfig draws one only for a
+// post-DATA SPF validator, the one kind of MTA that waits one; every
+// other MTA's is zero.
+func postDataDelay(rng *mrand.Rand, seed int64, max time.Duration) time.Duration {
+	rng.Seed(seed*31 + 7)
 	return time.Duration(1 + rng.Int63n(int64(max)))
 }
 

@@ -47,6 +47,8 @@ type Config struct {
 	TimeScale float64
 	// PostDataDelay is how long after accepting a message a PostData
 	// validator waits before validating (Figure 2's positive tail).
+	// Only an SPF validator in the PostData phase reads it; it is zero
+	// for an MTA that never validates after DATA.
 	PostDataDelay time.Duration
 	// BlacklistedSources restricts RejectProbe to sessions from these
 	// client addresses (the study's probing client landed on real
