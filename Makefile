@@ -1,5 +1,6 @@
 # Development entry points. `make check` is the gate: `fmt` (gofmt),
-# `vet`, `build`, `no-stale-refs` (a stale-reference lint), `test` (the
+# `vet` (again with GOEXPERIMENT=synctest over the two packages whose
+# bubble tests that tag hides from a plain vet), `build`, `no-stale-refs` (a stale-reference lint), `test` (the
 # full test suite under the race detector: fuzz seed corpora and the
 # seeded crash/bulk/trace suites included, at the default seed),
 # `telemetry-alloc` (the allocation pins, which need a run without the
@@ -30,6 +31,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	GOEXPERIMENT=synctest $(GO) vet ./internal/dns/ ./internal/experiment/
 
 build:
 	$(GO) build ./...

@@ -155,7 +155,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	sp := experiment.SerialParallel(obs)
 	ll := experiment.LookupLimits(obs)
 	b := experiment.Behaviors(obs)
-	if ll.Tested > 0 {
+	if len(ll.QueriesPerMTA) > 0 {
 		fmt.Fprint(stdout, experiment.RenderFigure5(ll, policy.LimitsDelay.Seconds()))
 	}
 	fmt.Fprint(stdout, experiment.RenderBehaviors(sp, b))

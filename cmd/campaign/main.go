@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,7 +44,7 @@ func main() {
 	os.Exit(run(cli.SignalContext(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var study cli.Study
@@ -70,15 +69,16 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	if err != nil {
 		return fail(err)
 	}
-
-	var tests []string
-	switch *testsFlag {
-	case "core":
-		tests = experiment.CoreTests
-	case "all":
-		tests = experiment.AllTests()
-	default:
-		tests = strings.Split(*testsFlag, ",")
+	tests, err := experiment.ParseTests(*testsFlag)
+	switch {
+	case err != nil:
+		return fail(cli.Usage(err))
+	case !(*rate >= 0):
+		return fail(cli.Usage(fmt.Errorf("-rate must be at least 0, got %v", *rate)))
+	case *attempts < 1:
+		return fail(cli.Usage(fmt.Errorf("-attempts must be at least 1, got %d", *attempts)))
+	case !(*chaosDial >= 0 && *chaosDial <= 1):
+		return fail(cli.Usage(fmt.Errorf("-chaos-dial-failure must be in [0, 1], got %v", *chaosDial)))
 	}
 
 	var spec dataset.Spec
@@ -135,7 +135,16 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		if err != nil {
 			return fail(err)
 		}
-		defer jnl.Close()
+		// Closing syncs a dirty segment: a failure there loses part of
+		// the durable record, so it fails a run that otherwise succeeded.
+		defer func() {
+			if err := jnl.Close(); err != nil {
+				logf("closing journal %s: %v — the durable record may be incomplete", study.Journal, err)
+				if code == cli.ExitOK {
+					code = cli.ExitFailure
+				}
+			}
+		}()
 		cfg.Journal = jnl
 		if replay, err = recorded.Admit(study.Journal, study.Resume, logf); err != nil {
 			return fail(cli.Usage(err))
@@ -204,9 +213,6 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 			s.JournalDropped, jerr)
 	}
 	if runErr != nil {
-		if jnl != nil {
-			_ = jnl.Sync()
-		}
 		fmt.Fprintf(stdout, "campaign interrupted (%v): %d of %d pairs finished", runErr, s.Completed(), total)
 		if study.Journal != "" {
 			fmt.Fprintf(stdout, "; rerun with -resume to continue")
@@ -220,8 +226,8 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	fmt.Fprintf(stdout, "\ncampaign complete: %d done, %d failed, %d retries across %d attempts\n",
 		s.Done, s.Failed, s.Retried, s.Attempts)
 	fmt.Fprintf(stdout, "SPF-validating: %d of %d MTAs, %d of %d domains\n",
-		a.SPFMTAs, a.MTAs, a.SPFDomains, a.Domains)
+		a.SPFMTAs.Observed, a.SPFMTAs.Tested, a.SPFDomains.Observed, a.SPFDomains.Tested)
 	fmt.Fprintf(stdout, "probes completed %d of %d; spam-rejecting MTAs %d, blacklist-rejecting %d\n",
-		a.ProbesCompleted, a.ProbesTotal, a.SpamRejected, a.BlacklistRejected)
+		a.ProbesCompleted.Observed, a.ProbesCompleted.Tested, a.SpamRejected, a.BlacklistRejected)
 	return cli.ExitOK
 }

@@ -274,10 +274,10 @@ func TestKillResumeConvergence(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a -workers count or a -timescale the campaign would
-// not run with is refused before anything starts, so the count the
-// start line prints is the one that runs and no world is built on a
-// scale it cannot draw delays from.
+// TestUsageErrors: a flag value the campaign would misread or not run
+// with is refused before anything starts: so the count the start line
+// prints is the one that runs, no world is built on a scale it cannot
+// draw delays from, and no pair probes a policy no zone serves.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-workers", "0", "campaign: -workers must be at least 1, got 0\n"},
@@ -286,6 +286,15 @@ func TestUsageErrors(t *testing.T) {
 		{"-timescale", "0", "campaign: -timescale must be a positive finite number, got 0\n"},
 		{"-timescale", "NaN", "campaign: -timescale must be a positive finite number, got NaN\n"},
 		{"-timescale", "-Inf", "campaign: -timescale must be a positive finite number, got -Inf\n"},
+		{"-domains", "0", "campaign: -domains must be at least 1, got 0\n"},
+		{"-tests", "t99,bogus", "campaign: -tests: \"t99\" is not a catalog test ID (t01–t39), core or all\n"},
+		{"-tests", "t01,t02,t01", "campaign: -tests: \"t01\" is listed twice\n"},
+		{"-tests", "t01,,t02", "campaign: -tests: \"\" is not a catalog test ID (t01–t39), core or all\n"},
+		{"-rate", "-1", "campaign: -rate must be at least 0, got -1\n"},
+		{"-rate", "NaN", "campaign: -rate must be at least 0, got NaN\n"},
+		{"-attempts", "0", "campaign: -attempts must be at least 1, got 0\n"},
+		{"-chaos-dial-failure", "1.5", "campaign: -chaos-dial-failure must be in [0, 1], got 1.5\n"},
+		{"-chaos-dial-failure", "-0.1", "campaign: -chaos-dial-failure must be in [0, 1], got -0.1\n"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := []string{"-domains", "20", "-tests", "t01", "-interval", "0", tc.flag, tc.value}

@@ -68,7 +68,7 @@ func TestStudyEndToEnd(t *testing.T) {
 			t.Errorf("StudyResult.%s is empty", v.Type().Field(i).Name)
 		}
 	}
-	if got, want := res.NotifyMX.ProbesTotal, len(res.NotifyPop.MTAs)*len(experiment.CoreTests); got != want {
+	if got, want := res.NotifyMX.ProbesCompleted.Tested, len(res.NotifyPop.MTAs)*len(experiment.CoreTests); got != want {
 		t.Errorf("NotifyMX probed %d pairs, want %d", got, want)
 	}
 
@@ -100,6 +100,8 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-resume"}, "experiment: -resume requires -journal\n"},
 		{[]string{"-journal-sync", "sometimes"}, "experiment: "},
+		{[]string{"-domains", "0"}, "experiment: -domains must be at least 1, got 0\n"},
+		{[]string{"-domains", "-3"}, "experiment: -domains must be at least 1, got -3\n"},
 		{[]string{"-workers", "0"}, "experiment: -workers must be at least 1, got 0\n"},
 		{[]string{"-workers", "-3"}, "experiment: -workers must be at least 1, got -3\n"},
 		{[]string{"-domains", "20", "-timescale", "-1"}, "experiment: -timescale must be a positive finite number, got -1\n"},

@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"strings"
 	"time"
 
 	"sendervalid/internal/cli"
@@ -42,7 +41,7 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 		mtaID     = fs.String("mta-id", "m0001", "MTA identifier for From addresses")
 		suffix    = fs.String("suffix", "spf-test.dns-lab.example", "From-domain zone suffix")
 		rcptDom   = fs.String("recipient-domain", "", "recipient domain (default: target host)")
-		testsFlag = fs.String("tests", "", "comma-separated test ids (default: all 39)")
+		testsFlag = fs.String("tests", "", `test policies: "core", "all", or a comma-separated ID list (default: all 39)`)
 		sleep     = fs.Duration("sleep", 0, "inter-command sleep (the paper used 15s)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-exchange timeout")
 		helo      = fs.String("helo", "probe.dns-lab.example", "HELO domain")
@@ -75,7 +74,10 @@ func run(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writ
 	}
 	tests := experiment.AllTests()
 	if *testsFlag != "" {
-		tests = strings.Split(*testsFlag, ",")
+		if tests, err = experiment.ParseTests(*testsFlag); err != nil {
+			fmt.Fprintf(stderr, "probe: %v\n", err)
+			return cli.ExitUsage
+		}
 	}
 
 	client := &probe.Client{

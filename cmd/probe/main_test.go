@@ -42,6 +42,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-target", "not-an-addr"}, // unparseable target
 		{"-definitely-not-a-flag"}, // unknown flag
 		{"-target", "192.0.2.25:25", "-sleep", "soon"}, // bad duration
+		// A test ID outside the catalog; the closed loopback port keeps
+		// a command that does not refuse it off the network.
+		{"-target", "127.0.0.1:1", "-tests", "t01,t99"},
+		{"-target", "127.0.0.1:1", "-tests", "t01,"},
 	} {
 		if code, out, _ := runCmd(args...); code != 2 || out != "" {
 			t.Errorf("run(%q) = %d with stdout %q, want 2 and nothing probed", args, code, out)

@@ -34,8 +34,6 @@ type JournalOptions struct {
 type Journal interface {
 	io.Writer
 	io.Closer
-	// Sync forces buffered events to stable storage.
-	Sync() error
 	// Err returns the sink's sticky write failure, nil while healthy.
 	Err() error
 	// Check is Err in telemetry.Health check form.

@@ -39,11 +39,14 @@ func (s *Study) Register(fs *flag.FlagSet) {
 	s.Trace.Register(fs)
 }
 
-// Check rejects the flag values a study cannot run with — -workers
-// below 1, a -timescale that is not a positive finite number, -resume
-// without -journal, an unknown -journal-sync — as Usage errors, and
-// returns the parsed -journal-sync policy.
+// Check rejects the flag values a study cannot run with — -domains or
+// -workers below 1, a -timescale that is not a positive finite number,
+// -resume without -journal, an unknown -journal-sync — as Usage
+// errors, and returns the parsed -journal-sync policy.
 func (s *Study) Check() (wal.SyncPolicy, error) {
+	if s.Domains < 1 {
+		return 0, Usage(fmt.Errorf("-domains must be at least 1, got %d", s.Domains))
+	}
 	if s.Workers < 1 {
 		return 0, Usage(fmt.Errorf("-workers must be at least 1, got %d", s.Workers))
 	}

@@ -46,14 +46,6 @@ func (m *serverMetrics) setServeExemplar(seconds float64, traceID string) {
 	}
 }
 
-// rcodeLabels are the label values for the 16 possible header RCODEs,
-// precomputed so the render path never calls RCode.String.
-var rcodeLabels = [16]string{
-	"NOERROR", "FORMERR", "SERVFAIL", "NXDOMAIN", "NOTIMP", "REFUSED",
-	"RCODE6", "RCODE7", "RCODE8", "RCODE9", "RCODE10", "RCODE11",
-	"RCODE12", "RCODE13", "RCODE14", "RCODE15",
-}
-
 // RegisterMetrics publishes the endpoint's instruments under the
 // dns_ namespace with the given constant labels (callers serving
 // several endpoints distinguish them with e.g. endpoint="v6"). Call
@@ -69,7 +61,7 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	for i := range s.metrics.rcodes {
 		reg.MustCounter("dns_responses_total",
 			"Responses written, by RCODE.",
-			&s.metrics.rcodes[i], telemetry.WithLabel(labels, "rcode", rcodeLabels[i])...)
+			&s.metrics.rcodes[i], telemetry.WithLabel(labels, "rcode", RCode(i).String())...)
 	}
 	reg.MustHistogram("dns_serve_duration_seconds",
 		"Query latency from arrival to response written.",

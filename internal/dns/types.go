@@ -10,7 +10,10 @@
 // opaque RDATA.
 package dns
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Type is a DNS resource record type (RFC 1035 §3.2.2).
 type Type uint16
@@ -31,28 +34,91 @@ const (
 	TypeANY   Type = 255
 )
 
-var typeNames = map[Type]string{
-	TypeNone:  "NONE",
-	TypeA:     "A",
-	TypeNS:    "NS",
-	TypeCNAME: "CNAME",
-	TypeSOA:   "SOA",
-	TypePTR:   "PTR",
-	TypeMX:    "MX",
-	TypeTXT:   "TXT",
-	TypeAAAA:  "AAAA",
-	TypeOPT:   "OPT",
-	TypeSPF:   "SPF",
-	TypeANY:   "ANY",
+// mnemonic is the one table of type spellings: the standard
+// mnemonic, or "" for a type that has none and is written TYPEn
+// (RFC 3597).
+func (t Type) mnemonic() string {
+	switch t {
+	case TypeNone:
+		return "NONE"
+	case TypeA:
+		return "A"
+	case TypeNS:
+		return "NS"
+	case TypeCNAME:
+		return "CNAME"
+	case TypeSOA:
+		return "SOA"
+	case TypePTR:
+		return "PTR"
+	case TypeMX:
+		return "MX"
+	case TypeTXT:
+		return "TXT"
+	case TypeAAAA:
+		return "AAAA"
+	case TypeOPT:
+		return "OPT"
+	case TypeSPF:
+		return "SPF"
+	case TypeANY:
+		return "ANY"
+	}
+	return ""
 }
+
+// namedTypes lists every type mnemonic spells, in the order ParseType
+// tries them: the query log's types by their share of its entries, then
+// the rest in type-number order. The shares are counted over the
+// validator mix the bench records from the 39 policies. An
+// authdns-serve sweep sends 77 TXT, 35 A and 3 MX queries. In the
+// log-ingest log a fully validating MTA leaves 78 TXT, 36 A and 3 MX
+// entries and a partial one 40 TXT, so TXT 67%, A 30% and MX 3% over
+// the drawn MTAs. No other type occurs in either.
+var namedTypes = [...]Type{TypeTXT, TypeA, TypeMX, TypeNone, TypeNS, TypeCNAME, TypeSOA, TypePTR, TypeAAAA, TypeOPT, TypeSPF, TypeANY}
 
 // String returns the standard mnemonic for the type, or TYPEn for
 // unknown types per RFC 3597.
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
+	if s := t.mnemonic(); s != "" {
 		return s
 	}
-	return fmt.Sprintf("TYPE%d", uint16(t))
+	return string(AppendType(nil, t))
+}
+
+// AppendType appends t.String() to dst without allocating beyond
+// dst's growth.
+func AppendType(dst []byte, t Type) []byte {
+	if s := t.mnemonic(); s != "" {
+		return append(dst, s...)
+	}
+	return strconv.AppendUint(append(dst, "TYPE"...), uint64(t), 10)
+}
+
+// ParseType is AppendType's inverse, without allocating: a mnemonic,
+// or TYPEn with n digits only (leading zeros allowed) and at most
+// 65535. Anything else — "TYPE12abc", "TYPE-1", a lower-case
+// mnemonic — is refused.
+func ParseType(b []byte) (Type, bool) {
+	if len(b) > 4 && string(b[:4]) == "TYPE" {
+		v := 0
+		for _, c := range b[4:] {
+			if c < '0' || c > '9' {
+				return 0, false
+			}
+			v = v*10 + int(c-'0')
+			if v > 0xFFFF {
+				return 0, false
+			}
+		}
+		return Type(v), true
+	}
+	for _, t := range namedTypes {
+		if string(b) == t.mnemonic() {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // Class is a DNS class. Only IN is used in practice.
@@ -88,21 +154,24 @@ const (
 	RCodeRefused        RCode = 5 // REFUSED
 )
 
-var rcodeNames = map[RCode]string{
-	RCodeSuccess:        "NOERROR",
-	RCodeFormatError:    "FORMERR",
-	RCodeServerFailure:  "SERVFAIL",
-	RCodeNameError:      "NXDOMAIN",
-	RCodeNotImplemented: "NOTIMP",
-	RCodeRefused:        "REFUSED",
-}
-
-// String returns the standard mnemonic for the response code.
+// String returns the standard mnemonic for the response code, or
+// RCODEn.
 func (r RCode) String() string {
-	if s, ok := rcodeNames[r]; ok {
-		return s
+	switch r {
+	case RCodeSuccess:
+		return "NOERROR"
+	case RCodeFormatError:
+		return "FORMERR"
+	case RCodeServerFailure:
+		return "SERVFAIL"
+	case RCodeNameError:
+		return "NXDOMAIN"
+	case RCodeNotImplemented:
+		return "NOTIMP"
+	case RCodeRefused:
+		return "REFUSED"
 	}
-	return fmt.Sprintf("RCODE%d", uint16(r))
+	return "RCODE" + strconv.Itoa(int(r))
 }
 
 // Opcode is a DNS operation code.

@@ -3,7 +3,6 @@ package dnsserver
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"sendervalid/internal/dns"
@@ -46,7 +45,9 @@ func AppendLogJSON(dst []byte, e LogEntry) []byte {
 	dst = append(dst, `,"name":`...)
 	dst = jsonwire.AppendString(dst, e.Name)
 	dst = append(dst, `,"type":`...)
-	dst = appendTypeJSON(dst, e.Type)
+	dst = append(dst, '"')
+	dst = dns.AppendType(dst, e.Type)
+	dst = append(dst, '"')
 	if e.TestID != "" {
 		dst = append(dst, `,"test":`...)
 		dst = jsonwire.AppendString(dst, e.TestID)
@@ -77,99 +78,6 @@ func AppendLogJSON(dst []byte, e LogEntry) []byte {
 		dst = jsonwire.AppendString(dst, e.Remote)
 	}
 	return append(dst, '}', '\n')
-}
-
-// appendTypeJSON appends the quoted Type mnemonic without going
-// through fmt (dns.Type.String allocates via Sprintf for unknown
-// types).
-func appendTypeJSON(dst []byte, t dns.Type) []byte {
-	if s := typeMnemonic(t); s != "" {
-		dst = append(dst, '"')
-		dst = append(dst, s...)
-		return append(dst, '"')
-	}
-	dst = append(dst, `"TYPE`...)
-	dst = strconv.AppendUint(dst, uint64(t), 10)
-	return append(dst, '"')
-}
-
-// typeMnemonic is the map-free inverse of the log's type mnemonics;
-// "" means the TYPEn form (RFC 3597) is needed.
-func typeMnemonic(t dns.Type) string {
-	switch t {
-	case dns.TypeA:
-		return "A"
-	case dns.TypeNS:
-		return "NS"
-	case dns.TypeCNAME:
-		return "CNAME"
-	case dns.TypeSOA:
-		return "SOA"
-	case dns.TypePTR:
-		return "PTR"
-	case dns.TypeMX:
-		return "MX"
-	case dns.TypeTXT:
-		return "TXT"
-	case dns.TypeAAAA:
-		return "AAAA"
-	case dns.TypeOPT:
-		return "OPT"
-	case dns.TypeSPF:
-		return "SPF"
-	case dns.TypeANY:
-		return "ANY"
-	case dns.TypeNone:
-		return "NONE"
-	}
-	return ""
-}
-
-// parseType resolves a decoded type mnemonic. The TYPEn form is
-// parsed directly — digits only, value up to 65535 — instead of the
-// old fmt.Sscanf("TYPE%d") round trip, which silently accepted
-// trailing garbage ("TYPE12abc").
-func parseType(b []byte) (dns.Type, bool) {
-	switch string(b) { // compiled to a jump table; no allocation
-	case "A":
-		return dns.TypeA, true
-	case "NS":
-		return dns.TypeNS, true
-	case "CNAME":
-		return dns.TypeCNAME, true
-	case "SOA":
-		return dns.TypeSOA, true
-	case "PTR":
-		return dns.TypePTR, true
-	case "MX":
-		return dns.TypeMX, true
-	case "TXT":
-		return dns.TypeTXT, true
-	case "AAAA":
-		return dns.TypeAAAA, true
-	case "OPT":
-		return dns.TypeOPT, true
-	case "SPF":
-		return dns.TypeSPF, true
-	case "ANY":
-		return dns.TypeANY, true
-	case "NONE":
-		return dns.TypeNone, true
-	}
-	if len(b) < 5 || string(b[:4]) != "TYPE" {
-		return 0, false
-	}
-	v := 0
-	for _, c := range b[4:] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int(c-'0')
-		if v > 0xFFFF {
-			return 0, false
-		}
-	}
-	return dns.Type(v), true
 }
 
 // logLineParser decodes query-log lines a batch at a time: decode
@@ -219,7 +127,7 @@ func (p *logLineParser) decode(entries []LogEntry, line []byte) ([]LogEntry, err
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return entries, err
 	}
-	t, ok := parseType([]byte(rec.Type))
+	t, ok := dns.ParseType([]byte(rec.Type))
 	if !ok {
 		return entries, fmt.Errorf("unknown type %q", rec.Type)
 	}
@@ -315,7 +223,7 @@ func (p *logLineParser) parseFast(line []byte) (e LogEntry, ok bool) {
 	if raw, ok = c.RawStr(); !ok {
 		return e, false
 	}
-	if e.Type, ok = parseType(raw); !ok {
+	if e.Type, ok = dns.ParseType(raw); !ok {
 		return e, false
 	}
 	if !optStr(`,"test":"`) || !optStr(`,"mta":"`) {

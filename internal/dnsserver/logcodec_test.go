@@ -35,9 +35,8 @@ var refTypeByName = map[string]dns.Type{
 	"SPF": dns.TypeSPF, "ANY": dns.TypeANY, "NONE": dns.TypeNone,
 }
 
-// refParseType mirrors parseType's semantics with independent code
-// (map lookup plus strconv) so the fuzzer cross-checks the jump-table
-// implementation.
+// refParseType mirrors dns.ParseType's semantics with independent code
+// (map lookup plus strconv) so the fuzzer cross-checks dns.ParseType.
 func refParseType(s string) (dns.Type, bool) {
 	if t, ok := refTypeByName[s]; ok {
 		return t, ok
@@ -295,9 +294,9 @@ func TestParseTypeStrict(t *testing.T) {
 		{"MD", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := parseType([]byte(c.in))
+		got, ok := dns.ParseType([]byte(c.in))
 		if ok != c.ok || got != c.t {
-			t.Errorf("parseType(%q) = %d, %v; want %d, %v", c.in, got, ok, c.t, c.ok)
+			t.Errorf("dns.ParseType(%q) = %d, %v; want %d, %v", c.in, got, ok, c.t, c.ok)
 		}
 	}
 }

@@ -413,7 +413,6 @@ func (s *Server) handler(v6 bool) dns.Handler {
 			resp.Answers = append(resp.Answers, s.soa(zone))
 		} else if responder := zone.responderFor(q); responder == nil {
 			resp.RCode = dns.RCodeNameError
-			resp.Authority = append(resp.Authority, s.soa(zone))
 		} else {
 			// A responder panic is recovered by dns.Server.serveRequest.
 			shaped := responder.Respond(q)
@@ -426,11 +425,13 @@ func (s *Server) handler(v6 bool) dns.Handler {
 			default:
 				resp.RCode = shaped.RCode
 				resp.Answers = shaped.Records
-				if len(resp.Answers) == 0 && resp.RCode == dns.RCodeSuccess {
-					// Negative answer: include the SOA per RFC 2308.
-					resp.Authority = append(resp.Authority, s.soa(zone))
-				}
 			}
+		}
+		// A negative answer, NXDOMAIN or NODATA, carries the SOA its
+		// lifetime is read from (RFC 2308 §3).
+		if len(resp.Answers) == 0 && !resp.Truncated &&
+			(resp.RCode == dns.RCodeNameError || resp.RCode == dns.RCodeSuccess) {
+			resp.Authority = append(resp.Authority, s.soa(zone))
 		}
 		_ = w.WriteMsgAfter(resp, delay)
 	})

@@ -387,6 +387,52 @@ func TestNoResponderNXDOMAIN(t *testing.T) {
 	}
 }
 
+// TestNegativeAnswersCarrySOA pins the three negative shapes to one
+// SOA in the authority section (RFC 2308 §3), whose lifetime a
+// resolver reads: a name no responder serves, a responder's NXDOMAIN
+// (a Static miss) and a responder's NODATA (a Static name without the
+// type). A truncated answer carries none.
+func TestNegativeAnswersCarrySOA(t *testing.T) {
+	static := NewStatic().TXT("known.t01.m0001."+testSuffix, "v=spf1 -all")
+	zone := &Zone{Suffix: testSuffix, Responders: map[string]Responder{
+		"t01": static,
+		"t09": ResponderFunc(func(q *Query) Response { return Response{TruncateUDP: true} }),
+	}}
+	_, addr := startSynthServer(t, zone)
+	c := &dns.Client{Timeout: 3 * time.Second, DisableTCPFallback: true}
+	for _, tc := range []struct {
+		name  string
+		typ   dns.Type
+		rcode dns.RCode
+		soa   bool
+	}{
+		{"t99.m0001." + testSuffix, dns.TypeTXT, dns.RCodeNameError, true},
+		{"missing.t01.m0001." + testSuffix, dns.TypeTXT, dns.RCodeNameError, true},
+		{"known.t01.m0001." + testSuffix, dns.TypeA, dns.RCodeSuccess, true},
+		{"t09.m0001." + testSuffix, dns.TypeTXT, dns.RCodeSuccess, false},
+	} {
+		resp, err := c.Query(context.Background(), addr, tc.name, tc.typ)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.name, tc.typ, err)
+		}
+		if resp.RCode != tc.rcode || len(resp.Answers) != 0 {
+			t.Errorf("%s %s: %s with %d answers, want %s and none", tc.name, tc.typ, resp.RCode, len(resp.Answers), tc.rcode)
+		}
+		if !tc.soa {
+			if len(resp.Authority) != 0 {
+				t.Errorf("%s %s: authority %v, want none", tc.name, tc.typ, resp.Authority)
+			}
+			continue
+		}
+		if len(resp.Authority) != 1 || resp.Authority[0].Type != dns.TypeSOA {
+			t.Fatalf("%s %s: authority %v, want one SOA", tc.name, tc.typ, resp.Authority)
+		}
+		if soa := resp.Authority[0].Data.(*dns.SOA); resp.Authority[0].TTL != soaTTL || soa.Minimum != 300 {
+			t.Errorf("%s %s: SOA TTL %d MINIMUM %d", tc.name, tc.typ, resp.Authority[0].TTL, soa.Minimum)
+		}
+	}
+}
+
 func TestSingleLabelZone(t *testing.T) {
 	// NotifyEmail-style zone: <domainid>.<suffix>, depth 1.
 	zone := &Zone{

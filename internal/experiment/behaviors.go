@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"sort"
 
 	"sendervalid/internal/dnsserver"
@@ -33,9 +34,9 @@ func (w *World) DomainObservations() fingerprint.DomainObservations {
 
 // SerialParallelResult is the §7.1 analysis.
 type SerialParallelResult struct {
-	Tested   int
-	Serial   int
-	Parallel int
+	// Serial: of the MTAs whose t01 evaluation shows both signals, those
+	// that evaluated serially.
+	Serial SimpleShare
 }
 
 // SerialParallel classifies each MTA's t01 evaluation: serial
@@ -46,15 +47,8 @@ type SerialParallelResult struct {
 func SerialParallel(obs fingerprint.Observations) SerialParallelResult {
 	var out SerialParallelResult
 	for _, o := range obs {
-		serial, ok := o.Serial()
-		if !ok {
-			continue
-		}
-		out.Tested++
-		if serial {
-			out.Serial++
-		} else {
-			out.Parallel++
+		if serial, ok := o.Serial(); ok {
+			out.Serial.add(serial)
 		}
 	}
 	return out
@@ -65,20 +59,28 @@ func AnalyzeSerialParallelEntries(log []dnsserver.LogEntry) SerialParallelResult
 	return SerialParallel(fingerprint.Observe(log))
 }
 
-// LookupLimitResult is the §7.2 / Figure 5 analysis.
+// LookupLimitResult is the §7.2 / Figure 5 analysis, over the MTAs
+// that fetched the t02 base policy.
 type LookupLimitResult struct {
-	// Tested counts MTAs that fetched the t02 base policy.
-	Tested int
 	// QueriesPerMTA holds, per MTA, how many of the tree's policies below
 	// the base it asked for (0–46).
 	QueriesPerMTA []int
-	// HaltedBeforeTen counts MTAs stopping at or under the 10-lookup
-	// limit (the paper's "halted before 10 DNS queries").
-	HaltedBeforeTen int
-	// RanAll counts MTAs issuing all 46 follow-ups.
-	RanAll int
+	// halted and ranAll count the MTAs of QueriesPerMTA that stopped at
+	// or under the 10-lookup limit and that issued all 46 follow-ups.
+	halted, ranAll int
 	// MaxQueries is the tree size (46).
 	MaxQueries int
+}
+
+// HaltedBeforeTen is the share of MTAs stopping at or under the
+// 10-lookup limit (the paper's "halted before 10 DNS queries").
+func (r LookupLimitResult) HaltedBeforeTen() SimpleShare {
+	return SimpleShare{Tested: len(r.QueriesPerMTA), Observed: r.halted}
+}
+
+// RanAll is the share of MTAs issuing all 46 follow-ups.
+func (r LookupLimitResult) RanAll() SimpleShare {
+	return SimpleShare{Tested: len(r.QueriesPerMTA), Observed: r.ranAll}
 }
 
 // LookupLimits derives the Figure 5 distribution from the t02
@@ -89,13 +91,12 @@ func LookupLimits(obs fingerprint.Observations) LookupLimitResult {
 		if !o.Tested(policy.LimitsTree) {
 			continue
 		}
-		out.Tested++
 		out.QueriesPerMTA = append(out.QueriesPerMTA, o.Count(policy.LimitsTree))
 		if o.WithinLookupLimit() {
-			out.HaltedBeforeTen++
+			out.halted++
 		}
 		if o.RanFullTree() {
-			out.RanAll++
+			out.ranAll++
 		}
 	}
 	sort.Ints(out.QueriesPerMTA)
@@ -130,18 +131,31 @@ type CDFPoint struct {
 	Fraction float64
 }
 
-// SimpleShare is a tested/observed pair used by the §7.3 analyses.
+// SimpleShare is a k-of-N rate, the one shape of every rate the
+// analyses return: of Tested MTAs or domains, Observed showed the
+// behaviour.
 type SimpleShare struct {
 	Tested   int
 	Observed int
 }
 
-// add counts one tested MTA.
+// add counts one tested MTA or domain.
 func (s *SimpleShare) add(observed bool) {
 	s.Tested++
 	if observed {
 		s.Observed++
 	}
+}
+
+// Percent renders the share as a percentage with decimals digits after
+// the point, or "–" when nothing was tested. It divides 100×Observed
+// by Tested: 100×(Observed/Tested) rounds differently (22 of 4,000
+// would print 0.5%, not 0.6%).
+func (s SimpleShare) Percent(decimals int) string {
+	if s.Tested == 0 {
+		return "–"
+	}
+	return fmt.Sprintf("%.*f%%", decimals, 100*float64(s.Observed)/float64(s.Tested))
 }
 
 // BehaviorResults bundles the §7.3 analyses.

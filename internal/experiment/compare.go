@@ -15,8 +15,6 @@ import (
 // "validated for mail but not for probes", and only 65% of
 // NotifyEmail validators re-observed by NotifyMX.
 type Consistency struct {
-	// CommonDomains is the number of domains evaluated by both runs.
-	CommonDomains int
 	// BothValidating / NeitherValidating are the consistent cases.
 	BothValidating    int
 	NeitherValidating int
@@ -27,34 +25,23 @@ type Consistency struct {
 	ProbeOnly int
 }
 
-// Inconsistent is the total number of disagreeing domains.
-func (c Consistency) Inconsistent() int { return c.EmailOnly + c.ProbeOnly }
-
-// InconsistentFraction is the share of common domains disagreeing.
-func (c Consistency) InconsistentFraction() float64 {
-	if c.CommonDomains == 0 {
-		return 0
-	}
-	return float64(c.Inconsistent()) / float64(c.CommonDomains)
+// InconsistentShare is the domains the two runs disagree on, of every
+// domain both evaluated.
+func (c Consistency) InconsistentShare() SimpleShare {
+	n := c.EmailOnly + c.ProbeOnly
+	return SimpleShare{Tested: c.BothValidating + c.NeitherValidating + n, Observed: n}
 }
 
-// EmailOnlyFraction is the share of inconsistencies where the domain
-// validated for mail but not for probes (paper: 95%).
-func (c Consistency) EmailOnlyFraction() float64 {
-	if c.Inconsistent() == 0 {
-		return 0
-	}
-	return float64(c.EmailOnly) / float64(c.Inconsistent())
+// EmailOnlyShare is the inconsistencies where the domain validated for
+// mail but not for probes (paper: 95%).
+func (c Consistency) EmailOnlyShare() SimpleShare {
+	return SimpleShare{Tested: c.EmailOnly + c.ProbeOnly, Observed: c.EmailOnly}
 }
 
-// ReobservedFraction is the share of NotifyEmail validators also seen
-// validating in NotifyMX (paper: 65%).
-func (c Consistency) ReobservedFraction() float64 {
-	emailValidators := c.BothValidating + c.EmailOnly
-	if emailValidators == 0 {
-		return 0
-	}
-	return float64(c.BothValidating) / float64(emailValidators)
+// ReobservedShare is the NotifyEmail validators also seen validating in
+// NotifyMX (paper: 65%).
+func (c Consistency) ReobservedShare() SimpleShare {
+	return SimpleShare{Tested: c.BothValidating + c.EmailOnly, Observed: c.BothValidating}
 }
 
 // Compare derives the §6.2 consistency analysis. The NotifyEmail
@@ -72,7 +59,6 @@ func Compare(pop *dataset.Population, ne *NotifyEmailAnalysis, probes *ProbeAnal
 				break
 			}
 		}
-		c.CommonDomains++
 		switch {
 		case emailValidated && probeValidated:
 			c.BothValidating++
@@ -89,17 +75,18 @@ func Compare(pop *dataset.Population, ne *NotifyEmailAnalysis, probes *ProbeAnal
 
 // RenderConsistency prints the §6.2 comparison.
 func RenderConsistency(c Consistency) string {
+	inconsistent := c.InconsistentShare()
 	var sb strings.Builder
 	sb.WriteString("Section 6.2: NotifyEmail vs NotifyMX consistency\n")
-	fmt.Fprintf(&sb, "  common domains:            %d\n", c.CommonDomains)
+	fmt.Fprintf(&sb, "  common domains:            %d\n", inconsistent.Tested)
 	fmt.Fprintf(&sb, "  consistent:                %d validating + %d silent\n",
 		c.BothValidating, c.NeitherValidating)
-	fmt.Fprintf(&sb, "  inconsistent:              %d (%.0f%% of common)\n",
-		c.Inconsistent(), 100*c.InconsistentFraction())
-	fmt.Fprintf(&sb, "  mail-only validators:      %d (%.0f%% of inconsistencies; paper 95%%)\n",
-		c.EmailOnly, 100*c.EmailOnlyFraction())
+	fmt.Fprintf(&sb, "  inconsistent:              %d (%s of common)\n",
+		inconsistent.Observed, inconsistent.Percent(0))
+	fmt.Fprintf(&sb, "  mail-only validators:      %d (%s of inconsistencies; paper 95%%)\n",
+		c.EmailOnly, c.EmailOnlyShare().Percent(0))
 	fmt.Fprintf(&sb, "  probe-only validators:     %d\n", c.ProbeOnly)
-	fmt.Fprintf(&sb, "  NotifyEmail validators re-observed by probes: %.0f%% (paper 65%%)\n",
-		100*c.ReobservedFraction())
+	fmt.Fprintf(&sb, "  NotifyEmail validators re-observed by probes: %s (paper 65%%)\n",
+		c.ReobservedShare().Percent(0))
 	return sb.String()
 }

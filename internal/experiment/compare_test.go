@@ -1,49 +1,39 @@
 package experiment
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"sendervalid/internal/dataset"
 )
 
-func almost(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
-
 func TestConsistencyAccounting(t *testing.T) {
 	c := Consistency{
-		CommonDomains:     10,
 		BothValidating:    3,
 		NeitherValidating: 2,
 		EmailOnly:         4,
 		ProbeOnly:         1,
 	}
-	if got := c.Inconsistent(); got != 5 {
-		t.Errorf("Inconsistent() = %d, want 5", got)
+	if got, want := c.InconsistentShare(), (SimpleShare{Tested: 10, Observed: 5}); got != want {
+		t.Errorf("InconsistentShare() = %+v, want %+v", got, want)
 	}
-	if got := c.InconsistentFraction(); !almost(got, 0.5) {
-		t.Errorf("InconsistentFraction() = %v, want 0.5", got)
-	}
-	if got := c.EmailOnlyFraction(); !almost(got, 0.8) {
-		t.Errorf("EmailOnlyFraction() = %v, want 0.8", got)
+	if got, want := c.EmailOnlyShare(), (SimpleShare{Tested: 5, Observed: 4}); got != want {
+		t.Errorf("EmailOnlyShare() = %+v, want %+v", got, want)
 	}
 	// 3 of the 7 NotifyEmail validators (both + email-only) re-observed.
-	if got := c.ReobservedFraction(); !almost(got, 3.0/7.0) {
-		t.Errorf("ReobservedFraction() = %v, want 3/7", got)
+	if got, want := c.ReobservedShare(), (SimpleShare{Tested: 7, Observed: 3}); got != want {
+		t.Errorf("ReobservedShare() = %+v, want %+v", got, want)
 	}
 }
 
 func TestConsistencyZeroDomains(t *testing.T) {
-	// Degenerate inputs must not divide by zero.
+	// Degenerate inputs must not divide by zero: an empty share prints
+	// a dash.
 	var c Consistency
-	if got := c.InconsistentFraction(); got != 0 {
-		t.Errorf("InconsistentFraction() with no common domains = %v, want 0", got)
-	}
-	if got := c.EmailOnlyFraction(); got != 0 {
-		t.Errorf("EmailOnlyFraction() with no inconsistencies = %v, want 0", got)
-	}
-	if got := c.ReobservedFraction(); got != 0 {
-		t.Errorf("ReobservedFraction() with no email validators = %v, want 0", got)
+	for _, s := range []SimpleShare{c.InconsistentShare(), c.EmailOnlyShare(), c.ReobservedShare()} {
+		if s != (SimpleShare{}) || s.Percent(0) != "–" {
+			t.Errorf("share of nothing = %+v, printed %q", s, s.Percent(0))
+		}
 	}
 }
 
@@ -71,7 +61,6 @@ func TestCompareClassifiesDomains(t *testing.T) {
 
 	c := Compare(pop, ne, probes)
 	want := Consistency{
-		CommonDomains:     4,
 		BothValidating:    1,
 		NeitherValidating: 1,
 		EmailOnly:         1,

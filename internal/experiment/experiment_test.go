@@ -53,18 +53,18 @@ func TestNotifyEmailExperiment(t *testing.T) {
 			dmarc++
 		}
 	}
-	if delivered < a.Domains*95/100 {
-		t.Fatalf("only %d of %d deliveries succeeded", delivered, a.Domains)
+	domains := a.SPFDomains().Tested
+	if delivered < domains*95/100 {
+		t.Fatalf("only %d of %d deliveries succeeded", delivered, domains)
 	}
-	spfRate := float64(a.SPFDomains) / float64(a.Domains)
-	if spfRate < 0.70 || spfRate > 0.95 {
+	if spfRate := fraction(a.SPFDomains()); spfRate < 0.70 || spfRate > 0.95 {
 		t.Errorf("SPF-validating domain rate %.2f, paper ≈ 0.85", spfRate)
 	}
-	dkimRate := float64(dkim) / float64(a.Domains)
+	dkimRate := float64(dkim) / float64(domains)
 	if dkimRate < 0.65 || dkimRate > 0.95 {
 		t.Errorf("DKIM rate %.2f, paper ≈ 0.82", dkimRate)
 	}
-	dmarcRate := float64(dmarc) / float64(a.Domains)
+	dmarcRate := float64(dmarc) / float64(domains)
 	if dmarcRate < 0.35 || dmarcRate > 0.70 {
 		t.Errorf("DMARC rate %.2f, paper ≈ 0.54", dmarcRate)
 	}
@@ -92,13 +92,11 @@ func TestNotifyEmailExperiment(t *testing.T) {
 	}
 
 	// Table 7 monotonicity: top-1K ≥ top-1M ≥ all for SPF share.
-	al := a.Alexa
-	if al.Top1M == 0 || al.Top1K == 0 {
+	all, top1M, top1K := a.Alexa[0].share(rowSPF), a.Alexa[1].share(rowSPF), a.Alexa[2].share(rowSPF)
+	if top1M.Tested == 0 || top1K.Tested == 0 {
 		t.Fatal("no Alexa members in population")
 	}
-	allRate := float64(al.SPFAll) / float64(al.All)
-	top1MRate := float64(al.SPFTop1M) / float64(al.Top1M)
-	top1KRate := float64(al.SPFTop1K) / float64(al.Top1K)
+	allRate, top1MRate, top1KRate := fraction(all), fraction(top1M), fraction(top1K)
 	if top1MRate < allRate-0.05 || top1KRate < top1MRate-0.10 {
 		t.Errorf("Alexa SPF rates not increasing: all=%.2f 1M=%.2f 1K=%.2f",
 			allRate, top1MRate, top1KRate)
@@ -136,8 +134,7 @@ func TestNotifyMXExperiment(t *testing.T) {
 	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
 
-	rate := float64(a.SPFDomains) / float64(a.Domains)
-	if rate < 0.35 || rate > 0.65 {
+	if rate := fraction(a.SPFDomains); rate < 0.35 || rate > 0.65 {
 		t.Errorf("NotifyMX SPF domain rate %.2f, paper ≈ 0.51", rate)
 	}
 	// The probe client is blacklisted: a large minority rejects it.
@@ -145,8 +142,8 @@ func TestNotifyMXExperiment(t *testing.T) {
 	if rejected == 0 {
 		t.Error("no spam/blacklist rejections observed")
 	}
-	if a.ProbesTotal != len(w.Population.MTAs) {
-		t.Errorf("probes: %d for %d MTAs", a.ProbesTotal, len(w.Population.MTAs))
+	if a.ProbesCompleted.Tested != len(w.Population.MTAs) {
+		t.Errorf("probes: %d for %d MTAs", a.ProbesCompleted.Tested, len(w.Population.MTAs))
 	}
 	out := RenderTable5([]*ProbeAnalysis{a}, nil)
 	if !strings.Contains(out, "NotifyEmail") && !strings.Contains(out, a.Name) {
@@ -159,8 +156,7 @@ func TestTwoWeekMXExperiment(t *testing.T) {
 	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 24}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, true)
 
-	rate := float64(a.SPFDomains) / float64(a.Domains)
-	if rate < 0.04 || rate > 0.30 {
+	if rate := fraction(a.SPFDomains); rate < 0.04 || rate > 0.30 {
 		t.Errorf("TwoWeekMX SPF domain rate %.2f, paper ≈ 0.13", rate)
 	}
 	if len(a.Deciles) != 10 {
@@ -168,10 +164,10 @@ func TestTwoWeekMXExperiment(t *testing.T) {
 	}
 	total := 0
 	for _, d := range a.Deciles {
-		total += d.Domains
+		total += d.SPFDomains.Tested
 	}
-	if total != a.Domains-2 { // minus the local domains
-		t.Errorf("decile coverage %d of %d", total, a.Domains)
+	if total != a.SPFDomains.Tested-2 { // minus the local domains
+		t.Errorf("decile coverage %d of %d", total, a.SPFDomains.Tested)
 	}
 	// Postmaster dominates recipients (paper: 69%).
 	postmaster := 0
@@ -195,20 +191,18 @@ func TestBehaviorAnalyses(t *testing.T) {
 
 	obs := w.Observations()
 	sp := SerialParallel(obs)
-	if sp.Tested == 0 {
+	if sp.Serial.Tested == 0 {
 		t.Fatal("no MTAs classifiable for serial/parallel")
 	}
-	serialFrac := float64(sp.Serial) / float64(sp.Tested)
-	if serialFrac < 0.85 {
+	if serialFrac := fraction(sp.Serial); serialFrac < 0.85 {
 		t.Errorf("serial fraction %.2f, paper ≈ 0.97", serialFrac)
 	}
 
 	ll := LookupLimits(obs)
-	if ll.Tested == 0 {
+	if ll.RanAll().Tested == 0 {
 		t.Fatal("no MTAs tested for lookup limits")
 	}
-	haltFrac := float64(ll.HaltedBeforeTen) / float64(ll.Tested)
-	ranAllFrac := float64(ll.RanAll) / float64(ll.Tested)
+	haltFrac, ranAllFrac := fraction(ll.HaltedBeforeTen()), fraction(ll.RanAll())
 	if haltFrac < 0.40 || haltFrac > 0.85 {
 		t.Errorf("halted-before-10 fraction %.2f, paper ≈ 0.61", haltFrac)
 	}
@@ -341,19 +335,20 @@ func TestCrossExperimentConsistency(t *testing.T) {
 	probes := Probes(probeWorld.Population, probeWorld.Observations(), probeRun, false)
 
 	c := Compare(pop, ne, probes)
-	if c.CommonDomains != 300 {
-		t.Fatalf("common domains %d", c.CommonDomains)
+	inconsistent := c.InconsistentShare()
+	if inconsistent.Tested != 300 {
+		t.Fatalf("common domains %d", inconsistent.Tested)
 	}
-	if c.Inconsistent() == 0 {
+	if inconsistent.Observed == 0 {
 		t.Fatal("no inconsistencies observed — the §6.2 contrast vanished")
 	}
 	// The dominant inconsistency is mail-validated-but-probe-silent
 	// (paper: 95% of inconsistencies).
-	if f := c.EmailOnlyFraction(); f < 0.75 {
+	if f := fraction(c.EmailOnlyShare()); f < 0.75 {
 		t.Errorf("email-only fraction %.2f, paper ≈ 0.95", f)
 	}
 	// Re-observation rate near the paper's 65%.
-	if f := c.ReobservedFraction(); f < 0.45 || f > 0.85 {
+	if f := fraction(c.ReobservedShare()); f < 0.45 || f > 0.85 {
 		t.Errorf("re-observed fraction %.2f, paper ≈ 0.65", f)
 	}
 	out := RenderConsistency(c)
@@ -393,8 +388,8 @@ func TestFullCatalogProbeRun(t *testing.T) {
 	}
 	// The catalog-wide run still yields a sane Table 5 signal.
 	a := Probes(w.Population, w.Observations(), run, false)
-	if a.SPFMTAs == 0 || a.SPFMTAs > a.MTAs {
-		t.Errorf("SPF MTAs %d of %d", a.SPFMTAs, a.MTAs)
+	if a.SPFMTAs.Observed == 0 || a.SPFMTAs.Observed > a.SPFMTAs.Tested {
+		t.Errorf("SPF MTAs %d of %d", a.SPFMTAs.Observed, a.SPFMTAs.Tested)
 	}
 }
 

@@ -62,8 +62,8 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 	}
 	run, _ := NewProbeCampaign(w, []string{"t12"}, campaign.Config{Workers: 16}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
-	if a.ProbesTotal != len(w.Population.MTAs) {
-		t.Errorf("probes %d for %d MTAs", a.ProbesTotal, len(w.Population.MTAs))
+	if a.ProbesCompleted.Tested != len(w.Population.MTAs) {
+		t.Errorf("probes %d for %d MTAs", a.ProbesCompleted.Tested, len(w.Population.MTAs))
 	}
 	failed := 0
 	for _, results := range run.Results {
@@ -77,9 +77,9 @@ func TestProbeRunToleratesUnreachableMTAs(t *testing.T) {
 		t.Errorf("only %d connect failures for %d downed MTAs", failed, down)
 	}
 	// Downed validators cannot be observed.
-	if a.SPFMTAs > len(w.Population.MTAs)-down {
+	if a.SPFMTAs.Observed > len(w.Population.MTAs)-down {
 		t.Errorf("more validators (%d) than reachable MTAs (%d)",
-			a.SPFMTAs, len(w.Population.MTAs)-down)
+			a.SPFMTAs.Observed, len(w.Population.MTAs)-down)
 	}
 }
 
@@ -149,16 +149,15 @@ func TestPaperScaleWorld(t *testing.T) {
 	w := buildTestWorld(t, smallNotifySpec(1200, 43), NotifyRates())
 	run, _ := NewProbeCampaign(w, []string{"t01", "t12"}, campaign.Config{Workers: 64}, nil).Run(context.Background())
 	a := Probes(w.Population, w.Observations(), run, false)
-	rate := float64(a.SPFDomains) / float64(a.Domains)
+	rate := fraction(a.SPFDomains)
 	if rate < 0.40 || rate > 0.62 {
 		t.Errorf("NotifyMX rate at scale: %.2f", rate)
 	}
 	sp := SerialParallel(w.Observations())
-	if sp.Tested < 200 {
-		t.Fatalf("only %d MTAs classifiable", sp.Tested)
+	if sp.Serial.Tested < 200 {
+		t.Fatalf("only %d MTAs classifiable", sp.Serial.Tested)
 	}
-	serial := float64(sp.Serial) / float64(sp.Tested)
-	if serial < 0.93 || serial > 1.0 {
+	if serial := fraction(sp.Serial); serial < 0.93 || serial > 1.0 {
 		t.Errorf("serial fraction at scale: %.3f (paper 0.97)", serial)
 	}
 }

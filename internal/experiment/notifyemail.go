@@ -125,27 +125,26 @@ func (v DomainValidation) ComboKey() string {
 // NotifyEmailAnalysis aggregates the experiment into the paper's
 // Tables 4–7 and Figure 2 inputs.
 type NotifyEmailAnalysis struct {
-	Domains int
-
 	// Per-domain validation status (key: domain ID).
 	Validation map[string]DomainValidation
 
-	// Table 4: combination -> domain count (keys like "YYn").
+	// Table 4: combination -> domain count (keys like "YYn"), of
+	// SPFDomains().Tested domains.
 	Combos map[string]int
 
-	SPFDomains int
+	// SPFMTAs: the MTAs that accepted a notification and whose
+	// domain's policy was fetched.
+	SPFMTAs SimpleShare
 
-	// SPF-validating MTA count (over contacted MTAs).
-	SPFMTAs       int
-	ContactedMTAs int
-
-	// Partial validators (§6.1): TXT fetched, no completing lookups.
-	PartialDomains int
+	// partial counts the partial validators (§6.1): SPF-validating
+	// domains with the TXT fetched and no completing lookups.
+	partial int
 
 	// Table 6 rows.
 	Providers []ProviderRow
 
-	// Table 7 rows.
+	// Table 7 rows. Its first tier, every domain, also holds the
+	// population's counts that SPFDomains and PartialDomains read.
 	Alexa AlexaBreakdown
 
 	// Figure 2: per-domain averaged tSPF − tEmail, in seconds of
@@ -165,12 +164,49 @@ type ProviderRow struct {
 	Expected dataset.Provider
 }
 
-// AlexaBreakdown is Table 7.
-type AlexaBreakdown struct {
-	All, Top1M, Top1K                int
-	SPFAll, SPFTop1M, SPFTop1K       int
-	DKIMAll, DKIMTop1M, DKIMTop1K    int
-	DMARCAll, DMARCTop1M, DMARCTop1K int
+// SPFDomains is the population's share of domains whose policy was
+// fetched.
+func (a *NotifyEmailAnalysis) SPFDomains() SimpleShare {
+	return a.Alexa[0].share(rowSPF)
+}
+
+// PartialDomains is the partial validators' (§6.1) share of the
+// SPF-validating domains.
+func (a *NotifyEmailAnalysis) PartialDomains() SimpleShare {
+	return SimpleShare{Tested: a.SPFDomains().Observed, Observed: a.partial}
+}
+
+// AlexaBreakdown is Table 7, one tier per column: all domains, the
+// Alexa top 1M and the top 1K.
+type AlexaBreakdown [3]AlexaTier
+
+// AlexaTier is one Table 7 column: the tier's domains, and how many of
+// them validate each protocol, indexed by Table 7's rows.
+type AlexaTier struct {
+	Domains    int
+	Validating [3]int
+}
+
+// Table 7's rows, in AlexaTier.Validating's order.
+const (
+	rowSPF = iota
+	rowDKIM
+	rowDMARC
+)
+
+// share is the tier's share of domains validating row's protocol.
+func (t AlexaTier) share(row int) SimpleShare {
+	return SimpleShare{Tested: t.Domains, Observed: t.Validating[row]}
+}
+
+// add counts one domain of the tier.
+func (t *AlexaTier) add(v DomainValidation) {
+	t.Domains++
+	for row, ok := range [...]bool{rowSPF: v.SPF, rowDKIM: v.DKIM, rowDMARC: v.DMARC} {
+		if ok {
+			t.Validating[row]++
+		}
+	}
 }
 
 // validationOf reads a domain's Table 4 row off its observation (nil:
@@ -186,7 +222,6 @@ func validationOf(o *fingerprint.DomainObservation) DomainValidation {
 // query log's NotifyEmail zone and the delivery records.
 func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, run *NotifyEmailRun) *NotifyEmailAnalysis {
 	a := &NotifyEmailAnalysis{
-		Domains:    len(pop.Domains),
 		Validation: make(map[string]DomainValidation),
 		Combos:     make(map[string]int),
 	}
@@ -214,11 +249,8 @@ func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, ru
 			}
 		}
 		a.Combos[v.ComboKey()]++
-		if v.SPF {
-			a.SPFDomains++
-			if !v.SPFComplete {
-				a.PartialDomains++
-			}
+		if v.SPF && !v.SPFComplete {
+			a.partial++
 		}
 
 		if d.Provider != nil {
@@ -228,39 +260,10 @@ func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, ru
 			}
 		}
 
-		// Table 7 tallies.
-		a.Alexa.All++
-		if v.SPF {
-			a.Alexa.SPFAll++
-		}
-		if v.DKIM {
-			a.Alexa.DKIMAll++
-		}
-		if v.DMARC {
-			a.Alexa.DMARCAll++
-		}
-		if d.AlexaRank > 0 {
-			a.Alexa.Top1M++
-			if v.SPF {
-				a.Alexa.SPFTop1M++
-			}
-			if v.DKIM {
-				a.Alexa.DKIMTop1M++
-			}
-			if v.DMARC {
-				a.Alexa.DMARCTop1M++
-			}
-			if d.AlexaRank <= 1000 {
-				a.Alexa.Top1K++
-				if v.SPF {
-					a.Alexa.SPFTop1K++
-				}
-				if v.DKIM {
-					a.Alexa.DKIMTop1K++
-				}
-				if v.DMARC {
-					a.Alexa.DMARCTop1K++
-				}
+		// Table 7 tallies: every domain is in the first tier.
+		for tier, in := range [...]bool{true, d.AlexaRank > 0, d.AlexaRank > 0 && d.AlexaRank <= 1000} {
+			if in {
+				a.Alexa[tier].add(v)
 			}
 		}
 
@@ -276,7 +279,7 @@ func NotifyEmail(pop *dataset.Population, obs fingerprint.DomainObservations, ru
 			}
 		}
 	}
-	a.ContactedMTAs, a.SPFMTAs = len(contacted), len(spfMTAs)
+	a.SPFMTAs = SimpleShare{Tested: len(contacted), Observed: len(spfMTAs)}
 
 	// Order provider rows as Table 6 lists them.
 	for i := range dataset.Providers {

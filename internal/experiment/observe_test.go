@@ -99,9 +99,9 @@ func TestObservations(t *testing.T) {
 			share    SimpleShare
 			inverted bool
 		}{
-			{SimpleShare{sp.Tested, sp.Serial}, false},
-			{SimpleShare{ll.Tested, ll.HaltedBeforeTen}, false},
-			{SimpleShare{ll.Tested, ll.RanAll}, false},
+			{sp.Serial, false},
+			{ll.HaltedBeforeTen(), false},
+			{ll.RanAll(), false},
 			{b.HELOChecked, false},
 			{b.SyntaxMainTolerant, false},
 			{b.SyntaxChildTolerant, false},
@@ -215,8 +215,8 @@ func TestDomainObservations(t *testing.T) {
 				t.Errorf("%s: read as a partial validator, but none of its MTAs was planted partial", d.ID)
 			}
 		}
-		if a.SPFDomains == 0 || a.PartialDomains == 0 {
-			t.Errorf("vacuous: %d SPF domains, %d partial", a.SPFDomains, a.PartialDomains)
+		if a.SPFDomains().Observed == 0 || a.PartialDomains().Observed == 0 {
+			t.Errorf("vacuous: %d SPF domains, %d partial", a.SPFDomains().Observed, a.PartialDomains().Observed)
 		}
 	})
 
@@ -242,9 +242,9 @@ func TestDomainObservations(t *testing.T) {
 				checked++
 			}
 		}
-		if a.ContactedMTAs != len(contacted) || a.SPFMTAs != checked || checked == 0 {
+		if want := (SimpleShare{Tested: len(contacted), Observed: checked}); a.SPFMTAs != want || checked == 0 {
 			t.Errorf("log-derived %d SPF MTAs of %d contacted; the MTAs' own counters say %d of %d",
-				a.SPFMTAs, a.ContactedMTAs, checked, len(contacted))
+				a.SPFMTAs.Observed, a.SPFMTAs.Tested, checked, len(contacted))
 		}
 	})
 }

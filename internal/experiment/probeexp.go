@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"fmt"
+	"strings"
+
 	"sendervalid/internal/dataset"
 	"sendervalid/internal/fingerprint"
+	"sendervalid/internal/policy"
 	"sendervalid/internal/probe"
 )
 
@@ -22,6 +26,33 @@ func AllTests() []string {
 	return out
 }
 
+// ParseTests reads a -tests flag: "core" (CoreTests), "all"
+// (AllTests), or a comma-separated list of distinct IDs, each naming a
+// policy of policy.Catalog().
+func ParseTests(list string) ([]string, error) {
+	switch list {
+	case "core":
+		return CoreTests, nil
+	case "all":
+		return AllTests(), nil
+	}
+	unlisted := make(map[string]bool)
+	for _, t := range policy.Catalog() {
+		unlisted[t.ID] = true
+	}
+	ids := strings.Split(list, ",")
+	for _, id := range ids {
+		switch fresh, known := unlisted[id]; {
+		case !known:
+			return nil, fmt.Errorf("-tests: %q is not a catalog test ID (t01–t39), core or all", id)
+		case !fresh:
+			return nil, fmt.Errorf("-tests: %q is listed twice", id)
+		}
+		unlisted[id] = false
+	}
+	return ids, nil
+}
+
 func testID(i int) string {
 	return "t" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
@@ -38,18 +69,16 @@ type ProbeRun struct {
 type ProbeAnalysis struct {
 	Name string
 
-	Domains int
-	MTAs    int
-	// SPFMTAs and SPFDomains count SPF-validating MTAs/domains: at
-	// least one query observed under the test zone.
-	SPFMTAs    int
-	SPFDomains int
+	// SPFMTAs and SPFDomains are the population's SPF-validating MTAs
+	// and domains: at least one query observed under the test zone.
+	SPFMTAs    SimpleShare
+	SPFDomains SimpleShare
 
 	// Rejection observations (§6.2).
 	SpamRejected      int
 	BlacklistRejected int
-	ProbesCompleted   int
-	ProbesTotal       int
+	// ProbesCompleted: the recorded probes that completed the dialogue.
+	ProbesCompleted SimpleShare
 
 	// Deciles is the per-decile Table 5 breakdown (TwoWeekMX only;
 	// nil otherwise). Decile 1 is the most-queried tenth.
@@ -60,13 +89,12 @@ type ProbeAnalysis struct {
 	ValidatingMTASet map[string]bool
 }
 
-// DecileRow is one TwoWeekMX decile line of Table 5.
+// DecileRow is one TwoWeekMX decile line of Table 5: the decile's
+// SPF-validating domains and MTAs.
 type DecileRow struct {
 	Decile     int
-	Domains    int
-	MTAs       int
-	SPFDomains int
-	SPFMTAs    int
+	SPFDomains SimpleShare
+	SPFMTAs    SimpleShare
 }
 
 // Probes derives the Table 5 numbers from the fold of the query log's
@@ -76,9 +104,7 @@ type DecileRow struct {
 func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun, withDeciles bool) *ProbeAnalysis {
 	a := &ProbeAnalysis{
 		Name:             pop.Name,
-		Domains:          len(pop.Domains),
-		MTAs:             len(pop.MTAs),
-		SPFMTAs:          len(obs),
+		SPFMTAs:          SimpleShare{Tested: len(pop.MTAs), Observed: len(obs)},
 		ValidatingMTASet: make(map[string]bool, len(obs)),
 	}
 	for id := range obs {
@@ -94,19 +120,14 @@ func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun
 		return false
 	}
 	for _, d := range pop.Domains {
-		if validatingDomain(d) {
-			a.SPFDomains++
-		}
+		a.SPFDomains.add(validatingDomain(d))
 	}
 
 	// Probe-outcome accounting.
 	rejectedMTAs := make(map[string]*probe.Result)
 	for id, results := range run.Results {
 		for _, r := range results {
-			a.ProbesTotal++
-			if r.Stage == probe.StageDone {
-				a.ProbesCompleted++
-			}
+			a.ProbesCompleted.add(r.Stage == probe.StageDone)
 			if r.Rejected() && rejectedMTAs[id] == nil {
 				rejectedMTAs[id] = r
 			}
@@ -123,19 +144,14 @@ func Probes(pop *dataset.Population, obs fingerprint.Observations, run *ProbeRun
 
 	if withDeciles {
 		for i, dec := range pop.Deciles() {
-			row := DecileRow{Decile: i + 1, Domains: len(dec)}
+			row := DecileRow{Decile: i + 1}
 			mtas := make(map[string]bool)
 			for _, d := range dec {
-				if validatingDomain(d) {
-					row.SPFDomains++
-				}
+				row.SPFDomains.add(validatingDomain(d))
 				for _, m := range d.MTAs {
 					if !mtas[m.ID] {
 						mtas[m.ID] = true
-						row.MTAs++
-						if a.ValidatingMTASet[m.ID] {
-							row.SPFMTAs++
-						}
+						row.SPFMTAs.add(a.ValidatingMTASet[m.ID])
 					}
 				}
 			}

@@ -7,21 +7,6 @@ import (
 	"sendervalid/internal/dataset"
 )
 
-// pct renders a fraction of a total as a percentage string.
-func pct(n, total int) string {
-	if total == 0 {
-		return "–"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(n)/float64(total))
-}
-
-func pct1(n, total int) string {
-	if total == 0 {
-		return "–"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(n)/float64(total))
-}
-
 func mark(b bool) string {
 	if b {
 		return "Y"
@@ -115,8 +100,8 @@ func RenderTable4(a *NotifyEmailAnalysis) string {
 	sb.WriteString("Table 4: SPF/DKIM/DMARC validation combinations (NotifyEmail domains)\n")
 	fmt.Fprintf(&sb, "  %-16s %8s %7s\n", "combination", "domains", "share")
 	for _, c := range comboOrder {
-		n := a.Combos[c.key]
-		fmt.Fprintf(&sb, "  %-16s %8d %7s\n", c.label, n, pct1(n, a.Domains))
+		share := SimpleShare{Tested: a.SPFDomains().Tested, Observed: a.Combos[c.key]}
+		fmt.Fprintf(&sb, "  %-16s %8d %7s\n", c.label, share.Observed, share.Percent(1))
 	}
 	return sb.String()
 }
@@ -127,23 +112,17 @@ func RenderTable5(rows []*ProbeAnalysis, notifyEmail *NotifyEmailAnalysis) strin
 	sb.WriteString("Table 5: SPF-validating domains and MTAs\n")
 	fmt.Fprintf(&sb, "  %-22s %9s %9s %14s %14s\n",
 		"experiment", "domains", "MTAs", "SPF domains", "SPF MTAs")
+	row := func(label string, domains, mtas SimpleShare) {
+		fmt.Fprintf(&sb, "  %-22s %9d %9d %8d (%4s) %8d (%4s)\n", label, domains.Tested, mtas.Tested,
+			domains.Observed, domains.Percent(0), mtas.Observed, mtas.Percent(0))
+	}
 	if notifyEmail != nil {
-		fmt.Fprintf(&sb, "  %-22s %9d %9d %8d (%4s) %8d (%4s)\n",
-			"NotifyEmail", notifyEmail.Domains, notifyEmail.ContactedMTAs,
-			notifyEmail.SPFDomains, pct(notifyEmail.SPFDomains, notifyEmail.Domains),
-			notifyEmail.SPFMTAs, pct(notifyEmail.SPFMTAs, notifyEmail.ContactedMTAs))
+		row("NotifyEmail", notifyEmail.SPFDomains(), notifyEmail.SPFMTAs)
 	}
 	for _, a := range rows {
-		fmt.Fprintf(&sb, "  %-22s %9d %9d %8d (%4s) %8d (%4s)\n",
-			a.Name, a.Domains, a.MTAs,
-			a.SPFDomains, pct(a.SPFDomains, a.Domains),
-			a.SPFMTAs, pct(a.SPFMTAs, a.MTAs))
+		row(a.Name, a.SPFDomains, a.SPFMTAs)
 		for _, dec := range a.Deciles {
-			fmt.Fprintf(&sb, "  %-22s %9d %9d %8d (%4s) %8d (%4s)\n",
-				fmt.Sprintf("%s decile %d", a.Name, dec.Decile),
-				dec.Domains, dec.MTAs,
-				dec.SPFDomains, pct(dec.SPFDomains, dec.Domains),
-				dec.SPFMTAs, pct(dec.SPFMTAs, dec.MTAs))
+			row(fmt.Sprintf("%s decile %d", a.Name, dec.Decile), dec.SPFDomains, dec.SPFMTAs)
 		}
 	}
 	return sb.String()
@@ -170,19 +149,15 @@ func RenderTable7(a *NotifyEmailAnalysis) string {
 	var sb strings.Builder
 	sb.WriteString("Table 7: validation by Alexa membership\n")
 	fmt.Fprintf(&sb, "  %-18s %14s %14s %14s\n", "", "all", "top 1M", "top 1K")
-	fmt.Fprintf(&sb, "  %-18s %14d %14d %14d\n", "domains", al.All, al.Top1M, al.Top1K)
-	fmt.Fprintf(&sb, "  %-18s %8d (%4s) %8d (%4s) %8d (%4s)\n", "SPF-validating",
-		al.SPFAll, pct(al.SPFAll, al.All),
-		al.SPFTop1M, pct(al.SPFTop1M, al.Top1M),
-		al.SPFTop1K, pct(al.SPFTop1K, al.Top1K))
-	fmt.Fprintf(&sb, "  %-18s %8d (%4s) %8d (%4s) %8d (%4s)\n", "DKIM-validating",
-		al.DKIMAll, pct(al.DKIMAll, al.All),
-		al.DKIMTop1M, pct(al.DKIMTop1M, al.Top1M),
-		al.DKIMTop1K, pct(al.DKIMTop1K, al.Top1K))
-	fmt.Fprintf(&sb, "  %-18s %8d (%4s) %8d (%4s) %8d (%4s)\n", "DMARC-validating",
-		al.DMARCAll, pct(al.DMARCAll, al.All),
-		al.DMARCTop1M, pct(al.DMARCTop1M, al.Top1M),
-		al.DMARCTop1K, pct(al.DMARCTop1K, al.Top1K))
+	fmt.Fprintf(&sb, "  %-18s %14d %14d %14d\n", "domains", al[0].Domains, al[1].Domains, al[2].Domains)
+	for row, label := range [...]string{rowSPF: "SPF-validating", rowDKIM: "DKIM-validating", rowDMARC: "DMARC-validating"} {
+		fmt.Fprintf(&sb, "  %-18s", label)
+		for _, t := range al {
+			s := t.share(row)
+			fmt.Fprintf(&sb, " %8d (%4s)", s.Observed, s.Percent(0))
+		}
+		sb.WriteString("\n")
+	}
 	return sb.String()
 }
 
@@ -203,11 +178,12 @@ func RenderFigure2(a *NotifyEmailAnalysis) string {
 		{"> 30", b.GE30},
 	}
 	for _, r := range rows {
-		bar := strings.Repeat("#", barLen(r.n, b.Total, 50))
-		fmt.Fprintf(&sb, "  %-10s %6s %s\n", r.label, pct1(r.n, b.Total), bar)
+		share := SimpleShare{Tested: b.Total, Observed: r.n}
+		fmt.Fprintf(&sb, "  %-10s %6s %s\n", r.label, share.Percent(1), strings.Repeat("#", barLen(r.n, b.Total, 50)))
 	}
+	negative := SimpleShare{Tested: b.Total, Observed: b.LE30Neg + b.Neg15 + b.Neg0}
 	fmt.Fprintf(&sb, "  negative (validated before delivery): %s of %d domains; %d sub-granularity samples filtered\n",
-		pct(b.LE30Neg+b.Neg15+b.Neg0, b.Total), b.Total, a.TimingFiltered)
+		negative.Percent(0), b.Total, a.TimingFiltered)
 	return sb.String()
 }
 
@@ -222,14 +198,14 @@ func barLen(n, total, width int) int {
 func RenderFigure5(r LookupLimitResult, delaySeconds float64) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 5: CDF of DNS queries (and elapsed-time lower bound) on the limits policy\n")
-	fmt.Fprintf(&sb, "  MTAs tested: %d\n", r.Tested)
+	fmt.Fprintf(&sb, "  MTAs tested: %d\n", len(r.QueriesPerMTA))
 	for _, p := range r.CDF() {
 		fmt.Fprintf(&sb, "  %3.0f queries (>= %5.1fs) : %5.1f%% %s\n",
 			p.X, p.X*delaySeconds, 100*p.Fraction,
 			strings.Repeat("#", int(p.Fraction*40)))
 	}
 	fmt.Fprintf(&sb, "  halted before 10 queries: %s; ran all %d: %s\n",
-		pct(r.HaltedBeforeTen, r.Tested), r.MaxQueries, pct(r.RanAll, r.Tested))
+		r.HaltedBeforeTen().Percent(0), r.MaxQueries, r.RanAll().Percent(0))
 	return sb.String()
 }
 
@@ -238,7 +214,7 @@ func RenderBehaviors(sp SerialParallelResult, b *BehaviorResults) string {
 	var sb strings.Builder
 	sb.WriteString("Section 7: SPF validation behaviours\n")
 	fmt.Fprintf(&sb, "  §7.1 serial DNS lookups:        %d/%d (%s)\n",
-		sp.Serial, sp.Tested, pct(sp.Serial, sp.Tested))
+		sp.Serial.Observed, sp.Serial.Tested, sp.Serial.Percent(0))
 	lines := []struct {
 		label string
 		s     SimpleShare
@@ -260,7 +236,7 @@ func RenderBehaviors(sp SerialParallelResult, b *BehaviorResults) string {
 	}
 	for _, l := range lines {
 		fmt.Fprintf(&sb, "  %-34s %5d/%-5d (%s)\n",
-			l.label+":", l.s.Observed, l.s.Tested, pct(l.s.Observed, l.s.Tested))
+			l.label+":", l.s.Observed, l.s.Tested, l.s.Percent(0))
 	}
 	return sb.String()
 }

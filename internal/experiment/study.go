@@ -188,7 +188,8 @@ func (s *study) notifyEmail(ctx context.Context) error {
 	fmt.Fprint(s.out, RenderTable6(a))
 	fmt.Fprint(s.out, RenderTable7(a))
 	fmt.Fprint(s.out, RenderFigure2(a))
-	fmt.Fprintf(s.out, "partial validators (§6.1): %d of %d SPF-validating domains\n", a.PartialDomains, a.SPFDomains)
+	partial := a.PartialDomains()
+	fmt.Fprintf(s.out, "partial validators (§6.1): %d of %d SPF-validating domains\n", partial.Observed, partial.Tested)
 	return nil
 }
 

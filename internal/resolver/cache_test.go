@@ -442,19 +442,26 @@ func TestCacheKeyMatchesCanonicalName(t *testing.T) {
 	}
 }
 
-// TestNegativeCaching verifies empty results are cached (under
-// DefaultNegativeTTL) instead of being re-asked.
+// TestNegativeCaching verifies an empty result that carries an SOA is
+// cached (for the SOA's negative TTL) instead of being re-asked, and
+// one without an SOA reaches the wire every time (RFC 2308 §5).
 func TestNegativeCaching(t *testing.T) {
-	h := newStaticHandler()
-	r := New(Config{Server: startServer(t, h)})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if txts, err := r.LookupTXT(ctx, "missing.example.com"); err != nil || len(txts) != 0 {
-			t.Fatalf("lookup %d: %v, %v", i, txts, err)
+	for _, c := range []struct {
+		noSOA bool
+		want  int
+	}{{false, 1}, {true, 3}} {
+		h := newStaticHandler()
+		h.noSOA = c.noSOA
+		r := New(Config{Server: startServer(t, h)})
+		ctx := context.Background()
+		for i := 0; i < 3; i++ {
+			if txts, err := r.LookupTXT(ctx, "missing.example.com"); err != nil || len(txts) != 0 {
+				t.Fatalf("lookup %d: %v, %v", i, txts, err)
+			}
 		}
-	}
-	if got := h.queries("TXT missing.example.com."); got != 1 {
-		t.Errorf("server saw %d queries, want 1 (negative-cached)", got)
+		if got := h.queries("TXT missing.example.com."); got != c.want {
+			t.Errorf("no SOA %v: server saw %d queries for 3 lookups, want %d", c.noSOA, got, c.want)
+		}
 	}
 }
 

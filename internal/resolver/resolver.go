@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -93,10 +94,6 @@ type Resolver struct {
 
 // cacheEntries is the cache's capacity, exactly.
 const cacheEntries = 4096
-
-// DefaultNegativeTTL is how long empty results (NXDOMAIN or no
-// records) stay cached, in the TTLs' time (see Config.TimeScale).
-const DefaultNegativeTTL = 30 * time.Second
 
 // failureTTL is how long a resolution failure (cachedFailure) stays
 // cached, in the TTLs' time (see Config.TimeScale). RFC 9520 §3.2 has
@@ -225,8 +222,9 @@ func (r *Resolver) Exchange(ctx context.Context, name string, t dns.Type) (*dns.
 
 // lead performs a flight's wire exchange under the flight-owned
 // context and finishes the flight: a successful response stays cached
-// for its TTL, a resolution failure for failureTTL, both scaled by
-// Config.TimeScale; any other error is not cached. link
+// for minTTL, a resolution failure for failureTTL, both scaled by
+// Config.TimeScale; any other error, and a negative answer without an
+// SOA, is not cached. link
 // carries the leading Exchange span's identity (a value snapshot — the
 // span itself may already be recycled by the time this goroutine
 // runs).
@@ -330,23 +328,27 @@ func retryable(err error) bool {
 	return errors.As(err, &netErr) && netErr.Timeout()
 }
 
-// minTTL returns how long msg may be cached, in the TTLs' time:
-// DefaultNegativeTTL for an empty result, else the smallest answer TTL
-// clamped to [1s, 1h].
+// minTTL returns how long msg may be cached, in the TTLs' time: the
+// smallest answer TTL, or for a negative answer (NXDOMAIN, or no
+// records) min(SOA TTL, SOA MINIMUM) of the SOA in its authority
+// section (RFC 2308 §5), clamped to [1s, 1h]. A negative answer
+// without an SOA is not cached (0), as RFC 2308 §5 asks.
 func minTTL(msg *dns.Message) time.Duration {
-	if len(msg.Answers) == 0 {
-		return DefaultNegativeTTL
-	}
-	min := uint32(3600)
+	ttl := uint32(3600)
 	for _, rr := range msg.Answers {
-		if rr.TTL < min {
-			min = rr.TTL
+		ttl = min(ttl, rr.TTL)
+	}
+	if len(msg.Answers) == 0 {
+		i := slices.IndexFunc(msg.Authority, func(rr dns.RR) bool {
+			_, ok := rr.Data.(*dns.SOA)
+			return ok
+		})
+		if i < 0 {
+			return 0
 		}
+		ttl = min(ttl, msg.Authority[i].TTL, msg.Authority[i].Data.(*dns.SOA).Minimum)
 	}
-	if min == 0 {
-		min = 1
-	}
-	return time.Duration(min) * time.Second
+	return time.Duration(max(ttl, 1)) * time.Second
 }
 
 // lookup exchanges (name, t) and converts the data of every answer of

@@ -17,6 +17,16 @@ type staticHandler struct {
 	records map[string][]dns.RR // key: "TYPE name"
 	refuse  map[string]bool
 	count   map[string]int
+	// noSOA sends NXDOMAIN without the SOA that lets a resolver cache
+	// it (RFC 2308 §5).
+	noSOA bool
+}
+
+// negativeSOA is the SOA the handler's NXDOMAIN carries: its MINIMUM,
+// 30 s, is the smaller of its two TTLs, so a negative answer lives 30 s.
+var negativeSOA = dns.RR{
+	Name: "example.com.", Type: dns.TypeSOA, Class: dns.ClassINET, TTL: 300,
+	Data: &dns.SOA{MName: "ns1.example.com.", RName: "hostmaster.example.com.", Minimum: 30},
 }
 
 func newStaticHandler() *staticHandler {
@@ -54,6 +64,9 @@ func (h *staticHandler) ServeDNS(w dns.ResponseWriter, r *dns.Request) {
 		resp.Answers = rrs
 	} else {
 		resp.RCode = dns.RCodeNameError
+		if !h.noSOA {
+			resp.Authority = []dns.RR{negativeSOA}
+		}
 	}
 	_ = w.WriteMsg(resp)
 }
@@ -265,17 +278,33 @@ func TestMinTTL(t *testing.T) {
 	if got := minTTL(msg); got != 60*time.Second {
 		t.Errorf("minTTL = %v", got)
 	}
-	if got := minTTL(&dns.Message{}); got != 30*time.Second {
-		t.Errorf("negative TTL = %v", got)
-	}
 	if got := minTTL(&dns.Message{Answers: []dns.RR{{TTL: 0}}}); got != time.Second {
 		t.Errorf("zero TTL clamp = %v", got)
+	}
+	// A negative answer lives min(SOA TTL, MINIMUM), clamped like an
+	// answer TTL, and is not cached without an SOA (RFC 2308 §5).
+	soa := func(ttl, minimum uint32) *dns.Message {
+		return &dns.Message{Authority: []dns.RR{{Type: dns.TypeSOA, TTL: ttl, Data: &dns.SOA{Minimum: minimum}}}}
+	}
+	for _, c := range []struct {
+		msg  *dns.Message
+		want time.Duration
+	}{
+		{soa(60, 300), 60 * time.Second},
+		{soa(300, 30), 30 * time.Second},
+		{soa(0, 300), time.Second},
+		{soa(7200, 86400), time.Hour},
+		{&dns.Message{}, 0},
+	} {
+		if got := minTTL(c.msg); got != c.want {
+			t.Errorf("negative TTL with authority %v = %v, want %v", c.msg.Authority, got, c.want)
+		}
 	}
 }
 
 // TestCacheLifetimeScaled counts wire exchanges across a wait at
 // TimeScale 0.001, where one second of TTL lasts one wall-clock
-// millisecond: a 60 s answer, an empty one (DefaultNegativeTTL, 30 s)
+// millisecond: a 60 s answer, an empty one (its SOA's MINIMUM, 30 s)
 // and a TTL-0 one (clamped to 1 s) go back to the wire once their
 // scaled TTL has passed. At TimeScale 0 (unscaled) the same 60 ms wait
 // is a cache hit. A load-stalled host only lengthens a wait, so only
